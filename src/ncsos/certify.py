@@ -24,8 +24,8 @@ from .gns import (
 from .gram import EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, constraint_index, factor_gram
 from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from .sdp import (
-    AffineSystem, InconsistentSystemError, entry_constraints, max_margin,
-    project_affine, solve_feasibility,
+    AffineSystem, InconsistentSystemError, max_margin, project_affine,
+    solve_feasibility,
 )
 from .words import MONOID, count_words, enumerate_words, involute
 
@@ -46,7 +46,6 @@ class CertifyOptions:
     eps_wit: float = 1e-6
     delta: float = 1e-4
     delta_min: float = 1e-8
-    seed: int = 1729
 
 
 @dataclass
@@ -78,30 +77,23 @@ def infer_degree(f: NCPoly, opts: CertifyOptions) -> int:
 # -- primal: Gram feasibility ------------------------------------------------
 
 
+def _class_labels(classes: dict, n: int, k: int) -> np.ndarray:
+    """Label of each entry of an (n k) x (n k) block matrix: i k^2 + a k + b
+    for entry (v k + a, w k + b) with (v, w) in the i-th class of classes."""
+    word_class = np.empty((n, n), dtype=np.intp)
+    for i, pairs in enumerate(classes.values()):
+        word_class[tuple(np.array(pairs).T)] = i
+    ab = np.arange(k * k).reshape(k, k)
+    return (word_class[:, None, :, None] * k * k + ab[:, None, :]).reshape(n * k, n * k)
+
+
 def gram_system(f: NCPoly, d: int) -> AffineSystem:
-    """Affine constraints on G forcing V_d^* G V_d = f, coefficient by
-    coefficient over every product word of length <= 2d."""
-    k = f.k
-    n = count_words(f.g, d, f.mode)
-    m = n * k
+    """Affine constraints on G forcing V_d^* G V_d = f: the (a, b) entries of
+    the blocks G_{v,w} with v* w = u are pinned to sum to f_u[a, b]."""
     classes = constraint_index(f.g, d, f.mode)
-    constraints = []
-    for u, pairs in classes.items():
-        target = f.coeff(u)
-        for a in range(k):
-            for b in range(k):
-                C_re = np.zeros((m, m), dtype=complex)
-                C_im = np.zeros((m, m), dtype=complex)
-                for v, w in pairs:
-                    dre, dim = entry_constraints(m, v * k + a, w * k + b)
-                    C_re += dre
-                    C_im += dim
-                constraints.append((C_re, target[a, b].real))
-                if opnorm(C_im) > 1e-14:
-                    constraints.append((C_im, target[a, b].imag))
-                elif abs(target[a, b].imag) > 1e-12:
-                    raise CertifyError("non-Hermitian coefficient pattern in input")
-    return AffineSystem(m, constraints)
+    n = count_words(f.g, d, f.mode)
+    targets = np.concatenate([f.coeff(u).ravel() for u in classes])
+    return AffineSystem(n * f.k, _class_labels(classes, n, f.k), targets)
 
 
 def _interior_point_polish(sys: AffineSystem, eps_psd: float) -> np.ndarray | None:
@@ -194,47 +186,30 @@ def _hankel_layout(f: NCPoly, D: int) -> _HankelLayout:
 
 
 def hankel_system(f: NCPoly, layout: _HankelLayout, delta: float) -> AffineSystem:
-    """Constraints: Hankel block equalities, border zeros around the slack,
-    unit trace, and the margin phi(f) + slack = -delta.
+    """Constraints: Hankel block equalities (tied classes), border zeros around
+    the slack, and the dense rows unit trace and phi(f) + slack = -delta.
 
     The psd variable K stores S_{v*w} with each block transposed in place,
     so entry ((v, alpha), (w, beta)) equals S_{v*w}[beta, alpha].
     """
     k, m = layout.k, layout.m
-    constraints = []
-    for u, pairs in layout.classes.items():
-        v0, w0 = pairs[0]
-        for v, w in pairs[1:]:
-            for a in range(k):
-                for b in range(k):
-                    re0, im0 = entry_constraints(m, v0 * k + a, w0 * k + b)
-                    re1, im1 = entry_constraints(m, v * k + a, w * k + b)
-                    constraints.append((re1 - re0, 0.0))
-                    if opnorm(im1 - im0) > 1e-14:
-                        constraints.append((im1 - im0, 0.0))
     slack = m - 1
-    for i in range(slack):
-        re, im = entry_constraints(m, i, slack)
-        constraints.append((re, 0.0))
-        constraints.append((im, 0.0))
+    tied = len(layout.classes) * k * k
+    labels = np.full((m, m), -1)
+    labels[:slack, :slack] = _class_labels(layout.classes, layout.n, k)
+    labels[:slack, slack], labels[slack, :slack] = np.arange(tied, tied + 2 * slack).reshape(2, slack)
+    targets = np.concatenate([np.full(tied, np.nan), np.zeros(2 * slack)])
+
     trace = np.eye(m, dtype=complex)
     trace[slack, slack] = 0.0
-    constraints.append((trace, 1.0))
-
     margin = np.zeros((m, m), dtype=complex)
     for u, pairs in layout.classes.items():
-        F = f.coeff(u)
-        if opnorm(F) == 0.0:
-            continue
         v0, w0 = pairs[0]
-        for a in range(k):
-            for b in range(k):
-                # coefficient of K[(v0, b), (w0, a)] is F[b, a]
-                margin[w0 * k + a, v0 * k + b] += F[b, a]
+        # coefficient of K[(v0, b), (w0, a)] is F[b, a]
+        margin[w0 * k:(w0 + 1) * k, v0 * k:(v0 + 1) * k] += f.coeff(u).T
     margin[slack, slack] = 1.0
     margin = (margin + margin.conj().T) / 2
-    constraints.append((margin, -delta))
-    return AffineSystem(m, constraints)
+    return AffineSystem(m, labels, targets, [(trace, 1.0), (margin, -delta)])
 
 
 def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunctional:
@@ -269,7 +244,8 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
     while delta >= opts.delta_min * (1 - 1e-12):
         sys = hankel_system(f, layout, delta)
         try:
-            X, iters, gap, note = _solve_robust(sys, opts, EPS_PSD_GATE)
+            # an SOS input's best margin can be -delta/3: gate tighter than delta
+            X, iters, gap, note = _solve_robust(sys, opts, min(EPS_PSD_GATE, delta / 10))
         except InconsistentSystemError as exc:
             diag.note = f"inconsistent dual system at delta={delta:.1e}"
             diag.gap = min(diag.gap, exc.residual)
@@ -363,7 +339,10 @@ def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
 
     SOS: the input must be psd at random self-adjoint (or unitary) tuples.
     Witness: the stored model must still exhibit a negative eigenvalue.
+    Any other outcome has nothing to check and raises CertifyError.
     """
+    if outcome.kind not in ("sos", "witness"):
+        raise CertifyError(f"no decided outcome to spot check (kind {outcome.kind!r})")
     rng = np.random.default_rng(seed)
     if outcome.kind == "witness":
         fY = poly_eval(f, outcome.model.operators)
@@ -377,5 +356,4 @@ def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
         fX = poly_eval(f, X)
         fX = (fX + fX.conj().T) / 2
         worst = min(worst, float(np.linalg.eigvalsh(fX).min()))
-    ok = worst >= -eps_psd if outcome.kind == "sos" else True
-    return SpotcheckReport(outcome.kind, trials, worst, -eps_psd, ok)
+    return SpotcheckReport("sos", trials, worst, -eps_psd, worst >= -eps_psd)

@@ -59,7 +59,6 @@ class RunConfig:
     delta: float = 1e-4
     eps_cert: float = 1e-7
     eps_wit: float = 1e-6
-    seed: int = 1729  # deterministic default
 
     def options(self) -> CertifyOptions:
         for name in ("tol", "delta", "eps_cert", "eps_wit"):
@@ -67,7 +66,7 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
         return CertifyOptions(d=self.degree, max_iter=self.max_iter, tol=self.tol,
                               eps_cert=self.eps_cert, eps_wit=self.eps_wit,
-                              delta=self.delta, seed=self.seed)
+                              delta=self.delta)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +83,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--max-iter", type=int, default=50_000)
         sp.add_argument("--degree", type=int, default=None)
         sp.add_argument("--delta", type=float, default=1e-4)
-        sp.add_argument("--seed", type=int, default=1729)
         sp.add_argument("--out", default=None)
 
     for name in ("certify", "decompose", "witness"):
@@ -368,7 +366,7 @@ def main(argv=None) -> int:
         if args.command in ("certify", "decompose", "witness"):
             cfg = RunConfig(command=args.command, input_path=args.input,
                             out_path=args.out, tol=args.tol, max_iter=args.max_iter,
-                            degree=args.degree, delta=args.delta, seed=args.seed)
+                            degree=args.degree, delta=args.delta)
             fn = {"certify": _cmd_certify, "decompose": _cmd_decompose,
                   "witness": _cmd_witness}[args.command]
             return fn(cfg)

@@ -56,7 +56,6 @@ class GramMatrix:
     d: int
     k: int
     matrix: np.ndarray
-    certified: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -65,8 +64,6 @@ class GramMatrix:
             raise GramError(f"Gram matrix has shape {self.matrix.shape}, want {(n, n)}")
         if opnorm(self.matrix - self.matrix.conj().T) > 1e-10:
             raise GramError("Gram matrix is not Hermitian")
-        if self.certified and self.min_eig() < -EPS_PSD:
-            raise GramError("certified Gram matrix fails the psd check")
 
     @property
     def n_words(self) -> int:
@@ -75,9 +72,6 @@ class GramMatrix:
     def block(self, v: int, w: int) -> np.ndarray:
         k = self.k
         return self.matrix[v * k:(v + 1) * k, w * k:(w + 1) * k]
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2).min())
 
 
 @dataclass

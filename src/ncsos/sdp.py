@@ -1,10 +1,14 @@
 """Deterministic semidefinite feasibility via Dykstra's alternating projections.
 
-Finds a Hermitian matrix in the intersection of an affine subspace (trace
-pairing constraints <C_t, X> = b_t) with the psd cone, or reports
-Inconclusive with the final gap.  Dykstra rather than plain alternating
-projections so the limit is the nearest feasible point and stalls show up in
-the correction terms; everything is deterministic for fixed inputs.
+Finds a Hermitian matrix in the intersection of an affine subspace with the
+psd cone, or reports Inconclusive with the final gap.  Dykstra rather than
+plain alternating projections so the limit is the nearest feasible point and
+stalls show up in the correction terms; everything is deterministic for fixed
+inputs.
+
+The affine constraints pin or tie disjoint classes of entries, so A A* is
+diagonal (Henrion & Malick 2011) and the projection is closed form: class
+means, plus a small correction for a few dense rows.
 
 Dykstra converges sublinearly when the intersection has no strictly
 feasible point.  For those systems max_margin solves max t subject to
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import opnorm
+from .poly import EPS_HERM, opnorm
 
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_TOL = 1e-9
@@ -38,58 +42,110 @@ class InconsistentSystemError(SdpError):
 
 @dataclass
 class AffineSystem:
-    """Constraints Tr(C_t X) = b_t on Hermitian m x m matrices.
+    """Affine constraints on Hermitian m x m matrices.
 
-    Each C_t must be Hermitian and each b_t real, so every constraint is a
-    real-linear functional on the real vector space of Hermitian matrices.
+    labels[i, j] is the class of entry (i, j), negative for none.  Class c
+    is pinned when targets[c] is finite (its entries sum to it) and tied when
+    it is nan (its entries are equal).  The transpose of a class must be a
+    class with the conjugate target, its mirror.  rows are dense constraints
+    (C_t, b_t): Re Tr(C_t X) = b_t, C_t Hermitian and b_t real.
     """
 
     m: int
-    constraints: list = field(default_factory=list)  # (C_t, b_t)
+    labels: np.ndarray | None = None
+    targets: np.ndarray = ()
+    rows: list = field(default_factory=list)
 
     def __post_init__(self):
-        cleaned = []
-        for C, b in self.constraints:
+        m = self.m
+        labels = np.full((m, m), -1) if self.labels is None else np.asarray(self.labels, dtype=np.intp)
+        targets = np.asarray(self.targets, dtype=complex).ravel()
+        on = labels >= 0
+        sizes = np.bincount(labels[on], minlength=len(targets))
+        if labels.shape != (m, m) or len(sizes) != len(targets) or not sizes.all():
+            raise SdpError(f"labels must be {m} x {m} and name each of {len(targets)} classes")
+        mirror = np.zeros(len(targets), dtype=np.intp)
+        mirror[labels[on]] = labels.T[on]
+        pinned = np.isfinite(targets)
+        if ((on != on.T).any() or (mirror[labels[on]] != labels.T[on]).any()
+                or (pinned != pinned[mirror]).any()
+                or (np.abs(targets - targets[mirror].conj())[pinned] > EPS_HERM).any()):
+            raise SdpError("the transpose of a class is not a class with the conjugate "
+                           "target (non-Hermitian pattern or coefficients)")
+        rows = []
+        for C, b in self.rows:
             C = np.asarray(C, dtype=complex)
-            if C.shape != (self.m, self.m):
-                raise SdpError(f"constraint matrix has shape {C.shape}, want {(self.m, self.m)}")
+            if C.shape != (m, m):
+                raise SdpError(f"constraint matrix has shape {C.shape}, want {(m, m)}")
             if opnorm(C - C.conj().T) > 1e-12:
                 raise SdpError("constraint matrix is not Hermitian")
             b = complex(b)
             if abs(b.imag) > 1e-12:
                 raise SdpError("constraint value must be real for a Hermitian pairing")
-            cleaned.append((C, float(b.real)))
-        self.constraints = cleaned
-        self._stack = None
-        self._pinv_gram = None
+            rows.append((C, float(b.real)))
+        self.labels, self.targets, self.rows = labels, targets, rows
 
-    def add(self, C, b):
-        self.constraints.append((np.asarray(C, dtype=complex), float(b)))
-        self.__post_init__()
+        # per labelled entry: its flat index and class, whether the class is
+        # pinned, and the Re, Im bins of its class sums; per class: the factor
+        # turning its sum into -mean (pinned) or mean (tied), and target / size
+        self._idx = np.flatnonzero(on)
+        self._lab = labels.ravel()[self._idx]
+        self._keep = pinned[self._lab].astype(float)
+        self._tied = np.flatnonzero(~pinned[self._lab])
+        self._bins = (2 * self._lab[:, None] + np.arange(2)).ravel()
+        self._pinned = pinned
+        self._coef = np.where(pinned, -1.0, 1.0) / sizes
+        self._tmean = np.where(pinned, targets / sizes, 0.0)
+        # dense rows, and the least-norm moves inside the class subspace that
+        # correct a unit shortfall in each (a pseudo-inverse: redundant rows are fine)
+        R = len(rows)
+        self._row_conj = np.array([C.conj().ravel() for C, _ in rows]).reshape(R, m * m)
+        self._row_b = np.array([b for _, b in rows])
+        dirs = np.array([self._classes(C, linear=True) for C, _ in rows]).reshape(R, m * m)
+        self._row_step = np.linalg.lstsq((self._row_conj @ dirs.T).real, dirs, rcond=1e-12)[0]
 
-    # cached normal-equation data ------------------------------------------
+    @property
+    def constraints(self) -> range:
+        """One index per constraint: each class, then each dense row."""
+        return range(len(self.targets) + len(self.rows))
 
-    def _prepared(self):
-        if self._stack is None:
-            T = len(self.constraints)
-            stack = np.stack([C for C, _ in self.constraints]) if T else np.zeros((0, self.m, self.m))
-            rhs = np.array([b for _, b in self.constraints])
-            gram = np.einsum("sij,tji->st", stack, stack).real
-            self._stack = (stack, rhs)
-            self._pinv_gram = np.linalg.pinv(gram, rcond=1e-12)
-        return self._stack, self._pinv_gram
+    def _class_sums(self, v: np.ndarray) -> np.ndarray:
+        """Sum over each class of v, the values of the labelled entries."""
+        return np.bincount(self._bins, v.view(float), minlength=2 * len(self.targets)).view(complex)
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        (stack, _), _ = self._prepared()
-        if len(self.constraints) == 0:
-            return np.zeros(0)
-        return np.einsum("tij,ji->t", stack, X).real
+    def _classes(self, X: np.ndarray, linear: bool = False) -> np.ndarray:
+        """Nearest point, flattened, of the class constraints (of their linear
+        part if linear): pinned entries share their class's shortfall, tied
+        take its mean."""
+        x = np.array(X, dtype=complex).ravel()
+        v = x[self._idx]
+        base = self._class_sums(v) * self._coef
+        if not linear:
+            base += self._tmean
+        x[self._idx] = self._keep * v + base[self._lab]
+        return x
+
+    def nearest(self, X: np.ndarray, linear: bool = False) -> np.ndarray:
+        """Frobenius-nearest point of the affine set (of its linear part if
+        linear): the class projection, then the least-norm move that meets the rows."""
+        y = self._classes(X, linear)
+        if self.rows:
+            y += ((0.0 if linear else self._row_b) - (self._row_conj @ y).real) @ self._row_step
+        Y = y.reshape(self.m, self.m)
+        return (Y + Y.conj().T) / 2
 
     def residual(self, X: np.ndarray) -> float:
-        if not self.constraints:
-            return 0.0
-        (_, rhs), _ = self._prepared()
-        return float(np.abs(self.values(X) - rhs).max())
+        """Largest violation, in real or imaginary part, of a pinned class
+        sum, of a tied entry against its class mean, or of a dense row."""
+        x = np.asarray(X, dtype=complex).ravel()
+        v = x[self._idx]
+        sums = self._class_sums(v)
+        parts = [(sums - self.targets)[self._pinned]]
+        if len(self._tied):  # Gram systems have no tied classes
+            parts.append(v[self._tied] - (sums * self._coef)[self._lab[self._tied]])
+        if self.rows:
+            parts.append((self._row_conj @ x).real - self._row_b)
+        return float(np.abs(np.concatenate(parts).view(float)).max(initial=0.0))
 
 
 def project_psd(X: np.ndarray) -> np.ndarray:
@@ -106,17 +162,10 @@ def project_affine(X: np.ndarray, sys: AffineSystem,
                    eps_affine: float = 1e-7) -> np.ndarray:
     """Frobenius-orthogonal projection onto the affine solution set.
 
-    Solves the normal equations of the constraint Gram matrix with a
-    pseudo-inverse, so consistent redundant constraints are fine; an
-    inconsistent system leaves a residual and raises.
+    Closed form (AffineSystem.nearest); consistent redundant rows are fine,
+    an inconsistent system leaves a residual and raises.
     """
-    X = np.asarray(X, dtype=complex)
-    if not sys.constraints:
-        return (X + X.conj().T) / 2
-    (stack, rhs), pinv_gram = sys._prepared()
-    alpha = pinv_gram @ (sys.values(X) - rhs)
-    out = X - np.einsum("t,tij->ij", alpha, stack)
-    out = (out + out.conj().T) / 2
+    out = sys.nearest(X)
     res = sys.residual(out)
     if res > eps_affine:
         raise InconsistentSystemError(res)
@@ -130,10 +179,6 @@ class FeasibilityResult:
     iterations: int
     final_gap: float
     residual_history: list = field(default_factory=list)  # last few (psd, affine) pairs
-
-    @property
-    def status(self) -> str:
-        return "feasible" if self.feasible else "inconclusive"
 
 
 def solve_feasibility(sys: AffineSystem,
@@ -219,7 +264,7 @@ def _hunvec(x: np.ndarray, m: int) -> np.ndarray:
 MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
-CHUNK = 256                 # null-space directions transformed at once
+CHUNK = 256                 # basis matrices or null-space directions handled at once
 
 
 @dataclass
@@ -231,14 +276,15 @@ class MarginResult:
 
 
 def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
-    """Maximize t subject to X - t I psd, Tr(C_t X) = b_t and t <= 1.
+    """Maximize t subject to X - t I psd, X in the affine set and t <= 1.
 
     A log-barrier path-following method (Boyd & Vandenberghe, ch. 11) on the
-    null space of the constraints: X = X0 + sum_i y_i E_i, where X0 is the
-    least-norm solution and the E_i are an orthonormal basis of the
-    Hermitian matrices the constraints do not see.  Every iterate satisfies
-    the constraints by construction, however badly conditioned the Newton
-    systems become near the boundary of the cone.  The start puts t one
+    null space of the constraints: X = X0 + sum_i y_i E_i, where
+    X0 = project_affine(0) is the least-norm solution and the E_i are an
+    orthonormal basis of the Hermitian matrices the constraints do not see.
+    Every iterate satisfies the constraints by construction, however badly
+    conditioned the Newton systems become near the boundary of the cone.
+    The start puts t one
     below the smallest eigenvalue of X0, so the path is entered from a
     strictly feasible point whether or not the system has a psd solution.
     Deterministic: no random start.
@@ -251,20 +297,16 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     """
     m = sys.m
     eye = np.eye(m, dtype=complex)
-    if sys.constraints:
-        (stack, b), _ = sys._prepared()
-        A = _hvec(stack)
-    else:
-        A, b = np.zeros((0, m * m)), np.zeros(0)
-    U, sv, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int((sv > sv.max(initial=0.0) * max(A.shape) * np.finfo(float).eps).sum())
-    coords = U[:, :rank].T @ b
-    residual = float(np.abs(U[:, :rank] @ coords - b).max(initial=0.0))
-    if residual > 1e-7:
-        raise InconsistentSystemError(residual)
-    X0 = _hunvec(Vt[:rank].T @ (coords / sv[:rank]), m)
-    N = Vt[rank:].copy()  # orthonormal basis of the null space, in _hvec coordinates
-    del A, U, Vt
+    X0 = project_affine(np.zeros((m, m), dtype=complex), sys)
+    # the null space, in _hvec coordinates: eigenvectors with eigenvalue 1 of
+    # the linear part of the projection, an orthogonal projector
+    P = np.empty((m * m, m * m))
+    for i in range(0, m * m, CHUNK):
+        basis = _hunvec(np.eye(min(CHUNK, m * m - i), m * m, i), m)
+        P[i:i + len(basis)] = _hvec(np.array([sys.nearest(E, linear=True) for E in basis]))
+    evals, evecs = np.linalg.eigh(P)
+    N = evecs[:, evals > 0.5].T.copy()
+    del P, evecs
 
     t = min(float(np.linalg.eigvalsh(X0).min()), 0.0) - 1.0
     S = X0 - t * eye
@@ -327,17 +369,3 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
         eta *= 10.0
     X = S + t * eye
     return MarginResult((X + X.conj().T) / 2, float(t), float(bound), steps)
-
-
-# -- helpers to phrase complex entry equalities as Hermitian constraints ----
-
-
-def entry_constraints(m: int, i: int, j: int):
-    """Hermitian C with Tr(C X) = Re X[i, j], and one with Tr(C X) = Im X[i, j]."""
-    C_re = np.zeros((m, m), dtype=complex)
-    C_re[i, j] += 0.5
-    C_re[j, i] += 0.5
-    C_im = np.zeros((m, m), dtype=complex)
-    C_im[i, j] += 0.5j
-    C_im[j, i] += -0.5j
-    return C_re, C_im

@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from ncsos.certify import (
-    CertifyError, CertifyOptions, certify, gram_system, infer_degree,
-    run_dual, run_primal, spotcheck, _hankel_layout, _interior_point_polish,
+    CertifyError, CertifyOptions, CertifyOutcome, certify, gram_system,
+    infer_degree, run_dual, run_primal, spotcheck, _hankel_layout,
+    _interior_point_polish,
 )
 from ncsos.gram import EPS_PSD
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
@@ -93,7 +96,7 @@ def test_interior_point_polish_boundary_gram_system():
 
 
 def test_interior_point_polish_infeasible_returns_none():
-    sys = AffineSystem(2, [(np.eye(2, dtype=complex), -1.0)])
+    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), -1.0)])
     assert max_margin(sys).t < 0
     assert _interior_point_polish(sys, EPS_PSD) is None
 
@@ -196,6 +199,22 @@ def test_exclusivity_on_decided_instances():
     assert cert is None
 
 
+@pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
+                         ids=["x1^2+x2^2", "2-u1-u1^-1"])
+def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
+    # these inputs vanish somewhere, so at delta = 1e-8 the best Hankel
+    # margin is about -delta/3: the psd gate must refuse it before GNS
+    module = importlib.import_module("ncsos.certify")  # ncsos.certify is the function
+    calls = []
+    for name in ("gns_construct", "gns_construct_unitary"):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda S, _f=original: calls.append(S) or _f(S))
+    model, *_ = run_dual(f, 1, FAST)
+    assert model is None
+    assert calls == []
+
+
 # -- guards ----------------------------------------------------------------------
 
 
@@ -235,6 +254,11 @@ def test_spotcheck_zero():
     out = certify(f, FAST)
     rep = spotcheck(f, out, trials=50, n_max=4, seed=7)
     assert abs(rep.min_eig) <= 1e-12
+
+
+def test_spotcheck_refuses_undecided():
+    with pytest.raises(CertifyError):
+        spotcheck(anticommutator(), CertifyOutcome("undecided"), trials=10)
 
 
 def test_spotcheck_group_sos():

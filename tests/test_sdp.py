@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
 
+from ncsos.certify import _hankel_layout, gram_system, hankel_system
+from ncsos.gram import constraint_index
+from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    AffineSystem, InconsistentSystemError, SdpError, entry_constraints,
-    max_margin, project_affine, project_psd, solve_feasibility, verify_feasible,
+    AffineSystem, InconsistentSystemError, SdpError, max_margin,
+    project_affine, project_psd, solve_feasibility, verify_feasible,
 )
+from ncsos.words import GROUP, MONOID, enumerate_words
 
-from test_poly import rand_hermitian
+from test_poly import rand_hermitian, rand_matrix
 
 
 def trace_system(m, value):
-    return AffineSystem(m, [(np.eye(m, dtype=complex), value)])
+    return AffineSystem(m, rows=[(np.eye(m, dtype=complex), value)])
+
+
+def pinned_entry_system(m, i, j, value, rows=()):
+    """X[i, j] = value (and X[j, i] = conj(value)), plus dense rows."""
+    labels = np.full((m, m), -1)
+    labels[i, j], labels[j, i] = 0, 1
+    return AffineSystem(m, labels, [value, np.conj(value)], list(rows))
 
 
 def test_project_psd_clips():
@@ -56,16 +67,15 @@ def test_project_affine_fixpoint_and_idempotent():
 
 def test_project_affine_entry_pinning():
     m = 3
-    C_re, C_im = entry_constraints(m, 0, 1)
-    sys = AffineSystem(m, [(C_re, 0.25), (C_im, -0.5)])
+    sys = pinned_entry_system(m, 0, 1, 0.25 - 0.5j)
     X = project_affine(np.zeros((m, m), dtype=complex), sys)
     assert abs(X[0, 1] - (0.25 - 0.5j)) < 1e-10
     assert abs(X[1, 0] - (0.25 + 0.5j)) < 1e-10
 
 
 def test_inconsistent_system_raises():
-    sys = AffineSystem(2, [(np.eye(2, dtype=complex), 0.0),
-                           (np.eye(2, dtype=complex), 1.0)])
+    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), 0.0),
+                                (np.eye(2, dtype=complex), 1.0)])
     with pytest.raises(InconsistentSystemError):
         project_affine(np.zeros((2, 2), dtype=complex), sys)
 
@@ -73,7 +83,102 @@ def test_inconsistent_system_raises():
 def test_non_hermitian_constraint_rejected():
     C = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(SdpError):
-        AffineSystem(2, [(C, 0.0)])
+        AffineSystem(2, rows=[(C, 0.0)])
+
+
+def test_non_hermitian_class_pattern_rejected():
+    # a class's transpose must be one class, pinned to the conjugate target
+    with pytest.raises(SdpError):
+        AffineSystem(2, [[-1, 0], [1, 1]], [1.0, 1.0])
+    with pytest.raises(SdpError):
+        AffineSystem(2, [[-1, 0], [1, -1]], [1.0, 2.0])
+    with pytest.raises(SdpError):
+        AffineSystem(2, [[0, -1], [-1, -1]], [1j])  # a diagonal sum is real
+    with pytest.raises(SdpError):
+        AffineSystem(2, [[-1, 0], [1, -1]], [1.0, np.nan])
+
+
+# -- the closed-form projection against an explicit constraint matrix --------
+
+
+def _rand_hermitian_poly(g, mode, k, rng):
+    r = NCPoly(g, mode, k, {w: rand_matrix(k, rng) for w in enumerate_words(g, 1, mode)})
+    return r.adjoint() * r + NCPoly.constant(rand_hermitian(k, rng), g, mode)
+
+
+def _reference_rows(f, d, hankel_sys=None):
+    """Real-linear constraints on the (Re, Im) coordinates of all m x m
+    matrices, written out one by one from constraint_index: the Gram class
+    sums, or the Hankel ties, border zeros and the system's dense rows; and
+    X = X^* in every case."""
+    classes = constraint_index(f.g, d, f.mode)
+    k, n = f.k, len(enumerate_words(f.g, d, f.mode))
+    m = n * k if hankel_sys is None else hankel_sys.m
+    rows, rhs = [], []
+
+    def add(coeffs, value):  # sum of coeffs[(i, j)] * X[i, j] == value, complex
+        for part in (lambda z: z.real, lambda z: z.imag):
+            row = np.zeros(2 * m * m)
+            for (i, j), c in coeffs.items():
+                # Re / Im of c * X[i, j] in terms of Re X[i, j] and Im X[i, j]
+                row[i * m + j] += part(c)
+                row[m * m + i * m + j] += part(1j * c)
+            rows.append(row)
+            rhs.append(part(value))
+
+    for u, pairs in classes.items():
+        for a in range(k):
+            for b in range(k):
+                if hankel_sys is None:
+                    add({(v * k + a, w * k + b): 1.0 for v, w in pairs}, f.coeff(u)[a, b])
+                else:
+                    v0, w0 = pairs[0]
+                    for v, w in pairs[1:]:
+                        add({(v * k + a, w * k + b): 1.0, (v0 * k + a, w0 * k + b): -1.0}, 0.0)
+    if hankel_sys is not None:
+        for i in range(m - 1):
+            add({(i, m - 1): 1.0}, 0.0)
+            add({(m - 1, i): 1.0}, 0.0)
+        for C, b in hankel_sys.rows:  # Re Tr(C X) = Re sum C[j, i] X[i, j]
+            add({(i, j): C[j, i] for i in range(m) for j in range(m)}, b)
+            rows.pop(), rhs.pop()  # only the real part is a constraint
+    for i in range(m):
+        for j in range(i, m):  # Re X[i, j] = Re X[j, i], Im X[i, j] = -Im X[j, i]
+            re, im = np.zeros(2 * m * m), np.zeros(2 * m * m)
+            re[i * m + j] += 1.0
+            re[j * m + i] -= 1.0
+            im[m * m + i * m + j] += 1.0
+            im[m * m + j * m + i] += 1.0
+            rows += [re, im]
+            rhs += [0.0, 0.0]
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("g, k", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("kind", ["gram", "hankel"])
+def test_project_affine_matches_least_squares(mode, g, k, kind):
+    rng = np.random.default_rng([g, k, mode == GROUP])
+    f = _rand_hermitian_poly(g, mode, k, rng)
+    if kind == "gram":
+        sys = gram_system(f, 1)
+        A, b = _reference_rows(f, 1)
+    else:
+        sys = hankel_system(f, _hankel_layout(f, 1), 1e-3)
+        A, b = _reference_rows(f, 1, hankel_sys=sys)
+    m = sys.m
+    X = rand_hermitian(m, rng)
+    x = np.concatenate([X.real.ravel(), X.imag.ravel()])
+    ref = x - np.linalg.lstsq(A, A @ x - b, rcond=None)[0]
+    assert np.abs(A @ ref - b).max() <= 1e-10  # the reference itself
+    ref = ref[:m * m].reshape(m, m) + 1j * ref[m * m:].reshape(m, m)
+
+    P = project_affine(X, sys)
+    assert np.abs(P - ref).max() <= 1e-10
+    assert np.abs(project_affine(P, sys) - P).max() <= 1e-10
+    assert sys.residual(P) <= 1e-12
+    flat = np.concatenate([P.real.ravel(), P.imag.ravel()])
+    assert np.abs(A @ flat - b).max() <= 1e-12
 
 
 def test_feasible_trace_one():
@@ -87,8 +192,7 @@ def test_feasible_trace_one():
 def test_feasible_with_entry_constraints():
     # pin an off-diagonal entry and the trace; a feasible psd completion exists
     m = 3
-    C_re, C_im = entry_constraints(m, 0, 1)
-    sys = AffineSystem(m, [(np.eye(m, dtype=complex), 2.0), (C_re, 0.3), (C_im, 0.1)])
+    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, [(np.eye(m, dtype=complex), 2.0)])
     res = solve_feasibility(sys, max_iter=5000, tol=1e-9)
     assert res.feasible
     X = res.X
@@ -108,8 +212,7 @@ def test_infeasible_reports_inconclusive():
 
 def test_determinism_bit_identical():
     m = 4
-    C_re, C_im = entry_constraints(m, 1, 2)
-    sys = AffineSystem(m, [(np.eye(m, dtype=complex), 1.0), (C_re, 0.2), (C_im, 0.0)])
+    sys = pinned_entry_system(m, 1, 2, 0.2, [(np.eye(m, dtype=complex), 1.0)])
     r1 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
     r2 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
     assert r1.iterations == r2.iterations
@@ -129,8 +232,7 @@ def test_iteration_trace_jsonl(tmp_path):
 
 def test_residuals_eventually_monotone():
     m = 3
-    C_re, C_im = entry_constraints(m, 0, 2)
-    sys = AffineSystem(m, [(np.eye(m, dtype=complex), 1.5), (C_re, 0.4), (C_im, -0.2)])
+    sys = pinned_entry_system(m, 0, 2, 0.4 - 0.2j, [(np.eye(m, dtype=complex), 1.5)])
     res = solve_feasibility(sys, max_iter=5000, tol=1e-12)
     gaps = [max(p, a) for p, a in res.residual_history]
     slack = 10 * 1e-12
@@ -160,8 +262,7 @@ def test_max_margin_floor_stops_early():
 
 def test_max_margin_interior_stops_at_psd_point():
     m = 3
-    C_re, C_im = entry_constraints(m, 0, 1)
-    sys = AffineSystem(m, [(np.eye(m, dtype=complex), 2.0), (C_re, 0.3), (C_im, 0.1)])
+    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, [(np.eye(m, dtype=complex), 2.0)])
     res = max_margin(sys)
     assert res.t >= 0
     assert np.linalg.eigvalsh(res.X).min() >= -1e-12
@@ -169,7 +270,7 @@ def test_max_margin_interior_stops_at_psd_point():
 
 
 def test_max_margin_inconsistent_raises():
-    sys = AffineSystem(2, [(np.eye(2, dtype=complex), 0.0),
-                           (np.eye(2, dtype=complex), 1.0)])
+    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), 0.0),
+                                (np.eye(2, dtype=complex), 1.0)])
     with pytest.raises(InconsistentSystemError):
         max_margin(sys)
