@@ -30,6 +30,7 @@ from .sdp import (
 from .words import MONOID, count_words, enumerate_words, involute
 
 GNS_VERIFY_TOL = 1e-8
+OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_PSD_GATE = EPS_PSD
 
 
@@ -108,7 +109,7 @@ def _interior_point_polish(sys: AffineSystem, eps_psd: float) -> np.ndarray | No
     """
     res = max_margin(sys, floor=-eps_psd)
     try:
-        X = project_affine(res.X, sys)
+        X, _ = project_affine(res.X, sys)
     except InconsistentSystemError:
         return None
     if float(np.linalg.eigvalsh(X).min()) < -eps_psd:
@@ -262,6 +263,14 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
                          else gns_construct_unitary(S))
             except GnsError as exc:
                 diag.note = f"GNS failed at delta={delta:.1e}: {exc}"
+                delta /= 10
+                continue
+            if f.mode == MONOID:
+                kind, defect = "self-adjointness", model.selfadjointness_defect()
+            else:
+                kind, defect = "unitarity", model.unitarity_defect()
+            if defect > OPERATOR_DEFECT_TOL:
+                diag.note = f"GNS operators miss {kind} by {defect:.3e} at delta={delta:.1e}"
                 delta /= 10
                 continue
             residual = gns_verify(S, model)

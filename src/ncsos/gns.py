@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from .words import GROUP, MONOID, Word, concat, count_words, enumerate_words, involute
@@ -180,15 +179,14 @@ def _quotient_frames(S: HankelFunctional, eps_psd: float):
 
 
 def _span_basis(cols: np.ndarray, rtol: float = SPAN_RTOL) -> np.ndarray:
-    """Deterministic orthonormal basis of the column span (pivoted QR)."""
+    """Deterministic orthonormal basis of the column span (SVD): the left
+    singular vectors whose singular values exceed rtol times the largest."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
-    Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
+    U, s, _ = np.linalg.svd(cols, full_matrices=False)
+    if s[0] == 0.0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
-    rank = int(np.sum(diag > rtol * diag[0]))
-    return Q[:, :rank]
+    return U[:, s > rtol * s[0]]
 
 
 def gns_construct(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel:

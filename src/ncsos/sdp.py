@@ -159,8 +159,9 @@ def project_psd(X: np.ndarray) -> np.ndarray:
 
 
 def project_affine(X: np.ndarray, sys: AffineSystem,
-                   eps_affine: float = 1e-7) -> np.ndarray:
-    """Frobenius-orthogonal projection onto the affine solution set.
+                   eps_affine: float = 1e-7) -> tuple[np.ndarray, float]:
+    """Frobenius-orthogonal projection onto the affine solution set, and its
+    residual (sys.residual of the projection).
 
     Closed form (AffineSystem.nearest); consistent redundant rows are fine,
     an inconsistent system leaves a residual and raises.
@@ -169,7 +170,7 @@ def project_affine(X: np.ndarray, sys: AffineSystem,
     res = sys.residual(out)
     if res > eps_affine:
         raise InconsistentSystemError(res)
-    return out
+    return out, res
 
 
 @dataclass
@@ -193,7 +194,7 @@ def solve_feasibility(sys: AffineSystem,
     search, not a proof of infeasibility.
     """
     m = sys.m
-    x = project_affine(np.zeros((m, m), dtype=complex), sys)
+    x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     hist: deque = deque(maxlen=history)
@@ -204,11 +205,10 @@ def solve_feasibility(sys: AffineSystem,
         for it in range(1, max_iter + 1):
             y = project_psd(x + p)
             p = x + p - y
-            x = project_affine(y + q, sys)
+            x, aff_res = project_affine(y + q, sys)
             q = y + q - x
 
             psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
-            aff_res = sys.residual(x)
             gap = max(psd_res, aff_res)
             hist.append((psd_res, aff_res))
             if trace and it % 100 == 0:
@@ -297,7 +297,7 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     """
     m = sys.m
     eye = np.eye(m, dtype=complex)
-    X0 = project_affine(np.zeros((m, m), dtype=complex), sys)
+    X0, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     # the null space, in _hvec coordinates: eigenvectors with eigenvalue 1 of
     # the linear part of the projection, an orthogonal projector
     P = np.empty((m * m, m * m))

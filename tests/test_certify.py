@@ -8,10 +8,10 @@ from ncsos.certify import (
     infer_degree, run_dual, run_primal, spotcheck, _hankel_layout,
     _interior_point_polish,
 )
-from ncsos.gram import EPS_PSD
+from ncsos.gram import EPS_PSD, GramMatrix, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
-from ncsos.words import GROUP, MONOID, Word
+from ncsos.words import GROUP, MONOID, Word, count_words
 
 from test_poly import rand_matrix
 
@@ -89,7 +89,7 @@ def test_interior_point_polish_boundary_gram_system():
     assert not solve_feasibility(sys, max_iter=3000, tol=1e-9).feasible
     X = _interior_point_polish(sys, EPS_PSD)
     assert X is not None
-    assert np.linalg.norm(project_affine(X, sys) - X) < 1e-10
+    assert np.linalg.norm(project_affine(X, sys)[0] - X) < 1e-10
     assert np.linalg.eigvalsh(X).min() >= -1e-8
     assert abs(np.ones(3) @ X @ np.ones(3)) < 1e-10
     assert abs(max_margin(sys).t) < 1e-8
@@ -213,6 +213,31 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
     model, *_ = run_dual(f, 1, FAST)
     assert model is None
     assert calls == []
+
+
+def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
+    """V_d* (B B*/m) V_d - c with c putting eigenvalue -margin into f(Y0) at
+    a seeded self-adjoint n x n tuple Y0, so f is not SOS."""
+    rng = np.random.default_rng(seed)
+    m = count_words(g, d, MONOID) * k
+    B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    f = gram_to_poly(GramMatrix(g, MONOID, d, k, B @ B.conj().T / m))
+    Y0 = OperatorTuple(MONOID, [(A + A.conj().T) / (2 * np.sqrt(n))
+                                for A in (rand_matrix(n, rng) / np.sqrt(2) for _ in range(g))])
+    fY = poly_eval(f, Y0)
+    c = np.linalg.eigvalsh((fY + fY.conj().T) / 2).min() + margin
+    return f - NCPoly.constant(c * np.eye(k), g, MONOID)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_dual_witness_operators_are_self_adjoint(seed):
+    # on these inputs GNS fits a shift action whose Y is 3e-8 to 2e-7 away
+    # from self-adjoint at every delta; such a tuple is no witness
+    model, min_eig, _, diag = run_dual(monoid_witness_input(seed, 1, 2, 2), 2, CertifyOptions())
+    if model is None:
+        assert "self-adjointness" in diag.note
+    else:
+        assert model.selfadjointness_defect() <= 1e-8 and min_eig <= -1e-6
 
 
 # -- guards ----------------------------------------------------------------------

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncsos
 from ncsos import jsonio
 from ncsos.cli import EX_DATA, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
 from ncsos.poly import NCPoly, matrix_to_json, poly_from_json, poly_to_json
-from ncsos.words import MONOID, Word
+from ncsos.words import GROUP, MONOID, Word
 
 
 def x(i, g=2):
@@ -72,6 +77,28 @@ def test_decompose_and_witness_subcommands(tmp_path, capsys):
     assert code == EX_WITNESS and json.loads(out)["outcome"] == "witness"
     code, out, _ = run(capsys, "witness", sos_path, "--max-iter", "2000")
     assert code == EX_UNDECIDED
+
+
+SCIPY_PROBE = """
+import sys
+from ncsos.cli import main
+codes = [main(["witness", path, "--max-iter", "3000", "--out", path + ".out"])
+         for path in sys.argv[1:]]
+print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_witness_runs_without_scipy(tmp_path):
+    # the whole decision pipeline, GNS included, is numpy only
+    group = (NCPoly.constant(1.0, 1, GROUP) + NCPoly.monomial(Word(GROUP, 1, (1,)))
+             + NCPoly.monomial(Word(GROUP, 1, (-1,))))
+    paths = [write_poly(tmp_path / "monoid.json", witness_fixture()),
+             write_poly(tmp_path / "group.json", group)]
+    env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{[EX_WITNESS, EX_WITNESS]} []"
 
 
 def test_eval_constant_polynomial(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ncsos.gns import (
-    GnsError, HankelFunctional, ZeroFunctionalError, assemble,
-    functional_from_model, gns_construct, gns_construct_unitary, gns_verify,
-    quotient_matrix, shift_defect, unvec, vec,
+    GnsError, HankelFunctional, ZeroFunctionalError, _span_basis,
+    assemble, functional_from_model, gns_construct, gns_construct_unitary,
+    gns_verify, quotient_matrix, shift_defect, unvec, vec,
 )
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.words import GROUP, MONOID, Word, enumerate_words, identity
@@ -46,6 +46,39 @@ def test_vec_kron_action():
     P_real = rng.standard_normal((2, 2))
     lhs = np.kron(P_real, np.eye(3)) @ vec(A)
     assert np.allclose(lhs, vec(A @ P_real.conj().T))
+
+
+# -- span basis --------------------------------------------------------------
+
+
+def rand_cols(rows, n, rng):
+    return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+@pytest.mark.parametrize("scale, rank", [(1e-12, 3), (1e-6, 4), (1.0, 4)])
+def test_span_basis_orthonormal_spanning_and_rank_cut(scale, rank):
+    # a duplicated column perturbed by scale: well below SPAN_RTOL it adds
+    # no direction, well above it adds one
+    rng = np.random.default_rng(12)
+    base = rand_cols(6, 3, rng)
+    dup = base[:, :1] + scale * rand_cols(6, 1, rng)
+    cols = np.hstack([base, dup])
+    B = _span_basis(cols)
+    assert B.shape == (6, rank)
+    assert np.abs(B.conj().T @ B - np.eye(rank)).max() <= 1e-12
+    residual = cols - B @ (B.conj().T @ cols)
+    assert np.linalg.norm(residual, axis=0).max() <= 1e-10
+
+
+def test_span_basis_empty_and_zero():
+    assert _span_basis(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
+    assert _span_basis(np.zeros((4, 3), dtype=complex)).shape == (4, 0)
+
+
+def test_span_basis_deterministic():
+    cols = rand_cols(6, 5, np.random.default_rng(13))
+    cols[:, 4] = cols[:, 0] - 2j * cols[:, 1]
+    assert _span_basis(cols).tobytes() == _span_basis(cols.copy()).tobytes()
 
 
 # -- assembly --------------------------------------------------------------

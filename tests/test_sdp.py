@@ -49,7 +49,7 @@ def test_project_psd_nearest_point():
 
 def test_project_affine_trace_hyperplane():
     sys = trace_system(2, 1.0)
-    X = project_affine(np.zeros((2, 2), dtype=complex), sys)
+    X, _ = project_affine(np.zeros((2, 2), dtype=complex), sys)
     assert np.allclose(X, np.eye(2) / 2)
 
 
@@ -58,17 +58,17 @@ def test_project_affine_fixpoint_and_idempotent():
     sys = trace_system(3, 2.0)
     X = rand_hermitian(3, rng)
     X = X - (np.trace(X).real - 2.0) * np.eye(3) / 3  # already satisfies Tr = 2
-    assert np.linalg.norm(project_affine(X, sys) - X) < 1e-12
+    assert np.linalg.norm(project_affine(X, sys)[0] - X) < 1e-12
     Y = rand_hermitian(3, rng)
-    P1 = project_affine(Y, sys)
-    P2 = project_affine(P1, sys)
+    P1, _ = project_affine(Y, sys)
+    P2, _ = project_affine(P1, sys)
     assert np.linalg.norm(P2 - P1) < 1e-10
 
 
 def test_project_affine_entry_pinning():
     m = 3
     sys = pinned_entry_system(m, 0, 1, 0.25 - 0.5j)
-    X = project_affine(np.zeros((m, m), dtype=complex), sys)
+    X, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     assert abs(X[0, 1] - (0.25 - 0.5j)) < 1e-10
     assert abs(X[1, 0] - (0.25 + 0.5j)) < 1e-10
 
@@ -173,10 +173,10 @@ def test_project_affine_matches_least_squares(mode, g, k, kind):
     assert np.abs(A @ ref - b).max() <= 1e-10  # the reference itself
     ref = ref[:m * m].reshape(m, m) + 1j * ref[m * m:].reshape(m, m)
 
-    P = project_affine(X, sys)
+    P, res = project_affine(X, sys)
     assert np.abs(P - ref).max() <= 1e-10
-    assert np.abs(project_affine(P, sys) - P).max() <= 1e-10
-    assert sys.residual(P) <= 1e-12
+    assert np.abs(project_affine(P, sys)[0] - P).max() <= 1e-10
+    assert res == sys.residual(P) <= 1e-12
     flat = np.concatenate([P.real.ravel(), P.imag.ravel()])
     assert np.abs(A @ flat - b).max() <= 1e-12
 
