@@ -278,6 +278,7 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
                 diag.note = f"GNS verification residual {residual:.3e}"
                 delta /= 10
                 continue
+            model.gns_residual = residual
             fY = poly_eval(f, model.operators)
             fY = (fY + fY.conj().T) / 2
             min_eig = float(np.linalg.eigvalsh(fY).min())

@@ -14,6 +14,14 @@ evaluation convention the reproducing identity
     phi(q* p) = <p(Y) gamma, q(Y) gamma>
 
 then holds exactly, with <a, b> = b^dagger a.
+
+gns_verify checks that identity exactly rather than on sampled
+coefficients.  With Gamma = unvec(gamma) and the word images
+Z_w = Y^w Gamma, a monomial P w acts as p(Y) gamma = vec(Z_w P^T), so the
+identity for the monomial pair (v, w) and every coefficient pair at once is
+the k x k block equation S_{v*w}^T = Z_v^dagger Z_w.  The reported residual
+is 2 k^2 times the largest operator-norm defect of those blocks: the worst
+scalar defect over coefficient pairs P, Q of Frobenius norm sqrt(2) k.
 """
 
 from __future__ import annotations
@@ -22,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
+from .poly import NCPoly, OperatorTuple, opnorm
 from .words import GROUP, MONOID, Word, concat, count_words, enumerate_words, involute
 
 EPS_PSD = 1e-8
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
 FIT_TOL = 1e-8         # well-definedness proxy for the generator action
-VERIFY_SEED = 271828   # coefficients in gns_verify are drawn from this seed
 
 
 class GnsError(ValueError):
@@ -151,6 +158,7 @@ class WitnessModel:
     functional: HankelFunctional
     frames: np.ndarray      # dim x (N(D) k); column block w holds the map for word w
     fit_residual: float
+    gns_residual: float | None = None  # gns_verify value, set by the caller that gates on it
 
     def frame(self, word_index: int) -> np.ndarray:
         return self.frames[:, word_index * self.k:(word_index + 1) * self.k]
@@ -350,31 +358,58 @@ def _complement_basis(B: np.ndarray, generators: np.ndarray) -> np.ndarray:
     return np.column_stack(out)
 
 
-def gns_verify(S: HankelFunctional, model: WitnessModel, d: int | None = None,
-               rounds: int = 3, seed: int = VERIFY_SEED) -> float:
-    """Max block-trace defect |Tr(S_{v*w} Q^dagger P) - <p(Y)gamma, q(Y)gamma>|
-    over all basis monomial pairs and `rounds` random coefficient draws."""
-    if d is None:
-        d = model.d
+def _word_images(model: WitnessModel, words: list) -> np.ndarray:
+    """The images Z_w = Y^w Gamma, Gamma = unvec(gamma), side by side: column
+    block j holds Z_{words[j]}.
+
+    Each image is one product with the image of its suffix,
+    Z_{a w'} = Y_a Z_{w'}; `words` must be graded (every suffix listed
+    before its word), as enumerate_words returns them.
+    """
     k = model.k
-    rng = np.random.default_rng(seed)
-    w_degree = d + 1 if model.mode == MONOID else d
-    vs = enumerate_words(S.g, d, model.mode)
+    Y = model.operators
+    letters = {a + 1: X for a, X in enumerate(Y.entries)}
+    if model.mode == GROUP:
+        letters.update({-(a + 1): X for a, X in enumerate(Y.inverse_entries())})
+    Z = np.empty((model.dim, len(words) * k), dtype=complex)
+    pos = {}
+    for j, w in enumerate(words):
+        if w.letters:
+            i = pos[w.letters[1:]]
+            Z[:, j * k:(j + 1) * k] = letters[w.letters[0]] @ Z[:, i * k:(i + 1) * k]
+        else:
+            Z[:, j * k:(j + 1) * k] = unvec(model.gamma, k)
+        pos[w.letters] = j
+    return Z
+
+
+def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
+    """Largest defect |Tr(S_{v*w} Q^dagger P) - <p(Y)gamma, q(Y)gamma>| of the
+    reproducing identity, p = P w and q = Q v, over every basis monomial pair
+    (|v| <= d, |w| <= d + 1 in monoid mode, d in group mode) and every pair
+    of coefficients P, Q of Frobenius norm sqrt(2) k.
+
+    With Z_w = Y^w Gamma the inner product is Tr(Z_v^dagger Z_w P^T conj(Q)),
+    so the defect is Tr(E P^T conj(Q)) with E = S_{v*w}^T - Z_v^dagger Z_w, and
+    its maximum over the coefficient pairs is 2 k^2 ||E||_op.  All blocks come
+    from one Gram product of the stacked word images.  The norm sqrt(2) k is
+    the root-mean-square size of a k x k matrix with standard complex
+    Gaussian entries.
+    """
+    k = model.k
+    w_degree = model.d + 1 if model.mode == MONOID else model.d
     ws = enumerate_words(S.g, w_degree, model.mode)
-    worst = 0.0
-    for _ in range(rounds):
-        P = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        Q = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        for v in vs:
-            q = NCPoly(S.g, model.mode, k, {v: Q})
-            qg = poly_eval(q, model.operators) @ model.gamma
-            for w in ws:
-                p = NCPoly(S.g, model.mode, k, {w: P})
-                pg = poly_eval(p, model.operators) @ model.gamma
-                target = np.trace(S.block(concat(involute(v), w)) @ Q.conj().T @ P)
-                got = np.vdot(qg, pg)
-                worst = max(worst, abs(target - got))
-    return worst
+    vs = ws[:count_words(S.g, model.d, model.mode)]
+    Z = _word_images(model, ws)
+    M = Z[:, :len(vs) * k].conj().T @ Z
+    E = np.empty_like(M)
+    for i, v in enumerate(vs):
+        vi = involute(v)
+        for j, w in enumerate(ws):
+            E[i * k:(i + 1) * k, j * k:(j + 1) * k] = S.block(concat(vi, w)).T
+    E -= M
+    blocks = E.reshape(len(vs), k, len(ws), k).transpose(0, 2, 1, 3)
+    return 2 * k * k * float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).max())
 
 
 def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
@@ -398,9 +433,7 @@ def shift_defect(model: WitnessModel) -> float:
     """max || (I_k (x) Y^w) gamma - vec(frame of w) || over the stored words."""
     S = model.functional
     words = enumerate_words(S.g, S.D, S.mode)
-    worst = 0.0
-    for j, w in enumerate(words):
-        lhs = poly_eval(NCPoly.monomial(w, np.eye(model.k)), model.operators) @ model.gamma
-        rhs = vec(model.frame(j))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    Z = _word_images(model, words)
+    k = model.k
+    return max(float(np.linalg.norm(Z[:, j * k:(j + 1) * k] - model.frame(j)))
+               for j in range(len(words)))

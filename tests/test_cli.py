@@ -84,6 +84,7 @@ import sys
 from ncsos.cli import main
 codes = [main(["witness", path, "--max-iter", "3000", "--out", path + ".out"])
          for path in sys.argv[1:]]
+print("numpy.random loaded:", "numpy.random" in sys.modules)
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
@@ -99,6 +100,8 @@ def test_witness_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{[EX_WITNESS, EX_WITNESS]} []"
+    # GNS verification is exact and deterministic: nothing draws random numbers
+    assert done.stdout.splitlines()[-2] == "numpy.random loaded: False"
 
 
 def test_eval_constant_polynomial(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ncsos.certify import GNS_VERIFY_TOL
 from ncsos.gns import (
     GnsError, HankelFunctional, ZeroFunctionalError, _span_basis,
     assemble, functional_from_model, gns_construct, gns_construct_unitary,
     gns_verify, quotient_matrix, shift_defect, unvec, vec,
 )
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
-from ncsos.words import GROUP, MONOID, Word, enumerate_words, identity
+from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, identity, involute
 
 from test_poly import rand_hermitian, rand_matrix, rand_unitary
 
@@ -256,6 +257,77 @@ def test_gns_mixture_of_models():
     model = gns_construct(S)
     assert 1 <= model.dim <= 3 * 2
     assert gns_verify(S, model) <= 1e-8
+
+
+def known_model(mode, g, k, d, n, rng):
+    """A functional read off a random self-adjoint (monoid) or unitary (group)
+    tuple, and the GNS model built from it."""
+    if mode == MONOID:
+        X = OperatorTuple(MONOID, [rand_hermitian(n, rng) for _ in range(g)])
+    else:
+        X = OperatorTuple(GROUP, [rand_unitary(n, rng) for _ in range(g)])
+    frame = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    D = d + 1 if mode == MONOID else d
+    S = functional_from_model(X, frame, g, D, mode)
+    model = gns_construct(S) if mode == MONOID else gns_construct_unitary(S)
+    return S, model
+
+
+def with_block(S, u, B):
+    blocks = dict(S.blocks)
+    blocks[u] = B
+    return HankelFunctional(g=S.g, mode=S.mode, k=S.k, D=S.D, blocks=blocks)
+
+
+def brute_force_residual(S, model):
+    """2 k^2 max ||E_{v,w}||_op, each defect entry from poly_eval: the pair
+    P = e_0 e_b^T, Q = e_0 e_c^T has defect Tr(E P^T conj(Q)) = E[c, b]."""
+    k = model.k
+    units = []
+    for b in range(k):
+        P = np.zeros((k, k), dtype=complex)
+        P[0, b] = 1.0
+        units.append(P)
+    w_degree = model.d + 1 if model.mode == MONOID else model.d
+    worst = 0.0
+    for v in enumerate_words(S.g, model.d, model.mode):
+        for w in enumerate_words(S.g, w_degree, model.mode):
+            target = S.block(concat(involute(v), w))
+            E = np.zeros((k, k), dtype=complex)
+            for b, P in enumerate(units):
+                pg = poly_eval(NCPoly(S.g, model.mode, k, {w: P}), model.operators) @ model.gamma
+                for c, Q in enumerate(units):
+                    qg = poly_eval(NCPoly(S.g, model.mode, k, {v: Q}), model.operators) @ model.gamma
+                    E[c, b] = np.trace(target @ Q.conj().T @ P) - np.vdot(qg, pg)
+            worst = max(worst, opnorm(E))
+    return 2 * k * k * worst
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_matches_brute_force_reference(mode, k):
+    rng = np.random.default_rng([k, mode == GROUP])
+    S, model = known_model(mode, 2, k, 1, 3, rng)
+    # the exact functional and one that the model no longer reproduces
+    u = enumerate_words(2, 1, mode)[1]
+    noisy = with_block(S, u, S.block(u) + 1e-3 * rand_matrix(k, rng))
+    for T in (S, noisy):
+        assert abs(gns_verify(T, model) - brute_force_residual(T, model)) <= 1e-12
+    assert gns_verify(noisy, model) > 1e-4
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_verify_gate_catches_one_perturbed_entry(mode):
+    rng = np.random.default_rng([5, mode == GROUP])
+    S, model = known_model(mode, 2, 2, 1, 3, rng)
+    assert gns_verify(S, model) <= GNS_VERIFY_TOL
+    u = enumerate_words(2, 1, mode)[2]
+    B = S.block(u).copy()
+    B[1, 0] += 1e-7
+    perturbed = with_block(S, u, B)
+    residual = gns_verify(perturbed, model)
+    assert residual > GNS_VERIFY_TOL
+    assert residual == gns_verify(perturbed, model)
 
 
 def test_verify_detects_perturbed_gamma():
