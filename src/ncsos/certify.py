@@ -21,17 +21,20 @@ from .gns import (
     GnsError, HankelFunctional, gns_construct, gns_construct_unitary,
     gns_verify, WitnessModel,
 )
-from .gram import EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, constraint_index, factor_gram
+from .gram import (
+    EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
+    constraint_index, factor_gram,
+)
 from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from .sdp import (
     AffineSystem, InconsistentSystemError, max_margin, project_affine,
     solve_feasibility,
 )
-from .words import MONOID, count_words, enumerate_words, involute
+from .words import MONOID, involute
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
-EPS_PSD_GATE = EPS_PSD
+EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
 
 
 class CertifyError(ValueError):
@@ -44,7 +47,7 @@ class CertifyOptions:
     max_iter: int = 50_000
     tol: float = 1e-9
     eps_cert: float = EPS_CERT
-    eps_wit: float = 1e-6
+    eps_wit: float = EPS_WIT
     delta: float = 1e-4
     delta_min: float = 1e-8
 
@@ -78,23 +81,12 @@ def infer_degree(f: NCPoly, opts: CertifyOptions) -> int:
 # -- primal: Gram feasibility ------------------------------------------------
 
 
-def _class_labels(classes: dict, n: int, k: int) -> np.ndarray:
-    """Label of each entry of an (n k) x (n k) block matrix: i k^2 + a k + b
-    for entry (v k + a, w k + b) with (v, w) in the i-th class of classes."""
-    word_class = np.empty((n, n), dtype=np.intp)
-    for i, pairs in enumerate(classes.values()):
-        word_class[tuple(np.array(pairs).T)] = i
-    ab = np.arange(k * k).reshape(k, k)
-    return (word_class[:, None, :, None] * k * k + ab[:, None, :]).reshape(n * k, n * k)
-
-
 def gram_system(f: NCPoly, d: int) -> AffineSystem:
     """Affine constraints on G forcing V_d^* G V_d = f: the (a, b) entries of
     the blocks G_{v,w} with v* w = u are pinned to sum to f_u[a, b]."""
-    classes = constraint_index(f.g, d, f.mode)
-    n = count_words(f.g, d, f.mode)
-    targets = np.concatenate([f.coeff(u).ravel() for u in classes])
-    return AffineSystem(n * f.k, _class_labels(classes, n, f.k), targets)
+    products, table = constraint_index(f.g, d, f.mode)
+    targets = np.concatenate([f.coeff(u).ravel() for u in products])
+    return AffineSystem(len(table) * f.k, class_labels(table, f.k), targets)
 
 
 def _interior_point_polish(sys: AffineSystem, eps_psd: float) -> np.ndarray | None:
@@ -138,7 +130,7 @@ def _solve_robust(sys: AffineSystem, opts: CertifyOptions, eps_psd: float):
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     sys = gram_system(f, d)
     try:
-        X, iters, gap, note = _solve_robust(sys, opts, EPS_PSD_GATE)
+        X, iters, gap, note = _solve_robust(sys, opts, EPS_PSD)
     except InconsistentSystemError as exc:
         return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
     diag = BranchDiagnostics(iters, gap, note)
@@ -167,12 +159,12 @@ class _HankelLayout:
     mode: str
     k: int
     D: int
-    words: list
-    classes: dict
+    products: list   # constraint_index(g, D, mode): the product words and
+    table: np.ndarray  # the n x n table of their indices
 
     @property
     def n(self) -> int:
-        return len(self.words)
+        return len(self.table)
 
     @property
     def m(self) -> int:
@@ -181,9 +173,7 @@ class _HankelLayout:
 
 
 def _hankel_layout(f: NCPoly, D: int) -> _HankelLayout:
-    return _HankelLayout(f.g, f.mode, f.k, D,
-                         enumerate_words(f.g, D, f.mode),
-                         constraint_index(f.g, D, f.mode))
+    return _HankelLayout(f.g, f.mode, f.k, D, *constraint_index(f.g, D, f.mode))
 
 
 def hankel_system(f: NCPoly, layout: _HankelLayout, delta: float) -> AffineSystem:
@@ -191,23 +181,29 @@ def hankel_system(f: NCPoly, layout: _HankelLayout, delta: float) -> AffineSyste
     the slack, and the dense rows unit trace and phi(f) + slack = -delta.
 
     The psd variable K stores S_{v*w} with each block transposed in place,
-    so entry ((v, alpha), (w, beta)) equals S_{v*w}[beta, alpha].
+    so entry ((v, alpha), (w, beta)) equals S_{v*w}[beta, alpha].  The margin
+    row reads S_u at the first pair (v0, w0) of each class, where the running
+    maximum of the row-major table first reaches u's index.
     """
-    k, m = layout.k, layout.m
+    k, m, n = layout.k, layout.m, layout.n
     slack = m - 1
-    tied = len(layout.classes) * k * k
+    tied = len(layout.products) * k * k
     labels = np.full((m, m), -1)
-    labels[:slack, :slack] = _class_labels(layout.classes, layout.n, k)
+    labels[:slack, :slack] = class_labels(layout.table, k)
     labels[:slack, slack], labels[slack, :slack] = np.arange(tied, tied + 2 * slack).reshape(2, slack)
     targets = np.concatenate([np.full(tied, np.nan), np.zeros(2 * slack)])
 
     trace = np.eye(m, dtype=complex)
     trace[slack, slack] = 0.0
+    first = np.searchsorted(np.maximum.accumulate(layout.table.ravel()),
+                            np.arange(len(layout.products)))
+    v0, w0 = np.divmod(first, n)
+    # coefficient of K[(v0, b), (w0, a)] is F[b, a]
+    F = np.array([f.coeff(u) for u in layout.products])
+    corner = np.zeros((n, k, n, k), dtype=complex)
+    corner[w0, :, v0, :] = F.transpose(0, 2, 1)
     margin = np.zeros((m, m), dtype=complex)
-    for u, pairs in layout.classes.items():
-        v0, w0 = pairs[0]
-        # coefficient of K[(v0, b), (w0, a)] is F[b, a]
-        margin[w0 * k:(w0 + 1) * k, v0 * k:(v0 + 1) * k] += f.coeff(u).T
+    margin[:slack, :slack] = corner.reshape(slack, slack)
     margin[slack, slack] = 1.0
     margin = (margin + margin.conj().T) / 2
     return AffineSystem(m, labels, targets, [(trace, 1.0), (margin, -delta)])
@@ -216,20 +212,16 @@ def hankel_system(f: NCPoly, layout: _HankelLayout, delta: float) -> AffineSyste
 def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunctional:
     """Read the S_u blocks back off the solved psd variable, averaging over
     each Hankel class and enforcing the Hermitian block structure exactly."""
-    k = layout.k
-    blocks = {}
-    for u, pairs in layout.classes.items():
-        acc = np.zeros((k, k), dtype=complex)
-        for v, w in pairs:
-            block = X[v * k:(v + 1) * k, w * k:(w + 1) * k]
-            acc += block.T  # undo the in-place transpose of the storage
-        blocks[u] = acc / len(pairs)
-    for u in list(blocks):
+    sizes = np.bincount(layout.table.ravel())
+    # transposing the block sums undoes the in-place transpose of the storage
+    means = block_sums(X, layout.table).transpose(0, 2, 1) / sizes[:, None, None]
+    blocks = dict(zip(layout.products, means))
+    for u in layout.products:
         ui = involute(u)
         avg = (blocks[u] + blocks[ui].conj().T) / 2
         blocks[u] = avg
         blocks[ui] = avg.conj().T
-    return HankelFunctional(g=layout.g, mode=layout.mode, k=k, D=layout.D,
+    return HankelFunctional(g=layout.g, mode=layout.mode, k=layout.k, D=layout.D,
                             blocks=blocks)
 
 
@@ -246,7 +238,7 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
         sys = hankel_system(f, layout, delta)
         try:
             # an SOS input's best margin can be -delta/3: gate tighter than delta
-            X, iters, gap, note = _solve_robust(sys, opts, min(EPS_PSD_GATE, delta / 10))
+            X, iters, gap, note = _solve_robust(sys, opts, min(EPS_PSD, delta / 10))
         except InconsistentSystemError as exc:
             diag.note = f"inconsistent dual system at delta={delta:.1e}"
             diag.gap = min(diag.gap, exc.residual)
@@ -258,7 +250,6 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
             K = X[:layout.n * layout.k, :layout.n * layout.k]
             S = functional_from_solution(K, layout)
             try:
-                S.validate()
                 model = (gns_construct(S) if f.mode == MONOID
                          else gns_construct_unitary(S))
             except GnsError as exc:
@@ -344,7 +335,7 @@ def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
 
 def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
               n_max: int = 5, seed: int = 1729,
-              eps_psd: float = 1e-8, eps_wit: float = 1e-6) -> SpotcheckReport:
+              eps_psd: float = EPS_PSD, eps_wit: float = EPS_WIT) -> SpotcheckReport:
     """Sample-based sanity check of a decision.
 
     SOS: the input must be psd at random self-adjoint (or unitary) tuples.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .certify import (
     run_primal, infer_degree, spotcheck,
 )
 from .fock import (
-    FockBasis, build_creation, build_extraction, build_symmetrized,
+    FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
     build_unitaries, extract_coeffs,
 )
 from .gram import SOSCertificate
@@ -47,27 +46,6 @@ class DataError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    out_path: str | None = None
-    tol: float = 1e-9
-    max_iter: int = 50_000
-    degree: int | None = None
-    delta: float = 1e-4
-    eps_cert: float = 1e-7
-    eps_wit: float = 1e-6
-
-    def options(self) -> CertifyOptions:
-        for name in ("tol", "delta", "eps_cert", "eps_wit"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
-        return CertifyOptions(d=self.degree, max_iter=self.max_iter, tol=self.tol,
-                              eps_cert=self.eps_cert, eps_wit=self.eps_wit,
-                              delta=self.delta)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -78,10 +56,10 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def solver_flags(sp):
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--max-iter", type=int, default=50_000)
+        sp.add_argument("--tol", type=float, default=CertifyOptions.tol)
+        sp.add_argument("--max-iter", type=int, default=CertifyOptions.max_iter)
         sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--delta", type=float, default=1e-4)
+        sp.add_argument("--delta", type=float, default=CertifyOptions.delta)
         sp.add_argument("--out", default=None)
 
     for name in ("certify", "decompose", "witness"):
@@ -222,22 +200,21 @@ def _emit(data, out_path: str | None):
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    f = _load_poly(cfg.input_path)
+def _cmd_certify(args, opts: CertifyOptions) -> int:
+    f = _load_poly(args.input)
     try:
-        outcome = certify(f, cfg.options())
+        outcome = certify(f, opts)
     except CertifyError as exc:
         raise DataError(str(exc))
     print(f"certify: outcome={outcome.kind} degree={outcome.degree} "
           f"primal_iters={outcome.primal.iterations} dual_iters={outcome.dual.iterations}",
           file=sys.stderr)
-    _emit(_outcome_json(f, outcome), cfg.out_path)
+    _emit(_outcome_json(f, outcome), args.out)
     return {"sos": EX_OK_SOS, "witness": EX_WITNESS}.get(outcome.kind, EX_UNDECIDED)
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    f = _load_poly(cfg.input_path)
-    opts = cfg.options()
+def _cmd_decompose(args, opts: CertifyOptions) -> int:
+    f = _load_poly(args.input)
     try:
         if not f.is_hermitian():
             raise DataError("input polynomial is not Hermitian")
@@ -248,16 +225,15 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     if cert is None:
         _emit({"outcome": "undecided", "degree": d, "input_sha256": _input_hash(f),
                "diagnostics": {"iterations": diag.iterations, "gap": _finite(diag.gap),
-                               "note": diag.note}}, cfg.out_path)
+                               "note": diag.note}}, args.out)
         return EX_UNDECIDED
     _emit({"outcome": "sos", "degree": d, "input_sha256": _input_hash(f),
-           "certificate": _sos_json(cert)}, cfg.out_path)
+           "certificate": _sos_json(cert)}, args.out)
     return EX_OK_SOS
 
 
-def _cmd_witness(cfg: RunConfig) -> int:
-    f = _load_poly(cfg.input_path)
-    opts = cfg.options()
+def _cmd_witness(args, opts: CertifyOptions) -> int:
+    f = _load_poly(args.input)
     try:
         if not f.is_hermitian():
             raise DataError("input polynomial is not Hermitian")
@@ -268,12 +244,12 @@ def _cmd_witness(cfg: RunConfig) -> int:
     if model is None:
         _emit({"outcome": "undecided", "degree": d, "input_sha256": _input_hash(f),
                "diagnostics": {"iterations": diag.iterations, "gap": _finite(diag.gap),
-                               "note": diag.note}}, cfg.out_path)
+                               "note": diag.note}}, args.out)
         return EX_UNDECIDED
     outcome = CertifyOutcome("witness", model=model, min_eig=min_eig,
                              refuted_value=refuted, degree=d)
     _emit({"outcome": "witness", "degree": d, "input_sha256": _input_hash(f),
-           "witness": _witness_json(outcome)}, cfg.out_path)
+           "witness": _witness_json(outcome)}, args.out)
     return EX_WITNESS
 
 
@@ -328,20 +304,27 @@ def _cmd_fock_dump(args) -> int:
 
 
 def _cmd_spotcheck(args) -> int:
+    if args.trials < 1 or args.n_max < 1:
+        raise UsageError("--trials and --n-max must be at least 1")
     f = _load_poly(args.input)
     cert = _read_json(args.certificate)
+    if not isinstance(cert, dict):
+        raise DataError(f"{args.certificate}: not a JSON object")
     kind = cert.get("outcome")
     outcome = CertifyOutcome(kind or "undecided")
     if kind == "witness":
         try:
             model_data = cert["witness"]["model"]
             ops = tuple_from_json(model_data["operators"])
-        except (KeyError, PolyError) as exc:
+        except (KeyError, TypeError, PolyError) as exc:
             raise DataError(f"{args.certificate}: {exc}")
         outcome.model = _ModelShim(ops)
     elif kind != "sos":
         raise DataError(f"{args.certificate}: no decided outcome to spot check")
-    rep = spotcheck(f, outcome, trials=args.trials, n_max=args.n_max, seed=args.seed)
+    try:
+        rep = spotcheck(f, outcome, trials=args.trials, n_max=args.n_max, seed=args.seed)
+    except PolyError as exc:  # the stored tuple does not fit the input
+        raise DataError(f"{args.certificate}: {exc}")
     _emit({"kind": rep.kind, "trials": rep.trials, "min_eig": rep.min_eig,
            "threshold": rep.threshold, "ok": rep.ok}, args.out)
     return 0 if rep.ok else 1
@@ -363,18 +346,21 @@ def main(argv=None) -> int:
         return EX_USAGE
     try:
         if args.command in ("certify", "decompose", "witness"):
-            cfg = RunConfig(command=args.command, input_path=args.input,
-                            out_path=args.out, tol=args.tol, max_iter=args.max_iter,
-                            degree=args.degree, delta=args.delta)
+            for flag in ("tol", "delta"):
+                if not getattr(args, flag) > 0:
+                    raise UsageError(f"--{flag} must be positive")
+            opts = CertifyOptions(d=args.degree, max_iter=args.max_iter, tol=args.tol,
+                                  delta=args.delta)
             fn = {"certify": _cmd_certify, "decompose": _cmd_decompose,
                   "witness": _cmd_witness}[args.command]
-            return fn(cfg)
+            return fn(args, opts)
         if args.command == "eval":
             return _cmd_eval(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "fock-dump":
-            return _cmd_fock_dump(args)
+        if args.command in ("extract", "fock-dump"):
+            try:
+                return (_cmd_extract if args.command == "extract" else _cmd_fock_dump)(args)
+            except (WordError, FockError) as exc:  # raised on the --g and --l flags
+                raise UsageError(str(exc))
         if args.command == "spotcheck":
             return _cmd_spotcheck(args)
         raise UsageError(f"unknown command {args.command!r}")

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gram import EPS_PSD, constraint_index
 from .poly import NCPoly, OperatorTuple, opnorm
 from .words import GROUP, MONOID, Word, concat, count_words, enumerate_words, involute
 
-EPS_PSD = 1e-8
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
 FIT_TOL = 1e-8         # well-definedness proxy for the generator action
@@ -107,15 +107,10 @@ def assemble(S: HankelFunctional, degree: int | None = None) -> np.ndarray:
     D = S.D if degree is None else degree
     if D > S.D:
         raise GnsError(f"assembly degree {D} exceeds the functional degree {S.D}")
-    words = enumerate_words(S.g, D, S.mode)
-    k = S.k
-    n = len(words)
-    H = np.zeros((n * k, n * k), dtype=complex)
-    for i, v in enumerate(words):
-        vi = involute(v)
-        for j, w in enumerate(words):
-            H[i * k:(i + 1) * k, j * k:(j + 1) * k] = S.block(concat(vi, w))
-    return H
+    products, table = constraint_index(S.g, D, S.mode)
+    n, k = len(table), S.k
+    blocks = np.array([S.block(u) for u in products])[table]
+    return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
 def quotient_matrix(S: HankelFunctional, degree: int | None = None) -> np.ndarray:
@@ -399,16 +394,12 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     k = model.k
     w_degree = model.d + 1 if model.mode == MONOID else model.d
     ws = enumerate_words(S.g, w_degree, model.mode)
-    vs = ws[:count_words(S.g, model.d, model.mode)]
+    n_v = count_words(S.g, model.d, model.mode)
     Z = _word_images(model, ws)
-    M = Z[:, :len(vs) * k].conj().T @ Z
-    E = np.empty_like(M)
-    for i, v in enumerate(vs):
-        vi = involute(v)
-        for j, w in enumerate(ws):
-            E[i * k:(i + 1) * k, j * k:(j + 1) * k] = S.block(concat(vi, w)).T
-    E -= M
-    blocks = E.reshape(len(vs), k, len(ws), k).transpose(0, 2, 1, 3)
+    M = Z[:, :n_v * k].conj().T @ Z
+    # rows v of degree <= d of the matrix with (v, w) block S_{v*w}^T
+    E = quotient_matrix(S, w_degree)[:n_v * k] - M
+    blocks = E.reshape(n_v, k, len(ws), k).transpose(0, 2, 1, 3)
     return 2 * k * k * float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).max())
 
 

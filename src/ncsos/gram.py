@@ -1,10 +1,13 @@
 """Gram representations p = V_d^dagger G V_d and their psd factorizations.
 
 G is Hermitian of size (N*k) x (N*k), indexed blockwise by the degree-d word
-basis (word-major layout: block (v, w) sits at rows v*k..(v+1)*k).  The word
-u coefficient of the represented polynomial is the sum of blocks G_{v,w} over
-all basis pairs with involute(v)*w = u; factoring a psd G column-group-wise
-yields square factors r_j with p = sum_j r_j^* r_j.
+basis (word-major layout: block (v, w) sits at rows v*k..(v+1)*k).  Basis pair
+(v, w) contributes to exactly one coefficient, that of the word involute(v) w.
+constraint_index writes this map down once, as an N x N table of product-word
+indices; the word u coefficient of the represented polynomial is the sum of
+the blocks G_{v,w} in u's class of that table (block_sums), and the same table
+describes the Hankel matrices of the dual side.  Factoring a psd G
+column-group-wise yields square factors r_j with p = sum_j r_j^* r_j.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import NCPoly, opnorm
-from .words import Word, count_words, enumerate_words, all_factorizations
+from .words import Word, concat, count_words, enumerate_words, involute
 
-EPS_PSD = 1e-8
+EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
 EPS_RANK = 1e-10
 EPS_CERT = 1e-7
 
@@ -25,28 +28,42 @@ class GramError(ValueError):
     pass
 
 
-def constraint_index(g: int, d: int, mode: str) -> dict[Word, list[tuple[int, int]]]:
-    """Map each product word u to the basis index pairs (v, w) with v* w = u.
+def constraint_index(g: int, d: int, mode: str) -> tuple[list[Word], np.ndarray]:
+    """The block structure of the degree-d basis: (products, table).
 
-    Every (v, w) pair over the degree-d basis appears in exactly one list.
+    table[v, w] is the index in products of the word involute(v) w, and
+    products lists the distinct product words in order of first appearance
+    in a row-major scan of the table, so every basis pair lies in exactly
+    one class.
     """
     words = enumerate_words(g, d, mode)
-    classes: dict[Word, list[tuple[int, int]]] = {}
-    seen = 0
-    for u in _product_words(g, d, mode):
-        pairs = list(all_factorizations(u, words))
-        if pairs:
-            classes[u] = pairs
-            seen += len(pairs)
     n = len(words)
-    if seen != n * n:
-        raise GramError("factorization classes do not partition the index pairs")
-    return classes
+    index: dict[Word, int] = {}
+    table = np.empty((n, n), dtype=np.intp)
+    for i, v in enumerate(words):
+        vi = involute(v)
+        for j, w in enumerate(words):
+            table[i, j] = index.setdefault(concat(vi, w), len(index))
+    return list(index), table
 
 
-def _product_words(g: int, d: int, mode: str):
-    # candidate products have length at most 2d in either mode
-    return enumerate_words(g, 2 * d, mode)
+def class_labels(table: np.ndarray, k: int) -> np.ndarray:
+    """Label of each entry of an (n k) x (n k) block matrix: c k^2 + a k + b
+    for entry (v k + a, w k + b) with table[v, w] = c."""
+    n = len(table)
+    ab = np.arange(k * k).reshape(k, k)
+    return (table[:, None, :, None] * k * k + ab[:, None, :]).reshape(n * k, n * k)
+
+
+def block_sums(X: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Sum of the k x k blocks X_{v,w} over each class of table, as a stack
+    indexed by class; each class is summed in increasing v."""
+    n = len(table)
+    k = X.shape[0] // n
+    size = (int(table.max()) + 1) * k * k
+    bins = (2 * class_labels(table, k).ravel()[:, None] + np.arange(2)).ravel()
+    x = np.ascontiguousarray(X, dtype=complex).ravel()
+    return np.bincount(bins, x.view(float), minlength=2 * size).view(complex).reshape(-1, k, k)
 
 
 @dataclass
@@ -89,12 +106,8 @@ class SOSCertificate:
 
 def gram_to_poly(G: GramMatrix) -> NCPoly:
     """p = V_d^* G V_d: coefficient P_u = sum of blocks over the class of u."""
-    classes = constraint_index(G.g, G.d, G.mode)
-    terms = {}
-    for u, pairs in classes.items():
-        c = sum(G.block(v, w) for v, w in pairs)
-        terms[u] = c
-    return NCPoly(G.g, G.mode, G.k, terms)
+    products, table = constraint_index(G.g, G.d, G.mode)
+    return NCPoly(G.g, G.mode, G.k, dict(zip(products, block_sums(G.matrix, table))))
 
 
 def factor_gram(G: GramMatrix, eps_rank: float = EPS_RANK) -> SOSCertificate:

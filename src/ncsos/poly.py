@@ -45,6 +45,8 @@ class NCPoly:
             raise PolyError(f"unknown mode {mode!r}")
         if k < 1:
             raise PolyError("coefficient dimension must be >= 1")
+        if g < 1:
+            raise PolyError("alphabet size must be >= 1")
         self.g = g
         self.mode = mode
         self.k = k
@@ -238,9 +240,12 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     try:
-        return np.array([[complex(e[0], e[1]) for e in row] for row in data])
-    except (TypeError, IndexError) as exc:
+        m = np.array([[complex(e[0], e[1]) for e in row] for row in data])
+    except (TypeError, IndexError, ValueError) as exc:
         raise PolyError(f"bad matrix encoding: {exc}") from None
+    if not np.isfinite(m).all():
+        raise PolyError("bad matrix encoding: entries must be finite")
+    return m
 
 
 def poly_to_json(p: NCPoly) -> dict:
@@ -258,15 +263,23 @@ def poly_to_json(p: NCPoly) -> dict:
 
 def poly_from_json(data: dict) -> NCPoly:
     from .words import parse_word
+    if not isinstance(data, dict):
+        raise PolyError("bad polynomial JSON: not an object")
     try:
         g = int(data["g"])
         mode = data["mode"]
         k = int(data["coeff_dim"])
         raw = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise PolyError(f"bad polynomial JSON: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise PolyError(f"bad polynomial JSON: {exc}") from None
+    if not isinstance(raw, list):
+        raise PolyError("bad polynomial JSON: terms is not a list")
     terms = {}
     for item in raw:
+        if not isinstance(item, dict) or not isinstance(item.get("word"), str) or "matrix" not in item:
+            raise PolyError("bad polynomial term: want {\"word\": string, \"matrix\": matrix}")
         w = parse_word(item["word"], g, mode)
         c = matrix_from_json(item["matrix"])
         if c.shape != (k, k):

@@ -12,7 +12,6 @@ Graded lexicographic order uses the letter order
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 MONOID = "monoid"
 GROUP = "group"
@@ -141,25 +140,6 @@ def count_words(g: int, d: int, mode: str = MONOID) -> int:
     if mode == GROUP:
         return 1 + sum(2 * g * (2 * g - 1) ** (k - 1) for k in range(1, d + 1))
     raise WordError(f"unknown mode {mode!r}")
-
-
-def all_factorizations(u: Word, words: list[Word]) -> Iterator[tuple[int, int]]:
-    """Index pairs (i, j) over `words` with involute(words[i]) * words[j] == u."""
-    index = {w: i for i, w in enumerate(words)}
-    for i, v in enumerate(words):
-        vi = involute(v)
-        # solve vi * w = u for w: in the monoid, u must start with vi;
-        # in the group, w = vi^-1 * u = v * u always works if it is short enough
-        if u.mode == MONOID:
-            n = len(vi.letters)
-            if u.letters[:n] != vi.letters:
-                continue
-            w = Word(u.mode, u.g, u.letters[n:])
-        else:
-            w = concat(v, u)
-        j = index.get(w)
-        if j is not None:
-            yield (i, j)
 
 
 def format_word(w: Word) -> str:

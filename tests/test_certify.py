@@ -5,15 +5,15 @@ import pytest
 
 from ncsos.certify import (
     CertifyError, CertifyOptions, CertifyOutcome, certify, gram_system,
-    infer_degree, run_dual, run_primal, spotcheck, _hankel_layout,
-    _interior_point_polish,
+    functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
+    _hankel_layout, _interior_point_polish,
 )
 from ncsos.gram import EPS_PSD, GramMatrix, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
-from ncsos.words import GROUP, MONOID, Word, count_words
+from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
 
-from test_poly import rand_matrix
+from test_poly import rand_hermitian, rand_matrix
 
 FAST = CertifyOptions(max_iter=3000)
 
@@ -115,6 +115,50 @@ def test_dual_layout_degree_bump():
     f = anticommutator()
     assert _hankel_layout(f, 2).D == 2  # monoid searches at d + 1
     assert _hankel_layout(group_fixture(), 1).D == 1
+
+
+def _pair_classes(g, d, mode):
+    """Basis index pairs by product word, found pair by pair with concat and
+    listed in graded order of the products."""
+    words = enumerate_words(g, d, mode)
+    classes = {}
+    for v, word_v in enumerate(words):
+        for w, word_w in enumerate(words):
+            classes.setdefault(concat(involute(word_v), word_w), []).append((v, w))
+    return {u: classes[u] for u in sorted(classes, key=graded_key)}
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_block_readouts_match_per_pair_loop(mode, k):
+    g, d = 2, 2 if mode == MONOID else 1
+    rng = np.random.default_rng([k, mode == GROUP])
+    n = count_words(g, d, mode)
+    X = rand_hermitian(n * k, rng)
+    classes = _pair_classes(g, d, mode)
+
+    def block(v, w):
+        return X[v * k:(v + 1) * k, w * k:(w + 1) * k]
+
+    p = gram_to_poly(GramMatrix(g, mode, d, k, X))
+    coeffs = {u: sum(block(v, w) for v, w in pairs) for u, pairs in classes.items()}
+    assert set(p.terms) == set(coeffs)
+    assert all(p.terms[u].tobytes() == c.tobytes() for u, c in coeffs.items())
+
+    S = functional_from_solution(X, _hankel_layout(NCPoly.zero(g, mode, k), d))
+    blocks = {}
+    for u, pairs in classes.items():
+        acc = np.zeros((k, k), dtype=complex)
+        for v, w in pairs:
+            acc += block(v, w).T
+        blocks[u] = acc / len(pairs)
+    for u in list(blocks):
+        ui = involute(u)
+        avg = (blocks[u] + blocks[ui].conj().T) / 2
+        blocks[u] = avg
+        blocks[ui] = avg.conj().T
+    assert set(S.blocks) == set(blocks)
+    assert all(S.blocks[u].tobytes() == B.tobytes() for u, B in blocks.items())
 
 
 def test_certify_anticommutator_witness():

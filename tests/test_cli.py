@@ -191,6 +191,55 @@ def test_missing_file(capsys):
     assert code == EX_DATA
 
 
+def poly_data(**changes):
+    return dict({"g": 1, "mode": "monoid", "coeff_dim": 1,
+                 "terms": [{"word": "x1 x1", "matrix": [[[1.0, 0.0]]]}]}, **changes)
+
+
+GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    pytest.param(["certify", "{p}"], {"p": poly_data(g="x")}, EX_DATA, id="g-not-integer"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(g=0, terms=[])}, EX_DATA, id="g-zero"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(terms=5)}, EX_DATA, id="terms-not-list"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(terms=[["x1", 1.0]])}, EX_DATA, id="term-not-object"),
+    pytest.param(["certify", "{p}"],
+                 {"p": poly_data(coeff_dim=2, terms=[{"word": "1", "matrix": [[[1, 0], [0, 0]], [[1, 0]]]}])},
+                 EX_DATA, id="ragged-matrix"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(terms=[{"word": "1", "matrix": [[[float("nan"), 0]]]}])},
+                 EX_DATA, id="nan-coefficient"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": [1]}, EX_DATA, id="certificate-list"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "witness", "witness": []}},
+                 EX_DATA, id="witness-list"),
+    pytest.param(["spotcheck", "{p}", "{c}"],
+                 {"p": poly_data(), "c": {"outcome": "witness", "witness": {"model": {"operators": GROUP_TUPLE}}}},
+                 EX_DATA, id="witness-tuple-wrong-mode"),
+    pytest.param(["fock-dump", "--g", "0", "--l", "1"], {}, EX_USAGE, id="fock-dump-g-0"),
+    pytest.param(["fock-dump", "--g", "1", "--l", "0", "--group"], {}, EX_USAGE, id="fock-dump-group-l-0"),
+    pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "-1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
+                 id="extract-l-negative"),
+    pytest.param(["spotcheck", "{p}", "{c}", "--trials", "0"], {"p": poly_data(), "c": {"outcome": "sos"}},
+                 EX_USAGE, id="spotcheck-trials-0"),
+])
+def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    got, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert got == code
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--delta", "-1")])
+def test_nonpositive_solver_flag_is_usage_error(tmp_path, capsys, flag, value):
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    code, out, err = run(capsys, "certify", path, flag, value)
+    assert code == EX_USAGE
+    assert err.strip() == f"usage error: {flag} must be positive"
+
+
 def test_non_hermitian_input_rejected(tmp_path, capsys):
     p = 1j * x(1)
     path = write_poly(tmp_path / "p.json", p)

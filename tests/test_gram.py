@@ -17,33 +17,40 @@ def rand_psd_gram(g, mode, d, k, rng):
     return GramMatrix(g, mode, d, k, m @ m.conj().T / n)
 
 
+def pairs_of(products, table, u):
+    return np.argwhere(table == products.index(u)).tolist()
+
+
 def test_constraint_index_monoid_example():
-    classes = constraint_index(2, 1, MONOID)
+    products, table = constraint_index(2, 1, MONOID)
     words = enumerate_words(2, 1, MONOID)
     u = Word(MONOID, 2, (1, 2))
-    assert classes[u] == [(words.index(Word(MONOID, 2, (1,))), words.index(Word(MONOID, 2, (2,))))]
+    assert pairs_of(products, table, u) == [[words.index(Word(MONOID, 2, (1,))),
+                                             words.index(Word(MONOID, 2, (2,)))]]
     # v* w = empty iff v = w = empty in the monoid
-    assert classes[identity(2)] == [(0, 0)]
+    assert pairs_of(products, table, identity(2)) == [[0, 0]]
 
 
 def test_constraint_index_group_identity_class():
-    classes = constraint_index(2, 1, GROUP)
+    products, table = constraint_index(2, 1, GROUP)
     # v^-1 w = empty iff v = w: all five diagonal pairs
-    assert classes[identity(2, GROUP)] == [(i, i) for i in range(5)]
+    assert pairs_of(products, table, identity(2, GROUP)) == [[i, i] for i in range(5)]
 
 
 @pytest.mark.parametrize("g,d,mode", [(2, 1, MONOID), (2, 2, MONOID), (2, 1, GROUP), (1, 2, GROUP)])
 def test_constraint_index_partitions(g, d, mode):
-    classes = constraint_index(g, d, mode)
-    n = count_words(g, d, mode)
-    seen = set()
+    # each pair (v, w) lies in exactly the class its table entry names
+    products, table = constraint_index(g, d, mode)
     words = enumerate_words(g, d, mode)
-    for u, pairs in classes.items():
-        for v, w in pairs:
-            assert (v, w) not in seen
-            seen.add((v, w))
-            assert concat(involute(words[v]), words[w]) == u
-    assert len(seen) == n * n
+    n = count_words(g, d, mode)
+    assert table.dtype == np.intp and table.shape == (n, n)
+    for v in range(n):
+        for w in range(n):
+            assert products[table[v, w]] == concat(involute(words[v]), words[w])
+    assert len(set(products)) == len(products)
+    # products are numbered in order of first appearance in a row-major scan
+    first = list(dict.fromkeys(table.ravel().tolist()))
+    assert first == list(range(len(products)))
 
 
 def test_gram_to_poly_rank_one():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from ncsos.certify import _hankel_layout, gram_system, hankel_system
-from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
     AffineSystem, InconsistentSystemError, SdpError, max_margin,
     project_affine, project_psd, solve_feasibility, verify_feasible,
 )
-from ncsos.words import GROUP, MONOID, enumerate_words
+from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
 from test_poly import rand_hermitian, rand_matrix
 
@@ -108,11 +107,15 @@ def _rand_hermitian_poly(g, mode, k, rng):
 
 def _reference_rows(f, d, hankel_sys=None):
     """Real-linear constraints on the (Re, Im) coordinates of all m x m
-    matrices, written out one by one from constraint_index: the Gram class
-    sums, or the Hankel ties, border zeros and the system's dense rows; and
-    X = X^* in every case."""
-    classes = constraint_index(f.g, d, f.mode)
-    k, n = f.k, len(enumerate_words(f.g, d, f.mode))
+    matrices, written out one by one from the classes of basis pairs with
+    equal products concat(involute(v), w): the Gram class sums, or the Hankel
+    ties, border zeros and the system's dense rows; and X = X^* in every case."""
+    words = enumerate_words(f.g, d, f.mode)
+    classes = {}
+    for v, word_v in enumerate(words):
+        for w, word_w in enumerate(words):
+            classes.setdefault(concat(involute(word_v), word_w), []).append((v, w))
+    k, n = f.k, len(words)
     m = n * k if hankel_sys is None else hankel_sys.m
     rows, rhs = [], []
 
