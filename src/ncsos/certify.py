@@ -8,6 +8,12 @@ turns a successful functional into a concrete tuple at which the input has
 a negative eigenvalue.  Both decisive answers carry independently checkable
 evidence; near the boundary of the cone the pipeline may legitimately
 return Undecided.
+
+Each side runs Dykstra.  Only the primal falls back to the max-margin
+interior-point solve, which decides Gram systems with no strictly feasible
+point (inputs that vanish somewhere, such as 2 - u1 - u1^-1).  Every rung
+of the dual below the input's best margin has a strictly feasible point,
+so the dual has no fallback.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .gns import (
 )
 from .gram import (
     EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
-    constraint_index, factor_gram,
+    constraint_index, factor_gram, gram_to_poly,
 )
 from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from .sdp import (
@@ -35,6 +41,7 @@ from .words import MONOID, involute
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
+DELTA_MIN = 1e-8            # the dual's smallest margin
 
 
 class CertifyError(ValueError):
@@ -46,10 +53,7 @@ class CertifyOptions:
     d: int | None = None
     max_iter: int = 50_000
     tol: float = 1e-9
-    eps_cert: float = EPS_CERT
-    eps_wit: float = EPS_WIT
     delta: float = 1e-4
-    delta_min: float = 1e-8
 
 
 @dataclass
@@ -89,61 +93,55 @@ def gram_system(f: NCPoly, d: int) -> AffineSystem:
     return AffineSystem(len(table) * f.k, class_labels(table, f.k), targets)
 
 
-def _interior_point_polish(sys: AffineSystem, eps_psd: float) -> np.ndarray | None:
+def _interior_point_polish(sys: AffineSystem) -> np.ndarray | None:
     """Max-margin interior-point solve of the same feasibility system.
 
-    Used only when Dykstra stalls, which it does on Gram sets with no
-    strictly feasible point (polynomials that vanish somewhere).  The
-    answer is projected back onto the affine set so the coefficient
+    Used only when Dykstra stalls on a Gram system, which it does on sets
+    with no strictly feasible point (polynomials that vanish somewhere).
+    The answer is projected back onto the affine set so the coefficient
     constraints hold to working precision, and is returned only if it is
-    psd to within eps_psd; a system whose best margin is below -eps_psd
+    psd to within EPS_PSD; a system whose best margin is below -EPS_PSD
     returns None.
     """
-    res = max_margin(sys, floor=-eps_psd)
+    res = max_margin(sys, floor=-EPS_PSD)
     try:
         X, _ = project_affine(res.X, sys)
     except InconsistentSystemError:
         return None
-    if float(np.linalg.eigvalsh(X).min()) < -eps_psd:
+    if float(np.linalg.eigvalsh(X).min()) < -EPS_PSD:
         return None
     return X
 
 
-def _solve_robust(sys: AffineSystem, opts: CertifyOptions, eps_psd: float):
-    """Dykstra, then the max-margin interior-point solve if Dykstra stalls.
-
-    Gram sets of polynomials that vanish somewhere sit in a face of the psd
-    cone, where alternating projections converge sublinearly; the
-    interior-point solve decides those boundary instances.  Every answer is
-    re-verified against the original system, so the fallback cannot
-    manufacture a wrong one.
-    """
-    res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol)
-    if res.feasible:
-        return res.X, res.iterations, res.final_gap, ""
-    X = _interior_point_polish(sys, eps_psd)
-    if X is not None:
-        return X, res.iterations, 0.0, "interior-point polish"
-    return None, res.iterations, res.final_gap, ""
+def _miss(p: NCPoly, f: NCPoly) -> float:
+    """max_u ||P_u - F_u||, how far p is from f coefficientwise."""
+    return max((opnorm(c) for c in (p - f).terms.values()), default=0.0)
 
 
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
+    """Dykstra on the Gram system, then the interior-point polish if it stalls.
+
+    Every answer is re-verified against the input, so the polish cannot
+    manufacture a wrong certificate.
+    """
     sys = gram_system(f, d)
     try:
-        X, iters, gap, note = _solve_robust(sys, opts, EPS_PSD)
+        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol)
+        X = res.X if res.feasible else _interior_point_polish(sys)
     except InconsistentSystemError as exc:
         return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
-    diag = BranchDiagnostics(iters, gap, note)
+    diag = BranchDiagnostics(res.iterations, res.final_gap)
     if X is None:
         return None, diag
+    if not res.feasible:
+        diag.gap, diag.note = 0.0, "interior-point polish"
     G = GramMatrix(f.g, f.mode, d, f.k, X)
     cert = factor_gram(G)
-    if cert.residual > opts.eps_cert:
+    if cert.residual > EPS_CERT:
         diag.note = f"factorization residual {cert.residual:.3e} above eps_cert"
         return None, diag
-    target = cert.reconstruction() - f
-    sym_residual = max((opnorm(c) for c in target.terms.values()), default=0.0)
-    if sym_residual > opts.eps_cert:
+    sym_residual = _miss(cert.reconstruction(), f)
+    if sym_residual > EPS_CERT:
         diag.note = f"reconstruction misses input by {sym_residual:.3e}"
         return None, diag
     cert.residual = max(cert.residual, sym_residual)
@@ -225,63 +223,68 @@ def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunc
                             blocks=blocks)
 
 
+def _margins(delta: float):
+    """The dual's margins: delta, delta/10, ... down to DELTA_MIN."""
+    while delta >= DELTA_MIN * (1 - 1e-12):
+        yield delta
+        delta /= 10
+
+
+def _operator_defect(Y: OperatorTuple) -> tuple[str, float]:
+    """What a witness tuple must be (self-adjoint in monoid mode, unitary in
+    group mode) and how far Y is from it."""
+    if Y.mode == MONOID:
+        return "self-adjointness", Y.hermitian_defect()
+    return "unitarity", Y.unitary_defect()
+
+
 def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
-    """Margin search with delta shrinking by 10 down to delta_min."""
+    """Margin search with delta shrinking by 10 down to DELTA_MIN; Dykstra
+    alone on each rung."""
     D = d + 1 if f.mode == MONOID else d
     if D < 1:
         D = 1
     layout = _hankel_layout(f, D)
     diag = BranchDiagnostics()
-    delta = opts.delta
-    best = None
-    while delta >= opts.delta_min * (1 - 1e-12):
+    weak = None
+    for delta in _margins(opts.delta):
         sys = hankel_system(f, layout, delta)
         try:
-            # an SOS input's best margin can be -delta/3: gate tighter than delta
-            X, iters, gap, note = _solve_robust(sys, opts, min(EPS_PSD, delta / 10))
+            res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol)
         except InconsistentSystemError as exc:
             diag.note = f"inconsistent dual system at delta={delta:.1e}"
             diag.gap = min(diag.gap, exc.residual)
-            delta /= 10
             continue
-        diag.iterations += iters
-        diag.gap = min(diag.gap, gap)
-        if X is not None:
-            K = X[:layout.n * layout.k, :layout.n * layout.k]
-            S = functional_from_solution(K, layout)
-            try:
-                model = (gns_construct(S) if f.mode == MONOID
-                         else gns_construct_unitary(S))
-            except GnsError as exc:
-                diag.note = f"GNS failed at delta={delta:.1e}: {exc}"
-                delta /= 10
-                continue
-            if f.mode == MONOID:
-                kind, defect = "self-adjointness", model.selfadjointness_defect()
-            else:
-                kind, defect = "unitarity", model.unitarity_defect()
-            if defect > OPERATOR_DEFECT_TOL:
-                diag.note = f"GNS operators miss {kind} by {defect:.3e} at delta={delta:.1e}"
-                delta /= 10
-                continue
-            residual = gns_verify(S, model)
-            if residual > GNS_VERIFY_TOL:
-                diag.note = f"GNS verification residual {residual:.3e}"
-                delta /= 10
-                continue
-            model.gns_residual = residual
-            fY = poly_eval(f, model.operators)
-            fY = (fY + fY.conj().T) / 2
-            min_eig = float(np.linalg.eigvalsh(fY).min())
-            refuted = complex(np.vdot(model.gamma, fY @ model.gamma))
-            if min_eig <= -opts.eps_wit:
-                return model, min_eig, refuted, diag
-            best = (model, min_eig, refuted)
-            diag.note = f"witness margin too small (min eig {min_eig:.3e})"
-        delta /= 10
-    if best is not None:
-        model, min_eig, refuted = best
-        diag.note = f"best witness has min eig {min_eig:.3e} above -eps_wit"
+        diag.iterations += res.iterations
+        diag.gap = min(diag.gap, res.final_gap)
+        if not res.feasible:
+            continue
+        K = res.X[:layout.n * layout.k, :layout.n * layout.k]
+        S = functional_from_solution(K, layout)
+        try:
+            model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
+        except GnsError as exc:
+            diag.note = f"GNS failed at delta={delta:.1e}: {exc}"
+            continue
+        kind, defect = _operator_defect(model.operators)
+        if defect > OPERATOR_DEFECT_TOL:
+            diag.note = f"GNS operators miss {kind} by {defect:.3e} at delta={delta:.1e}"
+            continue
+        residual = gns_verify(S, model)
+        if residual > GNS_VERIFY_TOL:
+            diag.note = f"GNS verification residual {residual:.3e}"
+            continue
+        model.gns_residual = residual
+        fY = poly_eval(f, model.operators)
+        fY = (fY + fY.conj().T) / 2
+        min_eig = float(np.linalg.eigvalsh(fY).min())
+        refuted = complex(np.vdot(model.gamma, fY @ model.gamma))
+        if min_eig <= -EPS_WIT:
+            return model, min_eig, refuted, diag
+        weak = min_eig
+        diag.note = f"witness margin too small (min eig {min_eig:.3e})"
+    if weak is not None:
+        diag.note = f"best witness has min eig {weak:.3e} above -eps_wit"
     return None, None, None, diag
 
 
@@ -319,6 +322,7 @@ class SpotcheckReport:
     min_eig: float
     threshold: float
     ok: bool
+    note: str = ""  # why the stored evidence is refused, if it is
 
 
 def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
@@ -333,23 +337,45 @@ def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
     return OperatorTuple(mode, mats)
 
 
-def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
-              n_max: int = 5, seed: int = 1729,
-              eps_psd: float = EPS_PSD, eps_wit: float = EPS_WIT) -> SpotcheckReport:
-    """Sample-based sanity check of a decision.
+def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> str:
+    """Why cert does not prove f SOS, or "" when it does: G must be psd and
+    both V* G V and the sum of r* r must reconstruct f within EPS_CERT."""
+    if cert is None:
+        raise CertifyError("sos outcome carries no certificate to check")
+    G = cert.gram.matrix
+    low = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    if low < -EPS_PSD:
+        return f"Gram matrix is not psd (min eigenvalue {low:.3e})"
+    for name, p in (("Gram matrix", gram_to_poly(cert.gram)), ("factors", cert.reconstruction())):
+        miss = _miss(p, f)
+        if miss > EPS_CERT:
+            return f"{name} miss the input by {miss:.3e}"
+    return ""
 
-    SOS: the input must be psd at random self-adjoint (or unitary) tuples.
-    Witness: the stored model must still exhibit a negative eigenvalue.
-    Any other outcome has nothing to check and raises CertifyError.
+
+def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
+              n_max: int = 5, seed: int = 1729) -> SpotcheckReport:
+    """Check the stored evidence of a decision, and sample the input.
+
+    SOS: the certificate's Gram matrix must be psd, it and its factors must
+    reconstruct the input, and the input must be psd at random self-adjoint
+    (or unitary) tuples.  Witness: the stored tuple must be self-adjoint
+    (monoid) or unitary (group) within OPERATOR_DEFECT_TOL and exhibit a
+    negative eigenvalue.  Any other outcome has nothing to check and raises
+    CertifyError.
     """
     if outcome.kind not in ("sos", "witness"):
         raise CertifyError(f"no decided outcome to spot check (kind {outcome.kind!r})")
-    rng = np.random.default_rng(seed)
     if outcome.kind == "witness":
-        fY = poly_eval(f, outcome.model.operators)
+        Y = outcome.model.operators
+        fY = poly_eval(f, Y)
         fY = (fY + fY.conj().T) / 2
         low = float(np.linalg.eigvalsh(fY).min())
-        return SpotcheckReport("witness", 1, low, -eps_wit, low <= -eps_wit)
+        kind, defect = _operator_defect(Y)
+        note = f"operators miss {kind} by {defect:.3e}" if defect > OPERATOR_DEFECT_TOL else ""
+        return SpotcheckReport("witness", 1, low, -EPS_WIT, low <= -EPS_WIT and not note, note)
+    note = _refuse_certificate(f, outcome.certificate)
+    rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
@@ -357,4 +383,4 @@ def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
         fX = poly_eval(f, X)
         fX = (fX + fX.conj().T) / 2
         worst = min(worst, float(np.linalg.eigvalsh(fX).min()))
-    return SpotcheckReport("sos", trials, worst, -eps_psd, worst >= -eps_psd)
+    return SpotcheckReport("sos", trials, worst, -EPS_PSD, worst >= -EPS_PSD and not note, note)

@@ -23,7 +23,7 @@ from .fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
     build_unitaries, extract_coeffs,
 )
-from .gram import SOSCertificate
+from .gram import GramMatrix, SOSCertificate
 from .poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json,
     poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
@@ -270,10 +270,12 @@ def _cmd_extract(args) -> int:
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
     except (PolyError, KeyError) as exc:
         raise DataError(f"{args.eval_path}: {exc}")
+    if args.g < 1 or args.k < 1:
+        raise UsageError("--g and --k must be at least 1")
     basis = FockBasis(args.g, args.l, MONOID)
     try:
         q = extract_coeffs(E, basis, args.k)
-    except Exception as exc:
+    except FockError as exc:  # the matrix does not fit the flags
         raise DataError(str(exc))
     _emit(poly_to_json(q), args.out)
     return 0
@@ -319,14 +321,23 @@ def _cmd_spotcheck(args) -> int:
         except (KeyError, TypeError, PolyError) as exc:
             raise DataError(f"{args.certificate}: {exc}")
         outcome.model = _ModelShim(ops)
-    elif kind != "sos":
+    elif kind == "sos":
+        try:
+            data = cert["certificate"]
+            gram = GramMatrix(f.g, f.mode, cert["degree"], f.k, matrix_from_json(data["gram"]))
+            factors = [poly_from_json(r) for r in data["factors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.certificate}: no usable sos evidence "
+                            f"({type(exc).__name__}: {exc})")
+        outcome.certificate = SOSCertificate(gram, factors)
+    else:
         raise DataError(f"{args.certificate}: no decided outcome to spot check")
     try:
         rep = spotcheck(f, outcome, trials=args.trials, n_max=args.n_max, seed=args.seed)
-    except PolyError as exc:  # the stored tuple does not fit the input
+    except PolyError as exc:  # the stored tuple or factors do not fit the input
         raise DataError(f"{args.certificate}: {exc}")
     _emit({"kind": rep.kind, "trials": rep.trials, "min_eig": rep.min_eig,
-           "threshold": rep.threshold, "ok": rep.ok}, args.out)
+           "threshold": rep.threshold, "ok": rep.ok, "note": rep.note}, args.out)
     return 0 if rep.ok else 1
 
 

@@ -15,6 +15,12 @@ evaluation convention the reproducing identity
 
 then holds exactly, with <a, b> = b^dagger a.
 
+The model's operators are compressions of the left shift.  Every basis,
+shift and complement comes from a numpy factorization: _span_basis (an SVD)
+spans the generators, _fit_action (least squares) fits the shift on them,
+and in group mode each letter's partial isometry is completed to a unitary
+on the orthocomplements, the trailing left singular vectors of the bases.
+
 gns_verify checks that identity exactly rather than on sampled
 coefficients.  With Gamma = unvec(gamma) and the word images
 Z_w = Y^w Gamma, a monomial P w acts as p(Y) gamma = vec(Z_w P^T), so the
@@ -159,11 +165,10 @@ class WitnessModel:
         return self.frames[:, word_index * self.k:(word_index + 1) * self.k]
 
     def selfadjointness_defect(self) -> float:
-        return max(opnorm(Y - Y.conj().T) for Y in self.operators.entries)
+        return self.operators.hermitian_defect()
 
     def unitarity_defect(self) -> float:
-        mats = self.operators.entries + (self.operators.inverses or [])
-        return max(opnorm(U @ U.conj().T - np.eye(self.dim)) for U in mats)
+        return self.operators.unitary_defect()
 
 
 def _quotient_frames(S: HankelFunctional, eps_psd: float):
@@ -249,21 +254,15 @@ def _fit_action(C: np.ndarray, T: np.ndarray):
     return Y, res
 
 
-def _word_sets_group(g: int, d: int, y: int):
-    """Generator words for the domain/codomain of the letter-y shift."""
-    words = enumerate_words(g, d, GROUP)
-    dom = [w for w in words if len(w) <= d - 1 or w.letters[0] == -y]
-    cod = [w for w in words if len(w) <= d - 1 or w.letters[0] == y]
-    return words, dom, cod
-
-
 def gns_construct_unitary(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel:
     """Group-mode model from a functional with D = d: a 2g-tuple of unitaries.
 
     The shift by a letter y is isometric between the subspaces spanned by
     tuples supported on words of length <= d-1 extended by y^-1 resp. y; it
-    is extended to a unitary by matching deterministic orthonormal bases of
-    the two orthocomplements, mirroring the free-group Fock construction.
+    is extended to a unitary by matching orthonormal bases of the two
+    orthocomplements, mirroring the free-group Fock construction.  The
+    frames span the whole quotient space, so the complements are taken in
+    all of C^rank.
     """
     if S.mode != GROUP:
         raise GnsError("gns_construct_unitary expects a group-mode functional")
@@ -273,84 +272,37 @@ def gns_construct_unitary(S: HankelFunctional, eps_psd: float = EPS_PSD) -> Witn
     k = S.k
     words = enumerate_words(S.g, d, GROUP)
     idx = {w: i for i, w in enumerate(words)}
+    cols = np.arange(len(words) * k).reshape(len(words), k)  # frame columns of each word
 
-    W = _quotient_frames(S, eps_psd)
-    r = W.shape[0]
-    frames = W                         # the whole quotient space is the model space
-
-    def blocks_for(ws):
-        return np.hstack([frames[:, idx[w] * k:(idx[w] + 1) * k] for w in ws]) \
-            if ws else np.zeros((r, 0), dtype=complex)
+    frames = _quotient_frames(S, eps_psd)  # the whole quotient space is the model space
 
     def unitary_for(y: int) -> np.ndarray:
-        _, dom, cod = _word_sets_group(S.g, d, y)
-        G_dom = blocks_for(dom)
-        G_tgt = blocks_for([concat(Word(GROUP, S.g, (y,)), w) for w in dom])
-        B_dom, T_dom = _orthonormalize_with_images(G_dom, G_tgt)
+        # generators of the domain and codomain of the letter-y shift
+        dom = [w for w in words if len(w) < d or w.letters[0] == -y]
+        cod = [w for w in words if len(w) < d or w.letters[0] == y]
+        shift = Word(GROUP, S.g, (y,))
+        G_dom, G_tgt, G_cod = (frames[:, cols[[idx[w] for w in ws]].ravel()]
+                               for ws in (dom, [concat(shift, w) for w in dom], cod))
+        B_dom, B_cod = _span_basis(G_dom), _span_basis(G_cod)
+        T_dom = _fit_action(G_dom, G_tgt)[0] @ B_dom
         iso_defect = opnorm(T_dom.conj().T @ T_dom - np.eye(T_dom.shape[1]))
         if iso_defect > FIT_TOL:
             raise GnsError(f"letter shift is not isometric (defect {iso_defect:.3e})")
-        B_cod = _span_basis(blocks_for(cod))
-        if B_dom.shape[1] != B_cod.shape[1]:
+        e = B_dom.shape[1]
+        if e != B_cod.shape[1]:
             raise GnsError("domain and codomain subspaces have different dimensions")
-        C_dom = _complement_basis(B_dom, frames)
-        C_cod = _complement_basis(B_cod, frames)
-        if C_dom.shape[1] != C_cod.shape[1]:
-            raise GnsError("orthocomplements have different dimensions")
-        U = T_dom @ B_dom.conj().T + C_cod @ C_dom.conj().T
-        return U
+        C_dom = np.linalg.svd(B_dom, full_matrices=True)[0][:, e:]
+        C_cod = np.linalg.svd(B_cod, full_matrices=True)[0][:, e:]
+        return T_dom @ B_dom.conj().T + C_cod @ C_dom.conj().T
 
     entries = [unitary_for(i) for i in range(1, S.g + 1)]
     inverses = [unitary_for(-i) for i in range(1, S.g + 1)]
     operators = OperatorTuple(GROUP, entries, inverses=inverses)
 
     gamma = vec(frames[:, 0:k])
-    return WitnessModel(mode=GROUP, k=k, d=d, dim=r, operators=operators,
+    return WitnessModel(mode=GROUP, k=k, d=d, dim=frames.shape[0], operators=operators,
                         gamma=gamma, functional=S, frames=frames,
                         fit_residual=0.0)
-
-
-def _orthonormalize_with_images(cols: np.ndarray, images: np.ndarray,
-                                rtol: float = SPAN_RTOL):
-    """Gram-Schmidt the columns in order, applying the same column operations
-    to `images`; the image columns are then the shifts of the basis vectors."""
-    m, n = cols.shape
-    basis, mapped = [], []
-    scale = max((np.linalg.norm(cols[:, j]) for j in range(n)), default=0.0)
-    for j in range(n):
-        v = cols[:, j].copy()
-        t = images[:, j].copy()
-        for b, tb in zip(basis, mapped):
-            c = np.vdot(b, v)
-            v -= c * b
-            t -= c * tb
-        nrm = np.linalg.norm(v)
-        if nrm > rtol * max(scale, 1e-300):
-            basis.append(v / nrm)
-            mapped.append(t / nrm)
-    if not basis:
-        return (np.zeros((m, 0), dtype=complex),) * 2
-    return np.column_stack(basis), np.column_stack(mapped)
-
-
-def _complement_basis(B: np.ndarray, generators: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of span(B) inside the span of
-    `generators`, built deterministically from the generator columns in order."""
-    r = generators.shape[0]
-    proj = np.eye(r, dtype=complex) - B @ B.conj().T
-    out = []
-    scale = max((np.linalg.norm(generators[:, j]) for j in range(generators.shape[1])),
-                default=0.0)
-    for j in range(generators.shape[1]):
-        v = proj @ generators[:, j]
-        for b in out:
-            v -= np.vdot(b, v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > SPAN_RTOL * max(scale, 1e-300):
-            out.append(v / nrm)
-    if not out:
-        return np.zeros((r, 0), dtype=complex)
-    return np.column_stack(out)
 
 
 def _word_images(model: WitnessModel, words: list) -> np.ndarray:

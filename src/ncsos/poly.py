@@ -172,10 +172,10 @@ class OperatorTuple:
             self.inverses = [np.asarray(x, dtype=complex) for x in self.inverses]
             if len(self.inverses) != len(self.entries):
                 raise PolyError("need one inverse per entry")
-        if self.self_adjoint and self.mode == MONOID:
-            for x in self.entries:
-                if opnorm(x - x.conj().T) > EPS_HERM:
-                    raise PolyError("entry flagged self-adjoint is not Hermitian")
+            if any(x.shape != (n, n) for x in self.inverses):
+                raise PolyError("inverses must be square matrices of the entries' size")
+        if self.self_adjoint and self.mode == MONOID and self.hermitian_defect() > EPS_HERM:
+            raise PolyError("entry flagged self-adjoint is not Hermitian")
 
     @property
     def g(self) -> int:
@@ -185,9 +185,15 @@ class OperatorTuple:
     def dim(self) -> int:
         return self.entries[0].shape[0] if self.entries else 0
 
+    def hermitian_defect(self) -> float:
+        """max ||X - X^dagger|| over the entries."""
+        return max((opnorm(x - x.conj().T) for x in self.entries), default=0.0)
+
     def unitary_defect(self) -> float:
+        """max ||X X^dagger - I|| over the entries and any stored inverses."""
         n = self.dim
-        return max(opnorm(x @ x.conj().T - np.eye(n)) for x in self.entries)
+        mats = self.entries + (self.inverses or [])
+        return max((opnorm(x @ x.conj().T - np.eye(n)) for x in mats), default=0.0)
 
     def inverse_entries(self, tol: float = EPS_UNIT) -> list:
         if self.inverses is not None:

@@ -14,12 +14,14 @@ Dykstra converges sublinearly when the intersection has no strictly
 feasible point.  For those systems max_margin solves max t subject to
 X - t I psd on the affine set with a log-barrier interior-point method in
 numpy; its best margin is >= 0 exactly when the system has a psd solution.
+The decision pipeline calls it on Gram systems only.  A Hankel system has
+a strictly feasible point whenever its margin is below the best one (mix in
+a strictly positive functional, such as the vacuum state of the canonical
+tuple), and no psd solution above it, so Dykstra alone serves there.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,14 +181,11 @@ class FeasibilityResult:
     X: np.ndarray | None
     iterations: int
     final_gap: float
-    residual_history: list = field(default_factory=list)  # last few (psd, affine) pairs
 
 
 def solve_feasibility(sys: AffineSystem,
                       max_iter: int = DEFAULT_MAX_ITER,
-                      tol: float = DEFAULT_TOL,
-                      trace_path: str | None = None,
-                      history: int = 200) -> FeasibilityResult:
+                      tol: float = DEFAULT_TOL) -> FeasibilityResult:
     """Dykstra between the psd cone and the affine set, from project_affine(0).
 
     Feasible when the iterate on the affine side has psd residual <= tol and
@@ -197,38 +196,19 @@ def solve_feasibility(sys: AffineSystem,
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    hist: deque = deque(maxlen=history)
-    trace = open(trace_path, "w") if trace_path else None
     gap = np.inf
     it = 0
-    try:
-        for it in range(1, max_iter + 1):
-            y = project_psd(x + p)
-            p = x + p - y
-            x, aff_res = project_affine(y + q, sys)
-            q = y + q - x
+    for it in range(1, max_iter + 1):
+        y = project_psd(x + p)
+        p = x + p - y
+        x, aff_res = project_affine(y + q, sys)
+        q = y + q - x
 
-            psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
-            gap = max(psd_res, aff_res)
-            hist.append((psd_res, aff_res))
-            if trace and it % 100 == 0:
-                trace.write(json.dumps({"iter": it, "psd": psd_res, "affine": aff_res}) + "\n")
-            if gap <= tol:
-                return FeasibilityResult(True, x, it, gap, list(hist))
-    finally:
-        if trace:
-            trace.close()
-    return FeasibilityResult(False, None, it, float(gap), list(hist))
-
-
-def verify_feasible(result: FeasibilityResult, sys: AffineSystem, tol: float) -> bool:
-    """Independent re-check of a Feasible answer."""
-    if not result.feasible or result.X is None:
-        return False
-    X = result.X
-    if float(np.linalg.eigvalsh((X + X.conj().T) / 2).min()) < -tol:
-        return False
-    return sys.residual(X) <= tol
+        psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
+        gap = max(psd_res, aff_res)
+        if gap <= tol:
+            return FeasibilityResult(True, x, it, gap)
+    return FeasibilityResult(False, None, it, float(gap))
 
 
 # -- max-margin interior-point solve ------------------------------------------

@@ -8,7 +8,7 @@ from ncsos.certify import (
     functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
     _hankel_layout, _interior_point_polish,
 )
-from ncsos.gram import EPS_PSD, GramMatrix, gram_to_poly
+from ncsos.gram import GramMatrix, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
@@ -87,7 +87,7 @@ def test_interior_point_polish_boundary_gram_system():
     # every Gram matrix of 2 - u1 - u1^-1 has (1, 1, 1) in its kernel
     sys = gram_system(group_fixture(), 1)
     assert not solve_feasibility(sys, max_iter=3000, tol=1e-9).feasible
-    X = _interior_point_polish(sys, EPS_PSD)
+    X = _interior_point_polish(sys)
     assert X is not None
     assert np.linalg.norm(project_affine(X, sys)[0] - X) < 1e-10
     assert np.linalg.eigvalsh(X).min() >= -1e-8
@@ -98,13 +98,13 @@ def test_interior_point_polish_boundary_gram_system():
 def test_interior_point_polish_infeasible_returns_none():
     sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), -1.0)])
     assert max_margin(sys).t < 0
-    assert _interior_point_polish(sys, EPS_PSD) is None
+    assert _interior_point_polish(sys) is None
 
 
 def test_interior_point_polish_bit_identical():
     sys = gram_system(group_fixture(), 1)
-    X1 = _interior_point_polish(sys, EPS_PSD)
-    X2 = _interior_point_polish(sys, EPS_PSD)
+    X1 = _interior_point_polish(sys)
+    X2 = _interior_point_polish(sys)
     assert X1.tobytes() == X2.tobytes()
 
 
@@ -254,6 +254,19 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda S, _f=original: calls.append(S) or _f(S))
+    model, *_ = run_dual(f, 1, FAST)
+    assert model is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
+                         ids=["x1^2+x2^2", "2-u1-u1^-1"])
+def test_dual_never_calls_max_margin(f, monkeypatch):
+    # every Hankel rung is strictly feasible or has no psd point: Dykstra alone decides
+    module = importlib.import_module("ncsos.certify")
+    calls = []
+    monkeypatch.setattr(module, "max_margin",
+                        lambda *a, _f=module.max_margin, **kw: calls.append(a) or _f(*a, **kw))
     model, *_ = run_dual(f, 1, FAST)
     assert model is None
     assert calls == []

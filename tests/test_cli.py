@@ -165,6 +165,48 @@ def test_spotcheck_witness_cli(tmp_path, capsys):
     assert json.loads(out)["min_eig"] <= -1e-6
 
 
+def u(i, g=1):
+    return NCPoly.monomial(Word(GROUP, g, (i,)))
+
+
+@pytest.mark.parametrize("f, forged, kind", [
+    # Y^2 = -I puts eigenvalue -1 into x1^2, which is SOS, because Y is not self-adjoint
+    (x(1, g=1) * x(1, g=1), {"mode": "monoid", "entries": [[[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]]},
+     "self-adjointness"),
+    # 2 - u1 - u1^-1 is SOS but reads -2 at the non-unitary U = 2 stored with "inverse" 2
+    (NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1), {"mode": "group", "entries": [[[[2.0, 0.0]]]],
+                                                      "inverses": [[[[2.0, 0.0]]]]}, "unitarity"),
+], ids=["monoid", "group"])
+def test_spotcheck_refuses_forged_witness(tmp_path, capsys, f, forged, kind):
+    path = write_poly(tmp_path / "p.json", f)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"outcome": "witness", "witness": {"model": {"operators": forged}}}))
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["ok"] is False and rep["min_eig"] < -0.5
+    assert kind in rep["note"]
+
+
+@pytest.mark.parametrize("forge", ["gram-not-psd", "factors-miss"])
+def test_spotcheck_refuses_forged_sos_certificate(tmp_path, capsys, forge):
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
+    data = json.loads(cert.read_text())
+    evidence = data["certificate"]
+    if forge == "gram-not-psd":
+        evidence["gram"] = [[[-re, -im] for re, im in row] for row in evidence["gram"]]
+    else:
+        evidence["factors"] = evidence["factors"][:1]
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "spotcheck", path, str(cert), "--trials", "20")
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["ok"] is False and rep["min_eig"] >= -1e-9  # the input itself is SOS
+    assert ("not psd" if forge == "gram-not-psd" else "factors miss") in rep["note"]
+
+
 def test_poly_json_roundtrip_identity():
     p = sos_fixture() + 0.25 * x(2)
     text1 = jsonio.dumps(poly_to_json(p))
@@ -221,6 +263,17 @@ GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
                  id="extract-l-negative"),
     pytest.param(["spotcheck", "{p}", "{c}", "--trials", "0"], {"p": poly_data(), "c": {"outcome": "sos"}},
                  EX_USAGE, id="spotcheck-trials-0"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "sos"}},
+                 EX_DATA, id="sos-without-evidence"),
+    pytest.param(["spotcheck", "{p}", "{c}"],
+                 {"p": poly_data(mode="group", terms=[{"word": "1", "matrix": [[[1.0, 0.0]]]}]),
+                  "c": {"outcome": "witness", "witness": {"model": {"operators": dict(
+                      GROUP_TUPLE, inverses=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])}}}},
+                 EX_DATA, id="witness-inverse-wrong-size"),
+    pytest.param(["extract", "--eval", "{e}", "--g", "0", "--l", "1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
+                 id="extract-g-0"),
+    pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "1", "--k", "0"], {"e": [[[1.0, 0.0]]]},
+                 EX_USAGE, id="extract-k-0"),
 ])
 def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):
     paths = {}
