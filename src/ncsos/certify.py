@@ -14,6 +14,15 @@ interior-point solve, which decides Gram systems with no strictly feasible
 point (inputs that vanish somewhere, such as 2 - u1 - u1^-1).  Every rung
 of the dual below the input's best margin has a strictly feasible point,
 so the dual has no fallback.
+
+Dykstra's Hankel point is psd only to the solver tolerance, and GNS on it
+fits shift operators through a quotient whose smallest directions carry
+that error.  Before GNS the dual mixes in a small weight of the paper's
+free state (free_state), which is positive definite; the mixed functional
+is then bounded below by a multiple of the tolerance and GNS builds
+operators that are self-adjoint or unitary to rounding.  A witness still
+rests only on its own gates: the operator defect, gns_verify and the
+eigenvalue of f(Y).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import FockBasis, vacuum_images
 from .gns import (
     GnsError, HankelFunctional, gns_construct, gns_construct_unitary,
     gns_verify, WitnessModel,
@@ -42,6 +52,13 @@ GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
 DELTA_MIN = 1e-8            # the dual's smallest margin
+# Weight of the free state in the dual functional, in units of the solver
+# tolerance: s = FREE_MIX * tol / lambda_min(K_free).  Dykstra stops with
+# lambda_min(K) >= -tol (K is a principal block of its iterate), so the mix
+# (1 - s) K + s K_free is >= (FREE_MIX - 1) tol in every direction.  At the
+# default tol = 1e-9 that is 9e-9, ninety times the gns.EPS_NULL cut of a
+# unit-trace quotient (at most 1e-10), so GNS keeps every direction.
+FREE_MIX = 10.0
 
 
 class CertifyError(ValueError):
@@ -223,6 +240,27 @@ def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunc
                             blocks=blocks)
 
 
+def free_state(layout: _HankelLayout) -> np.ndarray:
+    """The unit-trace K of the paper's free state on the layout's basis.
+
+    Monoid mode: the vacuum state of the semicircular tuple A, so
+    H[v, w] = <A^w vacuum, A^v vacuum>, that is H = M^dagger M with the
+    vacuum images of fock.vacuum_images as the columns of M.  Group mode:
+    the trace of the free group, the vacuum state of the canonical
+    unitaries, so H = I.  Scalar blocks make the in-place block transpose
+    of the storage a no-op: K = kron(H, I_k) / trace.  H is a Gram matrix
+    of linearly independent vectors (M is unit upper triangular), so K is
+    positive definite.
+    """
+    if layout.mode == MONOID:
+        M = vacuum_images(FockBasis(layout.g, layout.D, MONOID))
+        H = M.conj().T @ M
+    else:
+        H = np.eye(layout.n, dtype=complex)
+    K = np.kron(H, np.eye(layout.k))
+    return K / np.trace(K).real
+
+
 def _margins(delta: float):
     """The dual's margins: delta, delta/10, ... down to DELTA_MIN."""
     while delta >= DELTA_MIN * (1 - 1e-12):
@@ -240,11 +278,19 @@ def _operator_defect(Y: OperatorTuple) -> tuple[str, float]:
 
 def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
     """Margin search with delta shrinking by 10 down to DELTA_MIN; Dykstra
-    alone on each rung."""
+    alone on each rung.
+
+    A feasible rung's functional is mixed with the free state,
+    (1 - s) K + s K_free with s = FREE_MIX * tol / lambda_min(K_free), before
+    GNS; s is fixed once per input.  The mixed point need not meet the
+    margin row, which no gate reads: the witness is gated on f(Y) itself.
+    """
     D = d + 1 if f.mode == MONOID else d
     if D < 1:
         D = 1
     layout = _hankel_layout(f, D)
+    K_free = free_state(layout)
+    s = min(1.0, FREE_MIX * opts.tol / float(np.linalg.eigvalsh(K_free)[0]))
     diag = BranchDiagnostics()
     weak = None
     for delta in _margins(opts.delta):
@@ -260,7 +306,7 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
         if not res.feasible:
             continue
         K = res.X[:layout.n * layout.k, :layout.n * layout.k]
-        S = functional_from_solution(K, layout)
+        S = functional_from_solution((1 - s) * K + s * K_free, layout)
         try:
             model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
         except GnsError as exc:

@@ -12,8 +12,6 @@ import argparse
 import hashlib
 import sys
 
-import numpy as np
-
 from . import jsonio
 from .certify import (
     CertifyError, CertifyOptions, CertifyOutcome, certify, run_dual,
@@ -26,7 +24,7 @@ from .fock import (
 from .gram import GramMatrix, SOSCertificate
 from .poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json,
-    poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
+    poly_eval, poly_from_json, poly_to_json, tuple_from_json,
 )
 from .words import GROUP, MONOID, WordError, format_word
 
@@ -127,16 +125,21 @@ def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_complex_pair(z) for z in np.asarray(v).ravel()]
-
-
 def _sos_json(cert: SOSCertificate) -> dict:
     return {
-        "gram": matrix_to_json(cert.gram.matrix),
+        "gram": cert.gram.matrix,
         "factors": [poly_to_json(r) for r in cert.factors],
         "residual": float(cert.residual),
     }
+
+
+def _tuple_arrays(X: OperatorTuple) -> dict:
+    """tuple_to_json(X) with the matrices left as arrays, which jsonio.dumps
+    writes in the same encoding without a list of pairs per entry."""
+    out = {"mode": X.mode, "entries": X.entries}
+    if X.inverses is not None:
+        out["inverses"] = X.inverses
+    return out
 
 
 def _witness_json(outcome: CertifyOutcome) -> dict:
@@ -150,13 +153,13 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
             "mode": model.mode,
             "k": model.k,
             "d": model.d,
-            "operators": tuple_to_json(model.operators),
-            "gamma": _vector_to_json(model.gamma),
+            "operators": _tuple_arrays(model.operators),
+            "gamma": model.gamma,
             "gns_residual": float(model.gns_residual),
         },
         "functional": {
             "D": S.D,
-            "blocks": [{"word": format_word(u), "matrix": matrix_to_json(S.blocks[u])}
+            "blocks": [{"word": format_word(u), "matrix": S.blocks[u]}
                        for u in sorted(S.blocks, key=lambda w: (len(w), w.letters))],
         },
     }

@@ -86,26 +86,31 @@ class ExtractionMatrix:
         return self.basis.degree
 
 
+def vacuum_images(basis: FockBasis) -> np.ndarray:
+    """The n x n matrix whose column j is A^w vacuum for the j-th basis word w.
+
+    Filled by recursion on the leading letter: the suffix w[1:] is shorter,
+    hence already computed.  No word of the basis reaches past the
+    truncation, so these are the untruncated vectors.
+    """
+    if basis.mode != MONOID:
+        raise FockError("vacuum images are a monoid-mode construction")
+    idx = basis.index()
+    A = build_symmetrized(basis).entries
+    cols = np.zeros((basis.dim, basis.dim), dtype=complex)
+    cols[0, 0] = 1.0
+    for j, w in enumerate(basis.words):
+        if w.letters:
+            cols[:, j] = A[w.letters[0] - 1] @ cols[:, idx[Word(MONOID, basis.g, w.letters[1:])]]
+    return cols
+
+
 def build_extraction(basis: FockBasis, check_tol: float = 1e-12) -> ExtractionMatrix:
     if basis.mode != MONOID:
         raise FockError("extraction is a monoid-mode construction")
     if basis.degree < 1:
         raise FockError("extraction needs truncation degree >= 1")
-    words = basis.words
-    idx = basis.index()
-    A = build_symmetrized(basis).entries
-    n = basis.dim
-
-    # A^w applied to the vacuum, filled by recursion on the leading letter:
-    # the suffix w[1:] is shorter, hence already computed.
-    cols = np.zeros((n, n), dtype=complex)
-    cols[0, 0] = 1.0
-    for j, w in enumerate(words):
-        if len(w) == 0:
-            continue
-        cols[:, j] = A[w.letters[0] - 1] @ cols[:, idx[Word(MONOID, basis.g, w.letters[1:])]]
-
-    M = cols
+    M = vacuum_images(basis)
     lower = np.tril(M, -1)
     if np.abs(lower).max() > check_tol or np.abs(np.diag(M) - 1.0).max() > check_tol:
         raise FockError("extraction matrix is not unit upper triangular; ordering bug")

@@ -2,12 +2,20 @@
 
 Certificates must be byte-identical across reruns with the same config, so
 serialization avoids anything repr- or hash-order-dependent.
+
+numpy arrays are written as complex matrices in the encoding of
+poly.matrix_to_json: a 2-D array as rows of [re, im] pairs, a 1-D array as
+one list of pairs.  Each row is formatted straight to one string, so the
+evidence of a witness or a Gram certificate never exists as a tree of
+per-float Python objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 
 def _format_float(x: float) -> str:
@@ -16,6 +24,12 @@ def _format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return format(x, ".17g")
+
+
+def _format_row(row: np.ndarray) -> str:
+    """One row of complex entries as [[re, im], ...]."""
+    return "[" + ",".join(f"[{_format_float(re)},{_format_float(im)}]"
+                          for re, im in zip(row.real.tolist(), row.imag.tolist())) + "]"
 
 
 def dumps(obj) -> str:
@@ -48,6 +62,14 @@ def _emit(obj, out: list):
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray):
+        arr = np.asarray(obj, dtype=complex)
+        if arr.ndim == 1:
+            out.append(_format_row(arr))
+        elif arr.ndim == 2:
+            out.append("[" + ",".join(_format_row(row) for row in arr) + "]")
+        else:
+            raise TypeError(f"cannot serialize a {arr.ndim}-D array to JSON")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):

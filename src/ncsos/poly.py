@@ -190,10 +190,14 @@ class OperatorTuple:
         return max((opnorm(x - x.conj().T) for x in self.entries), default=0.0)
 
     def unitary_defect(self) -> float:
-        """max ||X X^dagger - I|| over the entries and any stored inverses."""
+        """max ||X X^dagger - I|| over the entries and any stored inverses,
+        and max ||X_i V_i - I|| over the stored inverses V_i: how far the
+        tuple is from a unitary representation of the free group."""
         n = self.dim
         mats = self.entries + (self.inverses or [])
-        return max((opnorm(x @ x.conj().T - np.eye(n)) for x in mats), default=0.0)
+        defects = [opnorm(x @ x.conj().T - np.eye(n)) for x in mats]
+        defects += [opnorm(x @ v - np.eye(n)) for x, v in zip(self.entries, self.inverses or [])]
+        return max(defects, default=0.0)
 
     def inverse_entries(self, tol: float = EPS_UNIT) -> list:
         if self.inverses is not None:

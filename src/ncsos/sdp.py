@@ -18,6 +18,10 @@ The decision pipeline calls it on Gram systems only.  A Hankel system has
 a strictly feasible point whenever its margin is below the best one (mix in
 a strictly positive functional, such as the vacuum state of the canonical
 tuple), and no psd solution above it, so Dykstra alone serves there.
+
+A feasible answer is psd only to tol: its smallest eigenvalue may be as low
+as -tol.  Callers that need a strictly positive point, as the dual's GNS
+step does, mix in a positive definite one (certify.free_state).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncsos.certify import (
-    CertifyError, CertifyOptions, CertifyOutcome, certify, gram_system,
+    CertifyError, CertifyOptions, CertifyOutcome, certify, free_state, gram_system,
     functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
     _hankel_layout, _interior_point_polish,
 )
@@ -295,6 +295,68 @@ def test_dual_witness_operators_are_self_adjoint(seed):
         assert "self-adjointness" in diag.note
     else:
         assert model.selfadjointness_defect() <= 1e-8 and min_eig <= -1e-6
+
+
+def group_witness_input(seed, g, d, k, n=3, margin=0.5):
+    """The group-mode twin of monoid_witness_input, with a seeded n x n
+    unitary tuple Y0."""
+    rng = np.random.default_rng(seed)
+    m = count_words(g, d, GROUP) * k
+    B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    f = gram_to_poly(GramMatrix(g, GROUP, d, k, B @ B.conj().T / m))
+    Y0 = OperatorTuple(GROUP, [np.linalg.qr(rand_matrix(n, rng))[0] for _ in range(g)])
+    fY = poly_eval(f, Y0)
+    c = np.linalg.eigvalsh((fY + fY.conj().T) / 2).min() + margin
+    return f - NCPoly.constant(c * np.eye(k), g, GROUP)
+
+
+@pytest.mark.parametrize("f", [monoid_witness_input(seed, 1, 2, 2) for seed in range(1, 31)]
+                         + [group_witness_input(1, 1, 2, 2)],
+                         ids=[f"monoid-{seed}" for seed in range(1, 31)] + ["group-1"])
+def test_dual_decides_at_the_first_rung(f, monkeypatch):
+    # with the free state mixed in, the first feasible Hankel point is a witness
+    module = importlib.import_module("ncsos.certify")
+    calls = []
+    monkeypatch.setattr(module, "hankel_system",
+                        lambda *a, _f=module.hankel_system: calls.append(a) or _f(*a))
+    model, min_eig, _, diag = run_dual(f, 2, CertifyOptions())
+    assert model is not None, diag.note
+    assert len(calls) == 1
+    defect = (model.selfadjointness_defect() if f.mode == MONOID
+              else model.unitarity_defect())
+    assert defect <= 1e-8 and min_eig <= -1e-6
+
+
+# -- the free state ----------------------------------------------------------------
+
+
+FREE_POINTS = [(mode, g, D, k) for mode in (MONOID, GROUP) for g in (1, 2, 3)
+               for D in (1, 2, 3) for k in (1, 2)]
+
+
+@pytest.mark.parametrize("mode, g, D, k", FREE_POINTS,
+                         ids=[f"{mode}-g{g}-D{D}-k{k}" for mode, g, D, k in FREE_POINTS])
+def test_free_state_is_a_positive_definite_state(mode, g, D, k):
+    layout = _hankel_layout(NCPoly.zero(g, mode, k), D)
+    K = free_state(layout)
+    assert K.shape == (layout.n * k, layout.n * k)
+    assert abs(np.trace(K) - 1) <= 1e-12
+    assert np.linalg.eigvalsh(K)[0] > 0
+
+
+def test_free_state_monoid_g1_has_semicircle_moments():
+    # phi(x^j) is the Catalan number C_{j/2} for even j, and 0 for odd j
+    K = free_state(_hankel_layout(NCPoly.zero(1, MONOID, 1), 3))
+    moments = np.array([1, 0, 1, 0, 2, 0, 5])
+    lengths = np.arange(4)  # the basis words are 1, x, x^2, x^3
+    assert np.allclose(K / K[0, 0], moments[lengths[:, None] + lengths[None, :]], atol=1e-14)
+
+
+@pytest.mark.parametrize("g, D, k", [(1, 2, 2), (2, 1, 1), (3, 2, 2)])
+def test_free_state_group_is_the_normalized_trace(g, D, k):
+    layout = _hankel_layout(NCPoly.zero(g, GROUP, k), D)
+    nk = layout.n * k
+    assert np.array_equal(free_state(layout), np.eye(nk) / nk)
 
 
 # -- guards ----------------------------------------------------------------------

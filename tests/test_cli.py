@@ -176,7 +176,11 @@ def u(i, g=1):
     # 2 - u1 - u1^-1 is SOS but reads -2 at the non-unitary U = 2 stored with "inverse" 2
     (NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1), {"mode": "group", "entries": [[[[2.0, 0.0]]]],
                                                       "inverses": [[[[2.0, 0.0]]]]}, "unitarity"),
-], ids=["monoid", "group"])
+    # -1 reads -1 at every tuple, but U = 1 stored with "inverse" -1 is no
+    # unitary representation of the free group
+    (NCPoly.constant(-1.0, 1, GROUP), {"mode": "group", "entries": [[[[1.0, 0.0]]]],
+                                       "inverses": [[[[-1.0, 0.0]]]]}, "unitarity"),
+], ids=["monoid", "group", "group-inverse"])
 def test_spotcheck_refuses_forged_witness(tmp_path, capsys, f, forged, kind):
     path = write_poly(tmp_path / "p.json", f)
     cert = tmp_path / "cert.json"
@@ -305,3 +309,49 @@ def test_jsonio_float_format():
     assert jsonio.dumps({"b": 1, "a": [1.5, None, True]}) == '{"a":[1.5,null,true],"b":1}'
     with pytest.raises(ValueError):
         jsonio.dumps(float("nan"))
+
+
+def _as_lists(obj):
+    """obj with every array replaced by its matrix_to_json encoding."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj) if obj.ndim == 2 else matrix_to_json(obj)[0]
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(value) for value in obj]
+    return obj
+
+
+def test_jsonio_arrays_match_matrix_encoding():
+    A = np.array([[complex(-0.0, 5e-324), complex(1e300, -3.0)],
+                  [complex(2.0, -0.0), complex(0.1, 7.0)]])
+    assert jsonio.dumps(A) == jsonio.dumps(matrix_to_json(A))
+    v = A.ravel()
+    assert jsonio.dumps(v) == jsonio.dumps(matrix_to_json(v)[0])
+    payload = {"m": A, "rows": [v, A.T]}
+    assert jsonio.dumps(payload) == jsonio.dumps(_as_lists(payload))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_jsonio_rejects_nonfinite_arrays(bad):
+    with pytest.raises(ValueError):
+        jsonio.dumps(np.array([[1.0, bad]], dtype=complex))
+    with pytest.raises(ValueError):
+        jsonio.dumps(np.array([bad], dtype=complex))
+
+
+@pytest.mark.parametrize("f", [witness_fixture(), u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP)],
+                         ids=["monoid", "group"])
+def test_witness_file_matches_list_payload(tmp_path, capsys, f):
+    from ncsos.certify import CertifyOptions, CertifyOutcome, run_dual
+    from ncsos.cli import _input_hash, _witness_json
+    path = write_poly(tmp_path / "p.json", f)
+    out = tmp_path / "w.json"
+    code, _, _ = run(capsys, "witness", path, "--out", str(out))
+    assert code == EX_WITNESS
+    f = poly_from_json(json.loads(Path(path).read_text()))  # the term order the CLI sees
+    model, min_eig, refuted, _ = run_dual(f, 1, CertifyOptions())
+    outcome = CertifyOutcome("witness", model=model, min_eig=min_eig, refuted_value=refuted)
+    payload = {"outcome": "witness", "degree": 1, "input_sha256": _input_hash(f),
+               "witness": _as_lists(_witness_json(outcome))}
+    assert out.read_text() == jsonio.dumps(payload) + "\n"

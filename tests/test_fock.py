@@ -3,7 +3,7 @@ import pytest
 
 from ncsos.fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
-    build_unitaries, coefficient_peek, extract_coeffs,
+    build_unitaries, coefficient_peek, extract_coeffs, vacuum_images,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval
 from ncsos.words import GROUP, MONOID, Word, identity
@@ -102,6 +102,21 @@ def test_extraction_triangular_unit_diagonal(g, l):
     m = ext.matrix
     assert np.abs(np.tril(m, -1)).max() <= 1e-12
     assert np.abs(np.diag(m) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("g,l", [(1, 4), (2, 3), (3, 2)])
+def test_extraction_is_the_vacuum_images(g, l):
+    # the columns A^w vacuum have small integer entries, so any evaluation
+    # order gives them exactly; the extraction matrix is that matrix itself
+    basis = FockBasis(g, l, MONOID)
+    A = build_symmetrized(basis)
+    expected = np.column_stack([word_eval(w, A) @ vacuum_column(basis.dim) for w in basis.words])
+    M = vacuum_images(basis)
+    assert M.dtype == expected.dtype and M.tobytes() == expected.tobytes()
+    ext = build_extraction(basis)
+    assert ext.matrix.tobytes() == expected.tobytes()
+    assert ext.inverse.tobytes() == np.linalg.inv(expected).tobytes()
+    assert ext.row_sum_bound == float(np.abs(ext.inverse).sum(axis=1).max())
 
 
 def test_extract_constant_from_identity():
