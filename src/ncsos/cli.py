@@ -3,7 +3,8 @@
 Subcommands: certify, decompose (primal only), witness (dual only), eval,
 extract, fock-dump, spotcheck.  All outputs are JSON on stdout or --out;
 progress notes go to stderr.  Exit codes: 0 = sos, 1 = witness,
-2 = undecided/inconclusive, >= 64 on usage or input errors.
+2 = undecided/inconclusive, 64 on usage errors, 65 on malformed input,
+70 on an internal error.
 """
 
 from __future__ import annotations
@@ -360,9 +361,9 @@ def main(argv=None) -> int:
         return EX_USAGE
     try:
         if args.command in ("certify", "decompose", "witness"):
-            for flag in ("tol", "delta"):
+            for flag in ("tol", "delta", "max_iter"):
                 if not getattr(args, flag) > 0:
-                    raise UsageError(f"--{flag} must be positive")
+                    raise UsageError(f"--{flag.replace('_', '-')} must be positive")
             opts = CertifyOptions(d=args.degree, max_iter=args.max_iter, tol=args.tol,
                                   delta=args.delta)
             fn = {"certify": _cmd_certify, "decompose": _cmd_decompose,
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATA
+    except Exception as exc:  # a fault of the program, not a witness: keep exit 1 for those
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import MONOID, MODES, Word, concat, identity, involute
+from .words import MONOID, MODES, Word, concat, graded_key, identity, involute
 
 COEFF_DROP_TOL = 1e-14
 EPS_HERM = 1e-9
@@ -225,15 +225,19 @@ def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
 
 
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
-    """p(X) = sum_w P_w (x) X^w, a (k*n) x (k*n) matrix."""
+    """p(X) = sum_w P_w (x) X^w, a (k*n) x (k*n) matrix.
+
+    The terms are summed in graded_key order, so a polynomial and its JSON
+    round trip evaluate to the same bits whatever order built its terms.
+    """
     if X.mode != p.mode:
         raise PolyError(f"cannot evaluate {p.mode} polynomial at {X.mode} tuple")
     if X.g < p.g:
         raise PolyError(f"tuple has {X.g} entries, polynomial uses {p.g} letters")
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
-    for w, c in p.terms.items():
-        out += np.kron(c, word_eval(w, X))
+    for w in sorted(p.terms, key=graded_key):
+        out += np.kron(p.terms[w], word_eval(w, X))
     return out
 
 
@@ -259,7 +263,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def poly_to_json(p: NCPoly) -> dict:
-    from .words import format_word, graded_key
+    from .words import format_word
     return {
         "g": p.g,
         "mode": p.mode,
@@ -276,14 +280,12 @@ def poly_from_json(data: dict) -> NCPoly:
     if not isinstance(data, dict):
         raise PolyError("bad polynomial JSON: not an object")
     try:
-        g = int(data["g"])
-        mode = data["mode"]
-        k = int(data["coeff_dim"])
-        raw = data["terms"]
+        g, mode, k, raw = data["g"], data["mode"], data["coeff_dim"], data["terms"]
     except KeyError as exc:
         raise PolyError(f"bad polynomial JSON: missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise PolyError(f"bad polynomial JSON: {exc}") from None
+    for name, value in (("g", g), ("coeff_dim", k)):
+        if type(value) is not int:  # bool is an int subclass; 1.5 and true are refused
+            raise PolyError(f"bad polynomial JSON: {name} must be an integer, got {value!r}")
     if not isinstance(raw, list):
         raise PolyError("bad polynomial JSON: terms is not a list")
     terms = {}

@@ -14,6 +14,11 @@ Dykstra converges sublinearly when the intersection has no strictly
 feasible point.  For those systems max_margin solves max t subject to
 X - t I psd on the affine set with a log-barrier interior-point method in
 numpy; its best margin is >= 0 exactly when the system has a psd solution.
+It works on the null space of the constraints, read off the class labels
+in closed form (the Householder complement of each pinned class, one
+direction per tied class, one per unlabelled entry; only dense rows need a
+small SVD), and takes each Newton congruence from one eigh of the slack
+matrix, so nothing of size m^2 x m^2 is built.
 The decision pipeline calls it on Gram systems only.  A Hankel system has
 a strictly feasible point whenever its margin is below the best one (mix in
 a strictly positive functional, such as the vacuum state of the canonical
@@ -34,6 +39,7 @@ from .poly import EPS_HERM, opnorm
 
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_TOL = 1e-9
+ROW_RCOND = 1e-12   # cutoff on the Gram matrix of the dense rows, relative to its largest eigenvalue
 
 
 class SdpError(ValueError):
@@ -108,7 +114,7 @@ class AffineSystem:
         self._row_conj = np.array([C.conj().ravel() for C, _ in rows]).reshape(R, m * m)
         self._row_b = np.array([b for _, b in rows])
         dirs = np.array([self._classes(C, linear=True) for C, _ in rows]).reshape(R, m * m)
-        self._row_step = np.linalg.lstsq((self._row_conj @ dirs.T).real, dirs, rcond=1e-12)[0]
+        self._row_step = np.linalg.lstsq((self._row_conj @ dirs.T).real, dirs, rcond=ROW_RCOND)[0]
 
     @property
     def constraints(self) -> range:
@@ -248,7 +254,7 @@ def _hunvec(x: np.ndarray, m: int) -> np.ndarray:
 MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
-CHUNK = 256                 # basis matrices or null-space directions handled at once
+CHUNK = 256                 # null-space directions handled at once
 
 
 @dataclass
@@ -259,17 +265,82 @@ class MarginResult:
     iterations: int     # Newton steps
 
 
+def _null_basis(sys: AffineSystem) -> np.ndarray:
+    """Orthonormal basis, as rows in _hvec coordinates, of the Hermitian
+    matrices the linear part of the constraints does not see.
+
+    Read off the labels: the real coordinates of a class and its mirror form
+    one group, their imaginary coordinates another, and the constraint on a
+    group is one weight vector w (+-1, or 1 on the diagonal and sqrt(2) above
+    it on a self-mirror class, whose imaginary coordinates are free when
+    pinned and zero when tied).  A pinned group keeps the complement of w,
+    the trailing columns of the Householder reflection taking e_1 to w/|w|;
+    a tied group keeps w/|w|; unlabelled coordinates keep their unit vectors.
+    Dense rows then remove the directions they see: an SVD of their
+    coefficients in that basis, with the pseudo-inverse cutoff of nearest.
+    """
+    m = sys.m
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    # each coordinate's entry (i, j), i <= j, and whether it is an imaginary part
+    i = np.concatenate([diag, iu, iu])
+    j = np.concatenate([diag, ju, ju])
+    imag = np.arange(len(i)) >= m + len(iu)
+    lab, mir = sys.labels[i, j], sys.labels[j, i]
+    key = np.minimum(lab, mir)
+    own = lab == mir
+    pinned = np.zeros(len(i), dtype=bool)
+    pinned[lab >= 0] = sys._pinned[key[lab >= 0]]
+    w = np.where(imag, np.where(lab == key, 1.0, -1.0),
+                 np.where(own & (i != j), np.sqrt(2), 1.0))
+    unit = np.flatnonzero((lab < 0) | (imag & own & pinned))
+    grouped = np.flatnonzero((lab >= 0) & ~(imag & own))
+    _, first, gid = np.unique(2 * key[grouped] + imag[grouped],
+                              return_index=True, return_inverse=True)
+    u = w[grouped] / np.sqrt(np.bincount(gid, w[grouped] ** 2))[gid]
+    u *= np.sign(u[first])[gid]  # u_1 > 0 in every group, for a stable reflection
+    ug = np.zeros((len(first), len(i)))  # each group's u, in place
+    ug[gid, grouped] = u
+    f = grouped[first]
+    rest = np.ones(len(grouped), dtype=bool)
+    rest[first] = False
+    comp = np.flatnonzero(rest & pinned[f][gid])
+    tied = np.flatnonzero(~pinned[f])
+
+    N = np.zeros((len(unit) + len(comp) + len(tied), len(i)))
+    N[np.arange(len(unit)), unit] = 1.0
+    # columns j > 1 of the reflection: e_j - u_j (u + e_1) / (1 + u_1)
+    g = gid[comp]
+    c = u[comp] / (1.0 + u[first][g])
+    refl = N[len(unit):len(unit) + len(comp)]
+    refl -= c[:, None] * ug[g]
+    r = np.arange(len(comp))
+    refl[r, f[g]] -= c
+    refl[r, grouped[comp]] += 1.0
+    N[len(unit) + len(comp):] = ug[tied]
+
+    if sys.rows and len(N):
+        A = N @ np.array([_hvec(C) for C, _ in sys.rows]).T
+        U, s, _ = np.linalg.svd(A)
+        rank = int((s * s > ROW_RCOND * s[0] ** 2).sum())
+        N = U[:, rank:].T @ N
+    return N
+
+
 def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     """Maximize t subject to X - t I psd, X in the affine set and t <= 1.
 
     A log-barrier path-following method (Boyd & Vandenberghe, ch. 11) on the
     null space of the constraints: X = X0 + sum_i y_i E_i, where
-    X0 = project_affine(0) is the least-norm solution and the E_i are an
-    orthonormal basis of the Hermitian matrices the constraints do not see.
+    X0 = project_affine(0) is the least-norm solution and the E_i are the
+    orthonormal basis _null_basis reads off the class labels.
     Every iterate satisfies the constraints by construction, however badly
     conditioned the Newton systems become near the boundary of the cone.
-    The start puts t one
-    below the smallest eigenvalue of X0, so the path is entered from a
+    Each Newton step takes one eigh of S = X - t I: with S = Q diag(lam) Q*,
+    W = diag(lam)^(-1/2) Q* has W S W* = I, and the Newton system is the Gram
+    matrix of the congruent directions W E_i W*.  Newton's method is affine
+    invariant, so the iterates do not depend on the basis.  The start puts t
+    one below the smallest eigenvalue of X0, so the path is entered from a
     strictly feasible point whether or not the system has a psd solution.
     Deterministic: no random start.
 
@@ -282,15 +353,7 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     m = sys.m
     eye = np.eye(m, dtype=complex)
     X0, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
-    # the null space, in _hvec coordinates: eigenvectors with eigenvalue 1 of
-    # the linear part of the projection, an orthogonal projector
-    P = np.empty((m * m, m * m))
-    for i in range(0, m * m, CHUNK):
-        basis = _hunvec(np.eye(min(CHUNK, m * m - i), m * m, i), m)
-        P[i:i + len(basis)] = _hvec(np.array([sys.nearest(E, linear=True) for E in basis]))
-    evals, evecs = np.linalg.eigh(P)
-    N = evecs[:, evals > 0.5].T.copy()
-    del P, evecs
+    N = _null_basis(sys)
 
     t = min(float(np.linalg.eigvalsh(X0).min()), 0.0) - 1.0
     S = X0 - t * eye
@@ -300,26 +363,23 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     stalled = False
     hvec_eye = _hvec(eye)
 
-    def barrier(S, t):
-        if t >= 1.0:
+    def barrier(lam, t):  # lam: the eigenvalues of S, ascending
+        if t >= 1.0 or lam[0] <= 0.0:
             return np.inf
-        try:
-            L = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return -eta * t - 2 * np.log(np.diag(L).real).sum() - np.log1p(-t)
+        return -eta * t - np.log(lam).sum() - np.log1p(-t)
 
     while True:
         # centring: damped Newton on the barrier at this eta
         centred = False
         for _ in range(min(CENTRING_STEPS, MARGIN_MAX_NEWTON - steps)):
             steps += 1
-            Linv = np.linalg.inv(np.linalg.cholesky(S))
-            # rows: the null-space directions, then -I for t, congruent by Linv
+            lam, Q = np.linalg.eigh(S)
+            W = (Q / np.sqrt(lam)).conj().T
+            # rows: the null-space directions, then -I for t, congruent by W
             R = np.empty((len(N) + 1, m * m))
             for i in range(0, len(N), CHUNK):
-                R[:-1][i:i + CHUNK] = _hvec(Linv @ _hunvec(N[i:i + CHUNK], m) @ Linv.conj().T)
-            R[-1] = -_hvec(Linv @ Linv.conj().T)
+                R[:-1][i:i + CHUNK] = _hvec(W @ _hunvec(N[i:i + CHUNK], m) @ W.conj().T)
+            R[-1] = -_hvec(W @ W.conj().T)
             grad = -R @ hvec_eye
             grad[-1] += -eta + 1.0 / (1.0 - t)
             hess = R @ R.T
@@ -334,9 +394,10 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
                 centred = True
                 break
             dS = _hunvec(step[:-1] @ N, m) - step[-1] * eye
-            f0 = barrier(S, t)
+            f0 = barrier(lam, t)
             alpha = 1.0
-            while barrier(S + alpha * dS, t + alpha * step[-1]) > f0 - alpha * decrement / 4:
+            while (barrier(np.linalg.eigvalsh(S + alpha * dS), t + alpha * step[-1])
+                   > f0 - alpha * decrement / 4):
                 alpha /= 2
                 if alpha < 1e-12:
                     stalled = True

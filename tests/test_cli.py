@@ -9,7 +9,7 @@ import pytest
 
 import ncsos
 from ncsos import jsonio
-from ncsos.cli import EX_DATA, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
+from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
 from ncsos.poly import NCPoly, matrix_to_json, poly_from_json, poly_to_json
 from ncsos.words import GROUP, MONOID, Word
 
@@ -248,6 +248,9 @@ GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
 @pytest.mark.parametrize("argv, files, code", [
     pytest.param(["certify", "{p}"], {"p": poly_data(g="x")}, EX_DATA, id="g-not-integer"),
     pytest.param(["certify", "{p}"], {"p": poly_data(g=0, terms=[])}, EX_DATA, id="g-zero"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(g=1.5)}, EX_DATA, id="g-fraction"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(g=True)}, EX_DATA, id="g-bool"),
+    pytest.param(["certify", "{p}"], {"p": poly_data(coeff_dim=1.0)}, EX_DATA, id="coeff-dim-float"),
     pytest.param(["certify", "{p}"], {"p": poly_data(terms=5)}, EX_DATA, id="terms-not-list"),
     pytest.param(["certify", "{p}"], {"p": poly_data(terms=[["x1", 1.0]])}, EX_DATA, id="term-not-object"),
     pytest.param(["certify", "{p}"],
@@ -289,12 +292,28 @@ def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, 
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--delta", "-1")])
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--delta", "-1"),
+                                         ("--max-iter", "0"), ("--max-iter", "-5")])
 def test_nonpositive_solver_flag_is_usage_error(tmp_path, capsys, flag, value):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     code, out, err = run(capsys, "certify", path, flag, value)
     assert code == EX_USAGE
     assert err.strip() == f"usage error: {flag} must be positive"
+
+
+def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):
+    # an exception escaping a subcommand must not end with EX_WITNESS = 1
+    import ncsos.cli
+
+    def crash(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(ncsos.cli, "certify", crash)
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    code, out, err = run(capsys, "certify", path)
+    assert code == EX_SOFTWARE != EX_WITNESS
+    assert out == ""
+    assert err.strip() == "internal error: LinAlgError: SVD did not converge"
 
 
 def test_non_hermitian_input_rejected(tmp_path, capsys):

@@ -142,6 +142,19 @@ def test_eval_group_rejects_non_unitary():
         poly_eval(p, X)
 
 
+def test_eval_sums_in_graded_order():
+    # terms inserted as u1, u1^-1, 1; the JSON round trip inserts 1, u1, u1^-1
+    u1 = NCPoly.monomial(Word(GROUP, 1, (1,)))
+    p = u1 + u1.adjoint() - NCPoly.constant(3.0, 1, GROUP)
+    q = poly_from_json(poly_to_json(p))
+    assert list(p.terms) != list(q.terms)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        U = rand_unitary(4, rng)
+        X = OperatorTuple(GROUP, [U], inverses=[U.conj().T])
+        assert poly_eval(p, X).tobytes() == poly_eval(q, X).tobytes()
+
+
 def test_eval_mode_mismatch():
     X = OperatorTuple(GROUP, [np.eye(2)])
     with pytest.raises(PolyError):

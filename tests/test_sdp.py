@@ -4,11 +4,12 @@ import pytest
 from ncsos.certify import _hankel_layout, gram_system, hankel_system
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    AffineSystem, InconsistentSystemError, SdpError, max_margin,
-    project_affine, project_psd, solve_feasibility,
+    AffineSystem, InconsistentSystemError, SdpError, _hunvec, _hvec, _null_basis,
+    max_margin, project_affine, project_psd, solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
 
+from test_certify import group_fixture
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -272,3 +273,64 @@ def test_max_margin_inconsistent_raises():
                                 (np.eye(2, dtype=complex), 1.0)])
     with pytest.raises(InconsistentSystemError):
         max_margin(sys)
+
+
+def _projector_null_basis(sys):
+    """Reference: the eigenvectors with eigenvalue 1 of the dense m^2 x m^2
+    matrix of the linear part of sys.nearest, an orthogonal projector."""
+    m = sys.m
+    P = _hvec(np.array([sys.nearest(E, linear=True) for E in _hunvec(np.eye(m * m), m)]))
+    evals, evecs = np.linalg.eigh(P)
+    return evecs[:, evals > 0.5].T
+
+
+def _basis_cases():
+    cases = {}
+    for mode in (MONOID, GROUP):
+        for k in (1, 2):
+            f = _rand_hermitian_poly(2, mode, k, np.random.default_rng([k, mode == GROUP]))
+            cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system(f, 1)
+    f = _rand_hermitian_poly(1, GROUP, 2, np.random.default_rng(7))
+    cases["hankel-group-k2"] = lambda: hankel_system(f, _hankel_layout(f, 1), 1e-3)
+    cases["trace"] = lambda: trace_system(3, 1.0)
+    cases["pinned-entry"] = lambda: pinned_entry_system(4, 0, 2, 0.3 + 0.1j,
+                                                        [(np.eye(4, dtype=complex), 2.0)])
+    eye = np.eye(3, dtype=complex)
+    cases["redundant-rows"] = lambda: pinned_entry_system(3, 0, 1, 0.3, [(eye, 2.0), (2 * eye, 4.0)])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_basis_cases()))
+def test_null_basis_matches_projector(name):
+    sys = _basis_cases()[name]()
+    N, ref = _null_basis(sys), _projector_null_basis(sys)
+    assert N.shape == ref.shape
+    assert np.abs(N @ N.T - np.eye(len(N))).max() <= 1e-12
+    # the same span, and every direction is left alone by the linear projection
+    assert np.abs(ref.T @ (ref @ N.T) - N.T).max() <= 1e-12
+    moved = np.array([_hvec(sys.nearest(E, linear=True)) for E in _hunvec(N, sys.m)])
+    assert np.abs(moved - N).max() <= 1e-12
+
+
+def test_max_margin_takes_no_dense_factorizations(monkeypatch):
+    # one eigh of S per Newton step stands in for cholesky and inv, and the
+    # null space comes from the labels, not from an m^2 x m^2 eigenproblem
+    sys = gram_system(group_fixture(), 1)
+    sizes = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_margin called a dense factorization")
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    res = max_margin(sys, floor=-1e-8)
+    assert abs(res.t) < 1e-8
+    assert sizes and all(shape == (sys.m, sys.m) for shape in sizes)
