@@ -93,6 +93,9 @@ class CertifyOutcome:
 
 
 def infer_degree(f: NCPoly, opts: CertifyOptions) -> int:
+    """The Gram degree d of a Hermitian input: opts.d, else ceil(deg f / 2)."""
+    if not f.is_hermitian():
+        raise CertifyError("input polynomial is not Hermitian")
     d = opts.d if opts.d is not None else math.ceil(f.degree() / 2)
     if f.degree() > 2 * d:
         raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
@@ -132,14 +135,15 @@ def _interior_point_polish(sys: AffineSystem) -> np.ndarray | None:
 
 def _miss(p: NCPoly, f: NCPoly) -> float:
     """max_u ||P_u - F_u||, how far p is from f coefficientwise."""
-    return max((opnorm(c) for c in (p - f).terms.values()), default=0.0)
+    return max((opnorm(p.coeff(u) - f.coeff(u)) for u in p.terms.keys() | f.terms.keys()),
+               default=0.0)
 
 
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     """Dykstra on the Gram system, then the interior-point polish if it stalls.
 
-    Every answer is re-verified against the input, so the polish cannot
-    manufacture a wrong certificate.
+    Every answer passes spotcheck's certificate gate, its psd test before
+    factoring, so neither the polish nor a loose tol makes a wrong certificate.
     """
     sys = gram_system(f, d)
     try:
@@ -153,15 +157,13 @@ def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     if not res.feasible:
         diag.gap, diag.note = 0.0, "interior-point polish"
     G = GramMatrix(f.g, f.mode, d, f.k, X)
-    cert = factor_gram(G)
-    if cert.residual > EPS_CERT:
-        diag.note = f"factorization residual {cert.residual:.3e} above eps_cert"
+    refusal = _psd_refusal(G)
+    if not refusal:
+        cert = factor_gram(G)
+        refusal, cert.residual = _refuse_certificate(f, cert)
+    if refusal:
+        diag.note = refusal
         return None, diag
-    sym_residual = _miss(cert.reconstruction(), f)
-    if sym_residual > EPS_CERT:
-        diag.note = f"reconstruction misses input by {sym_residual:.3e}"
-        return None, diag
-    cert.residual = max(cert.residual, sym_residual)
     return cert, diag
 
 
@@ -339,8 +341,6 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
 
 def certify(f: NCPoly, opts: CertifyOptions | None = None) -> CertifyOutcome:
     opts = opts or CertifyOptions()
-    if not f.is_hermitian():
-        raise CertifyError("input polynomial is not Hermitian")
     d = infer_degree(f, opts)
 
     cert, primal_diag = run_primal(f, d, opts)
@@ -383,20 +383,25 @@ def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
     return OperatorTuple(mode, mats)
 
 
-def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> str:
-    """Why cert does not prove f SOS, or "" when it does: G must be psd and
+def _psd_refusal(G: GramMatrix) -> str:
+    low = float(np.linalg.eigvalsh((G.matrix + G.matrix.conj().T) / 2).min())
+    return f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
+
+
+def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float]:
+    """Why cert does not prove f SOS ("" when it does), and the larger of the
+    two coefficient misses it measured: G must be psd within EPS_PSD, and
     both V* G V and the sum of r* r must reconstruct f within EPS_CERT."""
     if cert is None:
         raise CertifyError("sos outcome carries no certificate to check")
-    G = cert.gram.matrix
-    low = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
-    if low < -EPS_PSD:
-        return f"Gram matrix is not psd (min eigenvalue {low:.3e})"
+    note = _psd_refusal(cert.gram)
+    worst = 0.0
     for name, p in (("Gram matrix", gram_to_poly(cert.gram)), ("factors", cert.reconstruction())):
         miss = _miss(p, f)
-        if miss > EPS_CERT:
-            return f"{name} miss the input by {miss:.3e}"
-    return ""
+        if miss > EPS_CERT and not note:
+            note = f"{name} miss the input by {miss:.3e}"
+        worst = max(worst, miss)
+    return note, worst
 
 
 def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
@@ -420,7 +425,7 @@ def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
         kind, defect = _operator_defect(Y)
         note = f"operators miss {kind} by {defect:.3e}" if defect > OPERATOR_DEFECT_TOL else ""
         return SpotcheckReport("witness", 1, low, -EPS_WIT, low <= -EPS_WIT and not note, note)
-    note = _refuse_certificate(f, outcome.certificate)
+    note, _ = _refuse_certificate(f, outcome.certificate)
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
+from types import SimpleNamespace
 
 from . import jsonio
 from .certify import (
-    CertifyError, CertifyOptions, CertifyOutcome, certify, run_dual,
-    run_primal, infer_degree, spotcheck,
+    BranchDiagnostics, CertifyError, CertifyOptions, CertifyOutcome, certify,
+    run_dual, run_primal, infer_degree, spotcheck,
 )
 from .fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
@@ -166,20 +168,18 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
     }
 
 
+def _decision(kind: str, f: NCPoly, d: int, **evidence) -> dict:
+    """A decision payload: the head every one starts with, then its evidence."""
+    return {"outcome": kind, "degree": d, "input_sha256": _input_hash(f), **evidence}
+
+
+def _diagnostics(diag: BranchDiagnostics) -> dict:
+    return {"iterations": diag.iterations, "gap": _finite(diag.gap), "note": diag.note}
+
+
 def _outcome_json(f: NCPoly, outcome: CertifyOutcome) -> dict:
-    data = {
-        "outcome": outcome.kind,
-        "degree": outcome.degree,
-        "input_sha256": _input_hash(f),
-        "diagnostics": {
-            "primal": {"iterations": outcome.primal.iterations,
-                       "gap": _finite(outcome.primal.gap),
-                       "note": outcome.primal.note},
-            "dual": {"iterations": outcome.dual.iterations,
-                     "gap": _finite(outcome.dual.gap),
-                     "note": outcome.dual.note},
-        },
-    }
+    data = _decision(outcome.kind, f, outcome.degree, diagnostics={
+        "primal": _diagnostics(outcome.primal), "dual": _diagnostics(outcome.dual)})
     if outcome.kind == "sos":
         data["certificate"] = _sos_json(outcome.certificate)
     elif outcome.kind == "witness":
@@ -188,7 +188,6 @@ def _outcome_json(f: NCPoly, outcome: CertifyOutcome) -> dict:
 
 
 def _finite(x: float):
-    import math
     return None if x is None or math.isinf(x) else float(x)
 
 
@@ -217,43 +216,37 @@ def _cmd_certify(args, opts: CertifyOptions) -> int:
     return {"sos": EX_OK_SOS, "witness": EX_WITNESS}.get(outcome.kind, EX_UNDECIDED)
 
 
-def _cmd_decompose(args, opts: CertifyOptions) -> int:
+def _decision_input(args, opts: CertifyOptions) -> tuple[NCPoly, int]:
+    """The input of decompose or witness and its Gram degree d."""
     f = _load_poly(args.input)
     try:
-        if not f.is_hermitian():
-            raise DataError("input polynomial is not Hermitian")
-        d = infer_degree(f, opts)
+        return f, infer_degree(f, opts)
     except CertifyError as exc:
         raise DataError(str(exc))
+
+
+def _emit_undecided(f: NCPoly, d: int, diag: BranchDiagnostics, out_path: str | None) -> int:
+    _emit(_decision("undecided", f, d, diagnostics=_diagnostics(diag)), out_path)
+    return EX_UNDECIDED
+
+
+def _cmd_decompose(args, opts: CertifyOptions) -> int:
+    f, d = _decision_input(args, opts)
     cert, diag = run_primal(f, d, opts)
     if cert is None:
-        _emit({"outcome": "undecided", "degree": d, "input_sha256": _input_hash(f),
-               "diagnostics": {"iterations": diag.iterations, "gap": _finite(diag.gap),
-                               "note": diag.note}}, args.out)
-        return EX_UNDECIDED
-    _emit({"outcome": "sos", "degree": d, "input_sha256": _input_hash(f),
-           "certificate": _sos_json(cert)}, args.out)
+        return _emit_undecided(f, d, diag, args.out)
+    _emit(_decision("sos", f, d, certificate=_sos_json(cert)), args.out)
     return EX_OK_SOS
 
 
 def _cmd_witness(args, opts: CertifyOptions) -> int:
-    f = _load_poly(args.input)
-    try:
-        if not f.is_hermitian():
-            raise DataError("input polynomial is not Hermitian")
-        d = infer_degree(f, opts)
-    except CertifyError as exc:
-        raise DataError(str(exc))
+    f, d = _decision_input(args, opts)
     model, min_eig, refuted, diag = run_dual(f, d, opts)
     if model is None:
-        _emit({"outcome": "undecided", "degree": d, "input_sha256": _input_hash(f),
-               "diagnostics": {"iterations": diag.iterations, "gap": _finite(diag.gap),
-                               "note": diag.note}}, args.out)
-        return EX_UNDECIDED
+        return _emit_undecided(f, d, diag, args.out)
     outcome = CertifyOutcome("witness", model=model, min_eig=min_eig,
                              refuted_value=refuted, degree=d)
-    _emit({"outcome": "witness", "degree": d, "input_sha256": _input_hash(f),
-           "witness": _witness_json(outcome)}, args.out)
+    _emit(_decision("witness", f, d, witness=_witness_json(outcome)), args.out)
     return EX_WITNESS
 
 
@@ -320,15 +313,19 @@ def _cmd_spotcheck(args) -> int:
     outcome = CertifyOutcome(kind or "undecided")
     if kind == "witness":
         try:
-            model_data = cert["witness"]["model"]
-            ops = tuple_from_json(model_data["operators"])
+            ops = tuple_from_json(cert["witness"]["model"]["operators"])
         except (KeyError, TypeError, PolyError) as exc:
             raise DataError(f"{args.certificate}: {exc}")
-        outcome.model = _ModelShim(ops)
+        outcome.model = SimpleNamespace(operators=ops)  # all spotcheck reads of a witness model
     elif kind == "sos":
         try:
-            data = cert["certificate"]
-            gram = GramMatrix(f.g, f.mode, cert["degree"], f.k, matrix_from_json(data["gram"]))
+            data, degree = cert["certificate"], cert["degree"]
+            if type(degree) is not int or degree < 0:  # bool is an int subclass; true is refused
+                raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
+            matrix = matrix_from_json(data["gram"])
+            if (degree + 1) * f.k > len(matrix):  # count_words(g, degree) >= degree + 1
+                raise ValueError(f"degree {degree} does not fit a Gram matrix of side {len(matrix)}")
+            gram = GramMatrix(f.g, f.mode, degree, f.k, matrix)
             factors = [poly_from_json(r) for r in data["factors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.certificate}: no usable sos evidence "
@@ -343,13 +340,6 @@ def _cmd_spotcheck(args) -> int:
     _emit({"kind": rep.kind, "trials": rep.trials, "min_eig": rep.min_eig,
            "threshold": rep.threshold, "ok": rep.ok, "note": rep.note}, args.out)
     return 0 if rep.ok else 1
-
-
-class _ModelShim:
-    """Just enough of a witness model to re-evaluate the input at it."""
-
-    def __init__(self, operators: OperatorTuple):
-        self.operators = operators
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,9 @@ constraint_index writes this map down once, as an N x N table of product-word
 indices; the word u coefficient of the represented polynomial is the sum of
 the blocks G_{v,w} in u's class of that table (block_sums), and the same table
 describes the Hankel matrices of the dual side.  Factoring a psd G
-column-group-wise yields square factors r_j with p = sum_j r_j^* r_j.
+column-group-wise yields square factors r_j with p = sum_j r_j^* r_j; with
+the factors stacked into R, the coefficients of that sum are the block sums
+of R R^* over the word-pair table of R's rows (SOSCertificate.reconstruction).
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import NCPoly, opnorm
-from .words import Word, concat, count_words, enumerate_words, involute
+from .poly import NCPoly, PolyError, opnorm
+from .words import (
+    GROUP, Word, count_words, enumerate_words, graded_key, involute, reduce_letters,
+)
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
 EPS_RANK = 1e-10
@@ -28,23 +32,25 @@ class GramError(ValueError):
     pass
 
 
-def constraint_index(g: int, d: int, mode: str) -> tuple[list[Word], np.ndarray]:
-    """The block structure of the degree-d basis: (products, table).
+def word_pair_table(words: list[Word]) -> tuple[list[Word], np.ndarray]:
+    """The block structure of a word list: (products, table).
 
-    table[v, w] is the index in products of the word involute(v) w, and
-    products lists the distinct product words in order of first appearance
-    in a row-major scan of the table, so every basis pair lies in exactly
-    one class.
+    table[i, j] is the index in products of the word involute(words[i])
+    words[j], and products lists the distinct product words in order of
+    first appearance in a row-major scan of the table, so every pair lies in
+    exactly one class.
     """
-    words = enumerate_words(g, d, mode)
-    n = len(words)
-    index: dict[Word, int] = {}
-    table = np.empty((n, n), dtype=np.intp)
-    for i, v in enumerate(words):
-        vi = involute(v)
-        for j, w in enumerate(words):
-            table[i, j] = index.setdefault(concat(vi, w), len(index))
-    return list(index), table
+    join = reduce_letters if words and words[0].mode == GROUP else tuple
+    index: dict[tuple[int, ...], int] = {}  # keyed by letters: no Word per pair
+    rows = [[index.setdefault(join(vi + w.letters), len(index)) for w in words]
+            for vi in [involute(v).letters for v in words]]
+    products = [Word(words[0].mode, words[0].g, letters) for letters in index]
+    return products, np.array(rows, dtype=np.intp).reshape(len(words), len(words))
+
+
+def constraint_index(g: int, d: int, mode: str) -> tuple[list[Word], np.ndarray]:
+    """The word-pair table of the degree-d basis, in enumerate_words order."""
+    return word_pair_table(enumerate_words(g, d, mode))
 
 
 def class_labels(table: np.ndarray, k: int) -> np.ndarray:
@@ -82,26 +88,32 @@ class GramMatrix:
         if opnorm(self.matrix - self.matrix.conj().T) > 1e-10:
             raise GramError("Gram matrix is not Hermitian")
 
-    @property
-    def n_words(self) -> int:
-        return count_words(self.g, self.d, self.mode)
-
-    def block(self, v: int, w: int) -> np.ndarray:
-        k = self.k
-        return self.matrix[v * k:(v + 1) * k, w * k:(w + 1) * k]
-
 
 @dataclass
 class SOSCertificate:
     gram: GramMatrix
-    factors: list = field(default_factory=list)  # NCPoly squares of degree <= d
+    factors: list = field(default_factory=list)  # the NCPoly r_j of sum_j r_j^* r_j
     residual: float = 0.0
 
     def reconstruction(self) -> NCPoly:
-        out = NCPoly.zero(self.gram.g, self.gram.mode, self.gram.k)
-        for r in self.factors:
-            out = out + r.adjoint() * r
-        return out
+        """sum_j r_j^* r_j: the block sums of R R^* over the word-pair table
+        of the factors' support, with r_j's coefficients conjugate-transposed
+        in column group j of R.  The support spans R, not a degree basis, so
+        a factor costs what its terms cost, whatever the length of its words."""
+        g, mode, k = self.gram.g, self.gram.mode, self.gram.k
+        if any((r.g, r.mode, r.k) != (g, mode, k) for r in self.factors):
+            raise PolyError("factor does not match the Gram matrix's (g, mode, k)")
+        words = sorted(set().union(*(r.terms for r in self.factors)), key=graded_key)
+        if not words:
+            return NCPoly.zero(g, mode, k)
+        index = {w: i for i, w in enumerate(words)}
+        R = np.zeros((len(words), k, len(self.factors), k), dtype=complex)
+        for j, r in enumerate(self.factors):
+            for w, c in r.terms.items():
+                R[index[w], :, j, :] = c.conj().T
+        R = R.reshape(len(words) * k, len(self.factors) * k)
+        products, table = word_pair_table(words)
+        return NCPoly(g, mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))
 
 
 def gram_to_poly(G: GramMatrix) -> NCPoly:
@@ -110,35 +122,25 @@ def gram_to_poly(G: GramMatrix) -> NCPoly:
     return NCPoly(G.g, G.mode, G.k, dict(zip(products, block_sums(G.matrix, table))))
 
 
-def factor_gram(G: GramMatrix, eps_rank: float = EPS_RANK) -> SOSCertificate:
-    """Eigendecompose G, clip below eps_rank, split columns into k-wide groups.
+def factor_gram(G: GramMatrix) -> SOSCertificate:
+    """Eigendecompose G, clip below EPS_RANK, split columns into k-wide groups.
 
     The column groups realize the splitting of a psd map into N rank-<=k
-    pieces; each group yields one square factor r_j of degree <= d.
+    pieces; each group yields one square factor r_j of degree <= d.  The
+    residual is max_u ||block_sums(R R^* - G)_u|| over the word-pair table.
     """
     H = (G.matrix + G.matrix.conj().T) / 2
     evals, evecs = np.linalg.eigh(H)
     if evals.min() < -EPS_PSD:
         raise GramError(f"Gram matrix is not psd (min eigenvalue {evals.min():.3e})")
-    clipped = np.where(evals > eps_rank, evals, 0.0)
-    R = evecs * np.sqrt(clipped)
+    R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
 
     words = enumerate_words(G.g, G.d, G.mode)
-    k = G.k
-    factors = []
-    for j in range(G.n_words):
-        Rj = R[:, j * k:(j + 1) * k]  # (N*k) x k, a map C^k -> C^{N*k}
-        if np.linalg.norm(Rj) <= eps_rank:
-            continue
-        coeffs = {}
-        for v, w in enumerate(words):
-            coeffs[w] = Rj[v * k:(v + 1) * k, :].conj().T  # block of R_j^*
-        factors.append(NCPoly(G.g, G.mode, k, coeffs))
+    n, k = len(words), G.k
+    # blocks[j, v] is block (v, j) of R conjugate-transposed: r_j's coefficient of word v
+    blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
+    factors = [NCPoly(G.g, G.mode, k, dict(zip(words, Bj)))
+               for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
 
-    target = gram_to_poly(G)
-    recon = NCPoly.zero(G.g, G.mode, G.k)
-    for r in factors:
-        recon = recon + r.adjoint() * r
-    diff = recon - target
-    residual = max((opnorm(c) for c in diff.terms.values()), default=0.0)
-    return SOSCertificate(gram=G, factors=factors, residual=residual)
+    miss = block_sums(R @ R.conj().T - H, constraint_index(G.g, G.d, G.mode)[1])
+    return SOSCertificate(G, factors, float(np.linalg.norm(miss, 2, axis=(1, 2)).max()))

@@ -22,7 +22,7 @@ class WordError(ValueError):
     pass
 
 
-def _reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
     for a in letters:
         if out and out[-1] == -a:
@@ -50,7 +50,7 @@ class Word:
                 raise WordError(f"letter {a} outside alphabet of size {self.g}")
             if a < 0 and self.mode == MONOID:
                 raise WordError("inverse letters are only allowed in group mode")
-        if self.mode == GROUP and _reduce(self.letters) != self.letters:
+        if self.mode == GROUP and reduce_letters(self.letters) != self.letters:
             raise WordError(f"group word {self.letters} is not reduced")
 
     def __hash__(self):
@@ -81,7 +81,7 @@ def concat(w: Word, v: Word) -> Word:
         raise WordError("cannot concatenate words over different alphabets or modes")
     letters = w.letters + v.letters
     if w.mode == GROUP:
-        letters = _reduce(letters)
+        letters = reduce_letters(letters)
     return Word(w.mode, w.g, letters)
 
 
@@ -168,5 +168,5 @@ def parse_word(text: str, g: int, mode: str = MONOID) -> Word:
             raise WordError(f"letter index {i} outside 1..{g}")
         letters.append(-i if inv else i)
     if mode == GROUP:
-        letters = list(_reduce(tuple(letters)))
+        letters = list(reduce_letters(tuple(letters)))
     return Word(mode, g, tuple(letters))

@@ -50,6 +50,38 @@ def test_primal_inconclusive_on_anticommutator():
     assert cert is None
 
 
+def interior_sos_input(seed, g, mode, d, k):
+    """V_d* (B B*/m + I) V_d, built without NCPoly products."""
+    rng = np.random.default_rng(seed)
+    m = count_words(g, d, mode) * k
+    B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    return gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m + np.eye(m)))
+
+
+def test_loose_tolerance_refuses_the_point_instead_of_crashing():
+    # at tol=1e-4 Dykstra stops at a Gram point with min eig about -7e-5,
+    # which the certificate gate refuses as not psd (factor_gram raised here)
+    f = interior_sos_input(0, 1, MONOID, 3, 2)
+    cert, diag = run_primal(f, 3, CertifyOptions(tol=1e-4))
+    assert cert is None
+    assert diag.note.startswith("Gram matrix is not psd (min eigenvalue -")
+    assert certify(f, CertifyOptions(tol=1e-4)).kind != "witness"
+
+
+@pytest.mark.parametrize("f", [interior_sos_input(1, 2, MONOID, 1, 2), interior_sos_input(2, 1, GROUP, 2, 1),
+                               group_fixture()], ids=["monoid", "group", "group-boundary"])
+def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
+    # the certificate is built and checked on the word-pair table alone
+    def refuse(self, other):
+        raise AssertionError("NCPoly product on the decision path")
+
+    monkeypatch.setattr(NCPoly, "__mul__", refuse)
+    out = certify(f, FAST)
+    assert out.kind == "sos" and out.certificate.residual <= 1e-7
+    rep = spotcheck(f, out, trials=5)
+    assert rep.ok, rep.note
+
+
 def test_certify_sum_of_squares():
     out = certify(x(1) * x(1) + x(2) * x(2), FAST)
     assert out.kind == "sos"

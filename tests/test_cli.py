@@ -243,6 +243,10 @@ def poly_data(**changes):
 
 
 GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
+# x1 x1 = r* r with r = x1: valid evidence at degree 1
+SOS_EVIDENCE = {"outcome": "sos", "degree": 1, "certificate": {
+    "gram": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "factors": [dict(poly_data(), terms=[{"word": "x1", "matrix": [[[1.0, 0.0]]]}])]}}
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -264,6 +268,14 @@ GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
     pytest.param(["spotcheck", "{p}", "{c}"],
                  {"p": poly_data(), "c": {"outcome": "witness", "witness": {"model": {"operators": GROUP_TUPLE}}}},
                  EX_DATA, id="witness-tuple-wrong-mode"),
+    # true would be read as degree 1, and count_words(1, 200000) takes minutes
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, degree=True)},
+                 EX_DATA, id="sos-degree-bool"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, degree=200000)},
+                 EX_DATA, id="sos-degree-huge"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
+        SOS_EVIDENCE["certificate"], factors=[dict(poly_data(), g=2, terms=[{"word": "x2", "matrix": [[[1.0, 0.0]]]}])]))},
+                 EX_DATA, id="sos-factor-wrong-g"),
     pytest.param(["fock-dump", "--g", "0", "--l", "1"], {}, EX_USAGE, id="fock-dump-g-0"),
     pytest.param(["fock-dump", "--g", "1", "--l", "0", "--group"], {}, EX_USAGE, id="fock-dump-group-l-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "-1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
@@ -299,6 +311,27 @@ def test_nonpositive_solver_flag_is_usage_error(tmp_path, capsys, flag, value):
     code, out, err = run(capsys, "certify", path, flag, value)
     assert code == EX_USAGE
     assert err.strip() == f"usage error: {flag} must be positive"
+
+
+def test_sos_evidence_fixture_is_accepted(tmp_path, capsys):
+    # the malformed degree cases above differ from this accepted evidence in "degree" alone
+    paths = [tmp_path / "p.json", tmp_path / "c.json"]
+    for path, data in zip(paths, (poly_data(), SOS_EVIDENCE)):
+        path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "spotcheck", *map(str, paths), "--trials", "5")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_loose_tolerance_ends_undecided_not_in_an_internal_error(tmp_path, capsys):
+    # Dykstra's point at --tol 1e-4 has min eig about -7e-5: refused as not psd
+    from test_certify import interior_sos_input
+    path = write_poly(tmp_path / "p.json", interior_sos_input(0, 1, MONOID, 3, 2))
+    for command in ("decompose", "certify"):
+        code, out, _ = run(capsys, command, path, "--tol", "1e-4")
+        assert code == EX_UNDECIDED
+        diagnostics = json.loads(out)["diagnostics"]
+        note = diagnostics["note"] if command == "decompose" else diagnostics["primal"]["note"]
+        assert note.startswith("Gram matrix is not psd")
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):

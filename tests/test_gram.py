@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsos.fock import (
     FockBasis, build_symmetrized, build_unitaries, coefficient_peek,
     gram_bound_constant, unitary_gram_bound_constant,
 )
 from ncsos.gram import (
-    GramError, GramMatrix, constraint_index, factor_gram, gram_to_poly,
+    GramError, GramMatrix, SOSCertificate, constraint_index, factor_gram, gram_to_poly,
 )
-from ncsos.poly import NCPoly, opnorm, poly_eval
+from ncsos.poly import NCPoly, PolyError, opnorm, poly_eval
 from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words, identity, involute, concat
 
 def rand_psd_gram(g, mode, d, k, rng):
@@ -126,6 +127,49 @@ def _factor_matrix(r, g, mode, d, k):
     for v, w in enumerate(words):
         out[v * k:(v + 1) * k, :] = r.coeff(w).conj().T
     return out
+
+
+def sum_of_squares_reference(factors, g, mode, k):
+    """sum_j r_j^* r_j through NCPoly products: the reference reconstruction."""
+    out = NCPoly.zero(g, mode, k)
+    for r in factors:
+        out = out + r.adjoint() * r
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MONOID, GROUP]), g=st.integers(1, 2),
+       d=st.integers(0, 2), above=st.integers(0, 2), k=st.integers(1, 2),
+       n_factors=st.integers(0, 3), n_terms=st.integers(1, 6))
+def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, above, k, n_factors, n_terms):
+    # sparse factors, some of degree above the Gram degree d (which group-mode
+    # certificates may carry), summed on the word-pair table of their support
+    from test_poly import rand_poly
+    rng = np.random.default_rng(seed)
+    factors = [rand_poly(g, mode, k, d + above, rng, n_terms) for _ in range(n_factors)]
+    n = count_words(g, d, mode) * k
+    cert = SOSCertificate(GramMatrix(g, mode, d, k, np.zeros((n, n))), factors)
+    got, want = cert.reconstruction(), sum_of_squares_reference(factors, g, mode, k)
+    words = got.terms.keys() | want.terms.keys()
+    assert max((opnorm(got.coeff(u) - want.coeff(u)) for u in words), default=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),
+                                    NCPoly.constant(1.0, 1, GROUP)], ids=["k", "g", "mode"])
+def test_reconstruction_refuses_mismatched_factor(factor):
+    cert = SOSCertificate(GramMatrix(1, MONOID, 0, 1, np.eye(1)), [NCPoly.constant(1.0, 1), factor])
+    with pytest.raises(PolyError):
+        cert.reconstruction()
+
+
+def test_factor_residual_is_the_block_sum_miss():
+    # R R^* rebuilds G up to clipping, and its block sums are the reconstruction
+    rng = np.random.default_rng(4)
+    G = rand_psd_gram(2, GROUP, 1, 2, rng)
+    cert = factor_gram(G)
+    assert cert.residual <= 1e-12
+    got, want = cert.reconstruction(), gram_to_poly(G)
+    assert max(opnorm(got.coeff(u) - want.coeff(u)) for u in got.terms.keys() | want.terms.keys()) <= 1e-12
 
 
 def test_factor_rejects_indefinite():
