@@ -1,34 +1,26 @@
 """End-to-end decision pipeline: sum-of-squares certificate or GNS witness.
 
-The primal side searches for a psd Gram matrix matching the input
-coefficients.  When that is inconclusive, the dual side searches for a
-normalized positive Hankel functional that is strictly negative on the
-input (margin delta, retried with smaller margins); the GNS construction
-turns a successful functional into a concrete tuple at which the input has
-a negative eigenvalue.  Both decisive answers carry independently checkable
-evidence; near the boundary of the cone the pipeline may legitimately
-return Undecided.
-
-Each side runs Dykstra.  Only the primal falls back to the max-margin
-interior-point solve, which decides Gram systems with no strictly feasible
-point (inputs that vanish somewhere, such as 2 - u1 - u1^-1).  Every rung
-of the dual below the input's best margin has a strictly feasible point,
-so the dual has no fallback.
-
-Dykstra's Hankel point is psd only to the solver tolerance, and GNS on it
-fits shift operators through a quotient whose smallest directions carry
-that error.  Before GNS the dual mixes in a small weight of the paper's
-free state (free_state), which is positive definite; the mixed functional
-is then bounded below by a multiple of the tolerance and GNS builds
-operators that are self-adjoint or unitary to rounding.  A witness still
-rests only on its own gates: the operator defect, gns_verify and the
-eigenvalue of f(Y).
+Both sides solve the Gram system {G psd, V* G V = f} with one engine,
+Dykstra (sdp.solve_feasibility).  The primal solves it at the input's
+degree d and factors a psd solution into squares.  Without a solution,
+Dykstra's displacement gives a Farkas certificate: a psd matrix constant
+on the classes of the word-pair table, the Hankel matrix of the paper's
+separating functional, positive on squares and negative on f.  The dual
+solves the system at degree D (d + 1 in monoid mode, d in group mode) and
+GNS turns its certificate into a tuple at which f has a negative
+eigenvalue.  The certificate mixes in the paper's free state (free_state),
+positive definite and constant on the classes, so GNS keeps every
+direction; a witness still rests only on its own gates: the operator
+defect, gns_verify and the eigenvalue of f(Y).  Only the primal falls back
+to the max-margin interior-point solve, when Dykstra ends with neither a
+feasible point nor a certificate (inputs that vanish somewhere, such as
+2 - u1 - u1^-1).  Near the boundary of the cone the answer may be Undecided.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,19 +38,11 @@ from .sdp import (
     AffineSystem, InconsistentSystemError, max_margin, project_affine,
     solve_feasibility,
 )
-from .words import MONOID, involute
+from .words import MONOID, count_words, involute
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
-DELTA_MIN = 1e-8            # the dual's smallest margin
-# Weight of the free state in the dual functional, in units of the solver
-# tolerance: s = FREE_MIX * tol / lambda_min(K_free).  Dykstra stops with
-# lambda_min(K) >= -tol (K is a principal block of its iterate), so the mix
-# (1 - s) K + s K_free is >= (FREE_MIX - 1) tol in every direction.  At the
-# default tol = 1e-9 that is 9e-9, ninety times the gns.EPS_NULL cut of a
-# unit-trace quotient (at most 1e-10), so GNS keeps every direction.
-FREE_MIX = 10.0
 
 
 class CertifyError(ValueError):
@@ -70,7 +54,6 @@ class CertifyOptions:
     d: int | None = None
     max_iter: int = 50_000
     tol: float = 1e-9
-    delta: float = 1e-4
 
 
 @dataclass
@@ -105,12 +88,17 @@ def infer_degree(f: NCPoly, opts: CertifyOptions) -> int:
 # -- primal: Gram feasibility ------------------------------------------------
 
 
-def gram_system(f: NCPoly, d: int) -> AffineSystem:
-    """Affine constraints on G forcing V_d^* G V_d = f: the (a, b) entries of
-    the blocks G_{v,w} with v* w = u are pinned to sum to f_u[a, b]."""
-    products, table = constraint_index(f.g, d, f.mode)
+def _pinned_system(f: NCPoly, products: list, table: np.ndarray) -> AffineSystem:
+    """Affine constraints on G forcing V^* G V = f over the word-pair table:
+    the (a, b) entries of the blocks G_{v,w} with v* w = u are pinned to sum
+    to f_u[a, b]."""
     targets = np.concatenate([f.coeff(u).ravel() for u in products])
     return AffineSystem(len(table) * f.k, class_labels(table, f.k), targets)
+
+
+def gram_system(f: NCPoly, d: int) -> AffineSystem:
+    """The Gram system of f at degree d."""
+    return _pinned_system(f, *constraint_index(f.g, d, f.mode))
 
 
 def _interior_point_polish(sys: AffineSystem) -> np.ndarray | None:
@@ -140,21 +128,27 @@ def _miss(p: NCPoly, f: NCPoly) -> float:
 
 
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
-    """Dykstra on the Gram system, then the interior-point polish if it stalls.
+    """Dykstra on the Gram system, with the free state as its interior point,
+    then the interior-point polish if it ends with neither a psd point nor a
+    Farkas certificate.
 
     Every answer passes spotcheck's certificate gate, its psd test before
     factoring, so neither the polish nor a loose tol makes a wrong certificate.
     """
     sys = gram_system(f, d)
     try:
-        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol)
-        X = res.X if res.feasible else _interior_point_polish(sys)
+        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
+                                interior=free_state(_hankel_layout(f, d)))
+        stalled = not res.feasible and res.certificate is None
+        X = _interior_point_polish(sys) if stalled else res.X
     except InconsistentSystemError as exc:
         return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
     diag = BranchDiagnostics(res.iterations, res.final_gap)
+    if res.certificate is not None:
+        diag.note = f"Farkas certificate, pairing {res.pairing:.3e}"
     if X is None:
         return None, diag
-    if not res.feasible:
+    if stalled:
         diag.gap, diag.note = 0.0, "interior-point polish"
     G = GramMatrix(f.g, f.mode, d, f.k, X)
     refusal = _psd_refusal(G)
@@ -172,68 +166,46 @@ def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
 
 @dataclass
 class _HankelLayout:
+    """The degree-D word basis of (g, mode) with k x k blocks."""
+
     g: int
     mode: str
     k: int
     D: int
-    products: list   # constraint_index(g, D, mode): the product words and
-    table: np.ndarray  # the n x n table of their indices
+
+    @cached_property
+    def index(self) -> tuple[list, np.ndarray]:
+        """constraint_index(g, D, mode), built on first use: the free state
+        needs only the basis size."""
+        return constraint_index(self.g, self.D, self.mode)
 
     @property
     def n(self) -> int:
-        return len(self.table)
-
-    @property
-    def m(self) -> int:
-        # psd variable: the transposed-block Hankel matrix plus one slack entry
-        return self.n * self.k + 1
+        return count_words(self.g, self.D, self.mode)
 
 
 def _hankel_layout(f: NCPoly, D: int) -> _HankelLayout:
-    return _HankelLayout(f.g, f.mode, f.k, D, *constraint_index(f.g, D, f.mode))
+    return _HankelLayout(f.g, f.mode, f.k, D)
 
 
-def hankel_system(f: NCPoly, layout: _HankelLayout, delta: float) -> AffineSystem:
-    """Constraints: Hankel block equalities (tied classes), border zeros around
-    the slack, and the dense rows unit trace and phi(f) + slack = -delta.
-
-    The psd variable K stores S_{v*w} with each block transposed in place,
-    so entry ((v, alpha), (w, beta)) equals S_{v*w}[beta, alpha].  The margin
-    row reads S_u at the first pair (v0, w0) of each class, where the running
-    maximum of the row-major table first reaches u's index.
-    """
-    k, m, n = layout.k, layout.m, layout.n
-    slack = m - 1
-    tied = len(layout.products) * k * k
-    labels = np.full((m, m), -1)
-    labels[:slack, :slack] = class_labels(layout.table, k)
-    labels[:slack, slack], labels[slack, :slack] = np.arange(tied, tied + 2 * slack).reshape(2, slack)
-    targets = np.concatenate([np.full(tied, np.nan), np.zeros(2 * slack)])
-
-    trace = np.eye(m, dtype=complex)
-    trace[slack, slack] = 0.0
-    first = np.searchsorted(np.maximum.accumulate(layout.table.ravel()),
-                            np.arange(len(layout.products)))
-    v0, w0 = np.divmod(first, n)
-    # coefficient of K[(v0, b), (w0, a)] is F[b, a]
-    F = np.array([f.coeff(u) for u in layout.products])
-    corner = np.zeros((n, k, n, k), dtype=complex)
-    corner[w0, :, v0, :] = F.transpose(0, 2, 1)
-    margin = np.zeros((m, m), dtype=complex)
-    margin[:slack, :slack] = corner.reshape(slack, slack)
-    margin[slack, slack] = 1.0
-    margin = (margin + margin.conj().T) / 2
-    return AffineSystem(m, labels, targets, [(trace, 1.0), (margin, -delta)])
+def hankel_system(f: NCPoly, layout: _HankelLayout) -> AffineSystem:
+    """The dual's system: the Gram system of f at the layout's degree D.  The
+    Hankel storage of its certificate's functional is the conjugate of the
+    certificate, entry ((v, a), (w, b)) S_{v*w}[b, a] = conj(y_{v*w}[a, b]),
+    so that phi(f) = sum_u Tr(S_u F_u) is the certificate's pairing."""
+    return _pinned_system(f, *layout.index)
 
 
 def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunctional:
-    """Read the S_u blocks back off the solved psd variable, averaging over
-    each Hankel class and enforcing the Hermitian block structure exactly."""
-    sizes = np.bincount(layout.table.ravel())
+    """Read the S_u blocks back off a Hankel storage matrix (entry
+    ((v, alpha), (w, beta)) holds S_{v*w}[beta, alpha]), averaging over each
+    class and enforcing the Hermitian block structure exactly."""
+    products, table = layout.index
+    sizes = np.bincount(table.ravel())
     # transposing the block sums undoes the in-place transpose of the storage
-    means = block_sums(X, layout.table).transpose(0, 2, 1) / sizes[:, None, None]
-    blocks = dict(zip(layout.products, means))
-    for u in layout.products:
+    means = block_sums(X, table).transpose(0, 2, 1) / sizes[:, None, None]
+    blocks = dict(zip(products, means))
+    for u in products:
         ui = involute(u)
         avg = (blocks[u] + blocks[ui].conj().T) / 2
         blocks[u] = avg
@@ -263,13 +235,6 @@ def free_state(layout: _HankelLayout) -> np.ndarray:
     return K / np.trace(K).real
 
 
-def _margins(delta: float):
-    """The dual's margins: delta, delta/10, ... down to DELTA_MIN."""
-    while delta >= DELTA_MIN * (1 - 1e-12):
-        yield delta
-        delta /= 10
-
-
 def _operator_defect(Y: OperatorTuple) -> tuple[str, float]:
     """What a witness tuple must be (self-adjoint in monoid mode, unitary in
     group mode) and how far Y is from it."""
@@ -279,61 +244,48 @@ def _operator_defect(Y: OperatorTuple) -> tuple[str, float]:
 
 
 def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
-    """Margin search with delta shrinking by 10 down to DELTA_MIN; Dykstra
-    alone on each rung.
-
-    A feasible rung's functional is mixed with the free state,
-    (1 - s) K + s K_free with s = FREE_MIX * tol / lambda_min(K_free), before
-    GNS; s is fixed once per input.  The mixed point need not meet the
-    margin row, which no gate reads: the witness is gated on f(Y) itself.
-    """
-    D = d + 1 if f.mode == MONOID else d
-    if D < 1:
-        D = 1
+    """One Dykstra solve of the Gram system of f at degree D (d + 1 in monoid
+    mode, d in group mode), with the free state of degree D as its interior
+    point.  Its Farkas certificate Z = H + s K, conjugated and scaled to unit
+    trace, is the Hankel storage of a functional positive definite on squares
+    and negative on f; GNS builds the witness from it, gated on the operator
+    defect, gns_verify and min eig f(Y) <= -EPS_WIT."""
+    D = max(d + 1 if f.mode == MONOID else d, 1)
     layout = _hankel_layout(f, D)
-    K_free = free_state(layout)
-    s = min(1.0, FREE_MIX * opts.tol / float(np.linalg.eigvalsh(K_free)[0]))
-    diag = BranchDiagnostics()
-    weak = None
-    for delta in _margins(opts.delta):
-        sys = hankel_system(f, layout, delta)
-        try:
-            res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol)
-        except InconsistentSystemError as exc:
-            diag.note = f"inconsistent dual system at delta={delta:.1e}"
-            diag.gap = min(diag.gap, exc.residual)
-            continue
-        diag.iterations += res.iterations
-        diag.gap = min(diag.gap, res.final_gap)
-        if not res.feasible:
-            continue
-        K = res.X[:layout.n * layout.k, :layout.n * layout.k]
-        S = functional_from_solution((1 - s) * K + s * K_free, layout)
-        try:
-            model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
-        except GnsError as exc:
-            diag.note = f"GNS failed at delta={delta:.1e}: {exc}"
-            continue
-        kind, defect = _operator_defect(model.operators)
-        if defect > OPERATOR_DEFECT_TOL:
-            diag.note = f"GNS operators miss {kind} by {defect:.3e} at delta={delta:.1e}"
-            continue
-        residual = gns_verify(S, model)
-        if residual > GNS_VERIFY_TOL:
-            diag.note = f"GNS verification residual {residual:.3e}"
-            continue
-        model.gns_residual = residual
-        fY = poly_eval(f, model.operators)
-        fY = (fY + fY.conj().T) / 2
-        min_eig = float(np.linalg.eigvalsh(fY).min())
-        refuted = complex(np.vdot(model.gamma, fY @ model.gamma))
-        if min_eig <= -EPS_WIT:
-            return model, min_eig, refuted, diag
-        weak = min_eig
+    sys = hankel_system(f, layout)
+    try:
+        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
+                                interior=free_state(layout))
+    except InconsistentSystemError as exc:
+        return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
+    diag = BranchDiagnostics(res.iterations, res.final_gap)
+    if res.certificate is None:
+        diag.note = (f"Gram system of degree {D} is feasible" if res.feasible
+                     else f"no Farkas certificate at degree {D}")
+        return None, None, None, diag
+    Z = res.certificate.conj()
+    S = functional_from_solution(Z / np.trace(Z).real, layout)
+    try:
+        model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
+    except GnsError as exc:
+        diag.note = f"GNS failed: {exc}"
+        return None, None, None, diag
+    kind, defect = _operator_defect(model.operators)
+    if defect > OPERATOR_DEFECT_TOL:
+        diag.note = f"GNS operators miss {kind} by {defect:.3e}"
+        return None, None, None, diag
+    residual = gns_verify(S, model)
+    if residual > GNS_VERIFY_TOL:
+        diag.note = f"GNS verification residual {residual:.3e}"
+        return None, None, None, diag
+    model.gns_residual = residual
+    fY = poly_eval(f, model.operators)
+    fY = (fY + fY.conj().T) / 2
+    min_eig = float(np.linalg.eigvalsh(fY).min())
+    if min_eig > -EPS_WIT:
         diag.note = f"witness margin too small (min eig {min_eig:.3e})"
-    if weak is not None:
-        diag.note = f"best witness has min eig {weak:.3e} above -eps_wit"
-    return None, None, None, diag
+        return None, None, None, diag
+    return model, min_eig, complex(np.vdot(model.gamma, fY @ model.gamma)), diag
 
 
 # -- the decision ------------------------------------------------------------

@@ -10,10 +10,18 @@ progress notes go to stderr.  Exit codes: 0 = sos, 1 = witness,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from types import SimpleNamespace
+
+# the interpreter's own SHA-256 gives hashlib's digest without loading OpenSSL's _hashlib (3.4 MB)
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import jsonio
 from .certify import (
@@ -60,7 +68,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--tol", type=float, default=CertifyOptions.tol)
         sp.add_argument("--max-iter", type=int, default=CertifyOptions.max_iter)
         sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--delta", type=float, default=CertifyOptions.delta)
         sp.add_argument("--out", default=None)
 
     for name in ("certify", "decompose", "witness"):
@@ -121,7 +128,7 @@ def _load_poly(path: str) -> NCPoly:
 
 
 def _input_hash(f: NCPoly) -> str:
-    return hashlib.sha256(jsonio.dumps(poly_to_json(f)).encode()).hexdigest()
+    return sha256(jsonio.dumps(poly_to_json(f)).encode()).hexdigest()
 
 
 def _complex_pair(z: complex) -> list:
@@ -351,11 +358,10 @@ def main(argv=None) -> int:
         return EX_USAGE
     try:
         if args.command in ("certify", "decompose", "witness"):
-            for flag in ("tol", "delta", "max_iter"):
+            for flag in ("tol", "max_iter"):
                 if not getattr(args, flag) > 0:
                     raise UsageError(f"--{flag.replace('_', '-')} must be positive")
-            opts = CertifyOptions(d=args.degree, max_iter=args.max_iter, tol=args.tol,
-                                  delta=args.delta)
+            opts = CertifyOptions(d=args.degree, max_iter=args.max_iter, tol=args.tol)
             fn = {"certify": _cmd_certify, "decompose": _cmd_decompose,
                   "witness": _cmd_witness}[args.command]
             return fn(args, opts)

@@ -209,18 +209,18 @@ class OperatorTuple:
         return [np.linalg.inv(x) for x in self.entries]
 
 
-def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
-    """X^w, with X^empty = I; negative letters use the tuple's inverses."""
+def word_eval(w: Word, X: OperatorTuple, inverses: list | None = None) -> np.ndarray:
+    """X^w, with X^empty = I; negative letters use inverses, by default the
+    tuple's inverse_entries()."""
     n = X.dim
     out = np.eye(n, dtype=complex)
-    inv = None
     for a in w.letters:
         if a > 0:
             out = out @ X.entries[a - 1]
         else:
-            if inv is None:
-                inv = X.inverse_entries()
-            out = out @ inv[-a - 1]
+            if inverses is None:
+                inverses = X.inverse_entries()
+            out = out @ inverses[-a - 1]
     return out
 
 
@@ -229,6 +229,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
 
     The terms are summed in graded_key order, so a polynomial and its JSON
     round trip evaluate to the same bits whatever order built its terms.
+    A group tuple's inverses are taken once per call, not once per word.
     """
     if X.mode != p.mode:
         raise PolyError(f"cannot evaluate {p.mode} polynomial at {X.mode} tuple")
@@ -236,8 +237,11 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
         raise PolyError(f"tuple has {X.g} entries, polynomial uses {p.g} letters")
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
+    inverses = None
+    if any(a < 0 for w in p.terms for a in w.letters):
+        inverses = X.inverse_entries()
     for w in sorted(p.terms, key=graded_key):
-        out += np.kron(p.terms[w], word_eval(w, X))
+        out += np.kron(p.terms[w], word_eval(w, X, inverses))
     return out
 
 

@@ -1,45 +1,49 @@
 """Deterministic semidefinite feasibility via Dykstra's alternating projections.
 
 Finds a Hermitian matrix in the intersection of an affine subspace with the
-psd cone, or reports Inconclusive with the final gap.  Dykstra rather than
-plain alternating projections so the limit is the nearest feasible point and
-stalls show up in the correction terms; everything is deterministic for fixed
+psd cone, or a Farkas certificate that the intersection is empty, or
+reports neither with the final gap.  Everything is deterministic for fixed
 inputs.
 
-The affine constraints pin or tie disjoint classes of entries, so A A* is
-diagonal (Henrion & Malick 2011) and the projection is closed form: class
-means, plus a small correction for a few dense rows.
+The affine constraints pin disjoint classes of entries to their sums, so
+A A* is diagonal (Henrion & Malick 2011) and the projection is closed form:
+the entries of a class share its shortfall equally.
 
-Dykstra converges sublinearly when the intersection has no strictly
-feasible point.  For those systems max_margin solves max t subject to
-X - t I psd on the affine set with a log-barrier interior-point method in
-numpy; its best margin is >= 0 exactly when the system has a psd solution.
-It works on the null space of the constraints, read off the class labels
-in closed form (the Householder complement of each pinned class, one
-direction per tied class, one per unlabelled entry; only dense rows need a
-small SVD), and takes each Newton congruence from one eigh of the slack
-matrix, so nothing of size m^2 x m^2 is built.
-The decision pipeline calls it on Gram systems only.  A Hankel system has
-a strictly feasible point whenever its margin is below the best one (mix in
-a strictly positive functional, such as the vacuum state of the canonical
-tuple), and no psd solution above it, so Dykstra alone serves there.
+On a system with no solution, Dykstra's displacement y - x (psd side minus
+affine side) tends to the shortest vector between the two sets (Bauschke &
+Borwein 1994): a psd H = A*(h) in range(A*), constant on each class, whose
+pairing Re sum_c conj(h_c) t_c with the targets is negative.  Re Tr(H X)
+equals that pairing at every X of the affine set, so no psd X meets the
+constraints.  solve_feasibility reads H off the class means of the
+displacement and stops once rounding bounds prove both halves.
 
-A feasible answer is psd only to tol: its smallest eigenvalue may be as low
-as -tol.  Callers that need a strictly positive point, as the dual's GNS
-step does, mix in a positive definite one (certify.free_state).
+Where the intersection has no strictly feasible point Dykstra converges
+sublinearly.  max_margin then solves max t subject to X - t I psd on the
+affine set with a log-barrier interior-point method; its best margin is
+>= 0 exactly when the system has a psd solution.  It works on the null
+space of the constraints, read off the class labels in closed form, and
+takes each Newton congruence from one eigh of the slack matrix, so nothing
+of size m^2 x m^2 is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import EPS_HERM, opnorm
+from .poly import EPS_HERM
 
 DEFAULT_MAX_ITER = 50_000
 DEFAULT_TOL = 1e-9
-ROW_RCOND = 1e-12   # cutoff on the Gram matrix of the dense rows, relative to its largest eigenvalue
+EPS = np.finfo(float).eps
+# Floor on the weight s of the interior point K in a certificate H + s K, in
+# units of tol ||H||_F: s lambda_min(K) >= FREE_MIX tol ||H||_F.  A feasible
+# point is psd only to tol; a certificate instead has smallest eigenvalue at
+# least FREE_MIX tol ||H||_F, 1e-8 of ||H|| at the default tol, a hundred
+# times the gns.EPS_NULL cut of the quotient, so GNS on it keeps every
+# direction and builds operators that are self-adjoint or unitary to rounding.
+FREE_MIX = 10.0
 
 
 class SdpError(ValueError):
@@ -56,17 +60,14 @@ class InconsistentSystemError(SdpError):
 class AffineSystem:
     """Affine constraints on Hermitian m x m matrices.
 
-    labels[i, j] is the class of entry (i, j), negative for none.  Class c
-    is pinned when targets[c] is finite (its entries sum to it) and tied when
-    it is nan (its entries are equal).  The transpose of a class must be a
-    class with the conjugate target, its mirror.  rows are dense constraints
-    (C_t, b_t): Re Tr(C_t X) = b_t, C_t Hermitian and b_t real.
+    labels[i, j] is the class of entry (i, j), negative for none, and the
+    entries of class c sum to targets[c].  The transpose of a class must be
+    a class with the conjugate target, its mirror.
     """
 
     m: int
     labels: np.ndarray | None = None
     targets: np.ndarray = ()
-    rows: list = field(default_factory=list)
 
     def __post_init__(self):
         m = self.m
@@ -78,86 +79,60 @@ class AffineSystem:
             raise SdpError(f"labels must be {m} x {m} and name each of {len(targets)} classes")
         mirror = np.zeros(len(targets), dtype=np.intp)
         mirror[labels[on]] = labels.T[on]
-        pinned = np.isfinite(targets)
+        if not np.isfinite(targets).all():
+            raise SdpError("class targets must be finite")
         if ((on != on.T).any() or (mirror[labels[on]] != labels.T[on]).any()
-                or (pinned != pinned[mirror]).any()
-                or (np.abs(targets - targets[mirror].conj())[pinned] > EPS_HERM).any()):
+                or (np.abs(targets - targets[mirror].conj()) > EPS_HERM).any()):
             raise SdpError("the transpose of a class is not a class with the conjugate "
                            "target (non-Hermitian pattern or coefficients)")
-        rows = []
-        for C, b in self.rows:
-            C = np.asarray(C, dtype=complex)
-            if C.shape != (m, m):
-                raise SdpError(f"constraint matrix has shape {C.shape}, want {(m, m)}")
-            if opnorm(C - C.conj().T) > 1e-12:
-                raise SdpError("constraint matrix is not Hermitian")
-            b = complex(b)
-            if abs(b.imag) > 1e-12:
-                raise SdpError("constraint value must be real for a Hermitian pairing")
-            rows.append((C, float(b.real)))
-        self.labels, self.targets, self.rows = labels, targets, rows
+        self.labels, self.targets = labels, targets
 
-        # per labelled entry: its flat index and class, whether the class is
-        # pinned, and the Re, Im bins of its class sums; per class: the factor
-        # turning its sum into -mean (pinned) or mean (tied), and target / size
+        # per labelled entry: its flat index and class, and the Re, Im bins of
+        # its class sums; per class: its mirror and size, -1 / size and target / size
         self._idx = np.flatnonzero(on)
         self._lab = labels.ravel()[self._idx]
-        self._keep = pinned[self._lab].astype(float)
-        self._tied = np.flatnonzero(~pinned[self._lab])
         self._bins = (2 * self._lab[:, None] + np.arange(2)).ravel()
-        self._pinned = pinned
-        self._coef = np.where(pinned, -1.0, 1.0) / sizes
-        self._tmean = np.where(pinned, targets / sizes, 0.0)
-        # dense rows, and the least-norm moves inside the class subspace that
-        # correct a unit shortfall in each (a pseudo-inverse: redundant rows are fine)
-        R = len(rows)
-        self._row_conj = np.array([C.conj().ravel() for C, _ in rows]).reshape(R, m * m)
-        self._row_b = np.array([b for _, b in rows])
-        dirs = np.array([self._classes(C, linear=True) for C, _ in rows]).reshape(R, m * m)
-        self._row_step = np.linalg.lstsq((self._row_conj @ dirs.T).real, dirs, rcond=ROW_RCOND)[0]
+        self._mirror, self._sizes = mirror, sizes
+        self._coef, self._tmean = -1.0 / sizes, targets / sizes
 
     @property
     def constraints(self) -> range:
-        """One index per constraint: each class, then each dense row."""
-        return range(len(self.targets) + len(self.rows))
+        """One index per constraint, that is per class."""
+        return range(len(self.targets))
 
-    def _class_sums(self, v: np.ndarray) -> np.ndarray:
-        """Sum over each class of v, the values of the labelled entries."""
+    def _class_sums(self, X: np.ndarray) -> np.ndarray:
+        """Sum over each class of the labelled entries of X."""
+        v = np.asarray(X, dtype=complex).ravel()[self._idx]
         return np.bincount(self._bins, v.view(float), minlength=2 * len(self.targets)).view(complex)
 
-    def _classes(self, X: np.ndarray, linear: bool = False) -> np.ndarray:
-        """Nearest point, flattened, of the class constraints (of their linear
-        part if linear): pinned entries share their class's shortfall, tied
-        take its mean."""
-        x = np.array(X, dtype=complex).ravel()
-        v = x[self._idx]
-        base = self._class_sums(v) * self._coef
-        if not linear:
-            base += self._tmean
-        x[self._idx] = self._keep * v + base[self._lab]
-        return x
+    def means(self, sums: np.ndarray) -> np.ndarray:
+        """Class means from class sums, made Hermitian: the mean of a class
+        and the conjugate mean of its mirror are averaged into exact
+        conjugates, so broadcast gives a Hermitian matrix."""
+        y = sums / self._sizes
+        return (y + y[self._mirror].conj()) / 2
+
+    def broadcast(self, h: np.ndarray) -> np.ndarray:
+        """A*(h): h[c] on the entries of class c, zero elsewhere."""
+        out = np.zeros(self.m * self.m, dtype=complex)
+        out[self._idx] = h[self._lab]
+        return out.reshape(self.m, self.m)
 
     def nearest(self, X: np.ndarray, linear: bool = False) -> np.ndarray:
         """Frobenius-nearest point of the affine set (of its linear part if
-        linear): the class projection, then the least-norm move that meets the rows."""
-        y = self._classes(X, linear)
-        if self.rows:
-            y += ((0.0 if linear else self._row_b) - (self._row_conj @ y).real) @ self._row_step
-        Y = y.reshape(self.m, self.m)
+        linear): the entries of each class share its shortfall equally."""
+        x = np.array(X, dtype=complex).ravel()
+        v = x[self._idx]
+        base = self._class_sums(X) * self._coef
+        if not linear:
+            base += self._tmean
+        x[self._idx] = v + base[self._lab]
+        Y = x.reshape(self.m, self.m)
         return (Y + Y.conj().T) / 2
 
     def residual(self, X: np.ndarray) -> float:
-        """Largest violation, in real or imaginary part, of a pinned class
-        sum, of a tied entry against its class mean, or of a dense row."""
-        x = np.asarray(X, dtype=complex).ravel()
-        v = x[self._idx]
-        sums = self._class_sums(v)
-        parts = [(sums - self.targets)[self._pinned]]
-        if len(self._tied):  # Gram systems have no tied classes
-            parts.append(v[self._tied] - (sums * self._coef)[self._lab[self._tied]])
-        if self.rows:
-            parts.append((self._row_conj @ x).real - self._row_b)
-        return float(np.abs(np.concatenate(parts).view(float)).max(initial=0.0))
+        """Largest violation, in real or imaginary part, of a class sum."""
+        return float(np.abs((self._class_sums(X) - self.targets).view(float)).max(initial=0.0))
 
 
 def project_psd(X: np.ndarray) -> np.ndarray:
@@ -175,8 +150,8 @@ def project_affine(X: np.ndarray, sys: AffineSystem,
     """Frobenius-orthogonal projection onto the affine solution set, and its
     residual (sys.residual of the projection).
 
-    Closed form (AffineSystem.nearest); consistent redundant rows are fine,
-    an inconsistent system leaves a residual and raises.
+    Closed form (AffineSystem.nearest); a system no Hermitian matrix meets
+    leaves a residual and raises.
     """
     out = sys.nearest(X)
     res = sys.residual(out)
@@ -191,18 +166,88 @@ class FeasibilityResult:
     X: np.ndarray | None
     iterations: int
     final_gap: float
+    certificate: np.ndarray | None = None  # Farkas certificate: psd, in range(A*)
+    pairing: float | None = None           # Re Tr(certificate X) on the affine set, < 0
+
+
+def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
+    """A lower bound on lambda_min(H), and eigh's eigenvector for it: eigh is
+    exact for some H + E with ||E||_2 <= m eps ||H||_F, and by Weyl
+    lambda_min moves by at most ||E||_2."""
+    evals, evecs = np.linalg.eigh(H)
+    return float(evals[0]) - len(H) * EPS * float(np.linalg.norm(H)), evecs[:, 0]
+
+
+class _Farkas:
+    """The certificate test of one system, with an optional interior point K,
+    positive definite and in range(A*) (it is read through its class means).
+
+    A displacement with class means h passes when Weyl's inequality proves
+    lambda_min(A*(h) + s K) > 0 for the smallest s that leaves the floor
+    FREE_MIX tol ||A*(h)||_F, and the pairing of h + s k is below zero by
+    more than four times Higham's bound gamma_n sum |terms| on its rounding.
+    """
+
+    def __init__(self, sys: AffineSystem, tol: float, interior: np.ndarray | None):
+        self.sys, self.floor, self.K = sys, FREE_MIX * tol, None
+        n = 2 * len(sys.targets) + 2  # real products in the pairing, and two sums
+        self.gamma = 2 * n * EPS / (1 - n * EPS)  # four times Higham's gamma_n, u = EPS / 2
+        self.kappa = self.pk = self.ak = 0.0
+        if interior is not None:
+            k = sys.means(sys._class_sums(interior))
+            self.K = sys.broadcast(k)
+            self.kappa = _low_eig(self.K)[0]
+            if not self.kappa > 0:
+                raise SdpError("the interior point is not positive definite on the classes")
+            self.pk, self.ak = self._pairing(k)
+        self.w = None  # class sums of conj(v) v^T over class sizes, v the last lowest eigenvector
+
+    def _pairing(self, h: np.ndarray) -> tuple[float, float]:
+        """Re sum_c conj(h_c) t_c, and the sum of its terms' absolute values."""
+        a, b = h.view(float), self.sys.targets.view(float)
+        return float(a @ b), float(np.abs(a) @ np.abs(b))
+
+    def __call__(self, disp: np.ndarray):
+        """(certificate, pairing) of the displacement disp, or None."""
+        sys = self.sys
+        sums = sys._class_sums(disp)
+        # two dot products before any eigh: the pairing of the class means,
+        # and v* A*(h) v >= lambda_min, a lower bound on s; in a stall the
+        # last lowest eigenvector v keeps the negative direction of A*(h)
+        ph = float(sums.view(float) @ sys._tmean.view(float))
+        if not ph < 0:
+            return None
+        if self.w is not None:
+            ray = float(np.dot(sums, self.w).real)
+            if ray <= 0 and (self.K is None or ph - ray / self.kappa * self.pk >= 0):
+                return None
+        h = sys.means(sums)
+        H = sys.broadcast(h)
+        low, v = _low_eig(H)
+        self.w = sys._class_sums(v.conj()[:, None] * v) / sys._sizes
+        s = 0.0 if self.K is None else (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
+        bound = low + s * self.kappa  # <= lambda_min(H + s K), by Weyl
+        ph, ah = self._pairing(h)
+        pairing = ph + s * self.pk
+        if not (bound > 4 * EPS * (abs(low) + s * self.kappa)
+                and pairing < -self.gamma * (ah + s * self.ak)):
+            return None
+        return (H if self.K is None else H + s * self.K), pairing
 
 
 def solve_feasibility(sys: AffineSystem,
                       max_iter: int = DEFAULT_MAX_ITER,
-                      tol: float = DEFAULT_TOL) -> FeasibilityResult:
+                      tol: float = DEFAULT_TOL,
+                      interior: np.ndarray | None = None) -> FeasibilityResult:
     """Dykstra between the psd cone and the affine set, from project_affine(0).
 
-    Feasible when the iterate on the affine side has psd residual <= tol and
-    affine residual <= tol; otherwise Inconclusive after max_iter.  This is a
-    search, not a proof of infeasibility.
+    Each iteration first tests the displacement for a Farkas certificate
+    (_Farkas), a proof that no psd solution exists.  Otherwise the affine
+    iterate is feasible once its psd and affine residuals are <= tol; after
+    max_iter with neither the result is Inconclusive.
     """
     m = sys.m
+    farkas = _Farkas(sys, tol, interior)
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -216,6 +261,9 @@ def solve_feasibility(sys: AffineSystem,
 
         psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
         gap = max(psd_res, aff_res)
+        found = farkas(y - x)
+        if found is not None:
+            return FeasibilityResult(False, None, it, gap, *found)
         if gap <= tol:
             return FeasibilityResult(True, x, it, gap)
     return FeasibilityResult(False, None, it, float(gap))
@@ -272,12 +320,10 @@ def _null_basis(sys: AffineSystem) -> np.ndarray:
     Read off the labels: the real coordinates of a class and its mirror form
     one group, their imaginary coordinates another, and the constraint on a
     group is one weight vector w (+-1, or 1 on the diagonal and sqrt(2) above
-    it on a self-mirror class, whose imaginary coordinates are free when
-    pinned and zero when tied).  A pinned group keeps the complement of w,
-    the trailing columns of the Householder reflection taking e_1 to w/|w|;
-    a tied group keeps w/|w|; unlabelled coordinates keep their unit vectors.
-    Dense rows then remove the directions they see: an SVD of their
-    coefficients in that basis, with the pseudo-inverse cutoff of nearest.
+    it on a self-mirror class, whose imaginary coordinates are free: the sum
+    of a Hermitian class closed under transposition is real).  A group keeps
+    the complement of w, the trailing columns of the Householder reflection
+    taking e_1 to w/|w|; unlabelled coordinates keep their unit vectors.
     """
     m = sys.m
     iu, ju = np.triu_indices(m, 1)
@@ -289,11 +335,9 @@ def _null_basis(sys: AffineSystem) -> np.ndarray:
     lab, mir = sys.labels[i, j], sys.labels[j, i]
     key = np.minimum(lab, mir)
     own = lab == mir
-    pinned = np.zeros(len(i), dtype=bool)
-    pinned[lab >= 0] = sys._pinned[key[lab >= 0]]
     w = np.where(imag, np.where(lab == key, 1.0, -1.0),
                  np.where(own & (i != j), np.sqrt(2), 1.0))
-    unit = np.flatnonzero((lab < 0) | (imag & own & pinned))
+    unit = np.flatnonzero((lab < 0) | (imag & own))
     grouped = np.flatnonzero((lab >= 0) & ~(imag & own))
     _, first, gid = np.unique(2 * key[grouped] + imag[grouped],
                               return_index=True, return_inverse=True)
@@ -304,26 +348,18 @@ def _null_basis(sys: AffineSystem) -> np.ndarray:
     f = grouped[first]
     rest = np.ones(len(grouped), dtype=bool)
     rest[first] = False
-    comp = np.flatnonzero(rest & pinned[f][gid])
-    tied = np.flatnonzero(~pinned[f])
+    comp = np.flatnonzero(rest)
 
-    N = np.zeros((len(unit) + len(comp) + len(tied), len(i)))
+    N = np.zeros((len(unit) + len(comp), len(i)))
     N[np.arange(len(unit)), unit] = 1.0
     # columns j > 1 of the reflection: e_j - u_j (u + e_1) / (1 + u_1)
     g = gid[comp]
     c = u[comp] / (1.0 + u[first][g])
-    refl = N[len(unit):len(unit) + len(comp)]
+    refl = N[len(unit):]
     refl -= c[:, None] * ug[g]
     r = np.arange(len(comp))
     refl[r, f[g]] -= c
     refl[r, grouped[comp]] += 1.0
-    N[len(unit) + len(comp):] = ug[tied]
-
-    if sys.rows and len(N):
-        A = N @ np.array([_hvec(C) for C, _ in sys.rows]).T
-        U, s, _ = np.linalg.svd(A)
-        rank = int((s * s > ROW_RCOND * s[0] ** 2).sum())
-        N = U[:, rank:].T @ N
     return N
 
 

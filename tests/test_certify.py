@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsos.certify import (
     CertifyError, CertifyOptions, CertifyOutcome, certify, free_state, gram_system,
@@ -128,7 +129,7 @@ def test_interior_point_polish_boundary_gram_system():
 
 
 def test_interior_point_polish_infeasible_returns_none():
-    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), -1.0)])
+    sys = AffineSystem(2, [[0, -1], [-1, 0]], [-1.0])  # Tr X = -1
     assert max_margin(sys).t < 0
     assert _interior_point_polish(sys) is None
 
@@ -357,6 +358,53 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     defect = (model.selfadjointness_defect() if f.mode == MONOID
               else model.unitarity_defect())
     assert defect <= 1e-8 and min_eig <= -1e-6
+
+
+# -- the Farkas certificate ------------------------------------------------------
+
+
+@pytest.mark.parametrize("c, kind", [(1e-3, "witness"), (1e-6, "witness"),
+                                     (1e-9, "undecided"), (1e-12, "undecided")])
+def test_small_negative_constant_is_never_sos(c, kind):
+    # the certificate is a proof at any scale and is tested before the tol
+    # stop, so -c is refuted at the first iteration however small c is; a
+    # witness then needs f(Y) = -c <= -EPS_WIT
+    out = certify(NCPoly.constant(-c, 1), CertifyOptions())
+    assert out.kind == kind
+    assert out.primal.iterations == 1 and out.primal.note.startswith("Farkas certificate")
+
+
+def _gram_poly(seed, g, mode, k, d=1):
+    """sum_j r_j* r_j = V_d* B B* V_d for a seeded square B."""
+    rng = np.random.default_rng(seed)
+    m = count_words(g, d, mode) * k
+    B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+    return gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m))
+
+
+def _primal_solve(f, d=1):
+    return solve_feasibility(gram_system(f, d), interior=free_state(_hankel_layout(f, d)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(mode=st.sampled_from([MONOID, GROUP]), k=st.sampled_from([1, 2]), g=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(1e-3, 1.0))
+def test_squares_plus_identity_get_no_certificate(mode, k, g, seed, eps):
+    f = _gram_poly(seed, g, mode, k) + NCPoly.constant(eps * np.eye(k), g, mode)
+    assert _primal_solve(f).certificate is None
+    assert certify(f).kind == "sos"
+
+
+@settings(max_examples=25, deadline=None)
+@given(mode=st.sampled_from([MONOID, GROUP]), k=st.sampled_from([1, 2]), g=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2 ** 32 - 1), c=st.floats(1e-3, 1.0))
+def test_negated_squares_get_a_certificate_and_a_witness(mode, k, g, seed, c):
+    f = -_gram_poly(seed, g, mode, k) - NCPoly.constant(c * np.eye(k), g, mode)
+    res = _primal_solve(f)
+    assert res.certificate is not None and res.pairing < 0
+    out = certify(f)
+    assert out.kind == "witness"
+    assert spotcheck(f, out).ok
 
 
 # -- the free state ----------------------------------------------------------------

@@ -85,6 +85,7 @@ from ncsos.cli import main
 codes = [main(["witness", path, "--max-iter", "3000", "--out", path + ".out"])
          for path in sys.argv[1:]]
 print("numpy.random loaded:", "numpy.random" in sys.modules)
+print("_hashlib loaded:", "_hashlib" in sys.modules)
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 
@@ -101,7 +102,21 @@ def test_witness_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{[EX_WITNESS, EX_WITNESS]} []"
     # GNS verification is exact and deterministic: nothing draws random numbers
-    assert done.stdout.splitlines()[-2] == "numpy.random loaded: False"
+    assert done.stdout.splitlines()[-3] == "numpy.random loaded: False"
+    # the input digest comes from the interpreter's own SHA-256, not OpenSSL's
+    assert done.stdout.splitlines()[-2] == "_hashlib loaded: False"
+
+
+def test_input_digest_matches_hashlib(monkeypatch):
+    import hashlib
+
+    from ncsos.cli import _input_hash
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import FIXTURES
+    for _, _, data in FIXTURES:
+        f = poly_from_json(data)
+        want = hashlib.sha256(jsonio.dumps(poly_to_json(f)).encode()).hexdigest()
+        assert _input_hash(f) == want
 
 
 def test_eval_constant_polynomial(tmp_path, capsys):
@@ -304,13 +319,20 @@ def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, 
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--delta", "-1"),
-                                         ("--max-iter", "0"), ("--max-iter", "-5")])
+@pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--max-iter", "0"), ("--max-iter", "-5")])
 def test_nonpositive_solver_flag_is_usage_error(tmp_path, capsys, flag, value):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     code, out, err = run(capsys, "certify", path, flag, value)
     assert code == EX_USAGE
     assert err.strip() == f"usage error: {flag} must be positive"
+
+
+def test_delta_flag_is_gone(tmp_path, capsys):
+    # the dual solves one system, so there is no margin to set
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    code, out, err = run(capsys, "certify", path, "--delta", "1e-4")
+    assert code == EX_USAGE
+    assert err.strip() == "usage error: unrecognized arguments: --delta 1e-4"
 
 
 def test_sos_evidence_fixture_is_accepted(tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 
 from ncsos.poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json, opnorm,
-    poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
+    poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json, word_eval,
 )
-from ncsos.words import GROUP, MONOID, Word, parse_word
+from ncsos.words import GROUP, MONOID, Word, graded_key, parse_word
 
 RNG = np.random.default_rng(42)
 
@@ -153,6 +153,25 @@ def test_eval_sums_in_graded_order():
         U = rand_unitary(4, rng)
         X = OperatorTuple(GROUP, [U], inverses=[U.conj().T])
         assert poly_eval(p, X).tobytes() == poly_eval(q, X).tobytes()
+
+
+def test_eval_takes_group_inverses_once(monkeypatch):
+    # a tuple without stored inverses re-derives them on each call (2g SVDs
+    # and g inverses): one call per evaluation, however many words need them
+    rng = np.random.default_rng(5)
+    X = OperatorTuple(GROUP, [rand_unitary(3, rng), rand_unitary(3, rng)])
+    p = NCPoly(2, GROUP, 2, {parse_word(w, 2, GROUP): rand_matrix(2, rng)
+                             for w in ("1", "x1^-1", "x2^-1 x1", "x1 x2^-1", "x2^-1 x2^-1")})
+    ref = np.zeros((6, 6), dtype=complex)  # the term-by-term sum, word_eval on its own
+    for w in sorted(p.terms, key=graded_key):
+        ref += np.kron(p.terms[w], word_eval(w, X))
+    calls = []
+    original = OperatorTuple.inverse_entries
+    monkeypatch.setattr(OperatorTuple, "inverse_entries",
+                        lambda self, *a: calls.append(1) or original(self, *a))
+    out = poly_eval(p, X)
+    assert len(calls) <= 1
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_eval_mode_mismatch():

@@ -14,14 +14,22 @@ from test_poly import rand_hermitian, rand_matrix
 
 
 def trace_system(m, value):
-    return AffineSystem(m, rows=[(np.eye(m, dtype=complex), value)])
+    """Tr X = value: one class over the diagonal."""
+    labels = np.full((m, m), -1)
+    np.fill_diagonal(labels, 0)
+    return AffineSystem(m, labels, [value])
 
 
-def pinned_entry_system(m, i, j, value, rows=()):
-    """X[i, j] = value (and X[j, i] = conj(value)), plus dense rows."""
+def pinned_entry_system(m, i, j, value, trace=None):
+    """X[i, j] = value (and X[j, i] = conj(value)), i != j, and Tr X = trace
+    when given."""
     labels = np.full((m, m), -1)
     labels[i, j], labels[j, i] = 0, 1
-    return AffineSystem(m, labels, [value, np.conj(value)], list(rows))
+    targets = [value, np.conj(value)]
+    if trace is not None:
+        np.fill_diagonal(labels, 2)
+        targets.append(trace)
+    return AffineSystem(m, labels, targets)
 
 
 def test_project_psd_clips():
@@ -74,16 +82,22 @@ def test_project_affine_entry_pinning():
 
 
 def test_inconsistent_system_raises():
-    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), 0.0),
-                                (np.eye(2, dtype=complex), 1.0)])
+    # a class and its mirror pinned to targets conjugate only within EPS_HERM:
+    # no Hermitian matrix meets both, and the projection leaves half the gap
+    sys = pinned_entry_system(2, 0, 1, 1.0)
+    sys = AffineSystem(2, sys.labels, [1.0, 1.0 + 8e-10])
+    assert abs(project_affine(np.zeros((2, 2), dtype=complex), sys)[1] - 4e-10) < 1e-15
     with pytest.raises(InconsistentSystemError):
-        project_affine(np.zeros((2, 2), dtype=complex), sys)
+        project_affine(np.zeros((2, 2), dtype=complex), sys, eps_affine=1e-10)
 
 
 def test_non_hermitian_constraint_rejected():
-    C = np.array([[0, 1], [0, 0]], dtype=complex)
+    # the sum of a Hermitian matrix over a transpose-closed class is real,
+    # and a class target must be a number
     with pytest.raises(SdpError):
-        AffineSystem(2, rows=[(C, 0.0)])
+        trace_system(2, 1j)
+    with pytest.raises(SdpError):
+        trace_system(2, np.nan)
 
 
 def test_non_hermitian_class_pattern_rejected():
@@ -106,18 +120,17 @@ def _rand_hermitian_poly(g, mode, k, rng):
     return r.adjoint() * r + NCPoly.constant(rand_hermitian(k, rng), g, mode)
 
 
-def _reference_rows(f, d, hankel_sys=None):
+def _reference_rows(f, d):
     """Real-linear constraints on the (Re, Im) coordinates of all m x m
     matrices, written out one by one from the classes of basis pairs with
-    equal products concat(involute(v), w): the Gram class sums, or the Hankel
-    ties, border zeros and the system's dense rows; and X = X^* in every case."""
+    equal products concat(involute(v), w): the class sums, and X = X^*."""
     words = enumerate_words(f.g, d, f.mode)
     classes = {}
     for v, word_v in enumerate(words):
         for w, word_w in enumerate(words):
             classes.setdefault(concat(involute(word_v), word_w), []).append((v, w))
     k, n = f.k, len(words)
-    m = n * k if hankel_sys is None else hankel_sys.m
+    m = n * k
     rows, rhs = [], []
 
     def add(coeffs, value):  # sum of coeffs[(i, j)] * X[i, j] == value, complex
@@ -133,19 +146,7 @@ def _reference_rows(f, d, hankel_sys=None):
     for u, pairs in classes.items():
         for a in range(k):
             for b in range(k):
-                if hankel_sys is None:
-                    add({(v * k + a, w * k + b): 1.0 for v, w in pairs}, f.coeff(u)[a, b])
-                else:
-                    v0, w0 = pairs[0]
-                    for v, w in pairs[1:]:
-                        add({(v * k + a, w * k + b): 1.0, (v0 * k + a, w0 * k + b): -1.0}, 0.0)
-    if hankel_sys is not None:
-        for i in range(m - 1):
-            add({(i, m - 1): 1.0}, 0.0)
-            add({(m - 1, i): 1.0}, 0.0)
-        for C, b in hankel_sys.rows:  # Re Tr(C X) = Re sum C[j, i] X[i, j]
-            add({(i, j): C[j, i] for i in range(m) for j in range(m)}, b)
-            rows.pop(), rhs.pop()  # only the real part is a constraint
+                add({(v * k + a, w * k + b): 1.0 for v, w in pairs}, f.coeff(u)[a, b])
     for i in range(m):
         for j in range(i, m):  # Re X[i, j] = Re X[j, i], Im X[i, j] = -Im X[j, i]
             re, im = np.zeros(2 * m * m), np.zeros(2 * m * m)
@@ -162,14 +163,11 @@ def _reference_rows(f, d, hankel_sys=None):
 @pytest.mark.parametrize("g, k", [(1, 1), (2, 1), (1, 2), (2, 2)])
 @pytest.mark.parametrize("kind", ["gram", "hankel"])
 def test_project_affine_matches_least_squares(mode, g, k, kind):
+    # the dual's system is the Gram system too, built from the layout it holds
     rng = np.random.default_rng([g, k, mode == GROUP])
     f = _rand_hermitian_poly(g, mode, k, rng)
-    if kind == "gram":
-        sys = gram_system(f, 1)
-        A, b = _reference_rows(f, 1)
-    else:
-        sys = hankel_system(f, _hankel_layout(f, 1), 1e-3)
-        A, b = _reference_rows(f, 1, hankel_sys=sys)
+    sys = gram_system(f, 1) if kind == "gram" else hankel_system(f, _hankel_layout(f, 1))
+    A, b = _reference_rows(f, 1)
     m = sys.m
     X = rand_hermitian(m, rng)
     x = np.concatenate([X.real.ravel(), X.imag.ravel()])
@@ -197,7 +195,7 @@ def test_feasible_trace_one():
 def test_feasible_with_entry_constraints():
     # pin an off-diagonal entry and the trace; a feasible psd completion exists
     m = 3
-    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, [(np.eye(m, dtype=complex), 2.0)])
+    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, trace=2.0)
     res = solve_feasibility(sys, max_iter=5000, tol=1e-9)
     assert res.feasible
     X = res.X
@@ -206,18 +204,63 @@ def test_feasible_with_entry_constraints():
 
 
 def test_infeasible_reports_inconclusive():
-    # trace = -1 with psd is impossible
-    sys = trace_system(2, -1.0)
+    # X[1, 1] = 0 and X[0, 1] = 1 with psd is impossible, but no Farkas
+    # certificate exists: a psd H = [[0, a], [a, b]] has a = 0 and pairs to 0
+    # (a weakly infeasible system), so Dykstra ends with neither answer
+    labels = np.array([[-1, 0], [1, 2]])
+    sys = AffineSystem(2, labels, [1.0, 1.0, 0.0])
     res = solve_feasibility(sys, max_iter=300, tol=1e-9)
     assert not res.feasible
-    assert res.X is None
-    assert res.final_gap > 1e-3
+    assert res.X is None and res.certificate is None
+    assert res.final_gap > 1e-9
     assert res.iterations == 300
+
+
+def test_certificate_proves_infeasibility():
+    # trace = -1 with psd is impossible: H = y I with y > 0 pairs to -2y < 0
+    sys = trace_system(2, -1.0)
+    res = solve_feasibility(sys, max_iter=300, tol=1e-9)
+    assert not res.feasible and res.X is None
+    assert res.iterations == 1
+    H = res.certificate
+    assert np.linalg.eigvalsh(H)[0] > 0
+    assert np.abs(sys.nearest(H, linear=True)).max() <= 1e-15  # H lies in range(A*)
+    X0, _ = project_affine(np.zeros((2, 2), dtype=complex), sys)
+    assert res.pairing < 0 and abs(np.trace(H @ X0).real - res.pairing) <= 1e-15
+
+
+def _free_state(f, d):
+    from ncsos.certify import _hankel_layout, free_state
+    return free_state(_hankel_layout(f, d))
+
+
+def test_negative_constant_certifies_at_iteration_one():
+    f = NCPoly.constant(-1.0, 2)
+    for interior in (None, _free_state(f, 0)):
+        res = solve_feasibility(gram_system(f, 0), interior=interior)
+        assert res.certificate is not None and res.iterations == 1
+        assert res.pairing < 0 and np.linalg.eigvalsh(res.certificate)[0] > 0
+
+
+def test_boundary_sos_gets_no_certificate():
+    # every Gram matrix of 2 - u1 - u1^-1 is singular: Dykstra stalls for
+    # 50,000 iterations, and no step of it passes the certificate test
+    f = group_fixture()
+    res = solve_feasibility(gram_system(f, 1), max_iter=50_000, tol=1e-9,
+                            interior=_free_state(f, 1))
+    assert not res.feasible and res.certificate is None and res.iterations == 50_000
+
+
+def test_interior_point_must_be_positive_definite():
+    # the test reads the interior point through its class means: I is zero
+    # on the off-diagonal class and outside range(A*) on the diagonal
+    with pytest.raises(SdpError):
+        solve_feasibility(pinned_entry_system(2, 0, 1, 0.5), interior=np.eye(2, dtype=complex))
 
 
 def test_determinism_bit_identical():
     m = 4
-    sys = pinned_entry_system(m, 1, 2, 0.2, [(np.eye(m, dtype=complex), 1.0)])
+    sys = pinned_entry_system(m, 1, 2, 0.2, trace=1.0)
     r1 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
     r2 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
     assert r1.iterations == r2.iterations
@@ -228,7 +271,7 @@ def test_residuals_eventually_monotone():
     # the pinned system is solved at the first iteration; the Gram system of
     # 2 - u1 - u1^-1 has no strictly feasible point, so its gap keeps moving
     m = 3
-    pinned = pinned_entry_system(m, 0, 2, 0.4 - 0.2j, [(np.eye(m, dtype=complex), 1.5)])
+    pinned = pinned_entry_system(m, 0, 2, 0.4 - 0.2j, trace=1.5)
     u1 = NCPoly.monomial(Word(GROUP, 1, (1,)))
     boundary = gram_system(NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint(), 1)
     slack = 10 * 1e-12
@@ -261,18 +304,11 @@ def test_max_margin_floor_stops_early():
 
 def test_max_margin_interior_stops_at_psd_point():
     m = 3
-    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, [(np.eye(m, dtype=complex), 2.0)])
+    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, trace=2.0)
     res = max_margin(sys)
     assert res.t >= 0
     assert np.linalg.eigvalsh(res.X).min() >= -1e-12
     assert sys.residual(res.X) < 1e-12
-
-
-def test_max_margin_inconsistent_raises():
-    sys = AffineSystem(2, rows=[(np.eye(2, dtype=complex), 0.0),
-                                (np.eye(2, dtype=complex), 1.0)])
-    with pytest.raises(InconsistentSystemError):
-        max_margin(sys)
 
 
 def _projector_null_basis(sys):
@@ -291,12 +327,9 @@ def _basis_cases():
             f = _rand_hermitian_poly(2, mode, k, np.random.default_rng([k, mode == GROUP]))
             cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system(f, 1)
     f = _rand_hermitian_poly(1, GROUP, 2, np.random.default_rng(7))
-    cases["hankel-group-k2"] = lambda: hankel_system(f, _hankel_layout(f, 1), 1e-3)
+    cases["hankel-group-k2"] = lambda: hankel_system(f, _hankel_layout(f, 1))
     cases["trace"] = lambda: trace_system(3, 1.0)
-    cases["pinned-entry"] = lambda: pinned_entry_system(4, 0, 2, 0.3 + 0.1j,
-                                                        [(np.eye(4, dtype=complex), 2.0)])
-    eye = np.eye(3, dtype=complex)
-    cases["redundant-rows"] = lambda: pinned_entry_system(3, 0, 1, 0.3, [(eye, 2.0), (2 * eye, 4.0)])
+    cases["pinned-entry"] = lambda: pinned_entry_system(4, 0, 2, 0.3 + 0.1j, trace=2.0)
     return cases
 
 
