@@ -1,26 +1,26 @@
 """End-to-end decision pipeline: sum-of-squares certificate or GNS witness.
 
 Both sides solve the Gram system {G psd, V* G V = f} with one engine,
-Dykstra (sdp.solve_feasibility).  The primal solves it at the input's
-degree d and factors a psd solution into squares.  Without a solution,
-Dykstra's displacement gives a Farkas certificate: a psd matrix constant
-on the classes of the word-pair table, the Hankel matrix of the paper's
-separating functional, positive on squares and negative on f.  The dual
-solves the system at degree D (d + 1 in monoid mode, d in group mode) and
-GNS turns its certificate into a tuple at which f has a negative
-eigenvalue.  The certificate mixes in the paper's free state (free_state),
-positive definite and constant on the classes, so GNS keeps every
-direction; a witness still rests only on its own gates: the operator
-defect, gns_verify and the eigenvalue of f(Y).  Only the primal falls back
-to the max-margin interior-point solve, when Dykstra ends with neither a
-feasible point nor a certificate (inputs that vanish somewhere, such as
-2 - u1 - u1^-1).  Near the boundary of the cone the answer may be Undecided.
+Dykstra (sdp.solve_feasibility), once per distinct system.  The primal
+solves it at the input's degree d and factors a psd solution into squares.
+Without a solution, Dykstra's displacement gives a Farkas certificate: a
+psd matrix constant on the classes of the word-pair table, the Hankel
+matrix of the paper's separating functional, positive on squares and
+negative on f.  The dual takes the certificate at degree D (d + 1 in monoid
+mode; d in group mode, where the system is the primal's and is not solved
+again) and GNS turns it into a tuple at which f has a negative eigenvalue.
+The certificate mixes in the paper's free state (free_state), positive
+definite and constant on the classes, so GNS keeps every direction; a
+witness still rests only on its own gates: the operator defect, gns_verify
+and the eigenvalue of f(Y).  Only the primal falls back to the max-margin
+interior-point solve, when Dykstra ends with neither a feasible point nor a
+certificate (inputs that vanish somewhere, such as 2 - u1 - u1^-1).  Near
+the boundary of the cone the answer may be Undecided.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .gram import (
     EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
     constraint_index, factor_gram, gram_to_poly,
 )
-from .poly import NCPoly, OperatorTuple, opnorm, poly_eval
+from .poly import NCPoly, OperatorTuple, poly_eval
 from .sdp import (
-    AffineSystem, InconsistentSystemError, max_margin, project_affine,
-    solve_feasibility,
+    AffineSystem, FeasibilityResult, InconsistentSystemError, max_margin,
+    project_affine, solve_feasibility,
 )
 from .words import MONOID, count_words, involute
 
@@ -123,14 +123,15 @@ def _interior_point_polish(sys: AffineSystem) -> np.ndarray | None:
 
 def _miss(p: NCPoly, f: NCPoly) -> float:
     """max_u ||P_u - F_u||, how far p is from f coefficientwise."""
-    return max((opnorm(p.coeff(u) - f.coeff(u)) for u in p.terms.keys() | f.terms.keys()),
-               default=0.0)
+    diffs = [p.coeff(u) - f.coeff(u) for u in p.terms.keys() | f.terms.keys()]
+    return float(np.linalg.norm(diffs, 2, axis=(1, 2)).max()) if diffs else 0.0
 
 
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     """Dykstra on the Gram system, with the free state as its interior point,
     then the interior-point polish if it ends with neither a psd point nor a
-    Farkas certificate.
+    Farkas certificate.  Returns the certificate (or None), the diagnostics
+    and Dykstra's result (None when the constraints are inconsistent).
 
     Every answer passes spotcheck's certificate gate, its psd test before
     factoring, so neither the polish nor a loose tol makes a wrong certificate.
@@ -138,16 +139,16 @@ def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     sys = gram_system(f, d)
     try:
         res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
-                                interior=free_state(_hankel_layout(f, d)))
+                                interior=free_state(f, d))
         stalled = not res.feasible and res.certificate is None
         X = _interior_point_polish(sys) if stalled else res.X
     except InconsistentSystemError as exc:
-        return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
+        return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints"), None
     diag = BranchDiagnostics(res.iterations, res.final_gap)
     if res.certificate is not None:
         diag.note = f"Farkas certificate, pairing {res.pairing:.3e}"
     if X is None:
-        return None, diag
+        return None, diag, res
     if stalled:
         diag.gap, diag.note = 0.0, "interior-point polish"
     G = GramMatrix(f.g, f.mode, d, f.k, X)
@@ -157,50 +158,35 @@ def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
         refusal, cert.residual = _refuse_certificate(f, cert)
     if refusal:
         diag.note = refusal
-        return None, diag
-    return cert, diag
+        return None, diag, res
+    return cert, diag, res
 
 
 # -- dual: Hankel functional search -------------------------------------------
 
 
-@dataclass
-class _HankelLayout:
-    """The degree-D word basis of (g, mode) with k x k blocks."""
-
-    g: int
-    mode: str
-    k: int
-    D: int
-
-    @cached_property
-    def index(self) -> tuple[list, np.ndarray]:
-        """constraint_index(g, D, mode), built on first use: the free state
-        needs only the basis size."""
-        return constraint_index(self.g, self.D, self.mode)
-
-    @property
-    def n(self) -> int:
-        return count_words(self.g, self.D, self.mode)
+def dual_degree(f: NCPoly, d: int) -> int:
+    """The degree D of the dual's system: d + 1 in monoid mode, d in group
+    mode, and at least 1."""
+    return max(d + 1 if f.mode == MONOID else d, 1)
 
 
-def _hankel_layout(f: NCPoly, D: int) -> _HankelLayout:
-    return _HankelLayout(f.g, f.mode, f.k, D)
+def hankel_system(f: NCPoly, index: tuple[list, np.ndarray]) -> AffineSystem:
+    """The dual's system: the Gram system of f over the word-pair table
+    index = constraint_index(g, D, mode).  The Hankel storage of its
+    certificate's functional is the conjugate of the certificate, entry
+    ((v, a), (w, b)) S_{v*w}[b, a] = conj(y_{v*w}[a, b]), so that
+    phi(f) = sum_u Tr(S_u F_u) is the certificate's pairing."""
+    return _pinned_system(f, *index)
 
 
-def hankel_system(f: NCPoly, layout: _HankelLayout) -> AffineSystem:
-    """The dual's system: the Gram system of f at the layout's degree D.  The
-    Hankel storage of its certificate's functional is the conjugate of the
-    certificate, entry ((v, a), (w, b)) S_{v*w}[b, a] = conj(y_{v*w}[a, b]),
-    so that phi(f) = sum_u Tr(S_u F_u) is the certificate's pairing."""
-    return _pinned_system(f, *layout.index)
-
-
-def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunctional:
-    """Read the S_u blocks back off a Hankel storage matrix (entry
-    ((v, alpha), (w, beta)) holds S_{v*w}[beta, alpha]), averaging over each
-    class and enforcing the Hermitian block structure exactly."""
-    products, table = layout.index
+def functional_from_solution(X: np.ndarray, f: NCPoly, D: int,
+                             index: tuple[list, np.ndarray]) -> HankelFunctional:
+    """Read the S_u blocks back off a Hankel storage matrix over the degree-D
+    word-pair table index (entry ((v, alpha), (w, beta)) holds
+    S_{v*w}[beta, alpha]), averaging over each class and enforcing the
+    Hermitian block structure exactly; f gives the alphabet, mode and k."""
+    products, table = index
     sizes = np.bincount(table.ravel())
     # transposing the block sums undoes the in-place transpose of the storage
     means = block_sums(X, table).transpose(0, 2, 1) / sizes[:, None, None]
@@ -210,12 +196,12 @@ def functional_from_solution(X: np.ndarray, layout: _HankelLayout) -> HankelFunc
         avg = (blocks[u] + blocks[ui].conj().T) / 2
         blocks[u] = avg
         blocks[ui] = avg.conj().T
-    return HankelFunctional(g=layout.g, mode=layout.mode, k=layout.k, D=layout.D,
-                            blocks=blocks)
+    return HankelFunctional(g=f.g, mode=f.mode, k=f.k, D=D, blocks=blocks)
 
 
-def free_state(layout: _HankelLayout) -> np.ndarray:
-    """The unit-trace K of the paper's free state on the layout's basis.
+def free_state(f: NCPoly, D: int) -> np.ndarray:
+    """The unit-trace K of the paper's free state on the degree-D basis of
+    f's alphabet and mode, with f's k x k blocks.
 
     Monoid mode: the vacuum state of the semicircular tuple A, so
     H[v, w] = <A^w vacuum, A^v vacuum>, that is H = M^dagger M with the
@@ -226,65 +212,54 @@ def free_state(layout: _HankelLayout) -> np.ndarray:
     of linearly independent vectors (M is unit upper triangular), so K is
     positive definite.
     """
-    if layout.mode == MONOID:
-        M = vacuum_images(FockBasis(layout.g, layout.D, MONOID))
+    if f.mode == MONOID:
+        M = vacuum_images(FockBasis(f.g, D, MONOID))
         H = M.conj().T @ M
     else:
-        H = np.eye(layout.n, dtype=complex)
-    K = np.kron(H, np.eye(layout.k))
+        H = np.eye(count_words(f.g, D, f.mode), dtype=complex)
+    K = np.kron(H, np.eye(f.k))
     return K / np.trace(K).real
 
 
-def _operator_defect(Y: OperatorTuple) -> tuple[str, float]:
-    """What a witness tuple must be (self-adjoint in monoid mode, unitary in
-    group mode) and how far Y is from it."""
-    if Y.mode == MONOID:
-        return "self-adjointness", Y.hermitian_defect()
-    return "unitarity", Y.unitary_defect()
-
-
-def run_dual(f: NCPoly, d: int, opts: CertifyOptions):
-    """One Dykstra solve of the Gram system of f at degree D (d + 1 in monoid
-    mode, d in group mode), with the free state of degree D as its interior
-    point.  Its Farkas certificate Z = H + s K, conjugated and scaled to unit
-    trace, is the Hankel storage of a functional positive definite on squares
-    and negative on f; GNS builds the witness from it, gated on the operator
-    defect, gns_verify and min eig f(Y) <= -EPS_WIT."""
-    D = max(d + 1 if f.mode == MONOID else d, 1)
-    layout = _hankel_layout(f, D)
-    sys = hankel_system(f, layout)
-    try:
-        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
-                                interior=free_state(layout))
-    except InconsistentSystemError as exc:
-        return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
+def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult | None = None):
+    """Dykstra on the Gram system of f at degree D = dual_degree(f, d), with
+    the free state of degree D as its interior point.  In group mode D = d
+    and that is the primal's system, so a primal result handed in is read as
+    it is: the same deterministic solve would only repeat it.  Its Farkas
+    certificate Z = H + s K, conjugated and scaled to unit trace, is the
+    Hankel storage of a functional positive definite on squares and negative
+    on f; GNS builds the witness from it, gated on the operator defect,
+    gns_verify and min eig f(Y) <= -EPS_WIT."""
+    D = dual_degree(f, d)
+    index = constraint_index(f.g, D, f.mode)
+    res = primal if D == d else None
+    if res is None:
+        try:
+            res = solve_feasibility(hankel_system(f, index), max_iter=opts.max_iter,
+                                    tol=opts.tol, interior=free_state(f, D))
+        except InconsistentSystemError as exc:
+            return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
     diag = BranchDiagnostics(res.iterations, res.final_gap)
     if res.certificate is None:
         diag.note = (f"Gram system of degree {D} is feasible" if res.feasible
                      else f"no Farkas certificate at degree {D}")
         return None, None, None, diag
     Z = res.certificate.conj()
-    S = functional_from_solution(Z / np.trace(Z).real, layout)
+    S = functional_from_solution(Z / np.trace(Z).real, f, D, index)
     try:
         model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
     except GnsError as exc:
         diag.note = f"GNS failed: {exc}"
         return None, None, None, diag
-    kind, defect = _operator_defect(model.operators)
-    if defect > OPERATOR_DEFECT_TOL:
-        diag.note = f"GNS operators miss {kind} by {defect:.3e}"
+    refusal, min_eig, fY = _refuse_witness(f, model.operators)
+    if refusal:
+        diag.note = refusal
         return None, None, None, diag
     residual = gns_verify(S, model)
     if residual > GNS_VERIFY_TOL:
         diag.note = f"GNS verification residual {residual:.3e}"
         return None, None, None, diag
     model.gns_residual = residual
-    fY = poly_eval(f, model.operators)
-    fY = (fY + fY.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(fY).min())
-    if min_eig > -EPS_WIT:
-        diag.note = f"witness margin too small (min eig {min_eig:.3e})"
-        return None, None, None, diag
     return model, min_eig, complex(np.vdot(model.gamma, fY @ model.gamma)), diag
 
 
@@ -295,12 +270,12 @@ def certify(f: NCPoly, opts: CertifyOptions | None = None) -> CertifyOutcome:
     opts = opts or CertifyOptions()
     d = infer_degree(f, opts)
 
-    cert, primal_diag = run_primal(f, d, opts)
+    cert, primal_diag, solved = run_primal(f, d, opts)
     if cert is not None:
         return CertifyOutcome("sos", certificate=cert, primal=primal_diag,
                               degree=d)
 
-    model, min_eig, refuted, dual_diag = run_dual(f, d, opts)
+    model, min_eig, refuted, dual_diag = run_dual(f, d, opts, solved)
     if model is not None:
         return CertifyOutcome("witness", model=model, min_eig=min_eig,
                               refuted_value=refuted, primal=primal_diag,
@@ -335,6 +310,28 @@ def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
     return OperatorTuple(mode, mats)
 
 
+def _hermitian_value(f: NCPoly, X: OperatorTuple) -> tuple[np.ndarray, float]:
+    """The Hermitian part of f(X) and its smallest eigenvalue."""
+    fX = poly_eval(f, X)
+    fX = (fX + fX.conj().T) / 2
+    return fX, float(np.linalg.eigvalsh(fX).min())
+
+
+def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray]:
+    """Why Y does not witness that f is not SOS ("" when it does), then the
+    smallest eigenvalue and the Hermitian part of f(Y): Y must be
+    self-adjoint (monoid) or unitary (group) within OPERATOR_DEFECT_TOL, and
+    min eig f(Y) <= -EPS_WIT."""
+    fY, low = _hermitian_value(f, Y)
+    kind, defect = (("self-adjointness", Y.hermitian_defect()) if Y.mode == MONOID
+                    else ("unitarity", Y.unitary_defect()))
+    if defect > OPERATOR_DEFECT_TOL:
+        return f"operators miss {kind} by {defect:.3e}", low, fY
+    if low > -EPS_WIT:
+        return f"witness margin too small (min eig {low:.3e})", low, fY
+    return "", low, fY
+
+
 def _psd_refusal(G: GramMatrix) -> str:
     low = float(np.linalg.eigvalsh((G.matrix + G.matrix.conj().T) / 2).min())
     return f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
@@ -363,27 +360,19 @@ def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
     SOS: the certificate's Gram matrix must be psd, it and its factors must
     reconstruct the input, and the input must be psd at random self-adjoint
     (or unitary) tuples.  Witness: the stored tuple must be self-adjoint
-    (monoid) or unitary (group) within OPERATOR_DEFECT_TOL and exhibit a
-    negative eigenvalue.  Any other outcome has nothing to check and raises
-    CertifyError.
+    (monoid) or unitary (group) within OPERATOR_DEFECT_TOL and put an
+    eigenvalue at or below -EPS_WIT into f(Y).  Any other outcome has
+    nothing to check and raises CertifyError.
     """
     if outcome.kind not in ("sos", "witness"):
         raise CertifyError(f"no decided outcome to spot check (kind {outcome.kind!r})")
     if outcome.kind == "witness":
-        Y = outcome.model.operators
-        fY = poly_eval(f, Y)
-        fY = (fY + fY.conj().T) / 2
-        low = float(np.linalg.eigvalsh(fY).min())
-        kind, defect = _operator_defect(Y)
-        note = f"operators miss {kind} by {defect:.3e}" if defect > OPERATOR_DEFECT_TOL else ""
-        return SpotcheckReport("witness", 1, low, -EPS_WIT, low <= -EPS_WIT and not note, note)
+        note, low, _ = _refuse_witness(f, outcome.model.operators)
+        return SpotcheckReport("witness", 1, low, -EPS_WIT, not note, note)
     note, _ = _refuse_certificate(f, outcome.certificate)
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
-        X = _random_tuple(f.g, f.mode, n, rng)
-        fX = poly_eval(f, X)
-        fX = (fX + fX.conj().T) / 2
-        worst = min(worst, float(np.linalg.eigvalsh(fX).min()))
+        worst = min(worst, _hermitian_value(f, _random_tuple(f.g, f.mode, n, rng))[1])
     return SpotcheckReport("sos", trials, worst, -EPS_PSD, worst >= -EPS_PSD and not note, note)

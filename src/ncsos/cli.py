@@ -239,7 +239,7 @@ def _emit_undecided(f: NCPoly, d: int, diag: BranchDiagnostics, out_path: str | 
 
 def _cmd_decompose(args, opts: CertifyOptions) -> int:
     f, d = _decision_input(args, opts)
-    cert, diag = run_primal(f, d, opts)
+    cert, diag, _ = run_primal(f, d, opts)
     if cert is None:
         return _emit_undecided(f, d, diag, args.out)
     _emit(_decision("sos", f, d, certificate=_sos_json(cert)), args.out)

@@ -105,14 +105,13 @@ def vacuum_images(basis: FockBasis) -> np.ndarray:
     return cols
 
 
-def build_extraction(basis: FockBasis, check_tol: float = 1e-12) -> ExtractionMatrix:
+def build_extraction(basis: FockBasis) -> ExtractionMatrix:
     if basis.mode != MONOID:
         raise FockError("extraction is a monoid-mode construction")
     if basis.degree < 1:
         raise FockError("extraction needs truncation degree >= 1")
     M = vacuum_images(basis)
-    lower = np.tril(M, -1)
-    if np.abs(lower).max() > check_tol or np.abs(np.diag(M) - 1.0).max() > check_tol:
+    if max(np.abs(np.tril(M, -1)).max(), np.abs(np.diag(M) - 1.0).max()) > 1e-12:
         raise FockError("extraction matrix is not unit upper triangular; ordering bug")
     Minv = np.linalg.inv(M)
     lam = float(np.abs(Minv).sum(axis=1).max())

@@ -97,13 +97,13 @@ class HankelFunctional:
             worst = max(worst, opnorm(other - S.conj().T))
         return worst
 
-    def validate(self, eps_psd: float = EPS_PSD):
+    def validate(self):
         defect = self.structure_defect()
         if defect > 1e-9:
             raise GnsError(f"Hermitian block structure violated (defect {defect:.3e})")
         K = quotient_matrix(self, self.D)
         lo = float(np.linalg.eigvalsh(K).min())
-        if lo < -eps_psd:
+        if lo < -EPS_PSD:
             raise GnsError(f"assembled functional is not psd (min eigenvalue {lo:.3e})")
 
 
@@ -158,7 +158,6 @@ class WitnessModel:
     gamma: np.ndarray
     functional: HankelFunctional
     frames: np.ndarray      # dim x (N(D) k); column block w holds the map for word w
-    fit_residual: float
     gns_residual: float | None = None  # gns_verify value, set by the caller that gates on it
 
     def frame(self, word_index: int) -> np.ndarray:
@@ -171,12 +170,12 @@ class WitnessModel:
         return self.operators.unitary_defect()
 
 
-def _quotient_frames(S: HankelFunctional, eps_psd: float):
+def _quotient_frames(S: HankelFunctional):
     """Eigenfactor the quotient matrix: columns of the returned W give the
     images of the canonical basis tuples in the quotient space C^rank."""
     K = quotient_matrix(S, S.D)
     evals, evecs = np.linalg.eigh(K)
-    if evals.min() < -eps_psd:
+    if evals.min() < -EPS_PSD:
         raise GnsError(f"functional is not psd (min eigenvalue {evals.min():.3e})")
     top = float(evals.max(initial=0.0))
     if top <= 0.0:
@@ -186,18 +185,18 @@ def _quotient_frames(S: HankelFunctional, eps_psd: float):
     return W  # rank x (N(D) k)
 
 
-def _span_basis(cols: np.ndarray, rtol: float = SPAN_RTOL) -> np.ndarray:
+def _span_basis(cols: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the column span (SVD): the left
-    singular vectors whose singular values exceed rtol times the largest."""
+    singular vectors whose singular values exceed SPAN_RTOL times the largest."""
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
-    return U[:, s > rtol * s[0]]
+    return U[:, s > SPAN_RTOL * s[0]]
 
 
-def gns_construct(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel:
+def gns_construct(S: HankelFunctional) -> WitnessModel:
     """Monoid-mode model from a functional with D = d + 1.
 
     The quotient space is cut down to the span of tuples supported in degree
@@ -214,7 +213,7 @@ def gns_construct(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel
     idx = {w: i for i, w in enumerate(words)}
     n_low = count_words(S.g, d, MONOID)
 
-    W = _quotient_frames(S, eps_psd)
+    W = _quotient_frames(S)
     low_cols = W[:, :n_low * k]       # graded order puts degree <= d first
     B = _span_basis(low_cols)
     e = B.shape[1]
@@ -242,8 +241,7 @@ def gns_construct(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel
     gamma = vec(frames[:, 0:k])
     operators = OperatorTuple(MONOID, ys)
     return WitnessModel(mode=MONOID, k=k, d=d, dim=e, operators=operators,
-                        gamma=gamma, functional=S, frames=frames,
-                        fit_residual=fit_residual)
+                        gamma=gamma, functional=S, frames=frames)
 
 
 def _fit_action(C: np.ndarray, T: np.ndarray):
@@ -254,7 +252,7 @@ def _fit_action(C: np.ndarray, T: np.ndarray):
     return Y, res
 
 
-def gns_construct_unitary(S: HankelFunctional, eps_psd: float = EPS_PSD) -> WitnessModel:
+def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
     """Group-mode model from a functional with D = d: a 2g-tuple of unitaries.
 
     The shift by a letter y is isometric between the subspaces spanned by
@@ -274,7 +272,7 @@ def gns_construct_unitary(S: HankelFunctional, eps_psd: float = EPS_PSD) -> Witn
     idx = {w: i for i, w in enumerate(words)}
     cols = np.arange(len(words) * k).reshape(len(words), k)  # frame columns of each word
 
-    frames = _quotient_frames(S, eps_psd)  # the whole quotient space is the model space
+    frames = _quotient_frames(S)  # the whole quotient space is the model space
 
     def unitary_for(y: int) -> np.ndarray:
         # generators of the domain and codomain of the letter-y shift
@@ -301,8 +299,7 @@ def gns_construct_unitary(S: HankelFunctional, eps_psd: float = EPS_PSD) -> Witn
 
     gamma = vec(frames[:, 0:k])
     return WitnessModel(mode=GROUP, k=k, d=d, dim=frames.shape[0], operators=operators,
-                        gamma=gamma, functional=S, frames=frames,
-                        fit_residual=0.0)
+                        gamma=gamma, functional=S, frames=frames)
 
 
 def _word_images(model: WitnessModel, words: list) -> np.ndarray:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsos.certify import (
-    CertifyError, CertifyOptions, CertifyOutcome, certify, free_state, gram_system,
-    functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
-    _hankel_layout, _interior_point_polish,
+    CertifyError, CertifyOptions, CertifyOutcome, certify, dual_degree, free_state,
+    gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
+    _interior_point_polish,
 )
-from ncsos.gram import GramMatrix, gram_to_poly
+from ncsos.gram import GramMatrix, constraint_index, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
@@ -47,7 +47,7 @@ def test_gram_system_sum_of_squares_unique_solution():
 
 
 def test_primal_inconclusive_on_anticommutator():
-    cert, diag = run_primal(anticommutator(), 1, FAST)
+    cert, diag, _ = run_primal(anticommutator(), 1, FAST)
     assert cert is None
 
 
@@ -63,7 +63,7 @@ def test_loose_tolerance_refuses_the_point_instead_of_crashing():
     # at tol=1e-4 Dykstra stops at a Gram point with min eig about -7e-5,
     # which the certificate gate refuses as not psd (factor_gram raised here)
     f = interior_sos_input(0, 1, MONOID, 3, 2)
-    cert, diag = run_primal(f, 3, CertifyOptions(tol=1e-4))
+    cert, diag, _ = run_primal(f, 3, CertifyOptions(tol=1e-4))
     assert cert is None
     assert diag.note.startswith("Gram matrix is not psd (min eigenvalue -")
     assert certify(f, CertifyOptions(tol=1e-4)).kind != "witness"
@@ -146,8 +146,8 @@ def test_interior_point_polish_bit_identical():
 
 def test_dual_layout_degree_bump():
     f = anticommutator()
-    assert _hankel_layout(f, 2).D == 2  # monoid searches at d + 1
-    assert _hankel_layout(group_fixture(), 1).D == 1
+    assert dual_degree(f, 1) == 2  # monoid searches at d + 1
+    assert dual_degree(group_fixture(), 1) == 1
 
 
 def _pair_classes(g, d, mode):
@@ -178,7 +178,7 @@ def test_block_readouts_match_per_pair_loop(mode, k):
     assert set(p.terms) == set(coeffs)
     assert all(p.terms[u].tobytes() == c.tobytes() for u, c in coeffs.items())
 
-    S = functional_from_solution(X, _hankel_layout(NCPoly.zero(g, mode, k), d))
+    S = functional_from_solution(X, NCPoly.zero(g, mode, k), d, constraint_index(g, d, mode))
     blocks = {}
     for u, pairs in classes.items():
         acc = np.zeros((k, k), dtype=complex)
@@ -272,15 +272,16 @@ def test_exclusivity_on_decided_instances():
     assert model is None
 
     f_wit = anticommutator()
-    cert, diag = run_primal(f_wit, 1, FAST)
+    cert, diag, _ = run_primal(f_wit, 1, FAST)
     assert cert is None
 
 
 @pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
                          ids=["x1^2+x2^2", "2-u1-u1^-1"])
 def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
-    # these inputs vanish somewhere, so at delta = 1e-8 the best Hankel
-    # margin is about -delta/3: the psd gate must refuse it before GNS
+    # these inputs vanish somewhere, so the dual's Gram system has a psd
+    # point or Dykstra stalls on it: either way there is no Farkas
+    # certificate, and no functional reaches GNS
     module = importlib.import_module("ncsos.certify")  # ncsos.certify is the function
     calls = []
     for name in ("gns_construct", "gns_construct_unitary"):
@@ -295,7 +296,7 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
 @pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
                          ids=["x1^2+x2^2", "2-u1-u1^-1"])
 def test_dual_never_calls_max_margin(f, monkeypatch):
-    # every Hankel rung is strictly feasible or has no psd point: Dykstra alone decides
+    # the dual solves its one system with Dykstra alone; only the primal polishes
     module = importlib.import_module("ncsos.certify")
     calls = []
     monkeypatch.setattr(module, "max_margin",
@@ -347,7 +348,8 @@ def group_witness_input(seed, g, d, k, n=3, margin=0.5):
                          + [group_witness_input(1, 1, 2, 2)],
                          ids=[f"monoid-{seed}" for seed in range(1, 31)] + ["group-1"])
 def test_dual_decides_at_the_first_rung(f, monkeypatch):
-    # with the free state mixed in, the first feasible Hankel point is a witness
+    # with the free state mixed in, the Farkas certificate of the one
+    # degree-D system the dual builds is a witness functional
     module = importlib.import_module("ncsos.certify")
     calls = []
     monkeypatch.setattr(module, "hankel_system",
@@ -358,6 +360,21 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     defect = (model.selfadjointness_defect() if f.mode == MONOID
               else model.unitarity_defect())
     assert defect <= 1e-8 and min_eig <= -1e-6
+
+
+@pytest.mark.parametrize("f, degrees", [(group_witness_input(1, 1, 2, 2), [2]),
+                                         (monoid_witness_input(1, 1, 2, 2), [2, 3])],
+                         ids=["group", "monoid"])
+def test_certify_solves_each_distinct_system_once(f, degrees, monkeypatch):
+    # in group mode the dual's system is the primal's, so the dual reads the
+    # primal's certificate; in monoid mode it solves its own at degree d + 1
+    module = importlib.import_module("ncsos.certify")
+    sizes = []
+    monkeypatch.setattr(module, "solve_feasibility",
+                        lambda sys, _f=module.solve_feasibility, **kw: sizes.append(sys.m) or _f(sys, **kw))
+    out = certify(f, CertifyOptions())
+    assert out.kind == "witness"
+    assert sizes == [count_words(f.g, D, f.mode) * f.k for D in degrees]
 
 
 # -- the Farkas certificate ------------------------------------------------------
@@ -383,7 +400,7 @@ def _gram_poly(seed, g, mode, k, d=1):
 
 
 def _primal_solve(f, d=1):
-    return solve_feasibility(gram_system(f, d), interior=free_state(_hankel_layout(f, d)))
+    return solve_feasibility(gram_system(f, d), interior=free_state(f, d))
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,16 +434,16 @@ FREE_POINTS = [(mode, g, D, k) for mode in (MONOID, GROUP) for g in (1, 2, 3)
 @pytest.mark.parametrize("mode, g, D, k", FREE_POINTS,
                          ids=[f"{mode}-g{g}-D{D}-k{k}" for mode, g, D, k in FREE_POINTS])
 def test_free_state_is_a_positive_definite_state(mode, g, D, k):
-    layout = _hankel_layout(NCPoly.zero(g, mode, k), D)
-    K = free_state(layout)
-    assert K.shape == (layout.n * k, layout.n * k)
+    K = free_state(NCPoly.zero(g, mode, k), D)
+    n = count_words(g, D, mode)
+    assert K.shape == (n * k, n * k)
     assert abs(np.trace(K) - 1) <= 1e-12
     assert np.linalg.eigvalsh(K)[0] > 0
 
 
 def test_free_state_monoid_g1_has_semicircle_moments():
     # phi(x^j) is the Catalan number C_{j/2} for even j, and 0 for odd j
-    K = free_state(_hankel_layout(NCPoly.zero(1, MONOID, 1), 3))
+    K = free_state(NCPoly.zero(1, MONOID, 1), 3)
     moments = np.array([1, 0, 1, 0, 2, 0, 5])
     lengths = np.arange(4)  # the basis words are 1, x, x^2, x^3
     assert np.allclose(K / K[0, 0], moments[lengths[:, None] + lengths[None, :]], atol=1e-14)
@@ -434,9 +451,8 @@ def test_free_state_monoid_g1_has_semicircle_moments():
 
 @pytest.mark.parametrize("g, D, k", [(1, 2, 2), (2, 1, 1), (3, 2, 2)])
 def test_free_state_group_is_the_normalized_trace(g, D, k):
-    layout = _hankel_layout(NCPoly.zero(g, GROUP, k), D)
-    nk = layout.n * k
-    assert np.array_equal(free_state(layout), np.eye(nk) / nk)
+    nk = count_words(g, D, GROUP) * k
+    assert np.array_equal(free_state(NCPoly.zero(g, GROUP, k), D), np.eye(nk) / nk)
 
 
 # -- guards ----------------------------------------------------------------------

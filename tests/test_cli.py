@@ -13,6 +13,8 @@ from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, 
 from ncsos.poly import NCPoly, matrix_to_json, poly_from_json, poly_to_json
 from ncsos.words import GROUP, MONOID, Word
 
+from test_certify import group_witness_input
+
 
 def x(i, g=2):
     return NCPoly.monomial(Word(MONOID, g, (i,)))
@@ -429,3 +431,17 @@ def test_witness_file_matches_list_payload(tmp_path, capsys, f):
     payload = {"outcome": "witness", "degree": 1, "input_sha256": _input_hash(f),
                "witness": _as_lists(_witness_json(outcome))}
     assert out.read_text() == jsonio.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("f", [u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP),
+                               group_witness_input(1, 1, 2, 2)], ids=["g1-k1", "g1-d2-k2"])
+def test_certify_and_witness_write_the_same_group_witness(tmp_path, capsys, f):
+    # certify reads the group-mode dual off the primal's solve, witness solves
+    # the same system alone: the evidence must not differ by a byte
+    path = write_poly(tmp_path / "p.json", f)
+    witnesses = []
+    for command in ("certify", "witness"):
+        code, out, _ = run(capsys, command, path)
+        assert code == EX_WITNESS
+        witnesses.append(out[out.index('"witness":'):])  # the last key of the sorted payload
+    assert witnesses[0] == witnesses[1]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ncsos.certify import _hankel_layout, gram_system, hankel_system
+from ncsos.certify import free_state, gram_system, hankel_system
+from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
     AffineSystem, InconsistentSystemError, SdpError, _hunvec, _hvec, _null_basis,
@@ -163,10 +164,10 @@ def _reference_rows(f, d):
 @pytest.mark.parametrize("g, k", [(1, 1), (2, 1), (1, 2), (2, 2)])
 @pytest.mark.parametrize("kind", ["gram", "hankel"])
 def test_project_affine_matches_least_squares(mode, g, k, kind):
-    # the dual's system is the Gram system too, built from the layout it holds
+    # the dual's system is the Gram system too, built from the word-pair table it holds
     rng = np.random.default_rng([g, k, mode == GROUP])
     f = _rand_hermitian_poly(g, mode, k, rng)
-    sys = gram_system(f, 1) if kind == "gram" else hankel_system(f, _hankel_layout(f, 1))
+    sys = gram_system(f, 1) if kind == "gram" else hankel_system(f, constraint_index(g, 1, mode))
     A, b = _reference_rows(f, 1)
     m = sys.m
     X = rand_hermitian(m, rng)
@@ -229,14 +230,9 @@ def test_certificate_proves_infeasibility():
     assert res.pairing < 0 and abs(np.trace(H @ X0).real - res.pairing) <= 1e-15
 
 
-def _free_state(f, d):
-    from ncsos.certify import _hankel_layout, free_state
-    return free_state(_hankel_layout(f, d))
-
-
 def test_negative_constant_certifies_at_iteration_one():
     f = NCPoly.constant(-1.0, 2)
-    for interior in (None, _free_state(f, 0)):
+    for interior in (None, free_state(f, 0)):
         res = solve_feasibility(gram_system(f, 0), interior=interior)
         assert res.certificate is not None and res.iterations == 1
         assert res.pairing < 0 and np.linalg.eigvalsh(res.certificate)[0] > 0
@@ -247,7 +243,7 @@ def test_boundary_sos_gets_no_certificate():
     # 50,000 iterations, and no step of it passes the certificate test
     f = group_fixture()
     res = solve_feasibility(gram_system(f, 1), max_iter=50_000, tol=1e-9,
-                            interior=_free_state(f, 1))
+                            interior=free_state(f, 1))
     assert not res.feasible and res.certificate is None and res.iterations == 50_000
 
 
@@ -327,7 +323,7 @@ def _basis_cases():
             f = _rand_hermitian_poly(2, mode, k, np.random.default_rng([k, mode == GROUP]))
             cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system(f, 1)
     f = _rand_hermitian_poly(1, GROUP, 2, np.random.default_rng(7))
-    cases["hankel-group-k2"] = lambda: hankel_system(f, _hankel_layout(f, 1))
+    cases["hankel-group-k2"] = lambda: hankel_system(f, constraint_index(f.g, 1, f.mode))
     cases["trace"] = lambda: trace_system(3, 1.0)
     cases["pinned-entry"] = lambda: pinned_entry_system(4, 0, 2, 0.3 + 0.1j, trace=2.0)
     return cases
