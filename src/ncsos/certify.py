@@ -152,10 +152,10 @@ def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     if stalled:
         diag.gap, diag.note = 0.0, "interior-point polish"
     G = GramMatrix(f.g, f.mode, d, f.k, X)
-    refusal = _psd_refusal(G)
+    refusal, _ = _psd_refusal(G)
     if not refusal:
         cert = factor_gram(G)
-        refusal, cert.residual = _refuse_certificate(f, cert)
+        refusal, cert.residual, _ = _refuse_certificate(f, cert)
     if refusal:
         diag.note = refusal
         return None, diag, res
@@ -291,30 +291,10 @@ def certify(f: NCPoly, opts: CertifyOptions | None = None) -> CertifyOutcome:
 @dataclass
 class SpotcheckReport:
     kind: str
-    trials: int
     min_eig: float
     threshold: float
     ok: bool
     note: str = ""  # why the stored evidence is refused, if it is
-
-
-def _random_tuple(g: int, mode: str, n: int, rng) -> OperatorTuple:
-    mats = []
-    for _ in range(g):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if mode == MONOID:
-            mats.append((M + M.conj().T) / 2)
-        else:
-            Q, R = np.linalg.qr(M)
-            mats.append(Q * (np.diag(R) / np.abs(np.diag(R))))
-    return OperatorTuple(mode, mats)
-
-
-def _hermitian_value(f: NCPoly, X: OperatorTuple) -> tuple[np.ndarray, float]:
-    """The Hermitian part of f(X) and its smallest eigenvalue."""
-    fX = poly_eval(f, X)
-    fX = (fX + fX.conj().T) / 2
-    return fX, float(np.linalg.eigvalsh(fX).min())
 
 
 def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray]:
@@ -322,7 +302,9 @@ def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray
     smallest eigenvalue and the Hermitian part of f(Y): Y must be
     self-adjoint (monoid) or unitary (group) within OPERATOR_DEFECT_TOL, and
     min eig f(Y) <= -EPS_WIT."""
-    fY, low = _hermitian_value(f, Y)
+    fY = poly_eval(f, Y)
+    fY = (fY + fY.conj().T) / 2
+    low = float(np.linalg.eigvalsh(fY).min())
     kind, defect = (("self-adjointness", Y.hermitian_defect()) if Y.mode == MONOID
                     else ("unitarity", Y.unitary_defect()))
     if defect > OPERATOR_DEFECT_TOL:
@@ -332,47 +314,46 @@ def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray
     return "", low, fY
 
 
-def _psd_refusal(G: GramMatrix) -> str:
+def _psd_refusal(G: GramMatrix) -> tuple[str, float]:
+    """Why G is not psd within EPS_PSD ("" when it is), and the smallest
+    eigenvalue of its Hermitian part."""
     low = float(np.linalg.eigvalsh((G.matrix + G.matrix.conj().T) / 2).min())
-    return f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
+    return (f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""), low
 
 
-def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float]:
-    """Why cert does not prove f SOS ("" when it does), and the larger of the
-    two coefficient misses it measured: G must be psd within EPS_PSD, and
-    both V* G V and the sum of r* r must reconstruct f within EPS_CERT."""
+def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float, float]:
+    """Why cert does not prove f SOS ("" when it does), the larger of the two
+    coefficient misses it measured, and the smallest eigenvalue of the Gram
+    matrix's Hermitian part: G must be psd within EPS_PSD, and both V* G V
+    and the sum of r* r must reconstruct f within EPS_CERT."""
     if cert is None:
         raise CertifyError("sos outcome carries no certificate to check")
-    note = _psd_refusal(cert.gram)
+    note, low = _psd_refusal(cert.gram)
     worst = 0.0
     for name, p in (("Gram matrix", gram_to_poly(cert.gram)), ("factors", cert.reconstruction())):
         miss = _miss(p, f)
         if miss > EPS_CERT and not note:
             note = f"{name} miss the input by {miss:.3e}"
         worst = max(worst, miss)
-    return note, worst
+    return note, worst, low
 
 
-def spotcheck(f: NCPoly, outcome: CertifyOutcome, trials: int = 200,
-              n_max: int = 5, seed: int = 1729) -> SpotcheckReport:
-    """Check the stored evidence of a decision, and sample the input.
+def spotcheck(f: NCPoly, outcome: CertifyOutcome) -> SpotcheckReport:
+    """Check the stored evidence of a decision.
 
-    SOS: the certificate's Gram matrix must be psd, it and its factors must
-    reconstruct the input, and the input must be psd at random self-adjoint
-    (or unitary) tuples.  Witness: the stored tuple must be self-adjoint
-    (monoid) or unitary (group) within OPERATOR_DEFECT_TOL and put an
-    eigenvalue at or below -EPS_WIT into f(Y).  Any other outcome has
-    nothing to check and raises CertifyError.
+    SOS: the certificate gate of certify and decompose, _refuse_certificate:
+    the Gram matrix must be psd within EPS_PSD, and it and its factors must
+    reconstruct the input within EPS_CERT.  min_eig is the smallest
+    eigenvalue of the Gram matrix's Hermitian part.  Witness: the stored
+    tuple must be self-adjoint (monoid) or unitary (group) within
+    OPERATOR_DEFECT_TOL and put an eigenvalue at or below -EPS_WIT into
+    f(Y).  Either way ok holds exactly when the gate passes.  Any other
+    outcome has nothing to check and raises CertifyError.
     """
     if outcome.kind not in ("sos", "witness"):
         raise CertifyError(f"no decided outcome to spot check (kind {outcome.kind!r})")
     if outcome.kind == "witness":
         note, low, _ = _refuse_witness(f, outcome.model.operators)
-        return SpotcheckReport("witness", 1, low, -EPS_WIT, not note, note)
-    note, _ = _refuse_certificate(f, outcome.certificate)
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        worst = min(worst, _hermitian_value(f, _random_tuple(f.g, f.mode, n, rng))[1])
-    return SpotcheckReport("sos", trials, worst, -EPS_PSD, worst >= -EPS_PSD and not note, note)
+        return SpotcheckReport("witness", low, -EPS_WIT, not note, note)
+    note, _, low = _refuse_certificate(f, outcome.certificate)
+    return SpotcheckReport("sos", low, -EPS_PSD, not note, note)

@@ -10,6 +10,7 @@ progress notes go to stderr.  Exit codes: 0 = sos, 1 = witness,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from types import SimpleNamespace
@@ -97,9 +98,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("spotcheck")
     sp.add_argument("input")
     sp.add_argument("certificate")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--n-max", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=1729)
     sp.add_argument("--out", default=None)
     return p
 
@@ -113,7 +111,6 @@ def _read_json(path: str):
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
-    import json
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -310,8 +307,6 @@ def _cmd_fock_dump(args) -> int:
 
 
 def _cmd_spotcheck(args) -> int:
-    if args.trials < 1 or args.n_max < 1:
-        raise UsageError("--trials and --n-max must be at least 1")
     f = _load_poly(args.input)
     cert = _read_json(args.certificate)
     if not isinstance(cert, dict):
@@ -341,11 +336,11 @@ def _cmd_spotcheck(args) -> int:
     else:
         raise DataError(f"{args.certificate}: no decided outcome to spot check")
     try:
-        rep = spotcheck(f, outcome, trials=args.trials, n_max=args.n_max, seed=args.seed)
+        rep = spotcheck(f, outcome)
     except PolyError as exc:  # the stored tuple or factors do not fit the input
         raise DataError(f"{args.certificate}: {exc}")
-    _emit({"kind": rep.kind, "trials": rep.trials, "min_eig": rep.min_eig,
-           "threshold": rep.threshold, "ok": rep.ok, "note": rep.note}, args.out)
+    _emit({"kind": rep.kind, "min_eig": rep.min_eig, "threshold": rep.threshold,
+           "ok": rep.ok, "note": rep.note}, args.out)
     return 0 if rep.ok else 1
 
 

@@ -81,10 +81,6 @@ class ExtractionMatrix:
     inverse: np.ndarray
     row_sum_bound: float  # max absolute row sum of the inverse
 
-    @property
-    def degree(self) -> int:
-        return self.basis.degree
-
 
 def vacuum_images(basis: FockBasis) -> np.ndarray:
     """The n x n matrix whose column j is A^w vacuum for the j-th basis word w.
@@ -135,11 +131,6 @@ def extract_coeffs(E: np.ndarray, basis: FockBasis, k: int,
     Q = np.einsum("wv,vab->wab", ext.inverse, Z)
     terms = {w: Q[j] for j, w in enumerate(basis.words)}
     return NCPoly(basis.g, MONOID, k, terms)
-
-
-def coefficient_bound(extraction: ExtractionMatrix) -> float:
-    """lambda_l with ||Q_w|| <= lambda_l * ||q(A)|| for every coefficient."""
-    return extraction.row_sum_bound
 
 
 def gram_bound_constant(g: int, d: int) -> float:

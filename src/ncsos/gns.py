@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import EPS_PSD, constraint_index
-from .poly import NCPoly, OperatorTuple, opnorm
+from .poly import NCPoly, OperatorTuple, opnorm, word_eval
 from .words import GROUP, MONOID, Word, concat, count_words, enumerate_words, involute
 
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
@@ -360,7 +360,6 @@ def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
     pins S_u = (frame^dagger X^u frame)^T; the transposed-block assembly is
     then a Gram matrix, hence psd.
     """
-    from .poly import word_eval
     frame = np.atleast_2d(np.asarray(frame, dtype=complex))
     k = frame.shape[1]
     blocks = {}

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .words import MONOID, MODES, Word, concat, graded_key, identity, involute
+from .words import (
+    MONOID, MODES, Word, concat, format_word, graded_key, identity, involute, parse_word,
+)
 
 COEFF_DROP_TOL = 1e-14
 EPS_HERM = 1e-9
@@ -144,7 +146,6 @@ class NCPoly:
         return self.terms.get(w, np.zeros((self.k, self.k), dtype=complex))
 
     def __repr__(self):
-        from .words import format_word
         if not self.terms:
             return "NCPoly(0)"
         keys = sorted(self.terms, key=lambda w: (len(w), w.letters))
@@ -267,7 +268,6 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def poly_to_json(p: NCPoly) -> dict:
-    from .words import format_word
     return {
         "g": p.g,
         "mode": p.mode,
@@ -280,7 +280,6 @@ def poly_to_json(p: NCPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> NCPoly:
-    from .words import parse_word
     if not isinstance(data, dict):
         raise PolyError("bad polynomial JSON: not an object")
     try:

@@ -71,10 +71,6 @@ def identity(g: int, mode: str = MONOID) -> Word:
     return Word(mode, g, ())
 
 
-def letter(i: int, g: int, mode: str = MONOID) -> Word:
-    return Word(mode, g, (i,))
-
-
 def concat(w: Word, v: Word) -> Word:
     """Monoid: juxtaposition.  Group: juxtaposition followed by reduction."""
     if w.mode != v.mode or w.g != v.g:

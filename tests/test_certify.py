@@ -9,7 +9,7 @@ from ncsos.certify import (
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
     _interior_point_polish,
 )
-from ncsos.gram import GramMatrix, constraint_index, gram_to_poly
+from ncsos.gram import EPS_PSD, GramMatrix, constraint_index, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
@@ -79,7 +79,22 @@ def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
     monkeypatch.setattr(NCPoly, "__mul__", refuse)
     out = certify(f, FAST)
     assert out.kind == "sos" and out.certificate.residual <= 1e-7
-    rep = spotcheck(f, out, trials=5)
+    rep = spotcheck(f, out)
+    assert rep.ok, rep.note
+
+
+@pytest.mark.parametrize("f", [interior_sos_input(1, 2, MONOID, 1, 2), interior_sos_input(2, 1, GROUP, 2, 1),
+                               group_fixture()], ids=["monoid", "group", "group-boundary"])
+def test_spotcheck_sos_runs_no_poly_eval(f, monkeypatch):
+    # an sos answer is proved by its Gram matrix and its squares; f is evaluated nowhere
+    out = certify(f, FAST)
+    assert out.kind == "sos"
+
+    def refuse(*args):
+        raise AssertionError("poly_eval in the sos spot check")
+
+    monkeypatch.setattr(importlib.import_module("ncsos.certify"), "poly_eval", refuse)
+    rep = spotcheck(f, out)
     assert rep.ok, rep.note
 
 
@@ -476,15 +491,17 @@ def test_degree_override_guard():
 def test_spotcheck_sos():
     f = (x(1) + x(2)).adjoint() * (x(1) + x(2))
     out = certify(f, FAST)
-    rep = spotcheck(f, out, trials=200, n_max=5, seed=7)
+    rep = spotcheck(f, out)
     assert rep.ok
-    assert rep.min_eig >= -1e-9
+    G = out.certificate.gram.matrix
+    assert rep.min_eig == float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    assert rep.threshold == -EPS_PSD
 
 
 def test_spotcheck_witness():
     f = anticommutator()
     out = certify(f, FAST)
-    rep = spotcheck(f, out, trials=10, n_max=3, seed=7)
+    rep = spotcheck(f, out)
     assert rep.ok
     assert rep.min_eig <= -1e-6
 
@@ -492,18 +509,18 @@ def test_spotcheck_witness():
 def test_spotcheck_zero():
     f = NCPoly.zero(2, MONOID, 1)
     out = certify(f, FAST)
-    rep = spotcheck(f, out, trials=50, n_max=4, seed=7)
+    rep = spotcheck(f, out)
     assert abs(rep.min_eig) <= 1e-12
 
 
 def test_spotcheck_refuses_undecided():
     with pytest.raises(CertifyError):
-        spotcheck(anticommutator(), CertifyOutcome("undecided"), trials=10)
+        spotcheck(anticommutator(), CertifyOutcome("undecided"))
 
 
 def test_spotcheck_group_sos():
     f = group_fixture()
     out = certify(f, FAST)
     assert out.kind == "sos"
-    rep = spotcheck(f, out, trials=100, n_max=4, seed=11)
+    rep = spotcheck(f, out)
     assert rep.ok and rep.min_eig >= -1e-9

@@ -10,7 +10,7 @@ import pytest
 import ncsos
 from ncsos import jsonio
 from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
-from ncsos.poly import NCPoly, matrix_to_json, poly_from_json, poly_to_json
+from ncsos.poly import NCPoly, matrix_from_json, matrix_to_json, poly_from_json, poly_to_json
 from ncsos.words import GROUP, MONOID, Word
 
 from test_certify import group_witness_input
@@ -167,17 +167,19 @@ def test_spotcheck_cli(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     cert = tmp_path / "cert.json"
     run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
-    code, out, _ = run(capsys, "spotcheck", path, str(cert), "--trials", "50")
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
     assert code == 0
     rep = json.loads(out)
-    assert rep["ok"] is True and rep["min_eig"] >= -1e-9
+    G = matrix_from_json(json.loads(cert.read_text())["certificate"]["gram"])
+    assert rep["ok"] is True and rep["min_eig"] == float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    assert "trials" not in rep
 
 
 def test_spotcheck_witness_cli(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", witness_fixture())
     cert = tmp_path / "cert.json"
     run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
-    code, out, _ = run(capsys, "spotcheck", path, str(cert), "--trials", "10")
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
     assert code == 0
     assert json.loads(out)["min_eig"] <= -1e-6
 
@@ -221,10 +223,10 @@ def test_spotcheck_refuses_forged_sos_certificate(tmp_path, capsys, forge):
     else:
         evidence["factors"] = evidence["factors"][:1]
     cert.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "spotcheck", path, str(cert), "--trials", "20")
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
     rep = json.loads(out)
     assert code == 1
-    assert rep["ok"] is False and rep["min_eig"] >= -1e-9  # the input itself is SOS
+    assert rep["ok"] is False and (rep["min_eig"] < rep["threshold"]) == (forge == "gram-not-psd")
     assert ("not psd" if forge == "gram-not-psd" else "factors miss") in rep["note"]
 
 
@@ -337,12 +339,23 @@ def test_delta_flag_is_gone(tmp_path, capsys):
     assert err.strip() == "usage error: unrecognized arguments: --delta 1e-4"
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--n-max", "--seed"])
+def test_spotcheck_sampling_flags_are_gone(tmp_path, capsys, flag):
+    # spotcheck checks the stored evidence only, so there is nothing to sample
+    paths = [tmp_path / "p.json", tmp_path / "c.json"]
+    for path, data in zip(paths, (poly_data(), SOS_EVIDENCE)):
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "spotcheck", *map(str, paths), flag, "5")
+    assert code == EX_USAGE
+    assert err.strip() == f"usage error: unrecognized arguments: {flag} 5"
+
+
 def test_sos_evidence_fixture_is_accepted(tmp_path, capsys):
     # the malformed degree cases above differ from this accepted evidence in "degree" alone
     paths = [tmp_path / "p.json", tmp_path / "c.json"]
     for path, data in zip(paths, (poly_data(), SOS_EVIDENCE)):
         path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "spotcheck", *map(str, paths), "--trials", "5")
+    code, out, _ = run(capsys, "spotcheck", *map(str, paths))
     assert code == 0 and json.loads(out)["ok"] is True
 
 
