@@ -12,10 +12,10 @@ again) and GNS turns it into a tuple at which f has a negative eigenvalue.
 The certificate mixes in the paper's free state (free_state), positive
 definite and constant on the classes, so GNS keeps every direction; a
 witness still rests only on its own gates: the operator defect, gns_verify
-and the eigenvalue of f(Y).  Only the primal falls back to the max-margin
-interior-point solve, when Dykstra ends with neither a feasible point nor a
-certificate (inputs that vanish somewhere, such as 2 - u1 - u1^-1).  Near
-the boundary of the cone the answer may be Undecided.
+and the eigenvalue of f(Y).  When Dykstra's budget ends with neither a psd
+point nor a certificate (on inputs that vanish somewhere, such as
+2 - u1 - u1^-1), one max-margin interior-point solve answers either way.
+Near the boundary of the cone the answer may be Undecided.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ from .gram import (
 )
 from .poly import NCPoly, OperatorTuple, poly_eval
 from .sdp import (
-    AffineSystem, FeasibilityResult, InconsistentSystemError, max_margin,
-    project_affine, solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult,
+    InconsistentSystemError, solve_feasibility,
 )
 from .words import MONOID, count_words, involute
 
@@ -52,8 +52,8 @@ class CertifyError(ValueError):
 @dataclass
 class CertifyOptions:
     d: int | None = None
-    max_iter: int = 50_000
-    tol: float = 1e-9
+    max_iter: int = DEFAULT_MAX_ITER  # Dykstra's, before the max-margin handover
+    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -101,24 +101,10 @@ def gram_system(f: NCPoly, d: int) -> AffineSystem:
     return _pinned_system(f, *constraint_index(f.g, d, f.mode))
 
 
-def _interior_point_polish(sys: AffineSystem) -> np.ndarray | None:
-    """Max-margin interior-point solve of the same feasibility system.
-
-    Used only when Dykstra stalls on a Gram system, which it does on sets
-    with no strictly feasible point (polynomials that vanish somewhere).
-    The answer is projected back onto the affine set so the coefficient
-    constraints hold to working precision, and is returned only if it is
-    psd to within EPS_PSD; a system whose best margin is below -EPS_PSD
-    returns None.
-    """
-    res = max_margin(sys, floor=-EPS_PSD)
-    try:
-        X, _ = project_affine(res.X, sys)
-    except InconsistentSystemError:
-        return None
-    if float(np.linalg.eigvalsh(X).min()) < -EPS_PSD:
-        return None
-    return X
+def _note(res: FeasibilityResult, note: str = "") -> str:
+    """note, then the max-margin handover's Newton steps or why it did not run."""
+    stage = res.reason or (f"max-margin handover, {res.newton_steps} Newton steps" if res.newton_steps else "")
+    return "; ".join(part for part in (note, stage) if part)
 
 
 def _miss(p: NCPoly, f: NCPoly) -> float:
@@ -129,35 +115,30 @@ def _miss(p: NCPoly, f: NCPoly) -> float:
 
 def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
     """Dykstra on the Gram system, with the free state as its interior point,
-    then the interior-point polish if it ends with neither a psd point nor a
-    Farkas certificate.  Returns the certificate (or None), the diagnostics
-    and Dykstra's result (None when the constraints are inconsistent).
+    and the max-margin handover (sdp.solve_feasibility).  Returns the
+    certificate (or None), the diagnostics and the solver's result (None
+    when the constraints are inconsistent).
 
     Every answer passes spotcheck's certificate gate, its psd test before
-    factoring, so neither the polish nor a loose tol makes a wrong certificate.
+    factoring, so neither the handover nor a loose tol makes a wrong certificate.
     """
     sys = gram_system(f, d)
     try:
         res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
                                 interior=free_state(f, d))
-        stalled = not res.feasible and res.certificate is None
-        X = _interior_point_polish(sys) if stalled else res.X
     except InconsistentSystemError as exc:
         return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints"), None
-    diag = BranchDiagnostics(res.iterations, res.final_gap)
-    if res.certificate is not None:
-        diag.note = f"Farkas certificate, pairing {res.pairing:.3e}"
-    if X is None:
+    note = "" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}"
+    diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
+    if not res.feasible:
         return None, diag, res
-    if stalled:
-        diag.gap, diag.note = 0.0, "interior-point polish"
-    G = GramMatrix(f.g, f.mode, d, f.k, X)
+    G = GramMatrix(f.g, f.mode, d, f.k, res.X)
     refusal, _ = _psd_refusal(G)
     if not refusal:
         cert = factor_gram(G)
         refusal, cert.residual, _ = _refuse_certificate(f, cert)
     if refusal:
-        diag.note = refusal
+        diag.note = _note(res, refusal)
         return None, diag, res
     return cert, diag, res
 
@@ -222,8 +203,8 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
 
 
 def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult | None = None):
-    """Dykstra on the Gram system of f at degree D = dual_degree(f, d), with
-    the free state of degree D as its interior point.  In group mode D = d
+    """solve_feasibility on the Gram system of f at degree D = dual_degree(f, d),
+    with the free state of degree D as its interior point.  In group mode D = d
     and that is the primal's system, so a primal result handed in is read as
     it is: the same deterministic solve would only repeat it.  Its Farkas
     certificate Z = H + s K, conjugated and scaled to unit trace, is the
@@ -239,26 +220,27 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult 
                                     tol=opts.tol, interior=free_state(f, D))
         except InconsistentSystemError as exc:
             return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
-    diag = BranchDiagnostics(res.iterations, res.final_gap)
-    if res.certificate is None:
-        diag.note = (f"Gram system of degree {D} is feasible" if res.feasible
-                     else f"no Farkas certificate at degree {D}")
+    diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
+
+    def undecided(note):
+        diag.note = _note(res, note)
         return None, None, None, diag
+
+    if res.certificate is None:
+        return undecided(f"Gram system of degree {D} is feasible" if res.feasible
+                         else f"no Farkas certificate at degree {D}")
     Z = res.certificate.conj()
     S = functional_from_solution(Z / np.trace(Z).real, f, D, index)
     try:
         model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
     except GnsError as exc:
-        diag.note = f"GNS failed: {exc}"
-        return None, None, None, diag
+        return undecided(f"GNS failed: {exc}")
     refusal, min_eig, fY = _refuse_witness(f, model.operators)
     if refusal:
-        diag.note = refusal
-        return None, None, None, diag
+        return undecided(refusal)
     residual = gns_verify(S, model)
     if residual > GNS_VERIFY_TOL:
-        diag.note = f"GNS verification residual {residual:.3e}"
-        return None, None, None, diag
+        return undecided(f"GNS verification residual {residual:.3e}")
     model.gns_residual = residual
     return model, min_eig, complex(np.vdot(model.gamma, fY @ model.gamma)), diag
 

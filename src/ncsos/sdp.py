@@ -17,13 +17,13 @@ equals that pairing at every X of the affine set, so no psd X meets the
 constraints.  solve_feasibility reads H off the class means of the
 displacement and stops once rounding bounds prove both halves.
 
-Where the intersection has no strictly feasible point Dykstra converges
-sublinearly.  max_margin then solves max t subject to X - t I psd on the
-affine set with a log-barrier interior-point method; its best margin is
->= 0 exactly when the system has a psd solution.  It works on the null
-space of the constraints, read off the class labels in closed form, and
-takes each Newton congruence from one eigh of the slack matrix, so nothing
-of size m^2 x m^2 is built.
+Where Dykstra converges sublinearly (no strictly feasible point, or an
+empty intersection close to the cone) it hands over after max_iter
+iterations to max_margin, a log-barrier interior-point solve of max t
+subject to X - t I psd on the affine set.  Its point is psd when the best
+margin is >= 0; at a centred point with a negative bound the inverse slack
+S^-1 (S = X - t I) is a Farkas certificate, the dual point of the central
+path (Boyd & Vandenberghe, Convex Optimization, 11.2.2 and 11.6).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .poly import EPS_HERM
 
-DEFAULT_MAX_ITER = 50_000
+DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the max-margin handover
 DEFAULT_TOL = 1e-9
 EPS = np.finfo(float).eps
 # Floor on the weight s of the interior point K in a certificate H + s K, in
@@ -162,12 +162,14 @@ def project_affine(X: np.ndarray, sys: AffineSystem,
 
 @dataclass
 class FeasibilityResult:
-    feasible: bool
+    feasible: bool                         # X is psd and meets the constraints within tol
     X: np.ndarray | None
-    iterations: int
+    iterations: int                        # Dykstra's
     final_gap: float
     certificate: np.ndarray | None = None  # Farkas certificate: psd, in range(A*)
     pairing: float | None = None           # Re Tr(certificate X) on the affine set, < 0
+    newton_steps: int = 0                  # of the max-margin handover, 0 if Dykstra decided
+    reason: str = ""                       # why the handover did not run
 
 
 def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -243,8 +245,11 @@ def solve_feasibility(sys: AffineSystem,
 
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the affine
-    iterate is feasible once its psd and affine residuals are <= tol; after
-    max_iter with neither the result is Inconclusive.
+    iterate is feasible once its psd and affine residuals are <= tol.  After
+    max_iter with neither, max_margin decides (if it fits MARGIN_MAX_BYTES):
+    its point if _low_eig proves it psd within tol (eigvalsh alone passes a
+    weakly infeasible system's drift to norm 1e29), else its inverse slack
+    if that passes the certificate test.  With neither: Inconclusive.
     """
     m = sys.m
     farkas = _Farkas(sys, tol, interior)
@@ -266,7 +271,21 @@ def solve_feasibility(sys: AffineSystem,
             return FeasibilityResult(False, None, it, gap, *found)
         if gap <= tol:
             return FeasibilityResult(True, x, it, gap)
-    return FeasibilityResult(False, None, it, float(gap))
+
+    n = m * m - len(sys.targets) + 1
+    need = 8 * n * (2 * m * m + n)
+    if need > MARGIN_MAX_BYTES:
+        return FeasibilityResult(False, None, it, gap, reason=f"max-margin handover needs "
+                                 f"{need / 2 ** 30:.1f} GiB, over its {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    res = max_margin(sys, floor=-tol)
+    X = sys.nearest(res.X)
+    psd_gap = max(0.0, -float(_low_eig(X)[0]), sys.residual(X))
+    if psd_gap <= tol:
+        return FeasibilityResult(True, X, it, psd_gap, newton_steps=res.iterations)
+    lam, Q = np.linalg.eigh(res.X - res.t * np.eye(m))
+    found = farkas((Q / lam) @ Q.conj().T) if lam[0] > 0 else None
+    return FeasibilityResult(False, None, it, gap, *(found or (None, None)),
+                             newton_steps=res.iterations)
 
 
 # -- max-margin interior-point solve ------------------------------------------
@@ -303,6 +322,7 @@ MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
 CHUNK = 256                 # null-space directions handled at once
+MARGIN_MAX_BYTES = 2 ** 28  # the handover's null basis, Newton rows and matrix, at most
 
 
 @dataclass
@@ -396,7 +416,6 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     nu = m + 1  # barrier parameter of -log det S - log(1 - t)
     eta = 1.0
     steps = 0
-    stalled = False
     hvec_eye = _hvec(eye)
 
     def barrier(lam, t):  # lam: the eigenvalues of S, ascending
@@ -406,7 +425,7 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
 
     while True:
         # centring: damped Newton on the barrier at this eta
-        centred = False
+        centred = stalled = False
         for _ in range(min(CENTRING_STEPS, MARGIN_MAX_NEWTON - steps)):
             steps += 1
             lam, Q = np.linalg.eigh(S)
@@ -432,13 +451,11 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
             dS = _hunvec(step[:-1] @ N, m) - step[-1] * eye
             f0 = barrier(lam, t)
             alpha = 1.0
-            while (barrier(np.linalg.eigvalsh(S + alpha * dS), t + alpha * step[-1])
-                   > f0 - alpha * decrement / 4):
+            while alpha >= 1e-12 and (barrier(np.linalg.eigvalsh(S + alpha * dS), t + alpha * step[-1])
+                                      > f0 - alpha * decrement / 4):
                 alpha /= 2
-                if alpha < 1e-12:
-                    stalled = True
-                    break
-            if stalled:
+            if alpha < 1e-12:
+                stalled = True
                 break
             S, t = S + alpha * dS, t + alpha * step[-1]
             if t >= 0.0:

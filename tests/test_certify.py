@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 from ncsos.certify import (
     CertifyError, CertifyOptions, CertifyOutcome, certify, dual_degree, free_state,
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
-    _interior_point_polish,
 )
 from ncsos.gram import EPS_PSD, GramMatrix, constraint_index, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
-from ncsos.sdp import AffineSystem, max_margin, project_affine, solve_feasibility
+from ncsos.sdp import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, _Farkas, _low_eig, max_margin, solve_feasibility,
+)
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
 
 from test_poly import rand_hermitian, rand_matrix
-
-FAST = CertifyOptions(max_iter=3000)
 
 
 def x(i, g=2, mode=MONOID, k=1):
@@ -47,7 +46,7 @@ def test_gram_system_sum_of_squares_unique_solution():
 
 
 def test_primal_inconclusive_on_anticommutator():
-    cert, diag, _ = run_primal(anticommutator(), 1, FAST)
+    cert, diag, _ = run_primal(anticommutator(), 1, CertifyOptions())
     assert cert is None
 
 
@@ -77,7 +76,7 @@ def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
         raise AssertionError("NCPoly product on the decision path")
 
     monkeypatch.setattr(NCPoly, "__mul__", refuse)
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "sos" and out.certificate.residual <= 1e-7
     rep = spotcheck(f, out)
     assert rep.ok, rep.note
@@ -87,7 +86,7 @@ def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
                                group_fixture()], ids=["monoid", "group", "group-boundary"])
 def test_spotcheck_sos_runs_no_poly_eval(f, monkeypatch):
     # an sos answer is proved by its Gram matrix and its squares; f is evaluated nowhere
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "sos"
 
     def refuse(*args):
@@ -99,7 +98,7 @@ def test_spotcheck_sos_runs_no_poly_eval(f, monkeypatch):
 
 
 def test_certify_sum_of_squares():
-    out = certify(x(1) * x(1) + x(2) * x(2), FAST)
+    out = certify(x(1) * x(1) + x(2) * x(2))
     assert out.kind == "sos"
     assert len(out.certificate.factors) == 2
     assert out.certificate.residual < 1e-9
@@ -107,7 +106,7 @@ def test_certify_sum_of_squares():
 
 def test_certify_perfect_square():
     f = (x(1) + x(2)).adjoint() * (x(1) + x(2))
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "sos"
     diff = out.certificate.reconstruction() - f
     assert all(opnorm(c) < 1e-9 for c in diff.terms.values())
@@ -118,13 +117,13 @@ def test_certify_matrix_coefficients_sos():
     A, B = rand_matrix(2, rng), rand_matrix(2, rng)
     r = NCPoly(2, MONOID, 2, {Word(MONOID, 2, (1,)): A, Word(MONOID, 2, (2,)): B})
     f = r.adjoint() * r
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "sos"
     assert out.certificate.residual <= 1e-7
 
 
 def test_certify_group_sos_fixture():
-    out = certify(group_fixture(), FAST)
+    out = certify(group_fixture())
     assert out.kind == "sos"
     assert out.certificate.residual <= 1e-7
     # factors reconstruct 2 - u1 - u1^-1; each factor has degree <= 1
@@ -132,28 +131,57 @@ def test_certify_group_sos_fixture():
 
 
 def test_interior_point_polish_boundary_gram_system():
-    # every Gram matrix of 2 - u1 - u1^-1 has (1, 1, 1) in its kernel
-    sys = gram_system(group_fixture(), 1)
-    assert not solve_feasibility(sys, max_iter=3000, tol=1e-9).feasible
-    X = _interior_point_polish(sys)
-    assert X is not None
-    assert np.linalg.norm(project_affine(X, sys)[0] - X) < 1e-10
-    assert np.linalg.eigvalsh(X).min() >= -1e-8
+    # every Gram matrix of 2 - u1 - u1^-1 has (1, 1, 1) in its kernel: Dykstra
+    # spends its budget, and the max-margin handover returns a boundary point
+    f = group_fixture()
+    sys = gram_system(f, 1)
+    res = solve_feasibility(sys, interior=free_state(f, 1))
+    assert res.feasible and res.iterations == DEFAULT_MAX_ITER and res.newton_steps > 0
+    X = res.X
+    assert np.abs(sys.nearest(X) - X).max() < 1e-10
+    assert _low_eig(X)[0] >= -DEFAULT_TOL
     assert abs(np.ones(3) @ X @ np.ones(3)) < 1e-10
     assert abs(max_margin(sys).t) < 1e-8
 
 
 def test_interior_point_polish_infeasible_returns_none():
-    sys = AffineSystem(2, [[0, -1], [-1, 0]], [-1.0])  # Tr X = -1
+    # with no Dykstra budget the handover decides alone: Tr X = -1 has a
+    # negative best margin, so it returns no point, and S^-1 certifies
+    sys = AffineSystem(2, [[0, -1], [-1, 0]], [-1.0])
     assert max_margin(sys).t < 0
-    assert _interior_point_polish(sys) is None
+    res = solve_feasibility(sys, max_iter=0)
+    assert not res.feasible and res.X is None and res.newton_steps > 0
+    assert res.certificate is not None and res.pairing < 0
 
 
 def test_interior_point_polish_bit_identical():
-    sys = gram_system(group_fixture(), 1)
-    X1 = _interior_point_polish(sys)
-    X2 = _interior_point_polish(sys)
+    f = group_fixture()
+    sys = gram_system(f, 1)
+    X1 = solve_feasibility(sys, interior=free_state(f, 1)).X
+    X2 = solve_feasibility(sys, interior=free_state(f, 1)).X
     assert X1.tobytes() == X2.tobytes()
+
+
+def test_handover_certificate_is_the_inverse_slack():
+    # one Dykstra iteration leaves this near-boundary system undecided; the
+    # certificate is the inverse slack of the max-margin solve, built from
+    # its eigh and passed through the one certificate test
+    f = monoid_witness_input(0, 1, 1, 2, margin=1e-3)
+    sys, K = gram_system(f, 1), free_state(f, 1)
+    res = solve_feasibility(sys, max_iter=1, interior=K)
+    assert res.iterations == 1 and res.certificate is not None
+    mm = max_margin(sys, floor=-DEFAULT_TOL)
+    assert res.newton_steps == mm.iterations and mm.bound < -DEFAULT_TOL
+    lam, Q = np.linalg.eigh(mm.X - mm.t * np.eye(sys.m))
+    H, pairing = _Farkas(sys, DEFAULT_TOL, K)((Q / lam) @ Q.conj().T)
+    assert np.array_equal(res.certificate, H) and res.pairing == pairing < 0
+
+
+def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "MARGIN_MAX_BYTES", 0)
+    out = certify(group_fixture())
+    assert out.kind == "undecided" and out.primal.iterations == DEFAULT_MAX_ITER
+    assert out.primal.note.startswith("max-margin handover needs ")
 
 
 # -- dual ----------------------------------------------------------------------
@@ -211,7 +239,7 @@ def test_block_readouts_match_per_pair_loop(mode, k):
 
 def test_certify_anticommutator_witness():
     f = anticommutator()
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "witness"
     assert out.min_eig <= -1e-6
     assert out.refuted_value.real < 0
@@ -225,7 +253,7 @@ def test_certify_anticommutator_witness():
 
 
 def test_certify_negative_constant():
-    out = certify(NCPoly.constant(-1.0, 2), FAST)
+    out = certify(NCPoly.constant(-1.0, 2))
     assert out.kind == "witness"
     assert out.min_eig <= -1e-6
     fY = poly_eval(NCPoly.constant(-1.0, 2), out.model.operators)
@@ -234,13 +262,13 @@ def test_certify_negative_constant():
 
 def test_certify_odd_degree_witness():
     f = x(1, g=1) * x(1, g=1) * x(1, g=1)
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "witness"
     assert out.min_eig <= -1e-6
 
 
 def test_certify_zero_polynomial():
-    out = certify(NCPoly.zero(2, MONOID, 1), FAST)
+    out = certify(NCPoly.zero(2, MONOID, 1))
     assert out.kind == "sos"
     assert out.certificate.factors == []
 
@@ -248,7 +276,7 @@ def test_certify_zero_polynomial():
 def test_certify_group_witness():
     # u1 + u1^-1 has spectrum in [-2, 2]; adding 1 leaves it indefinite
     f = NCPoly.constant(1.0, 1, GROUP) + u(1) + u(-1)
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "witness"
     assert out.model.unitarity_defect() <= 1e-10
     fU = poly_eval(f, out.model.operators)
@@ -256,14 +284,14 @@ def test_certify_group_witness():
 
 
 def test_certify_matrix_coefficient_witness():
-    out = certify(NCPoly.constant(np.diag([1.0, -1.0]), 2), FAST)
+    out = certify(NCPoly.constant(np.diag([1.0, -1.0]), 2))
     assert out.kind == "witness" and out.min_eig <= -1e-6
 
 
 def test_certify_matrix_coefficient_witness_with_letter():
     C = np.array([[0, 1], [1, 0]], dtype=complex)
     f = NCPoly(1, MONOID, 2, {Word(MONOID, 1, (1,)): C})
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
     assert out.model.selfadjointness_defect() <= 1e-10
 
@@ -273,7 +301,7 @@ def test_certify_group_matrix_coefficient_witness():
     f = NCPoly(1, GROUP, 2, {Word(GROUP, 1, ()): 0.5 * np.eye(2),
                              Word(GROUP, 1, (1,)): C / 2,
                              Word(GROUP, 1, (-1,)): C / 2})
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
     assert out.model.unitarity_defect() <= 1e-10
 
@@ -283,11 +311,11 @@ def test_certify_group_matrix_coefficient_witness():
 
 def test_exclusivity_on_decided_instances():
     f_sos = x(1) * x(1) + x(2) * x(2)
-    model, *_ , diag = run_dual(f_sos, 1, FAST)
+    model, *_ , diag = run_dual(f_sos, 1, CertifyOptions())
     assert model is None
 
     f_wit = anticommutator()
-    cert, diag, _ = run_primal(f_wit, 1, FAST)
+    cert, diag, _ = run_primal(f_wit, 1, CertifyOptions())
     assert cert is None
 
 
@@ -295,28 +323,15 @@ def test_exclusivity_on_decided_instances():
                          ids=["x1^2+x2^2", "2-u1-u1^-1"])
 def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
     # these inputs vanish somewhere, so the dual's Gram system has a psd
-    # point or Dykstra stalls on it: either way there is no Farkas
-    # certificate, and no functional reaches GNS
+    # point, found by Dykstra or by the handover after it stalls: either way
+    # there is no Farkas certificate, and no functional reaches GNS
     module = importlib.import_module("ncsos.certify")  # ncsos.certify is the function
     calls = []
     for name in ("gns_construct", "gns_construct_unitary"):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda S, _f=original: calls.append(S) or _f(S))
-    model, *_ = run_dual(f, 1, FAST)
-    assert model is None
-    assert calls == []
-
-
-@pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
-                         ids=["x1^2+x2^2", "2-u1-u1^-1"])
-def test_dual_never_calls_max_margin(f, monkeypatch):
-    # the dual solves its one system with Dykstra alone; only the primal polishes
-    module = importlib.import_module("ncsos.certify")
-    calls = []
-    monkeypatch.setattr(module, "max_margin",
-                        lambda *a, _f=module.max_margin, **kw: calls.append(a) or _f(*a, **kw))
-    model, *_ = run_dual(f, 1, FAST)
+    model, *_ = run_dual(f, 1, CertifyOptions())
     assert model is None
     assert calls == []
 
@@ -344,6 +359,17 @@ def test_dual_witness_operators_are_self_adjoint(seed):
         assert "self-adjointness" in diag.note
     else:
         assert model.selfadjointness_defect() <= 1e-8 and min_eig <= -1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])
+def test_near_boundary_witness_decides(seed):
+    # Dykstra spends its budget on the dual's system of these barely non-SOS
+    # inputs; the handover's inverse slack is the witness functional
+    f = monoid_witness_input(seed, 1, 1, 2, margin=1e-3)
+    out = certify(f)
+    assert out.kind == "witness", out.dual.note
+    assert out.dual.note.startswith("max-margin handover")
+    assert spotcheck(f, out).ok
 
 
 def group_witness_input(seed, g, d, k, n=3, margin=0.5):
@@ -475,7 +501,7 @@ def test_free_state_group_is_the_normalized_trace(g, D, k):
 
 def test_certify_rejects_non_hermitian():
     with pytest.raises(CertifyError):
-        certify(1j * x(1), FAST)
+        certify(1j * x(1))
 
 
 def test_degree_override_guard():
@@ -490,7 +516,7 @@ def test_degree_override_guard():
 
 def test_spotcheck_sos():
     f = (x(1) + x(2)).adjoint() * (x(1) + x(2))
-    out = certify(f, FAST)
+    out = certify(f)
     rep = spotcheck(f, out)
     assert rep.ok
     G = out.certificate.gram.matrix
@@ -500,7 +526,7 @@ def test_spotcheck_sos():
 
 def test_spotcheck_witness():
     f = anticommutator()
-    out = certify(f, FAST)
+    out = certify(f)
     rep = spotcheck(f, out)
     assert rep.ok
     assert rep.min_eig <= -1e-6
@@ -508,7 +534,7 @@ def test_spotcheck_witness():
 
 def test_spotcheck_zero():
     f = NCPoly.zero(2, MONOID, 1)
-    out = certify(f, FAST)
+    out = certify(f)
     rep = spotcheck(f, out)
     assert abs(rep.min_eig) <= 1e-12
 
@@ -520,7 +546,7 @@ def test_spotcheck_refuses_undecided():
 
 def test_spotcheck_group_sos():
     f = group_fixture()
-    out = certify(f, FAST)
+    out = certify(f)
     assert out.kind == "sos"
     rep = spotcheck(f, out)
     assert rep.ok and rep.min_eig >= -1e-9

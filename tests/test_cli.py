@@ -42,7 +42,7 @@ def run(capsys, *argv):
 def test_certify_sos_file(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     out_path = tmp_path / "cert.json"
-    code, _, _ = run(capsys, "certify", path, "--max-iter", "3000", "--out", str(out_path))
+    code, _, _ = run(capsys, "certify", path, "--out", str(out_path))
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["outcome"] == "sos"
@@ -52,7 +52,7 @@ def test_certify_sos_file(tmp_path, capsys):
 
 def test_certify_witness_file(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", witness_fixture())
-    code, out, _ = run(capsys, "certify", path, "--max-iter", "3000")
+    code, out, _ = run(capsys, "certify", path)
     assert code == EX_WITNESS
     data = json.loads(out)
     assert data["outcome"] == "witness"
@@ -63,28 +63,28 @@ def test_certify_witness_file(tmp_path, capsys):
 def test_certify_deterministic_bytes(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", witness_fixture())
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(a))
-    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(b))
+    run(capsys, "certify", path, "--out", str(a))
+    run(capsys, "certify", path, "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_decompose_and_witness_subcommands(tmp_path, capsys):
     sos_path = write_poly(tmp_path / "sos.json", sos_fixture())
     wit_path = write_poly(tmp_path / "wit.json", witness_fixture())
-    code, out, _ = run(capsys, "decompose", sos_path, "--max-iter", "3000")
+    code, out, _ = run(capsys, "decompose", sos_path)
     assert code == 0 and json.loads(out)["outcome"] == "sos"
-    code, out, _ = run(capsys, "decompose", wit_path, "--max-iter", "3000")
+    code, out, _ = run(capsys, "decompose", wit_path)
     assert code == EX_UNDECIDED
-    code, out, _ = run(capsys, "witness", wit_path, "--max-iter", "3000")
+    code, out, _ = run(capsys, "witness", wit_path)
     assert code == EX_WITNESS and json.loads(out)["outcome"] == "witness"
-    code, out, _ = run(capsys, "witness", sos_path, "--max-iter", "2000")
+    code, out, _ = run(capsys, "witness", sos_path)
     assert code == EX_UNDECIDED
 
 
 SCIPY_PROBE = """
 import sys
 from ncsos.cli import main
-codes = [main(["witness", path, "--max-iter", "3000", "--out", path + ".out"])
+codes = [main(["witness", path, "--out", path + ".out"])
          for path in sys.argv[1:]]
 print("numpy.random loaded:", "numpy.random" in sys.modules)
 print("_hashlib loaded:", "_hashlib" in sys.modules)
@@ -166,7 +166,7 @@ def test_fock_dump_group(capsys):
 def test_spotcheck_cli(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     cert = tmp_path / "cert.json"
-    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
+    run(capsys, "certify", path, "--out", str(cert))
     code, out, _ = run(capsys, "spotcheck", path, str(cert))
     assert code == 0
     rep = json.loads(out)
@@ -178,7 +178,7 @@ def test_spotcheck_cli(tmp_path, capsys):
 def test_spotcheck_witness_cli(tmp_path, capsys):
     path = write_poly(tmp_path / "p.json", witness_fixture())
     cert = tmp_path / "cert.json"
-    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
+    run(capsys, "certify", path, "--out", str(cert))
     code, out, _ = run(capsys, "spotcheck", path, str(cert))
     assert code == 0
     assert json.loads(out)["min_eig"] <= -1e-6
@@ -215,7 +215,7 @@ def test_spotcheck_refuses_forged_witness(tmp_path, capsys, f, forged, kind):
 def test_spotcheck_refuses_forged_sos_certificate(tmp_path, capsys, forge):
     path = write_poly(tmp_path / "p.json", sos_fixture())
     cert = tmp_path / "cert.json"
-    run(capsys, "certify", path, "--max-iter", "3000", "--out", str(cert))
+    run(capsys, "certify", path, "--out", str(cert))
     data = json.loads(cert.read_text())
     evidence = data["certificate"]
     if forge == "gram-not-psd":

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from ncsos.certify import free_state, gram_system, hankel_system
 from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    AffineSystem, InconsistentSystemError, SdpError, _hunvec, _hvec, _null_basis,
-    max_margin, project_affine, project_psd, solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, InconsistentSystemError, SdpError,
+    _hunvec, _hvec, _low_eig, _null_basis, max_margin, project_affine, project_psd,
+    solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
 
@@ -239,12 +242,32 @@ def test_negative_constant_certifies_at_iteration_one():
 
 
 def test_boundary_sos_gets_no_certificate():
-    # every Gram matrix of 2 - u1 - u1^-1 is singular: Dykstra stalls for
-    # 50,000 iterations, and no step of it passes the certificate test
+    # every Gram matrix of 2 - u1 - u1^-1 is singular: Dykstra spends its
+    # budget with no step passing the certificate test, and the handover
+    # returns a psd point, not a certificate
     f = group_fixture()
-    res = solve_feasibility(gram_system(f, 1), max_iter=50_000, tol=1e-9,
-                            interior=free_state(f, 1))
-    assert not res.feasible and res.certificate is None and res.iterations == 50_000
+    res = solve_feasibility(gram_system(f, 1), interior=free_state(f, 1))
+    assert res.certificate is None and res.iterations == DEFAULT_MAX_ITER
+    assert res.feasible and res.newton_steps > 0 and _low_eig(res.X)[0] >= -DEFAULT_TOL
+
+
+def test_handover_over_its_memory_budget_builds_nothing(monkeypatch):
+    # the weakly infeasible pattern of test_infeasible_reports_inconclusive in
+    # a 64 x 64 matrix: the null basis, Newton rows and Newton matrix would
+    # take about 0.37 GiB, over the handover's budget, so none is built
+    m = 64
+    labels = np.full((m, m), -1)
+    labels[0, 1], labels[1, 0], labels[1, 1] = 0, 1, 2
+    sys = AffineSystem(m, labels, [1.0, 1.0, 0.0])
+
+    def refuse(*args):
+        raise AssertionError("_null_basis called over the memory budget")
+
+    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "_null_basis", refuse)
+    res = solve_feasibility(sys, max_iter=10)
+    assert not res.feasible and res.X is None and res.certificate is None
+    assert res.iterations == 10 and res.newton_steps == 0
+    assert res.reason == "max-margin handover needs 0.4 GiB, over its 0.25 GiB budget"
 
 
 def test_interior_point_must_be_positive_definite():
@@ -334,6 +357,7 @@ def test_null_basis_matches_projector(name):
     sys = _basis_cases()[name]()
     N, ref = _null_basis(sys), _projector_null_basis(sys)
     assert N.shape == ref.shape
+    assert len(N) == sys.m ** 2 - len(sys.targets)  # the handover's size estimate
     assert np.abs(N @ N.T - np.eye(len(N))).max() <= 1e-12
     # the same span, and every direction is left alone by the linear projection
     assert np.abs(ref.T @ (ref @ N.T) - N.T).max() <= 1e-12
