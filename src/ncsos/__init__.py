@@ -12,7 +12,7 @@ from .words import (
     parse_word,
 )
 from .poly import NCPoly, OperatorTuple, poly_eval
-from .certify import CertifyOptions, CertifyOutcome, certify, spotcheck
+from .certify import CertifyOutcome, certify, spotcheck
 
 __all__ = [
     "GROUP",
@@ -27,7 +27,6 @@ __all__ = [
     "NCPoly",
     "OperatorTuple",
     "poly_eval",
-    "CertifyOptions",
     "CertifyOutcome",
     "certify",
     "spotcheck",

@@ -34,10 +34,7 @@ from .gram import (
     constraint_index, factor_gram, gram_to_poly,
 )
 from .poly import NCPoly, OperatorTuple, poly_eval
-from .sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult,
-    InconsistentSystemError, solve_feasibility,
-)
+from .sdp import AffineSystem, FeasibilityResult, InconsistentSystemError, solve_feasibility
 from .words import MONOID, count_words, involute
 
 GNS_VERIFY_TOL = 1e-8
@@ -47,13 +44,6 @@ EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
 
 class CertifyError(ValueError):
     pass
-
-
-@dataclass
-class CertifyOptions:
-    d: int | None = None
-    max_iter: int = DEFAULT_MAX_ITER  # Dykstra's, before the max-margin handover
-    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -75,11 +65,12 @@ class CertifyOutcome:
     degree: int = 0
 
 
-def infer_degree(f: NCPoly, opts: CertifyOptions) -> int:
-    """The Gram degree d of a Hermitian input: opts.d, else ceil(deg f / 2)."""
+def infer_degree(f: NCPoly, d: int | None = None) -> int:
+    """The Gram degree of a Hermitian input: d, else ceil(deg f / 2)."""
     if not f.is_hermitian():
         raise CertifyError("input polynomial is not Hermitian")
-    d = opts.d if opts.d is not None else math.ceil(f.degree() / 2)
+    if d is None:
+        d = math.ceil(f.degree() / 2)
     if f.degree() > 2 * d:
         raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
     return d
@@ -113,19 +104,19 @@ def _miss(p: NCPoly, f: NCPoly) -> float:
     return float(np.linalg.norm(diffs, 2, axis=(1, 2)).max()) if diffs else 0.0
 
 
-def run_primal(f: NCPoly, d: int, opts: CertifyOptions):
+def run_primal(f: NCPoly, d: int):
     """Dykstra on the Gram system, with the free state as its interior point,
-    and the max-margin handover (sdp.solve_feasibility).  Returns the
-    certificate (or None), the diagnostics and the solver's result (None
-    when the constraints are inconsistent).
+    and the max-margin handover (sdp.solve_feasibility, at its fixed budget
+    and tolerance).  Returns the certificate (or None), the diagnostics and
+    the solver's result (None when the constraints are inconsistent).
 
     Every answer passes spotcheck's certificate gate, its psd test before
-    factoring, so neither the handover nor a loose tol makes a wrong certificate.
+    factoring, so neither the handover nor a point psd only to the solver's
+    tolerance makes a wrong certificate.
     """
     sys = gram_system(f, d)
     try:
-        res = solve_feasibility(sys, max_iter=opts.max_iter, tol=opts.tol,
-                                interior=free_state(f, d))
+        res = solve_feasibility(sys, interior=free_state(f, d))
     except InconsistentSystemError as exc:
         return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints"), None
     note = "" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}"
@@ -202,7 +193,7 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
     return K / np.trace(K).real
 
 
-def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult | None = None):
+def run_dual(f: NCPoly, d: int, primal: FeasibilityResult | None = None):
     """solve_feasibility on the Gram system of f at degree D = dual_degree(f, d),
     with the free state of degree D as its interior point.  In group mode D = d
     and that is the primal's system, so a primal result handed in is read as
@@ -216,8 +207,7 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult 
     res = primal if D == d else None
     if res is None:
         try:
-            res = solve_feasibility(hankel_system(f, index), max_iter=opts.max_iter,
-                                    tol=opts.tol, interior=free_state(f, D))
+            res = solve_feasibility(hankel_system(f, index), interior=free_state(f, D))
         except InconsistentSystemError as exc:
             return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
     diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
@@ -248,16 +238,17 @@ def run_dual(f: NCPoly, d: int, opts: CertifyOptions, primal: FeasibilityResult 
 # -- the decision ------------------------------------------------------------
 
 
-def certify(f: NCPoly, opts: CertifyOptions | None = None) -> CertifyOutcome:
-    opts = opts or CertifyOptions()
-    d = infer_degree(f, opts)
+def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
+    """Decide f at Gram degree d (default ceil(deg f / 2)): sos, witness or
+    undecided."""
+    d = infer_degree(f, d)
 
-    cert, primal_diag, solved = run_primal(f, d, opts)
+    cert, primal_diag, solved = run_primal(f, d)
     if cert is not None:
         return CertifyOutcome("sos", certificate=cert, primal=primal_diag,
                               degree=d)
 
-    model, min_eig, refuted, dual_diag = run_dual(f, d, opts, solved)
+    model, min_eig, refuted, dual_diag = run_dual(f, d, solved)
     if model is not None:
         return CertifyOutcome("witness", model=model, min_eig=min_eig,
                               refuted_value=refuted, primal=primal_diag,

@@ -26,8 +26,8 @@ except ImportError:
 
 from . import jsonio
 from .certify import (
-    BranchDiagnostics, CertifyError, CertifyOptions, CertifyOutcome, certify,
-    run_dual, run_primal, infer_degree, spotcheck,
+    BranchDiagnostics, CertifyError, CertifyOutcome, certify, run_dual,
+    run_primal, infer_degree, spotcheck,
 )
 from .fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
@@ -65,16 +65,11 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="ncsos", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def solver_flags(sp):
-        sp.add_argument("--tol", type=float, default=CertifyOptions.tol)
-        sp.add_argument("--max-iter", type=int, default=CertifyOptions.max_iter)
-        sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--out", default=None)
-
     for name in ("certify", "decompose", "witness"):
         sp = sub.add_parser(name)
         sp.add_argument("input")
-        solver_flags(sp)
+        sp.add_argument("--degree", type=int, default=None)
+        sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("eval")
     sp.add_argument("input")
@@ -207,10 +202,10 @@ def _emit(data, out_path: str | None):
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_certify(args, opts: CertifyOptions) -> int:
+def _cmd_certify(args) -> int:
     f = _load_poly(args.input)
     try:
-        outcome = certify(f, opts)
+        outcome = certify(f, args.degree)
     except CertifyError as exc:
         raise DataError(str(exc))
     print(f"certify: outcome={outcome.kind} degree={outcome.degree} "
@@ -220,11 +215,11 @@ def _cmd_certify(args, opts: CertifyOptions) -> int:
     return {"sos": EX_OK_SOS, "witness": EX_WITNESS}.get(outcome.kind, EX_UNDECIDED)
 
 
-def _decision_input(args, opts: CertifyOptions) -> tuple[NCPoly, int]:
+def _decision_input(args) -> tuple[NCPoly, int]:
     """The input of decompose or witness and its Gram degree d."""
     f = _load_poly(args.input)
     try:
-        return f, infer_degree(f, opts)
+        return f, infer_degree(f, args.degree)
     except CertifyError as exc:
         raise DataError(str(exc))
 
@@ -234,18 +229,18 @@ def _emit_undecided(f: NCPoly, d: int, diag: BranchDiagnostics, out_path: str | 
     return EX_UNDECIDED
 
 
-def _cmd_decompose(args, opts: CertifyOptions) -> int:
-    f, d = _decision_input(args, opts)
-    cert, diag, _ = run_primal(f, d, opts)
+def _cmd_decompose(args) -> int:
+    f, d = _decision_input(args)
+    cert, diag, _ = run_primal(f, d)
     if cert is None:
         return _emit_undecided(f, d, diag, args.out)
     _emit(_decision("sos", f, d, certificate=_sos_json(cert)), args.out)
     return EX_OK_SOS
 
 
-def _cmd_witness(args, opts: CertifyOptions) -> int:
-    f, d = _decision_input(args, opts)
-    model, min_eig, refuted, diag = run_dual(f, d, opts)
+def _cmd_witness(args) -> int:
+    f, d = _decision_input(args)
+    model, min_eig, refuted, diag = run_dual(f, d)
     if model is None:
         return _emit_undecided(f, d, diag, args.out)
     outcome = CertifyOutcome("witness", model=model, min_eig=min_eig,
@@ -352,16 +347,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        if args.command in ("certify", "decompose", "witness"):
-            for flag in ("tol", "max_iter"):
-                if not getattr(args, flag) > 0:
-                    raise UsageError(f"--{flag.replace('_', '-')} must be positive")
-            opts = CertifyOptions(d=args.degree, max_iter=args.max_iter, tol=args.tol)
-            fn = {"certify": _cmd_certify, "decompose": _cmd_decompose,
-                  "witness": _cmd_witness}[args.command]
-            return fn(args, opts)
-        if args.command == "eval":
-            return _cmd_eval(args)
+        if args.command in ("certify", "decompose", "witness", "eval"):
+            return {"certify": _cmd_certify, "decompose": _cmd_decompose,
+                    "witness": _cmd_witness, "eval": _cmd_eval}[args.command](args)
         if args.command in ("extract", "fock-dump"):
             try:
                 return (_cmd_extract if args.command == "extract" else _cmd_fock_dump)(args)

@@ -101,29 +101,26 @@ class HankelFunctional:
         defect = self.structure_defect()
         if defect > 1e-9:
             raise GnsError(f"Hermitian block structure violated (defect {defect:.3e})")
-        K = quotient_matrix(self, self.D)
+        K = quotient_matrix(self)
         lo = float(np.linalg.eigvalsh(K).min())
         if lo < -EPS_PSD:
             raise GnsError(f"assembled functional is not psd (min eigenvalue {lo:.3e})")
 
 
-def assemble(S: HankelFunctional, degree: int | None = None) -> np.ndarray:
+def assemble(S: HankelFunctional) -> np.ndarray:
     """The Hermitian matrix with (v, w) block S_{involute(v) w} over the
-    degree-`degree` word basis."""
-    D = S.D if degree is None else degree
-    if D > S.D:
-        raise GnsError(f"assembly degree {D} exceeds the functional degree {S.D}")
-    products, table = constraint_index(S.g, D, S.mode)
+    degree-D word basis."""
+    products, table = constraint_index(S.g, S.D, S.mode)
     n, k = len(table), S.k
     blocks = np.array([S.block(u) for u in products])[table]
     return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
-def quotient_matrix(S: HankelFunctional, degree: int | None = None) -> np.ndarray:
+def quotient_matrix(S: HankelFunctional) -> np.ndarray:
     """assemble(S) with each k x k block transposed in place; this is the
     matrix whose psd-ness expresses positivity on matrix-coefficient squares
     and on which the quotient space is built."""
-    H = assemble(S, degree)
+    H = assemble(S)
     k = S.k
     n = H.shape[0] // k
     return H.reshape(n, k, n, k).transpose(0, 3, 2, 1).reshape(n * k, n * k)
@@ -173,7 +170,7 @@ class WitnessModel:
 def _quotient_frames(S: HankelFunctional):
     """Eigenfactor the quotient matrix: columns of the returned W give the
     images of the canonical basis tuples in the quotient space C^rank."""
-    K = quotient_matrix(S, S.D)
+    K = quotient_matrix(S)
     evals, evecs = np.linalg.eigh(K)
     if evals.min() < -EPS_PSD:
         raise GnsError(f"functional is not psd (min eigenvalue {evals.min():.3e})")
@@ -294,7 +291,9 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
         return T_dom @ B_dom.conj().T + C_cod @ C_dom.conj().T
 
     entries = [unitary_for(i) for i in range(1, S.g + 1)]
-    inverses = [unitary_for(-i) for i in range(1, S.g + 1)]
+    # U_i* maps frame_{x_i w} back to frame_w, and the domain and codomain of
+    # x_i^-1 are those of x_i swapped, so U_i* is the unitary of x_i^-1
+    inverses = [U.conj().T for U in entries]
     operators = OperatorTuple(GROUP, entries, inverses=inverses)
 
     gamma = vec(frames[:, 0:k])
@@ -341,13 +340,12 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     Gaussian entries.
     """
     k = model.k
-    w_degree = model.d + 1 if model.mode == MONOID else model.d
-    ws = enumerate_words(S.g, w_degree, model.mode)
+    ws = enumerate_words(S.g, S.D, model.mode)  # degree d + 1 (monoid) or d (group)
     n_v = count_words(S.g, model.d, model.mode)
     Z = _word_images(model, ws)
     M = Z[:, :n_v * k].conj().T @ Z
     # rows v of degree <= d of the matrix with (v, w) block S_{v*w}^T
-    E = quotient_matrix(S, w_degree)[:n_v * k] - M
+    E = quotient_matrix(S)[:n_v * k] - M
     blocks = E.reshape(n_v, k, len(ws), k).transpose(0, 2, 1, 3)
     return 2 * k * k * float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).max())
 

@@ -243,6 +243,11 @@ def solve_feasibility(sys: AffineSystem,
                       interior: np.ndarray | None = None) -> FeasibilityResult:
     """Dykstra between the psd cone and the affine set, from project_affine(0).
 
+    Only the psd step carries a correction p.  The affine step's correction
+    would be the residual of an orthogonal projection onto the affine set,
+    which lies in range(A*); since P_A(z + A* mu) = P_A(z) for every mu, it
+    would change neither the affine iterate x nor the displacement y - x.
+
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the affine
     iterate is feasible once its psd and affine residuals are <= tol.  After
@@ -255,14 +260,12 @@ def solve_feasibility(sys: AffineSystem,
     farkas = _Farkas(sys, tol, interior)
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
-    q = np.zeros_like(x)
     gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         y = project_psd(x + p)
         p = x + p - y
-        x, aff_res = project_affine(y + q, sys)
-        q = y + q - x
+        x, aff_res = project_affine(y, sys)
 
         psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
         gap = max(psd_res, aff_res)
@@ -272,8 +275,11 @@ def solve_feasibility(sys: AffineSystem,
         if gap <= tol:
             return FeasibilityResult(True, x, it, gap)
 
+    # the null basis and the Newton rows (n x m^2 each), the Newton matrix and
+    # np.linalg.solve's copy of it (n x n each), and one chunk's complex
+    # directions, two congruence products and real coordinates
     n = m * m - len(sys.targets) + 1
-    need = 8 * n * (2 * m * m + n)
+    need = 8 * n * (2 * m * m + 2 * n) + min(CHUNK, n) * m * m * (3 * 16 + 8)
     if need > MARGIN_MAX_BYTES:
         return FeasibilityResult(False, None, it, gap, reason=f"max-margin handover needs "
                                  f"{need / 2 ** 30:.1f} GiB, over its {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
@@ -322,7 +328,7 @@ MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
 CHUNK = 256                 # null-space directions handled at once
-MARGIN_MAX_BYTES = 2 ** 28  # the handover's null basis, Newton rows and matrix, at most
+MARGIN_MAX_BYTES = 2 ** 28  # the handover's arrays (its estimate in solve_feasibility), at most
 
 
 @dataclass

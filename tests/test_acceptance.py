@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ncsos import jsonio
-from ncsos.certify import CertifyOptions, certify, run_dual, run_primal
+from ncsos.certify import certify, run_dual, run_primal
 from ncsos.fock import (
     FockBasis, build_extraction, build_symmetrized, build_unitaries,
     coefficient_peek, extract_coeffs, gram_bound_constant,
@@ -50,8 +50,7 @@ WITNESS_FIXTURES = {
 
 @pytest.fixture(scope="module")
 def decisions():
-    opts = CertifyOptions()
-    return {name: certify(f, opts) for name, f in {**SOS_FIXTURES, **WITNESS_FIXTURES}.items()}
+    return {name: certify(f) for name, f in {**SOS_FIXTURES, **WITNESS_FIXTURES}.items()}
 
 
 def test_criterion_1_fock_structure():
@@ -215,20 +214,19 @@ def test_criterion_6_gns_reproduction():
 
 
 def test_criterion_7_exclusivity(decisions):
-    opts = CertifyOptions()
     ok = True
     details = []
     for name, f in SOS_FIXTURES.items():
         assert decisions[name].kind == "sos"
         d = decisions[name].degree
-        model, *_ = run_dual(f, d, opts)
+        model, *_ = run_dual(f, d)
         good = model is None
         ok = ok and good
         details.append(f"{name}: dual produced {'nothing' if good else 'a witness!'}")
     for name, f in WITNESS_FIXTURES.items():
         assert decisions[name].kind == "witness"
         d = decisions[name].degree
-        cert, *_ = run_primal(f, d, opts)
+        cert, *_ = run_primal(f, d)
         good = cert is None
         ok = ok and good
         details.append(f"{name}: primal produced {'nothing' if good else 'a certificate!'}")

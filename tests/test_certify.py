@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsos.certify import (
-    CertifyError, CertifyOptions, CertifyOutcome, certify, dual_degree, free_state,
+    CertifyError, CertifyOutcome, certify, dual_degree, free_state,
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
 )
 from ncsos.gram import EPS_PSD, GramMatrix, constraint_index, gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
 from ncsos.sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, _Farkas, _low_eig, max_margin, solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
+    solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
 
@@ -46,7 +47,7 @@ def test_gram_system_sum_of_squares_unique_solution():
 
 
 def test_primal_inconclusive_on_anticommutator():
-    cert, diag, _ = run_primal(anticommutator(), 1, CertifyOptions())
+    cert, diag, _ = run_primal(anticommutator(), 1)
     assert cert is None
 
 
@@ -58,14 +59,23 @@ def interior_sos_input(seed, g, mode, d, k):
     return gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m + np.eye(m)))
 
 
-def test_loose_tolerance_refuses_the_point_instead_of_crashing():
-    # at tol=1e-4 Dykstra stops at a Gram point with min eig about -7e-5,
-    # which the certificate gate refuses as not psd (factor_gram raised here)
-    f = interior_sos_input(0, 1, MONOID, 3, 2)
-    cert, diag, _ = run_primal(f, 3, CertifyOptions(tol=1e-4))
+def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
+    # a solver point that meets the constraints but is psd only to 1e-5:
+    # the certificate gate refuses it before factor_gram sees it.  On x1^2 +
+    # x2^2 at d = 1 the (1, x1) class sums to 0, so i t there is allowed,
+    # and the (1, x1) block [[0, i t], [-i t, 1]] has min eig about -t^2
+    f = x(1) * x(1) + x(2) * x(2)
+    t = np.sqrt(1e-5)
+    X = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    X[0, 1], X[1, 0] = 1j * t, -1j * t
+    assert gram_system(f, 1).residual(X) == 0 and np.linalg.eigvalsh(X)[0] < -9e-6
+    solved = FeasibilityResult(True, X, 1, 0.0)
+    monkeypatch.setattr(importlib.import_module("ncsos.certify"), "solve_feasibility",
+                        lambda *args, **kwargs: solved)
+    cert, diag, _ = run_primal(f, 1)
     assert cert is None
     assert diag.note.startswith("Gram matrix is not psd (min eigenvalue -")
-    assert certify(f, CertifyOptions(tol=1e-4)).kind != "witness"
+    assert certify(f).kind != "witness"
 
 
 @pytest.mark.parametrize("f", [interior_sos_input(1, 2, MONOID, 1, 2), interior_sos_input(2, 1, GROUP, 2, 1),
@@ -311,11 +321,11 @@ def test_certify_group_matrix_coefficient_witness():
 
 def test_exclusivity_on_decided_instances():
     f_sos = x(1) * x(1) + x(2) * x(2)
-    model, *_ , diag = run_dual(f_sos, 1, CertifyOptions())
+    model, *_ , diag = run_dual(f_sos, 1)
     assert model is None
 
     f_wit = anticommutator()
-    cert, diag, _ = run_primal(f_wit, 1, CertifyOptions())
+    cert, diag, _ = run_primal(f_wit, 1)
     assert cert is None
 
 
@@ -331,7 +341,7 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda S, _f=original: calls.append(S) or _f(S))
-    model, *_ = run_dual(f, 1, CertifyOptions())
+    model, *_ = run_dual(f, 1)
     assert model is None
     assert calls == []
 
@@ -354,7 +364,7 @@ def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
 def test_dual_witness_operators_are_self_adjoint(seed):
     # on these inputs GNS fits a shift action whose Y is 3e-8 to 2e-7 away
     # from self-adjoint at every delta; such a tuple is no witness
-    model, min_eig, _, diag = run_dual(monoid_witness_input(seed, 1, 2, 2), 2, CertifyOptions())
+    model, min_eig, _, diag = run_dual(monoid_witness_input(seed, 1, 2, 2), 2)
     if model is None:
         assert "self-adjointness" in diag.note
     else:
@@ -395,7 +405,7 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     calls = []
     monkeypatch.setattr(module, "hankel_system",
                         lambda *a, _f=module.hankel_system: calls.append(a) or _f(*a))
-    model, min_eig, _, diag = run_dual(f, 2, CertifyOptions())
+    model, min_eig, _, diag = run_dual(f, 2)
     assert model is not None, diag.note
     assert len(calls) == 1
     defect = (model.selfadjointness_defect() if f.mode == MONOID
@@ -413,7 +423,7 @@ def test_certify_solves_each_distinct_system_once(f, degrees, monkeypatch):
     sizes = []
     monkeypatch.setattr(module, "solve_feasibility",
                         lambda sys, _f=module.solve_feasibility, **kw: sizes.append(sys.m) or _f(sys, **kw))
-    out = certify(f, CertifyOptions())
+    out = certify(f)
     assert out.kind == "witness"
     assert sizes == [count_words(f.g, D, f.mode) * f.k for D in degrees]
 
@@ -427,7 +437,7 @@ def test_small_negative_constant_is_never_sos(c, kind):
     # the certificate is a proof at any scale and is tested before the tol
     # stop, so -c is refuted at the first iteration however small c is; a
     # witness then needs f(Y) = -c <= -EPS_WIT
-    out = certify(NCPoly.constant(-c, 1), CertifyOptions())
+    out = certify(NCPoly.constant(-c, 1))
     assert out.kind == kind
     assert out.primal.iterations == 1 and out.primal.note.startswith("Farkas certificate")
 
@@ -506,9 +516,9 @@ def test_certify_rejects_non_hermitian():
 
 def test_degree_override_guard():
     f = x(1) * x(2) * x(2) * x(1)
-    assert infer_degree(f, CertifyOptions()) == 2
+    assert infer_degree(f) == 2
     with pytest.raises(CertifyError):
-        infer_degree(f, CertifyOptions(d=1))
+        infer_degree(f, 1)
 
 
 # -- spotcheck --------------------------------------------------------------------
