@@ -160,12 +160,6 @@ class WitnessModel:
     def frame(self, word_index: int) -> np.ndarray:
         return self.frames[:, word_index * self.k:(word_index + 1) * self.k]
 
-    def selfadjointness_defect(self) -> float:
-        return self.operators.hermitian_defect()
-
-    def unitarity_defect(self) -> float:
-        return self.operators.unitary_defect()
-
 
 def _quotient_frames(S: HankelFunctional):
     """Eigenfactor the quotient matrix: columns of the returned W give the

@@ -127,7 +127,8 @@ def factor_gram(G: GramMatrix) -> SOSCertificate:
 
     The column groups realize the splitting of a psd map into N rank-<=k
     pieces; each group yields one square factor r_j of degree <= d.  The
-    residual is max_u ||block_sums(R R^* - G)_u|| over the word-pair table.
+    certificate's residual is left at 0: the certificate gate of
+    certify._refuse_certificate measures the factors against the input.
     """
     H = (G.matrix + G.matrix.conj().T) / 2
     evals, evecs = np.linalg.eigh(H)
@@ -141,6 +142,4 @@ def factor_gram(G: GramMatrix) -> SOSCertificate:
     blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
     factors = [NCPoly(G.g, G.mode, k, dict(zip(words, Bj)))
                for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
-
-    miss = block_sums(R @ R.conj().T - H, constraint_index(G.g, G.d, G.mode)[1])
-    return SOSCertificate(G, factors, float(np.linalg.norm(miss, 2, axis=(1, 2)).max()))
+    return SOSCertificate(G, factors)

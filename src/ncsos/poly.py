@@ -200,12 +200,12 @@ class OperatorTuple:
         defects += [opnorm(x @ v - np.eye(n)) for x, v in zip(self.entries, self.inverses or [])]
         return max(defects, default=0.0)
 
-    def inverse_entries(self, tol: float = EPS_UNIT) -> list:
+    def inverse_entries(self) -> list:
         if self.inverses is not None:
             return self.inverses
-        if self.unitary_defect() > tol:
+        if self.unitary_defect() > EPS_UNIT:
             raise PolyError(
-                f"group-mode entries are not unitary within {tol} "
+                f"group-mode entries are not unitary within {EPS_UNIT} "
                 f"(defect {self.unitary_defect():.3e})")
         return [np.linalg.inv(x) for x in self.entries]
 

@@ -23,7 +23,12 @@ iterations to max_margin, a log-barrier interior-point solve of max t
 subject to X - t I psd on the affine set.  Its point is psd when the best
 margin is >= 0; at a centred point with a negative bound the inverse slack
 S^-1 (S = X - t I) is a Farkas certificate, the dual point of the central
-path (Boyd & Vandenberghe, Convex Optimization, 11.2.2 and 11.6).
+path (Boyd & Vandenberghe, Convex Optimization, 11.2.2 and 11.6).  It
+moves X in the null space of the constraints, along directions read off the
+class labels that each touch two coordinates at most (a weighted difference
+of two coordinates under one constraint, or a free coordinate), so every
+Newton row comes from two outer products of columns of the congruence W with
+W (X - t I) W* = I.
 """
 
 from __future__ import annotations
@@ -275,11 +280,11 @@ def solve_feasibility(sys: AffineSystem,
         if gap <= tol:
             return FeasibilityResult(True, x, it, gap)
 
-    # the null basis and the Newton rows (n x m^2 each), the Newton matrix and
-    # np.linalg.solve's copy of it (n x n each), and one chunk's complex
-    # directions, two congruence products and real coordinates
+    # the Newton rows (n x m^2), the Newton matrix and np.linalg.solve's copy
+    # of it (n x n each), and one chunk's complex Y with, at most, 24 bytes an
+    # entry more: the conjugate added to it, then _hvec's pieces of it
     n = m * m - len(sys.targets) + 1
-    need = 8 * n * (2 * m * m + 2 * n) + min(CHUNK, n) * m * m * (3 * 16 + 8)
+    need = 8 * n * (m * m + 2 * n) + min(CHUNK, n) * m * m * (16 + 24)
     if need > MARGIN_MAX_BYTES:
         return FeasibilityResult(False, None, it, gap, reason=f"max-margin handover needs "
                                  f"{need / 2 ** 30:.1f} GiB, over its {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
@@ -311,19 +316,6 @@ def _hvec(X: np.ndarray) -> np.ndarray:
                            np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1)
 
 
-def _hunvec(x: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of _hvec."""
-    iu = np.triu_indices(m, 1)
-    q = len(iu[0])
-    X = np.zeros(x.shape[:-1] + (m, m), dtype=complex)
-    idx = np.arange(m)
-    X[..., idx, idx] = x[..., :m]
-    upper = (x[..., m:m + q] + 1j * x[..., m + q:]) / np.sqrt(2)
-    X[..., iu[0], iu[1]] = upper
-    X[..., iu[1], iu[0]] = upper.conj()
-    return X
-
-
 MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
@@ -339,54 +331,50 @@ class MarginResult:
     iterations: int     # Newton steps
 
 
-def _null_basis(sys: AffineSystem) -> np.ndarray:
-    """Orthonormal basis, as rows in _hvec coordinates, of the Hermitian
-    matrices the linear part of the constraints does not see.
+def _null_directions(sys: AffineSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A basis of the Hermitian matrices the linear part of the constraints
+    does not see, each direction on at most two coordinates.
 
-    Read off the labels: the real coordinates of a class and its mirror form
-    one group, their imaginary coordinates another, and the constraint on a
-    group is one weight vector w (+-1, or 1 on the diagonal and sqrt(2) above
-    it on a self-mirror class, whose imaginary coordinates are free: the sum
-    of a Hermitian class closed under transposition is real).  A group keeps
-    the complement of w, the trailing columns of the Householder reflection
-    taking e_1 to w/|w|; unlabelled coordinates keep their unit vectors.
+    A coordinate is z E_rc + conj(z) E_cr, r <= c, with z = 1/2 on the
+    diagonal and 1 (real part) or i (imaginary part) above it.  Read off the
+    labels: the real coordinates of a class and its mirror form one group,
+    their imaginary coordinates another, and a coordinate's share w of its
+    group's constraint is what it adds to the real or imaginary part of the
+    class sum (1, or 2 above the diagonal of a self-mirror class; +-1 for an
+    imaginary part, except on a self-mirror class, whose imaginary
+    coordinates are free: the sum of a Hermitian class closed under
+    transposition is real).  Each grouped coordinate but its group's first
+    gives C / w - C_first / w_first, each free or unlabelled coordinate C
+    alone, and every direction is scaled to unit Frobenius norm.
+
+    Returns rows, cols and weights, each n x 2: direction k is
+    Y + Y^* with Y = sum_s weights[k, s] E_{rows[k, s], cols[k, s]}.
     """
     m = sys.m
     iu, ju = np.triu_indices(m, 1)
     diag = np.arange(m)
-    # each coordinate's entry (i, j), i <= j, and whether it is an imaginary part
-    i = np.concatenate([diag, iu, iu])
-    j = np.concatenate([diag, ju, ju])
-    imag = np.arange(len(i)) >= m + len(iu)
-    lab, mir = sys.labels[i, j], sys.labels[j, i]
+    r = np.concatenate([diag, iu, iu])
+    c = np.concatenate([diag, ju, ju])
+    z = np.concatenate([np.full(m, 0.5), np.ones(len(iu)), np.full(len(iu), 1j)])
+    imag = z.imag != 0
+    lab, mir = sys.labels[r, c], sys.labels[c, r]
     key = np.minimum(lab, mir)
     own = lab == mir
-    w = np.where(imag, np.where(lab == key, 1.0, -1.0),
-                 np.where(own & (i != j), np.sqrt(2), 1.0))
-    unit = np.flatnonzero((lab < 0) | (imag & own))
+    w = np.where(imag, np.where(lab == key, 1.0, -1.0), np.where(own & (r != c), 2.0, 1.0))
+    norm = np.where(r == c, 1.0, np.sqrt(2))  # of each coordinate
+    free = np.flatnonzero((lab < 0) | (imag & own))
     grouped = np.flatnonzero((lab >= 0) & ~(imag & own))
     _, first, gid = np.unique(2 * key[grouped] + imag[grouped],
                               return_index=True, return_inverse=True)
-    u = w[grouped] / np.sqrt(np.bincount(gid, w[grouped] ** 2))[gid]
-    u *= np.sign(u[first])[gid]  # u_1 > 0 in every group, for a stable reflection
-    ug = np.zeros((len(first), len(i)))  # each group's u, in place
-    ug[gid, grouped] = u
-    f = grouped[first]
     rest = np.ones(len(grouped), dtype=bool)
     rest[first] = False
-    comp = np.flatnonzero(rest)
+    a, b = grouped[rest], grouped[first][gid[rest]]
+    scale = np.hypot(norm[a] / w[a], norm[b] / w[b])
 
-    N = np.zeros((len(unit) + len(comp), len(i)))
-    N[np.arange(len(unit)), unit] = 1.0
-    # columns j > 1 of the reflection: e_j - u_j (u + e_1) / (1 + u_1)
-    g = gid[comp]
-    c = u[comp] / (1.0 + u[first][g])
-    refl = N[len(unit):]
-    refl -= c[:, None] * ug[g]
-    r = np.arange(len(comp))
-    refl[r, f[g]] -= c
-    refl[r, grouped[comp]] += 1.0
-    return N
+    slot = np.concatenate([np.stack([free, free], axis=1), np.stack([a, b], axis=1)])
+    coef = np.concatenate([np.stack([1.0 / norm[free], np.zeros(len(free))], axis=1),
+                           np.stack([1.0 / (w[a] * scale), -1.0 / (w[b] * scale)], axis=1)])
+    return r[slot], c[slot], coef * z[slot]
 
 
 def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
@@ -395,13 +383,16 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     A log-barrier path-following method (Boyd & Vandenberghe, ch. 11) on the
     null space of the constraints: X = X0 + sum_i y_i E_i, where
     X0 = project_affine(0) is the least-norm solution and the E_i are the
-    orthonormal basis _null_basis reads off the class labels.
-    Every iterate satisfies the constraints by construction, however badly
-    conditioned the Newton systems become near the boundary of the cone.
-    Each Newton step takes one eigh of S = X - t I: with S = Q diag(lam) Q*,
-    W = diag(lam)^(-1/2) Q* has W S W* = I, and the Newton system is the Gram
-    matrix of the congruent directions W E_i W*.  Newton's method is affine
-    invariant, so the iterates do not depend on the basis.  The start puts t
+    directions _null_directions reads off the class labels, each on two
+    coordinates at most.  Every iterate satisfies the constraints by
+    construction, however badly conditioned the Newton systems become near
+    the boundary of the cone.  Each Newton step takes one eigh of S = X - t I:
+    with S = Q diag(lam) Q*, W = diag(lam)^(-1/2) Q* has W S W* = I, and the
+    Newton system is the Gram matrix of the congruent directions W E_i W*,
+    each Y + Y* with Y a sum of two outer products of columns of W.  Newton's
+    method is affine invariant, so in exact arithmetic the iterates do not
+    depend on the basis; the unit norm of each direction keeps the Newton
+    matrix well scaled in the ill-conditioned tail of a solve.  The start puts t
     one below the smallest eigenvalue of X0, so the path is entered from a
     strictly feasible point whether or not the system has a psd solution.
     Deterministic: no random start.
@@ -415,7 +406,9 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
     m = sys.m
     eye = np.eye(m, dtype=complex)
     X0, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
-    N = _null_basis(sys)
+    rows, cols, weights = _null_directions(sys)
+    n = len(rows)
+    Y = np.empty((min(CHUNK, n), m, m), dtype=complex)
 
     t = min(float(np.linalg.eigvalsh(X0).min()), 0.0) - 1.0
     S = X0 - t * eye
@@ -435,12 +428,18 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
         for _ in range(min(CENTRING_STEPS, MARGIN_MAX_NEWTON - steps)):
             steps += 1
             lam, Q = np.linalg.eigh(S)
-            W = (Q / np.sqrt(lam)).conj().T
-            # rows: the null-space directions, then -I for t, congruent by W
-            R = np.empty((len(N) + 1, m * m))
-            for i in range(0, len(N), CHUNK):
-                R[:-1][i:i + CHUNK] = _hvec(W @ _hunvec(N[i:i + CHUNK], m) @ W.conj().T)
-            R[-1] = -_hvec(W @ W.conj().T)
+            V = Q / np.sqrt(lam)  # W = V*: column r of W is conj(V[r])
+            Vc = V.conj()
+            # rows: the null-space directions, then -I for t, congruent by W;
+            # W E W* = Y + Y* with Y = sum_s weight_s conj(V[row_s]) (x) V[col_s]
+            R = np.empty((n + 1, m * m))
+            for i in range(0, n, CHUNK):
+                part = slice(i, i + CHUNK)
+                Yc = np.matmul(Vc[rows[part]].swapaxes(1, 2) * weights[part, None],
+                               V[cols[part]], out=Y[:len(rows[part])])
+                Yc += Yc.conj().swapaxes(1, 2)
+                R[:-1][part] = _hvec(Yc)
+            R[-1] = -_hvec(Vc.T @ V)
             grad = -R @ hvec_eye
             grad[-1] += -eta + 1.0 / (1.0 - t)
             hess = R @ R.T
@@ -454,7 +453,9 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
             if decrement / 2 <= 1e-9:
                 centred = True
                 break
-            dS = _hunvec(step[:-1] @ N, m) - step[-1] * eye
+            D = np.zeros((m, m), dtype=complex)
+            np.add.at(D, (rows, cols), step[:-1, None] * weights)
+            dS = D + D.conj().T - step[-1] * eye
             f0 = barrier(lam, t)
             alpha = 1.0
             while alpha >= 1e-12 and (barrier(np.linalg.eigvalsh(S + alpha * dS), t + alpha * step[-1])

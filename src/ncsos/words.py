@@ -34,7 +34,7 @@ def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable word; value semantics, hash keyed on (mode, letters)."""
+    """An immutable word; value semantics, hash keyed on (mode, letter keys)."""
 
     mode: str
     g: int
@@ -53,8 +53,8 @@ class Word:
         if self.mode == GROUP and reduce_letters(self.letters) != self.letters:
             raise WordError(f"group word {self.letters} is not reduced")
 
-    def __hash__(self):
-        return hash((self.mode, self.letters))
+    def __hash__(self):  # not the raw letters: CPython hashes -1 and -2 alike
+        return hash((self.mode, tuple(map(letter_key, self.letters))))
 
     def __len__(self):
         return len(self.letters)

@@ -206,8 +206,8 @@ def test_criterion_6_gns_reproduction():
         model = gns_construct(S) if mode == MONOID else gns_construct_unitary(S)
         worst_res = max(worst_res, gns_verify(S, model))
         worst_shift = max(worst_shift, shift_defect(model))
-        worst_op = max(worst_op, model.selfadjointness_defect() if mode == MONOID
-                       else model.unitarity_defect())
+        worst_op = max(worst_op, model.operators.hermitian_defect() if mode == MONOID
+                       else model.operators.unitary_defect())
     ok = worst_res <= 1e-8 and worst_shift <= 1e-8 and worst_op <= 1e-10
     report("criterion 6 (GNS reproduction)", ok,
            f"25 models: verify {worst_res:.2e}, shift {worst_shift:.2e}, operator defect {worst_op:.2e}")

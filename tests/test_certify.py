@@ -257,7 +257,7 @@ def test_certify_anticommutator_witness():
     Y = OperatorTuple(MONOID, [np.array([[1.0]]), np.array([[-1.0]])])
     assert poly_eval(f, Y)[0, 0].real == -2.0
     # soundness of the returned model
-    assert out.model.selfadjointness_defect() <= 1e-10
+    assert out.model.operators.hermitian_defect() <= 1e-10
     fY = poly_eval(f, out.model.operators)
     assert np.linalg.eigvalsh((fY + fY.conj().T) / 2).min() <= -1e-6
 
@@ -288,7 +288,7 @@ def test_certify_group_witness():
     f = NCPoly.constant(1.0, 1, GROUP) + u(1) + u(-1)
     out = certify(f)
     assert out.kind == "witness"
-    assert out.model.unitarity_defect() <= 1e-10
+    assert out.model.operators.unitary_defect() <= 1e-10
     fU = poly_eval(f, out.model.operators)
     assert np.linalg.eigvalsh((fU + fU.conj().T) / 2).min() <= -1e-6
 
@@ -303,7 +303,7 @@ def test_certify_matrix_coefficient_witness_with_letter():
     f = NCPoly(1, MONOID, 2, {Word(MONOID, 1, (1,)): C})
     out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
-    assert out.model.selfadjointness_defect() <= 1e-10
+    assert out.model.operators.hermitian_defect() <= 1e-10
 
 
 def test_certify_group_matrix_coefficient_witness():
@@ -313,7 +313,7 @@ def test_certify_group_matrix_coefficient_witness():
                              Word(GROUP, 1, (-1,)): C / 2})
     out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
-    assert out.model.unitarity_defect() <= 1e-10
+    assert out.model.operators.unitary_defect() <= 1e-10
 
 
 # -- exclusivity ---------------------------------------------------------------
@@ -368,7 +368,7 @@ def test_dual_witness_operators_are_self_adjoint(seed):
     if model is None:
         assert "self-adjointness" in diag.note
     else:
-        assert model.selfadjointness_defect() <= 1e-8 and min_eig <= -1e-6
+        assert model.operators.hermitian_defect() <= 1e-8 and min_eig <= -1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])
@@ -408,8 +408,8 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     model, min_eig, _, diag = run_dual(f, 2)
     assert model is not None, diag.note
     assert len(calls) == 1
-    defect = (model.selfadjointness_defect() if f.mode == MONOID
-              else model.unitarity_defect())
+    defect = (model.operators.hermitian_defect() if f.mode == MONOID
+              else model.operators.unitary_defect())
     assert defect <= 1e-8 and min_eig <= -1e-6
 
 

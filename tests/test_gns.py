@@ -169,7 +169,7 @@ def test_gns_reconstructs_known_monoid_models(g, k, d, n):
     S.validate()
     model = gns_construct(S)
     assert model.dim <= S.k * len(enumerate_words(g, d + 1, MONOID))
-    assert model.selfadjointness_defect() <= 1e-10
+    assert model.operators.hermitian_defect() <= 1e-10
     assert gns_verify(S, model) <= 1e-8
     assert shift_defect(model) <= 1e-8
 
@@ -231,7 +231,7 @@ def test_gns_unitary_scalar_point():
 def test_gns_unitary_delta():
     S = delta_functional(2, 1, 1, GROUP)
     model = gns_construct_unitary(S)
-    assert model.unitarity_defect() <= 1e-10
+    assert model.operators.unitary_defect() <= 1e-10
     assert gns_verify(S, model) <= 1e-8
 
 
@@ -243,7 +243,7 @@ def test_gns_reconstructs_known_unitary_models(g, k, d, n):
     S = functional_from_model(X, frame, g, d, GROUP)
     S.validate()
     model = gns_construct_unitary(S)
-    assert model.unitarity_defect() <= 1e-10
+    assert model.operators.unitary_defect() <= 1e-10
     assert gns_verify(S, model) <= 1e-8
     assert shift_defect(model) <= 1e-8
 

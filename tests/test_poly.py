@@ -168,7 +168,7 @@ def test_eval_takes_group_inverses_once(monkeypatch):
     calls = []
     original = OperatorTuple.inverse_entries
     monkeypatch.setattr(OperatorTuple, "inverse_entries",
-                        lambda self, *a: calls.append(1) or original(self, *a))
+                        lambda self: calls.append(1) or original(self))
     out = poly_eval(p, X)
     assert len(calls) <= 1
     assert out.tobytes() == ref.tobytes()

@@ -2,18 +2,19 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsos.certify import free_state, gram_system, hankel_system
 from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, InconsistentSystemError, SdpError,
-    _hunvec, _hvec, _low_eig, _null_basis, max_margin, project_affine, project_psd,
+    _hvec, _low_eig, _null_directions, max_margin, project_affine, project_psd,
     solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
 
-from test_certify import group_fixture
+from test_certify import _gram_poly, group_fixture
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -253,22 +254,22 @@ def test_boundary_sos_gets_no_certificate():
 
 def test_handover_over_its_memory_budget_builds_nothing(monkeypatch):
     # the weakly infeasible pattern of test_infeasible_reports_inconclusive in
-    # a 64 x 64 matrix: the null basis, Newton rows, Newton matrix, its copy
-    # in np.linalg.solve and one chunk's temporaries would take about
-    # 0.55 GiB, over the handover's budget, so none is built
+    # a 64 x 64 matrix: the Newton rows, Newton matrix, its copy in
+    # np.linalg.solve and one chunk's temporaries would take about 0.41 GiB,
+    # over the handover's budget, so none is built
     m = 64
     labels = np.full((m, m), -1)
     labels[0, 1], labels[1, 0], labels[1, 1] = 0, 1, 2
     sys = AffineSystem(m, labels, [1.0, 1.0, 0.0])
 
     def refuse(*args):
-        raise AssertionError("_null_basis called over the memory budget")
+        raise AssertionError("_null_directions called over the memory budget")
 
-    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "_null_basis", refuse)
+    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "_null_directions", refuse)
     res = solve_feasibility(sys, max_iter=10)
     assert not res.feasible and res.X is None and res.certificate is None
     assert res.iterations == 10 and res.newton_steps == 0
-    assert res.reason == "max-margin handover needs 0.6 GiB, over its 0.25 GiB budget"
+    assert res.reason == "max-margin handover needs 0.4 GiB, over its 0.25 GiB budget"
 
 
 def test_interior_point_must_be_positive_definite():
@@ -331,6 +332,17 @@ def test_max_margin_interior_stops_at_psd_point():
     assert sys.residual(res.X) < 1e-12
 
 
+def _hunvec(x, m):
+    """Inverse of _hvec, for the unit matrices of its coordinates."""
+    iu = np.triu_indices(m, 1)
+    X = np.zeros(x.shape[:-1] + (m, m), dtype=complex)
+    X[..., range(m), range(m)] = x[..., :m]
+    upper = (x[..., m:m + len(iu[0])] + 1j * x[..., m + len(iu[0]):]) / np.sqrt(2)
+    X[..., iu[0], iu[1]] = upper
+    X[..., iu[1], iu[0]] = upper.conj()
+    return X
+
+
 def _projector_null_basis(sys):
     """Reference: the eigenvectors with eigenvalue 1 of the dense m^2 x m^2
     matrix of the linear part of sys.nearest, an orthogonal projector."""
@@ -338,6 +350,29 @@ def _projector_null_basis(sys):
     P = _hvec(np.array([sys.nearest(E, linear=True) for E in _hunvec(np.eye(m * m), m)]))
     evals, evecs = np.linalg.eigh(P)
     return evecs[:, evals > 0.5].T
+
+
+def _direction_matrices(sys):
+    """The directions of _null_directions as m x m matrices."""
+    rows, cols, weights = _null_directions(sys)
+    Y = np.zeros((len(rows), sys.m, sys.m), dtype=complex)
+    np.add.at(Y, (np.arange(len(rows))[:, None], rows, cols), weights)
+    return Y + Y.conj().swapaxes(1, 2)
+
+
+def _check_null_directions(sys):
+    E, ref = _direction_matrices(sys), _projector_null_basis(sys)
+    assert np.abs(E - E.conj().swapaxes(1, 2)).max(initial=0.0) == 0  # Hermitian
+    N = _hvec(E)
+    assert N.shape == ref.shape
+    assert len(N) == sys.m ** 2 - len(sys.targets)  # the handover's size estimate
+    # unit directions, independent and in the projector's range: the same span
+    assert np.abs(np.linalg.norm(N, axis=1) - 1).max(initial=0.0) <= 1e-12
+    assert np.linalg.matrix_rank(N) == len(N)
+    assert np.abs(ref.T @ (ref @ N.T) - N.T).max(initial=0.0) <= 1e-12
+    # every direction is left alone by the linear projection
+    for e in E:
+        assert np.abs(sys.nearest(e, linear=True) - e).max() <= 1e-12
 
 
 def _basis_cases():
@@ -355,15 +390,23 @@ def _basis_cases():
 
 @pytest.mark.parametrize("name", list(_basis_cases()))
 def test_null_basis_matches_projector(name):
-    sys = _basis_cases()[name]()
-    N, ref = _null_basis(sys), _projector_null_basis(sys)
-    assert N.shape == ref.shape
-    assert len(N) == sys.m ** 2 - len(sys.targets)  # the handover's size estimate
-    assert np.abs(N @ N.T - np.eye(len(N))).max() <= 1e-12
-    # the same span, and every direction is left alone by the linear projection
-    assert np.abs(ref.T @ (ref @ N.T) - N.T).max() <= 1e-12
-    moved = np.array([_hvec(sys.nearest(E, linear=True)) for E in _hunvec(N, sys.m)])
-    assert np.abs(moved - N).max() <= 1e-12
+    _check_null_directions(_basis_cases()[name]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(mode=st.sampled_from([MONOID, GROUP]), g=st.integers(1, 2), d=st.integers(0, 2),
+       k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_null_directions_of_gram_systems(mode, g, d, k, seed):
+    _check_null_directions(gram_system(_gram_poly(seed, g, mode, k, d), d))
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 5), data=st.data(), value=st.complex_numbers(max_magnitude=2),
+       trace=st.one_of(st.none(), st.floats(-2, 2)))
+def test_null_directions_with_unlabelled_entries(m, data, value, trace):
+    i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    _check_null_directions(trace_system(m, value.real))
+    _check_null_directions(pinned_entry_system(m, i, j, value, trace))
 
 
 def test_max_margin_takes_no_dense_factorizations(monkeypatch):

@@ -79,6 +79,14 @@ def test_counts():
     assert count_words(1, 3, GROUP) == 7  # x1^m, m in -3..3
 
 
+def test_group_words_hash_apart():
+    # hash(-1) == hash(-2) in CPython: hashing raw letters left 6,349
+    # distinct hashes among these words, so dict lookups compared many
+    ws = enumerate_words(2, 8, GROUP)
+    assert len(ws) == 13_121
+    assert len({hash(w) for w in ws}) == 13_121
+
+
 @pytest.mark.parametrize("g,d,mode", [(1, 4, MONOID), (2, 3, MONOID),
                                       (1, 4, GROUP), (2, 3, GROUP), (3, 2, GROUP)])
 def test_enumerate_sorted_and_counted(g, d, mode):
