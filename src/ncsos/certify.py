@@ -40,6 +40,7 @@ from .words import MONOID, count_words, involute
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
+MAX_GRAM_SIDE = 512         # largest side of the dual's Gram system infer_degree accepts
 
 
 class CertifyError(ValueError):
@@ -66,13 +67,20 @@ class CertifyOutcome:
 
 
 def infer_degree(f: NCPoly, d: int | None = None) -> int:
-    """The Gram degree of a Hermitian input: d, else ceil(deg f / 2)."""
+    """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
+    degree whose larger Gram system, the dual's, would have side above
+    MAX_GRAM_SIDE is refused before anything is built."""
     if not f.is_hermitian():
         raise CertifyError("input polynomial is not Hermitian")
     if d is None:
         d = math.ceil(f.degree() / 2)
     if f.degree() > 2 * d:
         raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
+    D = dual_degree(f, d)  # count_words(g, D) >= D + 1: a huge D is refused uncounted
+    side = f.k * (D + 1 if (D + 1) * f.k > MAX_GRAM_SIDE else count_words(f.g, D, f.mode))
+    if side > MAX_GRAM_SIDE:
+        raise CertifyError(f"degree {d} needs a Gram system of side at least {side}, "
+                           f"above the limit {MAX_GRAM_SIDE}")
     return d
 
 

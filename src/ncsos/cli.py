@@ -266,8 +266,8 @@ def _cmd_extract(args) -> int:
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
     except (PolyError, KeyError) as exc:
         raise DataError(f"{args.eval_path}: {exc}")
-    if args.g < 1 or args.k < 1:
-        raise UsageError("--g and --k must be at least 1")
+    if min(args.g, args.l, args.k) < 1:
+        raise UsageError("--g, --l and --k must be at least 1")
     basis = FockBasis(args.g, args.l, MONOID)
     try:
         q = extract_coeffs(E, basis, args.k)

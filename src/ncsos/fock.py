@@ -7,6 +7,10 @@ to the vacuum yields an upper-triangular, unit-diagonal change-of-basis
 matrix whose inverse recovers polynomial coefficients from an evaluation
 q(A).  In group mode the same span carries a canonical tuple of 2g unitaries
 U_y acting as w -> yw wherever that makes sense at the truncation.
+
+All are compressions of the left-regular map e_w -> e_{a w}, read off the
+basis's suffix table (words.suffix_table, words.left_shift) without building
+a word per matrix entry; the vacuum images are poly.word_images of A.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import NCPoly, OperatorTuple
+from .poly import NCPoly, OperatorTuple, word_images
 from .words import (
-    GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key,
+    GROUP, MONOID, Word, count_words, enumerate_words, left_shift, suffix_table,
 )
 
 
@@ -53,17 +57,11 @@ def build_creation(basis: FockBasis) -> list[np.ndarray]:
     """Compressed creation operators: L_i e_w = e_{x_i w} if |w| < l, else 0."""
     if basis.mode != MONOID:
         raise FockError("creation operators are a monoid-mode construction")
-    words = basis.words
-    idx = basis.index()
-    n = basis.dim
-    ops = []
-    for i in range(1, basis.g + 1):
-        L = np.zeros((n, n), dtype=complex)
-        for j, w in enumerate(words):
-            if len(w) < basis.degree:
-                L[idx[Word(MONOID, basis.g, (i,) + w.letters)], j] = 1.0
-        ops.append(L)
-    return ops
+    head, tail = suffix_table(basis.words)
+    ops = np.zeros((basis.g, basis.dim, basis.dim), dtype=complex)
+    rows = np.flatnonzero(head)  # every word x_i w but the vacuum: L_i's row x_i w, column w
+    ops[head[rows] - 1, rows, tail[rows]] = 1.0
+    return list(ops)
 
 
 def build_symmetrized(basis: FockBasis) -> OperatorTuple:
@@ -85,25 +83,14 @@ class ExtractionMatrix:
 def vacuum_images(basis: FockBasis) -> np.ndarray:
     """The n x n matrix whose column j is A^w vacuum for the j-th basis word w.
 
-    Filled by recursion on the leading letter: the suffix w[1:] is shorter,
-    hence already computed.  No word of the basis reaches past the
-    truncation, so these are the untruncated vectors.
+    No word of the basis reaches past the truncation, so these are the
+    untruncated vectors.
     """
-    if basis.mode != MONOID:
-        raise FockError("vacuum images are a monoid-mode construction")
-    idx = basis.index()
-    A = build_symmetrized(basis).entries
-    cols = np.zeros((basis.dim, basis.dim), dtype=complex)
-    cols[0, 0] = 1.0
-    for j, w in enumerate(basis.words):
-        if w.letters:
-            cols[:, j] = A[w.letters[0] - 1] @ cols[:, idx[Word(MONOID, basis.g, w.letters[1:])]]
-    return cols
+    vacuum = np.eye(basis.dim, 1, dtype=complex)
+    return word_images(build_symmetrized(basis), basis.words, vacuum)
 
 
 def build_extraction(basis: FockBasis) -> ExtractionMatrix:
-    if basis.mode != MONOID:
-        raise FockError("extraction is a monoid-mode construction")
     if basis.degree < 1:
         raise FockError("extraction needs truncation degree >= 1")
     M = vacuum_images(basis)
@@ -155,28 +142,17 @@ def build_unitaries(g: int, d: int) -> OperatorTuple:
     """
     if d < 1:
         raise FockError("need truncation degree >= 1")
-    basis = FockBasis(g, d, GROUP)
-    words = basis.words
-    idx = basis.index()
-    n = basis.dim
+    n = count_words(g, d, GROUP)
+    head, tail = suffix_table(enumerate_words(g, d, GROUP))
 
     def unitary_for(y: int) -> np.ndarray:
         U = np.zeros((n, n), dtype=complex)
-        dom_leftover, cod_leftover = [], []
-        for w in words:
-            image = concat(Word(GROUP, g, (y,)), w)
-            covered = len(w) <= d - 1 or w.letters[0] == -y
-            if covered:
-                U[idx[image], idx[w]] = 1.0
-            else:
-                dom_leftover.append(w)  # length-d words not starting with y^-1
-            if not (len(w) <= d - 1 or w.letters[0] == y):
-                cod_leftover.append(w)  # length-d words not starting with y
-        if len(dom_leftover) != len(cod_leftover):
-            raise FockError("complement dimensions disagree; enumeration bug")
-        for w_from, w_to in zip(sorted(dom_leftover, key=graded_key),
-                                sorted(cod_leftover, key=graded_key)):
-            U[idx[w_to], idx[w_from]] = 1.0
+        shift = left_shift(head, tail, y)
+        covered = np.flatnonzero(shift >= 0)
+        U[shift[covered], covered] = 1.0
+        # the leftover length-d words, matched in index (graded) order: those
+        # not starting with y^-1 to those not starting with y
+        U[np.setdiff1d(np.arange(n), shift), shift < 0] = 1.0
         return U
 
     entries = [unitary_for(i) for i in range(1, g + 1)]

@@ -15,19 +15,21 @@ evaluation convention the reproducing identity
 
 then holds exactly, with <a, b> = b^dagger a.
 
-The model's operators are compressions of the left shift.  Every basis,
-shift and complement comes from a numpy factorization: _span_basis (an SVD)
-spans the generators, _fit_action (least squares) fits the shift on them,
-and in group mode each letter's partial isometry is completed to a unitary
-on the orthocomplements, the trailing left singular vectors of the bases.
+The model's operators are compressions of the left shift, pairing frame
+blocks by the basis's suffix table (words.suffix_table, words.left_shift).
+_span_basis (an SVD) spans the generators, _fit_action (least squares) fits
+the shift on them, and in group mode each letter's partial isometry is
+completed to a unitary by the polar factor between the orthocomplements,
+whichever bases the SVD returns for them.
 
 gns_verify checks that identity exactly rather than on sampled
 coefficients.  With Gamma = unvec(gamma) and the word images
-Z_w = Y^w Gamma, a monomial P w acts as p(Y) gamma = vec(Z_w P^T), so the
-identity for the monomial pair (v, w) and every coefficient pair at once is
-the k x k block equation S_{v*w}^T = Z_v^dagger Z_w.  The reported residual
-is 2 k^2 times the largest operator-norm defect of those blocks: the worst
-scalar defect over coefficient pairs P, Q of Frobenius norm sqrt(2) k.
+Z_w = Y^w Gamma (poly.word_images), a monomial P w acts as
+p(Y) gamma = vec(Z_w P^T), so the identity for the monomial pair (v, w) and
+every coefficient pair at once is the k x k block equation
+S_{v*w}^T = Z_v^dagger Z_w.  The reported residual is 2 k^2 times the
+largest operator-norm defect of those blocks: the worst scalar defect over
+coefficient pairs P, Q of Frobenius norm sqrt(2) k.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import EPS_PSD, constraint_index
-from .poly import NCPoly, OperatorTuple, opnorm, word_eval
-from .words import GROUP, MONOID, Word, concat, count_words, enumerate_words, involute
+from .poly import NCPoly, OperatorTuple, opnorm, word_images
+from .words import (
+    GROUP, MONOID, Word, count_words, enumerate_words, involute, left_shift, suffix_table,
+)
 
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
@@ -157,9 +161,6 @@ class WitnessModel:
     frames: np.ndarray      # dim x (N(D) k); column block w holds the map for word w
     gns_residual: float | None = None  # gns_verify value, set by the caller that gates on it
 
-    def frame(self, word_index: int) -> np.ndarray:
-        return self.frames[:, word_index * self.k:(word_index + 1) * self.k]
-
 
 def _quotient_frames(S: HankelFunctional):
     """Eigenfactor the quotient matrix: columns of the returned W give the
@@ -200,8 +201,7 @@ def gns_construct(S: HankelFunctional) -> WitnessModel:
         raise GnsError("need functional degree D >= 1")
     d = S.D - 1
     k = S.k
-    words = enumerate_words(S.g, S.D, MONOID)
-    idx = {w: i for i, w in enumerate(words)}
+    head, tail = suffix_table(enumerate_words(S.g, S.D, MONOID))
     n_low = count_words(S.g, d, MONOID)
 
     W = _quotient_frames(S)
@@ -212,17 +212,11 @@ def gns_construct(S: HankelFunctional) -> WitnessModel:
         raise ZeroFunctionalError("functional is zero on degree <= d; no model")
 
     frames = B.conj().T @ W           # e x (N(D) k)
-    C = frames[:, :n_low * k]
     ys = []
     fit_residual = 0.0
     for i in range(1, S.g + 1):
-        target_cols = []
-        for w in words[:n_low]:
-            shifted = Word(MONOID, S.g, (i,) + w.letters)
-            jj = idx[shifted]
-            target_cols.append(frames[:, jj * k:(jj + 1) * k])
-        T = np.hstack(target_cols)
-        Yi, res = _fit_action(C, T)
+        rows = np.flatnonzero(head == i)  # the words x_i w, |w| <= d
+        Yi, res = _fit_action(_blocks(frames, k, tail[rows]), _blocks(frames, k, rows))
         fit_residual = max(fit_residual, res)
         ys.append(Yi)
     if fit_residual > FIT_TOL:
@@ -233,6 +227,11 @@ def gns_construct(S: HankelFunctional) -> WitnessModel:
     operators = OperatorTuple(MONOID, ys)
     return WitnessModel(mode=MONOID, k=k, d=d, dim=e, operators=operators,
                         gamma=gamma, functional=S, frames=frames)
+
+
+def _blocks(frames: np.ndarray, k: int, words: np.ndarray) -> np.ndarray:
+    """The frame column blocks of the given word indices, side by side."""
+    return frames[:, (k * words[:, None] + np.arange(k)).ravel()]
 
 
 def _fit_action(C: np.ndarray, T: np.ndarray):
@@ -248,10 +247,12 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
 
     The shift by a letter y is isometric between the subspaces spanned by
     tuples supported on words of length <= d-1 extended by y^-1 resp. y; it
-    is extended to a unitary by matching orthonormal bases of the two
-    orthocomplements, mirroring the free-group Fock construction.  The
-    frames span the whole quotient space, so the complements are taken in
-    all of C^rank.
+    is extended to a unitary on the two orthocomplements, mirroring the
+    free-group Fock construction; the frames span the whole quotient space,
+    so the complements are taken in all of C^rank.  With orthonormal
+    complement bases C_dom, C_cod and C_cod* C_dom = P Sigma Q*, the
+    extension C_cod (P Q*) C_dom* is the one nearest the identity, whichever
+    bases the SVD returns, as long as C_cod* C_dom is invertible.
     """
     if S.mode != GROUP:
         raise GnsError("gns_construct_unitary expects a group-mode functional")
@@ -259,19 +260,16 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
     if d < 1:
         raise GnsError("need functional degree D >= 1")
     k = S.k
-    words = enumerate_words(S.g, d, GROUP)
-    idx = {w: i for i, w in enumerate(words)}
-    cols = np.arange(len(words) * k).reshape(len(words), k)  # frame columns of each word
-
+    head, tail = suffix_table(enumerate_words(S.g, d, GROUP))
     frames = _quotient_frames(S)  # the whole quotient space is the model space
 
     def unitary_for(y: int) -> np.ndarray:
-        # generators of the domain and codomain of the letter-y shift
-        dom = [w for w in words if len(w) < d or w.letters[0] == -y]
-        cod = [w for w in words if len(w) < d or w.letters[0] == y]
-        shift = Word(GROUP, S.g, (y,))
-        G_dom, G_tgt, G_cod = (frames[:, cols[[idx[w] for w in ws]].ravel()]
-                               for ws in (dom, [concat(shift, w) for w in dom], cod))
+        # generators of the domain and codomain of the letter-y shift: the
+        # words w with y w listed, their images y w, and those images in order
+        shift = left_shift(head, tail, y)
+        dom = np.flatnonzero(shift >= 0)
+        G_dom, G_tgt, G_cod = (_blocks(frames, k, ws)
+                               for ws in (dom, shift[dom], np.sort(shift[dom])))
         B_dom, B_cod = _span_basis(G_dom), _span_basis(G_cod)
         T_dom = _fit_action(G_dom, G_tgt)[0] @ B_dom
         iso_defect = opnorm(T_dom.conj().T @ T_dom - np.eye(T_dom.shape[1]))
@@ -282,7 +280,8 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
             raise GnsError("domain and codomain subspaces have different dimensions")
         C_dom = np.linalg.svd(B_dom, full_matrices=True)[0][:, e:]
         C_cod = np.linalg.svd(B_cod, full_matrices=True)[0][:, e:]
-        return T_dom @ B_dom.conj().T + C_cod @ C_dom.conj().T
+        P, _, Qh = np.linalg.svd(C_cod.conj().T @ C_dom)
+        return T_dom @ B_dom.conj().T + C_cod @ (P @ Qh) @ C_dom.conj().T
 
     entries = [unitary_for(i) for i in range(1, S.g + 1)]
     # U_i* maps frame_{x_i w} back to frame_w, and the domain and codomain of
@@ -293,31 +292,6 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
     gamma = vec(frames[:, 0:k])
     return WitnessModel(mode=GROUP, k=k, d=d, dim=frames.shape[0], operators=operators,
                         gamma=gamma, functional=S, frames=frames)
-
-
-def _word_images(model: WitnessModel, words: list) -> np.ndarray:
-    """The images Z_w = Y^w Gamma, Gamma = unvec(gamma), side by side: column
-    block j holds Z_{words[j]}.
-
-    Each image is one product with the image of its suffix,
-    Z_{a w'} = Y_a Z_{w'}; `words` must be graded (every suffix listed
-    before its word), as enumerate_words returns them.
-    """
-    k = model.k
-    Y = model.operators
-    letters = {a + 1: X for a, X in enumerate(Y.entries)}
-    if model.mode == GROUP:
-        letters.update({-(a + 1): X for a, X in enumerate(Y.inverse_entries())})
-    Z = np.empty((model.dim, len(words) * k), dtype=complex)
-    pos = {}
-    for j, w in enumerate(words):
-        if w.letters:
-            i = pos[w.letters[1:]]
-            Z[:, j * k:(j + 1) * k] = letters[w.letters[0]] @ Z[:, i * k:(i + 1) * k]
-        else:
-            Z[:, j * k:(j + 1) * k] = unvec(model.gamma, k)
-        pos[w.letters] = j
-    return Z
 
 
 def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
@@ -336,7 +310,7 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     k = model.k
     ws = enumerate_words(S.g, S.D, model.mode)  # degree d + 1 (monoid) or d (group)
     n_v = count_words(S.g, model.d, model.mode)
-    Z = _word_images(model, ws)
+    Z = word_images(model.operators, ws, unvec(model.gamma, k))
     M = Z[:, :n_v * k].conj().T @ Z
     # rows v of degree <= d of the matrix with (v, w) block S_{v*w}^T
     E = quotient_matrix(S)[:n_v * k] - M
@@ -354,17 +328,16 @@ def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
     """
     frame = np.atleast_2d(np.asarray(frame, dtype=complex))
     k = frame.shape[1]
-    blocks = {}
-    for u in enumerate_words(g, 2 * D, mode):
-        blocks[u] = (frame.conj().T @ word_eval(u, X) @ frame).T
-    return HankelFunctional(g=g, mode=mode, k=k, D=D, blocks=blocks)
+    words = enumerate_words(g, 2 * D, mode)
+    F = frame.conj().T @ word_images(X, words, frame)  # k x (T k): frame^dagger X^u frame
+    blocks = F.reshape(k, len(words), k).transpose(1, 2, 0)
+    return HankelFunctional(g=g, mode=mode, k=k, D=D, blocks=dict(zip(words, blocks)))
 
 
 def shift_defect(model: WitnessModel) -> float:
     """max || (I_k (x) Y^w) gamma - vec(frame of w) || over the stored words."""
     S = model.functional
     words = enumerate_words(S.g, S.D, S.mode)
-    Z = _word_images(model, words)
-    k = model.k
-    return max(float(np.linalg.norm(Z[:, j * k:(j + 1) * k] - model.frame(j)))
-               for j in range(len(words)))
+    Z = word_images(model.operators, words, unvec(model.gamma, model.k))
+    blocks = (Z - model.frames).reshape(model.dim, len(words), model.k)
+    return float(np.linalg.norm(blocks, axis=(0, 2)).max())

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .words import (
-    MONOID, MODES, Word, concat, format_word, graded_key, identity, involute, parse_word,
+    GROUP, MONOID, MODES, Word, concat, format_word, graded_key, identity, involute,
+    parse_word, suffix_table,
 )
 
 COEFF_DROP_TOL = 1e-14
@@ -223,6 +224,20 @@ def word_eval(w: Word, X: OperatorTuple, inverses: list | None = None) -> np.nda
                 inverses = X.inverse_entries()
             out = out @ inverses[-a - 1]
     return out
+
+
+def word_images(X: OperatorTuple, words: list[Word], V) -> np.ndarray:
+    """X^w V for every word of a graded list, side by side in column blocks:
+    each is one product with its suffix's, X^{a w} V = X_a (X^w V).  Negative
+    letters use the tuple's inverse_entries()."""
+    head, tail = suffix_table(words)
+    letters = dict(enumerate(X.entries, 1))
+    if X.mode == GROUP:
+        letters.update((-a, Xi) for a, Xi in enumerate(X.inverse_entries(), 1))
+    Z = np.empty((V.shape[0], len(words), V.shape[1]), dtype=complex)
+    for j, (a, t) in enumerate(zip(head.tolist(), tail.tolist())):
+        Z[:, j] = letters[a] @ Z[:, t] if a else V
+    return Z.reshape(V.shape[0], -1)
 
 
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:

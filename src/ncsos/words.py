@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 MONOID = "monoid"
 GROUP = "group"
 MODES = (MONOID, GROUP)
@@ -124,6 +126,27 @@ def enumerate_words(g: int, d: int, mode: str = MONOID) -> list[Word]:
                 nxt.append(ls + (a,))
         out.extend(Word(mode, g, ls) for ls in nxt)
         level = nxt
+    return out
+
+
+def suffix_table(words: list[Word]) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail): head[i] is the first letter of words[i] and tail[i] the
+    index of the rest of it (0 and -1 for the identity).  Every suffix must
+    be listed, as enumerate_words lists them."""
+    index = {w.letters: i for i, w in enumerate(words)}
+    head = np.array([w.letters[0] if w.letters else 0 for w in words], dtype=np.intp)
+    tail = np.array([index[w.letters[1:]] if w.letters else -1 for w in words], dtype=np.intp)
+    return head, tail
+
+
+def left_shift(head: np.ndarray, tail: np.ndarray, a: int) -> np.ndarray:
+    """Index of the reduced word a w for each listed w, or -1 when a w is not
+    listed; in group mode a cancels a leading a^-1."""
+    out = np.full(len(head), -1, dtype=np.intp)
+    rows = np.flatnonzero(head == a)
+    out[tail[rows]] = rows
+    cancel = head == -a
+    out[cancel] = tail[cancel]
     return out
 
 

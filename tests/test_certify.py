@@ -395,6 +395,27 @@ def group_witness_input(seed, g, d, k, n=3, margin=0.5):
     return f - NCPoly.constant(c * np.eye(k), g, GROUP)
 
 
+@pytest.mark.parametrize("seed, g, d, k", [(0, 2, 2, 1), (1, 1, 3, 2), (3, 2, 1, 2)])
+def test_group_witness_does_not_depend_on_the_quotient_basis(seed, g, d, k, monkeypatch):
+    # a unitary change of basis of the quotient space must give a unitarily
+    # equivalent model, so the completion of each letter's partial isometry
+    # may not depend on the complement bases an SVD happens to return
+    f = group_witness_input(seed, g, d, k)
+    min_eig = run_dual(f, d)[1]
+    module = importlib.import_module("ncsos.gns")
+    frames = module._quotient_frames
+    rng = np.random.default_rng(seed)
+
+    def rotated(S):
+        W = frames(S)
+        return np.linalg.qr(rand_matrix(len(W), rng))[0] @ W
+
+    monkeypatch.setattr(module, "_quotient_frames", rotated)
+    for _ in range(3):
+        model, rotated_min_eig, *_ = run_dual(f, d)
+        assert model is not None and abs(rotated_min_eig - min_eig) <= 1e-10
+
+
 @pytest.mark.parametrize("f", [monoid_witness_input(seed, 1, 2, 2) for seed in range(1, 31)]
                          + [group_witness_input(1, 1, 2, 2)],
                          ids=[f"monoid-{seed}" for seed in range(1, 31)] + ["group-1"])

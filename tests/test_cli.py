@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,8 @@ SOS_EVIDENCE = {"outcome": "sos", "degree": 1, "certificate": {
                  id="extract-g-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "1", "--k", "0"], {"e": [[[1.0, 0.0]]]},
                  EX_USAGE, id="extract-k-0"),
+    pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "0"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
+                 id="extract-l-0"),
 ])
 def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):
     paths = {}
@@ -359,6 +362,20 @@ def test_sos_evidence_fixture_is_accepted(tmp_path, capsys):
         path.write_text(json.dumps(data))
     code, out, _ = run(capsys, "spotcheck", *map(str, paths))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
+@pytest.mark.parametrize("degree", ["12", "200000"])
+def test_oversized_degree_is_refused_before_anything_is_built(tmp_path, capsys, command, degree):
+    # 1 + x1^2 over two letters: the degree-13 Gram system alone has side
+    # 16,383, and its word-pair table would have 2.7e8 entries
+    path = write_poly(tmp_path / "p.json", NCPoly.constant(1.0, 2) + x(1) * x(1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, path, "--degree", degree)
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_DATA and out == ""
+    assert err.startswith(f"input error: degree {degree} needs a Gram system of side at least ")
+    assert err.strip().endswith("above the limit 512")
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):

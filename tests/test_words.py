@@ -1,11 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncsos.words import (
-    GROUP, MONOID, Word, WordError, concat, count_words, enumerate_words,
-    format_word, graded_key, identity, involute, parse_word,
+    GROUP, MODES, MONOID, Word, WordError, concat, count_words, enumerate_words,
+    format_word, graded_key, identity, involute, left_shift, parse_word, suffix_table,
 )
 
 
@@ -95,6 +95,21 @@ def test_enumerate_sorted_and_counted(g, d, mode):
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert len(ws) == count_words(g, d, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.sampled_from(MODES))
+def test_suffix_table_and_left_shift(g, d, mode):
+    ws = enumerate_words(g, d, mode)
+    head, tail = suffix_table(ws)
+    assert (head[0], tail[0]) == (0, -1) and ws[0].is_identity
+    for i in range(1, len(ws)):
+        assert 0 <= tail[i] < i
+        assert ws[i] == concat(Word(mode, g, (int(head[i]),)), ws[tail[i]])
+    index = {w: i for i, w in enumerate(ws)}
+    for a in [*range(1, g + 1), *(range(-g, 0) if mode == GROUP else [])]:
+        shift = left_shift(head, tail, a)
+        assert [index.get(concat(Word(mode, g, (a,)), w), -1) for w in ws] == shift.tolist()
 
 
 @pytest.mark.parametrize("g,mode", [(2, MONOID), (3, MONOID), (2, GROUP), (3, GROUP)])
