@@ -91,8 +91,7 @@ def _pinned_system(f: NCPoly, products: list, table: np.ndarray) -> AffineSystem
     """Affine constraints on G forcing V^* G V = f over the word-pair table:
     the (a, b) entries of the blocks G_{v,w} with v* w = u are pinned to sum
     to f_u[a, b]."""
-    targets = np.concatenate([f.coeff(u).ravel() for u in products])
-    return AffineSystem(len(table) * f.k, class_labels(table, f.k), targets)
+    return AffineSystem(len(table) * f.k, class_labels(table, f.k), f.on(products).ravel())
 
 
 def gram_system(f: NCPoly, d: int) -> AffineSystem:
@@ -108,8 +107,8 @@ def _note(res: FeasibilityResult, note: str = "") -> str:
 
 def _miss(p: NCPoly, f: NCPoly) -> float:
     """max_u ||P_u - F_u||, how far p is from f coefficientwise."""
-    diffs = [p.coeff(u) - f.coeff(u) for u in p.terms.keys() | f.terms.keys()]
-    return float(np.linalg.norm(diffs, 2, axis=(1, 2)).max()) if diffs else 0.0
+    words = list(dict.fromkeys(p.words + f.words))
+    return float(np.linalg.norm(p.on(words) - f.on(words), 2, axis=(1, 2)).max(initial=0.0))
 
 
 def run_primal(f: NCPoly, d: int):

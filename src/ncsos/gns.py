@@ -87,7 +87,7 @@ class HankelFunctional:
     def phi(self, p: NCPoly) -> complex:
         """phi(p) = sum_u Tr(S_u P_u)."""
         total = 0.0 + 0.0j
-        for u, P in p.terms.items():
+        for u, P in zip(p.words, p.coeffs):
             total += np.trace(self.block(u) @ P)
         return complex(total)
 

@@ -103,14 +103,10 @@ class SOSCertificate:
         g, mode, k = self.gram.g, self.gram.mode, self.gram.k
         if any((r.g, r.mode, r.k) != (g, mode, k) for r in self.factors):
             raise PolyError("factor does not match the Gram matrix's (g, mode, k)")
-        words = sorted(set().union(*(r.terms for r in self.factors)), key=graded_key)
+        words = sorted(set().union(*(r.words for r in self.factors)), key=graded_key)
         if not words:
             return NCPoly.zero(g, mode, k)
-        index = {w: i for i, w in enumerate(words)}
-        R = np.zeros((len(words), k, len(self.factors), k), dtype=complex)
-        for j, r in enumerate(self.factors):
-            for w, c in r.terms.items():
-                R[index[w], :, j, :] = c.conj().T
+        R = np.stack([r.on(words).conj().transpose(0, 2, 1) for r in self.factors], axis=2)
         R = R.reshape(len(words) * k, len(self.factors) * k)
         products, table = word_pair_table(words)
         return NCPoly(g, mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))

@@ -13,12 +13,13 @@ arithmetic (coefficient extraction, GNS) relies on this ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .words import (
-    GROUP, MONOID, MODES, Word, concat, format_word, graded_key, identity, involute,
-    parse_word, suffix_table,
+    MONOID, MODES, Word, concat, format_word, graded_key, identity, involute, parse_word,
+    suffix_table,
 )
 
 COEFF_DROP_TOL = 1e-14
@@ -39,9 +40,11 @@ def opnorm(m) -> float:
 
 
 class NCPoly:
-    """Finitely supported word -> k x k complex matrix map, canonicalised."""
+    """Finitely supported word -> k x k complex matrix map, canonicalised: the
+    support words in graded order, the (T, k, k) stack coeffs aligned with it,
+    and terms, a read-only word -> coefficient view of both."""
 
-    __slots__ = ("g", "mode", "k", "terms")
+    __slots__ = ("g", "mode", "k", "words", "coeffs", "terms")
 
     def __init__(self, g: int, mode: str, k: int, terms=None):
         if mode not in MODES:
@@ -53,20 +56,25 @@ class NCPoly:
         self.g = g
         self.mode = mode
         self.k = k
-        clean: dict[Word, np.ndarray] = {}
+        kept = []
         for w, c in (terms or {}).items():
             if w.mode != mode or w.g != g:
                 raise PolyError(f"word {w!r} does not match (g={g}, mode={mode})")
             c = np.asarray(c, dtype=complex)
             if c.shape != (k, k):
                 raise PolyError(f"coefficient for {w!r} has shape {c.shape}, want {(k, k)}")
-            if w in clean:
-                c = clean[w] + c
             if np.linalg.norm(c) > COEFF_DROP_TOL:
-                clean[w] = c
-            elif w in clean:
-                del clean[w]
-        self.terms = clean
+                kept.append((w, c))
+        kept.sort(key=lambda wc: graded_key(wc[0]))
+        self.words = [w for w, _ in kept]
+        self.coeffs = np.array([c for _, c in kept], dtype=complex).reshape(-1, k, k)
+        self.terms = MappingProxyType(dict(zip(self.words, self.coeffs)))
+
+    def on(self, words) -> np.ndarray:
+        """The coefficients of a word list as one (len(words), k, k) stack,
+        zero off the support."""
+        zero = np.zeros((self.k, self.k), dtype=complex)
+        return np.array([self.terms.get(w, zero) for w in words], dtype=complex).reshape(-1, self.k, self.k)
 
     # -- constructors ------------------------------------------------------
 
@@ -94,8 +102,8 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check_compat(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
+        terms = dict(zip(self.words, self.coeffs))
+        for w, c in zip(other.words, other.coeffs):
             terms[w] = terms.get(w, 0) + c
         return NCPoly(self.g, self.mode, self.k, terms)
 
@@ -103,17 +111,15 @@ class NCPoly:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "NCPoly":
-        return NCPoly(self.g, self.mode, self.k,
-                      {w: scalar * c for w, c in self.terms.items()})
+        return NCPoly(self.g, self.mode, self.k, dict(zip(self.words, scalar * self.coeffs)))
 
     def __mul__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
-            return NCPoly(self.g, self.mode, self.k,
-                          {w: c * other for w, c in self.terms.items()})
+            return NCPoly(self.g, self.mode, self.k, dict(zip(self.words, self.coeffs * other)))
         self._check_compat(other)
         terms: dict[Word, np.ndarray] = {}
-        for w, a in self.terms.items():
-            for v, b in other.terms.items():
+        for w, a in zip(self.words, self.coeffs):
+            for v, b in zip(other.words, other.coeffs):
                 u = concat(w, v)
                 terms[u] = terms.get(u, 0) + a @ b
         return NCPoly(self.g, self.mode, self.k, terms)
@@ -124,33 +130,30 @@ class NCPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
-        if (self.g, self.mode, self.k) != (other.g, other.mode, other.k):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(np.allclose(self.terms[w], other.terms[w], atol=1e-12)
-                   for w in self.terms)
+        return ((self.g, self.mode, self.k) == (other.g, other.mode, other.k)
+                and self.words == other.words
+                and np.allclose(self.coeffs, other.coeffs, atol=1e-12))
 
     def adjoint(self) -> "NCPoly":
         """p* : (w, P) -> (w*, P^dagger)."""
         return NCPoly(self.g, self.mode, self.k,
-                      {involute(w): c.conj().T for w, c in self.terms.items()})
+                      {involute(w): c.conj().T for w, c in zip(self.words, self.coeffs)})
 
     def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return len(self.words[-1]) if self.words else 0
 
     def is_hermitian(self, tol: float = EPS_HERM) -> bool:
-        diff = self - self.adjoint()
-        return all(opnorm(c) <= tol for c in diff.terms.values())
+        """P_w = P_{w*}^dagger within tol in operator norm, for every w."""
+        mirror = self.on([involute(w) for w in self.words]).conj().transpose(0, 2, 1)
+        return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= tol))
 
     def coeff(self, w: Word) -> np.ndarray:
-        return self.terms.get(w, np.zeros((self.k, self.k), dtype=complex))
+        return self.on([w])[0]
 
     def __repr__(self):
-        if not self.terms:
+        if not self.words:
             return "NCPoly(0)"
-        keys = sorted(self.terms, key=lambda w: (len(w), w.letters))
-        return "NCPoly(" + " + ".join(f"[{format_word(w)}]" for w in keys) + ")"
+        return "NCPoly(" + " + ".join(f"[{format_word(w)}]" for w in self.words) + ")"
 
 
 @dataclass
@@ -211,18 +214,22 @@ class OperatorTuple:
         return [np.linalg.inv(x) for x in self.entries]
 
 
-def word_eval(w: Word, X: OperatorTuple, inverses: list | None = None) -> np.ndarray:
-    """X^w, with X^empty = I; negative letters use inverses, by default the
-    tuple's inverse_entries()."""
-    n = X.dim
-    out = np.eye(n, dtype=complex)
+def _letters(X: OperatorTuple, words) -> dict:
+    """Signed letter -> matrix of X for the letters of words: a group tuple's
+    inverse_entries() are taken once, and only when a word has an inverse letter."""
+    letters = dict(enumerate(X.entries, 1))
+    if any(a < 0 for w in words for a in w.letters):
+        letters.update((-a, V) for a, V in enumerate(X.inverse_entries(), 1))
+    return letters
+
+
+def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
+    """X^w, with X^empty = I; negative letters use the tuple's
+    inverse_entries()."""
+    letters = _letters(X, [w])
+    out = np.eye(X.dim, dtype=complex)
     for a in w.letters:
-        if a > 0:
-            out = out @ X.entries[a - 1]
-        else:
-            if inverses is None:
-                inverses = X.inverse_entries()
-            out = out @ inverses[-a - 1]
+        out = out @ letters[a]
     return out
 
 
@@ -231,9 +238,7 @@ def word_images(X: OperatorTuple, words: list[Word], V) -> np.ndarray:
     each is one product with its suffix's, X^{a w} V = X_a (X^w V).  Negative
     letters use the tuple's inverse_entries()."""
     head, tail = suffix_table(words)
-    letters = dict(enumerate(X.entries, 1))
-    if X.mode == GROUP:
-        letters.update((-a, Xi) for a, Xi in enumerate(X.inverse_entries(), 1))
+    letters = _letters(X, words)
     Z = np.empty((V.shape[0], len(words), V.shape[1]), dtype=complex)
     for j, (a, t) in enumerate(zip(head.tolist(), tail.tolist())):
         Z[:, j] = letters[a] @ Z[:, t] if a else V
@@ -243,9 +248,10 @@ def word_images(X: OperatorTuple, words: list[Word], V) -> np.ndarray:
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     """p(X) = sum_w P_w (x) X^w, a (k*n) x (k*n) matrix.
 
-    The terms are summed in graded_key order, so a polynomial and its JSON
-    round trip evaluate to the same bits whatever order built its terms.
-    A group tuple's inverses are taken once per call, not once per word.
+    The terms are summed in graded order, so a polynomial and its JSON round
+    trip evaluate to the same bits whatever order built its terms.  Each X^w
+    is word_eval's product, extended from the prefix w shares with the word
+    before it: the images of that word's prefixes are the only ones held.
     """
     if X.mode != p.mode:
         raise PolyError(f"cannot evaluate {p.mode} polynomial at {X.mode} tuple")
@@ -253,11 +259,15 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
         raise PolyError(f"tuple has {X.g} entries, polynomial uses {p.g} letters")
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
-    inverses = None
-    if any(a < 0 for w in p.terms for a in w.letters):
-        inverses = X.inverse_entries()
-    for w in sorted(p.terms, key=graded_key):
-        out += np.kron(p.terms[w], word_eval(w, X, inverses))
+    letters = _letters(X, p.words)
+    prev, images = (), [np.eye(n, dtype=complex)]  # images[i] = X^(prev[:i])
+    for w, c in zip(p.words, p.coeffs):
+        while w.letters[:len(images) - 1] != prev[:len(images) - 1]:
+            images.pop()
+        for a in w.letters[len(images) - 1:]:
+            images.append(images[-1] @ letters[a])
+        out += np.kron(c, images[-1])
+        prev = w.letters
     return out
 
 
@@ -287,10 +297,8 @@ def poly_to_json(p: NCPoly) -> dict:
         "g": p.g,
         "mode": p.mode,
         "coeff_dim": p.k,
-        "terms": [
-            {"word": format_word(w), "matrix": matrix_to_json(p.terms[w])}
-            for w in sorted(p.terms, key=graded_key)
-        ],
+        "terms": [{"word": format_word(w), "matrix": matrix_to_json(c)}
+                  for w, c in zip(p.words, p.coeffs)],
     }
 
 

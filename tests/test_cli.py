@@ -134,6 +134,21 @@ def test_eval_constant_polynomial(tmp_path, capsys):
     assert np.allclose([[e[0] for e in row] for row in m], np.eye(3))
 
 
+@pytest.mark.parametrize("letter, want", [(1, 0), (-1, EX_DATA)])
+def test_eval_takes_inverses_only_for_inverse_letters(tmp_path, capsys, letter, want):
+    # a non-unitary group tuple without stored inverses: x1 is evaluated
+    # without them, x1^-1 needs the inverse the tuple cannot supply
+    p_path = write_poly(tmp_path / "p.json", NCPoly.monomial(Word(GROUP, 1, (letter,))))
+    at = tmp_path / "X.json"
+    at.write_text(jsonio.dumps({"mode": "group", "entries": [matrix_to_json(np.diag([1.0, 2.0]))]}))
+    code, out, err = run(capsys, "eval", p_path, "--at", str(at))
+    assert code == want
+    if want == 0:
+        assert np.array_equal(matrix_from_json(json.loads(out)["matrix"]), np.diag([1.0, 2.0]))
+    else:
+        assert "group-mode entries are not unitary" in err
+
+
 def test_extract_roundtrip(tmp_path, capsys):
     from ncsos.fock import FockBasis, build_symmetrized
     from ncsos.poly import poly_eval
