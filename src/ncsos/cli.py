@@ -35,8 +35,8 @@ from .fock import (
 )
 from .gram import GramMatrix, SOSCertificate
 from .poly import (
-    NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json,
-    poly_eval, poly_from_json, poly_to_json, tuple_from_json,
+    NCPoly, PolyError, matrix_from_json, matrix_to_json, poly_eval,
+    poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
 )
 from .words import GROUP, MONOID, WordError, format_word
 
@@ -135,15 +135,6 @@ def _sos_json(cert: SOSCertificate) -> dict:
     }
 
 
-def _tuple_arrays(X: OperatorTuple) -> dict:
-    """tuple_to_json(X) with the matrices left as arrays, which jsonio.dumps
-    writes in the same encoding without a list of pairs per entry."""
-    out = {"mode": X.mode, "entries": X.entries}
-    if X.inverses is not None:
-        out["inverses"] = X.inverses
-    return out
-
-
 def _witness_json(outcome: CertifyOutcome) -> dict:
     model = outcome.model
     S = model.functional
@@ -155,7 +146,7 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
             "mode": model.mode,
             "k": model.k,
             "d": model.d,
-            "operators": _tuple_arrays(model.operators),
+            "operators": tuple_to_json(model.operators),
             "gamma": model.gamma,
             "gns_residual": float(model.gns_residual),
         },

@@ -101,18 +101,17 @@ def build_extraction(basis: FockBasis) -> ExtractionMatrix:
     return ExtractionMatrix(basis=basis, matrix=M, inverse=Minv, row_sum_bound=lam)
 
 
-def extract_coeffs(E: np.ndarray, basis: FockBasis, k: int,
-                   extraction: ExtractionMatrix | None = None) -> NCPoly:
+def extract_coeffs(E: np.ndarray, basis: FockBasis, k: int) -> NCPoly:
     """Recover q from E = q(A) for q of degree <= l.
 
     The column of k x k blocks Z_v = E[(a, v), (b, vacuum)] satisfies
-    Z = M Q, so Q = M^{-1} Z.
+    Z = M Q, so Q = M^{-1} Z, with M the basis's extraction matrix.
     """
     E = np.asarray(E, dtype=complex)
     n = basis.dim
     if E.shape != (k * n, k * n):
         raise FockError(f"matrix has shape {E.shape}, want {(k * n, k * n)}")
-    ext = extraction if extraction is not None else build_extraction(basis)
+    ext = build_extraction(basis)
     # coefficient-left Kronecker order: entry ((a, v), (b, vacuum)) = E[a*n + v, b*n + 0]
     Z = E.reshape(k, n, k, n)[:, :, :, 0].transpose(1, 0, 2)  # (v, a, b)
     Q = np.einsum("wv,vab->wab", ext.inverse, Z)

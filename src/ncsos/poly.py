@@ -56,18 +56,17 @@ class NCPoly:
         self.g = g
         self.mode = mode
         self.k = k
-        kept = []
-        for w, c in (terms or {}).items():
+        terms = terms or {}
+        for w, c in terms.items():
             if w.mode != mode or w.g != g:
                 raise PolyError(f"word {w!r} does not match (g={g}, mode={mode})")
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (k, k):
-                raise PolyError(f"coefficient for {w!r} has shape {c.shape}, want {(k, k)}")
-            if np.linalg.norm(c) > COEFF_DROP_TOL:
-                kept.append((w, c))
-        kept.sort(key=lambda wc: graded_key(wc[0]))
-        self.words = [w for w, _ in kept]
-        self.coeffs = np.array([c for _, c in kept], dtype=complex).reshape(-1, k, k)
+            if np.shape(c) != (k, k):
+                raise PolyError(f"coefficient for {w!r} has shape {np.shape(c)}, want {(k, k)}")
+        words, stack = list(terms), np.array(list(terms.values()), dtype=complex).reshape(-1, k, k)
+        kept = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) > COEFF_DROP_TOL).tolist()
+        kept.sort(key=lambda i: graded_key(words[i]))
+        self.words = [words[i] for i in kept]
+        self.coeffs = stack[kept]
         self.terms = MappingProxyType(dict(zip(self.words, self.coeffs)))
 
     def on(self, words) -> np.ndarray:
@@ -142,10 +141,10 @@ class NCPoly:
     def degree(self) -> int:
         return len(self.words[-1]) if self.words else 0
 
-    def is_hermitian(self, tol: float = EPS_HERM) -> bool:
-        """P_w = P_{w*}^dagger within tol in operator norm, for every w."""
+    def is_hermitian(self) -> bool:
+        """P_w = P_{w*}^dagger within EPS_HERM in operator norm, for every w."""
         mirror = self.on([involute(w) for w in self.words]).conj().transpose(0, 2, 1)
-        return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= tol))
+        return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= EPS_HERM))
 
     def coeff(self, w: Word) -> np.ndarray:
         return self.on([w])[0]
@@ -283,9 +282,9 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in data])
-    except (TypeError, IndexError, ValueError) as exc:
+    try:  # each entry is one [re, im] pair
+        m = np.array([[complex(re, im) for re, im in row] for row in data])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PolyError(f"bad matrix encoding: {exc}") from None
     if not np.isfinite(m).all():
         raise PolyError("bad matrix encoding: entries must be finite")
@@ -327,9 +326,10 @@ def poly_from_json(data: dict) -> NCPoly:
 
 
 def tuple_to_json(X: OperatorTuple) -> dict:
-    out = {"mode": X.mode, "entries": [matrix_to_json(x) for x in X.entries]}
+    """The tuple's JSON object, its matrices as arrays for jsonio.dumps."""
+    out = {"mode": X.mode, "entries": X.entries}
     if X.inverses is not None:
-        out["inverses"] = [matrix_to_json(x) for x in X.inverses]
+        out["inverses"] = X.inverses
     return out
 
 

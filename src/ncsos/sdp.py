@@ -18,7 +18,7 @@ constraints.  solve_feasibility reads H off the class means of the
 displacement and stops once rounding bounds prove both halves.
 
 Where Dykstra converges sublinearly (no strictly feasible point, or an
-empty intersection close to the cone) it hands over after max_iter
+empty intersection close to the cone) it hands over after DEFAULT_MAX_ITER
 iterations to max_margin, a log-barrier interior-point solve of max t
 subject to X - t I psd on the affine set.  Its point is psd when the best
 margin is >= 0; at a centred point with a negative bound the inverse slack
@@ -40,14 +40,14 @@ import numpy as np
 from .poly import EPS_HERM
 
 DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the max-margin handover
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9        # psd and affine residuals of a feasible point, at most
+EPS_AFFINE = 1e-7         # residual of the affine projection, at most: more is inconsistent
 EPS = np.finfo(float).eps
-# Floor on the weight s of the interior point K in a certificate H + s K, in
-# units of tol ||H||_F: s lambda_min(K) >= FREE_MIX tol ||H||_F.  A feasible
-# point is psd only to tol; a certificate instead has smallest eigenvalue at
-# least FREE_MIX tol ||H||_F, 1e-8 of ||H|| at the default tol, a hundred
-# times the gns.EPS_NULL cut of the quotient, so GNS on it keeps every
-# direction and builds operators that are self-adjoint or unitary to rounding.
+# Floor on the weight s of the interior point K in a certificate H + s K:
+# s lambda_min(K) >= FREE_MIX DEFAULT_TOL ||H||_F.  A feasible point is psd
+# only to DEFAULT_TOL; a certificate has smallest eigenvalue at least 1e-8 of
+# ||H||, a hundred times the gns.EPS_NULL cut of the quotient, so GNS on it
+# keeps every direction and builds operators self-adjoint or unitary to rounding.
 FREE_MIX = 10.0
 
 
@@ -71,12 +71,12 @@ class AffineSystem:
     """
 
     m: int
-    labels: np.ndarray | None = None
-    targets: np.ndarray = ()
+    labels: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
         m = self.m
-        labels = np.full((m, m), -1) if self.labels is None else np.asarray(self.labels, dtype=np.intp)
+        labels = np.asarray(self.labels, dtype=np.intp)
         targets = np.asarray(self.targets, dtype=complex).ravel()
         on = labels >= 0
         sizes = np.bincount(labels[on], minlength=len(targets))
@@ -150,24 +150,23 @@ def project_psd(X: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def project_affine(X: np.ndarray, sys: AffineSystem,
-                   eps_affine: float = 1e-7) -> tuple[np.ndarray, float]:
+def project_affine(X: np.ndarray, sys: AffineSystem) -> tuple[np.ndarray, float]:
     """Frobenius-orthogonal projection onto the affine solution set, and its
     residual (sys.residual of the projection).
 
     Closed form (AffineSystem.nearest); a system no Hermitian matrix meets
-    leaves a residual and raises.
+    leaves a residual, and one above EPS_AFFINE raises.
     """
     out = sys.nearest(X)
     res = sys.residual(out)
-    if res > eps_affine:
+    if res > EPS_AFFINE:
         raise InconsistentSystemError(res)
     return out, res
 
 
 @dataclass
 class FeasibilityResult:
-    feasible: bool                         # X is psd and meets the constraints within tol
+    feasible: bool                         # X is psd and meets the constraints within DEFAULT_TOL
     X: np.ndarray | None
     iterations: int                        # Dykstra's
     final_gap: float
@@ -191,12 +190,12 @@ class _Farkas:
 
     A displacement with class means h passes when Weyl's inequality proves
     lambda_min(A*(h) + s K) > 0 for the smallest s that leaves the floor
-    FREE_MIX tol ||A*(h)||_F, and the pairing of h + s k is below zero by
+    FREE_MIX DEFAULT_TOL ||A*(h)||_F, and the pairing of h + s k is below zero by
     more than four times Higham's bound gamma_n sum |terms| on its rounding.
     """
 
-    def __init__(self, sys: AffineSystem, tol: float, interior: np.ndarray | None):
-        self.sys, self.floor, self.K = sys, FREE_MIX * tol, None
+    def __init__(self, sys: AffineSystem, interior: np.ndarray | None):
+        self.sys, self.floor, self.K = sys, FREE_MIX * DEFAULT_TOL, None
         n = 2 * len(sys.targets) + 2  # real products in the pairing, and two sums
         self.gamma = 2 * n * EPS / (1 - n * EPS)  # four times Higham's gamma_n, u = EPS / 2
         self.kappa = self.pk = self.ak = 0.0
@@ -242,11 +241,9 @@ class _Farkas:
         return (H if self.K is None else H + s * self.K), pairing
 
 
-def solve_feasibility(sys: AffineSystem,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      tol: float = DEFAULT_TOL,
-                      interior: np.ndarray | None = None) -> FeasibilityResult:
-    """Dykstra between the psd cone and the affine set, from project_affine(0).
+def solve_feasibility(sys: AffineSystem, interior: np.ndarray | None = None) -> FeasibilityResult:
+    """Dykstra between the psd cone and the affine set, from project_affine(0);
+    interior, if given, is the certificate test's positive definite point.
 
     Only the psd step carries a correction p.  The affine step's correction
     would be the residual of an orthogonal projection onto the affine set,
@@ -255,19 +252,21 @@ def solve_feasibility(sys: AffineSystem,
 
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the affine
-    iterate is feasible once its psd and affine residuals are <= tol.  After
-    max_iter with neither, max_margin decides (if it fits MARGIN_MAX_BYTES):
-    its point if _low_eig proves it psd within tol (eigvalsh alone passes a
-    weakly infeasible system's drift to norm 1e29), else its inverse slack
-    if that passes the certificate test.  With neither: Inconclusive.
+    iterate is feasible once its psd and affine residuals are <= DEFAULT_TOL.
+    After DEFAULT_MAX_ITER iterations with neither, max_margin decides (if it
+    fits MARGIN_MAX_BYTES): its point if _low_eig proves it psd within
+    DEFAULT_TOL (eigvalsh alone passes a weakly infeasible system's drift to
+    norm 1e29), else its inverse slack if that passes the certificate test.
+    With neither, the result is neither feasible nor certified, and its
+    reason says why when the handover did not run.
     """
     m = sys.m
-    farkas = _Farkas(sys, tol, interior)
+    farkas = _Farkas(sys, interior)
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     gap = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         y = project_psd(x + p)
         p = x + p - y
         x, aff_res = project_affine(y, sys)
@@ -277,7 +276,7 @@ def solve_feasibility(sys: AffineSystem,
         found = farkas(y - x)
         if found is not None:
             return FeasibilityResult(False, None, it, gap, *found)
-        if gap <= tol:
+        if gap <= DEFAULT_TOL:
             return FeasibilityResult(True, x, it, gap)
 
     # the Newton rows (n x m^2), the Newton matrix and np.linalg.solve's copy
@@ -288,10 +287,10 @@ def solve_feasibility(sys: AffineSystem,
     if need > MARGIN_MAX_BYTES:
         return FeasibilityResult(False, None, it, gap, reason=f"max-margin handover needs "
                                  f"{need / 2 ** 30:.1f} GiB, over its {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
-    res = max_margin(sys, floor=-tol)
+    res = max_margin(sys)
     X = sys.nearest(res.X)
     psd_gap = max(0.0, -float(_low_eig(X)[0]), sys.residual(X))
-    if psd_gap <= tol:
+    if psd_gap <= DEFAULT_TOL:
         return FeasibilityResult(True, X, it, psd_gap, newton_steps=res.iterations)
     lam, Q = np.linalg.eigh(res.X - res.t * np.eye(m))
     found = farkas((Q / lam) @ Q.conj().T) if lam[0] > 0 else None
@@ -377,7 +376,7 @@ def _null_directions(sys: AffineSystem) -> tuple[np.ndarray, np.ndarray, np.ndar
     return r[slot], c[slot], coef * z[slot]
 
 
-def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
+def max_margin(sys: AffineSystem) -> MarginResult:
     """Maximize t subject to X - t I psd, X in the affine set and t <= 1.
 
     A log-barrier path-following method (Boyd & Vandenberghe, ch. 11) on the
@@ -399,7 +398,8 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
 
     The search stops once t >= 0 (a psd point of the affine set is in hand),
     once the bound t + nu/eta on the best margin, taken at a centred point,
-    drops below floor, once
+    drops below -DEFAULT_TOL (no point is psd within solve_feasibility's
+    tolerance, and the inverse slack is the certificate to test), once
     nu/eta <= MARGIN_GAP_TOL, or when Newton makes no more progress.  A
     system without a psd solution ends with t < 0.
     """
@@ -468,7 +468,7 @@ def max_margin(sys: AffineSystem, floor: float = -np.inf) -> MarginResult:
             if t >= 0.0:
                 break
         bound = t + nu / eta
-        if (stalled or t >= 0.0 or (centred and bound < floor) or nu / eta <= MARGIN_GAP_TOL
+        if (stalled or t >= 0.0 or (centred and bound < -DEFAULT_TOL) or nu / eta <= MARGIN_GAP_TOL
                 or steps >= MARGIN_MAX_NEWTON):
             break
         eta *= 10.0

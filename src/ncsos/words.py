@@ -36,7 +36,7 @@ def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable word; value semantics, hash keyed on (mode, letter keys)."""
+    """An immutable word; value semantics, hash of (mode, letter keys) taken once."""
 
     mode: str
     g: int
@@ -54,9 +54,11 @@ class Word:
                 raise WordError("inverse letters are only allowed in group mode")
         if self.mode == GROUP and reduce_letters(self.letters) != self.letters:
             raise WordError(f"group word {self.letters} is not reduced")
+        # not the raw letters: CPython hashes -1 and -2 alike
+        object.__setattr__(self, "_hash", hash((self.mode, tuple(map(letter_key, self.letters)))))
 
-    def __hash__(self):  # not the raw letters: CPython hashes -1 and -2 alike
-        return hash((self.mode, tuple(map(letter_key, self.letters))))
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.letters)

@@ -82,7 +82,7 @@ def test_criterion_1_fock_structure():
 def test_criterion_2_extraction_roundtrip():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    exts = {}
+    tuples = {}
     for trial in range(100):
         g = int(rng.integers(1, 3))
         k = int(rng.integers(1, 3))
@@ -90,12 +90,12 @@ def test_criterion_2_extraction_roundtrip():
         q = rand_poly(g, MONOID, k, deg, rng, n_terms=4)
         l = max(q.degree(), 1)
         key = (g, l)
-        if key not in exts:
+        if key not in tuples:
             basis = FockBasis(g, l, MONOID)
-            exts[key] = (basis, build_symmetrized(basis), build_extraction(basis))
-        basis, A, ext = exts[key]
+            tuples[key] = (basis, build_symmetrized(basis))
+        basis, A = tuples[key]
         E = poly_eval(q, A)
-        rec = extract_coeffs(E, basis, k, ext)
+        rec = extract_coeffs(E, basis, k)
         diff = rec - q
         worst = max(worst, max((opnorm(c) for c in diff.terms.values()), default=0.0))
     report("criterion 2 (extraction roundtrip)", worst <= 1e-10,

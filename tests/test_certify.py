@@ -41,7 +41,7 @@ def group_fixture():
 def test_gram_system_sum_of_squares_unique_solution():
     f = x(1) * x(1) + x(2) * x(2)
     sys = gram_system(f, 1)
-    res = solve_feasibility(sys, max_iter=2000, tol=1e-9)
+    res = solve_feasibility(sys)
     assert res.feasible
     assert np.allclose(res.X, np.diag([0.0, 1.0, 1.0]), atol=1e-8)
 
@@ -154,12 +154,13 @@ def test_interior_point_polish_boundary_gram_system():
     assert abs(max_margin(sys).t) < 1e-8
 
 
-def test_interior_point_polish_infeasible_returns_none():
+def test_interior_point_polish_infeasible_returns_none(monkeypatch):
     # with no Dykstra budget the handover decides alone: Tr X = -1 has a
     # negative best margin, so it returns no point, and S^-1 certifies
     sys = AffineSystem(2, [[0, -1], [-1, 0]], [-1.0])
     assert max_margin(sys).t < 0
-    res = solve_feasibility(sys, max_iter=0)
+    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 0)
+    res = solve_feasibility(sys)
     assert not res.feasible and res.X is None and res.newton_steps > 0
     assert res.certificate is not None and res.pairing < 0
 
@@ -172,18 +173,19 @@ def test_interior_point_polish_bit_identical():
     assert X1.tobytes() == X2.tobytes()
 
 
-def test_handover_certificate_is_the_inverse_slack():
+def test_handover_certificate_is_the_inverse_slack(monkeypatch):
     # one Dykstra iteration leaves this near-boundary system undecided; the
     # certificate is the inverse slack of the max-margin solve, built from
     # its eigh and passed through the one certificate test
     f = monoid_witness_input(0, 1, 1, 2, margin=1e-3)
     sys, K = gram_system(f, 1), free_state(f, 1)
-    res = solve_feasibility(sys, max_iter=1, interior=K)
+    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 1)
+    res = solve_feasibility(sys, interior=K)
     assert res.iterations == 1 and res.certificate is not None
-    mm = max_margin(sys, floor=-DEFAULT_TOL)
+    mm = max_margin(sys)
     assert res.newton_steps == mm.iterations and mm.bound < -DEFAULT_TOL
     lam, Q = np.linalg.eigh(mm.X - mm.t * np.eye(sys.m))
-    H, pairing = _Farkas(sys, DEFAULT_TOL, K)((Q / lam) @ Q.conj().T)
+    H, pairing = _Farkas(sys, K)((Q / lam) @ Q.conj().T)
     assert np.array_equal(res.certificate, H) and res.pairing == pairing < 0
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import ncsos
-from ncsos import jsonio
+from ncsos import jsonio, sdp
 from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
+from ncsos.fock import extract_coeffs
 from ncsos.poly import NCPoly, matrix_from_json, matrix_to_json, poly_from_json, poly_to_json
 from ncsos.words import GROUP, MONOID, Word
 
@@ -282,6 +284,22 @@ GROUP_TUPLE = {"mode": "group", "entries": [[[[1.0, 0.0]]]]}
 SOS_EVIDENCE = {"outcome": "sos", "degree": 1, "certificate": {
     "gram": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     "factors": [dict(poly_data(), terms=[{"word": "x1", "matrix": [[[1.0, 0.0]]]}])]}}
+# matrix entries that are not a [re, im] pair of floats: an integer too large
+# for a float, and a pair with a third number
+BAD_ENTRIES = {"huge-int": [10 ** 400, 0], "three-parts": [1, 0, 5]}
+
+
+def _bad_entry_cases():
+    for name, entry in BAD_ENTRIES.items():
+        yield pytest.param(["certify", "{p}"], {"p": poly_data(terms=[{"word": "x1 x1", "matrix": [[entry]]}])},
+                           EX_DATA, id=f"certify-{name}")
+        yield pytest.param(["eval", "{p}", "--at", "{x}"],
+                           {"p": poly_data(), "x": {"mode": "monoid", "entries": [[[entry]]]}},
+                           EX_DATA, id=f"eval-at-{name}")
+        gram = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], entry]]
+        yield pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(
+            SOS_EVIDENCE, certificate=dict(SOS_EVIDENCE["certificate"], gram=gram))},
+                           EX_DATA, id=f"spotcheck-gram-{name}")
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -330,6 +348,7 @@ SOS_EVIDENCE = {"outcome": "sos", "degree": 1, "certificate": {
                  EX_USAGE, id="extract-k-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "0"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
                  id="extract-l-0"),
+    *_bad_entry_cases(),
 ])
 def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):
     paths = {}
@@ -357,6 +376,28 @@ def test_solver_flags_are_gone(tmp_path, capsys, command, flag):
     code, out, err = run(capsys, command, path, flag, "5")
     assert code == EX_USAGE
     assert err.strip() == f"usage error: unrecognized arguments: {flag} 5"
+
+
+REQUIRED = inspect.Parameter.empty
+# each library function below certify: its parameters and their defaults
+SIGNATURES = {
+    sdp.solve_feasibility: {"sys": REQUIRED, "interior": None},
+    sdp.max_margin: {"sys": REQUIRED},
+    sdp.project_affine: {"X": REQUIRED, "sys": REQUIRED},
+    sdp._Farkas: {"sys": REQUIRED, "interior": REQUIRED},
+    sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
+    NCPoly.is_hermitian: {"self": REQUIRED},
+    extract_coeffs: {"E": REQUIRED, "basis": REQUIRED, "k": REQUIRED},
+}
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
+def test_library_settings_are_gone(fn):
+    # budgets and tolerances below certify are module constants too; the one
+    # default left is solve_feasibility's interior point, which tests leave
+    # out on systems with no positive definite class-constant point
+    got = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+    assert got == SIGNATURES[fn]
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--n-max", "--seed"])

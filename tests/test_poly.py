@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ncsos import jsonio
 from ncsos.poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json, opnorm,
     poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json, word_eval,
@@ -212,10 +215,16 @@ def test_json_format_shape():
 
 def test_tuple_json_roundtrip():
     X = OperatorTuple(GROUP, [rand_unitary(3)], inverses=[rand_unitary(3)])
-    Y = tuple_from_json(tuple_to_json(X))
+    Y = tuple_from_json(json.loads(jsonio.dumps(tuple_to_json(X))))
     assert Y.mode == GROUP
     assert np.allclose(Y.entries[0], X.entries[0])
     assert np.allclose(Y.inverses[0], X.inverses[0])
+
+
+@pytest.mark.parametrize("entry", [[10 ** 400, 0], [1, 0, 5], [1], {"re": 1, "im": 0}])
+def test_matrix_from_json_refuses_bad_entries(entry):
+    with pytest.raises(PolyError, match="^bad matrix encoding: "):
+        matrix_from_json([[entry]])
 
 
 def test_matrix_json_roundtrip():

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, word_eval
-from ncsos.words import GROUP, MODES, Word, graded_key, reduce_letters
+from ncsos.words import GROUP, MODES, MONOID, Word, graded_key, reduce_letters
 
 
 @st.composite
@@ -45,6 +45,18 @@ def test_words_are_graded_unique_and_kept(layout):
     assert p.coeffs.shape == (len(kept), k, k)
     for w, c in zip(p.words, p.coeffs):
         assert np.array_equal(c, kept[w])
+
+
+def test_drop_takes_one_norm(monkeypatch):
+    # COEFF_DROP_TOL is applied with one batched norm over the coefficient stack
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+    small = COEFF_DROP_TOL / 4 * np.ones((2, 2))
+    terms = {Word(MONOID, 2, (a, b)): (small if a == b else np.eye(2)) for a in (1, 2) for b in (1, 2)}
+    p = NCPoly(2, MONOID, 2, terms)
+    assert len(calls) == 1
+    assert p.words == [Word(MONOID, 2, (1, 2)), Word(MONOID, 2, (2, 1))]
 
 
 @settings(max_examples=60, deadline=None)

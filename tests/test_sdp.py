@@ -1,16 +1,15 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsos import sdp
 from ncsos.certify import free_state, gram_system, hankel_system
 from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, InconsistentSystemError, SdpError,
-    _hvec, _low_eig, _null_directions, max_margin, project_affine, project_psd,
-    solve_feasibility,
+    CENTRING_STEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, MARGIN_GAP_TOL, AffineSystem,
+    InconsistentSystemError, SdpError, _hvec, _low_eig, _null_directions, max_margin,
+    project_affine, project_psd, solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
 
@@ -86,14 +85,15 @@ def test_project_affine_entry_pinning():
     assert abs(X[1, 0] - (0.25 + 0.5j)) < 1e-10
 
 
-def test_inconsistent_system_raises():
+def test_inconsistent_system_raises(monkeypatch):
     # a class and its mirror pinned to targets conjugate only within EPS_HERM:
     # no Hermitian matrix meets both, and the projection leaves half the gap
     sys = pinned_entry_system(2, 0, 1, 1.0)
     sys = AffineSystem(2, sys.labels, [1.0, 1.0 + 8e-10])
     assert abs(project_affine(np.zeros((2, 2), dtype=complex), sys)[1] - 4e-10) < 1e-15
+    monkeypatch.setattr(sdp, "EPS_AFFINE", 1e-10)
     with pytest.raises(InconsistentSystemError):
-        project_affine(np.zeros((2, 2), dtype=complex), sys, eps_affine=1e-10)
+        project_affine(np.zeros((2, 2), dtype=complex), sys)
 
 
 def test_non_hermitian_constraint_rejected():
@@ -190,7 +190,7 @@ def test_project_affine_matches_least_squares(mode, g, k, kind):
 
 def test_feasible_trace_one():
     sys = trace_system(3, 1.0)
-    res = solve_feasibility(sys, max_iter=1000, tol=1e-9)
+    res = solve_feasibility(sys)
     assert res.feasible
     assert np.linalg.eigvalsh((res.X + res.X.conj().T) / 2).min() >= -1e-9
     assert sys.residual(res.X) <= 1e-9
@@ -201,7 +201,7 @@ def test_feasible_with_entry_constraints():
     # pin an off-diagonal entry and the trace; a feasible psd completion exists
     m = 3
     sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, trace=2.0)
-    res = solve_feasibility(sys, max_iter=5000, tol=1e-9)
+    res = solve_feasibility(sys)
     assert res.feasible
     X = res.X
     assert abs(X[0, 1] - (0.3 + 0.1j)) < 1e-8
@@ -214,17 +214,17 @@ def test_infeasible_reports_inconclusive():
     # (a weakly infeasible system), so Dykstra ends with neither answer
     labels = np.array([[-1, 0], [1, 2]])
     sys = AffineSystem(2, labels, [1.0, 1.0, 0.0])
-    res = solve_feasibility(sys, max_iter=300, tol=1e-9)
+    res = solve_feasibility(sys)
     assert not res.feasible
     assert res.X is None and res.certificate is None
-    assert res.final_gap > 1e-9
-    assert res.iterations == 300
+    assert res.final_gap > DEFAULT_TOL
+    assert res.iterations == DEFAULT_MAX_ITER and res.newton_steps > 0
 
 
 def test_certificate_proves_infeasibility():
     # trace = -1 with psd is impossible: H = y I with y > 0 pairs to -2y < 0
     sys = trace_system(2, -1.0)
-    res = solve_feasibility(sys, max_iter=300, tol=1e-9)
+    res = solve_feasibility(sys)
     assert not res.feasible and res.X is None
     assert res.iterations == 1
     H = res.certificate
@@ -265,8 +265,9 @@ def test_handover_over_its_memory_budget_builds_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("_null_directions called over the memory budget")
 
-    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "_null_directions", refuse)
-    res = solve_feasibility(sys, max_iter=10)
+    monkeypatch.setattr(sdp, "_null_directions", refuse)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 10)
+    res = solve_feasibility(sys)
     assert not res.feasible and res.X is None and res.certificate is None
     assert res.iterations == 10 and res.newton_steps == 0
     assert res.reason == "max-margin handover needs 0.4 GiB, over its 0.25 GiB budget"
@@ -279,16 +280,18 @@ def test_interior_point_must_be_positive_definite():
         solve_feasibility(pinned_entry_system(2, 0, 1, 0.5), interior=np.eye(2, dtype=complex))
 
 
-def test_determinism_bit_identical():
+def test_determinism_bit_identical(monkeypatch):
     m = 4
     sys = pinned_entry_system(m, 1, 2, 0.2, trace=1.0)
-    r1 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
-    r2 = solve_feasibility(sys, max_iter=2000, tol=1e-11)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 2000)
+    monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-11)
+    r1 = solve_feasibility(sys)
+    r2 = solve_feasibility(sys)
     assert r1.iterations == r2.iterations
     assert r1.X.tobytes() == r2.X.tobytes()
 
 
-def test_residuals_eventually_monotone():
+def test_residuals_eventually_monotone(monkeypatch):
     # the pinned system is solved at the first iteration; the Gram system of
     # 2 - u1 - u1^-1 has no strictly feasible point, so its gap keeps moving
     m = 3
@@ -296,9 +299,14 @@ def test_residuals_eventually_monotone():
     u1 = NCPoly.monomial(Word(GROUP, 1, (1,)))
     boundary = gram_system(NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint(), 1)
     slack = 10 * 1e-12
+    monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-12)
+
+    def gap_after(sys, n):
+        monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", n)
+        return solve_feasibility(sys).final_gap
+
     for sys in (pinned, boundary):
-        gaps = [solve_feasibility(sys, max_iter=n, tol=1e-12).final_gap
-                for n in (500, 1000, 2000, 4000)]
+        gaps = [gap_after(sys, n) for n in (500, 1000, 2000, 4000)]
         for earlier, later in zip(gaps, gaps[1:]):
             assert later <= earlier + slack
 
@@ -307,20 +315,24 @@ def test_residuals_eventually_monotone():
 
 
 def test_max_margin_infeasible_trace():
-    # Tr X = -1 on 2 x 2: the best margin is min eig of -I/2
+    # Tr X = -1 on 2 x 2: the best margin is min eig of -I/2, bracketed by
+    # the margin t of the last point and the bound of a centred one
     sys = trace_system(2, -1.0)
     res = max_margin(sys)
-    assert res.t < 0
-    assert abs(res.t + 0.5) < 1e-8
+    assert res.t < 0 and res.bound < -DEFAULT_TOL
+    assert res.t <= -0.5 <= res.bound
     assert sys.residual(res.X) < 1e-12
     assert np.linalg.eigvalsh(res.X).min() >= res.t - 1e-12
 
 
 def test_max_margin_floor_stops_early():
+    # the first centred bound below -DEFAULT_TOL ends the solve, long before
+    # the bound closes on t: no point is psd within solve_feasibility's tol
     sys = trace_system(2, -1.0)
-    full, early = max_margin(sys), max_margin(sys, floor=-1e-8)
-    assert early.iterations < full.iterations
-    assert early.bound < -1e-8
+    res = max_margin(sys)
+    assert res.bound < -DEFAULT_TOL
+    assert res.bound - res.t > 1e3 * MARGIN_GAP_TOL
+    assert res.iterations < CENTRING_STEPS
 
 
 def test_max_margin_interior_stops_at_psd_point():
@@ -428,6 +440,6 @@ def test_max_margin_takes_no_dense_factorizations(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-    res = max_margin(sys, floor=-1e-8)
+    res = max_margin(sys)
     assert abs(res.t) < 1e-8
     assert sizes and all(shape == (sys.m, sys.m) for shape in sizes)

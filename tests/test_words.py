@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos.words import (
     GROUP, MODES, MONOID, Word, WordError, concat, count_words, enumerate_words,
-    format_word, graded_key, identity, involute, left_shift, parse_word, suffix_table,
+    format_word, graded_key, identity, involute, left_shift, letter_key, parse_word, suffix_table,
 )
 
 
@@ -85,6 +86,22 @@ def test_group_words_hash_apart():
     ws = enumerate_words(2, 8, GROUP)
     assert len(ws) == 13_121
     assert len({hash(w) for w in ws}) == 13_121
+
+
+def test_word_hash_is_taken_once_at_construction(monkeypatch):
+    # the value is the (mode, letter keys) hash, and hashing or comparing a
+    # built word maps no letter again
+    ws = enumerate_words(2, 3, GROUP) + enumerate_words(2, 3, MONOID)
+    copies = [Word(w.mode, w.g, w.letters) for w in ws]
+    want = [hash((w.mode, tuple(map(letter_key, w.letters)))) for w in ws]
+
+    def refuse(a):
+        raise AssertionError("letter_key called on a built word")
+
+    monkeypatch.setattr(importlib.import_module("ncsos.words"), "letter_key", refuse)
+    assert [hash(w) for w in ws] == [hash(w) for w in copies] == want
+    index = {w: i for i, w in enumerate(ws)}
+    assert [index[w] for w in copies] == list(range(len(ws)))
 
 
 @pytest.mark.parametrize("g,d,mode", [(1, 4, MONOID), (2, 3, MONOID),
