@@ -30,12 +30,12 @@ from .gns import (
     gns_verify, WitnessModel,
 )
 from .gram import (
-    EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
-    constraint_index, factor_gram, gram_to_poly,
+    EPS_CERT, EPS_PSD, GramError, GramMatrix, SOSCertificate, block_sums, class_labels,
+    constraint_index, factor_gram, gram_to_poly, mirror_classes,
 )
 from .poly import NCPoly, OperatorTuple, poly_eval
 from .sdp import AffineSystem, FeasibilityResult, InconsistentSystemError, solve_feasibility
-from .words import MONOID, count_words, involute
+from .words import MONOID, count_words
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
@@ -69,9 +69,8 @@ class CertifyOutcome:
 def infer_degree(f: NCPoly, d: int | None = None) -> int:
     """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
     degree whose larger Gram system, the dual's, would have side above
-    MAX_GRAM_SIDE is refused before anything is built."""
-    if not f.is_hermitian():
-        raise CertifyError("input polynomial is not Hermitian")
+    MAX_GRAM_SIDE is refused before anything is built, even the zero
+    coefficient block of the Hermitian test."""
     if d is None:
         d = math.ceil(f.degree() / 2)
     if f.degree() > 2 * d:
@@ -81,6 +80,8 @@ def infer_degree(f: NCPoly, d: int | None = None) -> int:
     if side > MAX_GRAM_SIDE:
         raise CertifyError(f"degree {d} needs a Gram system of side at least {side}, "
                            f"above the limit {MAX_GRAM_SIDE}")
+    if not f.is_hermitian():
+        raise CertifyError("input polynomial is not Hermitian")
     return d
 
 
@@ -117,8 +118,8 @@ def run_primal(f: NCPoly, d: int):
     and tolerance).  Returns the certificate (or None), the diagnostics and
     the solver's result (None when the constraints are inconsistent).
 
-    Every answer passes spotcheck's certificate gate, its psd test before
-    factoring, so neither the handover nor a point psd only to the solver's
+    Every answer passes factor_gram's psd test and spotcheck's certificate
+    gate, so neither the handover nor a point psd only to the solver's
     tolerance makes a wrong certificate.
     """
     sys = gram_system(f, d)
@@ -130,11 +131,11 @@ def run_primal(f: NCPoly, d: int):
     diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
     if not res.feasible:
         return None, diag, res
-    G = GramMatrix(f.g, f.mode, d, f.k, res.X)
-    refusal, _ = _psd_refusal(G)
-    if not refusal:
-        cert = factor_gram(G)
+    try:
+        cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, res.X))
         refusal, cert.residual, _ = _refuse_certificate(f, cert)
+    except GramError as exc:
+        refusal = str(exc)
     if refusal:
         diag.note = _note(res, refusal)
         return None, diag, res
@@ -164,18 +165,15 @@ def functional_from_solution(X: np.ndarray, f: NCPoly, D: int,
     """Read the S_u blocks back off a Hankel storage matrix over the degree-D
     word-pair table index (entry ((v, alpha), (w, beta)) holds
     S_{v*w}[beta, alpha]), averaging over each class and enforcing the
-    Hermitian block structure exactly; f gives the alphabet, mode and k."""
-    products, table = index
+    Hermitian block structure exactly: the mean of each class and the
+    conjugate transpose of its mirror's are averaged.  f gives the alphabet,
+    mode and k."""
+    table = index[1]
     sizes = np.bincount(table.ravel())
     # transposing the block sums undoes the in-place transpose of the storage
     means = block_sums(X, table).transpose(0, 2, 1) / sizes[:, None, None]
-    blocks = dict(zip(products, means))
-    for u in products:
-        ui = involute(u)
-        avg = (blocks[u] + blocks[ui].conj().T) / 2
-        blocks[u] = avg
-        blocks[ui] = avg.conj().T
-    return HankelFunctional(g=f.g, mode=f.mode, k=f.k, D=D, blocks=blocks)
+    mirrored = means[mirror_classes(table)].conj().transpose(0, 2, 1)
+    return HankelFunctional(f.g, f.mode, f.k, D, index, (means + mirrored) / 2)
 
 
 def free_state(f: NCPoly, D: int) -> np.ndarray:
@@ -294,13 +292,6 @@ def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray
     return "", low, fY
 
 
-def _psd_refusal(G: GramMatrix) -> tuple[str, float]:
-    """Why G is not psd within EPS_PSD ("" when it is), and the smallest
-    eigenvalue of its Hermitian part."""
-    low = float(np.linalg.eigvalsh((G.matrix + G.matrix.conj().T) / 2).min())
-    return (f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""), low
-
-
 def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float, float]:
     """Why cert does not prove f SOS ("" when it does), the larger of the two
     coefficient misses it measured, and the smallest eigenvalue of the Gram
@@ -308,7 +299,9 @@ def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, fl
     and the sum of r* r must reconstruct f within EPS_CERT."""
     if cert is None:
         raise CertifyError("sos outcome carries no certificate to check")
-    note, low = _psd_refusal(cert.gram)
+    G = cert.gram.matrix
+    low = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
+    note = f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
     worst = 0.0
     for name, p in (("Gram matrix", gram_to_poly(cert.gram)), ("factors", cert.reconstruction())):
         miss = _miss(p, f)

@@ -152,8 +152,8 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
         },
         "functional": {
             "D": S.D,
-            "blocks": [{"word": format_word(u), "matrix": S.blocks[u]}
-                       for u in sorted(S.blocks, key=lambda w: (len(w), w.letters))],
+            "blocks": [{"word": format_word(u), "matrix": B} for u, B in
+                       sorted(zip(S.index[0], S.blocks), key=lambda pair: (len(pair[0]), pair[0].letters))],
         },
     }
 

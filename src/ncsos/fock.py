@@ -67,7 +67,7 @@ def build_creation(basis: FockBasis) -> list[np.ndarray]:
 def build_symmetrized(basis: FockBasis) -> OperatorTuple:
     """A_i = L_i + L_i^dagger on the truncated space; exactly Hermitian."""
     ls = build_creation(basis)
-    return OperatorTuple(MONOID, [L + L.conj().T for L in ls], self_adjoint=True)
+    return OperatorTuple(MONOID, [L + L.conj().T for L in ls])
 
 
 @dataclass

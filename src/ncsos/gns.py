@@ -3,7 +3,10 @@ finite-dimensional operator tuple and representing vector.
 
 A functional phi on polynomials of degree <= 2D is stored through k x k
 blocks S_u with phi(P u) = Tr(S_u P) and the Hermitian structure
-S_{u*} = S_u^dagger.  The assembled matrix has (v, w) block S_{v* w}.
+S_{u*} = S_u^dagger.  The blocks are one stack on the degree-D word-pair
+table (gram.constraint_index): block c is S_u for the product word
+u = products[c], and the assembled matrix, with (v, w) block S_{v* w}, is
+the stack indexed by the table.
 
 Positivity of phi on squares with matrix coefficients is equivalent to
 positive semidefiniteness of the assembled matrix with every block
@@ -34,15 +37,13 @@ coefficient pairs P, Q of Frobenius norm sqrt(2) k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import EPS_PSD, constraint_index
-from .poly import NCPoly, OperatorTuple, opnorm, word_images
-from .words import (
-    GROUP, MONOID, Word, count_words, enumerate_words, involute, left_shift, suffix_table,
-)
+from .gram import EPS_PSD, constraint_index, mirror_classes
+from .poly import EPS_HERM, OperatorTuple, opnorm, word_images
+from .words import GROUP, MONOID, count_words, enumerate_words, left_shift, suffix_table
 
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
@@ -59,51 +60,32 @@ class ZeroFunctionalError(GnsError):
 
 @dataclass
 class HankelFunctional:
-    """Blocks u -> S_u for |u| <= 2D encoding phi(P u) = Tr(S_u P)."""
+    """phi(P u) = Tr(S_u P) for |u| <= 2D, stored on the degree-D word-pair
+    table index = (products, table) = constraint_index(g, D, mode): blocks is
+    the (len(products), k, k) stack whose block c is S_u for u = products[c]."""
 
     g: int
     mode: str
     k: int
     D: int
-    blocks: dict = field(default_factory=dict)
+    index: tuple
+    blocks: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for u, S in self.blocks.items():
-            S = np.asarray(S, dtype=complex)
-            if S.shape != (self.k, self.k):
-                raise GnsError(f"block for {u!r} has shape {S.shape}, want {(self.k, self.k)}")
-            if len(u) > 2 * self.D:
-                raise GnsError(f"block word {u!r} exceeds degree {2 * self.D}")
-            clean[u] = S
-        self.blocks = clean
-
-    def block(self, u: Word) -> np.ndarray:
-        try:
-            return self.blocks[u]
-        except KeyError:
-            raise GnsError(f"missing block for word {u!r} (outside the stored support)") from None
-
-    def phi(self, p: NCPoly) -> complex:
-        """phi(p) = sum_u Tr(S_u P_u)."""
-        total = 0.0 + 0.0j
-        for u, P in zip(p.words, p.coeffs):
-            total += np.trace(self.block(u) @ P)
-        return complex(total)
+        self.blocks = np.asarray(self.blocks, dtype=complex)
+        want = (len(self.index[0]), self.k, self.k)
+        if self.blocks.shape != want:
+            raise GnsError(f"block stack has shape {self.blocks.shape}, want {want}")
 
     def structure_defect(self) -> float:
         """max || S_{u*} - S_u^dagger ||."""
-        worst = 0.0
-        for u, S in self.blocks.items():
-            other = self.blocks.get(involute(u))
-            if other is None:
-                raise GnsError(f"block for {involute(u)!r} is missing")
-            worst = max(worst, opnorm(other - S.conj().T))
-        return worst
+        mirrored = self.blocks[mirror_classes(self.index[1])]
+        return float(np.linalg.norm(mirrored - self.blocks.conj().transpose(0, 2, 1), 2,
+                                    axis=(1, 2)).max())
 
     def validate(self):
         defect = self.structure_defect()
-        if defect > 1e-9:
+        if defect > EPS_HERM:
             raise GnsError(f"Hermitian block structure violated (defect {defect:.3e})")
         K = quotient_matrix(self)
         lo = float(np.linalg.eigvalsh(K).min())
@@ -114,10 +96,9 @@ class HankelFunctional:
 def assemble(S: HankelFunctional) -> np.ndarray:
     """The Hermitian matrix with (v, w) block S_{involute(v) w} over the
     degree-D word basis."""
-    products, table = constraint_index(S.g, S.D, S.mode)
+    table = S.index[1]
     n, k = len(table), S.k
-    blocks = np.array([S.block(u) for u in products])[table]
-    return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    return S.blocks[table].transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
 def quotient_matrix(S: HankelFunctional) -> np.ndarray:
@@ -328,10 +309,12 @@ def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
     """
     frame = np.atleast_2d(np.asarray(frame, dtype=complex))
     k = frame.shape[1]
+    index = constraint_index(g, D, mode)
     words = enumerate_words(g, 2 * D, mode)
     F = frame.conj().T @ word_images(X, words, frame)  # k x (T k): frame^dagger X^u frame
     blocks = F.reshape(k, len(words), k).transpose(1, 2, 0)
-    return HankelFunctional(g=g, mode=mode, k=k, D=D, blocks=dict(zip(words, blocks)))
+    position = {w: i for i, w in enumerate(words)}  # the products are the words of degree <= 2D
+    return HankelFunctional(g, mode, k, D, index, blocks[[position[u] for u in index[0]]])
 
 
 def shift_defect(model: WitnessModel) -> float:

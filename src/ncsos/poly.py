@@ -164,7 +164,6 @@ class OperatorTuple:
     mode: str
     entries: list = field(default_factory=list)
     inverses: list | None = None
-    self_adjoint: bool = False
 
     def __post_init__(self):
         self.entries = [np.asarray(x, dtype=complex) for x in self.entries]
@@ -178,8 +177,6 @@ class OperatorTuple:
                 raise PolyError("need one inverse per entry")
             if any(x.shape != (n, n) for x in self.inverses):
                 raise PolyError("inverses must be square matrices of the entries' size")
-        if self.self_adjoint and self.mode == MONOID and self.hermitian_defect() > EPS_HERM:
-            raise PolyError("entry flagged self-adjoint is not Hermitian")
 
     @property
     def g(self) -> int:

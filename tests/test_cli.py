@@ -434,6 +434,21 @@ def test_oversized_degree_is_refused_before_anything_is_built(tmp_path, capsys, 
     assert err.strip().endswith("above the limit 512")
 
 
+@pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
+def test_oversized_zero_input_is_refused_before_the_hermitian_test(tmp_path, capsys, monkeypatch, command):
+    # the Hermitian test builds a k x k zero block; at coeff_dim 100000 that is
+    # 149 GiB, so the size check must come first
+    def refuse(self):
+        raise AssertionError("Hermitian test before the size check")
+
+    monkeypatch.setattr(NCPoly, "is_hermitian", refuse)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"g": 1, "mode": "monoid", "coeff_dim": 600, "terms": []}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EX_DATA and out == ""
+    assert err.strip().endswith("side at least 1200, above the limit 512")
+
+
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):
     # an exception escaping a subcommand must not end with EX_WITNESS = 1
     import ncsos.cli

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncsos.certify import GNS_VERIFY_TOL
+from ncsos.gram import constraint_index
 from ncsos.gns import (
     GnsError, HankelFunctional, ZeroFunctionalError, _span_basis,
     assemble, functional_from_model, gns_construct, gns_construct_unitary,
@@ -85,17 +86,28 @@ def test_span_basis_deterministic():
 # -- assembly --------------------------------------------------------------
 
 
+def hankel(g, mode, k, D, blocks) -> HankelFunctional:
+    """The functional with the blocks of a word -> block dict, stacked on the
+    degree-D word-pair table."""
+    index = constraint_index(g, D, mode)
+    return HankelFunctional(g, mode, k, D, index, np.array([blocks[u] for u in index[0]]))
+
+
+def block_of(S: HankelFunctional, u: Word) -> np.ndarray:
+    return S.blocks[S.index[0].index(u)]
+
+
 def point_functional(y: float, D: int) -> HankelFunctional:
     blocks = {}
     for u in enumerate_words(1, 2 * D, MONOID):
         blocks[u] = np.array([[y ** len(u)]], dtype=complex)
-    return HankelFunctional(g=1, mode=MONOID, k=1, D=D, blocks=blocks)
+    return hankel(1, MONOID, 1, D, blocks)
 
 
 def delta_functional(g, k, D, mode=MONOID) -> HankelFunctional:
     blocks = {u: np.zeros((k, k), dtype=complex) for u in enumerate_words(g, 2 * D, mode)}
     blocks[identity(g, mode)] = np.eye(k, dtype=complex)
-    return HankelFunctional(g=g, mode=mode, k=k, D=D, blocks=blocks)
+    return hankel(g, mode, k, D, blocks)
 
 
 def test_assemble_point_moments():
@@ -123,11 +135,12 @@ def test_assemble_hermitian_when_structured():
     assert S.structure_defect() < 1e-12
 
 
-def test_assemble_missing_block():
-    S = HankelFunctional(g=1, mode=MONOID, k=1, D=1,
-                         blocks={identity(1): np.array([[1.0]])})
-    with pytest.raises(GnsError):
-        assemble(S)
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_block_stack_must_match_its_index(mode):
+    S = delta_functional(2, 2, 1, mode)
+    for blocks in (S.blocks[:-1], S.blocks[:, :1, :1], S.blocks[..., None]):
+        with pytest.raises(GnsError):
+            HankelFunctional(S.g, S.mode, S.k, S.D, S.index, blocks)
 
 
 # -- monoid construction ----------------------------------------------------
@@ -184,12 +197,11 @@ def test_functional_from_model_matches_vec_state():
         P = rand_matrix(2, rng)
         p = NCPoly(2, MONOID, 2, {u: P})
         direct = np.vdot(gamma0, poly_eval(p, X) @ gamma0)
-        assert abs(S.phi(p) - direct) < 1e-10
+        assert abs(np.trace(block_of(S, u) @ P) - direct) < 1e-10
 
 
 def test_gns_rejects_zero_functional():
-    S = HankelFunctional(g=1, mode=MONOID, k=1, D=1,
-                         blocks={u: np.zeros((1, 1)) for u in enumerate_words(1, 2, MONOID)})
+    S = hankel(1, MONOID, 1, 1, {u: np.zeros((1, 1)) for u in enumerate_words(1, 2, MONOID)})
     with pytest.raises(ZeroFunctionalError):
         gns_construct(S)
 
@@ -197,7 +209,7 @@ def test_gns_rejects_zero_functional():
 def test_gns_rejects_indefinite_functional():
     blocks = {u: np.zeros((1, 1)) for u in enumerate_words(1, 2, MONOID)}
     blocks[identity(1)] = np.array([[-1.0]])
-    S = HankelFunctional(g=1, mode=MONOID, k=1, D=1, blocks=blocks)
+    S = hankel(1, MONOID, 1, 1, blocks)
     with pytest.raises(GnsError):
         gns_construct(S)
 
@@ -218,7 +230,7 @@ def test_gns_unitary_scalar_point():
     for u in enumerate_words(1, 2, GROUP):
         m = sum(1 for a in u.letters if a > 0) - sum(1 for a in u.letters if a < 0)
         blocks[u] = np.array([[1j ** m]], dtype=complex)
-    S = HankelFunctional(g=1, mode=GROUP, k=1, D=1, blocks=blocks)
+    S = hankel(1, GROUP, 1, 1, blocks)
     S.validate()
     model = gns_construct_unitary(S)
     assert model.dim == 1
@@ -274,9 +286,9 @@ def known_model(mode, g, k, d, n, rng):
 
 
 def with_block(S, u, B):
-    blocks = dict(S.blocks)
-    blocks[u] = B
-    return HankelFunctional(g=S.g, mode=S.mode, k=S.k, D=S.D, blocks=blocks)
+    blocks = S.blocks.copy()
+    blocks[S.index[0].index(u)] = B
+    return HankelFunctional(S.g, S.mode, S.k, S.D, S.index, blocks)
 
 
 def brute_force_residual(S, model):
@@ -292,7 +304,7 @@ def brute_force_residual(S, model):
     worst = 0.0
     for v in enumerate_words(S.g, model.d, model.mode):
         for w in enumerate_words(S.g, w_degree, model.mode):
-            target = S.block(concat(involute(v), w))
+            target = block_of(S, concat(involute(v), w))
             E = np.zeros((k, k), dtype=complex)
             for b, P in enumerate(units):
                 pg = poly_eval(NCPoly(S.g, model.mode, k, {w: P}), model.operators) @ model.gamma
@@ -310,7 +322,7 @@ def test_verify_matches_brute_force_reference(mode, k):
     S, model = known_model(mode, 2, k, 1, 3, rng)
     # the exact functional and one that the model no longer reproduces
     u = enumerate_words(2, 1, mode)[1]
-    noisy = with_block(S, u, S.block(u) + 1e-3 * rand_matrix(k, rng))
+    noisy = with_block(S, u, block_of(S, u) + 1e-3 * rand_matrix(k, rng))
     for T in (S, noisy):
         assert abs(gns_verify(T, model) - brute_force_residual(T, model)) <= 1e-12
     assert gns_verify(noisy, model) > 1e-4
@@ -322,7 +334,7 @@ def test_verify_gate_catches_one_perturbed_entry(mode):
     S, model = known_model(mode, 2, 2, 1, 3, rng)
     assert gns_verify(S, model) <= GNS_VERIFY_TOL
     u = enumerate_words(2, 1, mode)[2]
-    B = S.block(u).copy()
+    B = block_of(S, u).copy()
     B[1, 0] += 1e-7
     perturbed = with_block(S, u, B)
     residual = gns_verify(perturbed, model)

@@ -191,12 +191,6 @@ def test_canonical_form_drops_zero_coefficients():
     assert q.terms == {}
 
 
-def test_self_adjoint_flag_enforced():
-    with pytest.raises(PolyError):
-        OperatorTuple(MONOID, [np.array([[0, 1], [0, 0]])], self_adjoint=True)
-    OperatorTuple(MONOID, [rand_hermitian(3)], self_adjoint=True)
-
-
 def test_json_roundtrip():
     rng = np.random.default_rng(9)
     for mode in (MONOID, GROUP):
