@@ -35,9 +35,10 @@ from .fock import (
 )
 from .gram import GramMatrix, SOSCertificate
 from .poly import (
-    NCPoly, PolyError, matrix_from_json, matrix_to_json, poly_eval,
-    poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
+    EPS_UNIT, NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json,
+    poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
 )
+from .sdp import MARGIN_MAX_BYTES
 from .words import GROUP, MONOID, WordError, format_word
 
 EX_OK_SOS = 0
@@ -240,10 +241,30 @@ def _cmd_witness(args) -> int:
     return EX_WITNESS
 
 
+def _load_tuple(data, f: NCPoly, path: str) -> OperatorTuple:
+    """An operator tuple from outside, refused before f is evaluated at it
+    when f(X), a (k n) x (k n) complex matrix, would take more than
+    sdp.MARGIN_MAX_BYTES."""
+    try:
+        X = tuple_from_json(data)
+    except PolyError as exc:
+        raise DataError(f"{path}: {exc}")
+    need = 16 * (f.k * X.dim) ** 2
+    if need > MARGIN_MAX_BYTES:
+        raise DataError(f"{path}: f(X) of side {f.k * X.dim} would take {need / 2 ** 30:.1f} GiB, "
+                        f"over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    return X
+
+
 def _cmd_eval(args) -> int:
     f = _load_poly(args.input)
+    X = _load_tuple(_read_json(args.at), f, args.at)
+    # x_i^-1 is evaluated as X_i*, the inverse of X_i only when X_i is unitary
+    inverse_letter = any(a < 0 for w in f.words for a in w.letters)
+    defect = X.unitary_defect() if X.mode == GROUP and inverse_letter else 0.0
+    if defect > EPS_UNIT:
+        raise DataError(f"group-mode entries are not unitary within {EPS_UNIT} (defect {defect:.3e})")
     try:
-        X = tuple_from_json(_read_json(args.at))
         value = poly_eval(f, X)
     except PolyError as exc:
         raise DataError(str(exc))
@@ -274,7 +295,6 @@ def _cmd_fock_dump(args) -> int:
         data = {
             "mode": GROUP, "g": args.g, "degree": args.l,
             "unitaries": [matrix_to_json(m) for m in U.entries],
-            "unitary_inverses": [matrix_to_json(m) for m in U.inverses],
         }
     else:
         basis = FockBasis(args.g, args.l, MONOID)
@@ -301,9 +321,10 @@ def _cmd_spotcheck(args) -> int:
     outcome = CertifyOutcome(kind or "undecided")
     if kind == "witness":
         try:
-            ops = tuple_from_json(cert["witness"]["model"]["operators"])
-        except (KeyError, TypeError, PolyError) as exc:
+            data = cert["witness"]["model"]["operators"]
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{args.certificate}: {exc}")
+        ops = _load_tuple(data, f, args.certificate)
         outcome.model = SimpleNamespace(operators=ops)  # all spotcheck reads of a witness model
     elif kind == "sos":
         try:

@@ -5,8 +5,9 @@ left creation operators L_i (e_w -> e_{x_i w}, killed at the top degree) and
 their symmetrized Hermitian sums A_i = L_i + L_i^dagger.  Applying words in A
 to the vacuum yields an upper-triangular, unit-diagonal change-of-basis
 matrix whose inverse recovers polynomial coefficients from an evaluation
-q(A).  In group mode the same span carries a canonical tuple of 2g unitaries
-U_y acting as w -> yw wherever that makes sense at the truncation.
+q(A).  In group mode the same span carries a canonical tuple of g
+permutation unitaries U_i acting as w -> x_i w, and their adjoints as
+w -> x_i^-1 w, wherever that makes sense at the truncation.
 
 All are compressions of the left-regular map e_w -> e_{a w}, read off the
 basis's suffix table (words.suffix_table, words.left_shift) without building
@@ -131,13 +132,15 @@ def unitary_gram_bound_constant(g: int, d: int) -> float:
 
 
 def build_unitaries(g: int, d: int) -> OperatorTuple:
-    """The 2g unitaries U_y on the degree-d truncation, y in {x_i, x_i^-1}.
+    """The g unitaries U_i on the degree-d truncation, x_i^-1 acting as U_i*.
 
-    U_y agrees with w -> yw on the span of words of length <= d-1 together
-    with y^-1 * (words of length <= d-1).  The leftover length-d basis words
-    on each side are matched to each other in graded-lex order; with that
-    extension U_{y^-1} need not invert U_y off the core subspace, but every
-    U_y is unitary and U^w vacuum = e_w for all reduced |w| <= d.
+    U_i agrees with w -> x_i w wherever x_i w is a basis word (|w| <= d-1,
+    or w starting with x_i^-1).  The leftover length-d words, those not
+    starting with x_i^-1 (mapped past the truncation) and those not starting
+    with x_i (reached by nothing), are matched to each other in graded-lex
+    order.  So U_i is a permutation matrix, and U_i^T = U_i* is exactly the
+    same construction for the letter x_i^-1: U^w vacuum = e_w for every
+    reduced |w| <= d.
     """
     if d < 1:
         raise FockError("need truncation degree >= 1")
@@ -154,9 +157,7 @@ def build_unitaries(g: int, d: int) -> OperatorTuple:
         U[np.setdiff1d(np.arange(n), shift), shift < 0] = 1.0
         return U
 
-    entries = [unitary_for(i) for i in range(1, g + 1)]
-    inverses = [unitary_for(-i) for i in range(1, g + 1)]
-    return OperatorTuple(GROUP, entries, inverses=inverses)
+    return OperatorTuple(GROUP, [unitary_for(i) for i in range(1, g + 1)])
 
 
 def coefficient_peek(E: np.ndarray, basis: FockBasis, k: int, w: Word) -> np.ndarray:

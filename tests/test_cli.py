@@ -178,7 +178,8 @@ def test_fock_dump_group(capsys):
     code, out, _ = run(capsys, "fock-dump", "--g", "1", "--l", "1", "--group")
     assert code == 0
     data = json.loads(out)
-    assert len(data["unitaries"]) == 1 and len(data["unitary_inverses"]) == 1
+    # x1^-1 acts as the adjoint of the one unitary: no second list is written
+    assert len(data["unitaries"]) == 1 and "unitary_inverses" not in data
 
 
 def test_spotcheck_cli(tmp_path, capsys):
@@ -210,23 +211,95 @@ def u(i, g=1):
     # Y^2 = -I puts eigenvalue -1 into x1^2, which is SOS, because Y is not self-adjoint
     (x(1, g=1) * x(1, g=1), {"mode": "monoid", "entries": [[[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]]},
      "self-adjointness"),
-    # 2 - u1 - u1^-1 is SOS but reads -2 at the non-unitary U = 2 stored with "inverse" 2
-    (NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1), {"mode": "group", "entries": [[[[2.0, 0.0]]]],
-                                                      "inverses": [[[[2.0, 0.0]]]]}, "unitarity"),
-    # -1 reads -1 at every tuple, but U = 1 stored with "inverse" -1 is no
-    # unitary representation of the free group
+    # 2 - u1 - u1^-1 is SOS but reads -2 at the non-unitary U = 2, whose u1^-1 is its adjoint 2
+    (NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1), {"mode": "group", "entries": [[[[2.0, 0.0]]]]}, "unitarity"),
+    # -1 reads -1 at every tuple, but U = 1 may not bring its own "inverse" -1,
+    # which no unitary representation of the free group has: the key is refused
     (NCPoly.constant(-1.0, 1, GROUP), {"mode": "group", "entries": [[[[1.0, 0.0]]]],
-                                       "inverses": [[[[-1.0, 0.0]]]]}, "unitarity"),
+                                       "inverses": [[[[-1.0, 0.0]]]]}, None),
 ], ids=["monoid", "group", "group-inverse"])
-def test_spotcheck_refuses_forged_witness(tmp_path, capsys, f, forged, kind):
+def test_spotcheck_refuses_forged_witness(tmp_path, capsys, monkeypatch, f, forged, kind):
     path = write_poly(tmp_path / "p.json", f)
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps({"outcome": "witness", "witness": {"model": {"operators": forged}}}))
-    code, out, _ = run(capsys, "spotcheck", path, str(cert))
+    code, out, err = run(capsys, "spotcheck", path, str(cert))
+    if kind is None:
+        assert code == EX_DATA and out == ""
+        assert '"inverses" is not read' in err
+        return
     rep = json.loads(out)
     assert code == 1
-    assert rep["ok"] is False and rep["min_eig"] < -0.5
-    assert kind in rep["note"]
+    assert rep["ok"] is False and kind in rep["note"]
+    # min_eig is f(Y) as the benchmark's independent checker reads it, x1^-1 as Y1*
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import ncalg
+    g, mode, k, terms = ncalg.poly_from_json(json.loads(Path(path).read_text()))
+    ops = [ncalg.matrix_from_json(m) for m in forged["entries"]]
+    assert rep["min_eig"] == ncalg.min_eig(ncalg.evaluate(terms, k, ops, mode)) < -0.5
+
+
+@pytest.mark.parametrize("command", ["certify", "witness"])
+@pytest.mark.parametrize("f", [u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP), group_witness_input(1, 1, 2, 2)],
+                         ids=["g1-k1", "g1-d2-k2"])
+def test_group_witness_is_its_entries(tmp_path, capsys, f, command):
+    # a group witness stores the g unitaries alone, x_i^-1 acting as Y_i*,
+    # and passes spotcheck as it is
+    path = write_poly(tmp_path / "p.json", f)
+    cert = tmp_path / "cert.json"
+    assert run(capsys, command, path, "--out", str(cert))[0] == EX_WITNESS
+    operators = json.loads(cert.read_text())["witness"]["model"]["operators"]
+    assert set(operators) == {"mode", "entries"} and operators["mode"] == "group"
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["eval", "spotcheck"])
+def test_tuple_carrying_inverses_is_refused(tmp_path, capsys, command):
+    # files written when tuples stored their inverses are refused, not read
+    # with the stored list ignored
+    path = write_poly(tmp_path / "p.json", u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP))
+    tup = {"mode": "group", "entries": [[[[1.0, 0.0]]]], "inverses": [[[[1.0, 0.0]]]]}
+    other = tmp_path / "other.json"
+    if command == "eval":
+        other.write_text(json.dumps(tup))
+        argv = ["eval", path, "--at", str(other)]
+    else:
+        other.write_text(json.dumps({"outcome": "witness", "witness": {"model": {"operators": tup}}}))
+        argv = ["spotcheck", path, str(other)]
+    code, out, err = run(capsys, *argv)
+    assert code == EX_DATA and out == ""
+    assert err.strip() == (f"input error: {other}: bad tuple JSON: \"inverses\" is not read; "
+                           "a group tuple evaluates x_i^-1 as the adjoint of its entry X_i")
+
+
+SIZE_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+from ncsos.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["eval", "spotcheck"])
+def test_oversized_evaluation_is_refused_before_it_is_allocated(tmp_path, command):
+    # f(X) of a coeff_dim 100000 input at a 1 x 1 tuple would be 149 GiB: the
+    # tuple is refused where it enters, under a 4 GiB address-space limit
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"g": 1, "mode": "monoid", "coeff_dim": 100000, "terms": []}))
+    tup = {"mode": "monoid", "entries": [[[[1.0, 0.0]]]]}
+    other = tmp_path / "other.json"
+    if command == "eval":
+        other.write_text(json.dumps(tup))
+        argv = ["eval", str(path), "--at", str(other)]
+    else:
+        other.write_text(json.dumps({"outcome": "witness", "witness": {"model": {"operators": tup}}}))
+        argv = ["spotcheck", str(path), str(other)]
+    env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", SIZE_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EX_DATA and done.stdout == ""
+    assert done.stderr.strip() == (f"input error: {other}: f(X) of side 100000 would take 149.0 GiB, "
+                                   "over the 0.25 GiB budget")
 
 
 @pytest.mark.parametrize("forge", ["gram-not-psd", "factors-miss"])
@@ -341,7 +414,7 @@ def _bad_entry_cases():
                  {"p": poly_data(mode="group", terms=[{"word": "1", "matrix": [[[1.0, 0.0]]]}]),
                   "c": {"outcome": "witness", "witness": {"model": {"operators": dict(
                       GROUP_TUPLE, inverses=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]])}}}},
-                 EX_DATA, id="witness-inverse-wrong-size"),
+                 EX_DATA, id="witness-inverse-wrong-size"),  # refused for carrying "inverses" at all
     pytest.param(["extract", "--eval", "{e}", "--g", "0", "--l", "1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
                  id="extract-g-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "1", "--k", "0"], {"e": [[[1.0, 0.0]]]},

@@ -5,7 +5,7 @@ from ncsos.fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
     build_unitaries, coefficient_peek, extract_coeffs, vacuum_images,
 )
-from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval
+from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval, word_images
 from ncsos.words import GROUP, MONOID, Word, identity
 
 from test_poly import rand_poly
@@ -169,7 +169,7 @@ def test_unitaries_g1_d1_three_cycle():
 def test_unitaries_are_unitary(g, d):
     U = build_unitaries(g, d)
     n = U.dim
-    for mat in U.entries + U.inverses:
+    for mat in U.entries:
         assert opnorm(mat @ mat.conj().T - np.eye(n)) <= 1e-10
 
 
@@ -185,6 +185,27 @@ def test_unitaries_reach_every_word(g, d):
         expected = np.zeros(basis.dim, dtype=complex)
         expected[idx[w]] = 1.0
         assert np.allclose(vec, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_canonical_unitaries(g, d):
+    # the tuple is its g permutation matrices, x_i^-1 acting as U_i*:
+    # U^w e_vac = e_w for every basis word, so p(U) holds every P_w of a
+    # degree <= d polynomial in its vacuum column
+    U = build_unitaries(g, d)
+    basis = FockBasis(g, d, GROUP)
+    assert U.g == g and U.dim == basis.dim
+    for mat in U.entries:
+        assert np.isin(mat, (0, 1)).all()
+        assert np.array_equal(mat.sum(axis=0), np.ones(basis.dim))
+        assert np.array_equal(mat.sum(axis=1), np.ones(basis.dim))
+    images = word_images(U, basis.words, np.eye(basis.dim, 1, dtype=complex))
+    assert np.array_equal(images, np.eye(basis.dim))
+    p = rand_poly(g, GROUP, 2, d, np.random.default_rng(10 * g + d), n_terms=basis.dim)
+    E = poly_eval(p, U)
+    for w in basis.words:
+        assert np.array_equal(coefficient_peek(E, basis, 2, w), p.coeff(w))
 
 
 def test_peek_roundtrip_random():
