@@ -47,7 +47,7 @@ def make_inputs():
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from ncsos import jsonio
-    from ncsos.gram import GramMatrix, gram_to_poly
+    from ncsos.gram import GramMatrix, constraint_index, gram_to_poly
     from ncsos.poly import NCPoly, OperatorTuple, poly_to_json, word_eval
     from ncsos.words import GROUP, count_words, graded_key
 
@@ -56,7 +56,8 @@ def make_inputs():
         rng = np.random.default_rng(seed)
         m = k * count_words(g, d, mode)
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        f = gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m + np.eye(m)))
+        index = constraint_index(g, d, mode)
+        f = gram_to_poly(GramMatrix(g, mode, d, k, index, B @ B.conj().T / m + np.eye(m)))
         if kind == "witness":
             Z = rng.standard_normal((g, 3, 3)) + 1j * rng.standard_normal((g, 3, 3))
             Y = [np.linalg.qr(z)[0] if mode == GROUP else (z + z.conj().T) / 2 for z in Z]

@@ -33,13 +33,13 @@ from .fock import (
     FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
     build_unitaries, extract_coeffs,
 )
-from .gram import GramMatrix, SOSCertificate
+from .gram import GramMatrix, SOSCertificate, constraint_index
 from .poly import (
-    EPS_UNIT, NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json,
-    poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json,
+    EPS_UNIT, NCPoly, OperatorTuple, PolyError, matrix_from_json, poly_eval, poly_from_json,
+    poly_to_json, tuple_from_json, tuple_to_json,
 )
 from .sdp import MARGIN_MAX_BYTES
-from .words import GROUP, MONOID, WordError, format_word
+from .words import GROUP, MONOID, WordError, count_words, format_word
 
 EX_OK_SOS = 0
 EX_WITNESS = 1
@@ -268,7 +268,7 @@ def _cmd_eval(args) -> int:
         value = poly_eval(f, X)
     except PolyError as exc:
         raise DataError(str(exc))
-    _emit({"matrix": matrix_to_json(value)}, args.out)
+    _emit({"matrix": value}, args.out)
     return 0
 
 
@@ -291,21 +291,16 @@ def _cmd_extract(args) -> int:
 
 def _cmd_fock_dump(args) -> int:
     if args.group:
-        U = build_unitaries(args.g, args.l)
-        data = {
-            "mode": GROUP, "g": args.g, "degree": args.l,
-            "unitaries": [matrix_to_json(m) for m in U.entries],
-        }
+        data = {"mode": GROUP, "g": args.g, "degree": args.l,
+                "unitaries": build_unitaries(args.g, args.l).entries}
     else:
         basis = FockBasis(args.g, args.l, MONOID)
-        ls = build_creation(basis)
-        A = build_symmetrized(basis)
         ext = build_extraction(basis)
         data = {
             "mode": MONOID, "g": args.g, "degree": args.l,
-            "creation": [matrix_to_json(m) for m in ls],
-            "symmetrized": [matrix_to_json(m) for m in A.entries],
-            "extraction": matrix_to_json(ext.matrix),
+            "creation": build_creation(basis),
+            "symmetrized": build_symmetrized(basis).entries,
+            "extraction": ext.matrix,
             "coefficient_bound": float(ext.row_sum_bound),
         }
     _emit(data, args.out)
@@ -332,9 +327,10 @@ def _cmd_spotcheck(args) -> int:
             if type(degree) is not int or degree < 0:  # bool is an int subclass; true is refused
                 raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
             matrix = matrix_from_json(data["gram"])
-            if (degree + 1) * f.k > len(matrix):  # count_words(g, degree) >= degree + 1
+            # degree + 1 <= count_words(g, degree): bound the degree, then count, then build the table
+            if (degree + 1) * f.k > len(matrix) or count_words(f.g, degree, f.mode) * f.k != len(matrix):
                 raise ValueError(f"degree {degree} does not fit a Gram matrix of side {len(matrix)}")
-            gram = GramMatrix(f.g, f.mode, degree, f.k, matrix)
+            gram = GramMatrix(f.g, f.mode, degree, f.k, constraint_index(f.g, degree, f.mode), matrix)
             factors = [poly_from_json(r) for r in data["factors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.certificate}: no usable sos evidence "

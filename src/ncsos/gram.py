@@ -4,9 +4,9 @@ G is Hermitian of size (N*k) x (N*k), indexed blockwise by the degree-d word
 basis (word-major layout: block (v, w) sits at rows v*k..(v+1)*k).  Basis pair
 (v, w) contributes to exactly one coefficient, that of the word involute(v) w.
 constraint_index writes this map down once, as an N x N table of product-word
-indices; the word u coefficient of the represented polynomial is the sum of
-the blocks G_{v,w} in u's class of that table (block_sums), and the same table
-describes the Hankel matrices of the dual side.  Factoring a psd G
+indices, which a GramMatrix carries as the dual's HankelFunctional does: the
+word u coefficient of the represented polynomial is the sum of the blocks
+G_{v,w} in u's class of that table (block_sums).  Factoring a psd G
 column-group-wise yields square factors r_j with p = sum_j r_j^* r_j; with
 the factors stacked into R, the coefficients of that sum are the block sums
 of R R^* over the word-pair table of R's rows (SOSCertificate.reconstruction).
@@ -20,7 +20,7 @@ import numpy as np
 
 from .poly import NCPoly, PolyError, opnorm
 from .words import (
-    GROUP, Word, count_words, enumerate_words, graded_key, involute, reduce_letters,
+    GROUP, Word, enumerate_words, graded_key, involute, reduce_letters,
 )
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
@@ -82,15 +82,19 @@ def block_sums(X: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GramMatrix:
+    """G over the degree-d basis, on its word-pair table index =
+    (products, table) = constraint_index(g, d, mode)."""
+
     g: int
     mode: str
     d: int
     k: int
+    index: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = count_words(self.g, self.d, self.mode) * self.k
+        n = len(self.index[1]) * self.k
         if self.matrix.shape != (n, n):
             raise GramError(f"Gram matrix has shape {self.matrix.shape}, want {(n, n)}")
         if opnorm(self.matrix - self.matrix.conj().T) > 1e-10:
@@ -122,7 +126,7 @@ class SOSCertificate:
 
 def gram_to_poly(G: GramMatrix) -> NCPoly:
     """p = V_d^* G V_d: coefficient P_u = sum of blocks over the class of u."""
-    products, table = constraint_index(G.g, G.d, G.mode)
+    products, table = G.index
     return NCPoly(G.g, G.mode, G.k, dict(zip(products, block_sums(G.matrix, table))))
 
 

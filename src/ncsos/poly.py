@@ -268,12 +268,12 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def poly_to_json(p: NCPoly) -> dict:
+    """The polynomial's JSON object, its coefficients as arrays for jsonio.dumps."""
     return {
         "g": p.g,
         "mode": p.mode,
         "coeff_dim": p.k,
-        "terms": [{"word": format_word(w), "matrix": matrix_to_json(c)}
-                  for w, c in zip(p.words, p.coeffs)],
+        "terms": [{"word": format_word(w), "matrix": c} for w, c in zip(p.words, p.coeffs)],
     }
 
 

@@ -16,10 +16,11 @@ from ncsos.fock import (
     unitary_gram_bound_constant,
 )
 from ncsos.gns import functional_from_model, gns_construct, gns_construct_unitary, gns_verify, shift_defect
-from ncsos.gram import GramMatrix, gram_to_poly
+from ncsos.gram import gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_eval
 from ncsos.words import GROUP, MONOID, Word, count_words
 
+from test_gram import gram
 from test_poly import rand_hermitian, rand_poly, rand_unitary
 
 
@@ -113,7 +114,7 @@ def test_criterion_3_gram_bound():
         k = 1 + trial % 2
         n = count_words(2, d, MONOID) * k
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        G = GramMatrix(2, MONOID, d, k, m @ m.conj().T / n)
+        G = gram(2, MONOID, d, k, m @ m.conj().T / n)
         p = gram_to_poly(G)
         worst_ratio = max(worst_ratio, opnorm(G.matrix) / (mu * opnorm(poly_eval(p, A))))
     ok = worst_ratio <= 1.0 + 1e-12
@@ -129,7 +130,7 @@ def test_criterion_3_gram_bound():
             for _ in range(10):
                 n = count_words(g, d_g, GROUP)
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                G = GramMatrix(g, GROUP, d_g, 1, m @ m.conj().T / n)
+                G = gram(g, GROUP, d_g, 1, m @ m.conj().T / n)
                 p = gram_to_poly(G)
                 pU = poly_eval(p, U)
                 worst_group = max(worst_group, opnorm(G.matrix) / (tau * opnorm(pU)))

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsos import jsonio
 from ncsos.certify import (
     CertifyError, CertifyOutcome, certify, dual_degree, free_state,
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
 )
-from ncsos.gram import EPS_PSD, GramMatrix, constraint_index, gram_to_poly
-from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
+from ncsos.cli import main
+from ncsos.gram import EPS_PSD, constraint_index, gram_to_poly
+from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json
 from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
     solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
 
+from test_gram import gram
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -35,12 +38,17 @@ def group_fixture():
     return NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1)
 
 
+def gram_system_at(f, d):
+    """The Gram system of f on its degree-d word-pair table."""
+    return gram_system(f, constraint_index(f.g, d, f.mode))
+
+
 # -- primal ------------------------------------------------------------------
 
 
 def test_gram_system_sum_of_squares_unique_solution():
     f = x(1) * x(1) + x(2) * x(2)
-    sys = gram_system(f, 1)
+    sys = gram_system_at(f, 1)
     res = solve_feasibility(sys)
     assert res.feasible
     assert np.allclose(res.X, np.diag([0.0, 1.0, 1.0]), atol=1e-8)
@@ -56,7 +64,7 @@ def interior_sos_input(seed, g, mode, d, k):
     rng = np.random.default_rng(seed)
     m = count_words(g, d, mode) * k
     B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-    return gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m + np.eye(m)))
+    return gram_to_poly(gram(g, mode, d, k, B @ B.conj().T / m + np.eye(m)))
 
 
 def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
@@ -68,7 +76,7 @@ def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
     t = np.sqrt(1e-5)
     X = np.diag([0.0, 1.0, 1.0]).astype(complex)
     X[0, 1], X[1, 0] = 1j * t, -1j * t
-    assert gram_system(f, 1).residual(X) == 0 and np.linalg.eigvalsh(X)[0] < -9e-6
+    assert gram_system_at(f, 1).residual(X) == 0 and np.linalg.eigvalsh(X)[0] < -9e-6
     solved = FeasibilityResult(True, X, 1, 0.0)
     monkeypatch.setattr(importlib.import_module("ncsos.certify"), "solve_feasibility",
                         lambda *args, **kwargs: solved)
@@ -144,7 +152,7 @@ def test_interior_point_polish_boundary_gram_system():
     # every Gram matrix of 2 - u1 - u1^-1 has (1, 1, 1) in its kernel: Dykstra
     # spends its budget, and the max-margin handover returns a boundary point
     f = group_fixture()
-    sys = gram_system(f, 1)
+    sys = gram_system_at(f, 1)
     res = solve_feasibility(sys, interior=free_state(f, 1))
     assert res.feasible and res.iterations == DEFAULT_MAX_ITER and res.newton_steps > 0
     X = res.X
@@ -167,7 +175,7 @@ def test_interior_point_polish_infeasible_returns_none(monkeypatch):
 
 def test_interior_point_polish_bit_identical():
     f = group_fixture()
-    sys = gram_system(f, 1)
+    sys = gram_system_at(f, 1)
     X1 = solve_feasibility(sys, interior=free_state(f, 1)).X
     X2 = solve_feasibility(sys, interior=free_state(f, 1)).X
     assert X1.tobytes() == X2.tobytes()
@@ -178,7 +186,7 @@ def test_handover_certificate_is_the_inverse_slack(monkeypatch):
     # certificate is the inverse slack of the max-margin solve, built from
     # its eigh and passed through the one certificate test
     f = monoid_witness_input(0, 1, 1, 2, margin=1e-3)
-    sys, K = gram_system(f, 1), free_state(f, 1)
+    sys, K = gram_system_at(f, 1), free_state(f, 1)
     monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 1)
     res = solve_feasibility(sys, interior=K)
     assert res.iterations == 1 and res.certificate is not None
@@ -228,7 +236,7 @@ def test_block_readouts_match_per_pair_loop(mode, k):
     def block(v, w):
         return X[v * k:(v + 1) * k, w * k:(w + 1) * k]
 
-    p = gram_to_poly(GramMatrix(g, mode, d, k, X))
+    p = gram_to_poly(gram(g, mode, d, k, X))
     coeffs = {u: sum(block(v, w) for v, w in pairs) for u, pairs in classes.items()}
     assert set(p.terms) == set(coeffs)
     assert all(p.terms[u].tobytes() == c.tobytes() for u, c in coeffs.items())
@@ -357,7 +365,7 @@ def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
     rng = np.random.default_rng(seed)
     m = count_words(g, d, MONOID) * k
     B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-    f = gram_to_poly(GramMatrix(g, MONOID, d, k, B @ B.conj().T / m))
+    f = gram_to_poly(gram(g, MONOID, d, k, B @ B.conj().T / m))
     Y0 = OperatorTuple(MONOID, [(A + A.conj().T) / (2 * np.sqrt(n))
                                 for A in (rand_matrix(n, rng) / np.sqrt(2) for _ in range(g))])
     fY = poly_eval(f, Y0)
@@ -393,7 +401,7 @@ def group_witness_input(seed, g, d, k, n=3, margin=0.5):
     rng = np.random.default_rng(seed)
     m = count_words(g, d, GROUP) * k
     B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-    f = gram_to_poly(GramMatrix(g, GROUP, d, k, B @ B.conj().T / m))
+    f = gram_to_poly(gram(g, GROUP, d, k, B @ B.conj().T / m))
     Y0 = OperatorTuple(GROUP, [np.linalg.qr(rand_matrix(n, rng))[0] for _ in range(g)])
     fY = poly_eval(f, Y0)
     c = np.linalg.eigvalsh((fY + fY.conj().T) / 2).min() + margin
@@ -458,7 +466,8 @@ def test_certify_solves_each_distinct_system_once(f, degrees, monkeypatch):
                          ids=["group", "monoid"])
 def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
     # run_dual builds the degree-D table once; GNS and its verification read
-    # the functional's own, and certify adds only the primal's degree-d table
+    # the functional's own, and certify builds each degree's table once: in
+    # group mode D = d and the dual reads the primal's
     gram_module = importlib.import_module("ncsos.gram")
     module = importlib.import_module("ncsos.certify")
     builds, inside = [], {}
@@ -478,7 +487,30 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
     assert inside == {construct: 0, "gns_verify": 0}
     builds.clear()
     assert certify(f).kind == "witness"
-    assert builds == [count_words(f.g, D, f.mode) for D in (2, dual_degree(f, 2))]
+    assert builds == [count_words(f.g, D, f.mode) for D in dict.fromkeys((2, dual_degree(f, 2)))]
+
+
+@pytest.mark.parametrize("command, f, code, builds", [
+    ("certify", interior_sos_input(1, 2, MONOID, 1, 1), 0, 2),
+    ("certify", interior_sos_input(1, 2, GROUP, 1, 1), 0, 2),
+    ("certify", group_witness_input(1, 1, 2, 2), 1, 1),
+    ("certify", monoid_witness_input(1, 1, 2, 2), 1, 2),
+    ("witness", monoid_witness_input(1, 1, 2, 2), 1, 1),
+], ids=["sos-monoid", "sos-group", "witness-group", "witness-monoid", "witness-command"])
+def test_each_command_builds_its_word_pair_tables_once(command, f, code, builds, tmp_path, capsys,
+                                                       monkeypatch):
+    # one table per degree, carried by the evidence it indexes, through the
+    # JSON output too: an SOS decision adds only reconstruction's table over
+    # the factors' support, and in group mode the dual reads the primal's
+    gram_module = importlib.import_module("ncsos.gram")
+    sizes = []
+    monkeypatch.setattr(gram_module, "word_pair_table",
+                        lambda words, _f=gram_module.word_pair_table: sizes.append(len(words)) or _f(words))
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dumps(poly_to_json(f)))
+    assert main([command, str(path)]) == code
+    capsys.readouterr()
+    assert len(sizes) == builds
 
 
 # -- the Farkas certificate ------------------------------------------------------
@@ -500,11 +532,11 @@ def _gram_poly(seed, g, mode, k, d=1):
     rng = np.random.default_rng(seed)
     m = count_words(g, d, mode) * k
     B = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-    return gram_to_poly(GramMatrix(g, mode, d, k, B @ B.conj().T / m))
+    return gram_to_poly(gram(g, mode, d, k, B @ B.conj().T / m))
 
 
 def _primal_solve(f, d=1):
-    return solve_feasibility(gram_system(f, d), interior=free_state(f, d))
+    return solve_feasibility(gram_system_at(f, d), interior=free_state(f, d))
 
 
 @settings(max_examples=25, deadline=None)

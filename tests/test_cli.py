@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import os
@@ -300,6 +301,25 @@ def test_oversized_evaluation_is_refused_before_it_is_allocated(tmp_path, comman
     assert done.returncode == EX_DATA and done.stdout == ""
     assert done.stderr.strip() == (f"input error: {other}: f(X) of side 100000 would take 149.0 GiB, "
                                    "over the 0.25 GiB budget")
+
+
+def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, monkeypatch):
+    # a 13 x 13 Gram matrix fits degree 12 by the side bound (degree + 1) k,
+    # but three letters have count_words(3, 12) = 797,161 words of degree <= 12:
+    # the evidence is refused on that count, before the basis's table is built
+    gram_module = importlib.import_module("ncsos.gram")
+    builds = []
+    monkeypatch.setattr(gram_module, "word_pair_table", lambda words: builds.append(len(words)))
+    path = write_poly(tmp_path / "p.json", x(1, g=3) * x(1, g=3))
+    cert = tmp_path / "cert.json"
+    cert.write_text(jsonio.dumps({"outcome": "sos", "degree": 12, "certificate": {
+        "gram": np.eye(13), "factors": [poly_to_json(x(1, g=3))]}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spotcheck", path, str(cert))
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_DATA and out == "" and builds == []
+    assert err.strip() == (f"input error: {cert}: no usable sos evidence "
+                           "(ValueError: degree 12 does not fit a Gram matrix of side 13)")
 
 
 @pytest.mark.parametrize("forge", ["gram-not-psd", "factors-miss"])

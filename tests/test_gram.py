@@ -14,10 +14,16 @@ from ncsos.gram import (
 from ncsos.poly import NCPoly, PolyError, opnorm, poly_eval
 from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words, identity, involute, concat
 
+
+def gram(g, mode, d, k, matrix) -> GramMatrix:
+    """The Gram matrix on the degree-d word-pair table."""
+    return GramMatrix(g, mode, d, k, constraint_index(g, d, mode), matrix)
+
+
 def rand_psd_gram(g, mode, d, k, rng):
     n = count_words(g, d, mode) * k
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return GramMatrix(g, mode, d, k, m @ m.conj().T / n)
+    return gram(g, mode, d, k, m @ m.conj().T / n)
 
 
 def pairs_of(products, table, u):
@@ -58,7 +64,7 @@ def test_constraint_index_partitions(g, d, mode):
 
 def test_gram_to_poly_rank_one():
     # r = x1 + x2 gives G = [[0,0,0],[0,1,1],[0,1,1]] over (1, x1, x2)
-    G = GramMatrix(2, MONOID, 1, 1,
+    G = gram(2, MONOID, 1, 1,
                    np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex))
     p = gram_to_poly(G)
     x1, x2 = (NCPoly.monomial(Word(MONOID, 2, (i,))) for i in (1, 2))
@@ -67,13 +73,13 @@ def test_gram_to_poly_rank_one():
 
 def test_gram_to_poly_identity_and_zero():
     words = enumerate_words(2, 1, MONOID)
-    G = GramMatrix(2, MONOID, 1, 1, np.eye(3, dtype=complex))
+    G = gram(2, MONOID, 1, 1, np.eye(3, dtype=complex))
     p = gram_to_poly(G)
     expected = NCPoly.zero(2, MONOID, 1)
     for w in words:
         expected = expected + NCPoly.monomial(involute(w)) * NCPoly.monomial(w)
     assert p == expected
-    Z = GramMatrix(2, MONOID, 1, 1, np.zeros((3, 3)))
+    Z = gram(2, MONOID, 1, 1, np.zeros((3, 3)))
     assert gram_to_poly(Z) == NCPoly.zero(2, MONOID, 1)
 
 
@@ -81,9 +87,9 @@ def test_gram_to_poly_linear_and_hermitian(monkeypatch):
     rng = np.random.default_rng(5)
     m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h1, h2 = (m1 + m1.conj().T), np.diag([1.0, 2.0, 3.0]).astype(complex)
-    G1 = GramMatrix(2, MONOID, 1, 1, h1)
-    G2 = GramMatrix(2, MONOID, 1, 1, h2)
-    G12 = GramMatrix(2, MONOID, 1, 1, h1 + 2 * h2)
+    G1 = gram(2, MONOID, 1, 1, h1)
+    G2 = gram(2, MONOID, 1, 1, h2)
+    G12 = gram(2, MONOID, 1, 1, h1 + 2 * h2)
     p = gram_to_poly(G12)
     q = gram_to_poly(G1) + 2.0 * gram_to_poly(G2)
     assert p == q
@@ -92,7 +98,7 @@ def test_gram_to_poly_linear_and_hermitian(monkeypatch):
 
 
 def test_factor_rank_one():
-    G = GramMatrix(2, MONOID, 1, 1,
+    G = gram(2, MONOID, 1, 1,
                    np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex))
     cert = factor_gram(G)
     assert len(cert.factors) == 1
@@ -104,7 +110,7 @@ def test_factor_rank_one():
 
 
 def test_factor_identity_g1():
-    G = GramMatrix(1, MONOID, 1, 1, np.eye(2, dtype=complex))
+    G = gram(1, MONOID, 1, 1, np.eye(2, dtype=complex))
     cert = factor_gram(G)
     assert _reconstruction_miss(cert, G) < 1e-10
     assert cert.reconstruction() == gram_to_poly(G)
@@ -151,7 +157,7 @@ def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, above, k, n_fa
     rng = np.random.default_rng(seed)
     factors = [rand_poly(g, mode, k, d + above, rng, n_terms) for _ in range(n_factors)]
     n = count_words(g, d, mode) * k
-    cert = SOSCertificate(GramMatrix(g, mode, d, k, np.zeros((n, n))), factors)
+    cert = SOSCertificate(gram(g, mode, d, k, np.zeros((n, n))), factors)
     got, want = cert.reconstruction(), sum_of_squares_reference(factors, g, mode, k)
     words = got.terms.keys() | want.terms.keys()
     assert max((opnorm(got.coeff(u) - want.coeff(u)) for u in words), default=0.0) <= 1e-12
@@ -160,7 +166,7 @@ def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, above, k, n_fa
 @pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),
                                     NCPoly.constant(1.0, 1, GROUP)], ids=["k", "g", "mode"])
 def test_reconstruction_refuses_mismatched_factor(factor):
-    cert = SOSCertificate(GramMatrix(1, MONOID, 0, 1, np.eye(1)), [NCPoly.constant(1.0, 1), factor])
+    cert = SOSCertificate(gram(1, MONOID, 0, 1, np.eye(1)), [NCPoly.constant(1.0, 1), factor])
     with pytest.raises(PolyError):
         cert.reconstruction()
 
@@ -178,8 +184,16 @@ def test_factor_reconstruction_is_the_block_sums():
     assert _reconstruction_miss(factor_gram(G), G) <= 1e-12
 
 
+def test_gram_matrix_side_must_fit_its_table():
+    # the side is checked against the word-pair table the matrix carries
+    with pytest.raises(GramError, match=r"want \(3, 3\)"):
+        gram(2, MONOID, 1, 1, np.eye(2))
+    with pytest.raises(GramError, match=r"want \(2, 2\)"):
+        GramMatrix(2, MONOID, 1, 1, constraint_index(1, 1, MONOID), np.eye(3))
+
+
 def test_factor_rejects_indefinite():
-    G = GramMatrix(1, MONOID, 1, 1, np.diag([1.0, -1.0]).astype(complex))
+    G = gram(1, MONOID, 1, 1, np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(GramError):
         factor_gram(G)
 

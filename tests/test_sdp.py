@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsos import sdp
-from ncsos.certify import free_state, gram_system, hankel_system
+from ncsos.certify import free_state, hankel_system
 from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
@@ -13,7 +13,7 @@ from ncsos.sdp import (
 )
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
 
-from test_certify import _gram_poly, group_fixture
+from test_certify import _gram_poly, gram_system_at, group_fixture
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -171,7 +171,7 @@ def test_project_affine_matches_least_squares(mode, g, k, kind):
     # the dual's system is the Gram system too, built from the word-pair table it holds
     rng = np.random.default_rng([g, k, mode == GROUP])
     f = _rand_hermitian_poly(g, mode, k, rng)
-    sys = gram_system(f, 1) if kind == "gram" else hankel_system(f, constraint_index(g, 1, mode))
+    sys = gram_system_at(f, 1) if kind == "gram" else hankel_system(f, constraint_index(g, 1, mode))
     A, b = _reference_rows(f, 1)
     m = sys.m
     X = rand_hermitian(m, rng)
@@ -237,7 +237,7 @@ def test_certificate_proves_infeasibility():
 def test_negative_constant_certifies_at_iteration_one():
     f = NCPoly.constant(-1.0, 2)
     for interior in (None, free_state(f, 0)):
-        res = solve_feasibility(gram_system(f, 0), interior=interior)
+        res = solve_feasibility(gram_system_at(f, 0), interior=interior)
         assert res.certificate is not None and res.iterations == 1
         assert res.pairing < 0 and np.linalg.eigvalsh(res.certificate)[0] > 0
 
@@ -247,7 +247,7 @@ def test_boundary_sos_gets_no_certificate():
     # budget with no step passing the certificate test, and the handover
     # returns a psd point, not a certificate
     f = group_fixture()
-    res = solve_feasibility(gram_system(f, 1), interior=free_state(f, 1))
+    res = solve_feasibility(gram_system_at(f, 1), interior=free_state(f, 1))
     assert res.certificate is None and res.iterations == DEFAULT_MAX_ITER
     assert res.feasible and res.newton_steps > 0 and _low_eig(res.X)[0] >= -DEFAULT_TOL
 
@@ -297,7 +297,7 @@ def test_residuals_eventually_monotone(monkeypatch):
     m = 3
     pinned = pinned_entry_system(m, 0, 2, 0.4 - 0.2j, trace=1.5)
     u1 = NCPoly.monomial(Word(GROUP, 1, (1,)))
-    boundary = gram_system(NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint(), 1)
+    boundary = gram_system_at(NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint(), 1)
     slack = 10 * 1e-12
     monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-12)
 
@@ -392,7 +392,7 @@ def _basis_cases():
     for mode in (MONOID, GROUP):
         for k in (1, 2):
             f = _rand_hermitian_poly(2, mode, k, np.random.default_rng([k, mode == GROUP]))
-            cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system(f, 1)
+            cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system_at(f, 1)
     f = _rand_hermitian_poly(1, GROUP, 2, np.random.default_rng(7))
     cases["hankel-group-k2"] = lambda: hankel_system(f, constraint_index(f.g, 1, f.mode))
     cases["trace"] = lambda: trace_system(3, 1.0)
@@ -409,7 +409,7 @@ def test_null_basis_matches_projector(name):
 @given(mode=st.sampled_from([MONOID, GROUP]), g=st.integers(1, 2), d=st.integers(0, 2),
        k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
 def test_null_directions_of_gram_systems(mode, g, d, k, seed):
-    _check_null_directions(gram_system(_gram_poly(seed, g, mode, k, d), d))
+    _check_null_directions(gram_system_at(_gram_poly(seed, g, mode, k, d), d))
 
 
 @settings(max_examples=25, deadline=None)
@@ -424,7 +424,7 @@ def test_null_directions_with_unlabelled_entries(m, data, value, trace):
 def test_max_margin_takes_no_dense_factorizations(monkeypatch):
     # one eigh of S per Newton step stands in for cholesky and inv, and the
     # null space comes from the labels, not from an m^2 x m^2 eigenproblem
-    sys = gram_system(group_fixture(), 1)
+    sys = gram_system_at(group_fixture(), 1)
     sizes = []
 
     def refuse(*args, **kwargs):
