@@ -280,6 +280,9 @@ def _cmd_extract(args) -> int:
         raise DataError(f"{args.eval_path}: {exc}")
     if min(args.g, args.l, args.k) < 1:
         raise UsageError("--g, --l and --k must be at least 1")
+    if (args.l + 1) * args.k > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
+        raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} --k {args.k} "
+                        f"needs a side of at least {(args.l + 1) * args.k}")
     basis = FockBasis(args.g, args.l, MONOID)
     try:
         q = extract_coeffs(E, basis, args.k)
@@ -290,6 +293,15 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_fock_dump(args) -> int:
+    # its n x n complex arrays (the g unitaries, or L_i, A_i, M and M^-1) must fit
+    # sdp.MARGIN_MAX_BYTES; n = count_words(g, l) >= l + 1 bounds l before n is counted
+    arrays, n = (args.g if args.group else 2 * args.g + 2), args.l + 1
+    if 16 * arrays * n * n <= MARGIN_MAX_BYTES:
+        n = count_words(args.g, args.l, GROUP if args.group else MONOID)
+    need = 16 * arrays * n * n
+    if need > MARGIN_MAX_BYTES:
+        raise FockError(f"--l {args.l}: {arrays} complex arrays of side at least {n} would take "
+                        f"{need / 2 ** 30:.3g} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
     if args.group:
         data = {"mode": GROUP, "g": args.g, "degree": args.l,
                 "unitaries": build_unitaries(args.g, args.l).entries}

@@ -102,13 +102,12 @@ def assemble(S: HankelFunctional) -> np.ndarray:
 
 
 def quotient_matrix(S: HankelFunctional) -> np.ndarray:
-    """assemble(S) with each k x k block transposed in place; this is the
-    matrix whose psd-ness expresses positivity on matrix-coefficient squares
-    and on which the quotient space is built."""
-    H = assemble(S)
-    k = S.k
-    n = H.shape[0] // k
-    return H.reshape(n, k, n, k).transpose(0, 3, 2, 1).reshape(n * k, n * k)
+    """assemble(S) with each k x k block transposed in place, read off the
+    block stack: its psd-ness expresses positivity on matrix-coefficient
+    squares, and the quotient space is built on it."""
+    table = S.index[1]
+    n, k = len(table), S.k
+    return S.blocks[table].transpose(0, 3, 1, 2).reshape(n * k, n * k)
 
 
 def vec(T) -> np.ndarray:

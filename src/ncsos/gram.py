@@ -7,9 +7,9 @@ constraint_index writes this map down once, as an N x N table of product-word
 indices, which a GramMatrix carries as the dual's HankelFunctional does: the
 word u coefficient of the represented polynomial is the sum of the blocks
 G_{v,w} in u's class of that table (block_sums).  Factoring a psd G
-column-group-wise yields square factors r_j with p = sum_j r_j^* r_j; with
-the factors stacked into R, the coefficients of that sum are the block sums
-of R R^* over the word-pair table of R's rows (SOSCertificate.reconstruction).
+column-group-wise yields square factors r_j of degree <= d.  Stacked into R
+on the degree-d basis, they give p = sum_j r_j^* r_j = V_d^* R R^* V_d: the
+block sums of R R^* over G's own table (SOSCertificate.reconstruction).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import NCPoly, PolyError, opnorm
-from .words import (
-    GROUP, Word, enumerate_words, graded_key, involute, reduce_letters,
-)
+from .words import GROUP, Word, enumerate_words, involute, reduce_letters
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
 EPS_RANK = 1e-10
@@ -104,24 +102,26 @@ class GramMatrix:
 @dataclass
 class SOSCertificate:
     gram: GramMatrix
-    factors: list = field(default_factory=list)  # the NCPoly r_j of sum_j r_j^* r_j
+    factors: list = field(default_factory=list)  # the NCPoly r_j of sum_j r_j^* r_j, degree <= d
     residual: float = 0.0
 
     def reconstruction(self) -> NCPoly:
-        """sum_j r_j^* r_j: the block sums of R R^* over the word-pair table
-        of the factors' support, with r_j's coefficients conjugate-transposed
-        in column group j of R.  The support spans R, not a degree basis, so
-        a factor costs what its terms cost, whatever the length of its words."""
-        g, mode, k = self.gram.g, self.gram.mode, self.gram.k
-        if any((r.g, r.mode, r.k) != (g, mode, k) for r in self.factors):
+        """sum_j r_j^* r_j = V_d^* R R^* V_d: the block sums of R R^* over the
+        Gram matrix's word-pair table, with r_j's coefficients on the degree-d
+        basis conjugate-transposed in column group j of R.  A factor must fit
+        that basis, (g, mode, k) and degree <= d; one that does not is refused
+        before anything is allocated."""
+        G = self.gram
+        if any((r.g, r.mode, r.k) != (G.g, G.mode, G.k) for r in self.factors):
             raise PolyError("factor does not match the Gram matrix's (g, mode, k)")
-        words = sorted(set().union(*(r.words for r in self.factors)), key=graded_key)
-        if not words:
-            return NCPoly.zero(g, mode, k)
-        R = np.stack([r.on(words).conj().transpose(0, 2, 1) for r in self.factors], axis=2)
-        R = R.reshape(len(words) * k, len(self.factors) * k)
-        products, table = word_pair_table(words)
-        return NCPoly(g, mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))
+        if any(r.degree() > G.d for r in self.factors):
+            raise PolyError(f"a factor of degree above {G.d} does not fit the Gram basis")
+        products, table = G.index
+        n, k = len(table), G.k
+        words = enumerate_words(G.g, G.d, G.mode)
+        C = np.array([r.on(words) for r in self.factors], dtype=complex).reshape(-1, n, k, k)
+        R = C.conj().transpose(1, 3, 0, 2).reshape(n * k, -1)
+        return NCPoly(G.g, G.mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))
 
 
 def gram_to_poly(G: GramMatrix) -> NCPoly:

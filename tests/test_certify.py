@@ -491,24 +491,32 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
 
 
 @pytest.mark.parametrize("command, f, code, builds", [
-    ("certify", interior_sos_input(1, 2, MONOID, 1, 1), 0, 2),
-    ("certify", interior_sos_input(1, 2, GROUP, 1, 1), 0, 2),
+    ("certify", interior_sos_input(1, 2, MONOID, 1, 1), 0, 1),
+    ("certify", interior_sos_input(1, 2, GROUP, 1, 1), 0, 1),
+    ("decompose", interior_sos_input(1, 2, MONOID, 1, 1), 0, 1),
+    ("spotcheck", interior_sos_input(1, 2, GROUP, 1, 1), 0, 1),
     ("certify", group_witness_input(1, 1, 2, 2), 1, 1),
     ("certify", monoid_witness_input(1, 1, 2, 2), 1, 2),
     ("witness", monoid_witness_input(1, 1, 2, 2), 1, 1),
-], ids=["sos-monoid", "sos-group", "witness-group", "witness-monoid", "witness-command"])
+], ids=["sos-monoid", "sos-group", "decompose", "spotcheck-sos", "witness-group", "witness-monoid",
+        "witness-command"])
 def test_each_command_builds_its_word_pair_tables_once(command, f, code, builds, tmp_path, capsys,
                                                        monkeypatch):
     # one table per degree, carried by the evidence it indexes, through the
-    # JSON output too: an SOS decision adds only reconstruction's table over
-    # the factors' support, and in group mode the dual reads the primal's
+    # JSON output too: the factors are summed on the Gram matrix's table, and
+    # in group mode the dual reads the primal's
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dumps(poly_to_json(f)))
+    argv = [command, str(path)]
+    if command == "spotcheck":
+        cert = tmp_path / "cert.json"
+        assert main(["certify", str(path), "--out", str(cert)]) == 0
+        argv.append(str(cert))
     gram_module = importlib.import_module("ncsos.gram")
     sizes = []
     monkeypatch.setattr(gram_module, "word_pair_table",
                         lambda words, _f=gram_module.word_pair_table: sizes.append(len(words)) or _f(words))
-    path = tmp_path / "f.json"
-    path.write_text(jsonio.dumps(poly_to_json(f)))
-    assert main([command, str(path)]) == code
+    assert main(argv) == code
     capsys.readouterr()
     assert len(sizes) == builds
 

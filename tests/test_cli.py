@@ -303,6 +303,41 @@ def test_oversized_evaluation_is_refused_before_it_is_allocated(tmp_path, comman
                                    "over the 0.25 GiB budget")
 
 
+TIMED_SIZE_PROBE = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+from ncsos.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)  # seconds in main, on stdout
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["fock-dump", "--g", "2", "--l", "40"], EX_USAGE,
+     "usage error: --l 40: 6 complex arrays of side at least 2199023255551 would take 4.32e+17 GiB"),
+    (["fock-dump", "--g", "2", "--l", "200000"], EX_USAGE,
+     "usage error: --l 200000: 6 complex arrays of side at least 200001 would take 3.58e+03 GiB"),
+    (["fock-dump", "--g", "2", "--l", "30", "--group"], EX_USAGE,
+     "usage error: --l 30: 2 complex arrays of side at least 411782264189297 would take 5.05e+21 GiB"),
+    (["extract", "--eval", "{e}", "--g", "2", "--l", "200000"], EX_DATA,
+     "input error: {e}: matrix has shape (1, 1), but --l 200000 --k 1 needs a side of at least 200001"),
+], ids=["fock-dump-monoid", "fock-dump-long", "fock-dump-group", "extract-long"])
+def test_oversized_fock_space_is_refused_before_it_is_counted(tmp_path, argv, code, reason):
+    # count_words(g, l) >= l + 1 is bounded by l before it is counted (counting
+    # is quadratic in l), and the Fock arrays by sdp.MARGIN_MAX_BYTES before
+    # they are built: each refusal is immediate under a 4 GiB address-space limit
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps([[[1.0, 0.0]]]))
+    env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIMED_SIZE_PROBE, *[a.format(e=e) for a in argv]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code and float(done.stdout) < 1.0
+    budget = ", over the 0.25 GiB budget" if code == EX_USAGE else ""
+    assert done.stderr.strip() == reason.format(e=e) + budget
+
+
 def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, monkeypatch):
     # a 13 x 13 Gram matrix fits degree 12 by the side bound (degree + 1) k,
     # but three letters have count_words(3, 12) = 797,161 words of degree <= 12:
@@ -320,6 +355,26 @@ def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, 
     assert code == EX_DATA and out == "" and builds == []
     assert err.strip() == (f"input error: {cert}: no usable sos evidence "
                            "(ValueError: degree 12 does not fit a Gram matrix of side 13)")
+
+
+def test_spotcheck_refuses_a_factor_above_the_gram_degree(tmp_path, capsys, monkeypatch):
+    # a factor must fit the Gram basis: one of degree 30 is refused on its
+    # degree, with no table built but the Gram matrix's own degree-1 one
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", path, "--out", str(cert))
+    data = json.loads(cert.read_text())
+    data["certificate"]["factors"].append(poly_to_json(NCPoly.monomial(Word(MONOID, 2, (1,) * 30), 1e-3)))
+    cert.write_text(jsonio.dumps(data))
+    gram_module = importlib.import_module("ncsos.gram")
+    sizes = []
+    monkeypatch.setattr(gram_module, "word_pair_table",
+                        lambda words, _f=gram_module.word_pair_table: sizes.append(len(words)) or _f(words))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spotcheck", path, str(cert))
+    assert time.perf_counter() - start < 1.0
+    assert code == EX_DATA and out == "" and sizes == [3]
+    assert err.strip() == f"input error: {cert}: a factor of degree above 1 does not fit the Gram basis"
 
 
 @pytest.mark.parametrize("forge", ["gram-not-psd", "factors-miss"])

@@ -352,3 +352,15 @@ def test_verify_detects_perturbed_gamma():
 def test_quotient_matrix_equals_assemble_for_scalar_blocks():
     S = point_functional(0.5, 2)
     assert np.allclose(quotient_matrix(S), assemble(S))
+
+
+@pytest.mark.parametrize("mode, k", [(MONOID, 1), (MONOID, 2), (GROUP, 2), (GROUP, 3)])
+def test_quotient_matrix_is_assemble_with_each_block_transposed(mode, k):
+    # the (v, w) block of the quotient matrix is S_{v* w}^T, read off the stack
+    rng = np.random.default_rng([7, k])
+    index = constraint_index(2, 1, mode)
+    S = HankelFunctional(2, mode, k, 1, index, rand_cols(len(index[0]) * k, k, rng).reshape(-1, k, k))
+    n = len(index[1])
+    H = assemble(S).reshape(n, k, n, k)
+    want = np.block([[H[v, :, w, :].T for w in range(n)] for v in range(n)])
+    assert np.array_equal(quotient_matrix(S), want)

@@ -148,19 +148,27 @@ def sum_of_squares_reference(factors, g, mode, k):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from([MONOID, GROUP]), g=st.integers(1, 2),
-       d=st.integers(0, 2), above=st.integers(0, 2), k=st.integers(1, 2),
-       n_factors=st.integers(0, 3), n_terms=st.integers(1, 6))
-def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, above, k, n_factors, n_terms):
-    # sparse factors, some of degree above the Gram degree d (which group-mode
-    # certificates may carry), summed on the word-pair table of their support
+       d=st.integers(0, 2), k=st.integers(1, 2), n_factors=st.integers(0, 3), n_terms=st.integers(1, 6))
+def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, k, n_factors, n_terms):
+    # sparse factors of degree <= d, summed on the Gram matrix's word-pair table
     from test_poly import rand_poly
     rng = np.random.default_rng(seed)
-    factors = [rand_poly(g, mode, k, d + above, rng, n_terms) for _ in range(n_factors)]
+    factors = [rand_poly(g, mode, k, d, rng, n_terms) for _ in range(n_factors)]
     n = count_words(g, d, mode) * k
     cert = SOSCertificate(gram(g, mode, d, k, np.zeros((n, n))), factors)
     got, want = cert.reconstruction(), sum_of_squares_reference(factors, g, mode, k)
     words = got.terms.keys() | want.terms.keys()
     assert max((opnorm(got.coeff(u) - want.coeff(u)) for u in words), default=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_reconstruction_refuses_factor_above_the_gram_degree(mode):
+    # a factor must fit the degree-d basis the Gram matrix's table is built on
+    w = Word(mode, 2, (1, 2))
+    cert = SOSCertificate(gram(2, mode, 1, 1, np.eye(count_words(2, 1, mode))),
+                          [NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w)])
+    with pytest.raises(PolyError, match="degree above 1"):
+        cert.reconstruction()
 
 
 @pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),
