@@ -33,9 +33,9 @@ from .gns import (
 )
 from .gram import (
     EPS_CERT, EPS_PSD, GramError, GramMatrix, SOSCertificate, block_sums, class_labels,
-    constraint_index, factor_gram, gram_to_poly, mirror_classes,
+    constraint_index, factor_gram, mirror_classes,
 )
-from .poly import NCPoly, OperatorTuple, poly_eval
+from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval
 from .sdp import AffineSystem, FeasibilityResult, InconsistentSystemError, solve_feasibility
 from .words import MONOID, count_words
 
@@ -110,12 +110,6 @@ def _note(res: FeasibilityResult, note: str = "") -> str:
     """note, then the max-margin handover's Newton steps or why it did not run."""
     stage = res.reason or (f"max-margin handover, {res.newton_steps} Newton steps" if res.newton_steps else "")
     return "; ".join(part for part in (note, stage) if part)
-
-
-def _miss(p: NCPoly, f: NCPoly) -> float:
-    """max_u ||P_u - F_u||, how far p is from f coefficientwise."""
-    words = list(dict.fromkeys(p.words + f.words))
-    return float(np.linalg.norm(p.on(words) - f.on(words), 2, axis=(1, 2)).max(initial=0.0))
 
 
 def run_primal(f: NCPoly, d: int):
@@ -293,16 +287,20 @@ def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray
 def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float, float]:
     """Why cert does not prove f SOS ("" when it does), the larger of the two
     coefficient misses it measured, and the smallest eigenvalue of the Gram
-    matrix's Hermitian part: G must be psd within EPS_PSD, and both V* G V
-    and the sum of r* r must reconstruct f within EPS_CERT."""
+    matrix's Hermitian part: G must be psd within EPS_PSD, and V* G V and the
+    sum of r* r, each read off G's table, must reconstruct f within EPS_CERT."""
     if cert is None:
         raise CertifyError("sos outcome carries no certificate to check")
     G = cert.gram.matrix
     low = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
     note = f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
+    products, table = cert.gram.index
+    want = f.on(list(dict.fromkeys(products + f.words)))  # f's words off the table come last
+    off = np.zeros_like(want[len(products):])  # and each misses by its whole coefficient
     worst = 0.0
-    for name, p in (("Gram matrix", gram_to_poly(cert.gram)), ("factors", cert.reconstruction())):
-        miss = _miss(p, f)
+    for name, sums in (("Gram matrix", block_sums(G, table)), ("factors", cert.reconstruction())):
+        sums[np.linalg.norm(sums, axis=(1, 2)) <= COEFF_DROP_TOL] = 0  # the terms an NCPoly drops
+        miss = float(np.linalg.norm(np.concatenate((sums, off)) - want, 2, axis=(1, 2)).max(initial=0.0))
         if miss > EPS_CERT and not note:
             note = f"{name} miss the input by {miss:.3e}"
         worst = max(worst, miss)

@@ -15,6 +15,8 @@ import math
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 # the interpreter's own SHA-256 gives hashlib's digest without loading OpenSSL's _hashlib (3.4 MB)
 try:
     from _sha2 import sha256  # CPython >= 3.12
@@ -36,10 +38,10 @@ from .fock import (
 from .gram import GramMatrix, SOSCertificate, constraint_index
 from .poly import (
     EPS_UNIT, NCPoly, OperatorTuple, PolyError, matrix_from_json, poly_eval, poly_from_json,
-    poly_to_json, tuple_from_json, tuple_to_json,
+    poly_to_json, terms_to_json, tuple_from_json, tuple_to_json,
 )
 from .sdp import MARGIN_MAX_BYTES
-from .words import GROUP, MONOID, WordError, count_words, format_word
+from .words import GROUP, MONOID, WordError, count_words, enumerate_words, format_word
 
 EX_OK_SOS = 0
 EX_WITNESS = 1
@@ -129,11 +131,11 @@ def _complex_pair(z: complex) -> list:
 
 
 def _sos_json(cert: SOSCertificate) -> dict:
-    return {
-        "gram": cert.gram.matrix,
-        "factors": [poly_to_json(r) for r in cert.factors],
-        "residual": float(cert.residual),
-    }
+    G = cert.gram
+    words = enumerate_words(G.g, G.d, G.mode)
+    return {"gram": G.matrix, "residual": float(cert.residual),
+            "factors": [terms_to_json(G.g, G.mode, G.k, [(w, c) for w, c in zip(words, C) if c.any()])
+                        for C in cert.factors]}
 
 
 def _witness_json(outcome: CertifyOutcome) -> dict:
@@ -319,6 +321,23 @@ def _cmd_fock_dump(args) -> int:
     return 0
 
 
+def _load_factors(data, gram: GramMatrix, path: str) -> np.ndarray:
+    """Stored factors as SOSCertificate's stack, refused unparsed over sdp.MARGIN_MAX_BYTES.
+    Each must fit the Gram basis: G's (g, mode, k) and degree <= d."""
+    data = list(data)
+    words = enumerate_words(gram.g, gram.d, gram.mode)
+    need = 16 * len(data) * len(words) * gram.k ** 2
+    if need > MARGIN_MAX_BYTES:
+        raise DataError(f"{path}: {len(data)} factors on {len(words)} words would take "
+                        f"{need / 2 ** 30:.1f} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    factors = [poly_from_json(r) for r in data]
+    if any((r.g, r.mode, r.k) != (gram.g, gram.mode, gram.k) for r in factors):
+        raise DataError(f"{path}: factor does not match the Gram matrix's (g, mode, k)")
+    if any(r.degree() > gram.d for r in factors):
+        raise DataError(f"{path}: a factor of degree above {gram.d} does not fit the Gram basis")
+    return np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, len(words), gram.k, gram.k)
+
+
 def _cmd_spotcheck(args) -> int:
     f = _load_poly(args.input)
     cert = _read_json(args.certificate)
@@ -343,7 +362,7 @@ def _cmd_spotcheck(args) -> int:
             if (degree + 1) * f.k > len(matrix) or count_words(f.g, degree, f.mode) * f.k != len(matrix):
                 raise ValueError(f"degree {degree} does not fit a Gram matrix of side {len(matrix)}")
             gram = GramMatrix(f.g, f.mode, degree, f.k, constraint_index(f.g, degree, f.mode), matrix)
-            factors = [poly_from_json(r) for r in data["factors"]]
+            factors = _load_factors(data["factors"], gram, args.certificate)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.certificate}: no usable sos evidence "
                             f"({type(exc).__name__}: {exc})")
@@ -352,7 +371,7 @@ def _cmd_spotcheck(args) -> int:
         raise DataError(f"{args.certificate}: no decided outcome to spot check")
     try:
         rep = spotcheck(f, outcome)
-    except PolyError as exc:  # the stored tuple or factors do not fit the input
+    except PolyError as exc:  # the stored tuple does not fit the input
         raise DataError(f"{args.certificate}: {exc}")
     _emit({"kind": rep.kind, "min_eig": rep.min_eig, "threshold": rep.threshold,
            "ok": rep.ok, "note": rep.note}, args.out)

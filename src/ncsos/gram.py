@@ -6,19 +6,19 @@ basis (word-major layout: block (v, w) sits at rows v*k..(v+1)*k).  Basis pair
 constraint_index writes this map down once, as an N x N table of product-word
 indices, which a GramMatrix carries as the dual's HankelFunctional does: the
 word u coefficient of the represented polynomial is the sum of the blocks
-G_{v,w} in u's class of that table (block_sums).  Factoring a psd G
-column-group-wise yields square factors r_j of degree <= d.  Stacked into R
-on the degree-d basis, they give p = sum_j r_j^* r_j = V_d^* R R^* V_d: the
-block sums of R R^* over G's own table (SOSCertificate.reconstruction).
+G_{v,w} in u's class of that table (block_sums).  A psd G factors as R R^*,
+and column group j of R, conjugate-transposed, holds the coefficients on the
+degree-d basis of a square factor r_j.  The certificate keeps that stack, and
+p = sum_j r_j^* r_j is the block sums of R R^* over G's own table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import NCPoly, PolyError, opnorm
+from .poly import COEFF_DROP_TOL, NCPoly, opnorm
 from .words import GROUP, Word, enumerate_words, involute, reduce_letters
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
@@ -102,26 +102,15 @@ class GramMatrix:
 @dataclass
 class SOSCertificate:
     gram: GramMatrix
-    factors: list = field(default_factory=list)  # the NCPoly r_j of sum_j r_j^* r_j, degree <= d
+    factors: np.ndarray  # (J, N, k, k): factors[j, v] is r_j's coefficient of basis word v
     residual: float = 0.0
 
-    def reconstruction(self) -> NCPoly:
-        """sum_j r_j^* r_j = V_d^* R R^* V_d: the block sums of R R^* over the
-        Gram matrix's word-pair table, with r_j's coefficients on the degree-d
-        basis conjugate-transposed in column group j of R.  A factor must fit
-        that basis, (g, mode, k) and degree <= d; one that does not is refused
-        before anything is allocated."""
-        G = self.gram
-        if any((r.g, r.mode, r.k) != (G.g, G.mode, G.k) for r in self.factors):
-            raise PolyError("factor does not match the Gram matrix's (g, mode, k)")
-        if any(r.degree() > G.d for r in self.factors):
-            raise PolyError(f"a factor of degree above {G.d} does not fit the Gram basis")
-        products, table = G.index
-        n, k = len(table), G.k
-        words = enumerate_words(G.g, G.d, G.mode)
-        C = np.array([r.on(words) for r in self.factors], dtype=complex).reshape(-1, n, k, k)
-        R = C.conj().transpose(1, 3, 0, 2).reshape(n * k, -1)
-        return NCPoly(G.g, G.mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))
+    def reconstruction(self) -> np.ndarray:
+        """The coefficients of sum_j r_j^* r_j, one per product word of the
+        Gram matrix's table: the block sums of R R^* over it."""
+        table = self.gram.index[1]
+        R = self.factors.conj().transpose(1, 3, 0, 2).reshape(len(table) * self.gram.k, -1)
+        return block_sums(R @ R.conj().T, table)
 
 
 def gram_to_poly(G: GramMatrix) -> NCPoly:
@@ -134,9 +123,10 @@ def factor_gram(G: GramMatrix) -> SOSCertificate:
     """Eigendecompose G, clip below EPS_RANK, split columns into k-wide groups.
 
     The column groups realize the splitting of a psd map into N rank-<=k
-    pieces; each group yields one square factor r_j of degree <= d.  The
-    certificate's residual is left at 0: the certificate gate of
-    certify._refuse_certificate measures the factors against the input.
+    pieces; each group above EPS_RANK is one square factor r_j, its blocks
+    at most COEFF_DROP_TOL zeroed.  The certificate's residual is left at 0:
+    the certificate gate of certify._refuse_certificate measures the factors
+    against the input.
     """
     H = (G.matrix + G.matrix.conj().T) / 2
     evals, evecs = np.linalg.eigh(H)
@@ -144,10 +134,9 @@ def factor_gram(G: GramMatrix) -> SOSCertificate:
         raise GramError(f"Gram matrix is not psd (min eigenvalue {evals.min():.3e})")
     R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
 
-    words = enumerate_words(G.g, G.d, G.mode)
-    n, k = len(words), G.k
+    n, k = len(G.index[1]), G.k
     # blocks[j, v] is block (v, j) of R conjugate-transposed: r_j's coefficient of word v
     blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
-    factors = [NCPoly(G.g, G.mode, k, dict(zip(words, Bj)))
-               for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
+    factors = blocks[[np.linalg.norm(Bj) > EPS_RANK for Bj in blocks]]
+    factors[np.linalg.norm(factors, axis=(2, 3)) <= COEFF_DROP_TOL] = 0
     return SOSCertificate(G, factors)

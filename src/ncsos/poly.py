@@ -149,9 +149,6 @@ class NCPoly:
         mirror = self.on([involute(w) for w in self.words]).conj().transpose(0, 2, 1)
         return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= EPS_HERM))
 
-    def coeff(self, w: Word) -> np.ndarray:
-        return self.on([w])[0]
-
     def __repr__(self):
         if not self.words:
             return "NCPoly(0)"
@@ -267,14 +264,14 @@ def matrix_from_json(data) -> np.ndarray:
     return m
 
 
+def terms_to_json(g: int, mode: str, k: int, terms) -> dict:
+    """A polynomial's JSON object from its (word, coefficient array) pairs, for jsonio.dumps."""
+    return {"g": g, "mode": mode, "coeff_dim": k,
+            "terms": [{"word": format_word(w), "matrix": c} for w, c in terms]}
+
+
 def poly_to_json(p: NCPoly) -> dict:
-    """The polynomial's JSON object, its coefficients as arrays for jsonio.dumps."""
-    return {
-        "g": p.g,
-        "mode": p.mode,
-        "coeff_dim": p.k,
-        "terms": [{"word": format_word(w), "matrix": c} for w, c in zip(p.words, p.coeffs)],
-    }
+    return terms_to_json(p.g, p.mode, p.k, zip(p.words, p.coeffs))
 
 
 def poly_from_json(data: dict) -> NCPoly:

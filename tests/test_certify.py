@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    CertifyError, CertifyOutcome, certify, dual_degree, free_state,
+    CertifyError, CertifyOutcome, _refuse_certificate, certify, dual_degree, free_state,
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
 )
-from ncsos.cli import main
-from ncsos.gram import EPS_PSD, constraint_index, gram_to_poly
-from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json
+from ncsos.cli import _sos_json, main
+from ncsos.gram import (
+    EPS_CERT, EPS_PSD, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
+)
+from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json
 from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
     solve_feasibility,
@@ -89,15 +91,82 @@ def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
 @pytest.mark.parametrize("f", [interior_sos_input(1, 2, MONOID, 1, 2), interior_sos_input(2, 1, GROUP, 2, 1),
                                group_fixture()], ids=["monoid", "group", "group-boundary"])
 def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
-    # the certificate is built and checked on the word-pair table alone
+    # the certificate is built and checked on the word-pair table alone: its
+    # factors are one stack, and run_primal makes no NCPoly at all
     def refuse(self, other):
         raise AssertionError("NCPoly product on the decision path")
 
     monkeypatch.setattr(NCPoly, "__mul__", refuse)
+    made, init = [], NCPoly.__init__
+    monkeypatch.setattr(NCPoly, "__init__",
+                        lambda self, *args, **kwargs: made.append(args) or init(self, *args, **kwargs))
+    cert, _, _ = run_primal(f, infer_degree(f))
+    assert cert is not None and made == []
     out = certify(f)
     assert out.kind == "sos" and out.certificate.residual <= 1e-7
     rep = spotcheck(f, out)
     assert rep.ok, rep.note
+
+
+def _miss(p, f):
+    """max_u ||P_u - F_u||, how far p is from f coefficientwise: the
+    certificate gate's measure when it compared NCPolys."""
+    words = list(dict.fromkeys(p.words + f.words))
+    return float(np.linalg.norm(p.on(words) - f.on(words), 2, axis=(1, 2)).max(initial=0.0))
+
+
+def ncpoly_factors(G):
+    """factor_gram's factors as one NCPoly each: the reference for its stack."""
+    evals, evecs = np.linalg.eigh((G.matrix + G.matrix.conj().T) / 2)
+    R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
+    words = enumerate_words(G.g, G.d, G.mode)
+    n, k = len(words), G.k
+    blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
+    return [NCPoly(G.g, G.mode, k, dict(zip(words, Bj))) for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
+
+
+def ncpoly_reconstruction(factors, G):
+    """sum_j r_j^* r_j of per-factor NCPolys, summed on G's table."""
+    words = enumerate_words(G.g, G.d, G.mode)
+    products, table = G.index
+    n, k = len(words), G.k
+    C = np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, n, k, k)
+    R = C.conj().transpose(1, 3, 0, 2).reshape(n * k, -1)
+    return NCPoly(G.g, G.mode, k, dict(zip(products, block_sums(R @ R.conj().T, table))))
+
+
+@pytest.mark.parametrize("above", [0.0, 3e-14, 1e-3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_certificate_stack_matches_per_factor_ncpolys(mode, k, above):
+    # the gate and the JSON read the factor stack to the bit as they read one
+    # NCPoly per factor.  G couples the empty word to no other basis word, so
+    # factors have all-zero coefficient blocks; the class of x1 x2 sums to at
+    # most COEFF_DROP_TOL; and unless above is 0, f has a word above 2d,
+    # missed by all of it
+    g, d = 2, 1
+    rng = np.random.default_rng(7)
+    m = count_words(g, d, mode) * k
+    B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    X = B @ B.conj().T / m + np.eye(m)
+    X[:k, k:] = X[k:, :k] = 0
+    products, table = constraint_index(g, d, mode)
+    tiny = products.index(Word(mode, g, (1, 2)))
+    (v, w), = np.argwhere(table == tiny)
+    X[v * k:(v + 1) * k, w * k:(w + 1) * k] = X[w * k:(w + 1) * k, v * k:(v + 1) * k] = 9e-15 / k
+    G = gram(g, mode, d, k, X)
+    cube = Word(mode, g, (1, 1, 1))
+    f = gram_to_poly(G) + NCPoly.monomial(cube, above * np.eye(k))
+    assert 0 < np.linalg.norm(block_sums(X, table)[tiny]) <= COEFF_DROP_TOL and cube not in products
+    assert (cube in f.words) == (above > 0)
+
+    cert, reference = factor_gram(G), ncpoly_factors(G)
+    assert not all(C.any(axis=(1, 2)).all() for C in cert.factors)
+    note, residual, _ = _refuse_certificate(f, cert)
+    want = max(_miss(gram_to_poly(G), f), _miss(ncpoly_reconstruction(reference, G), f))
+    assert residual == want and residual >= above
+    assert note == ("" if want <= EPS_CERT else f"Gram matrix miss the input by {want:.3e}")
+    assert jsonio.dumps(_sos_json(cert)["factors"]) == jsonio.dumps([poly_to_json(r) for r in reference])
 
 
 @pytest.mark.parametrize("f", [interior_sos_input(1, 2, MONOID, 1, 2), interior_sos_input(2, 1, GROUP, 2, 1),
@@ -126,8 +195,9 @@ def test_certify_perfect_square():
     f = (x(1) + x(2)).adjoint() * (x(1) + x(2))
     out = certify(f)
     assert out.kind == "sos"
-    diff = out.certificate.reconstruction() - f
-    assert all(opnorm(c) < 1e-9 for c in diff.terms.values())
+    products = out.certificate.gram.index[0]
+    assert set(f.words) <= set(products)
+    assert all(opnorm(c) < 1e-9 for c in out.certificate.reconstruction() - f.on(products))
 
 
 def test_certify_matrix_coefficients_sos():
@@ -144,8 +214,8 @@ def test_certify_group_sos_fixture():
     out = certify(group_fixture())
     assert out.kind == "sos"
     assert out.certificate.residual <= 1e-7
-    # factors reconstruct 2 - u1 - u1^-1; each factor has degree <= 1
-    assert all(r.degree() <= 1 for r in out.certificate.factors)
+    # factors reconstruct 2 - u1 - u1^-1; each factor lies on the degree-1 basis (1, u1, u1^-1)
+    assert out.certificate.factors.shape[1:] == (3, 1, 1)
 
 
 def test_interior_point_polish_boundary_gram_system():
@@ -293,7 +363,7 @@ def test_certify_odd_degree_witness():
 def test_certify_zero_polynomial():
     out = certify(NCPoly.zero(2, MONOID, 1))
     assert out.kind == "sos"
-    assert out.certificate.factors == []
+    assert out.certificate.factors.shape == (0, 1, 1, 1)
 
 
 def test_certify_group_witness():

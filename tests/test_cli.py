@@ -338,6 +338,23 @@ def test_oversized_fock_space_is_refused_before_it_is_counted(tmp_path, argv, co
     assert done.stderr.strip() == reason.format(e=e) + budget
 
 
+def test_oversized_factor_stack_is_refused_before_a_factor_is_parsed(tmp_path):
+    # 300,000 empty factors of one letter on a degree-255 Gram matrix would
+    # stack to (300000, 256, 1, 1), 1.1 GiB: the certificate (18 MB) is refused
+    # on that count, under a 4 GiB address-space limit
+    path = write_poly(tmp_path / "p.json", x(1, g=1) * x(1, g=1))
+    empty = jsonio.dumps(poly_to_json(NCPoly.zero(1, MONOID, 1)))
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"outcome": "sos", "degree": 255, "certificate": {"gram": ' + jsonio.dumps(np.eye(256))
+                    + ', "factors": [' + ",".join([empty] * 300000) + "]}}")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", TIMED_SIZE_PROBE, "spotcheck", path, str(cert)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EX_DATA and float(done.stdout) < 2.0
+    assert done.stderr.strip() == (f"input error: {cert}: 300000 factors on 256 words would take 1.1 GiB, "
+                                   "over the 0.25 GiB budget")
+
+
 def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, monkeypatch):
     # a 13 x 13 Gram matrix fits degree 12 by the side bound (degree + 1) k,
     # but three letters have count_words(3, 12) = 797,161 words of degree <= 12:

@@ -1,4 +1,5 @@
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from ncsos.fock import (
     FockBasis, build_symmetrized, build_unitaries, coefficient_peek,
     gram_bound_constant, unitary_gram_bound_constant,
 )
+from ncsos import jsonio
+from ncsos.cli import DataError, _load_factors
 from ncsos.gram import (
-    GramError, GramMatrix, SOSCertificate, constraint_index, factor_gram, gram_to_poly,
+    GramError, GramMatrix, SOSCertificate, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
-from ncsos.poly import NCPoly, PolyError, opnorm, poly_eval
+from ncsos.poly import NCPoly, opnorm, poly_eval, poly_to_json
 from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words, identity, involute, concat
 
 
@@ -101,19 +104,17 @@ def test_factor_rank_one():
     G = gram(2, MONOID, 1, 1,
                    np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex))
     cert = factor_gram(G)
-    assert len(cert.factors) == 1
+    assert cert.factors.shape == (1, 3, 1, 1)
     assert _reconstruction_miss(cert, G) < 1e-10
-    r = cert.factors[0]
-    c1 = r.coeff(Word(MONOID, 2, (1,)))[0, 0]
-    c2 = r.coeff(Word(MONOID, 2, (2,)))[0, 0]
-    assert abs(abs(c1) - 1.0) < 1e-10 and abs(c1 - c2) < 1e-10
+    c0, c1, c2 = cert.factors[0, :, 0, 0]  # on the basis (1, x1, x2)
+    assert c0 == 0 and abs(abs(c1) - 1.0) < 1e-10 and abs(c1 - c2) < 1e-10
 
 
 def test_factor_identity_g1():
     G = gram(1, MONOID, 1, 1, np.eye(2, dtype=complex))
     cert = factor_gram(G)
     assert _reconstruction_miss(cert, G) < 1e-10
-    assert cert.reconstruction() == gram_to_poly(G)
+    assert np.allclose(cert.reconstruction(), block_sums(G.matrix, G.index[1]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("g,mode,d,k", [(2, MONOID, 2, 2), (2, GROUP, 1, 2), (1, GROUP, 2, 1)])
@@ -123,18 +124,18 @@ def test_factor_random_psd_roundtrip(g, mode, d, k):
         G = rand_psd_gram(g, mode, d, k, rng)
         cert = factor_gram(G)
         assert _reconstruction_miss(cert, G) <= 1e-9
-        assert len(cert.factors) <= count_words(g, d, mode)
-        assert all(r.degree() <= d for r in cert.factors)
+        n = count_words(g, d, mode)
+        assert len(cert.factors) <= n and cert.factors.shape[1:] == (n, k, k)
         # re-assembled Gram matches to clipping accuracy
-        R = np.hstack([_factor_matrix(r, g, mode, d, k) for r in cert.factors])
+        R = np.hstack([_factor_matrix(C, k) for C in cert.factors])
         assert opnorm(R @ R.conj().T - G.matrix) < 1e-8
 
 
-def _factor_matrix(r, g, mode, d, k):
-    words = enumerate_words(g, d, mode)
-    out = np.zeros((len(words) * k, k), dtype=complex)
-    for v, w in enumerate(words):
-        out[v * k:(v + 1) * k, :] = r.coeff(w).conj().T
+def _factor_matrix(C, k):
+    """Column group of R for the coefficients C of a factor on the basis."""
+    out = np.zeros((len(C) * k, k), dtype=complex)
+    for v, c in enumerate(C):
+        out[v * k:(v + 1) * k, :] = c.conj().T
     return out
 
 
@@ -154,35 +155,44 @@ def test_reconstruction_matches_ncpoly_products(seed, mode, g, d, k, n_factors, 
     from test_poly import rand_poly
     rng = np.random.default_rng(seed)
     factors = [rand_poly(g, mode, k, d, rng, n_terms) for _ in range(n_factors)]
-    n = count_words(g, d, mode) * k
-    cert = SOSCertificate(gram(g, mode, d, k, np.zeros((n, n))), factors)
+    words = enumerate_words(g, d, mode)
+    stack = np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, len(words), k, k)
+    n = len(words) * k
+    cert = SOSCertificate(gram(g, mode, d, k, np.zeros((n, n))), stack)
     got, want = cert.reconstruction(), sum_of_squares_reference(factors, g, mode, k)
-    words = got.terms.keys() | want.terms.keys()
-    assert max((opnorm(got.coeff(u) - want.coeff(u)) for u in words), default=0.0) <= 1e-12
+    products = cert.gram.index[0]
+    assert set(want.words) <= set(products)
+    assert max((opnorm(a - b) for a, b in zip(got, want.on(products))), default=0.0) <= 1e-12
 
 
+def stored(*factors):
+    """The factors as a certificate file holds them."""
+    return json.loads(jsonio.dumps([poly_to_json(r) for r in factors]))
+
+
+# a stored certificate's factors are refused by the reader of spotcheck, the
+# one place they enter from outside, before they are stacked on the Gram basis
 @pytest.mark.parametrize("mode", [MONOID, GROUP])
 def test_reconstruction_refuses_factor_above_the_gram_degree(mode):
     # a factor must fit the degree-d basis the Gram matrix's table is built on
     w = Word(mode, 2, (1, 2))
-    cert = SOSCertificate(gram(2, mode, 1, 1, np.eye(count_words(2, 1, mode))),
-                          [NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w)])
-    with pytest.raises(PolyError, match="degree above 1"):
-        cert.reconstruction()
+    G = gram(2, mode, 1, 1, np.eye(count_words(2, 1, mode)))
+    with pytest.raises(DataError, match="c.json: a factor of degree above 1 does not fit the Gram basis"):
+        _load_factors(stored(NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w)), G, "c.json")
 
 
 @pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),
                                     NCPoly.constant(1.0, 1, GROUP)], ids=["k", "g", "mode"])
 def test_reconstruction_refuses_mismatched_factor(factor):
-    cert = SOSCertificate(gram(1, MONOID, 0, 1, np.eye(1)), [NCPoly.constant(1.0, 1), factor])
-    with pytest.raises(PolyError):
-        cert.reconstruction()
+    G = gram(1, MONOID, 0, 1, np.eye(1))
+    with pytest.raises(DataError, match=r"does not match the Gram matrix's \(g, mode, k\)"):
+        _load_factors(stored(NCPoly.constant(1.0, 1), factor), G, "c.json")
 
 
 def _reconstruction_miss(cert, G):
     """max_u ||P_u - F_u|| between sum_j r_j^* r_j and the polynomial of G."""
-    got, want = cert.reconstruction(), gram_to_poly(G)
-    return max(opnorm(got.coeff(u) - want.coeff(u)) for u in got.terms.keys() | want.terms.keys())
+    got, want = cert.reconstruction(), block_sums(G.matrix, G.index[1])
+    return max(opnorm(a - b) for a, b in zip(got, want))
 
 
 def test_factor_reconstruction_is_the_block_sums():

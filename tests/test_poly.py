@@ -41,7 +41,7 @@ def x(i, g=2, mode=MONOID, k=1):
 def test_monomial_product():
     p = x(1) * x(2)
     assert list(p.terms) == [Word(MONOID, 2, (1, 2))]
-    assert np.allclose(p.coeff(Word(MONOID, 2, (1, 2))), 1.0)
+    assert np.allclose(p.on([Word(MONOID, 2, (1, 2))])[0], 1.0)
 
 
 def test_group_inverse_product_is_constant():
@@ -55,15 +55,15 @@ def test_matrix_coefficient_product():
     p = NCPoly(2, MONOID, 2, {Word(MONOID, 2, (1,)): A, Word(MONOID, 2, (2,)): B})
     q = NCPoly(2, MONOID, 2, {Word(MONOID, 2, (1,)): C})
     r = p * q
-    assert np.allclose(r.coeff(Word(MONOID, 2, (1, 1))), A @ C)
-    assert np.allclose(r.coeff(Word(MONOID, 2, (2, 1))), B @ C)
+    assert np.allclose(r.on([Word(MONOID, 2, (1, 1))])[0], A @ C)
+    assert np.allclose(r.on([Word(MONOID, 2, (2, 1))])[0], B @ C)
     assert len(r.terms) == 2
 
 
 def test_adjoint_scalar_conjugation():
     p = 1j * (x(1) * x(2))
     q = p.adjoint()
-    assert np.allclose(q.coeff(Word(MONOID, 2, (2, 1))), -1j)
+    assert np.allclose(q.on([Word(MONOID, 2, (2, 1))])[0], -1j)
 
 
 def test_adjoint_hermitian_fixpoint():
@@ -76,7 +76,7 @@ def test_adjoint_group_inverts_word():
     P = rand_matrix(2)
     p = NCPoly(1, GROUP, 2, {Word(GROUP, 1, (1,)): P})
     q = p.adjoint()
-    assert np.allclose(q.coeff(Word(GROUP, 1, (-1,))), P.conj().T)
+    assert np.allclose(q.on([Word(GROUP, 1, (-1,))])[0], P.conj().T)
 
 
 def test_adjoint_involutive_and_antimultiplicative():

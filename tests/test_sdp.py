@@ -151,7 +151,7 @@ def _reference_rows(f, d):
     for u, pairs in classes.items():
         for a in range(k):
             for b in range(k):
-                add({(v * k + a, w * k + b): 1.0 for v, w in pairs}, f.coeff(u)[a, b])
+                add({(v * k + a, w * k + b): 1.0 for v, w in pairs}, f.on([u])[0][a, b])
     for i in range(m):
         for j in range(i, m):  # Re X[i, j] = Re X[j, i], Im X[i, j] = -Im X[j, i]
             re, im = np.zeros(2 * m * m), np.zeros(2 * m * m)
