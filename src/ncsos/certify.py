@@ -17,6 +17,11 @@ and the eigenvalue of f(Y).  When Dykstra's budget ends with neither a psd
 point nor a certificate (on inputs that vanish somewhere, such as
 2 - u1 - u1^-1), one max-margin interior-point solve answers either way.
 Near the boundary of the cone the answer may be Undecided.
+
+Each branch returns a CertifyOutcome: run_primal's is sos or undecided,
+run_dual's witness or undecided, each with its own diagnostics.  certify
+returns the primal's when it is sos, else the dual's with the primal's
+diagnostics on it, so certify, decompose and witness write one schema.
 """
 from __future__ import annotations
 
@@ -112,36 +117,38 @@ def _note(res: FeasibilityResult, note: str = "") -> str:
     return "; ".join(part for part in (note, stage) if part)
 
 
-def run_primal(f: NCPoly, d: int):
+def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     """Dykstra on the Gram system, with the free state as its interior point,
     and the max-margin handover (sdp.solve_feasibility, at its fixed budget
-    and tolerance).  Returns the certificate (or None), the diagnostics and
-    (index, result): the degree-d word-pair table, which the certificate's
-    GramMatrix carries, and the solver's result (None when the constraints
-    are inconsistent).
+    and tolerance).  Returns the outcome, sos or undecided with its primal
+    diagnostics, and (index, result): the degree-d word-pair table, which the
+    certificate's GramMatrix carries, and the solver's result (None when the
+    constraints are inconsistent).
 
     Every answer passes factor_gram's psd test and spotcheck's certificate
     gate, so neither the handover nor a point psd only to the solver's
     tolerance makes a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
+    out = CertifyOutcome("undecided", degree=d)
     try:
         res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
     except InconsistentSystemError as exc:
-        return None, BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints"), (index, None)
+        out.primal = BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
+        return out, (index, None)
     note = "" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}"
-    diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
-    if not res.feasible:
-        return None, diag, (index, res)
-    try:
-        cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, index, res.X))
-        refusal, cert.residual, _ = _refuse_certificate(f, cert)
-    except GramError as exc:
-        refusal = str(exc)
-    if refusal:
-        diag.note = _note(res, refusal)
-        return None, diag, (index, res)
-    return cert, diag, (index, res)
+    out.primal = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
+    if res.feasible:
+        try:
+            cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, index, res.X))
+            refusal, cert.residual, _ = _refuse_certificate(f, cert)
+        except GramError as exc:
+            refusal = str(exc)
+        if refusal:
+            out.primal.note = _note(res, refusal)
+        else:
+            out.kind, out.certificate = "sos", cert
+    return out, (index, res)
 
 
 # -- dual: Hankel functional search -------------------------------------------
@@ -191,7 +198,7 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
     return K / np.trace(K).real
 
 
-def run_dual(f: NCPoly, d: int, primal: tuple | None = None):
+def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
     """solve_feasibility on the Gram system of f at degree D = dual_degree(f, d),
     with the free state of degree D as its interior point.  In group mode D = d
     and that is the primal's system, so run_primal's (index, result) handed
@@ -199,19 +206,22 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None):
     repeat it.  Its Farkas certificate Z = H + s K, conjugated and scaled to
     unit trace, is the Hankel storage of a functional positive definite on
     squares and negative on f; GNS builds the witness from it, gated on the
-    operator defect, gns_verify and min eig f(Y) <= -EPS_WIT."""
+    operator defect, gns_verify and min eig f(Y) <= -EPS_WIT.  Returns the
+    outcome, witness or undecided with its dual diagnostics."""
     D = dual_degree(f, d)
+    out = CertifyOutcome("undecided", degree=d)
     index, res = primal if primal is not None and D == d else (constraint_index(f.g, D, f.mode), None)
     if res is None:
         try:
             res = solve_feasibility(hankel_system(f, index), interior=free_state(f, D))
         except InconsistentSystemError as exc:
-            return None, None, None, BranchDiagnostics(0, exc.residual, "inconsistent dual system")
-    diag = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
+            out.dual = BranchDiagnostics(0, exc.residual, "inconsistent dual system")
+            return out
+    out.dual = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
 
     def undecided(note):
-        diag.note = _note(res, note)
-        return None, None, None, diag
+        out.dual.note = _note(res, note)
+        return out
 
     if res.certificate is None:
         return undecided(f"Gram system of degree {D} is feasible" if res.feasible
@@ -229,30 +239,25 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None):
     if residual > GNS_VERIFY_TOL:
         return undecided(f"GNS verification residual {residual:.3e}")
     model.gns_residual = residual
-    return model, min_eig, complex(np.vdot(model.gamma, fY @ model.gamma)), diag
+    out.kind, out.model, out.min_eig = "witness", model, min_eig
+    out.refuted_value = complex(np.vdot(model.gamma, fY @ model.gamma))
+    return out
 
 
 # -- the decision ------------------------------------------------------------
 
 
 def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
-    """Decide f at Gram degree d (default ceil(deg f / 2)): sos, witness or
-    undecided."""
+    """Decide f at Gram degree d (default ceil(deg f / 2)): the primal's
+    outcome when it is sos, else the dual's, carrying the primal's
+    diagnostics."""
     d = infer_degree(f, d)
-
-    cert, primal_diag, solved = run_primal(f, d)
-    if cert is not None:
-        return CertifyOutcome("sos", certificate=cert, primal=primal_diag,
-                              degree=d)
-
-    model, min_eig, refuted, dual_diag = run_dual(f, d, solved)
-    if model is not None:
-        return CertifyOutcome("witness", model=model, min_eig=min_eig,
-                              refuted_value=refuted, primal=primal_diag,
-                              dual=dual_diag, degree=d)
-
-    return CertifyOutcome("undecided", primal=primal_diag, dual=dual_diag,
-                          degree=d)
+    out, solved = run_primal(f, d)
+    if out.kind == "sos":
+        return out
+    dual = run_dual(f, d, solved)
+    dual.primal = out.primal
+    return dual
 
 
 # -- spot checks ---------------------------------------------------------------

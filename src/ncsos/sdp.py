@@ -396,12 +396,13 @@ def max_margin(sys: AffineSystem) -> MarginResult:
     strictly feasible point whether or not the system has a psd solution.
     Deterministic: no random start.
 
-    The search stops once t >= 0 (a psd point of the affine set is in hand),
-    once the bound t + nu/eta on the best margin, taken at a centred point,
-    drops below -DEFAULT_TOL (no point is psd within solve_feasibility's
-    tolerance, and the inverse slack is the certificate to test), once
-    nu/eta <= MARGIN_GAP_TOL, or when Newton makes no more progress.  A
-    system without a psd solution ends with t < 0.
+    The search stops once t >= -DEFAULT_TOL (a point of the affine set psd
+    within solve_feasibility's tolerance is in hand), once the bound
+    t + nu/eta on the best margin, taken at a centred point, drops below
+    -DEFAULT_TOL (no point is psd within that tolerance, and the inverse
+    slack is the certificate to test), once nu/eta <= MARGIN_GAP_TOL, or
+    when Newton makes no more progress.  A system without a point psd
+    within DEFAULT_TOL ends with t < -DEFAULT_TOL.
     """
     m = sys.m
     eye = np.eye(m, dtype=complex)
@@ -465,10 +466,10 @@ def max_margin(sys: AffineSystem) -> MarginResult:
                 stalled = True
                 break
             S, t = S + alpha * dS, t + alpha * step[-1]
-            if t >= 0.0:
+            if t >= -DEFAULT_TOL:
                 break
         bound = t + nu / eta
-        if (stalled or t >= 0.0 or (centred and bound < -DEFAULT_TOL) or nu / eta <= MARGIN_GAP_TOL
+        if (stalled or t >= -DEFAULT_TOL or (centred and bound < -DEFAULT_TOL) or nu / eta <= MARGIN_GAP_TOL
                 or steps >= MARGIN_MAX_NEWTON):
             break
         eta *= 10.0

@@ -220,15 +220,13 @@ def test_criterion_7_exclusivity(decisions):
     for name, f in SOS_FIXTURES.items():
         assert decisions[name].kind == "sos"
         d = decisions[name].degree
-        model, *_ = run_dual(f, d)
-        good = model is None
+        good = run_dual(f, d).model is None
         ok = ok and good
         details.append(f"{name}: dual produced {'nothing' if good else 'a witness!'}")
     for name, f in WITNESS_FIXTURES.items():
         assert decisions[name].kind == "witness"
         d = decisions[name].degree
-        cert, *_ = run_primal(f, d)
-        good = cert is None
+        good = run_primal(f, d)[0].certificate is None
         ok = ok and good
         details.append(f"{name}: primal produced {'nothing' if good else 'a certificate!'}")
     report("criterion 7 (duality exclusivity)", ok, "; ".join(details))

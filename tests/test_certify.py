@@ -57,8 +57,8 @@ def test_gram_system_sum_of_squares_unique_solution():
 
 
 def test_primal_inconclusive_on_anticommutator():
-    cert, diag, _ = run_primal(anticommutator(), 1)
-    assert cert is None
+    out, _ = run_primal(anticommutator(), 1)
+    assert out.kind == "undecided" and out.certificate is None
 
 
 def interior_sos_input(seed, g, mode, d, k):
@@ -82,9 +82,9 @@ def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
     solved = FeasibilityResult(True, X, 1, 0.0)
     monkeypatch.setattr(importlib.import_module("ncsos.certify"), "solve_feasibility",
                         lambda *args, **kwargs: solved)
-    cert, diag, _ = run_primal(f, 1)
-    assert cert is None
-    assert diag.note.startswith("Gram matrix is not psd (min eigenvalue -")
+    out, _ = run_primal(f, 1)
+    assert out.certificate is None
+    assert out.primal.note.startswith("Gram matrix is not psd (min eigenvalue -")
     assert certify(f).kind != "witness"
 
 
@@ -100,8 +100,8 @@ def test_sos_path_runs_no_ncpoly_product(f, monkeypatch):
     made, init = [], NCPoly.__init__
     monkeypatch.setattr(NCPoly, "__init__",
                         lambda self, *args, **kwargs: made.append(args) or init(self, *args, **kwargs))
-    cert, _, _ = run_primal(f, infer_degree(f))
-    assert cert is not None and made == []
+    out, _ = run_primal(f, infer_degree(f))
+    assert out.certificate is not None and made == []
     out = certify(f)
     assert out.kind == "sos" and out.certificate.residual <= 1e-7
     rep = spotcheck(f, out)
@@ -404,12 +404,10 @@ def test_certify_group_matrix_coefficient_witness():
 
 def test_exclusivity_on_decided_instances():
     f_sos = x(1) * x(1) + x(2) * x(2)
-    model, *_ , diag = run_dual(f_sos, 1)
-    assert model is None
+    assert run_dual(f_sos, 1).model is None
 
     f_wit = anticommutator()
-    cert, diag, _ = run_primal(f_wit, 1)
-    assert cert is None
+    assert run_primal(f_wit, 1)[0].certificate is None
 
 
 @pytest.mark.parametrize("f", [x(1) * x(1) + x(2) * x(2), group_fixture()],
@@ -424,8 +422,7 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda S, _f=original: calls.append(S) or _f(S))
-    model, *_ = run_dual(f, 1)
-    assert model is None
+    assert run_dual(f, 1).model is None
     assert calls == []
 
 
@@ -447,11 +444,11 @@ def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
 def test_dual_witness_operators_are_self_adjoint(seed):
     # on these inputs GNS fits a shift action whose Y is 3e-8 to 2e-7 away
     # from self-adjoint at every delta; such a tuple is no witness
-    model, min_eig, _, diag = run_dual(monoid_witness_input(seed, 1, 2, 2), 2)
-    if model is None:
-        assert "self-adjointness" in diag.note
+    out = run_dual(monoid_witness_input(seed, 1, 2, 2), 2)
+    if out.model is None:
+        assert "self-adjointness" in out.dual.note
     else:
-        assert model.operators.hermitian_defect() <= 1e-8 and min_eig <= -1e-6
+        assert out.model.operators.hermitian_defect() <= 1e-8 and out.min_eig <= -1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])
@@ -484,7 +481,7 @@ def test_group_witness_does_not_depend_on_the_quotient_basis(seed, g, d, k, monk
     # equivalent model, so the completion of each letter's partial isometry
     # may not depend on the complement bases an SVD happens to return
     f = group_witness_input(seed, g, d, k)
-    min_eig = run_dual(f, d)[1]
+    min_eig = run_dual(f, d).min_eig
     module = importlib.import_module("ncsos.gns")
     frames = module._quotient_frames
     rng = np.random.default_rng(seed)
@@ -495,8 +492,8 @@ def test_group_witness_does_not_depend_on_the_quotient_basis(seed, g, d, k, monk
 
     monkeypatch.setattr(module, "_quotient_frames", rotated)
     for _ in range(3):
-        model, rotated_min_eig, *_ = run_dual(f, d)
-        assert model is not None and abs(rotated_min_eig - min_eig) <= 1e-10
+        out = run_dual(f, d)
+        assert out.model is not None and abs(out.min_eig - min_eig) <= 1e-10
 
 
 @pytest.mark.parametrize("f", [monoid_witness_input(seed, 1, 2, 2) for seed in range(1, 31)]
@@ -509,12 +506,12 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     calls = []
     monkeypatch.setattr(module, "hankel_system",
                         lambda *a, _f=module.hankel_system: calls.append(a) or _f(*a))
-    model, min_eig, _, diag = run_dual(f, 2)
-    assert model is not None, diag.note
+    out = run_dual(f, 2)
+    assert out.kind == "witness", out.dual.note
     assert len(calls) == 1
-    defect = (model.operators.hermitian_defect() if f.mode == MONOID
-              else model.operators.unitary_defect())
-    assert defect <= 1e-8 and min_eig <= -1e-6
+    defect = (out.model.operators.hermitian_defect() if f.mode == MONOID
+              else out.model.operators.unitary_defect())
+    assert defect <= 1e-8 and out.min_eig <= -1e-6
 
 
 @pytest.mark.parametrize("f, degrees", [(group_witness_input(1, 1, 2, 2), [2]),
@@ -550,8 +547,7 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
             inside[_name] = len(builds) - before
             return out
         monkeypatch.setattr(module, name, counted)
-    model = run_dual(f, 2)[0]
-    assert model is not None
+    assert run_dual(f, 2).model is not None
     construct = "gns_construct" if f.mode == MONOID else "gns_construct_unitary"
     assert builds == [count_words(f.g, dual_degree(f, 2), f.mode)]
     assert inside == {construct: 0, "gns_verify": 0}

@@ -494,6 +494,9 @@ def _bad_entry_cases():
     pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
         SOS_EVIDENCE["certificate"], factors=[dict(poly_data(), g=2, terms=[{"word": "x2", "matrix": [[[1.0, 0.0]]]}])]))},
                  EX_DATA, id="sos-factor-wrong-g"),
+    # list() reads an object's keys: {} would be "no factors", not malformed evidence
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
+        SOS_EVIDENCE["certificate"], factors={}))}, EX_DATA, id="sos-factors-object"),
     pytest.param(["fock-dump", "--g", "0", "--l", "1"], {}, EX_USAGE, id="fock-dump-g-0"),
     pytest.param(["fock-dump", "--g", "1", "--l", "0", "--group"], {}, EX_USAGE, id="fock-dump-group-l-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "-1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
@@ -675,29 +678,37 @@ def test_jsonio_rejects_nonfinite_arrays(bad):
 @pytest.mark.parametrize("f", [witness_fixture(), u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP)],
                          ids=["monoid", "group"])
 def test_witness_file_matches_list_payload(tmp_path, capsys, f):
-    from ncsos.certify import CertifyOutcome, run_dual
-    from ncsos.cli import _input_hash, _witness_json
+    from ncsos.certify import run_dual
+    from ncsos.cli import _outcome_json
     path = write_poly(tmp_path / "p.json", f)
     out = tmp_path / "w.json"
     code, _, _ = run(capsys, "witness", path, "--out", str(out))
     assert code == EX_WITNESS
     f = poly_from_json(json.loads(Path(path).read_text()))  # the term order the CLI sees
-    model, min_eig, refuted, _ = run_dual(f, 1)
-    outcome = CertifyOutcome("witness", model=model, min_eig=min_eig, refuted_value=refuted)
-    payload = {"outcome": "witness", "degree": 1, "input_sha256": _input_hash(f),
-               "witness": _as_lists(_witness_json(outcome))}
-    assert out.read_text() == jsonio.dumps(payload) + "\n"
+    assert out.read_text() == jsonio.dumps(_as_lists(_outcome_json(f, run_dual(f, 1)))) + "\n"
 
 
 @pytest.mark.parametrize("f", [u(1) + u(-1) - NCPoly.constant(3.0, 1, GROUP),
                                group_witness_input(1, 1, 2, 2)], ids=["g1-k1", "g1-d2-k2"])
 def test_certify_and_witness_write_the_same_group_witness(tmp_path, capsys, f):
     # certify reads the group-mode dual off the primal's solve, witness solves
-    # the same system alone: the evidence must not differ by a byte
+    # the same system alone: the evidence must not differ by a byte, and the
+    # files, one schema, differ only in the primal diagnostics witness skips
     path = write_poly(tmp_path / "p.json", f)
-    witnesses = []
+    files = []
     for command in ("certify", "witness"):
         code, out, _ = run(capsys, command, path)
         assert code == EX_WITNESS
-        witnesses.append(out[out.index('"witness":'):])  # the last key of the sorted payload
-    assert witnesses[0] == witnesses[1]
+        files.append(out)
+    assert files[0][files[0].index('"witness":'):] == files[1][files[1].index('"witness":'):]
+    certified, witnessed = (json.loads(out) for out in files)
+    assert witnessed["diagnostics"]["primal"] == {"iterations": 0, "gap": None, "note": ""}
+    assert certified["diagnostics"]["primal"] != witnessed["diagnostics"]["primal"]
+    for data in (certified, witnessed):
+        del data["diagnostics"]["primal"]
+    assert certified == witnessed
+    # on an SOS input decompose runs certify's whole decision: the same file
+    path = write_poly(tmp_path / "sos.json", sos_fixture())
+    sos = [run(capsys, command, path) for command in ("certify", "decompose")]
+    assert sos[0][0] == sos[1][0] == 0
+    assert sos[0][1] == sos[1][1]

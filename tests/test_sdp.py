@@ -344,6 +344,15 @@ def test_max_margin_interior_stops_at_psd_point():
     assert sys.residual(res.X) < 1e-12
 
 
+def test_max_margin_stops_within_the_feasibility_tolerance():
+    # every Gram matrix of 2 - u1 - u1^-1 is singular, so its best margin is
+    # 0: the search stops at the first t that solve_feasibility accepts, on
+    # the margin test, before the gap nu/eta closes to MARGIN_GAP_TOL
+    res = max_margin(gram_system_at(group_fixture(), 1))
+    assert -DEFAULT_TOL <= res.t < 0
+    assert res.bound - res.t > MARGIN_GAP_TOL
+
+
 def _hunvec(x, m):
     """Inverse of _hvec, for the unit matrices of its coordinates."""
     iu = np.triu_indices(m, 1)

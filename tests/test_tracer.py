@@ -5,6 +5,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from ncsos.cli import main
+
+from test_cli import sos_fixture, witness_fixture, write_poly
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -44,3 +50,26 @@ def test_tracer_resolves_every_name_and_uninstalls():
     assert all(after[key] is value for key, value in before.items())
     for original, mod, cls, attr in methods:
         assert getattr(importlib.import_module(mod), cls).__dict__[attr] is original
+
+
+DECISIONS = ("certify.certify", "certify.run_primal", "certify.run_dual")
+
+
+@pytest.mark.parametrize("command, f, spans", [
+    ("certify", sos_fixture(), DECISIONS[:2]),
+    ("certify", witness_fixture(), DECISIONS),
+    ("decompose", sos_fixture(), DECISIONS[1:2]),
+    ("witness", witness_fixture(), DECISIONS[2:]),
+], ids=["certify-sos", "certify-witness", "decompose", "witness"])
+def test_tracer_sees_every_decision_command(tmp_path, capsys, command, f, spans):
+    # each command calls through the bindings the tracer swaps, so a
+    # dispatch table holding the functions it had at import would hide them
+    path = write_poly(tmp_path / "p.json", f)
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        main([command, path])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert tuple(s["name"] for s in t.spans if s["name"] in DECISIONS) == spans
