@@ -2,7 +2,8 @@
 """Time `ncsos certify` on seeded inputs above the benchmark's sizes.
 
 The Gram side m = k * count_words(g, d) of each point is above 30, the
-benchmark's largest, except at the monoid point (m = 30, dual side 62).
+benchmark's largest, except at the two monoid points (m = 30, which is also
+the side of the dual's system).
 Ground truth by construction:
 
     sos      f = gram_to_poly(B B*/m + I), B a seeded complex m x m matrix;
@@ -40,6 +41,7 @@ POINTS = {
     "group-g2-d4-k1-witness": ("group", 2, 4, 1, "witness", 2),
     "group-g2-d3-k2-witness": ("group", 2, 3, 2, "witness", 3),
     "monoid-g2-d3-k2-sos": ("monoid", 2, 3, 2, "sos", 4),
+    "monoid-g2-d3-k2-witness": ("monoid", 2, 3, 2, "witness", 5),
 }
 
 

@@ -6,10 +6,10 @@ table.  The primal solves it at the input's degree d and factors a psd
 solution into squares.  Without a solution, Dykstra's displacement gives a
 Farkas certificate: a psd matrix constant on the classes of the word-pair
 table, the Hankel matrix of the paper's separating functional, positive on
-squares and negative on f.  The dual takes the certificate at degree D
-(d + 1 in monoid mode; d in group mode, where the table, the system and its
-solve are the primal's) and GNS turns it into a tuple at which f has a
-negative eigenvalue.
+squares and negative on f.  The dual takes that certificate, in both modes,
+so a decision builds and solves one Gram system (a constant input, d = 0,
+gets a second at degree 1, as GNS needs a letter shift), and GNS turns it
+into a tuple at which f has a negative eigenvalue.
 The certificate mixes in the paper's free state (free_state), positive
 definite and constant on the classes, so GNS keeps every direction; a
 witness still rests only on its own gates: the operator defect, gns_verify
@@ -47,7 +47,7 @@ from .words import MONOID, count_words
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
-MAX_GRAM_SIDE = 512         # largest side of the dual's Gram system infer_degree accepts
+MAX_GRAM_SIDE = 512         # largest side of the Gram system infer_degree accepts
 
 
 class CertifyError(ValueError):
@@ -75,14 +75,17 @@ class CertifyOutcome:
 
 def infer_degree(f: NCPoly, d: int | None = None) -> int:
     """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
-    degree whose larger Gram system, the dual's, would have side above
-    MAX_GRAM_SIDE is refused before anything is built, even the zero
-    coefficient block of the Hermitian test."""
+    degree whose Gram system, the one both the primal and the dual solve
+    (at degree 1 for a constant input), would have side above MAX_GRAM_SIDE
+    is refused before anything is built, even the zero coefficient block of
+    the Hermitian test."""
     if d is None:
         d = math.ceil(f.degree() / 2)
+    if d < 0:
+        raise CertifyError("degree must be at least 0")
     if f.degree() > 2 * d:
         raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
-    D = dual_degree(f, d)  # count_words(g, D) >= D + 1: a huge D is refused uncounted
+    D = max(d, 1)  # count_words(g, D) >= D + 1: a huge D is refused uncounted
     side = f.k * (D + 1 if (D + 1) * f.k > MAX_GRAM_SIDE else count_words(f.g, D, f.mode))
     if side > MAX_GRAM_SIDE:
         raise CertifyError(f"degree {d} needs a Gram system of side at least {side}, "
@@ -154,12 +157,6 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
 # -- dual: Hankel functional search -------------------------------------------
 
 
-def dual_degree(f: NCPoly, d: int) -> int:
-    """The degree D of the dual's system: d + 1 in monoid mode, d in group
-    mode, and at least 1."""
-    return max(d + 1 if f.mode == MONOID else d, 1)
-
-
 def functional_from_solution(X: np.ndarray, f: NCPoly, D: int,
                              index: tuple[list, np.ndarray]) -> HankelFunctional:
     """Read the S_u blocks back off a Hankel storage matrix over the degree-D
@@ -199,16 +196,17 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
 
 
 def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
-    """solve_feasibility on the Gram system of f at degree D = dual_degree(f, d),
-    with the free state of degree D as its interior point.  In group mode D = d
-    and that is the primal's system, so run_primal's (index, result) handed
-    in is read as it is: the same table and deterministic solve would only
-    repeat it.  Its Farkas certificate Z = H + s K, conjugated and scaled to
-    unit trace, is the Hankel storage of a functional positive definite on
-    squares and negative on f; GNS builds the witness from it, gated on the
-    operator defect, gns_verify and min eig f(Y) <= -EPS_WIT.  Returns the
-    outcome, witness or undecided with its dual diagnostics."""
-    D = dual_degree(f, d)
+    """solve_feasibility on the Gram system of f at degree D = max(d, 1), with
+    the free state of degree D as its interior point.  In both modes D = d
+    unless f is constant, and that is the primal's system, so run_primal's
+    (index, result) handed in is read as it is: the same table and
+    deterministic solve would only repeat it.  Its Farkas certificate
+    Z = H + s K, conjugated and scaled to unit trace, is the Hankel storage
+    of a functional positive definite on squares and negative on f; GNS
+    builds the witness from it, gated on the operator defect, gns_verify and
+    min eig f(Y) <= -EPS_WIT.  Returns the outcome, witness or undecided with
+    its dual diagnostics."""
+    D = max(d, 1)
     out = CertifyOutcome("undecided", degree=d)
     index, res = primal if primal is not None and D == d else (constraint_index(f.g, D, f.mode), None)
     if res is None:
@@ -250,7 +248,9 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
 def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
     """Decide f at Gram degree d (default ceil(deg f / 2)): the primal's
     outcome when it is sos, else the dual's, carrying the primal's
-    diagnostics."""
+    diagnostics.  The dual reads the primal's table and solve, so unless f
+    is constant a decision builds and solves one Gram system, in both
+    modes."""
     d = infer_degree(f, d)
     out, solved = run_primal(f, d)
     if out.kind == "sos":

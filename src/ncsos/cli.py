@@ -148,7 +148,7 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
             "dim": model.dim,
             "mode": model.mode,
             "k": model.k,
-            "d": model.d,
+            "d": S.D,
             "operators": tuple_to_json(model.operators),
             "gamma": model.gamma,
             "gns_residual": float(model.gns_residual),
@@ -193,6 +193,8 @@ def _emit(data, out_path: str | None):
 
 def _cmd_decide(args) -> int:
     """certify, decompose (the primal alone) or witness (the dual alone)."""
+    if args.degree is not None and args.degree < 0:
+        raise UsageError("--degree must be at least 0")
     f = _load_poly(args.input)
     try:  # dispatch at call time: perfbench's tracer swaps these bindings
         if args.command == "certify":

@@ -18,12 +18,16 @@ evaluation convention the reproducing identity
 
 then holds exactly, with <a, b> = b^dagger a.
 
-The model's operators are compressions of the left shift, pairing frame
-blocks by the basis's suffix table (words.suffix_table, words.left_shift).
-_span_basis (an SVD) spans the generators, _fit_action (least squares) fits
-the shift on them, and in group mode each letter's partial isometry is
-completed to a unitary by the polar factor between the orthocomplements,
-whichever bases the SVD returns for them.
+The model lives on the whole quotient space, in both modes; the dual
+builds it from the functional of the one Gram system a decision solves.
+For each letter y the shift frame_w -> frame_{y w}, over the words w whose
+y w is listed (words.suffix_table, words.left_shift), is fit by least
+squares on an orthonormal basis of its domain's span (_span_basis, an SVD).
+The two constructions differ only in how they complete that map to an
+operator: in monoid mode the symmetric shift is completed to a
+self-adjoint operator, in group mode the partial isometry to a unitary by
+the polar factor between the orthocomplements, whichever bases the SVD
+returns for them.
 
 gns_verify checks that identity exactly rather than on sampled
 coefficients.  With Gamma = unvec(gamma) and the word images
@@ -43,7 +47,7 @@ import numpy as np
 
 from .gram import EPS_PSD, constraint_index, mirror_classes
 from .poly import EPS_HERM, OperatorTuple, opnorm, word_images
-from .words import GROUP, MONOID, count_words, enumerate_words, left_shift, suffix_table
+from .words import GROUP, MONOID, enumerate_words, left_shift, suffix_table
 
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
@@ -133,7 +137,6 @@ class WitnessModel:
 
     mode: str
     k: int
-    d: int
     dim: int
     operators: OperatorTuple
     gamma: np.ndarray
@@ -168,94 +171,80 @@ def _span_basis(cols: np.ndarray) -> np.ndarray:
     return U[:, s > SPAN_RTOL * s[0]]
 
 
-def gns_construct(S: HankelFunctional) -> WitnessModel:
-    """Monoid-mode model from a functional with D = d + 1.
-
-    The quotient space is cut down to the span of tuples supported in degree
-    <= d; each Y_i is the compression of the left shift, fit on the degree
-    <= d generators by least squares with the fit residual checked.
-    """
-    if S.mode != MONOID:
-        raise GnsError("use gns_construct_unitary for group-mode functionals")
-    if S.D < 1:
-        raise GnsError("need functional degree D >= 1")
-    d = S.D - 1
-    k = S.k
-    head, tail = suffix_table(enumerate_words(S.g, S.D, MONOID))
-    n_low = count_words(S.g, d, MONOID)
-
-    W = _quotient_frames(S)
-    low_cols = W[:, :n_low * k]       # graded order puts degree <= d first
-    B = _span_basis(low_cols)
-    e = B.shape[1]
-    if e == 0:
-        raise ZeroFunctionalError("functional is zero on degree <= d; no model")
-
-    frames = B.conj().T @ W           # e x (N(D) k)
-    ys = []
-    fit_residual = 0.0
-    for i in range(1, S.g + 1):
-        rows = np.flatnonzero(head == i)  # the words x_i w, |w| <= d
-        Yi, res = _fit_action(_blocks(frames, k, tail[rows]), _blocks(frames, k, rows))
-        fit_residual = max(fit_residual, res)
-        ys.append(Yi)
-    if fit_residual > FIT_TOL:
-        raise GnsError(f"shift action is not well defined numerically "
-                       f"(fit residual {fit_residual:.3e})")
-
-    gamma = vec(frames[:, 0:k])
-    operators = OperatorTuple(MONOID, ys)
-    return WitnessModel(mode=MONOID, k=k, d=d, dim=e, operators=operators,
-                        gamma=gamma, functional=S, frames=frames)
-
-
 def _blocks(frames: np.ndarray, k: int, words: np.ndarray) -> np.ndarray:
     """The frame column blocks of the given word indices, side by side."""
     return frames[:, (k * words[:, None] + np.arange(k)).ravel()]
 
 
-def _fit_action(C: np.ndarray, T: np.ndarray):
-    """Least-squares Y with Y C = T; returns (Y, fit residual)."""
-    sol, *_ = np.linalg.lstsq(C.T, T.T, rcond=None)
-    Y = sol.T
-    res = float(np.linalg.norm(Y @ C - T))
-    return Y, res
+def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
+    """The model on the whole quotient space C^rank.  For each letter y the
+    shift frame_w -> frame_{y w}, over the words w whose y w is listed
+    (words.left_shift), is fit by least squares with its residual checked,
+    and complete(frames, B, T, targets) extends it to the letter's operator,
+    from an orthonormal basis B of the domain's span, the shift's values
+    T = Y B on it, and the indices of the words y w."""
+    if S.mode != mode:
+        raise GnsError(f"expected a {mode}-mode functional, got {S.mode}")
+    if S.D < 1:
+        raise GnsError("need functional degree D >= 1")
+    k = S.k
+    head, tail = suffix_table(enumerate_words(S.g, S.D, mode))
+    frames = _quotient_frames(S)
+
+    def operator(y: int) -> np.ndarray:
+        shift = left_shift(head, tail, y)
+        dom = np.flatnonzero(shift >= 0)
+        G_dom, G_tgt = _blocks(frames, k, dom), _blocks(frames, k, shift[dom])
+        Y = np.linalg.lstsq(G_dom.T, G_tgt.T, rcond=None)[0].T
+        residual = float(np.linalg.norm(Y @ G_dom - G_tgt))
+        if residual > FIT_TOL:
+            raise GnsError(f"shift action is not well defined numerically "
+                           f"(fit residual {residual:.3e})")
+        B = _span_basis(G_dom)
+        return complete(frames, B, Y @ B, shift[dom])
+
+    operators = OperatorTuple(mode, [operator(i) for i in range(1, S.g + 1)])
+    return WitnessModel(mode=mode, k=k, dim=frames.shape[0], operators=operators,
+                        gamma=vec(frames[:, 0:k]), functional=S, frames=frames)
+
+
+def gns_construct(S: HankelFunctional) -> WitnessModel:
+    """Monoid-mode model from a functional of degree D >= 1: a g-tuple of
+    self-adjoint operators on the whole quotient space.
+
+    The shift by x_i, from the span of the words of length <= D-1 into the
+    model space, is symmetric, <Y b, b'> = <b, Y b'> on its domain, since
+    x_i* = x_i.  So with M the Hermitian part of B* T,
+    Y_i = T B* + B T* - B M B* is self-adjoint and agrees with the shift on
+    its domain: Y_i B = T + B (T* B - B* T) / 2.
+    """
+    def complete(frames, B, T, targets):
+        M = (B.conj().T @ T + T.conj().T @ B) / 2
+        A = (T - B @ M / 2) @ B.conj().T
+        return A + A.conj().T  # T B* + B T* - B M B*, Hermitian to the last bit
+
+    return _model(S, MONOID, complete)
 
 
 def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
-    """Group-mode model from a functional with D = d: a g-tuple of unitaries,
-    x_i^-1 acting as U_i*.
+    """Group-mode model from a functional of degree D >= 1: a g-tuple of
+    unitaries on the whole quotient space, x_i^-1 acting as U_i*.
 
     The shift by a letter y is isometric between the subspaces spanned by
-    tuples supported on words of length <= d-1 extended by y^-1 resp. y; it
+    tuples supported on words of length <= D-1 extended by y^-1 resp. y; it
     is extended to a unitary on the two orthocomplements, mirroring the
-    free-group Fock construction; the frames span the whole quotient space,
-    so the complements are taken in all of C^rank.  With orthonormal
-    complement bases C_dom, C_cod and C_cod* C_dom = P Sigma Q*, the
-    extension C_cod (P Q*) C_dom* is the one nearest the identity, whichever
-    bases the SVD returns, as long as C_cod* C_dom is invertible.
+    free-group Fock construction.  With orthonormal complement bases C_dom,
+    C_cod and C_cod* C_dom = P Sigma Q*, the extension C_cod (P Q*) C_dom* is
+    the one nearest the identity, whichever bases the SVD returns, as long as
+    C_cod* C_dom is invertible.  U_i* maps frame_{x_i w} back to frame_w, and
+    the domain and codomain of x_i^-1 are those of x_i swapped, so U_i* is
+    the unitary of x_i^-1.
     """
-    if S.mode != GROUP:
-        raise GnsError("gns_construct_unitary expects a group-mode functional")
-    d = S.D
-    if d < 1:
-        raise GnsError("need functional degree D >= 1")
-    k = S.k
-    head, tail = suffix_table(enumerate_words(S.g, d, GROUP))
-    frames = _quotient_frames(S)  # the whole quotient space is the model space
-
-    def unitary_for(y: int) -> np.ndarray:
-        # generators of the domain and codomain of the letter-y shift: the
-        # words w with y w listed, their images y w, and those images in order
-        shift = left_shift(head, tail, y)
-        dom = np.flatnonzero(shift >= 0)
-        G_dom, G_tgt, G_cod = (_blocks(frames, k, ws)
-                               for ws in (dom, shift[dom], np.sort(shift[dom])))
-        B_dom, B_cod = _span_basis(G_dom), _span_basis(G_cod)
-        T_dom = _fit_action(G_dom, G_tgt)[0] @ B_dom
+    def complete(frames, B_dom, T_dom, targets):
         iso_defect = opnorm(T_dom.conj().T @ T_dom - np.eye(T_dom.shape[1]))
         if iso_defect > FIT_TOL:
             raise GnsError(f"letter shift is not isometric (defect {iso_defect:.3e})")
+        B_cod = _span_basis(_blocks(frames, S.k, np.sort(targets)))
         e = B_dom.shape[1]
         if e != B_cod.shape[1]:
             raise GnsError("domain and codomain subspaces have different dimensions")
@@ -264,20 +253,14 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
         P, _, Qh = np.linalg.svd(C_cod.conj().T @ C_dom)
         return T_dom @ B_dom.conj().T + C_cod @ (P @ Qh) @ C_dom.conj().T
 
-    # U_i* maps frame_{x_i w} back to frame_w, and the domain and codomain of
-    # x_i^-1 are those of x_i swapped, so U_i* is the unitary of x_i^-1
-    operators = OperatorTuple(GROUP, [unitary_for(i) for i in range(1, S.g + 1)])
-
-    gamma = vec(frames[:, 0:k])
-    return WitnessModel(mode=GROUP, k=k, d=d, dim=frames.shape[0], operators=operators,
-                        gamma=gamma, functional=S, frames=frames)
+    return _model(S, GROUP, complete)
 
 
 def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     """Largest defect |Tr(S_{v*w} Q^dagger P) - <p(Y)gamma, q(Y)gamma>| of the
-    reproducing identity, p = P w and q = Q v, over every basis monomial pair
-    (|v| <= d, |w| <= d + 1 in monoid mode, d in group mode) and every pair
-    of coefficients P, Q of Frobenius norm sqrt(2) k.
+    reproducing identity, p = P w and q = Q v, over every pair of basis
+    monomials of degree <= D, in both modes, and every pair of coefficients
+    P, Q of Frobenius norm sqrt(2) k.
 
     With Z_w = Y^w Gamma the inner product is Tr(Z_v^dagger Z_w P^T conj(Q)),
     so the defect is Tr(E P^T conj(Q)) with E = S_{v*w}^T - Z_v^dagger Z_w, and
@@ -287,13 +270,11 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     Gaussian entries.
     """
     k = model.k
-    ws = enumerate_words(S.g, S.D, model.mode)  # degree d + 1 (monoid) or d (group)
-    n_v = count_words(S.g, model.d, model.mode)
+    ws = enumerate_words(S.g, S.D, model.mode)
     Z = word_images(model.operators, ws, unvec(model.gamma, k))
-    M = Z[:, :n_v * k].conj().T @ Z
-    # rows v of degree <= d of the matrix with (v, w) block S_{v*w}^T
-    E = quotient_matrix(S)[:n_v * k] - M
-    blocks = E.reshape(n_v, k, len(ws), k).transpose(0, 2, 1, 3)
+    # the matrix with (v, w) block S_{v*w}^T
+    E = quotient_matrix(S) - Z.conj().T @ Z
+    blocks = E.reshape(len(ws), k, len(ws), k).transpose(0, 2, 1, 3)
     return 2 * k * k * float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).max())
 
 

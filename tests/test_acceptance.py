@@ -198,12 +198,10 @@ def test_criterion_6_gns_reproduction():
         n = 2 + trial % 2
         if mode == MONOID:
             X = OperatorTuple(MONOID, [rand_hermitian(n, rng) for _ in range(g)])
-            D = d + 1
         else:
             X = OperatorTuple(GROUP, [rand_unitary(n, rng) for _ in range(g)])
-            D = d
         frame = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        S = functional_from_model(X, frame, g, D, mode)
+        S = functional_from_model(X, frame, g, d, mode)  # the dual's degree, in both modes
         model = gns_construct(S) if mode == MONOID else gns_construct_unitary(S)
         worst_res = max(worst_res, gns_verify(S, model))
         worst_shift = max(worst_shift, shift_defect(model))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    CertifyError, CertifyOutcome, _refuse_certificate, certify, dual_degree, free_state,
+    CertifyError, CertifyOutcome, _refuse_certificate, certify, free_state,
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
 )
 from ncsos.cli import _sos_json, main
@@ -278,9 +278,13 @@ def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch)
 
 
 def test_dual_layout_degree_bump():
-    f = anticommutator()
-    assert dual_degree(f, 1) == 2  # monoid searches at d + 1
-    assert dual_degree(group_fixture(), 1) == 1
+    # the dual works at the primal's degree in both modes; only a constant
+    # input, d = 0, is bumped to degree 1, where GNS has a letter shift
+    group_witness = NCPoly.constant(1.0, 1, GROUP) + u(1) + u(-1)
+    for f, d in ((anticommutator(), 1), (anticommutator(), 2), (group_witness, 1)):
+        assert run_dual(f, d).model.functional.D == d
+    for mode in (MONOID, GROUP):
+        assert run_dual(NCPoly.constant(-1.0, 2, mode), 0).model.functional.D == 1
 
 
 def _pair_classes(g, d, mode):
@@ -442,13 +446,10 @@ def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
 
 @pytest.mark.parametrize("seed", [2, 8])
 def test_dual_witness_operators_are_self_adjoint(seed):
-    # on these inputs GNS fits a shift action whose Y is 3e-8 to 2e-7 away
-    # from self-adjoint at every delta; such a tuple is no witness
+    # GNS completes each letter shift to an exactly self-adjoint operator
     out = run_dual(monoid_witness_input(seed, 1, 2, 2), 2)
-    if out.model is None:
-        assert "self-adjointness" in out.dual.note
-    else:
-        assert out.model.operators.hermitian_defect() <= 1e-8 and out.min_eig <= -1e-6
+    assert out.kind == "witness", out.dual.note
+    assert out.model.operators.hermitian_defect() == 0.0 and out.min_eig <= -1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])
@@ -514,27 +515,32 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     assert defect <= 1e-8 and out.min_eig <= -1e-6
 
 
-@pytest.mark.parametrize("f, degrees", [(group_witness_input(1, 1, 2, 2), [2]),
-                                         (monoid_witness_input(1, 1, 2, 2), [2, 3])],
-                         ids=["group", "monoid"])
-def test_certify_solves_each_distinct_system_once(f, degrees, monkeypatch):
-    # in group mode the dual's system is the primal's, so the dual reads the
-    # primal's certificate; in monoid mode it solves its own at degree d + 1
+@pytest.mark.parametrize("f", [group_witness_input(1, 1, 2, 2), monoid_witness_input(1, 1, 2, 2),
+                               anticommutator()],
+                         ids=["group", "monoid", "anticommutator"])
+def test_certify_solves_each_distinct_system_once(f, monkeypatch):
+    # in both modes the dual's system is the primal's, so the dual reads the
+    # primal's certificate: one solve, and its witness passes the spot check
     module = importlib.import_module("ncsos.certify")
     sizes = []
     monkeypatch.setattr(module, "solve_feasibility",
                         lambda sys, _f=module.solve_feasibility, **kw: sizes.append(sys.m) or _f(sys, **kw))
     out = certify(f)
     assert out.kind == "witness"
-    assert sizes == [count_words(f.g, D, f.mode) * f.k for D in degrees]
+    assert sizes == [count_words(f.g, out.degree, f.mode) * f.k]
+    if f.mode == MONOID:
+        assert out.model.operators.hermitian_defect() == 0.0
+    else:
+        assert out.model.operators.unitary_defect() <= 1e-10
+    assert spotcheck(f, out).ok
 
 
 @pytest.mark.parametrize("f", [group_witness_input(1, 1, 2, 2), monoid_witness_input(1, 1, 2, 2)],
                          ids=["group", "monoid"])
 def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
-    # run_dual builds the degree-D table once; GNS and its verification read
-    # the functional's own, and certify builds each degree's table once: in
-    # group mode D = d and the dual reads the primal's
+    # run_dual builds the degree-d table once; GNS and its verification read
+    # the functional's own, and certify builds it once: in both modes the
+    # dual reads the primal's
     gram_module = importlib.import_module("ncsos.gram")
     module = importlib.import_module("ncsos.certify")
     builds, inside = [], {}
@@ -549,11 +555,11 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert run_dual(f, 2).model is not None
     construct = "gns_construct" if f.mode == MONOID else "gns_construct_unitary"
-    assert builds == [count_words(f.g, dual_degree(f, 2), f.mode)]
+    assert builds == [count_words(f.g, 2, f.mode)]
     assert inside == {construct: 0, "gns_verify": 0}
     builds.clear()
     assert certify(f).kind == "witness"
-    assert builds == [count_words(f.g, D, f.mode) for D in dict.fromkeys((2, dual_degree(f, 2)))]
+    assert builds == [count_words(f.g, 2, f.mode)]
 
 
 @pytest.mark.parametrize("command, f, code, builds", [
@@ -562,7 +568,7 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
     ("decompose", interior_sos_input(1, 2, MONOID, 1, 1), 0, 1),
     ("spotcheck", interior_sos_input(1, 2, GROUP, 1, 1), 0, 1),
     ("certify", group_witness_input(1, 1, 2, 2), 1, 1),
-    ("certify", monoid_witness_input(1, 1, 2, 2), 1, 2),
+    ("certify", monoid_witness_input(1, 1, 2, 2), 1, 1),
     ("witness", monoid_witness_input(1, 1, 2, 2), 1, 1),
 ], ids=["sos-monoid", "sos-group", "decompose", "spotcheck-sos", "witness-group", "witness-monoid",
         "witness-command"])
@@ -678,6 +684,9 @@ def test_degree_override_guard():
     assert infer_degree(f) == 2
     with pytest.raises(CertifyError):
         infer_degree(f, 1)
+    for p in (f, NCPoly.zero(2, MONOID, 1)):
+        with pytest.raises(CertifyError, match="^degree must be at least 0$"):
+            infer_degree(p, -1)
 
 
 # -- spotcheck --------------------------------------------------------------------

@@ -424,6 +424,9 @@ def test_poly_json_roundtrip_identity():
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "certify")[0] == EX_USAGE
     assert run(capsys, "no-such-command")[0] == EX_USAGE
+    # a negative degree is refused as a flag, before the input is read
+    assert run(capsys, "witness", "missing.json", "--degree", "-1") == (
+        EX_USAGE, "", "usage error: --degree must be at least 0\n")
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):
@@ -516,6 +519,10 @@ def _bad_entry_cases():
                  EX_USAGE, id="extract-k-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "0"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
                  id="extract-l-0"),
+    *(pytest.param([command, "{p}", "--degree", "-1"], {"p": poly_data(terms=terms)}, EX_USAGE,
+                   id=f"{command}-degree-negative-{name}")
+      for command in ("certify", "decompose", "witness")
+      for name, terms in (("x1-x1", poly_data()["terms"]), ("zero", []))),
     *_bad_entry_cases(),
 ])
 def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):

@@ -187,6 +187,22 @@ def test_gns_reconstructs_known_monoid_models(g, k, d, n):
     assert shift_defect(model) <= 1e-8
 
 
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_gns_models_a_known_state_at_its_own_degree(g, D, k):
+    # the dual's functional has the primal's degree: GNS completes each
+    # letter shift, defined on the words of length <= D - 1, self-adjointly
+    rng = np.random.default_rng([g, D, k])
+    X = OperatorTuple(MONOID, [rand_hermitian(6, rng) for _ in range(g)])
+    frame = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
+    S = functional_from_model(X, frame, g, D, MONOID)
+    model = gns_construct(S)
+    assert model.operators.hermitian_defect() == 0.0
+    assert shift_defect(model) <= 1e-8
+    assert gns_verify(S, model) <= 1e-8
+
+
 def test_functional_from_model_matches_vec_state():
     rng = np.random.default_rng(55)
     X = OperatorTuple(MONOID, [rand_hermitian(3, rng), rand_hermitian(3, rng)])
@@ -279,8 +295,7 @@ def known_model(mode, g, k, d, n, rng):
     else:
         X = OperatorTuple(GROUP, [rand_unitary(n, rng) for _ in range(g)])
     frame = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    D = d + 1 if mode == MONOID else d
-    S = functional_from_model(X, frame, g, D, mode)
+    S = functional_from_model(X, frame, g, d, mode)
     model = gns_construct(S) if mode == MONOID else gns_construct_unitary(S)
     return S, model
 
@@ -300,10 +315,9 @@ def brute_force_residual(S, model):
         P = np.zeros((k, k), dtype=complex)
         P[0, b] = 1.0
         units.append(P)
-    w_degree = model.d + 1 if model.mode == MONOID else model.d
     worst = 0.0
-    for v in enumerate_words(S.g, model.d, model.mode):
-        for w in enumerate_words(S.g, w_degree, model.mode):
+    for v in enumerate_words(S.g, S.D, model.mode):  # v and w of degree <= D, in both modes
+        for w in enumerate_words(S.g, S.D, model.mode):
             target = block_of(S, concat(involute(v), w))
             E = np.zeros((k, k), dtype=complex)
             for b, P in enumerate(units):
