@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .fock import FockBasis, vacuum_images
+from .fock import vacuum_images
 from .gns import (
     GnsError, HankelFunctional, gns_construct, gns_construct_unitary,
     gns_verify, WitnessModel,
@@ -175,23 +175,17 @@ def functional_from_solution(X: np.ndarray, f: NCPoly, D: int,
 
 def free_state(f: NCPoly, D: int) -> np.ndarray:
     """The unit-trace K of the paper's free state on the degree-D basis of
-    f's alphabet and mode, with f's k x k blocks.
-
-    Monoid mode: the vacuum state of the semicircular tuple A, so
-    H[v, w] = <A^w vacuum, A^v vacuum>, that is H = M^dagger M with the
-    vacuum images of fock.vacuum_images as the columns of M.  Group mode:
-    the trace of the free group, the vacuum state of the canonical
-    unitaries, so H = I.  Scalar blocks make the in-place block transpose
-    of the storage a no-op: K = kron(H, I_k) / trace.  H is a Gram matrix
-    of linearly independent vectors (M is unit upper triangular), so K is
+    f's alphabet and mode, with f's k x k blocks: the vacuum state of the
+    canonical tuple T, A (monoid) or U (group), so H[v, w] = <T^w vacuum,
+    T^v vacuum>, that is H = M^dagger M with the vacuum images of
+    fock.vacuum_images as the columns of M.  For U, M = I, and this is the
+    trace of the free group.  Scalar blocks make the in-place block transpose
+    of the storage a no-op: K = kron(H, I_k) / trace.  H is a Gram matrix of
+    linearly independent vectors (M is unit upper triangular), so K is
     positive definite.
     """
-    if f.mode == MONOID:
-        M = vacuum_images(FockBasis(f.g, D, MONOID))
-        H = M.conj().T @ M
-    else:
-        H = np.eye(count_words(f.g, D, f.mode), dtype=complex)
-    K = np.kron(H, np.eye(f.k))
+    M = vacuum_images(f.g, D, f.mode)
+    K = np.kron(M.conj().T @ M, np.eye(f.k))
     return K / np.trace(K).real
 
 

@@ -32,8 +32,7 @@ from .certify import (
     run_primal, infer_degree, spotcheck,
 )
 from .fock import (
-    FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
-    build_unitaries, extract_coeffs,
+    FockError, build_creation, build_extraction, build_symmetrized, build_unitaries, extract_coeffs,
 )
 from .gram import GramMatrix, SOSCertificate, constraint_index
 from .poly import (
@@ -254,9 +253,8 @@ def _cmd_extract(args) -> int:
     if (args.l + 1) * args.k > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
         raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} --k {args.k} "
                         f"needs a side of at least {(args.l + 1) * args.k}")
-    basis = FockBasis(args.g, args.l, MONOID)
     try:
-        q = extract_coeffs(E, basis, args.k)
+        q = extract_coeffs(E, args.g, args.l, args.k, MONOID)
     except FockError as exc:  # the matrix does not fit the flags
         raise DataError(str(exc))
     _emit(poly_to_json(q), args.out)
@@ -277,12 +275,11 @@ def _cmd_fock_dump(args) -> int:
         data = {"mode": GROUP, "g": args.g, "degree": args.l,
                 "unitaries": build_unitaries(args.g, args.l).entries}
     else:
-        basis = FockBasis(args.g, args.l, MONOID)
-        ext = build_extraction(basis)
+        ext = build_extraction(args.g, args.l, MONOID)
         data = {
             "mode": MONOID, "g": args.g, "degree": args.l,
-            "creation": build_creation(basis),
-            "symmetrized": build_symmetrized(basis).entries,
+            "creation": build_creation(args.g, args.l),
+            "symmetrized": build_symmetrized(args.g, args.l).entries,
             "extraction": ext.matrix,
             "coefficient_bound": float(ext.row_sum_bound),
         }

@@ -255,6 +255,9 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
+    # an object or a string would be iterated as its keys or its characters
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise PolyError("bad matrix encoding: want a list of rows, each a list of [re, im] pairs")
     try:  # each entry is one [re, im] pair
         m = np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -304,12 +307,15 @@ def tuple_to_json(X: OperatorTuple) -> dict:
 
 
 def tuple_from_json(data: dict) -> OperatorTuple:
+    if not isinstance(data, dict):
+        raise PolyError("bad tuple JSON: not an object")
     try:
-        mode = data["mode"]
-        entries = [matrix_from_json(m) for m in data["entries"]]
-    except (KeyError, TypeError) as exc:
+        mode, entries = data["mode"], data["entries"]
+    except KeyError as exc:
         raise PolyError(f"bad tuple JSON: missing {exc}") from None
+    if not isinstance(entries, list):
+        raise PolyError("bad tuple JSON: entries must be a list of matrices")
     if "inverses" in data:
         raise PolyError("bad tuple JSON: \"inverses\" is not read; "
                         "a group tuple evaluates x_i^-1 as the adjoint of its entry X_i")
-    return OperatorTuple(mode=mode, entries=entries)
+    return OperatorTuple(mode=mode, entries=[matrix_from_json(m) for m in entries])

@@ -11,6 +11,7 @@ Graded lexicographic order uses the letter order
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,19 +172,22 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
+_LETTER_TOKEN = re.compile(r"x([0-9]+)(\^-1)?")
+
+
 def parse_word(text: str, g: int, mode: str = MONOID) -> Word:
     text = text.strip()
     if text == "1" or text == "":
         return identity(g, mode)
     letters = []
     for tok in text.split():
-        inv = tok.endswith("^-1")
-        body = tok[:-3] if inv else tok
-        if not body.startswith("x"):
+        # x and ASCII digits only: int() alone takes a sign, underscores and non-ASCII digits
+        match = _LETTER_TOKEN.fullmatch(tok)
+        if match is None:
             raise WordError(f"bad letter token {tok!r}")
         try:
-            i = int(body[1:])
-        except ValueError:
+            i, inv = int(match[1]), match[2] is not None
+        except ValueError:  # more digits than int() converts
             raise WordError(f"bad letter token {tok!r}") from None
         if i < 1 or i > g:
             raise WordError(f"letter index {i} outside 1..{g}")

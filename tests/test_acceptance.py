@@ -10,15 +10,11 @@ import pytest
 
 from ncsos import jsonio
 from ncsos.certify import certify, run_dual, run_primal
-from ncsos.fock import (
-    FockBasis, build_extraction, build_symmetrized, build_unitaries,
-    coefficient_peek, extract_coeffs, gram_bound_constant,
-    unitary_gram_bound_constant,
-)
+from ncsos.fock import build_extraction, build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant
 from ncsos.gns import functional_from_model, gns_construct, gns_construct_unitary, gns_verify, shift_defect
 from ncsos.gram import gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_eval
-from ncsos.words import GROUP, MONOID, Word, count_words
+from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words
 
 from test_gram import gram
 from test_poly import rand_hermitian, rand_poly, rand_unitary
@@ -58,20 +54,18 @@ def test_criterion_1_fock_structure():
     worst_tri, worst_faithful = 0.0, 0.0
     for g in (1, 2, 3):
         for l in (1, 2, 3, 4):
-            basis = FockBasis(g, l, MONOID)
-            ext = build_extraction(basis)
+            ext = build_extraction(g, l, MONOID)
             M = ext.matrix
             worst_tri = max(worst_tri,
                             np.abs(np.tril(M, -1)).max(),
                             np.abs(np.diag(M) - 1.0).max())
-            words = basis.words
-            idx = basis.index()
-            A = build_symmetrized(basis)
-            e0 = np.zeros(basis.dim, dtype=complex)
+            words = enumerate_words(g, l, MONOID)
+            A = build_symmetrized(g, l)
+            e0 = np.zeros(len(words), dtype=complex)
             e0[0] = 1.0
-            for w in words:
+            for j, w in enumerate(words):
                 v = word_eval(w, A) @ e0
-                v[idx[w]] -= 1.0
+                v[j] -= 1.0
                 tail = max((abs(c) for u, c in zip(words, v) if len(u) >= len(w)),
                            default=0.0)
                 worst_faithful = max(worst_faithful, tail)
@@ -92,11 +86,9 @@ def test_criterion_2_extraction_roundtrip():
         l = max(q.degree(), 1)
         key = (g, l)
         if key not in tuples:
-            basis = FockBasis(g, l, MONOID)
-            tuples[key] = (basis, build_symmetrized(basis))
-        basis, A = tuples[key]
-        E = poly_eval(q, A)
-        rec = extract_coeffs(E, basis, k)
+            tuples[key] = build_symmetrized(g, l)
+        E = poly_eval(q, tuples[key])
+        rec = extract_coeffs(E, g, l, k, MONOID)
         diff = rec - q
         worst = max(worst, max((opnorm(c) for c in diff.terms.values()), default=0.0))
     report("criterion 2 (extraction roundtrip)", worst <= 1e-10,
@@ -106,9 +98,8 @@ def test_criterion_2_extraction_roundtrip():
 def test_criterion_3_gram_bound():
     rng = np.random.default_rng(31)
     d = 1
-    mu = gram_bound_constant(2, d)
-    basis = FockBasis(2, 2 * d, MONOID)
-    A = build_symmetrized(basis)
+    mu = gram_bound_constant(2, d, MONOID)
+    A = build_symmetrized(2, 2 * d)
     worst_ratio = 0.0
     for trial in range(50):
         k = 1 + trial % 2
@@ -123,10 +114,9 @@ def test_criterion_3_gram_bound():
     taus = {}
     for g in (1, 2):
         for d_g in (1, 2):
-            tau = unitary_gram_bound_constant(g, d_g)
+            tau = gram_bound_constant(g, d_g, GROUP)
             taus[(g, d_g)] = tau
             U = build_unitaries(g, d_g)
-            gbasis = FockBasis(g, d_g, GROUP)
             for _ in range(10):
                 n = count_words(g, d_g, GROUP)
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -136,8 +126,8 @@ def test_criterion_3_gram_bound():
                 worst_group = max(worst_group, opnorm(G.matrix) / (tau * opnorm(pU)))
             q = rand_poly(g, GROUP, 2, d_g, rng, n_terms=4)
             E = poly_eval(q, U)
-            for w in gbasis.words:
-                assert opnorm(coefficient_peek(E, gbasis, 2, w)) <= opnorm(E) + 1e-12
+            for block in extract_coeffs(E, g, d_g, 2, GROUP).on(enumerate_words(g, d_g, GROUP)):
+                assert opnorm(block) <= opnorm(E) + 1e-12
     ok = ok and worst_group <= 1.0 + 1e-12
     report("criterion 3 (gram norm bound)", ok,
            f"monoid ratio {worst_ratio:.3f} of mu_1={mu:.0f}; "
@@ -152,14 +142,12 @@ def test_criterion_4_unitary_suite():
             n = U.dim
             for mat in U.entries:  # x_i^-1 acts as U_i*, unitary with U_i
                 worst_unit = max(worst_unit, opnorm(mat @ mat.conj().T - np.eye(n)))
-            basis = FockBasis(g, d, GROUP)
-            idx = basis.index()
             e0 = np.zeros(n, dtype=complex)
             e0[0] = 1.0
-            for w in basis.words:
+            for j, w in enumerate(enumerate_words(g, d, GROUP)):
                 v = word_eval(w, U) @ e0
                 expected = np.zeros(n, dtype=complex)
-                expected[idx[w]] = 1.0
+                expected[j] = 1.0
                 worst_reach = max(worst_reach, float(np.abs(v - expected).max()))
     ok = worst_unit <= 1e-10 and worst_reach <= 1e-10
     report("criterion 4 (unitary construction)", ok,

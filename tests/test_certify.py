@@ -10,10 +10,11 @@ from ncsos.certify import (
     gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
 )
 from ncsos.cli import _sos_json, main
+from ncsos.fock import build_symmetrized, build_unitaries
 from ncsos.gram import (
     EPS_CERT, EPS_PSD, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
-from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json
+from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_images
 from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
     solve_feasibility,
@@ -655,6 +656,17 @@ def test_free_state_is_a_positive_definite_state(mode, g, D, k):
     assert K.shape == (n * k, n * k)
     assert abs(np.trace(K) - 1) <= 1e-12
     assert np.linalg.eigvalsh(K)[0] > 0
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("g, D, k", [(g, D, k) for g in (1, 2) for D in (1, 2) for k in (1, 2)])
+def test_free_state_is_the_vacuum_state_of_the_canonical_tuple(mode, g, D, k):
+    # K = kron(M* M, I_k) / trace, M's columns T^w vacuum for the canonical
+    # tuple T: A = L + L* (monoid) or the unitaries U (group)
+    T = build_symmetrized(g, D) if mode == MONOID else build_unitaries(g, D)
+    M = word_images(T, enumerate_words(g, D, mode), np.eye(T.dim, 1, dtype=complex))
+    K = np.kron(M.conj().T @ M, np.eye(k))
+    assert np.array_equal(free_state(NCPoly.zero(g, mode, k), D), K / np.trace(K).real)
 
 
 def test_free_state_monoid_g1_has_semicircle_moments():

@@ -153,11 +153,10 @@ def test_eval_takes_inverses_only_for_inverse_letters(tmp_path, capsys, letter, 
 
 
 def test_extract_roundtrip(tmp_path, capsys):
-    from ncsos.fock import FockBasis, build_symmetrized
+    from ncsos.fock import build_symmetrized
     from ncsos.poly import poly_eval
     q = x(1) * x(2) + 0.5 * x(2)
-    basis = FockBasis(2, 2, MONOID)
-    E = poly_eval(q, build_symmetrized(basis))
+    E = poly_eval(q, build_symmetrized(2, 2))
     epath = tmp_path / "E.json"
     epath.write_text(jsonio.dumps({"matrix": matrix_to_json(E)}))
     code, out, _ = run(capsys, "extract", "--eval", str(epath), "--g", "2", "--l", "2", "--k", "1")
@@ -500,6 +499,9 @@ def _bad_entry_cases():
     # list() reads an object's keys: {} would be "no factors", not malformed evidence
     pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
         SOS_EVIDENCE["certificate"], factors={}))}, EX_DATA, id="sos-factors-object"),
+    # int() would read x+1 as x1, and the input as x1 x1, a sum of squares
+    pytest.param(["certify", "{p}"], {"p": poly_data(terms=[{"word": "x+1 x1", "matrix": [[[1.0, 0.0]]]}])},
+                 EX_DATA, id="word-signed-index"),
     pytest.param(["fock-dump", "--g", "0", "--l", "1"], {}, EX_USAGE, id="fock-dump-g-0"),
     pytest.param(["fock-dump", "--g", "1", "--l", "0", "--group"], {}, EX_USAGE, id="fock-dump-group-l-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "-1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
@@ -535,6 +537,31 @@ def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, 
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
+# iterating an object or a string reads its keys or its characters, which
+# used to end in "not enough values to unpack" on the [re, im] pairs
+BAD_TUPLE_ENTRIES = {
+    "entries-object": ({"a": 1}, "bad tuple JSON: entries must be a list of matrices"),
+    "entries-string": ("ab", "bad tuple JSON: entries must be a list of matrices"),
+    "matrix-object": ([{"x": 1}], "bad matrix encoding: want a list of rows, each a list of [re, im] pairs"),
+    "row-object": ([[{"x": 1}]], "bad matrix encoding: want a list of rows, each a list of [re, im] pairs"),
+    "row-string": ([["ab"]], "bad matrix encoding: want a list of rows, each a list of [re, im] pairs"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "spotcheck"])
+@pytest.mark.parametrize("entries, reason", BAD_TUPLE_ENTRIES.values(), ids=BAD_TUPLE_ENTRIES.keys())
+def test_tuple_of_the_wrong_shape_is_refused_with_the_shape_it_needs(tmp_path, capsys, command, entries, reason):
+    p_path = write_poly(tmp_path / "p.json", x(1) * x(1))
+    tup = {"mode": "monoid", "entries": entries}
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(tup if command == "eval" else
+                               {"outcome": "witness", "witness": {"model": {"operators": tup}}}))
+    argv = ["eval", p_path, "--at", str(path)] if command == "eval" else ["spotcheck", p_path, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EX_DATA and out == ""
+    assert err.strip() == f"input error: {path}: {reason}"
+
+
 def test_delta_flag_is_gone(tmp_path, capsys):
     # the dual solves one system, so there is no margin to set
     path = write_poly(tmp_path / "p.json", sos_fixture())
@@ -562,7 +589,7 @@ SIGNATURES = {
     sdp._Farkas: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
     NCPoly.is_hermitian: {"self": REQUIRED},
-    extract_coeffs: {"E": REQUIRED, "basis": REQUIRED, "k": REQUIRED},
+    extract_coeffs: {"E": REQUIRED, "g": REQUIRED, "l": REQUIRED, "k": REQUIRED, "mode": REQUIRED},
 }
 
 

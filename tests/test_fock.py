@@ -1,12 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ncsos.fock import (
-    FockBasis, FockError, build_creation, build_extraction, build_symmetrized,
-    build_unitaries, coefficient_peek, extract_coeffs, vacuum_images,
+    build_creation, build_extraction, build_symmetrized, build_unitaries, extract_coeffs,
+    gram_bound_constant, vacuum_images,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval, word_images
-from ncsos.words import GROUP, MONOID, Word, identity
+from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words
 
 from test_poly import rand_poly
 
@@ -18,8 +21,7 @@ def vacuum_column(dim):
 
 
 def test_creation_g2_l1():
-    basis = FockBasis(2, 1, MONOID)  # words: 1, x1, x2
-    L1, L2 = build_creation(basis)
+    L1, L2 = build_creation(2, 1)  # words: 1, x1, x2
     e0, e1, e2 = np.eye(3)
     assert np.array_equal(L1 @ e0, e1)
     assert np.array_equal(L1 @ e1, np.zeros(3))  # |x1| = l, killed
@@ -29,7 +31,7 @@ def test_creation_g2_l1():
 
 @pytest.mark.parametrize("g,l", [(2, 2), (3, 2), (2, 3)])
 def test_creation_orthogonal_ranges(g, l):
-    ls = build_creation(FockBasis(g, l, MONOID))
+    ls = build_creation(g, l)
     for i in range(g):
         for j in range(g):
             if i != j:
@@ -38,32 +40,29 @@ def test_creation_orthogonal_ranges(g, l):
 
 @pytest.mark.parametrize("g,l", [(2, 1), (2, 2), (3, 2)])
 def test_creation_partial_isometry(g, l):
-    basis = FockBasis(g, l, MONOID)
-    words = basis.words
-    proj = np.diag([1.0 if len(w) < l else 0.0 for w in words])
-    for L in build_creation(basis):
+    proj = np.diag([1.0 if len(w) < l else 0.0 for w in enumerate_words(g, l, MONOID)])
+    for L in build_creation(g, l):
         assert np.allclose(L.conj().T @ L, proj)
 
 
 def test_symmetrized_g2_l1():
-    A = build_symmetrized(FockBasis(2, 1, MONOID)).entries
+    A = build_symmetrized(2, 1).entries
     assert np.array_equal(A[0], np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex))
 
 
 @pytest.mark.parametrize("g,l", [(1, 3), (2, 2), (3, 2)])
 def test_symmetrized_exactly_hermitian(g, l):
-    for A in build_symmetrized(FockBasis(g, l, MONOID)).entries:
+    for A in build_symmetrized(g, l).entries:
         assert np.array_equal(A, A.conj().T)
 
 
 def test_word_in_A_at_vacuum():
-    basis = FockBasis(2, 2, MONOID)
-    idx = basis.index()
-    A = build_symmetrized(basis)
+    words = enumerate_words(2, 2, MONOID)
+    A = build_symmetrized(2, 2)
     w = Word(MONOID, 2, (1, 1))
-    vec = word_eval(w, A) @ vacuum_column(basis.dim)
-    expected = np.zeros(basis.dim, dtype=complex)
-    expected[idx[w]] = 1.0
+    vec = word_eval(w, A) @ vacuum_column(len(words))
+    expected = np.zeros(len(words), dtype=complex)
+    expected[words.index(w)] = 1.0
     expected[0] = 1.0  # A^{x1 x1} vacuum = e_{x1x1} + vacuum
     assert np.allclose(vec, expected)
 
@@ -71,34 +70,31 @@ def test_word_in_A_at_vacuum():
 @pytest.mark.parametrize("g,l", [(1, 4), (2, 3), (2, 4)])
 def test_faithful_lower_order_support(g, l):
     # A^w vacuum - e_w lives on strictly shorter words
-    basis = FockBasis(g, l, MONOID)
-    words = basis.words
-    idx = basis.index()
-    A = build_symmetrized(basis)
-    for w in words:
-        vec = word_eval(w, A) @ vacuum_column(basis.dim)
-        vec[idx[w]] -= 1.0
+    words = enumerate_words(g, l, MONOID)
+    A = build_symmetrized(g, l)
+    for j, w in enumerate(words):
+        vec = word_eval(w, A) @ vacuum_column(len(words))
+        vec[j] -= 1.0
         for v, coeff in zip(words, vec):
             if len(v) >= len(w):
                 assert abs(coeff) < 1e-12
 
 
 def test_extraction_identity_at_l1():
-    ext = build_extraction(FockBasis(2, 1, MONOID))
+    ext = build_extraction(2, 1, MONOID)
     assert np.allclose(ext.matrix, np.eye(3))
 
 
 def test_extraction_g2_l2_entries():
-    basis = FockBasis(2, 2, MONOID)
-    idx = basis.index()
-    ext = build_extraction(basis)
-    assert ext.matrix[0, idx[Word(MONOID, 2, (1, 1))]] == 1.0
-    assert ext.matrix[0, idx[Word(MONOID, 2, (1, 2))]] == 0.0
+    words = enumerate_words(2, 2, MONOID)
+    ext = build_extraction(2, 2, MONOID)
+    assert ext.matrix[0, words.index(Word(MONOID, 2, (1, 1)))] == 1.0
+    assert ext.matrix[0, words.index(Word(MONOID, 2, (1, 2)))] == 0.0
 
 
 @pytest.mark.parametrize("g,l", [(1, 4), (2, 3), (3, 2)])
 def test_extraction_triangular_unit_diagonal(g, l):
-    ext = build_extraction(FockBasis(g, l, MONOID))
+    ext = build_extraction(g, l, MONOID)
     m = ext.matrix
     assert np.abs(np.tril(m, -1)).max() <= 1e-12
     assert np.abs(np.diag(m) - 1.0).max() <= 1e-12
@@ -108,54 +104,58 @@ def test_extraction_triangular_unit_diagonal(g, l):
 def test_extraction_is_the_vacuum_images(g, l):
     # the columns A^w vacuum have small integer entries, so any evaluation
     # order gives them exactly; the extraction matrix is that matrix itself
-    basis = FockBasis(g, l, MONOID)
-    A = build_symmetrized(basis)
-    expected = np.column_stack([word_eval(w, A) @ vacuum_column(basis.dim) for w in basis.words])
-    M = vacuum_images(basis)
+    words = enumerate_words(g, l, MONOID)
+    A = build_symmetrized(g, l)
+    expected = np.column_stack([word_eval(w, A) @ vacuum_column(len(words)) for w in words])
+    M = vacuum_images(g, l, MONOID)
     assert M.dtype == expected.dtype and M.tobytes() == expected.tobytes()
-    ext = build_extraction(basis)
+    ext = build_extraction(g, l, MONOID)
     assert ext.matrix.tobytes() == expected.tobytes()
     assert ext.inverse.tobytes() == np.linalg.inv(expected).tobytes()
     assert ext.row_sum_bound == float(np.abs(ext.inverse).sum(axis=1).max())
 
 
 def test_extract_constant_from_identity():
-    basis = FockBasis(2, 2, MONOID)
-    q = extract_coeffs(np.eye(basis.dim), basis, 1)
+    q = extract_coeffs(np.eye(7), 2, 2, 1, MONOID)
     assert q == NCPoly.constant(1.0, 2)
 
 
 def test_extract_roundtrip_random():
     rng = np.random.default_rng(17)
-    basis = FockBasis(2, 4, MONOID)
-    A = build_symmetrized(basis)
+    A = build_symmetrized(2, 4)
     for _ in range(10):
         q = rand_poly(2, MONOID, 2, 2, rng, n_terms=5)
         E = poly_eval(q, A)
-        rec = extract_coeffs(E, basis, 2)
+        rec = extract_coeffs(E, 2, 4, 2, MONOID)
         diff = rec - q
         assert all(opnorm(c) < 1e-10 for c in diff.terms.values())
 
 
 def test_extract_coefficient_bound_on_sos():
     rng = np.random.default_rng(23)
-    basis = FockBasis(2, 2, MONOID)
-    A = build_symmetrized(basis)
-    ext = build_extraction(basis)
+    A = build_symmetrized(2, 2)
+    ext = build_extraction(2, 2, MONOID)
     for _ in range(10):
         r = rand_poly(2, MONOID, 2, 1, rng, n_terms=3)
         q = r.adjoint() * r
         E = poly_eval(q, A)
-        rec = extract_coeffs(E, basis, 2)
+        rec = extract_coeffs(E, 2, 2, 2, MONOID)
         bound = ext.row_sum_bound * opnorm(E)
         assert all(opnorm(c) <= bound + 1e-9 for c in rec.terms.values())
 
 
-def test_extraction_rejects_group_mode():
-    with pytest.raises(FockError):
-        build_extraction(FockBasis(2, 2, GROUP))
-    with pytest.raises(FockError):
-        build_creation(FockBasis(2, 2, GROUP))
+def test_group_extraction_is_the_identity():
+    # U^w vacuum = e_w, so M = M^-1 = I and lambda = 1: extraction reads P_w
+    for g, l in [(1, 1), (2, 2), (3, 2)]:
+        n = count_words(g, l, GROUP)
+        ext = build_extraction(g, l, GROUP)
+        assert np.array_equal(ext.matrix, np.eye(n)) and np.array_equal(ext.inverse, np.eye(n))
+        assert ext.row_sum_bound == 1.0
+
+
+@pytest.mark.parametrize("g,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_group_gram_bound_constant_is_tau(g, d):
+    assert gram_bound_constant(g, d, GROUP) == count_words(g, d, GROUP) ** 3
 
 
 def test_unitaries_g1_d1_three_cycle():
@@ -177,13 +177,12 @@ def test_unitaries_are_unitary(g, d):
 def test_unitaries_reach_every_word(g, d):
     # U^w vacuum = e_w for every reduced |w| <= d
     U = build_unitaries(g, d)
-    basis = FockBasis(g, d, GROUP)
-    idx = basis.index()
-    e0 = vacuum_column(basis.dim)
-    for w in basis.words:
+    words = enumerate_words(g, d, GROUP)
+    e0 = vacuum_column(len(words))
+    for j, w in enumerate(words):
         vec = word_eval(w, U) @ e0
-        expected = np.zeros(basis.dim, dtype=complex)
-        expected[idx[w]] = 1.0
+        expected = np.zeros(len(words), dtype=complex)
+        expected[j] = 1.0
         assert np.allclose(vec, expected, atol=1e-12)
 
 
@@ -194,47 +193,51 @@ def test_canonical_unitaries(g, d):
     # U^w e_vac = e_w for every basis word, so p(U) holds every P_w of a
     # degree <= d polynomial in its vacuum column
     U = build_unitaries(g, d)
-    basis = FockBasis(g, d, GROUP)
-    assert U.g == g and U.dim == basis.dim
+    words = enumerate_words(g, d, GROUP)
+    n = len(words)
+    assert U.g == g and U.dim == n
     for mat in U.entries:
         assert np.isin(mat, (0, 1)).all()
-        assert np.array_equal(mat.sum(axis=0), np.ones(basis.dim))
-        assert np.array_equal(mat.sum(axis=1), np.ones(basis.dim))
-    images = word_images(U, basis.words, np.eye(basis.dim, 1, dtype=complex))
-    assert np.array_equal(images, np.eye(basis.dim))
-    p = rand_poly(g, GROUP, 2, d, np.random.default_rng(10 * g + d), n_terms=basis.dim)
+        assert np.array_equal(mat.sum(axis=0), np.ones(n))
+        assert np.array_equal(mat.sum(axis=1), np.ones(n))
+    images = word_images(U, words, np.eye(n, 1, dtype=complex))
+    assert np.array_equal(images, np.eye(n))
+    assert np.array_equal(vacuum_images(g, d, GROUP), images)
+    p = rand_poly(g, GROUP, 2, d, np.random.default_rng(10 * g + d), n_terms=n)
     E = poly_eval(p, U)
-    for w in basis.words:
-        assert np.array_equal(coefficient_peek(E, basis, 2, w), p.on([w])[0])
+    assert np.array_equal(extract_coeffs(E, g, d, 2, GROUP).on(words), p.on(words))
 
 
 def test_peek_roundtrip_random():
+    # group extraction reads P_w straight off the vacuum column of p(U)
     rng = np.random.default_rng(31)
     d = 2
-    basis = FockBasis(2, d, GROUP)
+    words = enumerate_words(2, d, GROUP)
     U = build_unitaries(2, d)
     for _ in range(5):
         p = rand_poly(2, GROUP, 2, d, rng, n_terms=5)
         E = poly_eval(p, U)
-        for w in basis.words:
-            block = coefficient_peek(E, basis, 2, w)
-            assert opnorm(block - p.on([w])[0]) < 1e-10
-            assert opnorm(block) <= opnorm(E) + 1e-12
+        blocks = extract_coeffs(E, 2, d, 2, GROUP).on(words)
+        assert np.array_equal(blocks, p.on(words))
+        assert all(opnorm(block) <= opnorm(E) + 1e-12 for block in blocks)
 
 
 def test_peek_constant():
-    basis = FockBasis(2, 1, GROUP)
-    U = build_unitaries(2, 1)
+    words = enumerate_words(2, 1, GROUP)
     p = NCPoly.constant(np.eye(2), 2, GROUP)
-    E = poly_eval(p, U)
-    assert np.allclose(coefficient_peek(E, basis, 2, identity(2, GROUP)), np.eye(2))
-    for w in basis.words[1:]:
-        assert opnorm(coefficient_peek(E, basis, 2, w)) < 1e-12
+    E = poly_eval(p, build_unitaries(2, 1))
+    blocks = extract_coeffs(E, 2, 1, 2, GROUP).on(words)
+    assert np.array_equal(blocks[0], np.eye(2)) and not blocks[1:].any()
 
 
-def test_peek_rejects_unknown_word():
-    basis = FockBasis(2, 1, GROUP)
-    U = build_unitaries(2, 1)
-    E = poly_eval(NCPoly.constant(1.0, 2, GROUP), U)
-    with pytest.raises(FockError):
-        coefficient_peek(E, basis, 1, Word(GROUP, 2, (1, 2)))
+def test_fock_constants_script(capsys):
+    # scripts/fock_constants.py tabulates the Gram-bound constants of both tuples
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fock_constants.py"
+    spec = importlib.util.spec_from_file_location("fock_constants", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    rows = capsys.readouterr().out.split("Gram norm bounds\n")[1].splitlines()[1:]
+    table = {(int(g), int(d)): (mu, tau) for g, d, mu, tau in map(str.split, rows)}
+    assert table == {(g, d): (f"{gram_bound_constant(g, d, MONOID):.1f}", f"{count_words(g, d, GROUP) ** 3:.1f}")
+                     for g in (1, 2) for d in (1, 2)}

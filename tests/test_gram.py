@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsos.fock import (
-    FockBasis, build_symmetrized, build_unitaries, coefficient_peek,
-    gram_bound_constant, unitary_gram_bound_constant,
-)
+from ncsos.fock import build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant
 from ncsos import jsonio
 from ncsos.cli import DataError, _load_factors
 from ncsos.gram import (
@@ -228,9 +225,8 @@ def test_gram_norm_bound_monoid():
     # ||G|| <= N(d)^3 lambda_{2d}^2 ||p(A)|| with the truncation at 2d
     rng = np.random.default_rng(8)
     d = 1
-    mu = gram_bound_constant(2, d)
-    basis = FockBasis(2, 2 * d, MONOID)
-    A = build_symmetrized(basis)
+    mu = gram_bound_constant(2, d, MONOID)
+    A = build_symmetrized(2, 2 * d)
     for k in (1, 2):
         for _ in range(10):
             G = rand_psd_gram(2, MONOID, d, k, rng)
@@ -241,7 +237,7 @@ def test_gram_norm_bound_monoid():
 @pytest.mark.parametrize("g,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_gram_norm_bound_group(g, d):
     rng = np.random.default_rng(21)
-    tau = unitary_gram_bound_constant(g, d)
+    tau = gram_bound_constant(g, d, GROUP)
     U = build_unitaries(g, d)
     for _ in range(5):
         G = rand_psd_gram(g, GROUP, d, 1, rng)
@@ -252,11 +248,11 @@ def test_gram_norm_bound_group(g, d):
 def test_peek_norm_bound_group():
     rng = np.random.default_rng(22)
     d = 2
-    basis = FockBasis(2, d, GROUP)
+    words = enumerate_words(2, d, GROUP)
     U = build_unitaries(2, d)
     for _ in range(5):
         from test_poly import rand_poly
         p = rand_poly(2, GROUP, 2, d, rng, n_terms=4)
         E = poly_eval(p, U)
-        for w in basis.words:
-            assert opnorm(coefficient_peek(E, basis, 2, w)) <= opnorm(E) + 1e-12
+        for block in extract_coeffs(E, 2, d, 2, GROUP).on(words):
+            assert opnorm(block) <= opnorm(E) + 1e-12

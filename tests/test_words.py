@@ -176,3 +176,15 @@ def test_parse_rejects_garbage():
         parse_word("y1", 2, MONOID)
     with pytest.raises(WordError):
         parse_word("x7", 2, MONOID)
+
+
+# int() reads "+1", "1_0" and Arabic-Indic "\u0661" as 1, 10 and 1
+BAD_TOKENS = {"sign": "x+1", "underscore": "x1_0", "arabic-indic-digit": "x\u0661", "negative": "x-1",
+              "bare-x": "x", "plus-exponent": "x1^+1", "double-inverse": "x1^-1^-1",
+              "over-int-digit-limit": "x" + "1" * 5000}
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS.values(), ids=BAD_TOKENS.keys())
+def test_parse_refuses_tokens_outside_the_word_format(token):
+    with pytest.raises(WordError, match="bad letter token"):
+        parse_word(token, 12, GROUP)
