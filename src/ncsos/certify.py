@@ -4,12 +4,13 @@ Both sides solve the Gram system {G psd, V* G V = f} with one engine,
 Dykstra (sdp.solve_feasibility), once per distinct system and word-pair
 table.  The primal solves it at the input's degree d and factors a psd
 solution into squares.  Without a solution, Dykstra's displacement gives a
-Farkas certificate: a psd matrix constant on the classes of the word-pair
-table, the Hankel matrix of the paper's separating functional, positive on
-squares and negative on f.  The dual takes that certificate, in both modes,
-so a decision builds and solves one Gram system (a constant input, d = 0,
-gets a second at degree 1, as GNS needs a letter shift), and GNS turns it
-into a tuple at which f has a negative eigenvalue.
+Farkas certificate: the class vector of a psd matrix constant on the
+classes of the word-pair table, the Hankel matrix of the paper's separating
+functional, positive on squares and negative on f.  The dual reads that
+vector as the functional's blocks, in both modes and at every degree, so a
+decision builds and solves one Gram system, and GNS turns it into a tuple
+at which f has a negative eigenvalue (for a constant, d = 0, the zero
+tuple or the identity unitaries).
 The certificate mixes in the paper's free state (free_state), positive
 definite and constant on the classes, so GNS keeps every direction; a
 witness still rests only on its own gates: the operator defect, gns_verify
@@ -38,7 +39,7 @@ from .gns import (
 )
 from .gram import (
     EPS_CERT, EPS_PSD, GramError, GramMatrix, SOSCertificate, block_sums, class_labels,
-    constraint_index, factor_gram, mirror_classes,
+    constraint_index, factor_gram,
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval
 from .sdp import AffineSystem, FeasibilityResult, InconsistentSystemError, solve_feasibility
@@ -75,18 +76,17 @@ class CertifyOutcome:
 
 def infer_degree(f: NCPoly, d: int | None = None) -> int:
     """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
-    degree whose Gram system, the one both the primal and the dual solve
-    (at degree 1 for a constant input), would have side above MAX_GRAM_SIDE
-    is refused before anything is built, even the zero coefficient block of
-    the Hermitian test."""
+    degree whose Gram system, the one both the primal and the dual solve,
+    would have side above MAX_GRAM_SIDE is refused before anything is built,
+    even the zero coefficient block of the Hermitian test."""
     if d is None:
         d = math.ceil(f.degree() / 2)
     if d < 0:
         raise CertifyError("degree must be at least 0")
     if f.degree() > 2 * d:
         raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
-    D = max(d, 1)  # count_words(g, D) >= D + 1: a huge D is refused uncounted
-    side = f.k * (D + 1 if (D + 1) * f.k > MAX_GRAM_SIDE else count_words(f.g, D, f.mode))
+    # count_words(g, d) >= d + 1: a huge d is refused uncounted
+    side = f.k * (d + 1 if (d + 1) * f.k > MAX_GRAM_SIDE else count_words(f.g, d, f.mode))
     if side > MAX_GRAM_SIDE:
         raise CertifyError(f"degree {d} needs a Gram system of side at least {side}, "
                            f"above the limit {MAX_GRAM_SIDE}")
@@ -102,9 +102,9 @@ def gram_system(f: NCPoly, index: tuple[list, np.ndarray]) -> AffineSystem:
     """The Gram system of f on index = constraint_index(g, d, mode): the (a, b)
     entries of the blocks G_{v,w} with v* w = u sum to f_u[a, b].  As the
     dual's hankel_system, the Hankel storage of its certificate's functional
-    is the conjugate of the certificate, entry ((v, a), (w, b))
-    S_{v*w}[b, a] = conj(y_{v*w}[a, b]), so that phi(f) = sum_u Tr(S_u F_u)
-    is the certificate's pairing."""
+    (gns.quotient_matrix) is the conjugate of the certificate's matrix at unit
+    trace, entry ((v, a), (w, b)) S_{v*w}[b, a] = conj(y_{v*w}[a, b]) / trace,
+    so that phi(f) = sum_u Tr(S_u F_u) is a positive multiple of the pairing."""
     products, table = index
     return AffineSystem(len(table) * f.k, class_labels(table, f.k), f.on(products).ravel())
 
@@ -157,20 +157,16 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
 # -- dual: Hankel functional search -------------------------------------------
 
 
-def functional_from_solution(X: np.ndarray, f: NCPoly, D: int,
+def functional_from_solution(y: np.ndarray, f: NCPoly, d: int,
                              index: tuple[list, np.ndarray]) -> HankelFunctional:
-    """Read the S_u blocks back off a Hankel storage matrix over the degree-D
-    word-pair table index (entry ((v, alpha), (w, beta)) holds
-    S_{v*w}[beta, alpha]), averaging over each class and enforcing the
-    Hermitian block structure exactly: the mean of each class and the
-    conjugate transpose of its mirror's are averaged.  f gives the alphabet,
-    mode and k."""
-    table = index[1]
-    sizes = np.bincount(table.ravel())
-    # transposing the block sums undoes the in-place transpose of the storage
-    means = block_sums(X, table).transpose(0, 2, 1) / sizes[:, None, None]
-    mirrored = means[mirror_classes(table)].conj().transpose(0, 2, 1)
-    return HankelFunctional(f.g, f.mode, f.k, D, index, (means + mirrored) / 2)
+    """The functional of a Farkas certificate y, the class vector of the Gram
+    system of f on the degree-d word-pair table index: the blocks
+    S_u = y_u^dagger over the trace of the certificate's matrix, its diagonal
+    read off the table in order and summed as np.trace sums it.  sdp's class
+    means make y exactly mirror-conjugate, so S_{u*} = S_u^dagger exactly."""
+    y = y.reshape(-1, f.k, f.k)
+    trace = y[np.diagonal(index[1])].diagonal(axis1=1, axis2=2).ravel().sum().real
+    return HankelFunctional(f.g, f.mode, f.k, d, index, y.conj().transpose(0, 2, 1) / trace)
 
 
 def free_state(f: NCPoly, D: int) -> np.ndarray:
@@ -190,22 +186,20 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
 
 
 def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
-    """solve_feasibility on the Gram system of f at degree D = max(d, 1), with
-    the free state of degree D as its interior point.  In both modes D = d
-    unless f is constant, and that is the primal's system, so run_primal's
-    (index, result) handed in is read as it is: the same table and
-    deterministic solve would only repeat it.  Its Farkas certificate
-    Z = H + s K, conjugated and scaled to unit trace, is the Hankel storage
-    of a functional positive definite on squares and negative on f; GNS
-    builds the witness from it, gated on the operator defect, gns_verify and
+    """solve_feasibility on the Gram system of f at degree d, with the free
+    state as its interior point: the primal's system, so run_primal's
+    (index, result) handed in is read as it is, as the same table and
+    deterministic solve would only repeat it.  Its Farkas certificate, the
+    class vector h + s k, read as blocks (functional_from_solution), is a
+    functional positive definite on squares and negative on f; GNS builds
+    the witness from it, gated on the operator defect, gns_verify and
     min eig f(Y) <= -EPS_WIT.  Returns the outcome, witness or undecided with
     its dual diagnostics."""
-    D = max(d, 1)
     out = CertifyOutcome("undecided", degree=d)
-    index, res = primal if primal is not None and D == d else (constraint_index(f.g, D, f.mode), None)
+    index, res = primal if primal is not None else (constraint_index(f.g, d, f.mode), None)
     if res is None:
         try:
-            res = solve_feasibility(hankel_system(f, index), interior=free_state(f, D))
+            res = solve_feasibility(hankel_system(f, index), interior=free_state(f, d))
         except InconsistentSystemError as exc:
             out.dual = BranchDiagnostics(0, exc.residual, "inconsistent dual system")
             return out
@@ -216,10 +210,9 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
         return out
 
     if res.certificate is None:
-        return undecided(f"Gram system of degree {D} is feasible" if res.feasible
-                         else f"no Farkas certificate at degree {D}")
-    Z = res.certificate.conj()
-    S = functional_from_solution(Z / np.trace(Z).real, f, D, index)
+        return undecided(f"Gram system of degree {d} is feasible" if res.feasible
+                         else f"no Farkas certificate at degree {d}")
+    S = functional_from_solution(res.certificate, f, d, index)
     try:
         model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
     except GnsError as exc:
@@ -242,9 +235,8 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
 def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
     """Decide f at Gram degree d (default ceil(deg f / 2)): the primal's
     outcome when it is sos, else the dual's, carrying the primal's
-    diagnostics.  The dual reads the primal's table and solve, so unless f
-    is constant a decision builds and solves one Gram system, in both
-    modes."""
+    diagnostics.  The dual reads the primal's table and solve, so a decision
+    builds and solves one Gram system, in both modes."""
     d = infer_degree(f, d)
     out, solved = run_primal(f, d)
     if out.kind == "sos":

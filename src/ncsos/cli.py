@@ -243,13 +243,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if min(args.g, args.l, args.k) < 1:
+        raise UsageError("--g, --l and --k must be at least 1")
     data = _read_json(args.eval_path)
     try:
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
     except (PolyError, KeyError) as exc:
         raise DataError(f"{args.eval_path}: {exc}")
-    if min(args.g, args.l, args.k) < 1:
-        raise UsageError("--g, --l and --k must be at least 1")
     if (args.l + 1) * args.k > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
         raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} --k {args.k} "
                         f"needs a side of at least {(args.l + 1) * args.k}")

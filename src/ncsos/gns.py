@@ -27,7 +27,8 @@ The two constructions differ only in how they complete that map to an
 operator: in monoid mode the symmetric shift is completed to a
 self-adjoint operator, in group mode the partial isometry to a unitary by
 the polar factor between the orthocomplements, whichever bases the SVD
-returns for them.
+returns for them.  At D = 0 every shift has an empty domain, and the
+completions give the zero tuple and the identity unitaries.
 
 gns_verify checks that identity exactly rather than on sampled
 coefficients.  With Gamma = unvec(gamma) and the word images
@@ -162,13 +163,10 @@ def _quotient_frames(S: HankelFunctional):
 
 def _span_basis(cols: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the column span (SVD): the left
-    singular vectors whose singular values exceed SPAN_RTOL times the largest."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
+    singular vectors whose singular values exceed SPAN_RTOL times the largest
+    (none for an empty or zero matrix)."""
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    return U[:, s > SPAN_RTOL * s[0]]
+    return U[:, s > SPAN_RTOL * s.max(initial=0.0)]
 
 
 def _blocks(frames: np.ndarray, k: int, words: np.ndarray) -> np.ndarray:
@@ -185,8 +183,6 @@ def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
     T = Y B on it, and the indices of the words y w."""
     if S.mode != mode:
         raise GnsError(f"expected a {mode}-mode functional, got {S.mode}")
-    if S.D < 1:
-        raise GnsError("need functional degree D >= 1")
     k = S.k
     head, tail = suffix_table(enumerate_words(S.g, S.D, mode))
     frames = _quotient_frames(S)
@@ -209,7 +205,7 @@ def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
 
 
 def gns_construct(S: HankelFunctional) -> WitnessModel:
-    """Monoid-mode model from a functional of degree D >= 1: a g-tuple of
+    """Monoid-mode model from a functional of degree D >= 0: a g-tuple of
     self-adjoint operators on the whole quotient space.
 
     The shift by x_i, from the span of the words of length <= D-1 into the
@@ -227,7 +223,7 @@ def gns_construct(S: HankelFunctional) -> WitnessModel:
 
 
 def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
-    """Group-mode model from a functional of degree D >= 1: a g-tuple of
+    """Group-mode model from a functional of degree D >= 0: a g-tuple of
     unitaries on the whole quotient space, x_i^-1 acting as U_i*.
 
     The shift by a letter y is isometric between the subspaces spanned by

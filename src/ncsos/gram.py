@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import COEFF_DROP_TOL, NCPoly, opnorm
+from .poly import COEFF_DROP_TOL, NCPoly
 from .words import GROUP, Word, enumerate_words, involute, reduce_letters
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
@@ -95,7 +95,7 @@ class GramMatrix:
         n = len(self.index[1]) * self.k
         if self.matrix.shape != (n, n):
             raise GramError(f"Gram matrix has shape {self.matrix.shape}, want {(n, n)}")
-        if opnorm(self.matrix - self.matrix.conj().T) > 1e-10:
+        if np.linalg.norm(self.matrix - self.matrix.conj().T) > 1e-10:  # Frobenius >= spectral
             raise GramError("Gram matrix is not Hermitian")
 
 

@@ -255,12 +255,13 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    # an object or a string would be iterated as its keys or its characters
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+    # an object or a string would be iterated as its keys or its characters, a bool read as a number
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data) or not all(
+            isinstance(e, list) and len(e) == 2 and {type(x) for x in e} <= {int, float} for row in data for e in row):
         raise PolyError("bad matrix encoding: want a list of rows, each a list of [re, im] pairs")
-    try:  # each entry is one [re, im] pair
+    try:
         m = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # a ragged matrix, an int too large for a float
         raise PolyError(f"bad matrix encoding: {exc}") from None
     if not np.isfinite(m).all():
         raise PolyError("bad matrix encoding: entries must be finite")

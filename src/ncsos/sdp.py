@@ -14,8 +14,8 @@ affine side) tends to the shortest vector between the two sets (Bauschke &
 Borwein 1994): a psd H = A*(h) in range(A*), constant on each class, whose
 pairing Re sum_c conj(h_c) t_c with the targets is negative.  Re Tr(H X)
 equals that pairing at every X of the affine set, so no psd X meets the
-constraints.  solve_feasibility reads H off the class means of the
-displacement and stops once rounding bounds prove both halves.
+constraints.  solve_feasibility returns h, read off the class means of the
+displacement, once rounding bounds prove both halves; broadcast(h) is H.
 
 Where Dykstra converges sublinearly (no strictly feasible point, or an
 empty intersection close to the cone) it hands over after DEFAULT_MAX_ITER
@@ -170,8 +170,8 @@ class FeasibilityResult:
     X: np.ndarray | None
     iterations: int                        # Dykstra's
     final_gap: float
-    certificate: np.ndarray | None = None  # Farkas certificate: psd, in range(A*)
-    pairing: float | None = None           # Re Tr(certificate X) on the affine set, < 0
+    certificate: np.ndarray | None = None  # Farkas certificate: class vector h with A*(h) psd
+    pairing: float | None = None           # Re Tr(A*(h) X) on the affine set, < 0
     newton_steps: int = 0                  # of the max-margin handover, 0 if Dykstra decided
     reason: str = ""                       # why the handover did not run
 
@@ -186,26 +186,26 @@ def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
 
 class _Farkas:
     """The certificate test of one system, with an optional interior point K,
-    positive definite and in range(A*) (it is read through its class means).
+    positive definite and in range(A*) (it is read through its class means k).
 
     A displacement with class means h passes when Weyl's inequality proves
     lambda_min(A*(h) + s K) > 0 for the smallest s that leaves the floor
-    FREE_MIX DEFAULT_TOL ||A*(h)||_F, and the pairing of h + s k is below zero by
-    more than four times Higham's bound gamma_n sum |terms| on its rounding.
+    FREE_MIX DEFAULT_TOL ||A*(h)||_F, and the pairing of the certificate, the
+    class vector h + s k, is below zero by more than four times Higham's bound
+    gamma_n sum |terms| on its rounding.
     """
 
     def __init__(self, sys: AffineSystem, interior: np.ndarray | None):
-        self.sys, self.floor, self.K = sys, FREE_MIX * DEFAULT_TOL, None
+        self.sys, self.floor, self.k = sys, FREE_MIX * DEFAULT_TOL, None
         n = 2 * len(sys.targets) + 2  # real products in the pairing, and two sums
         self.gamma = 2 * n * EPS / (1 - n * EPS)  # four times Higham's gamma_n, u = EPS / 2
         self.kappa = self.pk = self.ak = 0.0
         if interior is not None:
-            k = sys.means(sys._class_sums(interior))
-            self.K = sys.broadcast(k)
-            self.kappa = _low_eig(self.K)[0]
+            self.k = sys.means(sys._class_sums(interior))
+            self.kappa = _low_eig(sys.broadcast(self.k))[0]
             if not self.kappa > 0:
                 raise SdpError("the interior point is not positive definite on the classes")
-            self.pk, self.ak = self._pairing(k)
+            self.pk, self.ak = self._pairing(self.k)
         self.w = None  # class sums of conj(v) v^T over class sizes, v the last lowest eigenvector
 
     def _pairing(self, h: np.ndarray) -> tuple[float, float]:
@@ -225,20 +225,20 @@ class _Farkas:
             return None
         if self.w is not None:
             ray = float(np.dot(sums, self.w).real)
-            if ray <= 0 and (self.K is None or ph - ray / self.kappa * self.pk >= 0):
+            if ray <= 0 and (self.k is None or ph - ray / self.kappa * self.pk >= 0):
                 return None
         h = sys.means(sums)
         H = sys.broadcast(h)
         low, v = _low_eig(H)
         self.w = sys._class_sums(v.conj()[:, None] * v) / sys._sizes
-        s = 0.0 if self.K is None else (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
+        s = 0.0 if self.k is None else (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
         bound = low + s * self.kappa  # <= lambda_min(H + s K), by Weyl
         ph, ah = self._pairing(h)
         pairing = ph + s * self.pk
         if not (bound > 4 * EPS * (abs(low) + s * self.kappa)
                 and pairing < -self.gamma * (ah + s * self.ak)):
             return None
-        return (H if self.K is None else H + s * self.K), pairing
+        return (h if self.k is None else h + s * self.k), pairing
 
 
 def solve_feasibility(sys: AffineSystem, interior: np.ndarray | None = None) -> FeasibilityResult:

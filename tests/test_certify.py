@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from ncsos import jsonio
 from ncsos.certify import (
     CertifyError, CertifyOutcome, _refuse_certificate, certify, free_state,
-    gram_system, functional_from_solution, infer_degree, run_dual, run_primal, spotcheck,
+    gram_system, infer_degree, run_dual, run_primal, spotcheck,
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
+from ncsos.gns import quotient_matrix
 from ncsos.gram import (
     EPS_CERT, EPS_PSD, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
@@ -278,14 +279,17 @@ def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch)
 # -- dual ----------------------------------------------------------------------
 
 
-def test_dual_layout_degree_bump():
-    # the dual works at the primal's degree in both modes; only a constant
-    # input, d = 0, is bumped to degree 1, where GNS has a letter shift
+def test_dual_works_at_the_primal_degree():
+    # the dual works at the primal's degree in both modes, a constant input
+    # at d = 0 too: every letter shift has an empty domain, so GNS completes
+    # it to the zero operator (monoid) or the identity (group)
     group_witness = NCPoly.constant(1.0, 1, GROUP) + u(1) + u(-1)
     for f, d in ((anticommutator(), 1), (anticommutator(), 2), (group_witness, 1)):
         assert run_dual(f, d).model.functional.D == d
-    for mode in (MONOID, GROUP):
-        assert run_dual(NCPoly.constant(-1.0, 2, mode), 0).model.functional.D == 1
+    for mode, plain in ((MONOID, np.zeros((1, 1))), (GROUP, np.eye(1))):
+        model = run_dual(NCPoly.constant(-1.0, 2, mode), 0).model
+        assert model.functional.D == 0 and model.dim == 1
+        assert all(np.array_equal(Y, plain) for Y in model.operators.entries)
 
 
 def _pair_classes(g, d, mode):
@@ -315,24 +319,6 @@ def test_block_readouts_match_per_pair_loop(mode, k):
     coeffs = {u: sum(block(v, w) for v, w in pairs) for u, pairs in classes.items()}
     assert set(p.terms) == set(coeffs)
     assert all(p.terms[u].tobytes() == c.tobytes() for u, c in coeffs.items())
-
-    index = constraint_index(g, d, mode)
-    S = functional_from_solution(X, NCPoly.zero(g, mode, k), d, index)
-    blocks = {}
-    for u, pairs in classes.items():
-        acc = np.zeros((k, k), dtype=complex)
-        for v, w in pairs:
-            acc += block(v, w).T
-        blocks[u] = acc / len(pairs)
-    for u in list(blocks):
-        ui = involute(u)
-        avg = (blocks[u] + blocks[ui].conj().T) / 2
-        blocks[u] = avg
-        blocks[ui] = avg.conj().T
-    # equal in value: the loop conjugates a self-mirror block twice, which
-    # may flip the sign of a zero entry
-    assert set(index[0]) == set(blocks)
-    assert all(np.array_equal(S_u, blocks[u]) for u, S_u in zip(index[0], S.blocks))
 
 
 def test_certify_anticommutator_witness():
@@ -516,12 +502,30 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     assert defect <= 1e-8 and out.min_eig <= -1e-6
 
 
+@pytest.mark.parametrize("f", [monoid_witness_input(1, 1, 2, 2), group_witness_input(1, 1, 2, 2)],
+                         ids=["monoid", "group"])
+def test_dual_functional_is_the_conjugated_certificate(f):
+    # the Hankel storage of the dual's functional is the conjugate of the
+    # Farkas certificate's matrix A*(h) at unit trace, to the bit
+    index = constraint_index(f.g, 2, f.mode)
+    sys = gram_system(f, index)
+    res = solve_feasibility(sys, interior=free_state(f, 2))
+    out = run_dual(f, 2, (index, res))
+    assert out.kind == "witness", out.dual.note
+    Z = sys.broadcast(res.certificate)
+    assert np.array_equal(quotient_matrix(out.model.functional), Z.conj() / np.trace(Z).real)
+
+
 @pytest.mark.parametrize("f", [group_witness_input(1, 1, 2, 2), monoid_witness_input(1, 1, 2, 2),
-                               anticommutator()],
-                         ids=["group", "monoid", "anticommutator"])
+                               anticommutator(), NCPoly.constant(-1.0, 2, MONOID),
+                               NCPoly.constant(-1.0, 2, GROUP),
+                               NCPoly.constant(np.diag([1.0, -2.0]), 2, GROUP)],
+                         ids=["group", "monoid", "anticommutator", "constant-monoid", "constant-group",
+                              "constant-group-k2"])
 def test_certify_solves_each_distinct_system_once(f, monkeypatch):
     # in both modes the dual's system is the primal's, so the dual reads the
-    # primal's certificate: one solve, and its witness passes the spot check
+    # primal's certificate: one solve, a constant's of side k at degree 0
+    # too, and its witness passes the spot check
     module = importlib.import_module("ncsos.certify")
     sizes = []
     monkeypatch.setattr(module, "solve_feasibility",
@@ -571,13 +575,15 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
     ("certify", group_witness_input(1, 1, 2, 2), 1, 1),
     ("certify", monoid_witness_input(1, 1, 2, 2), 1, 1),
     ("witness", monoid_witness_input(1, 1, 2, 2), 1, 1),
+    ("certify", NCPoly.constant(-1.0, 2, MONOID), 1, 1),
+    ("certify", NCPoly.constant(-1.0, 2, GROUP), 1, 1),
 ], ids=["sos-monoid", "sos-group", "decompose", "spotcheck-sos", "witness-group", "witness-monoid",
-        "witness-command"])
+        "witness-command", "constant-monoid", "constant-group"])
 def test_each_command_builds_its_word_pair_tables_once(command, f, code, builds, tmp_path, capsys,
                                                        monkeypatch):
     # one table per degree, carried by the evidence it indexes, through the
     # JSON output too: the factors are summed on the Gram matrix's table, and
-    # in group mode the dual reads the primal's
+    # in both modes the dual reads the primal's, a constant's at degree 0 too
     path = tmp_path / "f.json"
     path.write_text(jsonio.dumps(poly_to_json(f)))
     argv = [command, str(path)]

@@ -452,8 +452,9 @@ SOS_EVIDENCE = {"outcome": "sos", "degree": 1, "certificate": {
     "gram": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     "factors": [dict(poly_data(), terms=[{"word": "x1", "matrix": [[[1.0, 0.0]]]}])]}}
 # matrix entries that are not a [re, im] pair of floats: an integer too large
-# for a float, and a pair with a third number
-BAD_ENTRIES = {"huge-int": [10 ** 400, 0], "three-parts": [1, 0, 5]}
+# for a float, a pair with a third number, and pairs of booleans, strings or null
+BAD_ENTRIES = {"huge-int": [10 ** 400, 0], "three-parts": [1, 0, 5], "bool-pair": [True, False],
+               "string-pair": ["1", "0"], "null-pair": [None, 0]}
 
 
 def _bad_entry_cases():
@@ -521,6 +522,9 @@ def _bad_entry_cases():
                  EX_USAGE, id="extract-k-0"),
     pytest.param(["extract", "--eval", "{e}", "--g", "1", "--l", "0"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
                  id="extract-l-0"),
+    # the flags are checked before the file is read
+    pytest.param(["extract", "--eval", "{e}.missing", "--g", "0", "--l", "1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
+                 id="extract-g-0-unreadable"),
     *(pytest.param([command, "{p}", "--degree", "-1"], {"p": poly_data(terms=terms)}, EX_USAGE,
                    id=f"{command}-degree-negative-{name}")
       for command in ("certify", "decompose", "witness")
@@ -546,6 +550,18 @@ BAD_TUPLE_ENTRIES = {
     "row-object": ([[{"x": 1}]], "bad matrix encoding: want a list of rows, each a list of [re, im] pairs"),
     "row-string": ([["ab"]], "bad matrix encoding: want a list of rows, each a list of [re, im] pairs"),
 }
+
+
+def test_spotcheck_refuses_a_gram_matrix_that_is_not_hermitian(tmp_path, capsys):
+    # the off-diagonal pair differs by 2e-10
+    gram = [[[0.0, 0.0], [0.0, 0.0]], [[2e-10, 0.0], [1.0, 0.0]]]
+    p_path = tmp_path / "p.json"
+    p_path.write_text(json.dumps(poly_data()))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(SOS_EVIDENCE, certificate=dict(SOS_EVIDENCE["certificate"], gram=gram))))
+    code, out, err = run(capsys, "spotcheck", str(p_path), str(path))
+    assert code == EX_DATA and out == ""
+    assert err.strip().endswith("(GramError: Gram matrix is not Hermitian)")
 
 
 @pytest.mark.parametrize("command", ["eval", "spotcheck"])
@@ -648,7 +664,7 @@ def test_oversized_zero_input_is_refused_before_the_hermitian_test(tmp_path, cap
     path.write_text(json.dumps({"g": 1, "mode": "monoid", "coeff_dim": 600, "terms": []}))
     code, out, err = run(capsys, command, str(path))
     assert code == EX_DATA and out == ""
-    assert err.strip().endswith("side at least 1200, above the limit 512")
+    assert err.strip().endswith("side at least 600, above the limit 512")
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):

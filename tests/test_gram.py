@@ -207,6 +207,13 @@ def test_gram_matrix_side_must_fit_its_table():
         GramMatrix(2, MONOID, 1, 1, constraint_index(1, 1, MONOID), np.eye(3))
 
 
+def test_gram_matrix_must_be_hermitian():
+    # the off-diagonal pair differs by 2e-10: ||G - G*||_F = 2.8e-10 > 1e-10
+    with pytest.raises(GramError, match="^Gram matrix is not Hermitian$"):
+        gram(1, MONOID, 1, 1, np.array([[1.0, 0.5], [0.5 + 2e-10, 1.0]]))
+    gram(1, MONOID, 1, 1, np.array([[1.0, 0.5], [0.5, 1.0]]))  # the Hermitian pair is accepted
+
+
 def test_factor_rejects_indefinite():
     G = gram(1, MONOID, 1, 1, np.diag([1.0, -1.0]).astype(complex))
     with pytest.raises(GramError):

@@ -216,7 +216,8 @@ def test_tuple_json_roundtrip():
     assert np.allclose(Y.entries[0], X.entries[0])
 
 
-@pytest.mark.parametrize("entry", [[10 ** 400, 0], [1, 0, 5], [1], {"re": 1, "im": 0}])
+@pytest.mark.parametrize("entry", [[10 ** 400, 0], [1, 0, 5], [1], {"re": 1, "im": 0},
+                                   [True, False], ["1", "0"], [None, 0]])
 def test_matrix_from_json_refuses_bad_entries(entry):
     with pytest.raises(PolyError, match="^bad matrix encoding: "):
         matrix_from_json([[entry]])

@@ -227,7 +227,7 @@ def test_certificate_proves_infeasibility():
     res = solve_feasibility(sys)
     assert not res.feasible and res.X is None
     assert res.iterations == 1
-    H = res.certificate
+    H = sys.broadcast(res.certificate)  # A*(h), from the class vector h
     assert np.linalg.eigvalsh(H)[0] > 0
     assert np.abs(sys.nearest(H, linear=True)).max() <= 1e-15  # H lies in range(A*)
     X0, _ = project_affine(np.zeros((2, 2), dtype=complex), sys)
@@ -237,9 +237,10 @@ def test_certificate_proves_infeasibility():
 def test_negative_constant_certifies_at_iteration_one():
     f = NCPoly.constant(-1.0, 2)
     for interior in (None, free_state(f, 0)):
-        res = solve_feasibility(gram_system_at(f, 0), interior=interior)
+        sys = gram_system_at(f, 0)
+        res = solve_feasibility(sys, interior=interior)
         assert res.certificate is not None and res.iterations == 1
-        assert res.pairing < 0 and np.linalg.eigvalsh(res.certificate)[0] > 0
+        assert res.pairing < 0 and np.linalg.eigvalsh(sys.broadcast(res.certificate))[0] > 0
 
 
 def test_boundary_sos_gets_no_certificate():
