@@ -42,13 +42,14 @@ from .gram import (
     constraint_index, factor_gram,
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval
-from .sdp import AffineSystem, FeasibilityResult, InconsistentSystemError, solve_feasibility
+from .sdp import AffineSystem, FeasibilityResult, solve_feasibility
 from .words import MONOID, count_words
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
 EPS_WIT = 1e-6              # a witness needs min eig of f(Y) <= -EPS_WIT
 MAX_GRAM_SIDE = 512         # largest side of the Gram system infer_degree accepts
+MAX_COEFF = 1e150           # largest |Re|, |Im| of a coefficient entry: squares sum below 1.8e308
 
 
 class CertifyError(ValueError):
@@ -78,7 +79,13 @@ def infer_degree(f: NCPoly, d: int | None = None) -> int:
     """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
     degree whose Gram system, the one both the primal and the dual solve,
     would have side above MAX_GRAM_SIDE is refused before anything is built,
-    even the zero coefficient block of the Hermitian test."""
+    even the zero coefficient block of the Hermitian test, and so are more
+    letters than that side and coefficient entries above MAX_COEFF."""
+    if f.g > MAX_GRAM_SIDE:
+        raise CertifyError(f"{f.g} letters are above the limit {MAX_GRAM_SIDE} on the Gram side")
+    big = float(np.abs(f.coeffs.view(float)).max(initial=0.0))
+    if not big <= MAX_COEFF:
+        raise CertifyError(f"a coefficient's real or imaginary part {big:.3e} is above the limit {MAX_COEFF:.0e}")
     if d is None:
         d = math.ceil(f.degree() / 2)
     if d < 0:
@@ -125,8 +132,8 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     and the max-margin handover (sdp.solve_feasibility, at its fixed budget
     and tolerance).  Returns the outcome, sos or undecided with its primal
     diagnostics, and (index, result): the degree-d word-pair table, which the
-    certificate's GramMatrix carries, and the solver's result (None when the
-    constraints are inconsistent).
+    certificate's GramMatrix carries, and the solver's result, however the
+    solve ended (its reason is in the note).
 
     Every answer passes factor_gram's psd test and spotcheck's certificate
     gate, so neither the handover nor a point psd only to the solver's
@@ -134,11 +141,7 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     """
     index = constraint_index(f.g, d, f.mode)
     out = CertifyOutcome("undecided", degree=d)
-    try:
-        res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
-    except InconsistentSystemError as exc:
-        out.primal = BranchDiagnostics(0, exc.residual, "inconsistent Gram constraints")
-        return out, (index, None)
+    res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
     note = "" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}"
     out.primal = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
     if res.feasible:
@@ -188,21 +191,18 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
 def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
     """solve_feasibility on the Gram system of f at degree d, with the free
     state as its interior point: the primal's system, so run_primal's
-    (index, result) handed in is read as it is, as the same table and
-    deterministic solve would only repeat it.  Its Farkas certificate, the
+    (index, result) handed in is read as it is, however its solve ended, as
+    the same table and deterministic solve would only repeat it (the witness
+    command hands in none).  Its Farkas certificate, the
     class vector h + s k, read as blocks (functional_from_solution), is a
     functional positive definite on squares and negative on f; GNS builds
     the witness from it, gated on the operator defect, gns_verify and
     min eig f(Y) <= -EPS_WIT.  Returns the outcome, witness or undecided with
     its dual diagnostics."""
     out = CertifyOutcome("undecided", degree=d)
-    index, res = primal if primal is not None else (constraint_index(f.g, d, f.mode), None)
+    index, res = primal or (constraint_index(f.g, d, f.mode), None)
     if res is None:
-        try:
-            res = solve_feasibility(hankel_system(f, index), interior=free_state(f, d))
-        except InconsistentSystemError as exc:
-            out.dual = BranchDiagnostics(0, exc.residual, "inconsistent dual system")
-            return out
+        res = solve_feasibility(hankel_system(f, index), interior=free_state(f, d))
     out.dual = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
 
     def undecided(note):

@@ -238,6 +238,8 @@ def _cmd_eval(args) -> int:
         value = poly_eval(f, X)
     except PolyError as exc:
         raise DataError(str(exc))
+    if not np.isfinite(value).all():
+        raise DataError("f(X) is not finite: it overflows float64")
     _emit({"matrix": value}, args.out)
     return 0
 

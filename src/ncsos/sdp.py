@@ -55,19 +55,13 @@ class SdpError(ValueError):
     pass
 
 
-class InconsistentSystemError(SdpError):
-    def __init__(self, residual: float):
-        super().__init__(f"affine constraints are inconsistent (residual {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass
 class AffineSystem:
     """Affine constraints on Hermitian m x m matrices.
 
-    labels[i, j] is the class of entry (i, j), negative for none, and the
-    entries of class c sum to targets[c].  The transpose of a class must be
-    a class with the conjugate target, its mirror.
+    labels[i, j] is the class of entry (i, j), as v* w is that of a Gram
+    index pair (v, w), and the entries of class c sum to targets[c].  The
+    transpose of a class must be a class with the conjugate target, its mirror.
     """
 
     m: int
@@ -78,25 +72,21 @@ class AffineSystem:
         m = self.m
         labels = np.asarray(self.labels, dtype=np.intp)
         targets = np.asarray(self.targets, dtype=complex).ravel()
-        on = labels >= 0
-        sizes = np.bincount(labels[on], minlength=len(targets))
-        if labels.shape != (m, m) or len(sizes) != len(targets) or not sizes.all():
-            raise SdpError(f"labels must be {m} x {m} and name each of {len(targets)} classes")
+        sizes = np.bincount(labels[labels >= 0], minlength=len(targets))
+        if labels.shape != (m, m) or sizes.sum() != m * m or len(sizes) != len(targets) or not sizes.all():
+            raise SdpError(f"labels must put each of the {m} x {m} entries in one of {len(targets)} classes")
         mirror = np.zeros(len(targets), dtype=np.intp)
-        mirror[labels[on]] = labels.T[on]
+        mirror[labels] = labels.T
         if not np.isfinite(targets).all():
             raise SdpError("class targets must be finite")
-        if ((on != on.T).any() or (mirror[labels[on]] != labels.T[on]).any()
-                or (np.abs(targets - targets[mirror].conj()) > EPS_HERM).any()):
+        if (mirror[labels] != labels.T).any() or (np.abs(targets - targets[mirror].conj()) > EPS_HERM).any():
             raise SdpError("the transpose of a class is not a class with the conjugate "
                            "target (non-Hermitian pattern or coefficients)")
         self.labels, self.targets = labels, targets
 
-        # per labelled entry: its flat index and class, and the Re, Im bins of
-        # its class sums; per class: its mirror and size, -1 / size and target / size
-        self._idx = np.flatnonzero(on)
-        self._lab = labels.ravel()[self._idx]
-        self._bins = (2 * self._lab[:, None] + np.arange(2)).ravel()
+        # per entry: the Re, Im bins of its class sums; per class: its
+        # mirror and size, -1 / size and target / size
+        self._bins = (2 * labels.ravel()[:, None] + np.arange(2)).ravel()
         self._mirror, self._sizes = mirror, sizes
         self._coef, self._tmean = -1.0 / sizes, targets / sizes
 
@@ -106,8 +96,8 @@ class AffineSystem:
         return range(len(self.targets))
 
     def _class_sums(self, X: np.ndarray) -> np.ndarray:
-        """Sum over each class of the labelled entries of X."""
-        v = np.asarray(X, dtype=complex).ravel()[self._idx]
+        """Sum over each class of the entries of X."""
+        v = np.asarray(X, dtype=complex).ravel()
         return np.bincount(self._bins, v.view(float), minlength=2 * len(self.targets)).view(complex)
 
     def means(self, sums: np.ndarray) -> np.ndarray:
@@ -118,21 +108,13 @@ class AffineSystem:
         return (y + y[self._mirror].conj()) / 2
 
     def broadcast(self, h: np.ndarray) -> np.ndarray:
-        """A*(h): h[c] on the entries of class c, zero elsewhere."""
-        out = np.zeros(self.m * self.m, dtype=complex)
-        out[self._idx] = h[self._lab]
-        return out.reshape(self.m, self.m)
+        """A*(h): h[c] on the entries of class c."""
+        return h[self.labels]
 
-    def nearest(self, X: np.ndarray, linear: bool = False) -> np.ndarray:
-        """Frobenius-nearest point of the affine set (of its linear part if
-        linear): the entries of each class share its shortfall equally."""
-        x = np.array(X, dtype=complex).ravel()
-        v = x[self._idx]
-        base = self._class_sums(X) * self._coef
-        if not linear:
-            base += self._tmean
-        x[self._idx] = v + base[self._lab]
-        Y = x.reshape(self.m, self.m)
+    def nearest(self, X: np.ndarray) -> np.ndarray:
+        """Frobenius-nearest point of the affine set: the entries of each
+        class share its shortfall equally."""
+        Y = np.asarray(X, dtype=complex) + (self._class_sums(X) * self._coef + self._tmean)[self.labels]
         return (Y + Y.conj().T) / 2
 
     def residual(self, X: np.ndarray) -> float:
@@ -154,14 +136,11 @@ def project_affine(X: np.ndarray, sys: AffineSystem) -> tuple[np.ndarray, float]
     """Frobenius-orthogonal projection onto the affine solution set, and its
     residual (sys.residual of the projection).
 
-    Closed form (AffineSystem.nearest); a system no Hermitian matrix meets
-    leaves a residual, and one above EPS_AFFINE raises.
+    Closed form (AffineSystem.nearest); a system no Hermitian matrix meets,
+    or rounding at the scale of X, leaves a residual.
     """
     out = sys.nearest(X)
-    res = sys.residual(out)
-    if res > EPS_AFFINE:
-        raise InconsistentSystemError(res)
-    return out, res
+    return out, sys.residual(out)
 
 
 @dataclass
@@ -173,7 +152,7 @@ class FeasibilityResult:
     certificate: np.ndarray | None = None  # Farkas certificate: class vector h with A*(h) psd
     pairing: float | None = None           # Re Tr(A*(h) X) on the affine set, < 0
     newton_steps: int = 0                  # of the max-margin handover, 0 if Dykstra decided
-    reason: str = ""                       # why the handover did not run
+    reason: str = ""                       # why the solve did not start, stopped, or did not hand over
 
 
 def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -185,8 +164,8 @@ def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class _Farkas:
-    """The certificate test of one system, with an optional interior point K,
-    positive definite and in range(A*) (it is read through its class means k).
+    """The certificate test of one system, with its interior point K = A*(k)
+    read through its class means k; kappa > 0 proves it positive definite.
 
     A displacement with class means h passes when Weyl's inequality proves
     lambda_min(A*(h) + s K) > 0 for the smallest s that leaves the floor
@@ -195,17 +174,13 @@ class _Farkas:
     gamma_n sum |terms| on its rounding.
     """
 
-    def __init__(self, sys: AffineSystem, interior: np.ndarray | None):
-        self.sys, self.floor, self.k = sys, FREE_MIX * DEFAULT_TOL, None
+    def __init__(self, sys: AffineSystem, interior: np.ndarray):
+        self.sys, self.floor = sys, FREE_MIX * DEFAULT_TOL
         n = 2 * len(sys.targets) + 2  # real products in the pairing, and two sums
         self.gamma = 2 * n * EPS / (1 - n * EPS)  # four times Higham's gamma_n, u = EPS / 2
-        self.kappa = self.pk = self.ak = 0.0
-        if interior is not None:
-            self.k = sys.means(sys._class_sums(interior))
-            self.kappa = _low_eig(sys.broadcast(self.k))[0]
-            if not self.kappa > 0:
-                raise SdpError("the interior point is not positive definite on the classes")
-            self.pk, self.ak = self._pairing(self.k)
+        self.k = sys.means(sys._class_sums(interior))
+        self.kappa = _low_eig(sys.broadcast(self.k))[0]
+        self.pk, self.ak = self._pairing(self.k)
         self.w = None  # class sums of conj(v) v^T over class sizes, v the last lowest eigenvector
 
     def _pairing(self, h: np.ndarray) -> tuple[float, float]:
@@ -225,25 +200,25 @@ class _Farkas:
             return None
         if self.w is not None:
             ray = float(np.dot(sums, self.w).real)
-            if ray <= 0 and (self.k is None or ph - ray / self.kappa * self.pk >= 0):
+            if ray <= 0 and ph - ray / self.kappa * self.pk >= 0:
                 return None
         h = sys.means(sums)
         H = sys.broadcast(h)
         low, v = _low_eig(H)
         self.w = sys._class_sums(v.conj()[:, None] * v) / sys._sizes
-        s = 0.0 if self.k is None else (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
+        s = (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
         bound = low + s * self.kappa  # <= lambda_min(H + s K), by Weyl
         ph, ah = self._pairing(h)
         pairing = ph + s * self.pk
         if not (bound > 4 * EPS * (abs(low) + s * self.kappa)
                 and pairing < -self.gamma * (ah + s * self.ak)):
             return None
-        return (h if self.k is None else h + s * self.k), pairing
+        return h + s * self.k, pairing
 
 
-def solve_feasibility(sys: AffineSystem, interior: np.ndarray | None = None) -> FeasibilityResult:
+def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityResult:
     """Dykstra between the psd cone and the affine set, from project_affine(0);
-    interior, if given, is the certificate test's positive definite point.
+    interior is the certificate test's positive definite point.
 
     Only the psd step carries a correction p.  The affine step's correction
     would be the residual of an orthogonal projection onto the affine set,
@@ -257,11 +232,16 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray | None = None) -> 
     fits MARGIN_MAX_BYTES): its point if _low_eig proves it psd within
     DEFAULT_TOL (eigvalsh alone passes a weakly infeasible system's drift to
     norm 1e29), else its inverse slack if that passes the certificate test.
-    With neither, the result is neither feasible nor certified, and its
-    reason says why when the handover did not run.
+    With neither, the result is neither feasible nor certified.  Every end
+    is a result, whose reason says why the solve did not start (an interior
+    not positive definite on the classes), stopped (an affine residual above
+    EPS_AFFINE) or did not hand over.
     """
     m = sys.m
     farkas = _Farkas(sys, interior)
+    if not farkas.kappa > 0:
+        return FeasibilityResult(False, None, 0, np.inf,
+                                 reason="the interior point is not positive definite on the classes")
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     gap = np.inf
@@ -270,6 +250,9 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray | None = None) -> 
         y = project_psd(x + p)
         p = x + p - y
         x, aff_res = project_affine(y, sys)
+        if aff_res > EPS_AFFINE:
+            return FeasibilityResult(False, None, it, aff_res,
+                                     reason=f"affine residual {aff_res:.3e}, above {EPS_AFFINE:.0e}")
 
         psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
         gap = max(psd_res, aff_res)
@@ -343,8 +326,8 @@ def _null_directions(sys: AffineSystem) -> tuple[np.ndarray, np.ndarray, np.ndar
     imaginary part, except on a self-mirror class, whose imaginary
     coordinates are free: the sum of a Hermitian class closed under
     transposition is real).  Each grouped coordinate but its group's first
-    gives C / w - C_first / w_first, each free or unlabelled coordinate C
-    alone, and every direction is scaled to unit Frobenius norm.
+    gives C / w - C_first / w_first, each free coordinate C alone, and
+    every direction is scaled to unit Frobenius norm.
 
     Returns rows, cols and weights, each n x 2: direction k is
     Y + Y^* with Y = sum_s weights[k, s] E_{rows[k, s], cols[k, s]}.
@@ -361,8 +344,7 @@ def _null_directions(sys: AffineSystem) -> tuple[np.ndarray, np.ndarray, np.ndar
     own = lab == mir
     w = np.where(imag, np.where(lab == key, 1.0, -1.0), np.where(own & (r != c), 2.0, 1.0))
     norm = np.where(r == c, 1.0, np.sqrt(2))  # of each coordinate
-    free = np.flatnonzero((lab < 0) | (imag & own))
-    grouped = np.flatnonzero((lab >= 0) & ~(imag & own))
+    free, grouped = np.flatnonzero(imag & own), np.flatnonzero(~(imag & own))
     _, first, gid = np.unique(2 * key[grouped] + imag[grouped],
                               return_index=True, return_inverse=True)
     rest = np.ones(len(grouped), dtype=bool)
@@ -429,6 +411,9 @@ def max_margin(sys: AffineSystem) -> MarginResult:
         for _ in range(min(CENTRING_STEPS, MARGIN_MAX_NEWTON - steps)):
             steps += 1
             lam, Q = np.linalg.eigh(S)
+            if not lam[0] > 0:  # rounding put S on the boundary of the cone
+                stalled = True
+                break
             V = Q / np.sqrt(lam)  # W = V*: column r of W is conj(V[r])
             Vc = V.conj()
             # rows: the null-space directions, then -I for t, congruent by W;

@@ -53,7 +53,7 @@ def gram_system_at(f, d):
 def test_gram_system_sum_of_squares_unique_solution():
     f = x(1) * x(1) + x(2) * x(2)
     sys = gram_system_at(f, 1)
-    res = solve_feasibility(sys)
+    res = solve_feasibility(sys, free_state(f, 1))
     assert res.feasible
     assert np.allclose(res.X, np.diag([0.0, 1.0, 1.0]), atol=1e-8)
 
@@ -237,10 +237,10 @@ def test_interior_point_polish_boundary_gram_system():
 def test_interior_point_polish_infeasible_returns_none(monkeypatch):
     # with no Dykstra budget the handover decides alone: Tr X = -1 has a
     # negative best margin, so it returns no point, and S^-1 certifies
-    sys = AffineSystem(2, [[0, -1], [-1, 0]], [-1.0])
+    sys = AffineSystem(2, [[0, 1], [1, 0]], [-1.0, 0.0])  # off the diagonal, the sum is 0
     assert max_margin(sys).t < 0
     monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 0)
-    res = solve_feasibility(sys)
+    res = solve_feasibility(sys, np.eye(2))
     assert not res.feasible and res.X is None and res.newton_steps > 0
     assert res.certificate is not None and res.pairing < 0
 
@@ -705,6 +705,37 @@ def test_degree_override_guard():
     for p in (f, NCPoly.zero(2, MONOID, 1)):
         with pytest.raises(CertifyError, match="^degree must be at least 0$"):
             infer_degree(p, -1)
+
+
+def test_infer_degree_refuses_coefficients_that_would_overflow_and_oversized_alphabets():
+    # squares of entries up to MAX_COEFF stay finite through the solve; an
+    # alphabet over MAX_GRAM_SIDE letters is refused before any word is built
+    assert infer_degree(NCPoly.constant(-1e150, 1)) == 0
+    with pytest.raises(CertifyError, match=r"^a coefficient's real or imaginary part 1\.000e\+151 "
+                                           r"is above the limit 1e\+150$"):
+        infer_degree(NCPoly.constant(-1e151, 1))
+    with pytest.raises(CertifyError, match=r"imaginary part 2\.000e\+151 is above"):
+        infer_degree(NCPoly.constant(np.array([[0, 2e151j], [-2e151j, 0]]), 1))
+    assert infer_degree(NCPoly.constant(-1.0, 512)) == 0
+    with pytest.raises(CertifyError, match="^513 letters are above the limit 512 on the Gram side$"):
+        infer_degree(NCPoly.constant(-1.0, 513))
+
+
+def test_a_solve_that_cannot_start_runs_once(monkeypatch):
+    # x1^34: at degree 17 no class-constant matrix of one letter is
+    # numerically positive definite, the free state included, so the solve
+    # ends before its first iteration; certify reads that one result in both
+    # branches and never solves again
+    module = importlib.import_module("ncsos.certify")
+    sizes = []
+    monkeypatch.setattr(module, "solve_feasibility",
+                        lambda sys, _f=module.solve_feasibility, **kw: sizes.append(sys.m) or _f(sys, **kw))
+    reason = "the interior point is not positive definite on the classes"
+    out = certify(NCPoly.monomial(Word(MONOID, 1, (1,) * 34)))
+    assert out.kind == "undecided" and out.degree == 17 and sizes == [18]
+    assert out.primal.iterations == out.dual.iterations == 0
+    assert out.primal.note == reason
+    assert out.dual.note == f"no Farkas certificate at degree 17; {reason}"
 
 
 # -- spotcheck --------------------------------------------------------------------

@@ -599,11 +599,12 @@ def test_solver_flags_are_gone(tmp_path, capsys, command, flag):
 REQUIRED = inspect.Parameter.empty
 # each library function below certify: its parameters and their defaults
 SIGNATURES = {
-    sdp.solve_feasibility: {"sys": REQUIRED, "interior": None},
+    sdp.solve_feasibility: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.max_margin: {"sys": REQUIRED},
     sdp.project_affine: {"X": REQUIRED, "sys": REQUIRED},
     sdp._Farkas: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
+    sdp.AffineSystem.nearest: {"self": REQUIRED, "X": REQUIRED},
     NCPoly.is_hermitian: {"self": REQUIRED},
     extract_coeffs: {"E": REQUIRED, "g": REQUIRED, "l": REQUIRED, "k": REQUIRED, "mode": REQUIRED},
 }
@@ -611,9 +612,9 @@ SIGNATURES = {
 
 @pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
 def test_library_settings_are_gone(fn):
-    # budgets and tolerances below certify are module constants too; the one
-    # default left is solve_feasibility's interior point, which tests leave
-    # out on systems with no positive definite class-constant point
+    # budgets and tolerances below certify are module constants too, and the
+    # solver takes the one system it is given: its interior point is required
+    # and the projection has no switch
     got = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
     assert got == SIGNATURES[fn]
 
@@ -665,6 +666,61 @@ def test_oversized_zero_input_is_refused_before_the_hermitian_test(tmp_path, cap
     code, out, err = run(capsys, command, str(path))
     assert code == EX_DATA and out == ""
     assert err.strip().endswith("side at least 600, above the limit 512")
+
+
+def _poly_json(g, mode, *terms):
+    """A scalar polynomial's JSON from (word, real coefficient) pairs, built
+    without an NCPoly, whose norms would overflow on the largest ones."""
+    return {"g": g, "mode": mode, "coeff_dim": 1,
+            "terms": [{"word": word, "matrix": [[[c, 0]]]} for word, c in terms]}
+
+
+INTERIOR = "the interior point is not positive definite on the classes"
+# (input, argv after the command, exit code, reason, run under SIZE_PROBE)
+EDGE_INPUTS = {
+    "x1^34": (_poly_json(1, "monoid", (" ".join(["x1"] * 34), 1.0)), EX_UNDECIDED, INTERIOR),
+    "1+x1^40": (_poly_json(1, "monoid", ("1", 1.0), (" ".join(["x1"] * 40), 1.0)), EX_UNDECIDED, INTERIOR),
+    "1e4-group-laplacian": (_poly_json(1, "group", ("1", 2e4), ("x1", -1e4), ("x1^-1", -1e4)), EX_UNDECIDED,
+                            "max-margin handover, "),
+}
+EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}-{command}")
+              for name, (p, code, reason) in EDGE_INPUTS.items()
+              for command in ("certify", "decompose", "witness")] + [
+    pytest.param(_poly_json(1, "monoid", ("1", -1e155)), ["certify", "{p}"], EX_DATA,
+                 "input error: a coefficient's real or imaginary part 1.000e+155 is above the limit 1e+150",
+                 True, id="minus-1e155-certify"),
+    pytest.param(_poly_json(1, "monoid", ("x1 x1 x1", 1e150)), ["eval", "{p}", "--at", "{at}"], EX_DATA,
+                 "input error: f(X) is not finite: it overflows float64", True, id="1e150-x1^3-eval"),
+    pytest.param(_poly_json(10 ** 9, "monoid", ("1", -1.0)), ["certify", "{p}"], EX_DATA,
+                 "input error: 1000000000 letters are above the limit 512 on the Gram side", True,
+                 id="minus-1-over-1e9-letters-certify"),
+]
+
+
+@pytest.mark.parametrize("poly, argv, code, reason, probe", EDGE_CASES)
+def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code, reason, probe):
+    # each of these inputs once ended in exit 70: one-letter degrees from 17
+    # on (no interior point), a scaled boundary input (a Newton step off the
+    # cone), coefficients whose squares overflow, an f(X) that overflows and a
+    # constant over 10^9 letters; inputs whose norms or values overflow in
+    # numpy run in a subprocess, where their RuntimeWarnings are not errors
+    path, at = tmp_path / "p.json", tmp_path / "at.json"
+    path.write_text(json.dumps(poly))
+    at.write_text(json.dumps({"mode": "monoid", "entries": [[[[1e60, 0.0]]]]}))
+    argv = [a.format(p=path, at=at) for a in argv]
+    if probe:
+        env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", SIZE_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        got, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        got, out, err = run(capsys, *argv)
+    assert got == code != EX_SOFTWARE
+    if code == EX_DATA:
+        assert out == "" and err.strip().splitlines()[-1] == reason  # after any numpy warning
+    else:
+        notes = json.loads(out)["diagnostics"]
+        assert reason in notes["primal"]["note"] + notes["dual"]["note"]
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):
