@@ -12,7 +12,7 @@ from .words import (
     parse_word,
 )
 from .poly import NCPoly, OperatorTuple, poly_eval
-from .certify import CertifyOutcome, certify, spotcheck
+from .certify import CertifyOutcome, certify, refuse_certificate, refuse_witness
 
 __all__ = [
     "GROUP",
@@ -29,5 +29,6 @@ __all__ = [
     "poly_eval",
     "CertifyOutcome",
     "certify",
-    "spotcheck",
+    "refuse_certificate",
+    "refuse_witness",
 ]

@@ -135,9 +135,9 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     certificate's GramMatrix carries, and the solver's result, however the
     solve ended (its reason is in the note).
 
-    Every answer passes factor_gram's psd test and spotcheck's certificate
-    gate, so neither the handover nor a point psd only to the solver's
-    tolerance makes a wrong certificate.
+    Every answer passes factor_gram's psd test and the certificate gate,
+    refuse_certificate, so neither the handover nor a point psd only to the
+    solver's tolerance makes a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
     out = CertifyOutcome("undecided", degree=d)
@@ -147,7 +147,7 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     if res.feasible:
         try:
             cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, index, res.X))
-            refusal, cert.residual, _ = _refuse_certificate(f, cert)
+            refusal, cert.residual, _ = refuse_certificate(f, cert)
         except GramError as exc:
             refusal = str(exc)
         if refusal:
@@ -217,11 +217,11 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
         model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
     except GnsError as exc:
         return undecided(f"GNS failed: {exc}")
-    refusal, min_eig, fY = _refuse_witness(f, model.operators)
+    refusal, min_eig, fY = refuse_witness(f, model.operators)
     if refusal:
         return undecided(refusal)
     residual = gns_verify(S, model)
-    if residual > GNS_VERIFY_TOL:
+    if not residual <= GNS_VERIFY_TOL:
         return undecided(f"GNS verification residual {residual:.3e}")
     model.gns_residual = residual
     out.kind, out.model, out.min_eig = "witness", model, min_eig
@@ -246,74 +246,51 @@ def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
     return dual
 
 
-# -- spot checks ---------------------------------------------------------------
+# -- the evidence gates: certify runs them on its answers, spotcheck on stored ones --
+# Every comparison refuses NaN, and a number that overflows float64 is refused
+# with that reason before an eigensolver or a 2-norm reads it.
 
 
-@dataclass
-class SpotcheckReport:
-    kind: str
-    min_eig: float
-    threshold: float
-    ok: bool
-    note: str = ""  # why the stored evidence is refused, if it is
-
-
-def _refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray]:
+@np.errstate(over="ignore", invalid="ignore")
+def refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray]:
     """Why Y does not witness that f is not SOS ("" when it does), then the
-    smallest eigenvalue and the Hermitian part of f(Y): Y must be
-    self-adjoint (monoid) or unitary (group) within OPERATOR_DEFECT_TOL, and
-    min eig f(Y) <= -EPS_WIT."""
+    smallest eigenvalue (NaN when f(Y) overflows) and the Hermitian part of
+    f(Y): Y must be self-adjoint (monoid) or unitary (group) within
+    OPERATOR_DEFECT_TOL, f(Y) finite, and min eig f(Y) <= -EPS_WIT."""
     fY = poly_eval(f, Y)
-    fY = (fY + fY.conj().T) / 2
-    low = float(np.linalg.eigvalsh(fY).min())
+    fY = fY / 2 + fY.conj().T / 2
+    finite = bool(np.isfinite(fY).all())
+    low = float(np.linalg.eigvalsh(fY).min()) if finite else math.nan
     kind, defect = (("self-adjointness", Y.hermitian_defect()) if Y.mode == MONOID
                     else ("unitarity", Y.unitary_defect()))
-    if defect > OPERATOR_DEFECT_TOL:
-        return f"operators miss {kind} by {defect:.3e}", low, fY
-    if low > -EPS_WIT:
+    if not defect <= OPERATOR_DEFECT_TOL:
+        return (f"operators miss {kind} by {defect:.3e}" if math.isfinite(defect)
+                else f"the operators' {kind} defect overflows float64"), low, fY
+    if not finite:
+        return "f(Y) overflows float64", low, fY
+    if not low <= -EPS_WIT:
         return f"witness margin too small (min eig {low:.3e})", low, fY
     return "", low, fY
 
 
-def _refuse_certificate(f: NCPoly, cert: SOSCertificate | None) -> tuple[str, float, float]:
+@np.errstate(over="ignore", invalid="ignore")
+def refuse_certificate(f: NCPoly, cert: SOSCertificate) -> tuple[str, float, float]:
     """Why cert does not prove f SOS ("" when it does), the larger of the two
     coefficient misses it measured, and the smallest eigenvalue of the Gram
     matrix's Hermitian part: G must be psd within EPS_PSD, and V* G V and the
     sum of r* r, each read off G's table, must reconstruct f within EPS_CERT."""
-    if cert is None:
-        raise CertifyError("sos outcome carries no certificate to check")
     G = cert.gram.matrix
-    low = float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
-    note = f"Gram matrix is not psd (min eigenvalue {low:.3e})" if low < -EPS_PSD else ""
+    low = float(np.linalg.eigvalsh(G / 2 + G.conj().T / 2).min())
+    note = "" if low >= -EPS_PSD else f"Gram matrix is not psd (min eigenvalue {low:.3e})"
     products, table = cert.gram.index
     want = f.on(list(dict.fromkeys(products + f.words)))  # f's words off the table come last
     off = np.zeros_like(want[len(products):])  # and each misses by its whole coefficient
     worst = 0.0
     for name, sums in (("Gram matrix", block_sums(G, table)), ("factors", cert.reconstruction())):
         sums[np.linalg.norm(sums, axis=(1, 2)) <= COEFF_DROP_TOL] = 0  # the terms an NCPoly drops
-        miss = float(np.linalg.norm(np.concatenate((sums, off)) - want, 2, axis=(1, 2)).max(initial=0.0))
-        if miss > EPS_CERT and not note:
-            note = f"{name} miss the input by {miss:.3e}"
+        diff = np.concatenate((sums, off)) - want
+        miss = float(np.linalg.norm(diff, 2, axis=(1, 2)).max(initial=0.0)) if np.isfinite(diff).all() else math.inf
+        if not miss <= EPS_CERT and not note:
+            note = f"{name} miss the input by {miss:.3e}" + (": it overflows float64" if math.isinf(miss) else "")
         worst = max(worst, miss)
     return note, worst, low
-
-
-def spotcheck(f: NCPoly, outcome: CertifyOutcome) -> SpotcheckReport:
-    """Check the stored evidence of a decision.
-
-    SOS: the certificate gate of certify and decompose, _refuse_certificate:
-    the Gram matrix must be psd within EPS_PSD, and it and its factors must
-    reconstruct the input within EPS_CERT.  min_eig is the smallest
-    eigenvalue of the Gram matrix's Hermitian part.  Witness: the stored
-    tuple must be self-adjoint (monoid) or unitary (group) within
-    OPERATOR_DEFECT_TOL and put an eigenvalue at or below -EPS_WIT into
-    f(Y).  Either way ok holds exactly when the gate passes.  Any other
-    outcome has nothing to check and raises CertifyError.
-    """
-    if outcome.kind not in ("sos", "witness"):
-        raise CertifyError(f"no decided outcome to spot check (kind {outcome.kind!r})")
-    if outcome.kind == "witness":
-        note, low, _ = _refuse_witness(f, outcome.model.operators)
-        return SpotcheckReport("witness", low, -EPS_WIT, not note, note)
-    note, _, low = _refuse_certificate(f, outcome.certificate)
-    return SpotcheckReport("sos", low, -EPS_PSD, not note, note)

@@ -125,7 +125,7 @@ def factor_gram(G: GramMatrix) -> SOSCertificate:
     The column groups realize the splitting of a psd map into N rank-<=k
     pieces; each group above EPS_RANK is one square factor r_j, its blocks
     at most COEFF_DROP_TOL zeroed.  The certificate's residual is left at 0:
-    the certificate gate of certify._refuse_certificate measures the factors
+    the certificate gate certify.refuse_certificate measures the factors
     against the input.
     """
     H = (G.matrix + G.matrix.conj().T) / 2

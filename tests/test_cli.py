@@ -12,11 +12,14 @@ import pytest
 
 import ncsos
 from ncsos import jsonio, sdp
+from ncsos.certify import EPS_WIT
 from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
 from ncsos.fock import extract_coeffs
+from ncsos.gram import EPS_PSD
 from ncsos.poly import NCPoly, matrix_from_json, matrix_to_json, poly_from_json, poly_to_json
 from ncsos.words import GROUP, MONOID, Word
 
+from test_acceptance import SOS_FIXTURES, WITNESS_FIXTURES
 from test_certify import group_witness_input
 
 
@@ -201,6 +204,28 @@ def test_spotcheck_witness_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "spotcheck", path, str(cert))
     assert code == 0
     assert json.loads(out)["min_eig"] <= -1e-6
+
+
+ACCEPTANCE = {**SOS_FIXTURES, **WITNESS_FIXTURES}
+
+
+@pytest.mark.parametrize("f", ACCEPTANCE.values(), ids=ACCEPTANCE.keys())
+def test_spotcheck_passes_what_certify_writes(tmp_path, capsys, f):
+    # one gate per kind of evidence: spotcheck runs on the file the gate that
+    # certify ran in memory, and reports the number that gate computed
+    path = write_poly(tmp_path / "p.json", f)
+    cert = tmp_path / "cert.json"
+    run(capsys, "certify", path, "--out", str(cert))
+    data = json.loads(cert.read_text())
+    code, out, _ = run(capsys, "spotcheck", path, str(cert))
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] is True and rep["note"] == "" and rep["kind"] == data["outcome"]
+    if data["outcome"] == "witness":
+        assert rep["threshold"] == -EPS_WIT and rep["min_eig"] == data["witness"]["min_eig"]
+    else:
+        G = matrix_from_json(data["certificate"]["gram"])
+        assert rep["threshold"] == -EPS_PSD
+        assert rep["min_eig"] == float(np.linalg.eigvalsh((G + G.conj().T) / 2).min())
 
 
 def u(i, g=1):
@@ -511,6 +536,8 @@ def _bad_entry_cases():
                  EX_USAGE, id="spotcheck-trials-0"),
     pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "sos"}},
                  EX_DATA, id="sos-without-evidence"),
+    pytest.param(["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "undecided"}},
+                 EX_DATA, id="spotcheck-undecided"),
     pytest.param(["spotcheck", "{p}", "{c}"],
                  {"p": poly_data(mode="group", terms=[{"word": "1", "matrix": [[[1.0, 0.0]]]}]),
                   "c": {"outcome": "witness", "witness": {"model": {"operators": dict(
@@ -721,6 +748,52 @@ def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code
     else:
         notes = json.loads(out)["diagnostics"]
         assert reason in notes["primal"]["note"] + notes["dual"]["note"]
+
+
+def _certify_own_evidence(gram):
+    """certify's file for f = 1, its Gram matrix replaced by gram."""
+    return {"outcome": "sos", "degree": 0, "certificate": {
+        "gram": gram, "factors": [_poly_json(1, "monoid", ("1", 1.0))], "residual": 0.0}}
+
+
+GROUP_SQUARES = 8e307  # three of them overflow float64
+# forged evidence whose arithmetic overflows float64: the NaN it made passed
+# the gates' comparisons, or the overflow ended in exit 70
+OVERFLOWING_EVIDENCE = {
+    "group-minus-1-identity-class": (
+        _poly_json(1, "group", ("1", -1.0)),
+        {"outcome": "sos", "degree": 1, "certificate": {
+            "gram": matrix_to_json(GROUP_SQUARES * np.eye(3)),
+            "factors": [_poly_json(1, "group", (w, GROUP_SQUARES ** 0.5)) for w in ("1", "x1", "x1^-1")]}},
+        GROUP_SQUARES, "Gram matrix miss the input by inf: it overflows float64"),
+    "group-laplacian-unitarity": (
+        _poly_json(1, "group", ("1", 2.0), ("x1", -1.0), ("x1^-1", -1.0)),
+        {"outcome": "witness", "witness": {"model": {"operators": {"mode": "group", "entries": [[[[1e155, 0.0]]]]}}}},
+        -2e155, "the operators' unitarity defect overflows float64"),
+    "square-f-of-y": (
+        _poly_json(1, "monoid", ("x1 x1", 1.0)),
+        {"outcome": "witness", "witness": {"model": {"operators": {"mode": "monoid", "entries": [[[[1e155, 0.0]]]]}}}},
+        None, "f(Y) overflows float64"),
+    "one-gram-plus-1.7e308": (_poly_json(1, "monoid", ("1", 1.0)), _certify_own_evidence([[[1.7e308, 0.0]]]),
+                              1.7e308, "Gram matrix miss the input by 1.700e+308"),
+    "one-gram-minus-1.7e308": (_poly_json(1, "monoid", ("1", 1.0)), _certify_own_evidence([[[-1.7e308, 0.0]]]),
+                               -1.7e308, "Gram matrix is not psd (min eigenvalue -1.700e+308)"),
+}
+
+
+@pytest.mark.parametrize("f, evidence, min_eig, note", OVERFLOWING_EVIDENCE.values(),
+                         ids=OVERFLOWING_EVIDENCE.keys())
+def test_spotcheck_refuses_evidence_that_overflows(tmp_path, capsys, f, evidence, min_eig, note):
+    # they used to exit 0, 0, 70, 70 and 70; min_eig is null when f(Y) is not finite
+    paths = [tmp_path / "p.json", tmp_path / "c.json"]
+    for path, data in zip(paths, (f, evidence)):
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "spotcheck", *map(str, paths))
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert rep.pop("min_eig") == (None if min_eig is None else pytest.approx(min_eig, rel=1e-12))
+    assert rep == {"kind": evidence["outcome"], "note": note, "ok": False,
+                   "threshold": -EPS_WIT if evidence["outcome"] == "witness" else -EPS_PSD}
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):
