@@ -42,7 +42,7 @@ from .gram import (
     constraint_index, factor_gram,
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval
-from .sdp import AffineSystem, FeasibilityResult, solve_feasibility
+from .sdp import MARGIN_MAX_BYTES, AffineSystem, FeasibilityResult, solve_feasibility
 from .words import MONOID, count_words
 
 GNS_VERIFY_TOL = 1e-8
@@ -251,12 +251,24 @@ def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
 # with that reason before an eigensolver or a 2-norm reads it.
 
 
+def refuse_evaluation(f: NCPoly, dim: int) -> str:
+    """Why f is not evaluated at a tuple on C^dim ("" when it is): f(X), of
+    side k dim, would take more than sdp.MARGIN_MAX_BYTES."""
+    need = 16 * (f.k * dim) ** 2
+    return "" if need <= MARGIN_MAX_BYTES else (
+        f"f(X) of side {f.k * dim} would take {need / 2 ** 30:.1f} GiB, "
+        f"over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray]:
+def refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray | None]:
     """Why Y does not witness that f is not SOS ("" when it does), then the
-    smallest eigenvalue (NaN when f(Y) overflows) and the Hermitian part of
-    f(Y): Y must be self-adjoint (monoid) or unitary (group) within
+    smallest eigenvalue (NaN when f(Y) overflows or is not formed) and the
+    Hermitian part of f(Y) (None when over refuse_evaluation's budget): Y
+    must be self-adjoint (monoid) or unitary (group) within
     OPERATOR_DEFECT_TOL, f(Y) finite, and min eig f(Y) <= -EPS_WIT."""
+    if too_large := refuse_evaluation(f, Y.dim):
+        return too_large, math.nan, None
     fY = poly_eval(f, Y)
     fY = fY / 2 + fY.conj().T / 2
     finite = bool(np.isfinite(fY).all())

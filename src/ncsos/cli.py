@@ -28,7 +28,7 @@ except ImportError:
 from . import jsonio
 from .certify import (
     EPS_WIT, BranchDiagnostics, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
-    refuse_witness, run_dual, run_primal,
+    refuse_evaluation, refuse_witness, run_dual, run_primal,
 )
 from .fock import (
     FockError, build_creation, build_extraction, build_symmetrized, build_unitaries, extract_coeffs,
@@ -212,16 +212,13 @@ def _cmd_decide(args) -> int:
 
 def _load_tuple(data, f: NCPoly, path: str) -> OperatorTuple:
     """An operator tuple from outside, refused before f is evaluated at it
-    when f(X), a (k n) x (k n) complex matrix, would take more than
-    sdp.MARGIN_MAX_BYTES."""
+    when f(X) is over certify.refuse_evaluation's budget."""
     try:
         X = tuple_from_json(data)
     except PolyError as exc:
         raise DataError(f"{path}: {exc}")
-    need = 16 * (f.k * X.dim) ** 2
-    if need > MARGIN_MAX_BYTES:
-        raise DataError(f"{path}: f(X) of side {f.k * X.dim} would take {need / 2 ** 30:.1f} GiB, "
-                        f"over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    if too_large := refuse_evaluation(f, X.dim):
+        raise DataError(f"{path}: {too_large}")
     return X
 
 

@@ -5,13 +5,13 @@ A functional phi on polynomials of degree <= 2D is stored through k x k
 blocks S_u with phi(P u) = Tr(S_u P) and the Hermitian structure
 S_{u*} = S_u^dagger.  The blocks are one stack on the degree-D word-pair
 table (gram.constraint_index): block c is S_u for the product word
-u = products[c], and the assembled matrix, with (v, w) block S_{v* w}, is
-the stack indexed by the table.
+u = products[c], and the quotient matrix, with (v, w) block S_{v* w}^T, is
+the stack indexed by the table with each block transposed in place.
 
 Positivity of phi on squares with matrix coefficients is equivalent to
-positive semidefiniteness of the assembled matrix with every block
-transposed in place (for scalar blocks the two matrices coincide).  The
-quotient space is realized on that transposed matrix; with the left-Kronecker
+positive semidefiniteness of the quotient matrix, and the Hermitian
+structure to its (v, w) blocks being the adjoints of its (w, v) blocks.  The
+quotient space is realized on that matrix; with the left-Kronecker
 evaluation convention the reproducing identity
 
     phi(q* p) = <p(Y) gamma, q(Y) gamma>
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import EPS_PSD, constraint_index, mirror_classes
+from .gram import EPS_PSD
 from .poly import EPS_HERM, OperatorTuple, opnorm, word_images
 from .words import GROUP, MONOID, enumerate_words, left_shift, suffix_table
 
@@ -82,37 +82,30 @@ class HankelFunctional:
         if self.blocks.shape != want:
             raise GnsError(f"block stack has shape {self.blocks.shape}, want {want}")
 
-    def structure_defect(self) -> float:
-        """max || S_{u*} - S_u^dagger ||."""
-        mirrored = self.blocks[mirror_classes(self.index[1])]
-        return float(np.linalg.norm(mirrored - self.blocks.conj().transpose(0, 2, 1), 2,
-                                    axis=(1, 2)).max())
-
     def validate(self):
-        defect = self.structure_defect()
-        if defect > EPS_HERM:
-            raise GnsError(f"Hermitian block structure violated (defect {defect:.3e})")
+        """Refuse a quotient matrix K that is not psd within EPS_PSD, or with a
+        k x k block of K - K^dagger, S_u^T - conj(S_{u*}), of norm above EPS_HERM."""
         K = quotient_matrix(self)
+        defect = _largest_block_norm(K - K.conj().T, self.k)
+        if not defect <= EPS_HERM:
+            raise GnsError(f"Hermitian block structure violated (defect {defect:.3e})")
         lo = float(np.linalg.eigvalsh(K).min())
-        if lo < -EPS_PSD:
+        if not lo >= -EPS_PSD:
             raise GnsError(f"assembled functional is not psd (min eigenvalue {lo:.3e})")
 
 
-def assemble(S: HankelFunctional) -> np.ndarray:
-    """The Hermitian matrix with (v, w) block S_{involute(v) w} over the
-    degree-D word basis."""
-    table = S.index[1]
-    n, k = len(table), S.k
-    return S.blocks[table].transpose(0, 2, 1, 3).reshape(n * k, n * k)
-
-
 def quotient_matrix(S: HankelFunctional) -> np.ndarray:
-    """assemble(S) with each k x k block transposed in place, read off the
-    block stack: its psd-ness expresses positivity on matrix-coefficient
-    squares, and the quotient space is built on it."""
+    """The matrix with (v, w) block S_{v* w}^T over the degree-D word basis,
+    read off the block stack: its psd-ness expresses positivity on
+    matrix-coefficient squares, and the quotient space is built on it."""
     table = S.index[1]
     n, k = len(table), S.k
     return S.blocks[table].transpose(0, 3, 1, 2).reshape(n * k, n * k)
+
+
+def _largest_block_norm(E: np.ndarray, k: int) -> float:
+    """The largest operator norm of the k x k blocks of a square matrix."""
+    return float(np.linalg.norm(E.reshape(len(E) // k, k, -1, k), ord=2, axis=(1, 3)).max())
 
 
 def vec(T) -> np.ndarray:
@@ -142,7 +135,6 @@ class WitnessModel:
     operators: OperatorTuple
     gamma: np.ndarray
     functional: HankelFunctional
-    frames: np.ndarray      # dim x (N(D) k); column block w holds the map for word w
     gns_residual: float | None = None  # gns_verify value, set by the caller that gates on it
 
 
@@ -201,7 +193,7 @@ def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
 
     operators = OperatorTuple(mode, [operator(i) for i in range(1, S.g + 1)])
     return WitnessModel(mode=mode, k=k, dim=frames.shape[0], operators=operators,
-                        gamma=vec(frames[:, 0:k]), functional=S, frames=frames)
+                        gamma=vec(frames[:, 0:k]), functional=S)
 
 
 def gns_construct(S: HankelFunctional) -> WitnessModel:
@@ -268,34 +260,5 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     k = model.k
     ws = enumerate_words(S.g, S.D, model.mode)
     Z = word_images(model.operators, ws, unvec(model.gamma, k))
-    # the matrix with (v, w) block S_{v*w}^T
-    E = quotient_matrix(S) - Z.conj().T @ Z
-    blocks = E.reshape(len(ws), k, len(ws), k).transpose(0, 2, 1, 3)
-    return 2 * k * k * float(np.linalg.norm(blocks, ord=2, axis=(2, 3)).max())
+    return 2 * k * k * _largest_block_norm(quotient_matrix(S) - Z.conj().T @ Z, k)
 
-
-def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
-                          D: int, mode: str) -> HankelFunctional:
-    """Blocks of the state phi(p) = <p(X) vec(frame), vec(frame)>.
-
-    Tr(S_u P) must equal vdot(vec(frame), kron(P, X^u) vec(frame)), which
-    pins S_u = (frame^dagger X^u frame)^T; the transposed-block assembly is
-    then a Gram matrix, hence psd.
-    """
-    frame = np.atleast_2d(np.asarray(frame, dtype=complex))
-    k = frame.shape[1]
-    index = constraint_index(g, D, mode)
-    words = enumerate_words(g, 2 * D, mode)
-    F = frame.conj().T @ word_images(X, words, frame)  # k x (T k): frame^dagger X^u frame
-    blocks = F.reshape(k, len(words), k).transpose(1, 2, 0)
-    position = {w: i for i, w in enumerate(words)}  # the products are the words of degree <= 2D
-    return HankelFunctional(g, mode, k, D, index, blocks[[position[u] for u in index[0]]])
-
-
-def shift_defect(model: WitnessModel) -> float:
-    """max || (I_k (x) Y^w) gamma - vec(frame of w) || over the stored words."""
-    S = model.functional
-    words = enumerate_words(S.g, S.D, S.mode)
-    Z = word_images(model.operators, words, unvec(model.gamma, model.k))
-    blocks = (Z - model.frames).reshape(model.dim, len(words), model.k)
-    return float(np.linalg.norm(blocks, axis=(0, 2)).max())

@@ -46,14 +46,6 @@ def word_pair_table(words: list[Word]) -> tuple[list[Word], np.ndarray]:
     return products, np.array(rows, dtype=np.intp).reshape(len(words), len(words))
 
 
-def mirror_classes(table: np.ndarray) -> np.ndarray:
-    """The class of involute(u) for each class u of a word-pair table: the
-    pair (w, v) lies in the mirror of the class of (v, w)."""
-    mirror = np.empty(int(table.max()) + 1, dtype=np.intp)
-    mirror[table] = table.T
-    return mirror
-
-
 def constraint_index(g: int, d: int, mode: str) -> tuple[list[Word], np.ndarray]:
     """The word-pair table of the degree-d basis, in enumerate_words order."""
     return word_pair_table(enumerate_words(g, d, mode))

@@ -67,10 +67,6 @@ class Word:
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
 
 def identity(g: int, mode: str = MONOID) -> Word:
     return Word(mode, g, ())

@@ -11,11 +11,12 @@ import pytest
 from ncsos import jsonio
 from ncsos.certify import certify, run_dual, run_primal
 from ncsos.fock import build_extraction, build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant
-from ncsos.gns import functional_from_model, gns_construct, gns_construct_unitary, gns_verify, shift_defect
+from ncsos.gns import gns_construct, gns_construct_unitary, gns_verify
 from ncsos.gram import gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_eval
 from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words
 
+from test_gns import functional_from_model, shift_defect
 from test_gram import gram
 from test_poly import rand_hermitian, rand_poly, rand_unitary
 
@@ -192,7 +193,7 @@ def test_criterion_6_gns_reproduction():
         S = functional_from_model(X, frame, g, d, mode)  # the dual's degree, in both modes
         model = gns_construct(S) if mode == MONOID else gns_construct_unitary(S)
         worst_res = max(worst_res, gns_verify(S, model))
-        worst_shift = max(worst_shift, shift_defect(model))
+        worst_shift = max(worst_shift, shift_defect(S, model))
         worst_op = max(worst_op, model.operators.hermitian_defect() if mode == MONOID
                        else model.operators.unitary_defect())
     ok = worst_res <= 1e-8 and worst_shift <= 1e-8 and worst_op <= 1e-10

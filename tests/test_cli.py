@@ -721,6 +721,12 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
     pytest.param(_poly_json(10 ** 9, "monoid", ("1", -1.0)), ["certify", "{p}"], EX_DATA,
                  "input error: 1000000000 letters are above the limit 512 on the Gram side", True,
                  id="minus-1-over-1e9-letters-certify"),
+] + [
+    pytest.param({"g": 1, "mode": "monoid", "coeff_dim": 150,
+                  "terms": [{"word": "1", "matrix": matrix_to_json(-np.eye(150))}]}, [command, "{p}"],
+                 EX_UNDECIDED, "f(X) of side 22500 would take 7.5 GiB, over the 0.25 GiB budget", True,
+                 id=f"minus-I150-{command}")
+    for command in ("certify", "witness")
 ]
 
 
@@ -728,9 +734,10 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
 def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code, reason, probe):
     # each of these inputs once ended in exit 70: one-letter degrees from 17
     # on (no interior point), a scaled boundary input (a Newton step off the
-    # cone), coefficients whose squares overflow, an f(X) that overflows and a
-    # constant over 10^9 letters; inputs whose norms or values overflow in
-    # numpy run in a subprocess, where their RuntimeWarnings are not errors
+    # cone), coefficients whose squares overflow, an f(X) that overflows, a
+    # constant over 10^9 letters and a witness whose f(Y) is over the
+    # evaluation budget; inputs whose norms or values overflow in numpy run
+    # in a subprocess, where their RuntimeWarnings are not errors
     path, at = tmp_path / "p.json", tmp_path / "at.json"
     path.write_text(json.dumps(poly))
     at.write_text(json.dumps({"mode": "monoid", "entries": [[[[1e60, 0.0]]]]}))

@@ -4,11 +4,10 @@ import pytest
 from ncsos.certify import GNS_VERIFY_TOL
 from ncsos.gram import constraint_index
 from ncsos.gns import (
-    GnsError, HankelFunctional, ZeroFunctionalError, _span_basis,
-    assemble, functional_from_model, gns_construct, gns_construct_unitary,
-    gns_verify, quotient_matrix, shift_defect, unvec, vec,
+    GnsError, HankelFunctional, ZeroFunctionalError, _quotient_frames, _span_basis,
+    gns_construct, gns_construct_unitary, gns_verify, quotient_matrix, unvec, vec,
 )
-from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval
+from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, word_images
 from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, identity, involute
 
 from test_poly import rand_hermitian, rand_matrix, rand_unitary
@@ -83,7 +82,38 @@ def test_span_basis_deterministic():
     assert _span_basis(cols).tobytes() == _span_basis(cols.copy()).tobytes()
 
 
-# -- assembly --------------------------------------------------------------
+# -- reference functionals --------------------------------------------------
+
+
+def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
+                          D: int, mode: str) -> HankelFunctional:
+    """Blocks of the state phi(p) = <p(X) vec(frame), vec(frame)> of a known
+    model.
+
+    Tr(S_u P) must equal vdot(vec(frame), kron(P, X^u) vec(frame)), which
+    pins S_u = (frame^dagger X^u frame)^T; the quotient matrix is then a Gram
+    matrix, hence psd.
+    """
+    frame = np.atleast_2d(np.asarray(frame, dtype=complex))
+    k = frame.shape[1]
+    index = constraint_index(g, D, mode)
+    words = enumerate_words(g, 2 * D, mode)
+    F = frame.conj().T @ word_images(X, words, frame)  # k x (T k): frame^dagger X^u frame
+    blocks = F.reshape(k, len(words), k).transpose(1, 2, 0)
+    position = {w: i for i, w in enumerate(words)}  # the products are the words of degree <= 2D
+    return HankelFunctional(g, mode, k, D, index, blocks[[position[u] for u in index[0]]])
+
+
+def shift_defect(S: HankelFunctional, model) -> float:
+    """max || (I_k (x) Y^w) gamma - vec(frame of w) || over the degree-D
+    words, with the quotient frames the model was built on."""
+    words = enumerate_words(S.g, S.D, S.mode)
+    Z = word_images(model.operators, words, unvec(model.gamma, model.k))
+    blocks = (Z - _quotient_frames(S)).reshape(model.dim, len(words), model.k)
+    return float(np.linalg.norm(blocks, axis=(0, 2)).max())
+
+
+# -- the quotient matrix -----------------------------------------------------
 
 
 def hankel(g, mode, k, D, blocks) -> HankelFunctional:
@@ -112,27 +142,29 @@ def delta_functional(g, k, D, mode=MONOID) -> HankelFunctional:
 
 def test_assemble_point_moments():
     S = point_functional(2.0, 1)
-    H = assemble(S)
-    assert np.allclose(H, [[1, 2], [2, 4]])
+    assert np.allclose(quotient_matrix(S), [[1, 2], [2, 4]])
 
 
 def test_assemble_delta_group_is_identity():
     S = delta_functional(2, 2, 1, GROUP)
-    assert np.allclose(assemble(S), np.eye(10))
+    assert np.allclose(quotient_matrix(S), np.eye(10))
 
 
 def test_assemble_delta_monoid_is_vacuum_block():
     S = delta_functional(2, 1, 1, MONOID)
-    assert np.allclose(assemble(S), np.diag([1.0, 0.0, 0.0]))
+    assert np.allclose(quotient_matrix(S), np.diag([1.0, 0.0, 0.0]))
 
 
 def test_assemble_hermitian_when_structured():
+    # block (v, w) of the stack on the table is S_{v* w}, the adjoint of block (w, v)
     rng = np.random.default_rng(8)
     X = OperatorTuple(MONOID, [rand_hermitian(3, rng), rand_hermitian(3, rng)])
     S = functional_from_model(X, rng.standard_normal((3, 2)), 2, 2, MONOID)
-    H = assemble(S)
-    assert opnorm(H - H.conj().T) < 1e-12
-    assert S.structure_defect() < 1e-12
+    B = S.blocks[S.index[1]]
+    assert np.abs(B - B.transpose(1, 0, 3, 2).conj()).max() < 1e-12
+    K = quotient_matrix(S)
+    assert opnorm(K - K.conj().T) < 1e-12
+    S.validate()
 
 
 @pytest.mark.parametrize("mode", [MONOID, GROUP])
@@ -184,7 +216,7 @@ def test_gns_reconstructs_known_monoid_models(g, k, d, n):
     assert model.dim <= S.k * len(enumerate_words(g, d + 1, MONOID))
     assert model.operators.hermitian_defect() <= 1e-10
     assert gns_verify(S, model) <= 1e-8
-    assert shift_defect(model) <= 1e-8
+    assert shift_defect(S, model) <= 1e-8
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -199,7 +231,7 @@ def test_gns_models_a_known_state_at_its_own_degree(g, D, k):
     S = functional_from_model(X, frame, g, D, MONOID)
     model = gns_construct(S)
     assert model.operators.hermitian_defect() == 0.0
-    assert shift_defect(model) <= 1e-8
+    assert shift_defect(S, model) <= 1e-8
     assert gns_verify(S, model) <= 1e-8
 
 
@@ -273,7 +305,7 @@ def test_gns_reconstructs_known_unitary_models(g, k, d, n):
     model = gns_construct_unitary(S)
     assert model.operators.unitary_defect() <= 1e-10
     assert gns_verify(S, model) <= 1e-8
-    assert shift_defect(model) <= 1e-8
+    assert shift_defect(S, model) <= 1e-8
 
 
 def test_gns_mixture_of_models():
@@ -365,7 +397,7 @@ def test_verify_detects_perturbed_gamma():
 
 def test_quotient_matrix_equals_assemble_for_scalar_blocks():
     S = point_functional(0.5, 2)
-    assert np.allclose(quotient_matrix(S), assemble(S))
+    assert np.array_equal(quotient_matrix(S), S.blocks[S.index[1]][:, :, 0, 0])
 
 
 @pytest.mark.parametrize("mode, k", [(MONOID, 1), (MONOID, 2), (GROUP, 2), (GROUP, 3)])
@@ -375,6 +407,32 @@ def test_quotient_matrix_is_assemble_with_each_block_transposed(mode, k):
     index = constraint_index(2, 1, mode)
     S = HankelFunctional(2, mode, k, 1, index, rand_cols(len(index[0]) * k, k, rng).reshape(-1, k, k))
     n = len(index[1])
-    H = assemble(S).reshape(n, k, n, k)
-    want = np.block([[H[v, :, w, :].T for w in range(n)] for v in range(n)])
+    B = S.blocks[index[1]]
+    want = np.block([[B[v, w].T for w in range(n)] for v in range(n)])
     assert np.array_equal(quotient_matrix(S), want)
+
+
+# -- validate ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_validate_refuses_a_block_moved_off_its_mirror(mode, k):
+    # x1 is its own mirror in monoid mode and x1^-1's in group mode: an
+    # imaginary 1e-8, above EPS_HERM, breaks S_{u*} = S_u^dagger either way
+    S, _ = known_model(mode, 2, k, 1, 3, np.random.default_rng([k, 11, mode == GROUP]))
+    S.validate()
+    u = Word(mode, 2, (1,))
+    moved = block_of(S, u).copy()
+    moved[0, 0] += 1e-8j
+    with pytest.raises(GnsError, match="Hermitian block structure violated"):
+        with_block(S, u, moved).validate()
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_validate_refuses_a_negative_state(mode, k):
+    S, _ = known_model(mode, 2, k, 1, 3, np.random.default_rng([k, 12, mode == GROUP]))
+    S.validate()
+    with pytest.raises(GnsError, match="not psd"):
+        with_block(S, identity(2, mode), -np.eye(k)).validate()
