@@ -228,10 +228,11 @@ def _cmd_eval(args) -> int:
     # x_i^-1 is evaluated as X_i*, the inverse of X_i only when X_i is unitary
     inverse_letter = any(a < 0 for w in f.words for a in w.letters)
     defect = X.unitary_defect() if X.mode == GROUP and inverse_letter else 0.0
-    if defect > EPS_UNIT:
+    if not defect <= EPS_UNIT:
         raise DataError(f"group-mode entries are not unitary within {EPS_UNIT} (defect {defect:.3e})")
     try:
-        value = poly_eval(f, X)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below when it overflows
+            value = poly_eval(f, X)
     except PolyError as exc:
         raise DataError(str(exc))
     if not np.isfinite(value).all():

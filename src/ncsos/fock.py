@@ -124,7 +124,10 @@ def extract_coeffs(E: np.ndarray, g: int, l: int, k: int, mode: str) -> NCPoly:
     ext = build_extraction(g, l, mode)
     # coefficient-left Kronecker order: entry ((a, v), (b, vacuum)) = E[a*n + v, b*n + 0]
     Z = E.reshape(k, n, k, n)[:, :, :, 0].transpose(1, 0, 2)  # (v, a, b)
-    Q = np.einsum("wv,vab->wab", ext.inverse, Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = np.einsum("wv,vab->wab", ext.inverse, Z)
+    if not np.isfinite(Q).all():  # NCPoly would drop a NaN coefficient
+        raise FockError("the recovered coefficients are not finite: they overflow float64")
     return NCPoly(g, mode, k, dict(zip(enumerate_words(g, l, mode), Q)))
 
 

@@ -19,15 +19,16 @@ evaluation convention the reproducing identity
 then holds exactly, with <a, b> = b^dagger a.
 
 The model lives on the whole quotient space, in both modes; the dual
-builds it from the functional of the one Gram system a decision solves.
-For each letter y the shift frame_w -> frame_{y w}, over the words w whose
-y w is listed (words.suffix_table, words.left_shift), is fit by least
-squares on an orthonormal basis of its domain's span (_span_basis, an SVD).
+builds it from the functional of the one Gram system a decision solves,
+on the words of its table's identity row.  For each letter y the shift
+frame_w -> frame_{y w}, over the words w whose y w is listed
+(words.suffix_table, words.left_shift), is read off one SVD of its domain
+frames: their span's basis, its complement, and the least-squares shift.
 The two constructions differ only in how they complete that map to an
 operator: in monoid mode the symmetric shift is completed to a
 self-adjoint operator, in group mode the partial isometry to a unitary by
-the polar factor between the orthocomplements, whichever bases the SVD
-returns for them.  At D = 0 every shift has an empty domain, and the
+the polar factor between the orthocomplements, whichever bases the SVDs
+return for them.  At D = 0 every shift has an empty domain, and the
 completions give the zero tuple and the identity unitaries.
 
 gns_verify checks that identity exactly rather than on sampled
@@ -48,7 +49,7 @@ import numpy as np
 
 from .gram import EPS_PSD
 from .poly import EPS_HERM, OperatorTuple, opnorm, word_images
-from .words import GROUP, MONOID, enumerate_words, left_shift, suffix_table
+from .words import GROUP, MONOID, left_shift, suffix_table
 
 EPS_NULL = 1e-10       # relative eigenvalue cutoff for the quotient
 SPAN_RTOL = 1e-9       # relative rank cutoff for subspace bases
@@ -81,6 +82,8 @@ class HankelFunctional:
         want = (len(self.index[0]), self.k, self.k)
         if self.blocks.shape != want:
             raise GnsError(f"block stack has shape {self.blocks.shape}, want {want}")
+        if not np.isfinite(self.blocks).all():
+            raise GnsError("functional blocks must be finite")
 
     def validate(self):
         """Refuse a quotient matrix K that is not psd within EPS_PSD, or with a
@@ -143,7 +146,7 @@ def _quotient_frames(S: HankelFunctional):
     images of the canonical basis tuples in the quotient space C^rank."""
     K = quotient_matrix(S)
     evals, evecs = np.linalg.eigh(K)
-    if evals.min() < -EPS_PSD:
+    if not evals.min() >= -EPS_PSD:
         raise GnsError(f"functional is not psd (min eigenvalue {evals.min():.3e})")
     top = float(evals.max(initial=0.0))
     if top <= 0.0:
@@ -153,43 +156,37 @@ def _quotient_frames(S: HankelFunctional):
     return W  # rank x (N(D) k)
 
 
-def _span_basis(cols: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the column span (SVD): the left
-    singular vectors whose singular values exceed SPAN_RTOL times the largest
-    (none for an empty or zero matrix)."""
-    U, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return U[:, s > SPAN_RTOL * s.max(initial=0.0)]
-
-
 def _blocks(frames: np.ndarray, k: int, words: np.ndarray) -> np.ndarray:
     """The frame column blocks of the given word indices, side by side."""
     return frames[:, (k * words[:, None] + np.arange(k)).ravel()]
 
 
 def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
-    """The model on the whole quotient space C^rank.  For each letter y the
-    shift frame_w -> frame_{y w}, over the words w whose y w is listed
-    (words.left_shift), is fit by least squares with its residual checked,
-    and complete(frames, B, T, targets) extends it to the letter's operator,
-    from an orthonormal basis B of the domain's span, the shift's values
-    T = Y B on it, and the indices of the words y w."""
+    """The model on the whole quotient space C^rank, over the words of the
+    identity's row of S's table.  For each letter y the shift
+    frame_w -> frame_{y w}, over the words w whose y w is listed
+    (words.left_shift), is read off one SVD G_dom = U s V* of its domain
+    frames, with its fit residual checked, and complete(B, T, C) extends it
+    to the letter's operator: B and C are the left singular vectors above
+    and below SPAN_RTOL times the largest, and T = G_tgt V s^-1 = Y B."""
     if S.mode != mode:
         raise GnsError(f"expected a {mode}-mode functional, got {S.mode}")
     k = S.k
-    head, tail = suffix_table(enumerate_words(S.g, S.D, mode))
+    head, tail = suffix_table(S.index[0][:len(S.index[1])])
     frames = _quotient_frames(S)
 
     def operator(y: int) -> np.ndarray:
         shift = left_shift(head, tail, y)
         dom = np.flatnonzero(shift >= 0)
         G_dom, G_tgt = _blocks(frames, k, dom), _blocks(frames, k, shift[dom])
-        Y = np.linalg.lstsq(G_dom.T, G_tgt.T, rcond=None)[0].T
-        residual = float(np.linalg.norm(Y @ G_dom - G_tgt))
-        if residual > FIT_TOL:
+        U, s, Vh = np.linalg.svd(G_dom)
+        e = int(np.count_nonzero(s > SPAN_RTOL * s.max(initial=0.0)))
+        T = G_tgt @ Vh[:e].conj().T / s[:e]
+        residual = float(np.linalg.norm(T @ (s[:e, None] * Vh[:e]) - G_tgt))
+        if not residual <= FIT_TOL:
             raise GnsError(f"shift action is not well defined numerically "
                            f"(fit residual {residual:.3e})")
-        B = _span_basis(G_dom)
-        return complete(frames, B, Y @ B, shift[dom])
+        return complete(U[:, :e], T, U[:, e:])
 
     operators = OperatorTuple(mode, [operator(i) for i in range(1, S.g + 1)])
     return WitnessModel(mode=mode, k=k, dim=frames.shape[0], operators=operators,
@@ -206,7 +203,7 @@ def gns_construct(S: HankelFunctional) -> WitnessModel:
     Y_i = T B* + B T* - B M B* is self-adjoint and agrees with the shift on
     its domain: Y_i B = T + B (T* B - B* T) / 2.
     """
-    def complete(frames, B, T, targets):
+    def complete(B, T, C):
         M = (B.conj().T @ T + T.conj().T @ B) / 2
         A = (T - B @ M / 2) @ B.conj().T
         return A + A.conj().T  # T B* + B T* - B M B*, Hermitian to the last bit
@@ -221,25 +218,21 @@ def gns_construct_unitary(S: HankelFunctional) -> WitnessModel:
     The shift by a letter y is isometric between the subspaces spanned by
     tuples supported on words of length <= D-1 extended by y^-1 resp. y; it
     is extended to a unitary on the two orthocomplements, mirroring the
-    free-group Fock construction.  With orthonormal complement bases C_dom,
-    C_cod and C_cod* C_dom = P Sigma Q*, the extension C_cod (P Q*) C_dom* is
-    the one nearest the identity, whichever bases the SVD returns, as long as
-    C_cod* C_dom is invertible.  U_i* maps frame_{x_i w} back to frame_w, and
-    the domain and codomain of x_i^-1 are those of x_i swapped, so U_i* is
-    the unitary of x_i^-1.
+    free-group Fock construction.  T spans the codomain, so T's trailing
+    left singular vectors are its complement C_cod.  With
+    C_cod* C_dom = P Sigma Q*, the extension C_cod (P Q*) C_dom* is the one
+    nearest the identity, whichever bases the SVDs return, as long as
+    C_cod* C_dom is invertible.  U_i* maps frame_{x_i w} back to frame_w,
+    and the domain and codomain of x_i^-1 are those of x_i swapped, so U_i*
+    is the unitary of x_i^-1.
     """
-    def complete(frames, B_dom, T_dom, targets):
-        iso_defect = opnorm(T_dom.conj().T @ T_dom - np.eye(T_dom.shape[1]))
-        if iso_defect > FIT_TOL:
+    def complete(B_dom, T, C_dom):
+        iso_defect = opnorm(T.conj().T @ T - np.eye(T.shape[1]))
+        if not iso_defect <= FIT_TOL:
             raise GnsError(f"letter shift is not isometric (defect {iso_defect:.3e})")
-        B_cod = _span_basis(_blocks(frames, S.k, np.sort(targets)))
-        e = B_dom.shape[1]
-        if e != B_cod.shape[1]:
-            raise GnsError("domain and codomain subspaces have different dimensions")
-        C_dom = np.linalg.svd(B_dom, full_matrices=True)[0][:, e:]
-        C_cod = np.linalg.svd(B_cod, full_matrices=True)[0][:, e:]
+        C_cod = np.linalg.svd(T)[0][:, T.shape[1]:]
         P, _, Qh = np.linalg.svd(C_cod.conj().T @ C_dom)
-        return T_dom @ B_dom.conj().T + C_cod @ (P @ Qh) @ C_dom.conj().T
+        return T @ B_dom.conj().T + C_cod @ (P @ Qh) @ C_dom.conj().T
 
     return _model(S, GROUP, complete)
 
@@ -258,7 +251,6 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     Gaussian entries.
     """
     k = model.k
-    ws = enumerate_words(S.g, S.D, model.mode)
-    Z = word_images(model.operators, ws, unvec(model.gamma, k))
+    Z = word_images(model.operators, S.index[0][:len(S.index[1])], unvec(model.gamma, k))
     return 2 * k * k * _largest_block_norm(quotient_matrix(S) - Z.conj().T @ Z, k)
 

@@ -87,7 +87,9 @@ class GramMatrix:
         n = len(self.index[1]) * self.k
         if self.matrix.shape != (n, n):
             raise GramError(f"Gram matrix has shape {self.matrix.shape}, want {(n, n)}")
-        if np.linalg.norm(self.matrix - self.matrix.conj().T) > 1e-10:  # Frobenius >= spectral
+        with np.errstate(over="ignore", invalid="ignore"):  # a difference that overflows is inf
+            defect = np.linalg.norm(self.matrix - self.matrix.conj().T)
+        if not defect <= 1e-10:  # Frobenius >= spectral
             raise GramError("Gram matrix is not Hermitian")
 
 

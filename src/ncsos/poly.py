@@ -35,10 +35,13 @@ class PolyError(ValueError):
 
 
 def opnorm(m) -> float:
-    """Spectral norm, the coefficient norm used throughout."""
+    """Spectral norm, the coefficient norm used throughout: inf for a matrix
+    with an entry that is not finite, which no SVD is run on."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
+    if not np.isfinite(m).all():
+        return np.inf
     return float(np.linalg.norm(m, 2))
 
 
@@ -66,7 +69,8 @@ class NCPoly:
             if np.shape(c) != (k, k):
                 raise PolyError(f"coefficient for {w!r} has shape {np.shape(c)}, want {(k, k)}")
         words, stack = list(terms), np.array(list(terms.values()), dtype=complex).reshape(-1, k, k)
-        kept = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) > COEFF_DROP_TOL).tolist()
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, and the term is kept
+            kept = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) > COEFF_DROP_TOL).tolist()
         kept.sort(key=lambda i: graded_key(words[i]))
         self.words = [words[i] for i in kept]
         self.coeffs = stack[kept]
@@ -180,13 +184,15 @@ class OperatorTuple:
     def dim(self) -> int:
         return self.entries[0].shape[0] if self.entries else 0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def hermitian_defect(self) -> float:
-        """max ||X - X^dagger|| over the entries."""
+        """max ||X - X^dagger|| over the entries, inf when it overflows."""
         return max((opnorm(x - x.conj().T) for x in self.entries), default=0.0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def unitary_defect(self) -> float:
         """max ||X X^dagger - I|| over the entries: how far the tuple is from
-        a unitary representation of the free group."""
+        a unitary representation of the free group, inf when it overflows."""
         return max((opnorm(x @ x.conj().T - np.eye(self.dim)) for x in self.entries), default=0.0)
 
 

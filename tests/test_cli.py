@@ -715,9 +715,9 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
               for command in ("certify", "decompose", "witness")] + [
     pytest.param(_poly_json(1, "monoid", ("1", -1e155)), ["certify", "{p}"], EX_DATA,
                  "input error: a coefficient's real or imaginary part 1.000e+155 is above the limit 1e+150",
-                 True, id="minus-1e155-certify"),
+                 False, id="minus-1e155-certify"),
     pytest.param(_poly_json(1, "monoid", ("x1 x1 x1", 1e150)), ["eval", "{p}", "--at", "{at}"], EX_DATA,
-                 "input error: f(X) is not finite: it overflows float64", True, id="1e150-x1^3-eval"),
+                 "input error: f(X) is not finite: it overflows float64", False, id="1e150-x1^3-eval"),
     pytest.param(_poly_json(10 ** 9, "monoid", ("1", -1.0)), ["certify", "{p}"], EX_DATA,
                  "input error: 1000000000 letters are above the limit 512 on the Gram side", True,
                  id="minus-1-over-1e9-letters-certify"),
@@ -736,8 +736,8 @@ def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code
     # on (no interior point), a scaled boundary input (a Newton step off the
     # cone), coefficients whose squares overflow, an f(X) that overflows, a
     # constant over 10^9 letters and a witness whose f(Y) is over the
-    # evaluation budget; inputs whose norms or values overflow in numpy run
-    # in a subprocess, where their RuntimeWarnings are not errors
+    # evaluation budget; the last two run in a subprocess under an
+    # address-space limit
     path, at = tmp_path / "p.json", tmp_path / "at.json"
     path.write_text(json.dumps(poly))
     at.write_text(json.dumps({"mode": "monoid", "entries": [[[[1e60, 0.0]]]]}))
@@ -777,6 +777,12 @@ OVERFLOWING_EVIDENCE = {
         _poly_json(1, "group", ("1", 2.0), ("x1", -1.0), ("x1^-1", -1.0)),
         {"outcome": "witness", "witness": {"model": {"operators": {"mode": "group", "entries": [[[[1e155, 0.0]]]]}}}},
         -2e155, "the operators' unitarity defect overflows float64"),
+    # X X* is not finite, and an SVD of it does not converge
+    "group-laplacian-unitarity-not-finite": (
+        _poly_json(1, "group", ("1", 2.0), ("x1", -1.0), ("x1^-1", -1.0)),
+        {"outcome": "witness", "witness": {"model": {"operators": {
+            "mode": "group", "entries": [[[[1.7e308, 1.7e308], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}}}},
+        None, "the operators' unitarity defect overflows float64"),
     "square-f-of-y": (
         _poly_json(1, "monoid", ("x1 x1", 1.0)),
         {"outcome": "witness", "witness": {"model": {"operators": {"mode": "monoid", "entries": [[[[1e155, 0.0]]]]}}}},
@@ -791,7 +797,7 @@ OVERFLOWING_EVIDENCE = {
 @pytest.mark.parametrize("f, evidence, min_eig, note", OVERFLOWING_EVIDENCE.values(),
                          ids=OVERFLOWING_EVIDENCE.keys())
 def test_spotcheck_refuses_evidence_that_overflows(tmp_path, capsys, f, evidence, min_eig, note):
-    # they used to exit 0, 0, 70, 70 and 70; min_eig is null when f(Y) is not finite
+    # they used to exit 0, 0, 70, 70, 70 and 70; min_eig is null when f(Y) is not finite
     paths = [tmp_path / "p.json", tmp_path / "c.json"]
     for path, data in zip(paths, (f, evidence)):
         path.write_text(json.dumps(data))
@@ -801,6 +807,50 @@ def test_spotcheck_refuses_evidence_that_overflows(tmp_path, capsys, f, evidence
     assert rep.pop("min_eig") == (None if min_eig is None else pytest.approx(min_eig, rel=1e-12))
     assert rep == {"kind": evidence["outcome"], "note": note, "ok": False,
                    "threshold": -EPS_WIT if evidence["outcome"] == "witness" else -EPS_PSD}
+
+
+GROUP_LAPLACIAN = _poly_json(1, "group", ("1", 2.0), ("x1", -1.0), ("x1^-1", -1.0))
+
+
+@pytest.mark.parametrize("entry", [[1.7e308, 1.7e308], [1e200, 0.0]], ids=["svd-of-inf", "nan-defect"])
+def test_eval_refuses_a_tuple_whose_unitarity_defect_overflows(tmp_path, capsys, entry):
+    # X X* - I overflows: its SVD ended in exit 70, and a NaN defect passed
+    # the unitarity test, so f(X) was evaluated with X* standing for X^-1
+    paths = [tmp_path / "p.json", tmp_path / "X.json"]
+    tup = {"mode": "group", "entries": [[[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+    for path, data in zip(paths, (GROUP_LAPLACIAN, tup)):
+        path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "eval", str(paths[0]), "--at", str(paths[1]))
+    assert code == EX_DATA and out == ""
+    assert err.strip() == "input error: group-mode entries are not unitary within 1e-09 (defect inf)"
+
+
+# numbers whose arithmetic overflows: numpy's RuntimeWarning reached stderr
+# before the refusal, and ended the run in exit 70 where warnings are errors
+OVERFLOWING_NUMBERS = {
+    "certify-coefficient": (["certify", "{p}"], {"p": _poly_json(1, "monoid", ("1", 1.7e308), ("x1 x1", 1.0))},
+                            "a coefficient's real or imaginary part 1.700e+308 is above the limit 1e+150"),
+    "spotcheck-gram": (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
+        SOS_EVIDENCE["certificate"], gram=[[[0.0, 0.0], [1.7e308, 0.0]], [[-1.7e308, 0.0], [1.0, 0.0]]]))},
+                       "{c}: no usable sos evidence (GramError: Gram matrix is not Hermitian)"),
+    "eval-value": (["eval", "{p}", "--at", "{x}"], {"p": poly_data(), "x": {"mode": "monoid", "entries": [[[[1e200, 0.0]]]]}},
+                   "f(X) is not finite: it overflows float64"),
+    # the constant term 1.7e308 - (-1.7e308) overflows; it used to fail in the JSON writer
+    "extract-coefficient": (["extract", "--g", "1", "--l", "2", "--eval", "{e}"],
+                            {"e": {"matrix": [[[1.7e308, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+                                              [[-1.7e308, 0], [0, 0], [0, 0]]]}},
+                            "the recovered coefficients are not finite: they overflow float64"),
+}
+
+
+@pytest.mark.parametrize("argv, files, reason", OVERFLOWING_NUMBERS.values(), ids=OVERFLOWING_NUMBERS.keys())
+def test_numbers_that_overflow_are_refused_without_a_warning(tmp_path, capsys, argv, files, reason):
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert code == EX_DATA and out == ""
+    assert err == f"input error: {reason.format(**paths)}\n"
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from ncsos.certify import GNS_VERIFY_TOL
 from ncsos.gram import constraint_index
 from ncsos.gns import (
-    GnsError, HankelFunctional, ZeroFunctionalError, _quotient_frames, _span_basis,
+    SPAN_RTOL, GnsError, HankelFunctional, ZeroFunctionalError, _quotient_frames,
     gns_construct, gns_construct_unitary, gns_verify, quotient_matrix, unvec, vec,
 )
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, word_images
@@ -49,37 +49,11 @@ def test_vec_kron_action():
     assert np.allclose(lhs, vec(A @ P_real.conj().T))
 
 
-# -- span basis --------------------------------------------------------------
+# -- random columns ------------------------------------------------------------
 
 
 def rand_cols(rows, n, rng):
     return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-
-
-@pytest.mark.parametrize("scale, rank", [(1e-12, 3), (1e-6, 4), (1.0, 4)])
-def test_span_basis_orthonormal_spanning_and_rank_cut(scale, rank):
-    # a duplicated column perturbed by scale: well below SPAN_RTOL it adds
-    # no direction, well above it adds one
-    rng = np.random.default_rng(12)
-    base = rand_cols(6, 3, rng)
-    dup = base[:, :1] + scale * rand_cols(6, 1, rng)
-    cols = np.hstack([base, dup])
-    B = _span_basis(cols)
-    assert B.shape == (6, rank)
-    assert np.abs(B.conj().T @ B - np.eye(rank)).max() <= 1e-12
-    residual = cols - B @ (B.conj().T @ cols)
-    assert np.linalg.norm(residual, axis=0).max() <= 1e-10
-
-
-def test_span_basis_empty_and_zero():
-    assert _span_basis(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
-    assert _span_basis(np.zeros((4, 3), dtype=complex)).shape == (4, 0)
-
-
-def test_span_basis_deterministic():
-    cols = rand_cols(6, 5, np.random.default_rng(13))
-    cols[:, 4] = cols[:, 0] - 2j * cols[:, 1]
-    assert _span_basis(cols).tobytes() == _span_basis(cols.copy()).tobytes()
 
 
 # -- reference functionals --------------------------------------------------
@@ -267,6 +241,63 @@ def test_gns_mode_guard():
         gns_construct(delta_functional(1, 1, 1, GROUP))
     with pytest.raises(GnsError):
         gns_construct_unitary(delta_functional(1, 1, 1, MONOID))
+
+
+def test_gns_refuses_a_shift_that_is_not_well_defined():
+    # phi(1) = phi(x1) = 0 and phi(x1^2) = 1: the frame of 1 is zero and that
+    # of x1 is not, so no operator maps the one to the other
+    S = hankel(1, MONOID, 1, 1, {u: np.array([[float(len(u) == 2)]]) for u in enumerate_words(1, 2, MONOID)})
+    with pytest.raises(GnsError, match=r"shift action is not well defined numerically \(fit residual 1.000e\+00\)"):
+        gns_construct(S)
+
+
+def test_gns_unitary_refuses_a_shift_that_is_not_isometric(monkeypatch):
+    # the free state's frames are the identity on 1, x1, x1^-1; stretching
+    # the frame of x1 by 1.5 leaves the shift 1 -> x1 of length 1.5
+    monkeypatch.setattr("ncsos.gns._quotient_frames", lambda S: _quotient_frames(S) @ np.diag([1.0, 1.5, 1.0]))
+    with pytest.raises(GnsError, match=r"letter shift is not isometric \(defect 1.250e\+00\)"):
+        gns_construct_unitary(delta_functional(1, 1, 1, GROUP))
+
+
+def nearly_dependent_domain(eps):
+    """A monoid state on C^4 whose x1-shift domain frames, those of 1, x1 and
+    x2, are e0, e1 and e1 + eps e2: their smallest singular value is about
+    eps / 2 of the largest, while the frames of all seven words of degree
+    <= 2 keep every direction of C^4 well above the quotient's cutoff."""
+    rng = np.random.default_rng(21)
+    X = []
+    for first in ([0, 1, 0, 0], [0, 1, eps, 0]):
+        H = np.zeros((4, 4), dtype=complex)
+        H[1:, 1:] = rand_hermitian(3, rng)
+        H[:, 0] = first
+        H[0, :] = np.conj(first)
+        X.append(H)
+    return functional_from_model(OperatorTuple(MONOID, X), np.eye(4, 1), 2, 2, MONOID)
+
+
+@pytest.mark.parametrize("eps, kept", [(2e-12, False), (2e-6, True)])
+def test_gns_models_a_domain_direction_on_either_side_of_the_span_cutoff(eps, kept):
+    # the domain's third direction is below SPAN_RTOL (cut) or above it
+    # (kept); either way the model must reproduce the functional
+    S = nearly_dependent_domain(eps)
+    s = np.linalg.svd(_quotient_frames(S)[:, :3], compute_uv=False)
+    assert (s[-1] / s[0] > SPAN_RTOL) == kept and 1e-13 < s[-1] / s[0] < 1e-5
+    model = gns_construct(S)
+    assert model.dim == 4 and model.operators.hermitian_defect() == 0.0
+    assert gns_verify(S, model) <= GNS_VERIFY_TOL
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_functional_that_is_not_finite_is_refused_where_it_is_built(mode, bad):
+    # phi(x1) = NaN used to give a 0-dimensional monoid model, which
+    # gns_verify then failed on with a ValueError
+    index = constraint_index(1, 1, mode)
+    blocks = np.array([[[bad if len(u) == 1 else 1.0]] for u in index[0]])
+    construct = gns_construct if mode == MONOID else gns_construct_unitary
+    for use in (lambda S: S, HankelFunctional.validate, construct):
+        with pytest.raises(GnsError, match="functional blocks must be finite"):
+            use(HankelFunctional(1, mode, 1, 1, index, blocks))
 
 
 # -- group construction ------------------------------------------------------
