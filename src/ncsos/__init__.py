@@ -3,7 +3,6 @@
 from .words import (
     GROUP,
     MONOID,
-    Word,
     concat,
     count_words,
     enumerate_words,
@@ -17,7 +16,6 @@ from .certify import CertifyOutcome, certify, refuse_certificate, refuse_witness
 __all__ = [
     "GROUP",
     "MONOID",
-    "Word",
     "concat",
     "count_words",
     "enumerate_words",

@@ -154,7 +154,7 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
         "functional": {
             "D": S.D,
             "blocks": [{"word": format_word(u), "matrix": B} for u, B in
-                       sorted(zip(S.index[0], S.blocks), key=lambda pair: (len(pair[0]), pair[0].letters))],
+                       sorted(zip(S.index[0], S.blocks), key=lambda pair: (len(pair[0]), pair[0]))],
         },
     }
 
@@ -226,7 +226,7 @@ def _cmd_eval(args) -> int:
     f = _load_poly(args.input)
     X = _load_tuple(_read_json(args.at), f, args.at)
     # x_i^-1 is evaluated as X_i*, the inverse of X_i only when X_i is unitary
-    inverse_letter = any(a < 0 for w in f.words for a in w.letters)
+    inverse_letter = any(a < 0 for w in f.words for a in w)
     defect = X.unitary_defect() if X.mode == GROUP and inverse_letter else 0.0
     if not defect <= EPS_UNIT:
         raise DataError(f"group-mode entries are not unitary within {EPS_UNIT} (defect {defect:.3e})")
@@ -245,9 +245,11 @@ def _cmd_extract(args) -> int:
     if min(args.g, args.l, args.k) < 1:
         raise UsageError("--g, --l and --k must be at least 1")
     data = _read_json(args.eval_path)
+    if isinstance(data, dict) and "matrix" not in data:
+        raise DataError(f"{args.eval_path}: bad evaluation JSON: missing 'matrix'")
     try:
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
-    except (PolyError, KeyError) as exc:
+    except PolyError as exc:
         raise DataError(f"{args.eval_path}: {exc}")
     if (args.l + 1) * args.k > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
         raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} --k {args.k} "
@@ -315,7 +317,8 @@ def _cmd_spotcheck(args) -> int:
         try:
             data = cert["witness"]["model"]["operators"]
         except (KeyError, TypeError) as exc:
-            raise DataError(f"{args.certificate}: {exc}")
+            raise DataError(f"{args.certificate}: no usable witness evidence "
+                            f"({type(exc).__name__}: {exc})")
         try:
             note, low, _ = refuse_witness(f, _load_tuple(data, f, args.certificate))
         except PolyError as exc:  # the stored tuple does not fit the input

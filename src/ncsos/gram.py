@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import COEFF_DROP_TOL, NCPoly
-from .words import GROUP, Word, enumerate_words, involute, reduce_letters
+from .words import concat, enumerate_words, involute
 
 EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
 EPS_RANK = 1e-10
@@ -30,7 +30,7 @@ class GramError(ValueError):
     pass
 
 
-def word_pair_table(words: list[Word]) -> tuple[list[Word], np.ndarray]:
+def word_pair_table(words: list[tuple], mode: str) -> tuple[list[tuple], np.ndarray]:
     """The block structure of a word list: (products, table).
 
     table[i, j] is the index in products of the word involute(words[i])
@@ -38,17 +38,15 @@ def word_pair_table(words: list[Word]) -> tuple[list[Word], np.ndarray]:
     first appearance in a row-major scan of the table, so every pair lies in
     exactly one class.
     """
-    join = reduce_letters if words and words[0].mode == GROUP else tuple
-    index: dict[tuple[int, ...], int] = {}  # keyed by letters: no Word per pair
-    rows = [[index.setdefault(join(vi + w.letters), len(index)) for w in words]
-            for vi in [involute(v).letters for v in words]]
-    products = [Word(words[0].mode, words[0].g, letters) for letters in index]
-    return products, np.array(rows, dtype=np.intp).reshape(len(words), len(words))
+    index: dict[tuple[int, ...], int] = {}
+    rows = [[index.setdefault(concat(vi, w, mode), len(index)) for w in words]
+            for vi in [involute(v, mode) for v in words]]
+    return list(index), np.array(rows, dtype=np.intp).reshape(len(words), len(words))
 
 
-def constraint_index(g: int, d: int, mode: str) -> tuple[list[Word], np.ndarray]:
+def constraint_index(g: int, d: int, mode: str) -> tuple[list[tuple], np.ndarray]:
     """The word-pair table of the degree-d basis, in enumerate_words order."""
-    return word_pair_table(enumerate_words(g, d, mode))
+    return word_pair_table(enumerate_words(g, d, mode), mode)
 
 
 def class_labels(table: np.ndarray, k: int) -> np.ndarray:

@@ -20,10 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .words import (
-    MONOID, MODES, Word, concat, format_word, graded_key, identity, involute, parse_word,
-    suffix_table,
-)
+from .words import MONOID, MODES, check_word, concat, format_word, graded_key, involute, parse_word, suffix_table
 
 COEFF_DROP_TOL = 1e-14
 EPS_HERM = 1e-9
@@ -47,8 +44,9 @@ def opnorm(m) -> float:
 
 class NCPoly:
     """Finitely supported word -> k x k complex matrix map, canonicalised: the
-    support words in graded order, the (T, k, k) stack coeffs aligned with it,
-    and terms, a read-only word -> coefficient view of both."""
+    support words (letter tuples over the polynomial's g and mode) in graded
+    order, the (T, k, k) stack coeffs aligned with it, and terms, a read-only
+    word -> coefficient view of both.  Each coefficient must be finite."""
 
     __slots__ = ("g", "mode", "k", "words", "coeffs", "terms")
 
@@ -64,11 +62,13 @@ class NCPoly:
         self.k = k
         terms = terms or {}
         for w, c in terms.items():
-            if w.mode != mode or w.g != g:
-                raise PolyError(f"word {w!r} does not match (g={g}, mode={mode})")
+            check_word(w, g, mode)
             if np.shape(c) != (k, k):
-                raise PolyError(f"coefficient for {w!r} has shape {np.shape(c)}, want {(k, k)}")
+                raise PolyError(f"coefficient for {format_word(w)!r} has shape {np.shape(c)}, want {(k, k)}")
         words, stack = list(terms), np.array(list(terms.values()), dtype=complex).reshape(-1, k, k)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():  # NaN would fail the drop test below and vanish
+            raise PolyError(f"coefficient for {format_word(words[finite.argmin()])!r} is not finite")
         with np.errstate(over="ignore"):  # a norm that overflows is inf, and the term is kept
             kept = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) > COEFF_DROP_TOL).tolist()
         kept.sort(key=lambda i: graded_key(words[i]))
@@ -91,14 +91,14 @@ class NCPoly:
     @classmethod
     def constant(cls, c, g: int, mode: str = MONOID) -> "NCPoly":
         c = np.atleast_2d(np.asarray(c, dtype=complex))
-        return cls(g, mode, c.shape[0], {identity(g, mode): c})
+        return cls(g, mode, c.shape[0], {(): c})
 
     @classmethod
-    def monomial(cls, w: Word, c=1.0, k: int | None = None) -> "NCPoly":
+    def monomial(cls, w: tuple, g: int, mode: str = MONOID, c=1.0, k: int | None = None) -> "NCPoly":
         c = np.atleast_2d(np.asarray(c, dtype=complex))
         if k is not None and c.shape == (1, 1) and k > 1:
             c = c[0, 0] * np.eye(k)
-        return cls(w.g, w.mode, c.shape[0], {w: c})
+        return cls(g, mode, c.shape[0], {w: c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -123,10 +123,10 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NCPoly(self.g, self.mode, self.k, dict(zip(self.words, self.coeffs * other)))
         self._check_compat(other)
-        terms: dict[Word, np.ndarray] = {}
+        terms: dict[tuple, np.ndarray] = {}
         for w, a in zip(self.words, self.coeffs):
             for v, b in zip(other.words, other.coeffs):
-                u = concat(w, v)
+                u = concat(w, v, self.mode)
                 terms[u] = terms.get(u, 0) + a @ b
         return NCPoly(self.g, self.mode, self.k, terms)
 
@@ -143,14 +143,14 @@ class NCPoly:
     def adjoint(self) -> "NCPoly":
         """p* : (w, P) -> (w*, P^dagger)."""
         return NCPoly(self.g, self.mode, self.k,
-                      {involute(w): c.conj().T for w, c in zip(self.words, self.coeffs)})
+                      {involute(w, self.mode): c.conj().T for w, c in zip(self.words, self.coeffs)})
 
     def degree(self) -> int:
         return len(self.words[-1]) if self.words else 0
 
     def is_hermitian(self) -> bool:
         """P_w = P_{w*}^dagger within EPS_HERM in operator norm, for every w."""
-        mirror = self.on([involute(w) for w in self.words]).conj().transpose(0, 2, 1)
+        mirror = self.on([involute(w, self.mode) for w in self.words]).conj().transpose(0, 2, 1)
         return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= EPS_HERM))
 
     def __repr__(self):
@@ -203,16 +203,16 @@ def _letters(X: OperatorTuple) -> dict:
     return letters
 
 
-def word_eval(w: Word, X: OperatorTuple) -> np.ndarray:
+def word_eval(w: tuple, X: OperatorTuple) -> np.ndarray:
     """X^w, with X^empty = I and x_i^-1 evaluated as X_i^dagger."""
     letters = _letters(X)
     out = np.eye(X.dim, dtype=complex)
-    for a in w.letters:
+    for a in w:
         out = out @ letters[a]
     return out
 
 
-def word_images(X: OperatorTuple, words: list[Word], V) -> np.ndarray:
+def word_images(X: OperatorTuple, words: list[tuple], V) -> np.ndarray:
     """X^w V for every word of a graded list, side by side in column blocks:
     each is one product with its suffix's, X^{a w} V = X_a (X^w V)."""
     head, tail = suffix_table(words)
@@ -240,12 +240,12 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     letters = _letters(X)
     prev, images = (), [np.eye(n, dtype=complex)]  # images[i] = X^(prev[:i])
     for w, c in zip(p.words, p.coeffs):
-        while w.letters[:len(images) - 1] != prev[:len(images) - 1]:
+        while w[:len(images) - 1] != prev[:len(images) - 1]:
             images.pop()
-        for a in w.letters[len(images) - 1:]:
+        for a in w[len(images) - 1:]:
             images.append(images[-1] @ letters[a])
         out += np.kron(c, images[-1])
-        prev = w.letters
+        prev = w
     return out
 
 

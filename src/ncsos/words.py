@@ -1,8 +1,11 @@
 """Words of the free monoid <x1..xg> and the free group on g letters.
 
 Letters are signed integers: +i stands for x_i, -i for x_i^{-1} (group mode
-only).  Group-mode words are kept reduced: no adjacent pair +i, -i.  The
-empty tuple is the identity word.
+only).  A word is the plain tuple of its letters, and the empty tuple is the
+identity word; the alphabet size and the mode belong to the polynomial, the
+word basis or the call.  Group-mode words are kept reduced: no adjacent pair
++i, -i.  Words from outside are checked once, by check_word, where they come
+in: parse_word (text) and NCPoly (tuples).
 
 Graded lexicographic order uses the letter order
     monoid:  x1 < x2 < ... < xg
@@ -12,7 +15,6 @@ Graded lexicographic order uses the letter order
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,58 +37,35 @@ def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
-    """An immutable word; value semantics, hash of (mode, letter keys) taken once."""
-
-    mode: str
-    g: int
-    letters: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise WordError(f"unknown mode {self.mode!r}")
-        if self.g < 1:
-            raise WordError("alphabet size must be >= 1")
-        for a in self.letters:
-            if a == 0 or abs(a) > self.g:
-                raise WordError(f"letter {a} outside alphabet of size {self.g}")
-            if a < 0 and self.mode == MONOID:
-                raise WordError("inverse letters are only allowed in group mode")
-        if self.mode == GROUP and reduce_letters(self.letters) != self.letters:
-            raise WordError(f"group word {self.letters} is not reduced")
-        # not the raw letters: CPython hashes -1 and -2 alike
-        object.__setattr__(self, "_hash", hash((self.mode, tuple(map(letter_key, self.letters)))))
-
-    def __hash__(self):
-        return self._hash
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __repr__(self):
-        return f"Word({format_word(self)!r})"
+def check_word(w, g: int, mode: str) -> tuple[int, ...]:
+    """w itself, once it is a word over g letters in mode: a tuple of letters
+    in +-1..+-g, inverse letters only in group mode, and reduced there."""
+    if mode not in MODES:
+        raise WordError(f"unknown mode {mode!r}")
+    if g < 1:
+        raise WordError("alphabet size must be >= 1")
+    if not isinstance(w, tuple):
+        raise WordError(f"word {w!r} is not a tuple of letters")
+    for a in w:
+        if a == 0 or abs(a) > g:
+            raise WordError(f"letter {a} outside alphabet of size {g}")
+        if a < 0 and mode == MONOID:
+            raise WordError("inverse letters are only allowed in group mode")
+    if mode == GROUP and reduce_letters(w) != w:
+        raise WordError(f"group word {w} is not reduced")
+    return w
 
 
-def identity(g: int, mode: str = MONOID) -> Word:
-    return Word(mode, g, ())
-
-
-def concat(w: Word, v: Word) -> Word:
+def concat(w: tuple, v: tuple, mode: str) -> tuple[int, ...]:
     """Monoid: juxtaposition.  Group: juxtaposition followed by reduction."""
-    if w.mode != v.mode or w.g != v.g:
-        raise WordError("cannot concatenate words over different alphabets or modes")
-    letters = w.letters + v.letters
-    if w.mode == GROUP:
-        letters = reduce_letters(letters)
-    return Word(w.mode, w.g, letters)
+    return reduce_letters(w + v) if mode == GROUP else w + v
 
 
-def involute(w: Word) -> Word:
+def involute(w: tuple, mode: str) -> tuple[int, ...]:
     """w* : reverse the letters; in group mode also flip every sign (w -> w^-1)."""
-    if w.mode == GROUP:
-        return Word(w.mode, w.g, tuple(-a for a in reversed(w.letters)))
-    return Word(w.mode, w.g, tuple(reversed(w.letters)))
+    if mode == GROUP:
+        return tuple(-a for a in reversed(w))
+    return w[::-1]
 
 
 def letter_key(a: int) -> int:
@@ -94,8 +73,8 @@ def letter_key(a: int) -> int:
     return 2 * a - 2 if a > 0 else -2 * a - 1
 
 
-def graded_key(w: Word) -> tuple:
-    return (len(w.letters), tuple(letter_key(a) for a in w.letters))
+def graded_key(w: tuple) -> tuple:
+    return (len(w), tuple(map(letter_key, w)))
 
 
 def _letters_in_order(g: int, mode: str) -> list[int]:
@@ -107,15 +86,15 @@ def _letters_in_order(g: int, mode: str) -> list[int]:
     return out
 
 
-def enumerate_words(g: int, d: int, mode: str = MONOID) -> list[Word]:
+def enumerate_words(g: int, d: int, mode: str = MONOID) -> list[tuple[int, ...]]:
     """All words of length <= d in graded-lex order (reduced words in group mode)."""
     if g < 1:
         raise WordError("alphabet size must be >= 1")
     if mode not in MODES:
         raise WordError(f"unknown mode {mode!r}")
     alphabet = _letters_in_order(g, mode)
-    out = [identity(g, mode)]
-    level: list[tuple[int, ...]] = [()]
+    out: list[tuple[int, ...]] = [()]
+    level = [()]
     for _ in range(d):
         nxt: list[tuple[int, ...]] = []
         for ls in level:
@@ -123,18 +102,18 @@ def enumerate_words(g: int, d: int, mode: str = MONOID) -> list[Word]:
                 if mode == GROUP and ls and ls[-1] == -a:
                     continue
                 nxt.append(ls + (a,))
-        out.extend(Word(mode, g, ls) for ls in nxt)
+        out.extend(nxt)
         level = nxt
     return out
 
 
-def suffix_table(words: list[Word]) -> tuple[np.ndarray, np.ndarray]:
+def suffix_table(words: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """(head, tail): head[i] is the first letter of words[i] and tail[i] the
     index of the rest of it (0 and -1 for the identity).  Every suffix must
     be listed, as enumerate_words lists them."""
-    index = {w.letters: i for i, w in enumerate(words)}
-    head = np.array([w.letters[0] if w.letters else 0 for w in words], dtype=np.intp)
-    tail = np.array([index[w.letters[1:]] if w.letters else -1 for w in words], dtype=np.intp)
+    index = {w: i for i, w in enumerate(words)}
+    head = np.array([w[0] if w else 0 for w in words], dtype=np.intp)
+    tail = np.array([index[w[1:]] if w else -1 for w in words], dtype=np.intp)
     return head, tail
 
 
@@ -160,23 +139,22 @@ def count_words(g: int, d: int, mode: str = MONOID) -> int:
     raise WordError(f"unknown mode {mode!r}")
 
 
-def format_word(w: Word) -> str:
+def format_word(w: tuple) -> str:
     """Text form: `x1 x2^-1`; the empty word is spelled `1`."""
-    if not w.letters:
+    if not w:
         return "1"
-    parts = [f"x{a}" if a > 0 else f"x{-a}^-1" for a in w.letters]
+    parts = [f"x{a}" if a > 0 else f"x{-a}^-1" for a in w]
     return " ".join(parts)
 
 
 _LETTER_TOKEN = re.compile(r"x([0-9]+)(\^-1)?")
 
 
-def parse_word(text: str, g: int, mode: str = MONOID) -> Word:
-    text = text.strip()
-    if text == "1" or text == "":
-        return identity(g, mode)
+def parse_word(text: str, g: int, mode: str = MONOID) -> tuple[int, ...]:
+    """The word a text form spells, checked by check_word: in group mode
+    reduced first, in monoid mode refused when it holds an inverse letter."""
     letters = []
-    for tok in text.split():
+    for tok in [] if text.strip() == "1" else text.split():
         # x and ASCII digits only: int() alone takes a sign, underscores and non-ASCII digits
         match = _LETTER_TOKEN.fullmatch(tok)
         if match is None:
@@ -188,6 +166,4 @@ def parse_word(text: str, g: int, mode: str = MONOID) -> Word:
         if i < 1 or i > g:
             raise WordError(f"letter index {i} outside 1..{g}")
         letters.append(-i if inv else i)
-    if mode == GROUP:
-        letters = list(reduce_letters(tuple(letters)))
-    return Word(mode, g, tuple(letters))
+    return check_word(reduce_letters(letters) if mode == GROUP else tuple(letters), g, mode)

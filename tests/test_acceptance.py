@@ -14,7 +14,7 @@ from ncsos.fock import build_extraction, build_symmetrized, build_unitaries, ext
 from ncsos.gns import gns_construct, gns_construct_unitary, gns_verify
 from ncsos.gram import gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_eval
-from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words
+from ncsos.words import GROUP, MONOID, count_words, enumerate_words
 
 from test_gns import functional_from_model, shift_defect
 from test_gram import gram
@@ -27,7 +27,7 @@ def report(criterion, ok, detail=""):
 
 
 def x(i, g=2, mode=MONOID):
-    return NCPoly.monomial(Word(mode, g, (i,)))
+    return NCPoly.monomial((i,), g, mode)
 
 
 SOS_FIXTURES = {
@@ -36,7 +36,7 @@ SOS_FIXTURES = {
     "1+x1^2": NCPoly.constant(1.0, 1) + x(1, g=1) * x(1, g=1),
     "2-u1-u1^-1": (NCPoly.constant(2.0, 1, GROUP)
                    - x(1, g=1, mode=GROUP)
-                   - NCPoly.monomial(Word(GROUP, 1, (-1,)))),
+                   - NCPoly.monomial((-1,), 1, GROUP)),
 }
 
 WITNESS_FIXTURES = {

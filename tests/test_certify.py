@@ -20,18 +20,18 @@ from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
     solve_feasibility,
 )
-from ncsos.words import GROUP, MONOID, Word, concat, count_words, enumerate_words, graded_key, involute
+from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
 from test_poly import rand_hermitian, rand_matrix
 
 
 def x(i, g=2, mode=MONOID, k=1):
-    return NCPoly.monomial(Word(mode, g, (i,)), np.eye(k))
+    return NCPoly.monomial((i,), g, mode, np.eye(k))
 
 
 def u(i, g=1):
-    return NCPoly.monomial(Word(GROUP, g, (i,)))
+    return NCPoly.monomial((i,), g, GROUP)
 
 
 def anticommutator():
@@ -152,12 +152,12 @@ def test_certificate_stack_matches_per_factor_ncpolys(mode, k, above):
     X = B @ B.conj().T / m + np.eye(m)
     X[:k, k:] = X[k:, :k] = 0
     products, table = constraint_index(g, d, mode)
-    tiny = products.index(Word(mode, g, (1, 2)))
+    tiny = products.index((1, 2))
     (v, w), = np.argwhere(table == tiny)
     X[v * k:(v + 1) * k, w * k:(w + 1) * k] = X[w * k:(w + 1) * k, v * k:(v + 1) * k] = 9e-15 / k
     G = gram(g, mode, d, k, X)
-    cube = Word(mode, g, (1, 1, 1))
-    f = gram_to_poly(G) + NCPoly.monomial(cube, above * np.eye(k))
+    cube = (1, 1, 1)
+    f = gram_to_poly(G) + NCPoly.monomial(cube, g, mode, above * np.eye(k))
     assert 0 < np.linalg.norm(block_sums(X, table)[tiny]) <= COEFF_DROP_TOL and cube not in products
     assert (cube in f.words) == (above > 0)
 
@@ -203,7 +203,7 @@ def test_certify_perfect_square():
 def test_certify_matrix_coefficients_sos():
     rng = np.random.default_rng(19)
     A, B = rand_matrix(2, rng), rand_matrix(2, rng)
-    r = NCPoly(2, MONOID, 2, {Word(MONOID, 2, (1,)): A, Word(MONOID, 2, (2,)): B})
+    r = NCPoly(2, MONOID, 2, {(1,): A, (2,): B})
     f = r.adjoint() * r
     out = certify(f)
     assert out.kind == "sos"
@@ -297,7 +297,7 @@ def _pair_classes(g, d, mode):
     classes = {}
     for v, word_v in enumerate(words):
         for w, word_w in enumerate(words):
-            classes.setdefault(concat(involute(word_v), word_w), []).append((v, w))
+            classes.setdefault(concat(involute(word_v, mode), word_w, mode), []).append((v, w))
     return {u: classes[u] for u in sorted(classes, key=graded_key)}
 
 
@@ -372,7 +372,7 @@ def test_certify_matrix_coefficient_witness():
 
 def test_certify_matrix_coefficient_witness_with_letter():
     C = np.array([[0, 1], [1, 0]], dtype=complex)
-    f = NCPoly(1, MONOID, 2, {Word(MONOID, 1, (1,)): C})
+    f = NCPoly(1, MONOID, 2, {(1,): C})
     out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
     assert out.model.operators.hermitian_defect() <= 1e-10
@@ -380,9 +380,7 @@ def test_certify_matrix_coefficient_witness_with_letter():
 
 def test_certify_group_matrix_coefficient_witness():
     C = np.array([[0, 1], [1, 0]], dtype=complex)
-    f = NCPoly(1, GROUP, 2, {Word(GROUP, 1, ()): 0.5 * np.eye(2),
-                             Word(GROUP, 1, (1,)): C / 2,
-                             Word(GROUP, 1, (-1,)): C / 2})
+    f = NCPoly(1, GROUP, 2, {(): 0.5 * np.eye(2), (1,): C / 2, (-1,): C / 2})
     out = certify(f)
     assert out.kind == "witness" and out.min_eig <= -1e-6
     assert out.model.operators.unitary_defect() <= 1e-10
@@ -547,8 +545,8 @@ def test_dual_builds_its_word_pair_table_once(f, monkeypatch):
     gram_module = importlib.import_module("ncsos.gram")
     module = importlib.import_module("ncsos.certify")
     builds, inside = [], {}
-    monkeypatch.setattr(gram_module, "word_pair_table",
-                        lambda words, _f=gram_module.word_pair_table: builds.append(len(words)) or _f(words))
+    monkeypatch.setattr(gram_module, "word_pair_table", lambda words, mode, _f=gram_module.word_pair_table:
+                        builds.append(len(words)) or _f(words, mode))
     for name in ("gns_construct", "gns_construct_unitary", "gns_verify"):
         def counted(*args, _f=getattr(module, name), _name=name):
             before = len(builds)
@@ -591,8 +589,8 @@ def test_each_command_builds_its_word_pair_tables_once(command, f, code, builds,
         argv.append(str(cert))
     gram_module = importlib.import_module("ncsos.gram")
     sizes = []
-    monkeypatch.setattr(gram_module, "word_pair_table",
-                        lambda words, _f=gram_module.word_pair_table: sizes.append(len(words)) or _f(words))
+    monkeypatch.setattr(gram_module, "word_pair_table", lambda words, mode, _f=gram_module.word_pair_table:
+                        sizes.append(len(words)) or _f(words, mode))
     assert main(argv) == code
     capsys.readouterr()
     assert len(sizes) == builds
@@ -729,7 +727,7 @@ def test_a_solve_that_cannot_start_runs_once(monkeypatch):
     monkeypatch.setattr(module, "solve_feasibility",
                         lambda sys, _f=module.solve_feasibility, **kw: sizes.append(sys.m) or _f(sys, **kw))
     reason = "the interior point is not positive definite on the classes"
-    out = certify(NCPoly.monomial(Word(MONOID, 1, (1,) * 34)))
+    out = certify(NCPoly.monomial((1,) * 34, 1, MONOID))
     assert out.kind == "undecided" and out.degree == 17 and sizes == [18]
     assert out.primal.iterations == out.dual.iterations == 0
     assert out.primal.note == reason

@@ -17,14 +17,14 @@ from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, 
 from ncsos.fock import extract_coeffs
 from ncsos.gram import EPS_PSD
 from ncsos.poly import NCPoly, matrix_from_json, matrix_to_json, poly_from_json, poly_to_json
-from ncsos.words import GROUP, MONOID, Word
+from ncsos.words import GROUP, MONOID
 
 from test_acceptance import SOS_FIXTURES, WITNESS_FIXTURES
 from test_certify import group_witness_input
 
 
 def x(i, g=2):
-    return NCPoly.monomial(Word(MONOID, g, (i,)))
+    return NCPoly.monomial((i,), g, MONOID)
 
 
 def write_poly(path, p):
@@ -101,8 +101,8 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 
 def test_witness_runs_without_scipy(tmp_path):
     # the whole decision pipeline, GNS included, is numpy only
-    group = (NCPoly.constant(1.0, 1, GROUP) + NCPoly.monomial(Word(GROUP, 1, (1,)))
-             + NCPoly.monomial(Word(GROUP, 1, (-1,))))
+    group = (NCPoly.constant(1.0, 1, GROUP) + NCPoly.monomial((1,), 1, GROUP)
+             + NCPoly.monomial((-1,), 1, GROUP))
     paths = [write_poly(tmp_path / "monoid.json", witness_fixture()),
              write_poly(tmp_path / "group.json", group)]
     env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]))
@@ -144,7 +144,7 @@ def test_eval_constant_polynomial(tmp_path, capsys):
 def test_eval_takes_inverses_only_for_inverse_letters(tmp_path, capsys, letter, want):
     # a non-unitary group tuple without stored inverses: x1 is evaluated
     # without them, x1^-1 needs the inverse the tuple cannot supply
-    p_path = write_poly(tmp_path / "p.json", NCPoly.monomial(Word(GROUP, 1, (letter,))))
+    p_path = write_poly(tmp_path / "p.json", NCPoly.monomial((letter,), 1, GROUP))
     at = tmp_path / "X.json"
     at.write_text(jsonio.dumps({"mode": "group", "entries": [matrix_to_json(np.diag([1.0, 2.0]))]}))
     code, out, err = run(capsys, "eval", p_path, "--at", str(at))
@@ -229,7 +229,7 @@ def test_spotcheck_passes_what_certify_writes(tmp_path, capsys, f):
 
 
 def u(i, g=1):
-    return NCPoly.monomial(Word(GROUP, g, (i,)))
+    return NCPoly.monomial((i,), g, GROUP)
 
 
 @pytest.mark.parametrize("f, forged, kind", [
@@ -385,7 +385,7 @@ def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, 
     # the evidence is refused on that count, before the basis's table is built
     gram_module = importlib.import_module("ncsos.gram")
     builds = []
-    monkeypatch.setattr(gram_module, "word_pair_table", lambda words: builds.append(len(words)))
+    monkeypatch.setattr(gram_module, "word_pair_table", lambda words, mode: builds.append(len(words)))
     path = write_poly(tmp_path / "p.json", x(1, g=3) * x(1, g=3))
     cert = tmp_path / "cert.json"
     cert.write_text(jsonio.dumps({"outcome": "sos", "degree": 12, "certificate": {
@@ -405,12 +405,12 @@ def test_spotcheck_refuses_a_factor_above_the_gram_degree(tmp_path, capsys, monk
     cert = tmp_path / "cert.json"
     run(capsys, "certify", path, "--out", str(cert))
     data = json.loads(cert.read_text())
-    data["certificate"]["factors"].append(poly_to_json(NCPoly.monomial(Word(MONOID, 2, (1,) * 30), 1e-3)))
+    data["certificate"]["factors"].append(poly_to_json(NCPoly.monomial((1,) * 30, 2, MONOID, 1e-3)))
     cert.write_text(jsonio.dumps(data))
     gram_module = importlib.import_module("ncsos.gram")
     sizes = []
-    monkeypatch.setattr(gram_module, "word_pair_table",
-                        lambda words, _f=gram_module.word_pair_table: sizes.append(len(words)) or _f(words))
+    monkeypatch.setattr(gram_module, "word_pair_table", lambda words, mode, _f=gram_module.word_pair_table:
+                        sizes.append(len(words)) or _f(words, mode))
     start = time.perf_counter()
     code, out, err = run(capsys, "spotcheck", path, str(cert))
     assert time.perf_counter() - start < 1.0
@@ -566,6 +566,25 @@ def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, 
     got, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert got == code
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, files, reason", [
+    (["extract", "--eval", "{e}", "--g", "1", "--l", "1"], {"e": {"x": 1}},
+     "{e}: bad evaluation JSON: missing 'matrix'"),
+    (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "witness"}},
+     "{c}: no usable witness evidence (KeyError: 'witness')"),
+    (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "witness", "witness": {"model": 1.5}}},
+     "{c}: no usable witness evidence (TypeError: 'float' object is not subscriptable)"),
+    (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {"outcome": "witness", "witness": []}},
+     "{c}: no usable witness evidence (TypeError: list indices must be integers or slices, not str)"),
+], ids=["extract-no-matrix", "witness-missing", "model-number", "witness-list"])
+def test_missing_evidence_is_named_not_a_bare_exception(tmp_path, capsys, argv, files, reason):
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert (code, out, err.strip()) == (EX_DATA, "", "input error: " + reason.format(**paths))
 
 
 # iterating an object or a string reads its keys or its characters, which

@@ -9,7 +9,7 @@ from ncsos.fock import (
     gram_bound_constant, vacuum_images,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval, word_images
-from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words
+from ncsos.words import GROUP, MONOID, count_words, enumerate_words
 
 from test_poly import rand_poly
 
@@ -59,7 +59,7 @@ def test_symmetrized_exactly_hermitian(g, l):
 def test_word_in_A_at_vacuum():
     words = enumerate_words(2, 2, MONOID)
     A = build_symmetrized(2, 2)
-    w = Word(MONOID, 2, (1, 1))
+    w = (1, 1)
     vec = word_eval(w, A) @ vacuum_column(len(words))
     expected = np.zeros(len(words), dtype=complex)
     expected[words.index(w)] = 1.0
@@ -88,8 +88,8 @@ def test_extraction_identity_at_l1():
 def test_extraction_g2_l2_entries():
     words = enumerate_words(2, 2, MONOID)
     ext = build_extraction(2, 2, MONOID)
-    assert ext.matrix[0, words.index(Word(MONOID, 2, (1, 1)))] == 1.0
-    assert ext.matrix[0, words.index(Word(MONOID, 2, (1, 2)))] == 0.0
+    assert ext.matrix[0, words.index((1, 1))] == 1.0
+    assert ext.matrix[0, words.index((1, 2))] == 0.0
 
 
 @pytest.mark.parametrize("g,l", [(1, 4), (2, 3), (3, 2)])

@@ -12,7 +12,7 @@ from ncsos.gram import (
     GramError, GramMatrix, SOSCertificate, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, poly_to_json
-from ncsos.words import GROUP, MONOID, Word, count_words, enumerate_words, identity, involute, concat
+from ncsos.words import GROUP, MONOID, count_words, enumerate_words, involute, concat
 
 
 def gram(g, mode, d, k, matrix) -> GramMatrix:
@@ -33,17 +33,16 @@ def pairs_of(products, table, u):
 def test_constraint_index_monoid_example():
     products, table = constraint_index(2, 1, MONOID)
     words = enumerate_words(2, 1, MONOID)
-    u = Word(MONOID, 2, (1, 2))
-    assert pairs_of(products, table, u) == [[words.index(Word(MONOID, 2, (1,))),
-                                             words.index(Word(MONOID, 2, (2,)))]]
+    u = (1, 2)
+    assert pairs_of(products, table, u) == [[words.index((1,)), words.index((2,))]]
     # v* w = empty iff v = w = empty in the monoid
-    assert pairs_of(products, table, identity(2)) == [[0, 0]]
+    assert pairs_of(products, table, ()) == [[0, 0]]
 
 
 def test_constraint_index_group_identity_class():
     products, table = constraint_index(2, 1, GROUP)
     # v^-1 w = empty iff v = w: all five diagonal pairs
-    assert pairs_of(products, table, identity(2, GROUP)) == [[i, i] for i in range(5)]
+    assert pairs_of(products, table, ()) == [[i, i] for i in range(5)]
 
 
 @pytest.mark.parametrize("g,d,mode", [(2, 1, MONOID), (2, 2, MONOID), (2, 1, GROUP), (1, 2, GROUP)])
@@ -55,7 +54,7 @@ def test_constraint_index_partitions(g, d, mode):
     assert table.dtype == np.intp and table.shape == (n, n)
     for v in range(n):
         for w in range(n):
-            assert products[table[v, w]] == concat(involute(words[v]), words[w])
+            assert products[table[v, w]] == concat(involute(words[v], mode), words[w], mode)
     assert len(set(products)) == len(products)
     # products are numbered in order of first appearance in a row-major scan
     first = list(dict.fromkeys(table.ravel().tolist()))
@@ -67,7 +66,7 @@ def test_gram_to_poly_rank_one():
     G = gram(2, MONOID, 1, 1,
                    np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex))
     p = gram_to_poly(G)
-    x1, x2 = (NCPoly.monomial(Word(MONOID, 2, (i,))) for i in (1, 2))
+    x1, x2 = (NCPoly.monomial((i,), 2, MONOID) for i in (1, 2))
     assert p == x1 * x1 + x1 * x2 + x2 * x1 + x2 * x2
 
 
@@ -77,7 +76,7 @@ def test_gram_to_poly_identity_and_zero():
     p = gram_to_poly(G)
     expected = NCPoly.zero(2, MONOID, 1)
     for w in words:
-        expected = expected + NCPoly.monomial(involute(w)) * NCPoly.monomial(w)
+        expected = expected + NCPoly.monomial(involute(w, MONOID), 2) * NCPoly.monomial(w, 2)
     assert p == expected
     Z = gram(2, MONOID, 1, 1, np.zeros((3, 3)))
     assert gram_to_poly(Z) == NCPoly.zero(2, MONOID, 1)
@@ -172,10 +171,10 @@ def stored(*factors):
 @pytest.mark.parametrize("mode", [MONOID, GROUP])
 def test_reconstruction_refuses_factor_above_the_gram_degree(mode):
     # a factor must fit the degree-d basis the Gram matrix's table is built on
-    w = Word(mode, 2, (1, 2))
+    w = (1, 2)
     G = gram(2, mode, 1, 1, np.eye(count_words(2, 1, mode)))
     with pytest.raises(DataError, match="c.json: a factor of degree above 1 does not fit the Gram basis"):
-        _load_factors(stored(NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w)), G, "c.json")
+        _load_factors(stored(NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w, 2, mode)), G, "c.json")
 
 
 @pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),

@@ -6,14 +6,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, word_eval
-from ncsos.words import GROUP, MODES, MONOID, Word, graded_key, reduce_letters
+from ncsos.words import GROUP, MODES, MONOID, graded_key, reduce_letters
 
 
 @st.composite
 def words(draw, g, mode, max_len=4):
     alphabet = [a for a in range(-g, g + 1) if a > 0 or (a < 0 and mode == GROUP)]
     letters = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=max_len)))
-    return Word(mode, g, reduce_letters(letters) if mode == GROUP else letters)
+    return reduce_letters(letters) if mode == GROUP else letters
 
 
 def matrices(k, scale):
@@ -29,7 +29,7 @@ def layouts(draw, prefixes=False):
     g, mode, k = draw(st.integers(1, 2)), draw(st.sampled_from(MODES)), draw(st.integers(1, 2))
     support = set(draw(st.lists(words(g, mode), max_size=8)))
     if prefixes:
-        support |= {Word(mode, g, w.letters[:i]) for w in support for i in range(len(w))}
+        support |= {w[:i] for w in support for i in range(len(w))}
     scales = st.sampled_from([1.0, 1.0, 1.0, COEFF_DROP_TOL / 4])
     items = [(w, draw(matrices(k, draw(scales)))) for w in sorted(support, key=graded_key)]
     return g, mode, k, draw(st.permutations(items))
@@ -53,10 +53,10 @@ def test_drop_takes_one_norm(monkeypatch):
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
     small = COEFF_DROP_TOL / 4 * np.ones((2, 2))
-    terms = {Word(MONOID, 2, (a, b)): (small if a == b else np.eye(2)) for a in (1, 2) for b in (1, 2)}
+    terms = {(a, b): (small if a == b else np.eye(2)) for a in (1, 2) for b in (1, 2)}
     p = NCPoly(2, MONOID, 2, terms)
     assert len(calls) == 1
-    assert p.words == [Word(MONOID, 2, (1, 2)), Word(MONOID, 2, (2, 1))]
+    assert p.words == [(1, 2), (2, 1)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from ncsos.sdp import (
     CENTRING_STEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, MARGIN_GAP_TOL, AffineSystem, SdpError,
     _hvec, _low_eig, _null_directions, max_margin, project_affine, project_psd, solve_feasibility,
 )
-from ncsos.words import GROUP, MONOID, Word, concat, enumerate_words, involute
+from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
 from test_certify import _gram_poly, gram_system_at, group_fixture
 from test_poly import rand_hermitian, rand_matrix
@@ -161,7 +161,7 @@ def _reference_rows(f, d):
     classes = {}
     for v, word_v in enumerate(words):
         for w, word_w in enumerate(words):
-            classes.setdefault(concat(involute(word_v), word_w), []).append((v, w))
+            classes.setdefault(concat(involute(word_v, f.mode), word_w, f.mode), []).append((v, w))
     k, n = f.k, len(words)
     m = n * k
     rows, rhs = [], []
@@ -325,7 +325,7 @@ def test_residuals_eventually_monotone(monkeypatch):
     # 2 - u1 - u1^-1 has no strictly feasible point, so its gap keeps moving
     m = 3
     pinned = pinned_entry_system(m, 0, 2, 0.4 - 0.2j, trace=1.5)
-    u1 = NCPoly.monomial(Word(GROUP, 1, (1,)))
+    u1 = NCPoly.monomial((1,), 1, GROUP)
     f = NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()
     boundary = gram_system_at(f, 1)
     slack = 10 * 1e-12

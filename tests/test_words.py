@@ -1,57 +1,80 @@
-import importlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsos.poly import NCPoly
 from ncsos.words import (
-    GROUP, MODES, MONOID, Word, WordError, concat, count_words, enumerate_words,
-    format_word, graded_key, identity, involute, left_shift, letter_key, parse_word, suffix_table,
+    GROUP, MODES, MONOID, WordError, check_word, concat, count_words, enumerate_words,
+    format_word, graded_key, involute, left_shift, parse_word, suffix_table,
 )
 
 
-def W(mode, g, *letters):
-    return Word(mode, g, tuple(letters))
-
-
 def test_concat_monoid_juxtaposes():
-    assert concat(W(MONOID, 2, 1), W(MONOID, 2, 2)) == W(MONOID, 2, 1, 2)
+    assert concat((1,), (2,), MONOID) == (1, 2)
 
 
 def test_concat_identity():
-    w = W(MONOID, 2, 1, 2, 1)
-    assert concat(identity(2), w) == w
-    assert concat(w, identity(2)) == w
+    w = (1, 2, 1)
+    assert concat((), w, MONOID) == w
+    assert concat(w, (), MONOID) == w
 
 
 def test_concat_group_cancels():
     # (x1 x2) (x2^-1 x1) -> x1 x1, cancelling the adjacent inverse pair
-    a = W(GROUP, 2, 1, 2)
-    b = W(GROUP, 2, -2, 1)
-    assert concat(a, b) == W(GROUP, 2, 1, 1)
+    assert concat((1, 2), (-2, 1), GROUP) == (1, 1)
 
 
-def test_concat_mode_mismatch():
-    with pytest.raises(WordError):
-        concat(W(MONOID, 2, 1), W(GROUP, 2, 1))
-    with pytest.raises(WordError):
-        concat(W(MONOID, 2, 1), W(MONOID, 3, 1))
+# a word is checked where it comes in: a tuple key of NCPoly, or text through parse_word
+REFUSED = [((0,), MONOID, "letter 0 outside alphabet of size 2"),
+           ((3,), GROUP, "letter 3 outside alphabet of size 2"),
+           ((-1,), MONOID, "inverse letters are only allowed in group mode"),
+           ([1], MONOID, r"word \[1\] is not a tuple of letters"),
+           ("x1", MONOID, "word 'x1' is not a tuple of letters")]
+
+
+@pytest.mark.parametrize("w, mode, message", REFUSED)
+def test_polynomial_refuses_a_word_outside_its_alphabet_and_mode(w, mode, message):
+    with pytest.raises(WordError, match=message):
+        check_word(w, 2, mode)
+    if isinstance(w, tuple):
+        with pytest.raises(WordError, match=message):
+            NCPoly(2, mode, 1, {(): np.eye(1), w: np.eye(1)})
 
 
 def test_unreduced_group_word_rejected():
-    with pytest.raises(WordError):
-        W(GROUP, 2, 1, -1)
+    with pytest.raises(WordError, match=r"group word \(1, -1\) is not reduced"):
+        check_word((1, -1), 2, GROUP)
+    with pytest.raises(WordError, match=r"group word \(2, 1, -1\) is not reduced"):
+        NCPoly(2, GROUP, 1, {(2, 1, -1): np.eye(1)})
+
+
+@pytest.mark.parametrize("text, g, mode, message", [
+    ("x1^-1", 2, MONOID, "inverse letters are only allowed in group mode"),
+    ("x2 x1^-1 x1", 2, MONOID, "inverse letters are only allowed in group mode"),
+    ("x1", 2, "ring", "unknown mode 'ring'"),
+    ("1", 0, GROUP, "alphabet size must be >= 1"),
+])
+def test_parse_refuses_words_outside_the_alphabet_and_mode(text, g, mode, message):
+    with pytest.raises(WordError, match=message):
+        parse_word(text, g, mode)
+
+
+def test_parse_reduces_group_words():
+    assert parse_word("x2 x1^-1 x1", 2, GROUP) == (2,)
+    assert parse_word("x1 x1^-1", 2, GROUP) == ()
 
 
 def test_involute_monoid_reverses():
-    assert involute(W(MONOID, 2, 1, 2)) == W(MONOID, 2, 2, 1)
-    assert involute(identity(2)) == identity(2)
+    assert involute((1, 2), MONOID) == (2, 1)
+    assert involute((), MONOID) == ()
 
 
 def test_involute_group_inverts():
-    w = W(GROUP, 2, 1, -2)
-    assert involute(w) == W(GROUP, 2, 2, -1)
-    assert concat(w, involute(w)) == identity(2, GROUP)
+    w = (1, -2)
+    assert involute(w, GROUP) == (2, -1)
+    assert concat(w, involute(w, GROUP), GROUP) == ()
 
 
 def test_enumerate_monoid_g2_d2():
@@ -69,7 +92,7 @@ def test_enumerate_group_g2_d1():
 
 def test_enumerate_d0():
     for mode in (MONOID, GROUP):
-        assert enumerate_words(1, 0, mode) == [identity(1, mode)]
+        assert enumerate_words(1, 0, mode) == [()]
 
 
 def test_counts():
@@ -78,30 +101,6 @@ def test_counts():
     assert count_words(5, 0, MONOID) == 1
     assert count_words(5, 0, GROUP) == 1
     assert count_words(1, 3, GROUP) == 7  # x1^m, m in -3..3
-
-
-def test_group_words_hash_apart():
-    # hash(-1) == hash(-2) in CPython: hashing raw letters left 6,349
-    # distinct hashes among these words, so dict lookups compared many
-    ws = enumerate_words(2, 8, GROUP)
-    assert len(ws) == 13_121
-    assert len({hash(w) for w in ws}) == 13_121
-
-
-def test_word_hash_is_taken_once_at_construction(monkeypatch):
-    # the value is the (mode, letter keys) hash, and hashing or comparing a
-    # built word maps no letter again
-    ws = enumerate_words(2, 3, GROUP) + enumerate_words(2, 3, MONOID)
-    copies = [Word(w.mode, w.g, w.letters) for w in ws]
-    want = [hash((w.mode, tuple(map(letter_key, w.letters)))) for w in ws]
-
-    def refuse(a):
-        raise AssertionError("letter_key called on a built word")
-
-    monkeypatch.setattr(importlib.import_module("ncsos.words"), "letter_key", refuse)
-    assert [hash(w) for w in ws] == [hash(w) for w in copies] == want
-    index = {w: i for i, w in enumerate(ws)}
-    assert [index[w] for w in copies] == list(range(len(ws)))
 
 
 @pytest.mark.parametrize("g,d,mode", [(1, 4, MONOID), (2, 3, MONOID),
@@ -119,50 +118,50 @@ def test_enumerate_sorted_and_counted(g, d, mode):
 def test_suffix_table_and_left_shift(g, d, mode):
     ws = enumerate_words(g, d, mode)
     head, tail = suffix_table(ws)
-    assert (head[0], tail[0]) == (0, -1) and not ws[0].letters
+    assert (head[0], tail[0]) == (0, -1) and ws[0] == ()
     for i in range(1, len(ws)):
         assert 0 <= tail[i] < i
-        assert ws[i] == concat(Word(mode, g, (int(head[i]),)), ws[tail[i]])
+        assert ws[i] == concat((int(head[i]),), ws[tail[i]], mode)
     index = {w: i for i, w in enumerate(ws)}
     for a in [*range(1, g + 1), *(range(-g, 0) if mode == GROUP else [])]:
         shift = left_shift(head, tail, a)
-        assert [index.get(concat(Word(mode, g, (a,)), w), -1) for w in ws] == shift.tolist()
+        assert [index.get(concat((a,), w, mode), -1) for w in ws] == shift.tolist()
 
 
 @pytest.mark.parametrize("g,mode", [(2, MONOID), (3, MONOID), (2, GROUP), (3, GROUP)])
 def test_involution_is_involutive_exhaustive(g, mode):
     d = 4 if g <= 2 else 3
     for w in enumerate_words(g, d, mode):
-        assert involute(involute(w)) == w
+        assert involute(involute(w, mode), mode) == w
 
 
 def test_involution_antimultiplicative_exhaustive():
     ws = enumerate_words(2, 2, GROUP)
     for w, v in itertools.product(ws, ws):
-        assert involute(concat(w, v)) == concat(involute(v), involute(w))
+        assert involute(concat(w, v, GROUP), GROUP) == concat(involute(v, GROUP), involute(w, GROUP), GROUP)
 
 
 @st.composite
 def group_words(draw, g=2, max_len=6):
     raw = draw(st.lists(st.integers(min_value=-g, max_value=g).filter(lambda a: a != 0),
                         max_size=max_len))
-    w = identity(g, GROUP)
+    w = ()
     for a in raw:
-        w = concat(w, Word(GROUP, g, (a,)))
+        w = concat(w, (a,), GROUP)
     return w
 
 
 @given(group_words(), group_words())
 def test_group_concat_reduced_fixpoint(w, v):
-    u = concat(w, v)
-    # re-reduction is a fixpoint: constructing from the same letters changes nothing
-    assert Word(GROUP, 2, u.letters) == u
+    u = concat(w, v, GROUP)
+    # re-reduction is a fixpoint: the product is a reduced word and concat of () changes nothing
+    assert check_word(u, 2, GROUP) == u == concat(u, (), GROUP)
 
 
 @given(group_words())
 def test_group_word_times_inverse_is_identity(w):
-    assert not concat(w, involute(w)).letters
-    assert not concat(involute(w), w).letters
+    assert concat(w, involute(w, GROUP), GROUP) == ()
+    assert concat(involute(w, GROUP), w, GROUP) == ()
 
 
 def test_format_parse_roundtrip():
