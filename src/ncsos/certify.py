@@ -75,23 +75,20 @@ class CertifyOutcome:
     degree: int = 0
 
 
-def infer_degree(f: NCPoly, d: int | None = None) -> int:
-    """The Gram degree of a Hermitian input: d, else ceil(deg f / 2).  A
-    degree whose Gram system, the one both the primal and the dual solve,
-    would have side above MAX_GRAM_SIDE is refused before anything is built,
-    even the zero coefficient block of the Hermitian test, and so are more
-    letters than that side and coefficient entries above MAX_COEFF."""
+def infer_degree(f: NCPoly) -> int:
+    """The Gram degree of a Hermitian input, ceil(deg f / 2): the degree of the
+    squares in the factorization theorems the paper extends (Helton 2002 for
+    the free monoid, McCullough 2001 for the free group), so it decides every
+    input.  A Gram system, the one both the primal and the dual solve, of side
+    above MAX_GRAM_SIDE is refused before anything is built, even the zero
+    coefficient block of the Hermitian test, and so are more letters than that
+    side and coefficient entries above MAX_COEFF."""
     if f.g > MAX_GRAM_SIDE:
         raise CertifyError(f"{f.g} letters are above the limit {MAX_GRAM_SIDE} on the Gram side")
     big = float(np.abs(f.coeffs.view(float)).max(initial=0.0))
     if not big <= MAX_COEFF:
         raise CertifyError(f"a coefficient's real or imaginary part {big:.3e} is above the limit {MAX_COEFF:.0e}")
-    if d is None:
-        d = math.ceil(f.degree() / 2)
-    if d < 0:
-        raise CertifyError("degree must be at least 0")
-    if f.degree() > 2 * d:
-        raise CertifyError(f"degree {f.degree()} exceeds 2*d = {2 * d}")
+    d = math.ceil(f.degree() / 2)
     # count_words(g, d) >= d + 1: a huge d is refused uncounted
     side = f.k * (d + 1 if (d + 1) * f.k > MAX_GRAM_SIDE else count_words(f.g, d, f.mode))
     if side > MAX_GRAM_SIDE:
@@ -232,12 +229,12 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
 # -- the decision ------------------------------------------------------------
 
 
-def certify(f: NCPoly, d: int | None = None) -> CertifyOutcome:
-    """Decide f at Gram degree d (default ceil(deg f / 2)): the primal's
-    outcome when it is sos, else the dual's, carrying the primal's
-    diagnostics.  The dual reads the primal's table and solve, so a decision
-    builds and solves one Gram system, in both modes."""
-    d = infer_degree(f, d)
+def certify(f: NCPoly) -> CertifyOutcome:
+    """Decide f at its Gram degree d = infer_degree(f): the primal's outcome
+    when it is sos, else the dual's, carrying the primal's diagnostics.  The
+    dual reads the primal's table and solve, so a decision builds and solves
+    one Gram system, in both modes."""
+    d = infer_degree(f)
     out, solved = run_primal(f, d)
     if out.kind == "sos":
         return out

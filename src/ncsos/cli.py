@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     for name in ("certify", "decompose", "witness"):
         sp = sub.add_parser(name)
         sp.add_argument("input")
-        sp.add_argument("--degree", type=int, default=None)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("eval")
@@ -190,17 +189,16 @@ def _emit(data, out_path: str | None):
 
 
 def _cmd_decide(args) -> int:
-    """certify, decompose (the primal alone) or witness (the dual alone)."""
-    if args.degree is not None and args.degree < 0:
-        raise UsageError("--degree must be at least 0")
+    """certify, decompose (the primal alone) or witness (the dual alone), each
+    at the input's Gram degree (certify.infer_degree)."""
     f = _load_poly(args.input)
     try:  # dispatch at call time: perfbench's tracer swaps these bindings
         if args.command == "certify":
-            outcome = certify(f, args.degree)
+            outcome = certify(f)
         elif args.command == "decompose":
-            outcome = run_primal(f, infer_degree(f, args.degree))[0]
+            outcome = run_primal(f, infer_degree(f))[0]
         else:
-            outcome = run_dual(f, infer_degree(f, args.degree))
+            outcome = run_dual(f, infer_degree(f))
     except CertifyError as exc:
         raise DataError(str(exc))
     print(f"{args.command}: outcome={outcome.kind} degree={outcome.degree} "

@@ -693,14 +693,18 @@ def test_certify_rejects_non_hermitian():
         certify(1j * x(1))
 
 
-def test_degree_override_guard():
-    f = x(1) * x(2) * x(2) * x(1)
-    assert infer_degree(f) == 2
-    with pytest.raises(CertifyError):
-        infer_degree(f, 1)
-    for p in (f, NCPoly.zero(2, MONOID, 1)):
-        with pytest.raises(CertifyError, match="^degree must be at least 0$"):
-            infer_degree(p, -1)
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("word, d", [(None, 0), ((), 0), ((1,), 1), ((1, 2), 1), ((1, 2, 2), 2),
+                                     ((1, 2, 2, 1), 2), ((2,) * 7, 4)],
+                         ids=["zero", "constant", "deg1", "deg2", "deg3", "deg4", "deg7"])
+def test_infer_degree_is_half_the_input_degree_rounded_up(mode, word, d):
+    if word is None:
+        f = NCPoly.zero(2, mode, 1)
+    else:
+        w = NCPoly.monomial(word, 2, mode)
+        f = w + w.adjoint()
+    assert f.degree() == (0 if word is None else len(word))
+    assert infer_degree(f) == d
 
 
 def test_infer_degree_refuses_coefficients_that_would_overflow_and_oversized_alphabets():

@@ -12,7 +12,7 @@ import pytest
 
 import ncsos
 from ncsos import jsonio, sdp
-from ncsos.certify import EPS_WIT
+from ncsos.certify import EPS_WIT, certify, infer_degree
 from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
 from ncsos.fock import extract_coeffs
 from ncsos.gram import EPS_PSD
@@ -448,9 +448,6 @@ def test_poly_json_roundtrip_identity():
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "certify")[0] == EX_USAGE
     assert run(capsys, "no-such-command")[0] == EX_USAGE
-    # a negative degree is refused as a flag, before the input is read
-    assert run(capsys, "witness", "missing.json", "--degree", "-1") == (
-        EX_USAGE, "", "usage error: --degree must be at least 0\n")
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):
@@ -552,10 +549,6 @@ def _bad_entry_cases():
     # the flags are checked before the file is read
     pytest.param(["extract", "--eval", "{e}.missing", "--g", "0", "--l", "1"], {"e": [[[1.0, 0.0]]]}, EX_USAGE,
                  id="extract-g-0-unreadable"),
-    *(pytest.param([command, "{p}", "--degree", "-1"], {"p": poly_data(terms=terms)}, EX_USAGE,
-                   id=f"{command}-degree-negative-{name}")
-      for command in ("certify", "decompose", "witness")
-      for name, terms in (("x1-x1", poly_data()["terms"]), ("zero", []))),
     *_bad_entry_cases(),
 ])
 def test_malformed_input_ends_with_stated_reason(tmp_path, capsys, argv, files, code):
@@ -633,18 +626,20 @@ def test_delta_flag_is_gone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
-@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter", "--degree"])
 def test_solver_flags_are_gone(tmp_path, capsys, command, flag):
-    # the solver's budget and tolerance are constants, not settings
+    # the solver's budget and tolerance are constants, not settings, and the
+    # Gram degree follows from the input (certify.infer_degree)
     path = write_poly(tmp_path / "p.json", sos_fixture())
-    code, out, err = run(capsys, command, path, flag, "5")
-    assert code == EX_USAGE
-    assert err.strip() == f"usage error: unrecognized arguments: {flag} 5"
+    assert run(capsys, command, path, flag, "2") == (
+        EX_USAGE, "", f"usage error: unrecognized arguments: {flag} 2\n")
 
 
 REQUIRED = inspect.Parameter.empty
-# each library function below certify: its parameters and their defaults
+# certify and each library function below it: its parameters and their defaults
 SIGNATURES = {
+    certify: {"f": REQUIRED},
+    infer_degree: {"f": REQUIRED},
     sdp.solve_feasibility: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.max_margin: {"sys": REQUIRED},
     sdp.project_affine: {"X": REQUIRED, "sys": REQUIRED},
@@ -686,17 +681,18 @@ def test_sos_evidence_fixture_is_accepted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
-@pytest.mark.parametrize("degree", ["12", "200000"])
-def test_oversized_degree_is_refused_before_anything_is_built(tmp_path, capsys, command, degree):
-    # 1 + x1^2 over two letters: the degree-13 Gram system alone has side
-    # 16,383, and its word-pair table would have 2.7e8 entries
-    path = write_poly(tmp_path / "p.json", NCPoly.constant(1.0, 2) + x(1) * x(1))
+@pytest.mark.parametrize("power, degree, side", [(26, 13, 16383), (2000, 1000, 1001)],
+                         ids=["x1^26", "x1^2000"])
+def test_oversized_degree_is_refused_before_anything_is_built(tmp_path, capsys, command, power, degree, side):
+    # 1 + x1^26 over two letters: the degree-13 Gram system alone has side
+    # 16,383, and its word-pair table would have 2.7e8 entries; at degree 1000
+    # the side is bounded below by d + 1 before any word is counted
+    path = write_poly(tmp_path / "p.json", NCPoly.constant(1.0, 2) + NCPoly.monomial((1,) * power, 2))
     start = time.perf_counter()
-    code, out, err = run(capsys, command, path, "--degree", degree)
+    code, out, err = run(capsys, command, path)
     assert time.perf_counter() - start < 1.0
     assert code == EX_DATA and out == ""
-    assert err.startswith(f"input error: degree {degree} needs a Gram system of side at least ")
-    assert err.strip().endswith("above the limit 512")
+    assert err == f"input error: degree {degree} needs a Gram system of side at least {side}, above the limit 512\n"
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose", "witness"])

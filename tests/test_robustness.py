@@ -1,8 +1,8 @@
 """A seeded sweep of mutated inputs through every command that reads a file.
 
 Each case starts from a valid file: one of the seven acceptance fixtures'
-inputs (certify, decompose and witness, with and without --degree), one of
-their certify outcome files (spotcheck), a random monoid or group tuple
+inputs (certify, decompose and witness, each at the input's own degree), one
+of their certify outcome files (spotcheck), a random monoid or group tuple
 (eval) or a random matrix of the size the flags need (extract).  One or two
 mutations then replace a value somewhere in it, delete a key or truncate a
 list.  fock-dump reads no file: its cases draw --g and --l.  The case runs
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from ncsos import jsonio
-from ncsos.certify import certify, infer_degree
+from ncsos.certify import certify
 from ncsos.cli import EX_DATA, EX_UNDECIDED, EX_USAGE, _outcome_json, main
 from ncsos.poly import matrix_to_json, poly_to_json
 from ncsos.words import GROUP, MONOID, count_words
@@ -95,8 +95,6 @@ def mutate(data, rng):
 def decide_case(rng, outcomes):
     f = rng.choice(list(FIXTURES.values()))
     argv = [rng.choice(["certify", "decompose", "witness"]), "{f}"]
-    if rng.random() < 0.5:
-        argv += ["--degree", str(rng.choice([infer_degree(f), *DEGREES]))]
     return argv, {"f": mutate(as_json(poly_to_json(f)), rng)}
 
 
