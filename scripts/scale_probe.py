@@ -20,8 +20,10 @@ Inputs and outcome files are written under .scale_probe/ at the root of the
 checkout the script sits in, and ncsos is imported from that checkout's src/,
 so a copy of this script in another checkout measures that checkout.  Each
 decision runs in a fresh interpreter with one BLAS thread; the table gives its
-wall time (ncsos.cli.main, input reading and outcome writing included) and its
-ru_maxrss.  The exit code is 1 when a decided kind contradicts the
+wall time (ncsos.cli.main, input reading and outcome writing included), its
+ru_maxrss, and the Dykstra iterations and note of the outcome file's record of
+its one Gram solve: the note names the max-margin handover's Newton steps when
+the handover decided.  The exit code is 1 when a decided kind contradicts the
 construction.
 """
 
@@ -82,9 +84,10 @@ def decide(name):
     t0 = time.perf_counter()
     main(["certify", str(OUT / f"{name}.json"), "--out", str(out)])
     wall = time.perf_counter() - t0
-    kind = json.loads(out.read_text())["outcome"]
+    data = json.loads(out.read_text())
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"m": k * count_words(g, d, mode), "kind": kind, "wall_s": wall, "ru_maxrss_mb": rss}))
+    print(json.dumps({"m": k * count_words(g, d, mode), "kind": data["outcome"], "wall_s": wall,
+                      "ru_maxrss_mb": rss, **data["diagnostics"]}))
 
 
 def run(*args) -> str:
@@ -95,13 +98,14 @@ def run(*args) -> str:
 
 def main():
     run("--make")
-    print(f"{'point':24s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s}")
+    print(f"{'point':24s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s} "
+          f"{'iterations':>10s}  note")
     wrong = 0
     for name, (*_, expected, _) in POINTS.items():
         got = json.loads(run("--decide", name))
         wrong += got["kind"] not in (expected, "undecided")
         print(f"{name:24s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} "
-              f"{got['wall_s']:8.2f} {got['ru_maxrss_mb']:13.1f}")
+              f"{got['wall_s']:8.2f} {got['ru_maxrss_mb']:13.1f} {got['iterations']:10d}  {got['note']}")
     return 1 if wrong else 0
 
 

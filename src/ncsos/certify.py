@@ -20,14 +20,14 @@ point nor a certificate (on inputs that vanish somewhere, such as
 Near the boundary of the cone the answer may be Undecided.
 
 Each branch returns a CertifyOutcome: run_primal's is sos or undecided,
-run_dual's witness or undecided, each with its own diagnostics.  certify
-returns the primal's when it is sos, else the dual's with the primal's
-diagnostics on it, so certify, decompose and witness write one schema.
+run_dual's witness or undecided, each with the one record of the solve it
+read.  certify returns the primal's when the solve is feasible, else the
+dual's, so its outcome is the one decompose or witness gives on the input.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -57,22 +57,18 @@ class CertifyError(ValueError):
 
 
 @dataclass
-class BranchDiagnostics:
-    iterations: int = 0
-    gap: float = math.inf
-    note: str = ""
-
-
-@dataclass
 class CertifyOutcome:
+    """A decision and the record of its one Gram solve: Dykstra's iterations,
+    its final gap and _outcome's note."""
     kind: str  # "sos" | "witness" | "undecided"
+    degree: int
+    iterations: int
+    gap: float
+    note: str
     certificate: SOSCertificate | None = None
     model: WitnessModel | None = None
     min_eig: float | None = None
     refuted_value: complex | None = None
-    primal: BranchDiagnostics = field(default_factory=BranchDiagnostics)
-    dual: BranchDiagnostics = field(default_factory=BranchDiagnostics)
-    degree: int = 0
 
 
 def infer_degree(f: NCPoly) -> int:
@@ -118,17 +114,22 @@ def gram_system(f: NCPoly, index: tuple[list, np.ndarray]) -> AffineSystem:
 hankel_system = partial(gram_system)
 
 
-def _note(res: FeasibilityResult, note: str = "") -> str:
-    """note, then the max-margin handover's Newton steps or why it did not run."""
-    stage = res.reason or (f"max-margin handover, {res.newton_steps} Newton steps" if res.newton_steps else "")
-    return "; ".join(part for part in (note, stage) if part)
+def _outcome(res: FeasibilityResult, d: int, refusal: str = "", kind: str = "undecided",
+             **evidence) -> CertifyOutcome:
+    """The outcome of the degree-d solve res, its note joining, where there is
+    one, the Farkas certificate's pairing, the refusal, and the max-margin
+    handover's Newton steps or why the solve ended without one."""
+    parts = ("" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}", refusal,
+             res.reason or (f"max-margin handover, {res.newton_steps} Newton steps" if res.newton_steps else ""))
+    return CertifyOutcome(kind, d, res.iterations, res.final_gap, "; ".join(part for part in parts if part),
+                          **evidence)
 
 
 def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     """Dykstra on the Gram system, with the free state as its interior point,
     and the max-margin handover (sdp.solve_feasibility, at its fixed budget
-    and tolerance).  Returns the outcome, sos or undecided with its primal
-    diagnostics, and (index, result): the degree-d word-pair table, which the
+    and tolerance).  Returns the outcome, sos or undecided with the solve's
+    record, and (index, result): the degree-d word-pair table, which the
     certificate's GramMatrix carries, and the solver's result, however the
     solve ended (its reason is in the note).
 
@@ -137,21 +138,17 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     solver's tolerance makes a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
-    out = CertifyOutcome("undecided", degree=d)
     res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
-    note = "" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}"
-    out.primal = BranchDiagnostics(res.iterations, res.final_gap, _note(res, note))
+    refusal = ""
     if res.feasible:
         try:
             cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, index, res.X))
             refusal, cert.residual, _ = refuse_certificate(f, cert)
         except GramError as exc:
             refusal = str(exc)
-        if refusal:
-            out.primal.note = _note(res, refusal)
-        else:
-            out.kind, out.certificate = "sos", cert
-    return out, (index, res)
+        if not refusal:
+            return _outcome(res, d, kind="sos", certificate=cert), (index, res)
+    return _outcome(res, d, refusal), (index, res)
 
 
 # -- dual: Hankel functional search -------------------------------------------
@@ -185,27 +182,21 @@ def free_state(f: NCPoly, D: int) -> np.ndarray:
     return K / np.trace(K).real
 
 
-def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
+def run_dual(f: NCPoly, d: int, solved: tuple | None = None) -> CertifyOutcome:
     """solve_feasibility on the Gram system of f at degree d, with the free
     state as its interior point: the primal's system, so run_primal's
-    (index, result) handed in is read as it is, however its solve ended, as
-    the same table and deterministic solve would only repeat it (the witness
-    command hands in none).  Its Farkas certificate, the
+    (index, result) handed in as solved is read as it is, as the same table
+    and deterministic solve would only repeat it (the witness command hands
+    in none).  Its Farkas certificate, the
     class vector h + s k, read as blocks (functional_from_solution), is a
     functional positive definite on squares and negative on f; GNS builds
     the witness from it, gated on the operator defect, gns_verify and
     min eig f(Y) <= -EPS_WIT.  Returns the outcome, witness or undecided with
-    its dual diagnostics."""
-    out = CertifyOutcome("undecided", degree=d)
-    index, res = primal or (constraint_index(f.g, d, f.mode), None)
+    the solve's record."""
+    index, res = solved or (constraint_index(f.g, d, f.mode), None)
     if res is None:
         res = solve_feasibility(hankel_system(f, index), interior=free_state(f, d))
-    out.dual = BranchDiagnostics(res.iterations, res.final_gap, _note(res))
-
-    def undecided(note):
-        out.dual.note = _note(res, note)
-        return out
-
+    undecided = partial(_outcome, res, d)
     if res.certificate is None:
         return undecided(f"Gram system of degree {d} is feasible" if res.feasible
                          else f"no Farkas certificate at degree {d}")
@@ -221,9 +212,8 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
     if not residual <= GNS_VERIFY_TOL:
         return undecided(f"GNS verification residual {residual:.3e}")
     model.gns_residual = residual
-    out.kind, out.model, out.min_eig = "witness", model, min_eig
-    out.refuted_value = complex(np.vdot(model.gamma, fY @ model.gamma))
-    return out
+    return _outcome(res, d, kind="witness", model=model, min_eig=min_eig,
+                    refuted_value=complex(np.vdot(model.gamma, fY @ model.gamma)))
 
 
 # -- the decision ------------------------------------------------------------
@@ -231,16 +221,12 @@ def run_dual(f: NCPoly, d: int, primal: tuple | None = None) -> CertifyOutcome:
 
 def certify(f: NCPoly) -> CertifyOutcome:
     """Decide f at its Gram degree d = infer_degree(f): the primal's outcome
-    when it is sos, else the dual's, carrying the primal's diagnostics.  The
-    dual reads the primal's table and solve, so a decision builds and solves
-    one Gram system, in both modes."""
+    when the solve is feasible, else the dual's.  The dual reads the primal's
+    table and solve, so a decision builds and solves one Gram system, in both
+    modes, and its outcome is the one decompose or witness gives."""
     d = infer_degree(f)
     out, solved = run_primal(f, d)
-    if out.kind == "sos":
-        return out
-    dual = run_dual(f, d, solved)
-    dual.primal = out.primal
-    return dual
+    return out if solved[1].feasible else run_dual(f, d, solved)
 
 
 # -- the evidence gates: certify runs them on its answers, spotcheck on stored ones --

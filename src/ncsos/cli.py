@@ -27,7 +27,7 @@ except ImportError:
 
 from . import jsonio
 from .certify import (
-    EPS_WIT, BranchDiagnostics, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
+    EPS_WIT, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
     refuse_evaluation, refuse_witness, run_dual, run_primal,
 )
 from .fock import (
@@ -158,13 +158,9 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
     }
 
 
-def _diagnostics(diag: BranchDiagnostics) -> dict:
-    return {"iterations": diag.iterations, "gap": _finite(diag.gap), "note": diag.note}
-
-
 def _outcome_json(f: NCPoly, outcome: CertifyOutcome) -> dict:
     data = {"outcome": outcome.kind, "degree": outcome.degree, "input_sha256": _input_hash(f),
-            "diagnostics": {"primal": _diagnostics(outcome.primal), "dual": _diagnostics(outcome.dual)}}
+            "diagnostics": {"iterations": outcome.iterations, "gap": _finite(outcome.gap), "note": outcome.note}}
     if outcome.kind == "sos":
         data["certificate"] = _sos_json(outcome.certificate)
     elif outcome.kind == "witness":
@@ -190,7 +186,8 @@ def _emit(data, out_path: str | None):
 
 def _cmd_decide(args) -> int:
     """certify, decompose (the primal alone) or witness (the dual alone), each
-    at the input's Gram degree (certify.infer_degree)."""
+    at the input's Gram degree (certify.infer_degree), each file with the
+    record of the one Gram solve its outcome read."""
     f = _load_poly(args.input)
     try:  # dispatch at call time: perfbench's tracer swaps these bindings
         if args.command == "certify":
@@ -201,8 +198,7 @@ def _cmd_decide(args) -> int:
             outcome = run_dual(f, infer_degree(f))
     except CertifyError as exc:
         raise DataError(str(exc))
-    print(f"{args.command}: outcome={outcome.kind} degree={outcome.degree} "
-          f"primal_iters={outcome.primal.iterations} dual_iters={outcome.dual.iterations}",
+    print(f"{args.command}: outcome={outcome.kind} degree={outcome.degree} iterations={outcome.iterations}",
           file=sys.stderr)
     _emit(_outcome_json(f, outcome), args.out)
     return {"sos": EX_OK_SOS, "witness": EX_WITNESS}.get(outcome.kind, EX_UNDECIDED)

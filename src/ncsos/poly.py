@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .words import MONOID, MODES, check_word, concat, format_word, graded_key, involute, parse_word, suffix_table
+from .words import MONOID, MODES, _parse_letters, check_word, concat, format_word, graded_key, involute, suffix_table
 
 COEFF_DROP_TOL = 1e-14
 EPS_HERM = 1e-9
@@ -300,7 +300,7 @@ def poly_from_json(data: dict) -> NCPoly:
     for item in raw:
         if not isinstance(item, dict) or not isinstance(item.get("word"), str) or "matrix" not in item:
             raise PolyError("bad polynomial term: want {\"word\": string, \"matrix\": matrix}")
-        w = parse_word(item["word"], g, mode)
+        w = _parse_letters(item["word"], g, mode)  # NCPoly checks it
         c = matrix_from_json(item["matrix"])
         if c.shape != (k, k):
             raise PolyError(f"term {item['word']!r} has matrix shape {c.shape}, want ({k}, {k})")

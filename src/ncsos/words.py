@@ -5,7 +5,8 @@ only).  A word is the plain tuple of its letters, and the empty tuple is the
 identity word; the alphabet size and the mode belong to the polynomial, the
 word basis or the call.  Group-mode words are kept reduced: no adjacent pair
 +i, -i.  Words from outside are checked once, by check_word, where they come
-in: parse_word (text) and NCPoly (tuples).
+in: parse_word (text) and NCPoly (tuples, and poly.poly_from_json's text,
+which _parse_letters reads unchecked).
 
 Graded lexicographic order uses the letter order
     monoid:  x1 < x2 < ... < xg
@@ -153,6 +154,12 @@ _LETTER_TOKEN = re.compile(r"x([0-9]+)(\^-1)?")
 def parse_word(text: str, g: int, mode: str = MONOID) -> tuple[int, ...]:
     """The word a text form spells, checked by check_word: in group mode
     reduced first, in monoid mode refused when it holds an inverse letter."""
+    return check_word(_parse_letters(text, g, mode), g, mode)
+
+
+def _parse_letters(text: str, g: int, mode: str) -> tuple[int, ...]:
+    """The letters a text form spells, each of x1..xg or its inverse, reduced
+    in group mode and otherwise unchecked: the caller's check_word checks them."""
     letters = []
     for tok in [] if text.strip() == "1" else text.split():
         # x and ASCII digits only: int() alone takes a sign, underscores and non-ASCII digits
@@ -166,4 +173,4 @@ def parse_word(text: str, g: int, mode: str = MONOID) -> tuple[int, ...]:
         if i < 1 or i > g:
             raise WordError(f"letter index {i} outside 1..{g}")
         letters.append(-i if inv else i)
-    return check_word(reduce_letters(letters) if mode == GROUP else tuple(letters), g, mode)
+    return reduce_letters(letters) if mode == GROUP else tuple(letters)

@@ -86,7 +86,7 @@ def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
                         lambda *args, **kwargs: solved)
     out, _ = run_primal(f, 1)
     assert out.certificate is None
-    assert out.primal.note.startswith("Gram matrix is not psd (min eigenvalue -")
+    assert out.note.startswith("Gram matrix is not psd (min eigenvalue -")
     assert certify(f).kind != "witness"
 
 
@@ -270,8 +270,8 @@ def test_handover_certificate_is_the_inverse_slack(monkeypatch):
 def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch):
     monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "MARGIN_MAX_BYTES", 0)
     out = certify(group_fixture())
-    assert out.kind == "undecided" and out.primal.iterations == DEFAULT_MAX_ITER
-    assert out.primal.note.startswith("max-margin handover needs ")
+    assert out.kind == "undecided" and out.iterations == DEFAULT_MAX_ITER
+    assert out.note.startswith("no Farkas certificate at degree 1; max-margin handover needs ")
 
 
 # -- dual ----------------------------------------------------------------------
@@ -431,7 +431,7 @@ def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
 def test_dual_witness_operators_are_self_adjoint(seed):
     # GNS completes each letter shift to an exactly self-adjoint operator
     out = run_dual(monoid_witness_input(seed, 1, 2, 2), 2)
-    assert out.kind == "witness", out.dual.note
+    assert out.kind == "witness", out.note
     assert out.model.operators.hermitian_defect() == 0.0 and out.min_eig <= -1e-6
 
 
@@ -441,8 +441,8 @@ def test_near_boundary_witness_decides(seed):
     # inputs; the handover's inverse slack is the witness functional
     f = monoid_witness_input(seed, 1, 1, 2, margin=1e-3)
     out = certify(f)
-    assert out.kind == "witness", out.dual.note
-    assert out.dual.note.startswith("max-margin handover")
+    assert out.kind == "witness", out.note
+    assert out.note.startswith("Farkas certificate, pairing -") and "; max-margin handover, " in out.note
     assert refuse_witness(f, out.model.operators)[0] == ""
 
 
@@ -491,7 +491,7 @@ def test_dual_decides_at_the_first_rung(f, monkeypatch):
     monkeypatch.setattr(module, "hankel_system",
                         lambda *a, _f=module.hankel_system: calls.append(a) or _f(*a))
     out = run_dual(f, 2)
-    assert out.kind == "witness", out.dual.note
+    assert out.kind == "witness", out.note
     assert len(calls) == 1
     defect = (out.model.operators.hermitian_defect() if f.mode == MONOID
               else out.model.operators.unitary_defect())
@@ -507,7 +507,7 @@ def test_dual_functional_is_the_conjugated_certificate(f):
     sys = gram_system(f, index)
     res = solve_feasibility(sys, interior=free_state(f, 2))
     out = run_dual(f, 2, (index, res))
-    assert out.kind == "witness", out.dual.note
+    assert out.kind == "witness", out.note
     Z = sys.broadcast(res.certificate)
     assert np.array_equal(quotient_matrix(out.model.functional), Z.conj() / np.trace(Z).real)
 
@@ -607,7 +607,7 @@ def test_small_negative_constant_is_never_sos(c, kind):
     # witness then needs f(Y) = -c <= -EPS_WIT
     out = certify(NCPoly.constant(-c, 1))
     assert out.kind == kind
-    assert out.primal.iterations == 1 and out.primal.note.startswith("Farkas certificate")
+    assert out.iterations == 1 and out.note.startswith("Farkas certificate")
 
 
 def _gram_poly(seed, g, mode, k, d=1):
@@ -724,8 +724,8 @@ def test_infer_degree_refuses_coefficients_that_would_overflow_and_oversized_alp
 def test_a_solve_that_cannot_start_runs_once(monkeypatch):
     # x1^34: at degree 17 no class-constant matrix of one letter is
     # numerically positive definite, the free state included, so the solve
-    # ends before its first iteration; certify reads that one result in both
-    # branches and never solves again
+    # ends before its first iteration; certify's dual reads that one result
+    # and never solves again
     module = importlib.import_module("ncsos.certify")
     sizes = []
     monkeypatch.setattr(module, "solve_feasibility",
@@ -733,9 +733,7 @@ def test_a_solve_that_cannot_start_runs_once(monkeypatch):
     reason = "the interior point is not positive definite on the classes"
     out = certify(NCPoly.monomial((1,) * 34, 1, MONOID))
     assert out.kind == "undecided" and out.degree == 17 and sizes == [18]
-    assert out.primal.iterations == out.dual.iterations == 0
-    assert out.primal.note == reason
-    assert out.dual.note == f"no Farkas certificate at degree 17; {reason}"
+    assert out.iterations == 0 and out.note == f"no Farkas certificate at degree 17; {reason}"
 
 
 # -- the certificate gate ------------------------------------------------------------

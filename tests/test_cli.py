@@ -768,8 +768,7 @@ def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code
     if code == EX_DATA:
         assert out == "" and err.strip().splitlines()[-1] == reason  # after any numpy warning
     else:
-        notes = json.loads(out)["diagnostics"]
-        assert reason in notes["primal"]["note"] + notes["dual"]["note"]
+        assert reason in json.loads(out)["diagnostics"]["note"]
 
 
 def _certify_own_evidence(gram):
@@ -943,23 +942,35 @@ def test_witness_file_matches_list_payload(tmp_path, capsys, f):
                                group_witness_input(1, 1, 2, 2)], ids=["g1-k1", "g1-d2-k2"])
 def test_certify_and_witness_write_the_same_group_witness(tmp_path, capsys, f):
     # certify reads the group-mode dual off the primal's solve, witness solves
-    # the same system alone: the evidence must not differ by a byte, and the
-    # files, one schema, differ only in the primal diagnostics witness skips
+    # the same system alone: the files must not differ by a byte
     path = write_poly(tmp_path / "p.json", f)
-    files = []
-    for command in ("certify", "witness"):
-        code, out, _ = run(capsys, command, path)
-        assert code == EX_WITNESS
-        files.append(out)
-    assert files[0][files[0].index('"witness":'):] == files[1][files[1].index('"witness":'):]
-    certified, witnessed = (json.loads(out) for out in files)
-    assert witnessed["diagnostics"]["primal"] == {"iterations": 0, "gap": None, "note": ""}
-    assert certified["diagnostics"]["primal"] != witnessed["diagnostics"]["primal"]
-    for data in (certified, witnessed):
-        del data["diagnostics"]["primal"]
-    assert certified == witnessed
-    # on an SOS input decompose runs certify's whole decision: the same file
-    path = write_poly(tmp_path / "sos.json", sos_fixture())
-    sos = [run(capsys, command, path) for command in ("certify", "decompose")]
-    assert sos[0][0] == sos[1][0] == 0
-    assert sos[0][1] == sos[1][1]
+    files = [run(capsys, command, path) for command in ("certify", "witness")]
+    assert files[0][0] == files[1][0] == EX_WITNESS
+    assert files[0][1] == files[1][1]
+
+
+@pytest.mark.parametrize("f", ACCEPTANCE.values(), ids=ACCEPTANCE.keys())
+def test_certify_writes_the_file_of_the_branch_it_answers_with(tmp_path, capsys, f):
+    # one decision, one solve, one record: certify's file is decompose's on
+    # an SOS input and witness's on a refuted one, to the byte
+    path = write_poly(tmp_path / "p.json", f)
+    code, certified, _ = run(capsys, "certify", path)
+    command = {0: "decompose", EX_WITNESS: "witness"}[code]
+    assert run(capsys, command, path)[:2] == (code, certified)
+
+
+@pytest.mark.parametrize("command, f, kind, evidence", [
+    ("certify", sos_fixture(), "sos", {"certificate": {"gram", "residual", "factors"}}),
+    ("certify", witness_fixture(), "witness", {"witness": {"min_eig", "refuted_value", "model", "functional"}}),
+    ("decompose", witness_fixture(), "undecided", {}),
+], ids=["sos", "witness", "undecided"])
+def test_outcome_file_keys(tmp_path, capsys, command, f, kind, evidence):
+    # the one schema of certify, decompose and witness: the record of the one
+    # Gram solve, then the evidence of a decided outcome
+    code, out, err = run(capsys, command, write_poly(tmp_path / "p.json", f))
+    data = json.loads(out)
+    assert data["outcome"] == kind
+    assert data.keys() == {"outcome", "degree", "input_sha256", "diagnostics", *evidence}
+    assert data["diagnostics"].keys() == {"iterations", "gap", "note"}
+    assert all(data[key].keys() == keys for key, keys in evidence.items())
+    assert err == f"{command}: outcome={kind} degree=1 iterations={data['diagnostics']['iterations']}\n"

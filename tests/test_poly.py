@@ -209,6 +209,24 @@ def test_json_roundtrip():
         assert q == p
 
 
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_json_input_checks_each_word_once(mode, monkeypatch):
+    # the text is tokenized unchecked and NCPoly checks the word it spells
+    import ncsos.poly
+    import ncsos.words
+    p = rand_poly(2, mode, 2, 3, np.random.default_rng(5), n_terms=9)
+    data, calls = json_round_trip(p), []
+
+    def counted(w, g, mode, _check=ncsos.words.check_word):
+        calls.append(w)
+        return _check(w, g, mode)
+
+    for module in (ncsos.poly, ncsos.words):
+        monkeypatch.setattr(module, "check_word", counted)
+    assert poly_from_json(data) == p
+    assert sorted(calls) == sorted(p.words) and len(calls) == 9
+
+
 def test_json_format_shape():
     p = NCPoly(2, MONOID, 1, {parse_word("x1 x2", 2): np.array([[1 + 2j]])})
     data = json_round_trip(p)
