@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time `ncsos certify` on seeded inputs above the benchmark's sizes.
+"""Time `ncsos certify` on inputs above the benchmark's sizes.
 
 The Gram side m = k * count_words(g, d) of each point is above 30, the
 benchmark's largest, except at the two monoid points (m = 30, which is also
@@ -10,7 +10,10 @@ Ground truth by construction:
     witness  the same polynomial minus c, with c chosen so that f(Y0) has
              minimum eigenvalue -0.5 at a seeded 3 x 3 tuple Y0 (unitary in
              group mode, Hermitian in monoid mode), evaluated word by word
-             with word_eval.
+             with word_eval;
+    trig     (no seed) f = 1 - u1^2d - u1^-2d, which is -1 at u1 = 1, so not
+             SOS: three terms of degree 2d, whose evaluation at a witness
+             walks words of length 2d.
 
 Run from anywhere:
 
@@ -21,10 +24,11 @@ checkout the script sits in, and ncsos is imported from that checkout's src/,
 so a copy of this script in another checkout measures that checkout.  Each
 decision runs in a fresh interpreter with one BLAS thread; the table gives its
 wall time (ncsos.cli.main, input reading and outcome writing included), its
-ru_maxrss, and the Dykstra iterations and note of the outcome file's record of
-its one Gram solve: the note names the max-margin handover's Newton steps when
-the handover decided.  The exit code is 1 when a decided kind contradicts the
-construction.
+ru_maxrss (on the trig point, what poly_eval holds while the witness gate
+evaluates f), and the Dykstra iterations and note of the outcome file's record
+of its one Gram solve: the note names the max-margin handover's Newton steps
+when the handover decided.  The exit code is 1 when a decided kind contradicts
+the construction.
 """
 
 import json
@@ -37,13 +41,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / ".scale_probe"
 SINGLE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# name: (mode, g, d, k, expected kind, seed)
+# name: (mode, g, d, k, expected kind, seed); seed None is the trig input
 POINTS = {
     "group-g2-d4-k1-sos": ("group", 2, 4, 1, "sos", 1),
     "group-g2-d4-k1-witness": ("group", 2, 4, 1, "witness", 2),
     "group-g2-d3-k2-witness": ("group", 2, 3, 2, "witness", 3),
     "monoid-g2-d3-k2-sos": ("monoid", 2, 3, 2, "sos", 4),
     "monoid-g2-d3-k2-witness": ("monoid", 2, 3, 2, "witness", 5),
+    "group-g1-d100-trig-witness": ("group", 1, 100, 1, "witness", None),
 }
 
 
@@ -57,6 +62,11 @@ def make_inputs():
 
     OUT.mkdir(exist_ok=True)
     for name, (mode, g, d, k, kind, seed) in POINTS.items():
+        if seed is None:
+            u = NCPoly.monomial((1,) * 2 * d, g, mode)
+            f = NCPoly.constant(1.0, g, mode) - u - u.adjoint()
+            (OUT / f"{name}.json").write_text(jsonio.dumps(poly_to_json(f)))
+            continue
         rng = np.random.default_rng(seed)
         m = k * count_words(g, d, mode)
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -98,13 +108,13 @@ def run(*args) -> str:
 
 def main():
     run("--make")
-    print(f"{'point':24s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s} "
+    print(f"{'point':26s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s} "
           f"{'iterations':>10s}  note")
     wrong = 0
     for name, (*_, expected, _) in POINTS.items():
         got = json.loads(run("--decide", name))
         wrong += got["kind"] not in (expected, "undecided")
-        print(f"{name:24s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} "
+        print(f"{name:26s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} "
               f"{got['wall_s']:8.2f} {got['ru_maxrss_mb']:13.1f} {got['iterations']:10d}  {got['note']}")
     return 1 if wrong else 0
 

@@ -94,10 +94,8 @@ class NCPoly:
         return cls(g, mode, c.shape[0], {(): c})
 
     @classmethod
-    def monomial(cls, w: tuple, g: int, mode: str = MONOID, c=1.0, k: int | None = None) -> "NCPoly":
+    def monomial(cls, w: tuple, g: int, mode: str = MONOID, c=1.0) -> "NCPoly":
         c = np.atleast_2d(np.asarray(c, dtype=complex))
-        if k is not None and c.shape == (1, 1) and k > 1:
-            c = c[0, 0] * np.eye(k)
         return cls(g, mode, c.shape[0], {w: c})
 
     # -- ring structure ----------------------------------------------------
@@ -223,13 +221,25 @@ def word_images(X: OperatorTuple, words: list[tuple], V) -> np.ndarray:
     return Z.reshape(V.shape[0], -1)
 
 
+def shared_prefixes(words: list[tuple]) -> list[int]:
+    """The length of the prefix each word shares with the next one, 0 for the last."""
+    out = []
+    for w, v in zip(words, words[1:]):
+        s = 0
+        while s < min(len(w), len(v)) and w[s] == v[s]:
+            s += 1
+        out.append(s)
+    return out + [0]
+
+
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     """p(X) = sum_w P_w (x) X^w, a (k*n) x (k*n) matrix.
 
     The terms are summed in graded order, so a polynomial and its JSON round
     trip evaluate to the same bits whatever order built its terms.  Each X^w
     is word_eval's product, extended from the prefix w shares with the word
-    before it: the images of that word's prefixes are the only ones held.
+    before it.  Besides the running product, only the images of the prefix w
+    shares with the next word are held: no later word reuses the others.
     """
     if X.mode != p.mode:
         raise PolyError(f"cannot evaluate {p.mode} polynomial at {X.mode} tuple")
@@ -238,14 +248,15 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
     letters = _letters(X)
-    prev, images = (), [np.eye(n, dtype=complex)]  # images[i] = X^(prev[:i])
-    for w, c in zip(p.words, p.coeffs):
-        while w[:len(images) - 1] != prev[:len(images) - 1]:
-            images.pop()
-        for a in w[len(images) - 1:]:
-            images.append(images[-1] @ letters[a])
-        out += np.kron(c, images[-1])
-        prev = w
+    images = [np.eye(n, dtype=complex)]  # images[i] = X^(w[:i]) up to the prefix w shares with the word before
+    for w, c, s in zip(p.words, p.coeffs, shared_prefixes(p.words)):
+        image = images[-1]
+        for i in range(len(images) - 1, len(w)):
+            image = image @ letters[w[i]]
+            if i < s:
+                images.append(image)
+        out += np.kron(c, image)
+        del images[s + 1:]
     return out
 
 

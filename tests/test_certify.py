@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    CertifyError, certify, free_state, gram_system, infer_degree, refuse_certificate, refuse_witness,
-    run_dual, run_primal,
+    CertifyError, certify, free_state, gram_system, infer_degree, refuse_certificate, refuse_evaluation,
+    refuse_witness, run_dual, run_primal,
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
@@ -17,8 +17,8 @@ from ncsos.gram import (
 )
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_images
 from ncsos.sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, FeasibilityResult, _Farkas, _low_eig, max_margin,
-    solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, MARGIN_MAX_BYTES, AffineSystem, FeasibilityResult, _Farkas, _low_eig,
+    max_margin, solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
@@ -272,6 +272,16 @@ def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch)
     out = certify(group_fixture())
     assert out.kind == "undecided" and out.iterations == DEFAULT_MAX_ITER
     assert out.note.startswith("no Farkas certificate at degree 1; max-margin handover needs ")
+
+
+
+def test_evaluation_budget_counts_the_prefix_images():
+    # f(X) alone is 64 MiB, inside the 0.25 GiB budget; poly_eval also holds
+    # the images of x1^7, the prefix x1^7 shares with x1^8, and the running product
+    f = sum((NCPoly.monomial((1,) * i, 1) for i in range(2, 9)), NCPoly.monomial((1,), 1))
+    assert 16 * 2048 ** 2 < MARGIN_MAX_BYTES
+    assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.6 GiB, over the 0.25 GiB budget"
+    assert refuse_evaluation(f, 1024) == ""
 
 
 # -- dual ----------------------------------------------------------------------

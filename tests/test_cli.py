@@ -896,6 +896,35 @@ def test_jsonio_float_format():
         jsonio.dumps(float("nan"))
 
 
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0"),
+    (np.array([-0.0, 1.0]), "[[0,0],[1,0]]"),
+    (np.array([[complex(-0.0, -0.0), 1.0], [2.0, complex(0.0, -0.0)]]), "[[[0,0],[1,0]],[[2,0],[0,0]]]"),
+    (2.0, "2"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1e300, "1.0000000000000001e+300"),
+    (np.zeros(0), "[]"),
+    (np.zeros((2, 0)), "[[],[]]"),
+    ((1, "a", None), '[1,"a",null]'),
+    ("é", '"\\u00e9"'),
+    ({"é": (2.0, -0.0)}, '{"\\u00e9":[2,0]}'),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.float64(-0.0), "0"),
+], ids=["minus-zero", "minus-zero-1d", "minus-zero-2d", "two", "subnormal", "1e300", "empty-1d", "empty-2x0",
+        "tuple", "non-ascii", "non-ascii-key", "float64", "float64-minus-zero"])
+def test_jsonio_edge_values(value, text):
+    assert jsonio.dumps(value) == text
+
+
+# NaN, and non-finite entries of arrays: test_jsonio_float_format, test_jsonio_rejects_nonfinite_arrays
+@pytest.mark.parametrize("value, error", [({1: 2.0}, TypeError), (np.zeros((1, 1, 1)), TypeError),
+                                          (float("inf"), ValueError), (-np.inf, ValueError)],
+                         ids=["int-key", "3d-array", "inf", "minus-inf"])
+def test_jsonio_refuses(value, error):
+    with pytest.raises(error):
+        jsonio.dumps(value)
+
+
 def _as_lists(obj):
     """obj with every array replaced by its matrix_to_json encoding."""
     if isinstance(obj, np.ndarray):

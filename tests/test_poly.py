@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,26 @@ def test_eval_takes_group_inverses_once():
     for w in sorted(p.terms, key=graded_key):
         ref += np.kron(p.terms[w], word_eval(w, X))
     assert poly_eval(p, X).tobytes() == ref.tobytes()
+
+
+def test_eval_holds_only_the_prefixes_a_later_word_reuses():
+    # 1 - u1^200 - u1^-200 shares no prefix between its words: poly_eval holds
+    # a few n x n arrays, not the 201 images of u1^200's prefixes
+    n = 64
+    X = OperatorTuple(GROUP, [rand_unitary(n, np.random.default_rng(7))])
+    u = NCPoly.monomial((1,) * 200, 1, GROUP)
+    p = NCPoly.constant(1.0, 1, GROUP) - u - u.adjoint()
+    tracemalloc.start()
+    try:
+        value = poly_eval(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * n * 16
+    ref = np.zeros((n, n), dtype=complex)  # the term-by-term sum, word_eval on its own
+    for w in p.words:
+        ref += np.kron(p.terms[w], word_eval(w, X))
+    assert value.tobytes() == ref.tobytes()
 
 
 def test_eval_mode_mismatch():
