@@ -27,8 +27,10 @@ wall time (ncsos.cli.main, input reading and outcome writing included), its
 ru_maxrss (on the trig point, what poly_eval holds while the witness gate
 evaluates f), and the Dykstra iterations and note of the outcome file's record
 of its one Gram solve: the note names the max-margin handover's Newton steps
-when the handover decided.  The exit code is 1 when a decided kind contradicts
-the construction.
+when the handover decided.  The same interpreter then runs `ncsos spotcheck`
+on each decided outcome file, after the peak above is read, and the table
+gives its exit code and wall time.  The exit code is 1 when a decided kind
+contradicts the construction or spotcheck refuses a decided file.
 """
 
 import json
@@ -71,7 +73,7 @@ def make_inputs():
         m = k * count_words(g, d, mode)
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         index = constraint_index(g, d, mode)
-        f = gram_to_poly(GramMatrix(g, mode, d, k, index, B @ B.conj().T / m + np.eye(m)))
+        f = gram_to_poly(GramMatrix(g, mode, k, index, B @ B.conj().T / m + np.eye(m)))
         if kind == "witness":
             Z = rng.standard_normal((g, 3, 3)) + 1j * rng.standard_normal((g, 3, 3))
             Y = [np.linalg.qr(z)[0] if mode == GROUP else (z + z.conj().T) / 2 for z in Z]
@@ -90,14 +92,19 @@ def decide(name):
     from ncsos.words import count_words
 
     mode, g, d, k = POINTS[name][:4]
-    out = OUT / f"{name}.outcome.json"
+    inp, out = OUT / f"{name}.json", OUT / f"{name}.outcome.json"
     t0 = time.perf_counter()
-    main(["certify", str(OUT / f"{name}.json"), "--out", str(out)])
+    main(["certify", str(inp), "--out", str(out)])
     wall = time.perf_counter() - t0
     data = json.loads(out.read_text())
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    spotcheck, spot_s = None, 0.0
+    if data["outcome"] in ("sos", "witness"):
+        t0 = time.perf_counter()
+        spotcheck = main(["spotcheck", str(inp), str(out), "--out", str(OUT / f"{name}.spotcheck.json")])
+        spot_s = time.perf_counter() - t0
     print(json.dumps({"m": k * count_words(g, d, mode), "kind": data["outcome"], "wall_s": wall,
-                      "ru_maxrss_mb": rss, **data["diagnostics"]}))
+                      "ru_maxrss_mb": rss, "spotcheck": spotcheck, "spot_s": spot_s, **data["diagnostics"]}))
 
 
 def run(*args) -> str:
@@ -109,13 +116,14 @@ def run(*args) -> str:
 def main():
     run("--make")
     print(f"{'point':26s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s} "
-          f"{'iterations':>10s}  note")
+          f"{'spotcheck':>9s} {'spot_s':>7s} {'iterations':>10s}  note")
     wrong = 0
     for name, (*_, expected, _) in POINTS.items():
         got = json.loads(run("--decide", name))
-        wrong += got["kind"] not in (expected, "undecided")
-        print(f"{name:26s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} "
-              f"{got['wall_s']:8.2f} {got['ru_maxrss_mb']:13.1f} {got['iterations']:10d}  {got['note']}")
+        wrong += got["kind"] not in (expected, "undecided") or got["spotcheck"] not in (None, 0)
+        print(f"{name:26s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} {got['wall_s']:8.2f} "
+              f"{got['ru_maxrss_mb']:13.1f} {str(got['spotcheck']):>9s} {got['spot_s']:7.2f} "
+              f"{got['iterations']:10d}  {got['note']}")
     return 1 if wrong else 0
 
 

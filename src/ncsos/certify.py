@@ -1,9 +1,9 @@
 """End-to-end decision pipeline: sum-of-squares certificate or GNS witness.
 
 Both sides solve the Gram system {G psd, V* G V = f} with one engine,
-Dykstra (sdp.solve_feasibility), once per distinct system and word-pair
-table.  The primal solves it at the input's degree d and factors a psd
-solution into squares.  Without a solution, Dykstra's displacement gives a
+Dykstra (sdp.solve_feasibility), and a decision solves it once.  The
+primal solves it at the input's degree d and factors a psd solution into
+squares.  Without a solution, Dykstra's displacement gives a
 Farkas certificate: the class vector of a psd matrix constant on the
 classes of the word-pair table, the Hankel matrix of the paper's separating
 functional, positive on squares and negative on f.  The dual reads that
@@ -38,7 +38,7 @@ from .gns import (
     gns_verify, WitnessModel,
 )
 from .gram import (
-    EPS_CERT, EPS_PSD, GramError, GramMatrix, SOSCertificate, block_sums, class_labels,
+    EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
     constraint_index, factor_gram,
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval, shared_prefixes
@@ -133,19 +133,17 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     certificate's GramMatrix carries, and the solver's result, however the
     solve ended (its reason is in the note).
 
-    Every answer passes factor_gram's psd test and the certificate gate,
-    refuse_certificate, so neither the handover nor a point psd only to the
-    solver's tolerance makes a wrong certificate.
+    Every answer passes the certificate gate, refuse_certificate, whose psd
+    test refuses a point that factor_gram factors only by its psd part, so
+    neither the handover nor a point psd only to the solver's tolerance makes
+    a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
     res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
     refusal = ""
     if res.feasible:
-        try:
-            cert = factor_gram(GramMatrix(f.g, f.mode, d, f.k, index, res.X))
-            refusal, cert.residual, _ = refuse_certificate(f, cert)
-        except GramError as exc:
-            refusal = str(exc)
+        cert = factor_gram(GramMatrix(f.g, f.mode, f.k, index, res.X))
+        refusal, cert.residual, _ = refuse_certificate(f, cert)
         if not refusal:
             return _outcome(res, d, kind="sos", certificate=cert), (index, res)
     return _outcome(res, d, refusal), (index, res)
@@ -154,16 +152,15 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
 # -- dual: Hankel functional search -------------------------------------------
 
 
-def functional_from_solution(y: np.ndarray, f: NCPoly, d: int,
-                             index: tuple[list, np.ndarray]) -> HankelFunctional:
+def functional_from_solution(y: np.ndarray, f: NCPoly, index: tuple[list, np.ndarray]) -> HankelFunctional:
     """The functional of a Farkas certificate y, the class vector of the Gram
-    system of f on the degree-d word-pair table index: the blocks
+    system of f on the word-pair table index: the blocks
     S_u = y_u^dagger over the trace of the certificate's matrix, its diagonal
     read off the table in order and summed as np.trace sums it.  sdp's class
     means make y exactly mirror-conjugate, so S_{u*} = S_u^dagger exactly."""
     y = y.reshape(-1, f.k, f.k)
     trace = y[np.diagonal(index[1])].diagonal(axis1=1, axis2=2).ravel().sum().real
-    return HankelFunctional(f.g, f.mode, f.k, d, index, y.conj().transpose(0, 2, 1) / trace)
+    return HankelFunctional(f.g, f.mode, f.k, index, y.conj().transpose(0, 2, 1) / trace)
 
 
 def free_state(f: NCPoly, D: int) -> np.ndarray:
@@ -200,7 +197,7 @@ def run_dual(f: NCPoly, d: int, solved: tuple | None = None) -> CertifyOutcome:
     if res.certificate is None:
         return undecided(f"Gram system of degree {d} is feasible" if res.feasible
                          else f"no Farkas certificate at degree {d}")
-    S = functional_from_solution(res.certificate, f, d, index)
+    S = functional_from_solution(res.certificate, f, index)
     try:
         model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
     except GnsError as exc:

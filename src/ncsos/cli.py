@@ -39,7 +39,7 @@ from .poly import (
     poly_to_json, terms_to_json, tuple_from_json, tuple_to_json,
 )
 from .sdp import MARGIN_MAX_BYTES
-from .words import GROUP, MONOID, WordError, count_words, enumerate_words, format_word
+from .words import GROUP, MONOID, WordError, count_words, format_word
 
 EX_OK_SOS = 0
 EX_WITNESS = 1
@@ -129,7 +129,7 @@ def _complex_pair(z: complex) -> list:
 
 def _sos_json(cert: SOSCertificate) -> dict:
     G = cert.gram
-    words = enumerate_words(G.g, G.d, G.mode)
+    words = G.index[0][:len(G.index[1])]
     return {"gram": G.matrix, "residual": float(cert.residual),
             "factors": [terms_to_json(G.g, G.mode, G.k, [(w, c) for w, c in zip(words, C) if c.any()])
                         for C in cert.factors]}
@@ -142,16 +142,11 @@ def _witness_json(outcome: CertifyOutcome) -> dict:
         "min_eig": float(outcome.min_eig),
         "refuted_value": _complex_pair(outcome.refuted_value),
         "model": {
-            "dim": model.dim,
-            "mode": model.mode,
-            "k": model.k,
-            "d": S.D,
             "operators": tuple_to_json(model.operators),
             "gamma": model.gamma,
             "gns_residual": float(model.gns_residual),
         },
         "functional": {
-            "D": S.D,
             "blocks": [{"word": format_word(u), "matrix": B} for u, B in
                        sorted(zip(S.index[0], S.blocks), key=lambda pair: (len(pair[0]), pair[0]))],
         },
@@ -282,13 +277,13 @@ def _cmd_fock_dump(args) -> int:
     return 0
 
 
-def _load_factors(data, gram: GramMatrix, path: str) -> np.ndarray:
+def _load_factors(data, gram: GramMatrix, degree: int, path: str) -> np.ndarray:
     """Stored factors as SOSCertificate's stack, refused unparsed over sdp.MARGIN_MAX_BYTES.
-    Each must fit the Gram basis: G's (g, mode, k) and degree <= d."""
+    Each must fit the Gram basis of the given degree: G's (g, mode, k), and a degree at most that."""
     if isinstance(data, dict):  # list() would read its keys as the factors
         raise TypeError("factors must be a JSON list, not an object")
     data = list(data)
-    words = enumerate_words(gram.g, gram.d, gram.mode)
+    words = gram.index[0][:len(gram.index[1])]
     need = 16 * len(data) * len(words) * gram.k ** 2
     if need > MARGIN_MAX_BYTES:
         raise DataError(f"{path}: {len(data)} factors on {len(words)} words would take "
@@ -296,8 +291,8 @@ def _load_factors(data, gram: GramMatrix, path: str) -> np.ndarray:
     factors = [poly_from_json(r) for r in data]
     if any((r.g, r.mode, r.k) != (gram.g, gram.mode, gram.k) for r in factors):
         raise DataError(f"{path}: factor does not match the Gram matrix's (g, mode, k)")
-    if any(r.degree() > gram.d for r in factors):
-        raise DataError(f"{path}: a factor of degree above {gram.d} does not fit the Gram basis")
+    if any(r.degree() > degree for r in factors):
+        raise DataError(f"{path}: a factor of degree above {degree} does not fit the Gram basis")
     return np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, len(words), gram.k, gram.k)
 
 
@@ -327,8 +322,8 @@ def _cmd_spotcheck(args) -> int:
             # degree + 1 <= count_words(g, degree): bound the degree, then count, then build the table
             if (degree + 1) * f.k > len(matrix) or count_words(f.g, degree, f.mode) * f.k != len(matrix):
                 raise ValueError(f"degree {degree} does not fit a Gram matrix of side {len(matrix)}")
-            gram = GramMatrix(f.g, f.mode, degree, f.k, constraint_index(f.g, degree, f.mode), matrix)
-            factors = _load_factors(data["factors"], gram, args.certificate)
+            gram = GramMatrix(f.g, f.mode, f.k, constraint_index(f.g, degree, f.mode), matrix)
+            factors = _load_factors(data["factors"], gram, degree, args.certificate)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.certificate}: no usable sos evidence "
                             f"({type(exc).__name__}: {exc})")

@@ -66,14 +66,14 @@ class ZeroFunctionalError(GnsError):
 
 @dataclass
 class HankelFunctional:
-    """phi(P u) = Tr(S_u P) for |u| <= 2D, stored on the degree-D word-pair
-    table index = (products, table) = constraint_index(g, D, mode): blocks is
-    the (len(products), k, k) stack whose block c is S_u for u = products[c]."""
+    """phi(P u) = Tr(S_u P), stored on a word-pair table index =
+    (products, table), constraint_index(g, D, mode) for a functional on
+    |u| <= 2D: blocks is the (len(products), k, k) stack whose block c is S_u
+    for u = products[c], and the table fixes the basis, products[:len(table)]."""
 
     g: int
     mode: str
     k: int
-    D: int
     index: tuple
     blocks: np.ndarray
 
@@ -130,15 +130,17 @@ def unvec(x: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class WitnessModel:
     """Concrete model: tuple on C^dim and vector gamma reproducing the
-    functional as phi(p) = <p(Y) gamma, gamma>."""
+    functional as phi(p) = <p(Y) gamma, gamma>.  The tuple fixes the mode and
+    dim, the functional k."""
 
-    mode: str
-    k: int
-    dim: int
     operators: OperatorTuple
     gamma: np.ndarray
     functional: HankelFunctional
     gns_residual: float | None = None  # gns_verify value, set by the caller that gates on it
+
+    @property
+    def dim(self) -> int:
+        return self.operators.dim
 
 
 def _quotient_frames(S: HankelFunctional):
@@ -189,8 +191,7 @@ def _model(S: HankelFunctional, mode: str, complete) -> WitnessModel:
         return complete(U[:, :e], T, U[:, e:])
 
     operators = OperatorTuple(mode, [operator(i) for i in range(1, S.g + 1)])
-    return WitnessModel(mode=mode, k=k, dim=frames.shape[0], operators=operators,
-                        gamma=vec(frames[:, 0:k]), functional=S)
+    return WitnessModel(operators, vec(frames[:, 0:k]), S)
 
 
 def gns_construct(S: HankelFunctional) -> WitnessModel:
@@ -250,7 +251,7 @@ def gns_verify(S: HankelFunctional, model: WitnessModel) -> float:
     the root-mean-square size of a k x k matrix with standard complex
     Gaussian entries.
     """
-    k = model.k
+    k = S.k
     Z = word_images(model.operators, S.index[0][:len(S.index[1])], unvec(model.gamma, k))
     return 2 * k * k * _largest_block_norm(quotient_matrix(S) - Z.conj().T @ Z, k)
 

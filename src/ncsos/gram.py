@@ -21,7 +21,7 @@ import numpy as np
 from .poly import COEFF_DROP_TOL, NCPoly
 from .words import concat, enumerate_words, involute
 
-EPS_PSD = 1e-8    # psd tolerance of the Gram factorization, the GNS quotient and the gates
+EPS_PSD = 1e-8    # psd tolerance of the GNS quotient and the gates
 EPS_RANK = 1e-10
 EPS_CERT = 1e-7
 
@@ -70,12 +70,12 @@ def block_sums(X: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GramMatrix:
-    """G over the degree-d basis, on its word-pair table index =
-    (products, table) = constraint_index(g, d, mode)."""
+    """G over a word basis, on its word-pair table index = (products, table),
+    constraint_index(g, d, mode) for the degree-d basis: the table fixes the
+    basis, whose words are products[:len(table)]."""
 
     g: int
     mode: str
-    d: int
     k: int
     index: tuple
     matrix: np.ndarray
@@ -112,18 +112,17 @@ def gram_to_poly(G: GramMatrix) -> NCPoly:
 
 
 def factor_gram(G: GramMatrix) -> SOSCertificate:
-    """Eigendecompose G, clip below EPS_RANK, split columns into k-wide groups.
+    """Factor G's psd part: eigendecompose G, clip the eigenvalues at or below
+    EPS_RANK (the negative ones with them), split columns into k-wide groups.
 
     The column groups realize the splitting of a psd map into N rank-<=k
     pieces; each group above EPS_RANK is one square factor r_j, its blocks
     at most COEFF_DROP_TOL zeroed.  The certificate's residual is left at 0:
-    the certificate gate certify.refuse_certificate measures the factors
-    against the input.
+    the certificate gate certify.refuse_certificate, the one psd test, refuses
+    an indefinite G and measures the factors against the input.
     """
     H = (G.matrix + G.matrix.conj().T) / 2
     evals, evecs = np.linalg.eigh(H)
-    if evals.min() < -EPS_PSD:
-        raise GramError(f"Gram matrix is not psd (min eigenvalue {evals.min():.3e})")
     R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
 
     n, k = len(G.index[1]), G.k

@@ -247,6 +247,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
         raise PolyError(f"tuple has {X.g} entries, polynomial uses {p.g} letters")
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
+    blocks = out.reshape(p.k, n, p.k, n)  # blocks[a, :, b, :] is block (a, b) of out, as np.kron lays it
     letters = _letters(X)
     images = [np.eye(n, dtype=complex)]  # images[i] = X^(w[:i]) up to the prefix w shares with the word before
     for w, c, s in zip(p.words, p.coeffs, shared_prefixes(p.words)):
@@ -255,7 +256,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
             image = image @ letters[w[i]]
             if i < s:
                 images.append(image)
-        out += np.kron(c, image)
+        blocks += c[:, None, :, None] * image[:, None, :]
         del images[s + 1:]
     return out
 

@@ -11,7 +11,7 @@ from ncsos.certify import (
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
-from ncsos.gns import quotient_matrix
+from ncsos.gns import GnsError, quotient_matrix
 from ncsos.gram import (
     EPS_CERT, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
@@ -120,7 +120,7 @@ def ncpoly_factors(G):
     """factor_gram's factors as one NCPoly each: the reference for its stack."""
     evals, evecs = np.linalg.eigh((G.matrix + G.matrix.conj().T) / 2)
     R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
-    words = enumerate_words(G.g, G.d, G.mode)
+    words = G.index[0][:len(G.index[1])]
     n, k = len(words), G.k
     blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
     return [NCPoly(G.g, G.mode, k, dict(zip(words, Bj))) for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
@@ -128,8 +128,8 @@ def ncpoly_factors(G):
 
 def ncpoly_reconstruction(factors, G):
     """sum_j r_j^* r_j of per-factor NCPolys, summed on G's table."""
-    words = enumerate_words(G.g, G.d, G.mode)
     products, table = G.index
+    words = products[:len(table)]
     n, k = len(words), G.k
     C = np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, n, k, k)
     R = C.conj().transpose(1, 3, 0, 2).reshape(n * k, -1)
@@ -293,10 +293,10 @@ def test_dual_works_at_the_primal_degree():
     # it to the zero operator (monoid) or the identity (group)
     group_witness = NCPoly.constant(1.0, 1, GROUP) + u(1) + u(-1)
     for f, d in ((anticommutator(), 1), (anticommutator(), 2), (group_witness, 1)):
-        assert run_dual(f, d).model.functional.D == d
+        assert run_dual(f, d).model.functional.index[1].shape == (count_words(f.g, d, f.mode),) * 2
     for mode, plain in ((MONOID, np.zeros((1, 1))), (GROUP, np.eye(1))):
         model = run_dual(NCPoly.constant(-1.0, 2, mode), 0).model
-        assert model.functional.D == 0 and model.dim == 1
+        assert model.functional.index[1].shape == (1, 1) and model.dim == 1
         assert all(np.array_equal(Y, plain) for Y in model.operators.entries)
 
 
@@ -421,6 +421,29 @@ def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
                             lambda S, _f=original: calls.append(S) or _f(S))
     assert run_dual(f, 1).model is None
     assert calls == []
+
+
+def _raise_gns_error(S):
+    raise GnsError("shift action is not well defined numerically (fit residual 1.000e+00)")
+
+
+@pytest.mark.parametrize("name, value, note", [
+    ("gns_construct", _raise_gns_error,
+     "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)"),
+    ("gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
+    ("MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 0.0 GiB, over the 0.00 GiB budget"),
+], ids=["gns-error", "verify-residual", "evaluation-budget"])
+def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
+    # past the Farkas certificate, GNS raising, a verification residual above
+    # GNS_VERIFY_TOL and an f(Y) over refuse_evaluation's budget each end the
+    # dual undecided, with the certificate's pairing and then its own reason
+    f = anticommutator()
+    assert run_dual(f, 1).model.dim == 3
+    monkeypatch.setattr(importlib.import_module("ncsos.certify"), name, value)
+    out = run_dual(f, 1)
+    assert out.kind == "undecided" and out.model is None and out.min_eig is None
+    pairing, refusal = out.note.split("; ")
+    assert pairing.startswith("Farkas certificate, pairing -") and refusal == note
 
 
 def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):

@@ -1002,4 +1002,7 @@ def test_outcome_file_keys(tmp_path, capsys, command, f, kind, evidence):
     assert data.keys() == {"outcome", "degree", "input_sha256", "diagnostics", *evidence}
     assert data["diagnostics"].keys() == {"iterations", "gap", "note"}
     assert all(data[key].keys() == keys for key, keys in evidence.items())
+    if kind == "witness":  # the tuple fixes the mode and dim, the functional k, the top level the degree
+        assert data["witness"]["model"].keys() == {"operators", "gamma", "gns_residual"}
+        assert data["witness"]["functional"].keys() == {"blocks"}
     assert err == f"{command}: outcome={kind} degree=1 iterations={data['diagnostics']['iterations']}\n"

@@ -75,15 +75,15 @@ def functional_from_model(X: OperatorTuple, frame: np.ndarray, g: int,
     F = frame.conj().T @ word_images(X, words, frame)  # k x (T k): frame^dagger X^u frame
     blocks = F.reshape(k, len(words), k).transpose(1, 2, 0)
     position = {w: i for i, w in enumerate(words)}  # the products are the words of degree <= 2D
-    return HankelFunctional(g, mode, k, D, index, blocks[[position[u] for u in index[0]]])
+    return HankelFunctional(g, mode, k, index, blocks[[position[u] for u in index[0]]])
 
 
 def shift_defect(S: HankelFunctional, model) -> float:
     """max || (I_k (x) Y^w) gamma - vec(frame of w) || over the degree-D
     words, with the quotient frames the model was built on."""
-    words = enumerate_words(S.g, S.D, S.mode)
-    Z = word_images(model.operators, words, unvec(model.gamma, model.k))
-    blocks = (Z - _quotient_frames(S)).reshape(model.dim, len(words), model.k)
+    words = S.index[0][:len(S.index[1])]
+    Z = word_images(model.operators, words, unvec(model.gamma, S.k))
+    blocks = (Z - _quotient_frames(S)).reshape(model.dim, len(words), S.k)
     return float(np.linalg.norm(blocks, axis=(0, 2)).max())
 
 
@@ -94,7 +94,7 @@ def hankel(g, mode, k, D, blocks) -> HankelFunctional:
     """The functional with the blocks of a word -> block dict, stacked on the
     degree-D word-pair table."""
     index = constraint_index(g, D, mode)
-    return HankelFunctional(g, mode, k, D, index, np.array([blocks[u] for u in index[0]]))
+    return HankelFunctional(g, mode, k, index, np.array([blocks[u] for u in index[0]]))
 
 
 def block_of(S: HankelFunctional, u: tuple) -> np.ndarray:
@@ -146,7 +146,7 @@ def test_block_stack_must_match_its_index(mode):
     S = delta_functional(2, 2, 1, mode)
     for blocks in (S.blocks[:-1], S.blocks[:, :1, :1], S.blocks[..., None]):
         with pytest.raises(GnsError):
-            HankelFunctional(S.g, S.mode, S.k, S.D, S.index, blocks)
+            HankelFunctional(S.g, S.mode, S.k, S.index, blocks)
 
 
 # -- monoid construction ----------------------------------------------------
@@ -297,7 +297,7 @@ def test_functional_that_is_not_finite_is_refused_where_it_is_built(mode, bad):
     construct = gns_construct if mode == MONOID else gns_construct_unitary
     for use in (lambda S: S, HankelFunctional.validate, construct):
         with pytest.raises(GnsError, match="functional blocks must be finite"):
-            use(HankelFunctional(1, mode, 1, 1, index, blocks))
+            use(HankelFunctional(1, mode, 1, index, blocks))
 
 
 # -- group construction ------------------------------------------------------
@@ -366,27 +366,27 @@ def known_model(mode, g, k, d, n, rng):
 def with_block(S, u, B):
     blocks = S.blocks.copy()
     blocks[S.index[0].index(u)] = B
-    return HankelFunctional(S.g, S.mode, S.k, S.D, S.index, blocks)
+    return HankelFunctional(S.g, S.mode, S.k, S.index, blocks)
 
 
 def brute_force_residual(S, model):
     """2 k^2 max ||E_{v,w}||_op, each defect entry from poly_eval: the pair
     P = e_0 e_b^T, Q = e_0 e_c^T has defect Tr(E P^T conj(Q)) = E[c, b]."""
-    k = model.k
+    k, mode, words = S.k, S.mode, S.index[0][:len(S.index[1])]
     units = []
     for b in range(k):
         P = np.zeros((k, k), dtype=complex)
         P[0, b] = 1.0
         units.append(P)
     worst = 0.0
-    for v in enumerate_words(S.g, S.D, model.mode):  # v and w of degree <= D, in both modes
-        for w in enumerate_words(S.g, S.D, model.mode):
-            target = block_of(S, concat(involute(v, model.mode), w, model.mode))
+    for v in words:  # v and w of degree <= D, in both modes
+        for w in words:
+            target = block_of(S, concat(involute(v, mode), w, mode))
             E = np.zeros((k, k), dtype=complex)
             for b, P in enumerate(units):
-                pg = poly_eval(NCPoly(S.g, model.mode, k, {w: P}), model.operators) @ model.gamma
+                pg = poly_eval(NCPoly(S.g, mode, k, {w: P}), model.operators) @ model.gamma
                 for c, Q in enumerate(units):
-                    qg = poly_eval(NCPoly(S.g, model.mode, k, {v: Q}), model.operators) @ model.gamma
+                    qg = poly_eval(NCPoly(S.g, mode, k, {v: Q}), model.operators) @ model.gamma
                     E[c, b] = np.trace(target @ Q.conj().T @ P) - np.vdot(qg, pg)
             worst = max(worst, opnorm(E))
     return 2 * k * k * worst
@@ -436,7 +436,7 @@ def test_quotient_matrix_is_assemble_with_each_block_transposed(mode, k):
     # the (v, w) block of the quotient matrix is S_{v* w}^T, read off the stack
     rng = np.random.default_rng([7, k])
     index = constraint_index(2, 1, mode)
-    S = HankelFunctional(2, mode, k, 1, index, rand_cols(len(index[0]) * k, k, rng).reshape(-1, k, k))
+    S = HankelFunctional(2, mode, k, index, rand_cols(len(index[0]) * k, k, rng).reshape(-1, k, k))
     n = len(index[1])
     B = S.blocks[index[1]]
     want = np.block([[B[v, w].T for w in range(n)] for v in range(n)])

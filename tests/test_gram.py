@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos.fock import build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant
 from ncsos import jsonio
+from ncsos.certify import refuse_certificate
 from ncsos.cli import DataError, _load_factors
 from ncsos.gram import (
     GramError, GramMatrix, SOSCertificate, block_sums, constraint_index, factor_gram, gram_to_poly,
@@ -17,7 +18,7 @@ from ncsos.words import GROUP, MONOID, count_words, enumerate_words, involute, c
 
 def gram(g, mode, d, k, matrix) -> GramMatrix:
     """The Gram matrix on the degree-d word-pair table."""
-    return GramMatrix(g, mode, d, k, constraint_index(g, d, mode), matrix)
+    return GramMatrix(g, mode, k, constraint_index(g, d, mode), matrix)
 
 
 def rand_psd_gram(g, mode, d, k, rng):
@@ -174,7 +175,7 @@ def test_reconstruction_refuses_factor_above_the_gram_degree(mode):
     w = (1, 2)
     G = gram(2, mode, 1, 1, np.eye(count_words(2, 1, mode)))
     with pytest.raises(DataError, match="c.json: a factor of degree above 1 does not fit the Gram basis"):
-        _load_factors(stored(NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w, 2, mode)), G, "c.json")
+        _load_factors(stored(NCPoly.constant(1.0, 2, mode), NCPoly.monomial(w, 2, mode)), G, 1, "c.json")
 
 
 @pytest.mark.parametrize("factor", [NCPoly.constant(np.eye(2), 1), NCPoly.constant(1.0, 2),
@@ -182,7 +183,7 @@ def test_reconstruction_refuses_factor_above_the_gram_degree(mode):
 def test_reconstruction_refuses_mismatched_factor(factor):
     G = gram(1, MONOID, 0, 1, np.eye(1))
     with pytest.raises(DataError, match=r"does not match the Gram matrix's \(g, mode, k\)"):
-        _load_factors(stored(NCPoly.constant(1.0, 1), factor), G, "c.json")
+        _load_factors(stored(NCPoly.constant(1.0, 1), factor), G, 0, "c.json")
 
 
 def _reconstruction_miss(cert, G):
@@ -203,7 +204,7 @@ def test_gram_matrix_side_must_fit_its_table():
     with pytest.raises(GramError, match=r"want \(3, 3\)"):
         gram(2, MONOID, 1, 1, np.eye(2))
     with pytest.raises(GramError, match=r"want \(2, 2\)"):
-        GramMatrix(2, MONOID, 1, 1, constraint_index(1, 1, MONOID), np.eye(3))
+        GramMatrix(2, MONOID, 1, constraint_index(1, 1, MONOID), np.eye(3))
 
 
 def test_gram_matrix_must_be_hermitian():
@@ -213,10 +214,15 @@ def test_gram_matrix_must_be_hermitian():
     gram(1, MONOID, 1, 1, np.array([[1.0, 0.5], [0.5, 1.0]]))  # the Hermitian pair is accepted
 
 
-def test_factor_rejects_indefinite():
+def test_indefinite_gram_is_factored_by_its_psd_part_and_refused_by_the_gate():
+    # factor_gram clips the negative eigenvalue with the small ones; the
+    # certificate gate is the one psd test, and refuses the factored G
     G = gram(1, MONOID, 1, 1, np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(GramError):
-        factor_gram(G)
+    cert = factor_gram(G)
+    assert cert.factors.shape == (1, 2, 1, 1) and np.abs(cert.factors).ravel().tolist() == [1.0, 0.0]
+    f = NCPoly.constant(1.0, 1) - NCPoly.monomial((1, 1), 1)
+    note, _, low = refuse_certificate(f, cert)
+    assert low == -1.0 and note == "Gram matrix is not psd (min eigenvalue -1.000e+00)"
 
 
 def test_group_products_stay_short():

@@ -383,6 +383,32 @@ def test_max_margin_stops_within_the_feasibility_tolerance():
     assert res.bound - res.t > MARGIN_GAP_TOL
 
 
+@pytest.mark.parametrize("stall", ["singular", "no-descent"])
+def test_max_margin_stall_is_neither_feasible_nor_certified(stall, monkeypatch):
+    # 2 - u1 - u1^-1 is SOS, so it has no Farkas certificate, and one Dykstra
+    # iteration leaves it undecided.  A Newton system np.linalg.solve refuses,
+    # or a step no halving turns into descent, stalls the handover at its
+    # first Newton step, at its start point, which is not psd
+    f = group_fixture()
+    sys, interior = gram_system_at(f, 1), free_state(f, 1)
+    solve = np.linalg.solve
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def overshoot(a, b):  # the Newton step times 1e30: even 1e-12 of it leaves the cone
+        return 1e30 * solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular if stall == "singular" else overshoot)
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
+    mm = max_margin(sys)
+    X0, _ = project_affine(np.zeros((sys.m, sys.m), dtype=complex), sys)
+    assert mm.iterations == 1 and mm.t == float(np.linalg.eigvalsh(X0).min()) - 1.0
+    res = solve_feasibility(sys, interior)
+    assert not res.feasible and res.X is None and res.certificate is None
+    assert res.iterations == 1 and res.newton_steps == 1 and res.reason == ""
+
+
 def _hunvec(x, m):
     """Inverse of _hvec, for the unit matrices of its coordinates."""
     iu = np.triu_indices(m, 1)
