@@ -42,7 +42,7 @@ from .gram import (
     constraint_index, factor_gram,
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval, shared_prefixes
-from .sdp import MARGIN_MAX_BYTES, AffineSystem, FeasibilityResult, solve_feasibility
+from .sdp import AffineSystem, FeasibilityResult, refuse_bytes, solve_feasibility
 from .words import MONOID, count_words
 
 GNS_VERIFY_TOL = 1e-8
@@ -232,14 +232,12 @@ def certify(f: NCPoly) -> CertifyOutcome:
 
 
 def refuse_evaluation(f: NCPoly, dim: int) -> str:
-    """Why f is not evaluated at a tuple on C^dim ("" when it is): f(X), of
-    side k dim, and what poly_eval holds besides it, s + 2 images of side dim
-    for the longest prefix s that a word shares with the next, would take
-    more than sdp.MARGIN_MAX_BYTES."""
+    """Why f is not evaluated at a tuple on C^dim ("" when it is):
+    sdp.refuse_bytes's reason for f(X), of side k dim, and what poly_eval
+    holds besides it, s + 2 images of side dim for the longest prefix s that
+    a word shares with the next."""
     need = 16 * ((f.k * dim) ** 2 + (max(shared_prefixes(f.words), default=0) + 2) * dim ** 2)
-    return "" if need <= MARGIN_MAX_BYTES else (
-        f"f(X) of side {f.k * dim} would take {need / 2 ** 30:.1f} GiB, "
-        f"over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    return refuse_bytes(need, f"f(X) of side {f.k * dim}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

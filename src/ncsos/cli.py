@@ -27,18 +27,16 @@ except ImportError:
 
 from . import jsonio
 from .certify import (
-    EPS_WIT, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
+    EPS_WIT, OPERATOR_DEFECT_TOL, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
     refuse_evaluation, refuse_witness, run_dual, run_primal,
 )
-from .fock import (
-    FockError, build_creation, build_extraction, build_symmetrized, build_unitaries, extract_coeffs,
-)
+from .fock import FockError, build_extraction, build_symmetrized, build_unitaries, extract_coeffs
 from .gram import EPS_PSD, GramMatrix, SOSCertificate, constraint_index
 from .poly import (
-    EPS_UNIT, NCPoly, OperatorTuple, PolyError, matrix_from_json, poly_eval, poly_from_json,
+    NCPoly, OperatorTuple, PolyError, matrix_from_json, poly_eval, poly_from_json,
     poly_to_json, terms_to_json, tuple_from_json, tuple_to_json,
 )
-from .sdp import MARGIN_MAX_BYTES
+from .sdp import refuse_bytes
 from .words import GROUP, MONOID, WordError, count_words, format_word
 
 EX_OK_SOS = 0
@@ -200,8 +198,8 @@ def _cmd_decide(args) -> int:
 
 
 def _load_tuple(data, f: NCPoly, path: str) -> OperatorTuple:
-    """An operator tuple from outside, refused before f is evaluated at it
-    when f(X) is over certify.refuse_evaluation's budget."""
+    """An operator tuple from outside, refused with certify.refuse_evaluation's
+    reason before f is evaluated at it."""
     try:
         X = tuple_from_json(data)
     except PolyError as exc:
@@ -217,8 +215,8 @@ def _cmd_eval(args) -> int:
     # x_i^-1 is evaluated as X_i*, the inverse of X_i only when X_i is unitary
     inverse_letter = any(a < 0 for w in f.words for a in w)
     defect = X.unitary_defect() if X.mode == GROUP and inverse_letter else 0.0
-    if not defect <= EPS_UNIT:
-        raise DataError(f"group-mode entries are not unitary within {EPS_UNIT} (defect {defect:.3e})")
+    if not defect <= OPERATOR_DEFECT_TOL:  # the witness gate's tolerance
+        raise DataError(f"group-mode entries are not unitary within {OPERATOR_DEFECT_TOL} (defect {defect:.3e})")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below when it overflows
             value = poly_eval(f, X)
@@ -252,24 +250,24 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_fock_dump(args) -> int:
-    # its n x n complex arrays (the g unitaries, or L_i, A_i, M and M^-1) must fit
-    # sdp.MARGIN_MAX_BYTES; n = count_words(g, l) >= l + 1 bounds l before n is counted
-    arrays, n = (args.g if args.group else 2 * args.g + 2), args.l + 1
-    if 16 * arrays * n * n <= MARGIN_MAX_BYTES:
-        n = count_words(args.g, args.l, GROUP if args.group else MONOID)
-    need = 16 * arrays * n * n
-    if need > MARGIN_MAX_BYTES:
-        raise FockError(f"--l {args.l}: {arrays} complex arrays of side at least {n} would take "
-                        f"{need / 2 ** 30:.3g} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    # its n x n complex arrays (the g unitaries, or L_i, A_i, M and M^-1) go to
+    # sdp.refuse_bytes; n = count_words(g, l) >= l + 1 bounds l before n is counted
+    arrays = args.g if args.group else 2 * args.g + 2
+
+    def too_large(n: int) -> str:
+        return refuse_bytes(16 * arrays * n * n, f"--l {args.l}: {arrays} complex arrays of side at least {n}")
+    if reason := too_large(args.l + 1) or too_large(count_words(args.g, args.l, GROUP if args.group else MONOID)):
+        raise FockError(reason)
     if args.group:
         data = {"mode": GROUP, "g": args.g, "degree": args.l,
                 "unitaries": build_unitaries(args.g, args.l).entries}
     else:
         ext = build_extraction(args.g, args.l, MONOID)
+        A = build_symmetrized(args.g, args.l).entries
         data = {
             "mode": MONOID, "g": args.g, "degree": args.l,
-            "creation": build_creation(args.g, args.l),
-            "symmetrized": build_symmetrized(args.g, args.l).entries,
+            "creation": [np.tril(Ai, -1) for Ai in A],  # L_i: A_i = L_i + L_i*, L_i strictly lower triangular
+            "symmetrized": A,
             "extraction": ext.matrix,
             "coefficient_bound": float(ext.row_sum_bound),
         }
@@ -278,16 +276,15 @@ def _cmd_fock_dump(args) -> int:
 
 
 def _load_factors(data, gram: GramMatrix, degree: int, path: str) -> np.ndarray:
-    """Stored factors as SOSCertificate's stack, refused unparsed over sdp.MARGIN_MAX_BYTES.
+    """Stored factors as SOSCertificate's stack, refused unparsed with sdp.refuse_bytes's reason.
     Each must fit the Gram basis of the given degree: G's (g, mode, k), and a degree at most that."""
     if isinstance(data, dict):  # list() would read its keys as the factors
         raise TypeError("factors must be a JSON list, not an object")
     data = list(data)
     words = gram.index[0][:len(gram.index[1])]
     need = 16 * len(data) * len(words) * gram.k ** 2
-    if need > MARGIN_MAX_BYTES:
-        raise DataError(f"{path}: {len(data)} factors on {len(words)} words would take "
-                        f"{need / 2 ** 30:.1f} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    if too_large := refuse_bytes(need, f"{len(data)} factors on {len(words)} words"):
+        raise DataError(f"{path}: {too_large}")
     factors = [poly_from_json(r) for r in data]
     if any((r.g, r.mode, r.k) != (gram.g, gram.mode, gram.k) for r in factors):
         raise DataError(f"{path}: factor does not match the Gram matrix's (g, mode, k)")

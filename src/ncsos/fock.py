@@ -39,15 +39,13 @@ def _compressed_shift(head: np.ndarray, tail: np.ndarray, a: int) -> tuple[np.nd
     return S, shift
 
 
-def build_creation(g: int, l: int) -> list[np.ndarray]:
-    """Compressed creation operators: L_i e_w = e_{x_i w} if |w| < l, else 0."""
-    head, tail = suffix_table(enumerate_words(g, l, MONOID))
-    return [_compressed_shift(head, tail, i)[0] for i in range(1, g + 1)]
-
-
 def build_symmetrized(g: int, l: int) -> OperatorTuple:
-    """A_i = L_i + L_i^dagger on the truncated space; exactly Hermitian."""
-    return OperatorTuple(MONOID, [L + L.conj().T for L in build_creation(g, l)])
+    """A_i = L_i + L_i^dagger on the truncated space, exactly Hermitian, with
+    the compressed creation operator L_i e_w = e_{x_i w} if |w| < l, else 0:
+    strictly lower triangular in graded order, so L_i is tril(A_i, -1)."""
+    head, tail = suffix_table(enumerate_words(g, l, MONOID))
+    shifts = (_compressed_shift(head, tail, i)[0] for i in range(1, g + 1))
+    return OperatorTuple(MONOID, [L + L.conj().T for L in shifts])
 
 
 def build_unitaries(g: int, l: int) -> OperatorTuple:

@@ -24,7 +24,6 @@ from .words import MONOID, MODES, _parse_letters, check_word, concat, format_wor
 
 COEFF_DROP_TOL = 1e-14
 EPS_HERM = 1e-9
-EPS_UNIT = 1e-9
 
 
 class PolyError(ValueError):
@@ -256,7 +255,8 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
             image = image @ letters[w[i]]
             if i < s:
                 images.append(image)
-        blocks += c[:, None, :, None] * image[:, None, :]
+        for a in range(p.k):  # one block row at a time: no temporary the size of p(X)
+            blocks[a] += c[a][None, :, None] * image[:, None, :]
         del images[s + 1:]
     return out
 

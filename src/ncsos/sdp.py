@@ -228,8 +228,8 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the affine
     iterate is feasible once its psd and affine residuals are <= DEFAULT_TOL.
-    After DEFAULT_MAX_ITER iterations with neither, max_margin decides (if it
-    fits MARGIN_MAX_BYTES): its point if _low_eig proves it psd within
+    After DEFAULT_MAX_ITER iterations with neither, max_margin decides (if its
+    arrays pass refuse_bytes): its point if _low_eig proves it psd within
     DEFAULT_TOL (eigvalsh alone passes a weakly infeasible system's drift to
     norm 1e29), else its inverse slack if that passes the certificate test.
     With neither, the result is neither feasible nor certified.  Every end
@@ -267,9 +267,8 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     # entry more: the conjugate added to it, then _hvec's pieces of it
     n = m * m - len(sys.targets) + 1
     need = 8 * n * (m * m + 2 * n) + min(CHUNK, n) * m * m * (16 + 24)
-    if need > MARGIN_MAX_BYTES:
-        return FeasibilityResult(False, None, it, gap, reason=f"max-margin handover needs "
-                                 f"{need / 2 ** 30:.1f} GiB, over its {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
+    if too_large := refuse_bytes(need, "max-margin handover"):
+        return FeasibilityResult(False, None, it, gap, reason=too_large)
     res = max_margin(sys)
     X = sys.nearest(res.X)
     psd_gap = max(0.0, -float(_low_eig(X)[0]), sys.residual(X))
@@ -302,7 +301,14 @@ MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
 MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
 CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
 CHUNK = 256                 # null-space directions handled at once
-MARGIN_MAX_BYTES = 2 ** 28  # the handover's arrays (its estimate in solve_feasibility), at most
+MARGIN_MAX_BYTES = 2 ** 28  # the memory budget of every large allocation; only refuse_bytes reads it
+
+
+def refuse_bytes(need: int, what: str) -> str:
+    """Why what, of need bytes by its caller's count, is not allocated ("" when it
+    fits MARGIN_MAX_BYTES): the handover, an f(X), a factor stack, the Fock arrays."""
+    return "" if need <= MARGIN_MAX_BYTES else (
+        f"{what} would take {need / 2 ** 30:.3g} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
 
 
 @dataclass

@@ -271,7 +271,8 @@ def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch)
     monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "MARGIN_MAX_BYTES", 0)
     out = certify(group_fixture())
     assert out.kind == "undecided" and out.iterations == DEFAULT_MAX_ITER
-    assert out.note.startswith("no Farkas certificate at degree 1; max-margin handover needs ")
+    assert out.note == ("no Farkas certificate at degree 1; "
+                        "max-margin handover would take 2.38e-06 GiB, over the 0.00 GiB budget")
 
 
 
@@ -280,7 +281,7 @@ def test_evaluation_budget_counts_the_prefix_images():
     # the images of x1^7, the prefix x1^7 shares with x1^8, and the running product
     f = sum((NCPoly.monomial((1,) * i, 1) for i in range(2, 9)), NCPoly.monomial((1,), 1))
     assert 16 * 2048 ** 2 < MARGIN_MAX_BYTES
-    assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.6 GiB, over the 0.25 GiB budget"
+    assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.625 GiB, over the 0.25 GiB budget"
     assert refuse_evaluation(f, 1024) == ""
 
 
@@ -428,10 +429,10 @@ def _raise_gns_error(S):
 
 
 @pytest.mark.parametrize("name, value, note", [
-    ("gns_construct", _raise_gns_error,
+    ("ncsos.certify.gns_construct", _raise_gns_error,
      "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)"),
-    ("gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
-    ("MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 0.0 GiB, over the 0.00 GiB budget"),
+    ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
+    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 4.02e-07 GiB, over the 0.00 GiB budget"),
 ], ids=["gns-error", "verify-residual", "evaluation-budget"])
 def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
     # past the Farkas certificate, GNS raising, a verification residual above
@@ -439,7 +440,8 @@ def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
     # dual undecided, with the certificate's pairing and then its own reason
     f = anticommutator()
     assert run_dual(f, 1).model.dim == 3
-    monkeypatch.setattr(importlib.import_module("ncsos.certify"), name, value)
+    module, _, attr = name.rpartition(".")
+    monkeypatch.setattr(importlib.import_module(module), attr, value)
     out = run_dual(f, 1)
     assert out.kind == "undecided" and out.model is None and out.min_eig is None
     pairing, refusal = out.note.split("; ")

@@ -323,7 +323,7 @@ def test_oversized_evaluation_is_refused_before_it_is_allocated(tmp_path, comman
     done = subprocess.run([sys.executable, "-c", SIZE_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == EX_DATA and done.stdout == ""
-    assert done.stderr.strip() == (f"input error: {other}: f(X) of side 100000 would take 149.0 GiB, "
+    assert done.stderr.strip() == (f"input error: {other}: f(X) of side 100000 would take 149 GiB, "
                                    "over the 0.25 GiB budget")
 
 
@@ -364,7 +364,7 @@ def test_oversized_fock_space_is_refused_before_it_is_counted(tmp_path, argv, co
 
 def test_oversized_factor_stack_is_refused_before_a_factor_is_parsed(tmp_path):
     # 300,000 empty factors of one letter on a degree-255 Gram matrix would
-    # stack to (300000, 256, 1, 1), 1.1 GiB: the certificate (18 MB) is refused
+    # stack to (300000, 256, 1, 1), 1.14 GiB: the certificate (18 MB) is refused
     # on that count, under a 4 GiB address-space limit
     path = write_poly(tmp_path / "p.json", x(1, g=1) * x(1, g=1))
     empty = jsonio.dumps(poly_to_json(NCPoly.zero(1, MONOID, 1)))
@@ -375,8 +375,40 @@ def test_oversized_factor_stack_is_refused_before_a_factor_is_parsed(tmp_path):
     done = subprocess.run([sys.executable, "-c", TIMED_SIZE_PROBE, "spotcheck", path, str(cert)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == EX_DATA and float(done.stdout) < 2.0
-    assert done.stderr.strip() == (f"input error: {cert}: 300000 factors on 256 words would take 1.1 GiB, "
+    assert done.stderr.strip() == (f"input error: {cert}: 300000 factors on 256 words would take 1.14 GiB, "
                                    "over the 0.25 GiB budget")
+
+
+def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
+    # sdp.MARGIN_MAX_BYTES alone bounds the max-margin handover, the dual's
+    # f(Y), the f(X) of eval and spotcheck, spotcheck's factor stack and the
+    # Fock arrays: at 0 each is refused with sdp.refuse_bytes's one text
+    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", 0)
+    paths = {name: tmp_path / f"{name}.json" for name in ("laplacian", "anti", "square", "at", "wit", "sos")}
+    write_poly(paths["laplacian"], NCPoly.constant(2.0, 1, GROUP) - NCPoly.monomial((1,), 1, GROUP)
+               - NCPoly.monomial((-1,), 1, GROUP))
+    write_poly(paths["anti"], witness_fixture())
+    tup = {"mode": "monoid", "entries": [[[[1.0, 0.0]]]]}
+    for name, data in (("square", poly_data()), ("at", tup), ("sos", SOS_EVIDENCE),
+                       ("wit", {"outcome": "witness", "witness": {"model": {"operators": tup}}})):
+        paths[name].write_text(json.dumps(data))
+    for argv, code, reason in [
+        (["certify", "{laplacian}"], EX_UNDECIDED, "max-margin handover would take 2.38e-06"),
+        (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 4.02e-07"),
+        (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 4.47e-08"),
+        (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 4.47e-08"),
+        (["spotcheck", "{square}", "{sos}"], EX_DATA,
+         "input error: {sos}: 1 factors on 2 words would take 2.98e-08"),
+        (["fock-dump", "--g", "1", "--l", "1"], EX_USAGE,
+         "usage error: --l 1: 4 complex arrays of side at least 2 would take 2.38e-07"),
+    ]:
+        got, out, err = run(capsys, *[a.format(**paths) for a in argv])
+        reason = reason.format(**paths) + " GiB, over the 0.00 GiB budget"
+        assert got == code
+        if code == EX_UNDECIDED:  # the reason ends the solve's note
+            assert json.loads(out)["diagnostics"]["note"].split("; ")[-1] == reason
+        else:
+            assert out == "" and err.strip() == reason
 
 
 def test_spotcheck_counts_the_basis_before_building_its_table(tmp_path, capsys, monkeypatch):
@@ -739,7 +771,7 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
 ] + [
     pytest.param({"g": 1, "mode": "monoid", "coeff_dim": 150,
                   "terms": [{"word": "1", "matrix": matrix_to_json(-np.eye(150))}]}, [command, "{p}"],
-                 EX_UNDECIDED, "f(X) of side 22500 would take 7.5 GiB, over the 0.25 GiB budget", True,
+                 EX_UNDECIDED, "f(X) of side 22500 would take 7.54 GiB, over the 0.25 GiB budget", True,
                  id=f"minus-I150-{command}")
     for command in ("certify", "witness")
 ]
@@ -836,7 +868,30 @@ def test_eval_refuses_a_tuple_whose_unitarity_defect_overflows(tmp_path, capsys,
         path.write_text(json.dumps(data))
     code, out, err = run(capsys, "eval", str(paths[0]), "--at", str(paths[1]))
     assert code == EX_DATA and out == ""
-    assert err.strip() == "input error: group-mode entries are not unitary within 1e-09 (defect inf)"
+    assert err.strip() == "input error: group-mode entries are not unitary within 1e-08 (defect inf)"
+
+
+@pytest.mark.parametrize("scale, eval_code, note", [
+    (1 + 2.5e-9, 0, ""),
+    (1 + 1e-8, EX_DATA, "operators miss unitarity by 2.000e-08"),
+], ids=["defect-5e-9", "defect-2e-8"])
+def test_eval_and_the_witness_gate_share_one_unitarity_tolerance(tmp_path, capsys, scale, eval_code, note):
+    # 1 + u1 + u1^-1 at a 3 x 3 unitary with eigenvalue -1, scaled off unitarity:
+    # eval evaluates the tuples the witness gate accepts, and refuses the others
+    Q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+    X = scale * (Q * [-1, 1j, 1]) @ Q.T
+    tup = {"mode": "group", "entries": [matrix_to_json(X)]}
+    p, at, wit = tmp_path / "p.json", tmp_path / "X.json", tmp_path / "w.json"
+    write_poly(p, NCPoly.constant(1.0, 1, GROUP) + NCPoly.monomial((1,), 1, GROUP) + NCPoly.monomial((-1,), 1, GROUP))
+    at.write_text(json.dumps(tup))
+    wit.write_text(json.dumps({"outcome": "witness", "witness": {"model": {"operators": tup}}}))
+    code, out, err = run(capsys, "eval", str(p), "--at", str(at))
+    assert code == eval_code
+    if eval_code:
+        assert err.strip() == "input error: group-mode entries are not unitary within 1e-08 (defect 2.000e-08)"
+    code, out, err = run(capsys, "spotcheck", str(p), str(wit))
+    rep = json.loads(out)
+    assert code == (1 if note else 0) and rep["note"] == note and rep["min_eig"] == pytest.approx(1 - 2 * scale)
 
 
 # numbers whose arithmetic overflows: numpy's RuntimeWarning reached stderr

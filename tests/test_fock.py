@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ncsos.fock import (
-    build_creation, build_extraction, build_symmetrized, build_unitaries, extract_coeffs,
-    gram_bound_constant, vacuum_images,
+    build_extraction, build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant, vacuum_images,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, word_eval, word_images
 from ncsos.words import GROUP, MONOID, count_words, enumerate_words
@@ -20,8 +19,14 @@ def vacuum_column(dim):
     return e
 
 
+def creation(g, l):
+    """The compressed creation operators L_i, read off A_i = L_i + L_i*:
+    L_i is strictly lower triangular in graded order."""
+    return [np.tril(A, -1) for A in build_symmetrized(g, l).entries]
+
+
 def test_creation_g2_l1():
-    L1, L2 = build_creation(2, 1)  # words: 1, x1, x2
+    L1, L2 = creation(2, 1)  # words: 1, x1, x2
     e0, e1, e2 = np.eye(3)
     assert np.array_equal(L1 @ e0, e1)
     assert np.array_equal(L1 @ e1, np.zeros(3))  # |x1| = l, killed
@@ -31,7 +36,7 @@ def test_creation_g2_l1():
 
 @pytest.mark.parametrize("g,l", [(2, 2), (3, 2), (2, 3)])
 def test_creation_orthogonal_ranges(g, l):
-    ls = build_creation(g, l)
+    ls = creation(g, l)
     for i in range(g):
         for j in range(g):
             if i != j:
@@ -41,7 +46,7 @@ def test_creation_orthogonal_ranges(g, l):
 @pytest.mark.parametrize("g,l", [(2, 1), (2, 2), (3, 2)])
 def test_creation_partial_isometry(g, l):
     proj = np.diag([1.0 if len(w) < l else 0.0 for w in enumerate_words(g, l, MONOID)])
-    for L in build_creation(g, l):
+    for L in creation(g, l):
         assert np.allclose(L.conj().T @ L, proj)
 
 

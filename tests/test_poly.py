@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncsos import jsonio
+from ncsos import jsonio, sdp
+from ncsos.certify import refuse_evaluation
 from ncsos.poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, matrix_to_json, opnorm,
     poly_eval, poly_from_json, poly_to_json, tuple_from_json, tuple_to_json, word_eval,
@@ -196,6 +197,27 @@ def test_eval_holds_only_the_prefixes_a_later_word_reuses():
     for w in p.words:
         ref += np.kron(p.terms[w], word_eval(w, X))
     assert value.tobytes() == ref.tobytes()
+
+
+def test_eval_holds_what_the_evaluation_budget_counts(monkeypatch):
+    # f(X) of side k n = 2048 is 64 MiB: each term is added one block row at a
+    # time, so no temporary the size of f(X) doubles the peak over the count
+    k, n = 64, 32
+    rng = np.random.default_rng(5)
+    p = NCPoly(1, MONOID, k, {w: rand_matrix(k, rng) for w in ((), (1,), (1, 1))})
+    X = OperatorTuple(MONOID, [rand_hermitian(n, rng)])
+    count = 16 * ((k * n) ** 2 + (1 + 2) * n ** 2)  # x1 shares the prefix x1 with x1 x1
+    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count)
+    assert refuse_evaluation(p, n) == ""
+    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count - 1)
+    assert refuse_evaluation(p, n) != ""
+    tracemalloc.start()
+    try:
+        poly_eval(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * count
 
 
 def test_eval_mode_mismatch():

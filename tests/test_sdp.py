@@ -294,7 +294,7 @@ def test_handover_over_its_memory_budget_builds_nothing(monkeypatch):
     res = solve_feasibility(gram_system_at(f, 31), free_state(f, 31))
     assert not res.feasible and res.X is None and res.certificate is None
     assert res.iterations == 10 and res.newton_steps == 0
-    assert res.reason == "max-margin handover needs 0.4 GiB, over its 0.25 GiB budget"
+    assert res.reason == "max-margin handover would take 0.372 GiB, over the 0.25 GiB budget"
 
 
 def test_interior_point_must_be_positive_definite(monkeypatch):
