@@ -41,7 +41,7 @@ from .gram import (
     EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
     constraint_index, factor_gram,
 )
-from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, poly_eval, shared_prefixes
+from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, eval_bytes, poly_eval
 from .sdp import AffineSystem, FeasibilityResult, refuse_bytes, solve_feasibility
 from .words import MONOID, count_words
 
@@ -233,11 +233,8 @@ def certify(f: NCPoly) -> CertifyOutcome:
 
 def refuse_evaluation(f: NCPoly, dim: int) -> str:
     """Why f is not evaluated at a tuple on C^dim ("" when it is):
-    sdp.refuse_bytes's reason for f(X), of side k dim, and what poly_eval
-    holds besides it, s + 2 images of side dim for the longest prefix s that
-    a word shares with the next."""
-    need = 16 * ((f.k * dim) ** 2 + (max(shared_prefixes(f.words), default=0) + 2) * dim ** 2)
-    return refuse_bytes(need, f"f(X) of side {f.k * dim}")
+    sdp.refuse_bytes's reason for what poly_eval holds, poly.eval_bytes."""
+    return refuse_bytes(eval_bytes(f, dim), f"f(X) of side {f.k * dim}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

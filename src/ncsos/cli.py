@@ -30,7 +30,7 @@ from .certify import (
     EPS_WIT, OPERATOR_DEFECT_TOL, CertifyError, CertifyOutcome, certify, infer_degree, refuse_certificate,
     refuse_evaluation, refuse_witness, run_dual, run_primal,
 )
-from .fock import FockError, build_extraction, build_symmetrized, build_unitaries, extract_coeffs
+from .fock import FockError, build_symmetrized, build_unitaries, coefficient_bound, extract_coeffs, vacuum_images
 from .gram import EPS_PSD, GramMatrix, SOSCertificate, constraint_index
 from .poly import (
     NCPoly, OperatorTuple, PolyError, matrix_from_json, poly_eval, poly_from_json,
@@ -66,29 +66,33 @@ def _build_parser() -> _Parser:
 
     for name in ("certify", "decompose", "witness"):
         sp = sub.add_parser(name)
+        sp.set_defaults(run=_cmd_decide)
         sp.add_argument("input")
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("eval")
+    sp.set_defaults(run=_cmd_eval)
     sp.add_argument("input")
     sp.add_argument("--at", required=True, help="operator tuple JSON file")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("extract")
+    sp.set_defaults(run=_cmd_extract)
     sp.add_argument("--eval", dest="eval_path", required=True,
                     help="JSON matrix presumed equal to q(A)")
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--l", type=int, required=True, help="truncation degree")
-    sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("fock-dump")
+    sp.set_defaults(run=_cmd_fock_dump)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--group", action="store_true")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("spotcheck")
+    sp.set_defaults(run=_cmd_spotcheck)
     sp.add_argument("input")
     sp.add_argument("certificate")
     sp.add_argument("--out", default=None)
@@ -228,9 +232,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_fock_flags(args):
+    """extract's and fock-dump's flags, checked before anything is read or counted."""
+    if min(args.g, args.l) < 1:
+        raise UsageError("--g and --l must be at least 1")
+
+
 def _cmd_extract(args) -> int:
-    if min(args.g, args.l, args.k) < 1:
-        raise UsageError("--g, --l and --k must be at least 1")
+    _check_fock_flags(args)
     data = _read_json(args.eval_path)
     if isinstance(data, dict) and "matrix" not in data:
         raise DataError(f"{args.eval_path}: bad evaluation JSON: missing 'matrix'")
@@ -238,11 +247,11 @@ def _cmd_extract(args) -> int:
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
     except PolyError as exc:
         raise DataError(f"{args.eval_path}: {exc}")
-    if (args.l + 1) * args.k > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
-        raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} --k {args.k} "
-                        f"needs a side of at least {(args.l + 1) * args.k}")
+    if args.l + 1 > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
+        raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} "
+                        f"needs a side of at least {args.l + 1}")
     try:
-        q = extract_coeffs(E, args.g, args.l, args.k, MONOID)
+        q = extract_coeffs(E, args.g, args.l, MONOID)
     except FockError as exc:  # the matrix does not fit the flags
         raise DataError(str(exc))
     _emit(poly_to_json(q), args.out)
@@ -250,6 +259,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_fock_dump(args) -> int:
+    _check_fock_flags(args)
     # its n x n complex arrays (the g unitaries, or L_i, A_i, M and M^-1) go to
     # sdp.refuse_bytes; n = count_words(g, l) >= l + 1 bounds l before n is counted
     arrays = args.g if args.group else 2 * args.g + 2
@@ -257,19 +267,20 @@ def _cmd_fock_dump(args) -> int:
     def too_large(n: int) -> str:
         return refuse_bytes(16 * arrays * n * n, f"--l {args.l}: {arrays} complex arrays of side at least {n}")
     if reason := too_large(args.l + 1) or too_large(count_words(args.g, args.l, GROUP if args.group else MONOID)):
-        raise FockError(reason)
+        raise UsageError(reason)
     if args.group:
         data = {"mode": GROUP, "g": args.g, "degree": args.l,
                 "unitaries": build_unitaries(args.g, args.l).entries}
     else:
-        ext = build_extraction(args.g, args.l, MONOID)
-        A = build_symmetrized(args.g, args.l).entries
-        data = {
+        A = build_symmetrized(args.g, args.l)
+        M = vacuum_images(args.g, args.l, MONOID, A)
+        data = {  # jsonio sorts the keys; M^-1 is freed here, before the L_i are built
             "mode": MONOID, "g": args.g, "degree": args.l,
-            "creation": [np.tril(Ai, -1) for Ai in A],  # L_i: A_i = L_i + L_i*, L_i strictly lower triangular
-            "symmetrized": A,
-            "extraction": ext.matrix,
-            "coefficient_bound": float(ext.row_sum_bound),
+            "extraction": M,
+            "coefficient_bound": coefficient_bound(M),
+            "symmetrized": A.entries,
+            # L_i: A_i = L_i + L_i*, L_i strictly lower triangular
+            "creation": [np.tril(Ai, -1) for Ai in A.entries],
         }
     _emit(data, args.out)
     return 0
@@ -334,25 +345,9 @@ def _cmd_spotcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        if args.command in ("certify", "decompose", "witness"):
-            return _cmd_decide(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command in ("extract", "fock-dump"):
-            try:
-                return (_cmd_extract if args.command == "extract" else _cmd_fock_dump)(args)
-            except (WordError, FockError) as exc:  # raised on the --g and --l flags
-                raise UsageError(str(exc))
-        if args.command == "spotcheck":
-            return _cmd_spotcheck(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -9,15 +9,14 @@ operator L_i, and A_i = L_i + L_i^dagger.  In group mode it is completed to a
 permutation unitary U_i, x_i^-1 acting as U_i^*.
 
 The vacuum images T^w vacuum of the canonical tuple T (A or U) over the basis
-words are the columns of a unit upper-triangular matrix M.  Its inverse
-recovers polynomial coefficients from an evaluation q(T), and the inverse's
-max absolute row sum lambda enters the Gram-bound constant.  For U, M is the
-identity: U^w vacuum = e_w.
+words are the columns of a unit upper-triangular matrix M (vacuum_images).
+Its inverse recovers the coefficients of q from an evaluation q(T), whose
+side sets q's coefficient size k (extract_coeffs), and the inverse's max
+absolute row sum lambda (coefficient_bound) enters the Gram-bound constant.
+For U, M is the identity: U^w vacuum = e_w.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +72,10 @@ def build_unitaries(g: int, l: int) -> OperatorTuple:
     return OperatorTuple(GROUP, [unitary_for(i) for i in range(1, g + 1)])
 
 
-def vacuum_images(g: int, l: int, mode: str) -> np.ndarray:
+def vacuum_images(g: int, l: int, mode: str, A: OperatorTuple | None = None) -> np.ndarray:
     """The n x n matrix M whose column j is T^w vacuum for the j-th word w of
-    length <= l, T the canonical tuple of the mode: A (monoid) or U (group).
+    length <= l, T the canonical tuple of the mode: A (monoid), read off the
+    given build_symmetrized(g, l) when the caller holds it, or U (group).
 
     No basis word reaches past the truncation, so these are the untruncated
     vectors.  For U they are the unit vectors e_w by construction, so M is
@@ -85,45 +85,41 @@ def vacuum_images(g: int, l: int, mode: str) -> np.ndarray:
     if mode == GROUP:
         return np.eye(count_words(g, l, GROUP))
     words = enumerate_words(g, l, mode)
-    return word_images(build_symmetrized(g, l), words, np.eye(len(words), 1, dtype=complex))
+    A = build_symmetrized(g, l) if A is None else A
+    return word_images(A, words, np.eye(len(words), 1, dtype=complex))
 
 
-@dataclass
-class ExtractionMatrix:
-    """M[v, w] = <T^w vacuum, e_v>; unit upper triangular in graded-lex order."""
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-    row_sum_bound: float  # lambda_l, the max absolute row sum of the inverse
-
-
-def build_extraction(g: int, l: int, mode: str) -> ExtractionMatrix:
-    if l < 1:
-        raise FockError("extraction needs truncation degree >= 1")
-    M = vacuum_images(g, l, mode)
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """M^-1 for vacuum_images' M, unit upper triangular in graded order."""
     if max(np.abs(np.tril(M, -1)).max(), np.abs(np.diag(M) - 1.0).max()) > 1e-12:
         raise FockError("extraction matrix is not unit upper triangular; ordering bug")
-    Minv = np.linalg.inv(M)
-    lam = float(np.abs(Minv).sum(axis=1).max())
-    return ExtractionMatrix(matrix=M, inverse=Minv, row_sum_bound=lam)
+    return np.linalg.inv(M)
 
 
-def extract_coeffs(E: np.ndarray, g: int, l: int, k: int, mode: str) -> NCPoly:
+def coefficient_bound(M: np.ndarray) -> float:
+    """lambda, the largest absolute row sum of M^-1: every coefficient of a
+    q that extract_coeffs recovers from E = q(T) has norm <= lambda ||E||."""
+    return float(np.abs(_inverse(M)).sum(axis=1).max())
+
+
+def extract_coeffs(E: np.ndarray, g: int, l: int, mode: str) -> NCPoly:
     """Recover q from E = q(T) for q of degree <= l, T the mode's canonical tuple.
 
-    The column of k x k blocks Z_v = E[(a, v), (b, vacuum)] satisfies
-    Z = M Q, so Q = M^{-1} Z, with M the extraction matrix.  In group mode
+    E's side is k N(l), with N(l) the number of basis words: it sets k.  The
+    column of k x k blocks Z_v = E[(a, v), (b, vacuum)] satisfies Z = M Q,
+    so Q = M^{-1} Z, with M = vacuum_images(g, l, mode).  In group mode
     M^{-1} = I, and Q = Z exactly.
     """
     E = np.asarray(E, dtype=complex)
     n = count_words(g, l, mode)
-    if E.shape != (k * n, k * n):
-        raise FockError(f"matrix has shape {E.shape}, want {(k * n, k * n)}")
-    ext = build_extraction(g, l, mode)
+    k = len(E) // n
+    if k < 1 or E.shape != (k * n, k * n):
+        raise FockError(f"matrix has shape {E.shape}: want a square whose side is a multiple of "
+                        f"the {n} words of degree <= {l} over {g} letters")
     # coefficient-left Kronecker order: entry ((a, v), (b, vacuum)) = E[a*n + v, b*n + 0]
     Z = E.reshape(k, n, k, n)[:, :, :, 0].transpose(1, 0, 2)  # (v, a, b)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = np.einsum("wv,vab->wab", ext.inverse, Z)
+        Q = np.einsum("wv,vab->wab", _inverse(vacuum_images(g, l, mode)), Z)
     if not np.isfinite(Q).all():  # NCPoly would drop a NaN coefficient
         raise FockError("the recovered coefficients are not finite: they overflow float64")
     return NCPoly(g, mode, k, dict(zip(enumerate_words(g, l, mode), Q)))
@@ -133,5 +129,4 @@ def gram_bound_constant(g: int, d: int, mode: str) -> float:
     """N(d)^3 * lambda_{2d}^2, which bounds ||G|| by its product with ||p(T)||
     at l = 2d for every psd Gram matrix G of p: mu_d for A, and for U, where
     lambda = 1, tau_d = N_red(d)^3."""
-    lam = build_extraction(g, 2 * d, mode).row_sum_bound
-    return count_words(g, d, mode) ** 3 * lam**2
+    return count_words(g, d, mode) ** 3 * coefficient_bound(vacuum_images(g, 2 * d, mode)) ** 2

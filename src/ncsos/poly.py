@@ -193,16 +193,15 @@ class OperatorTuple:
         return max((opnorm(x @ x.conj().T - np.eye(self.dim)) for x in self.entries), default=0.0)
 
 
-def _letters(X: OperatorTuple) -> dict:
-    """Signed letter -> matrix of X: x_i to X_i and x_i^-1 to X_i^dagger."""
-    letters = dict(enumerate(X.entries, 1))
-    letters.update((-a, x.conj().T) for a, x in enumerate(X.entries, 1))
-    return letters
+def _letters(X: OperatorTuple, used) -> dict:
+    """Signed letter -> matrix of X for the letters used: x_i to X_i, and
+    x_i^-1 to a copy of X_i^dagger."""
+    return {a: X.entries[a - 1] if a > 0 else X.entries[-a - 1].conj().T for a in used}
 
 
 def word_eval(w: tuple, X: OperatorTuple) -> np.ndarray:
     """X^w, with X^empty = I and x_i^-1 evaluated as X_i^dagger."""
-    letters = _letters(X)
+    letters = _letters(X, set(w))
     out = np.eye(X.dim, dtype=complex)
     for a in w:
         out = out @ letters[a]
@@ -213,7 +212,7 @@ def word_images(X: OperatorTuple, words: list[tuple], V) -> np.ndarray:
     """X^w V for every word of a graded list, side by side in column blocks:
     each is one product with its suffix's, X^{a w} V = X_a (X^w V)."""
     head, tail = suffix_table(words)
-    letters = _letters(X)
+    letters = _letters(X, set(head.tolist()) - {0})
     Z = np.empty((V.shape[0], len(words), V.shape[1]), dtype=complex)
     for j, (a, t) in enumerate(zip(head.tolist(), tail.tolist())):
         Z[:, j] = letters[a] @ Z[:, t] if a else V
@@ -231,6 +230,17 @@ def shared_prefixes(words: list[tuple]) -> list[int]:
     return out + [0]
 
 
+def eval_bytes(p: NCPoly, n: int) -> int:
+    """The bytes poly_eval(p, X) holds for a tuple on C^n: p(X), of side k n,
+    and arrays of side n: the adjoint of each inverse letter p uses, the
+    identity, the images of the longest prefix s that a word shares with the
+    next, the running product, and either the next product or the term of
+    one block row, k arrays."""
+    inverses = len({a for w in p.words for a in w if a < 0})
+    s = max(shared_prefixes(p.words), default=0)
+    return 16 * ((p.k * n) ** 2 + (inverses + s + 2 + p.k) * n ** 2)
+
+
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     """p(X) = sum_w P_w (x) X^w, a (k*n) x (k*n) matrix.
 
@@ -239,6 +249,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     is word_eval's product, extended from the prefix w shares with the word
     before it.  Besides the running product, only the images of the prefix w
     shares with the next word are held: no later word reuses the others.
+    eval_bytes counts what it holds.
     """
     if X.mode != p.mode:
         raise PolyError(f"cannot evaluate {p.mode} polynomial at {X.mode} tuple")
@@ -247,7 +258,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
     n = X.dim
     out = np.zeros((p.k * n, p.k * n), dtype=complex)
     blocks = out.reshape(p.k, n, p.k, n)  # blocks[a, :, b, :] is block (a, b) of out, as np.kron lays it
-    letters = _letters(X)
+    letters = _letters(X, {a for w in p.words for a in w})
     images = [np.eye(n, dtype=complex)]  # images[i] = X^(w[:i]) up to the prefix w shares with the word before
     for w, c, s in zip(p.words, p.coeffs, shared_prefixes(p.words)):
         image = images[-1]
@@ -255,7 +266,7 @@ def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:
             image = image @ letters[w[i]]
             if i < s:
                 images.append(image)
-        for a in range(p.k):  # one block row at a time: no temporary the size of p(X)
+        for a in range(p.k):  # one block row at a time: a temporary of k n^2, not (k n)^2
             blocks[a] += c[a][None, :, None] * image[:, None, :]
         del images[s + 1:]
     return out

@@ -10,7 +10,7 @@ import pytest
 
 from ncsos import jsonio
 from ncsos.certify import certify, run_dual, run_primal
-from ncsos.fock import build_extraction, build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant
+from ncsos.fock import build_symmetrized, build_unitaries, extract_coeffs, gram_bound_constant, vacuum_images
 from ncsos.gns import gns_construct, gns_construct_unitary, gns_verify
 from ncsos.gram import gram_to_poly
 from ncsos.poly import NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_eval
@@ -55,8 +55,7 @@ def test_criterion_1_fock_structure():
     worst_tri, worst_faithful = 0.0, 0.0
     for g in (1, 2, 3):
         for l in (1, 2, 3, 4):
-            ext = build_extraction(g, l, MONOID)
-            M = ext.matrix
+            M = vacuum_images(g, l, MONOID)
             worst_tri = max(worst_tri,
                             np.abs(np.tril(M, -1)).max(),
                             np.abs(np.diag(M) - 1.0).max())
@@ -89,7 +88,7 @@ def test_criterion_2_extraction_roundtrip():
         if key not in tuples:
             tuples[key] = build_symmetrized(g, l)
         E = poly_eval(q, tuples[key])
-        rec = extract_coeffs(E, g, l, k, MONOID)
+        rec = extract_coeffs(E, g, l, MONOID)
         diff = rec - q
         worst = max(worst, max((opnorm(c) for c in diff.terms.values()), default=0.0))
     report("criterion 2 (extraction roundtrip)", worst <= 1e-10,
@@ -127,7 +126,7 @@ def test_criterion_3_gram_bound():
                 worst_group = max(worst_group, opnorm(G.matrix) / (tau * opnorm(pU)))
             q = rand_poly(g, GROUP, 2, d_g, rng, n_terms=4)
             E = poly_eval(q, U)
-            for block in extract_coeffs(E, g, d_g, 2, GROUP).on(enumerate_words(g, d_g, GROUP)):
+            for block in extract_coeffs(E, g, d_g, GROUP).on(enumerate_words(g, d_g, GROUP)):
                 assert opnorm(block) <= opnorm(E) + 1e-12
     ok = ok and worst_group <= 1.0 + 1e-12
     report("criterion 3 (gram norm bound)", ok,

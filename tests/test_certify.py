@@ -278,10 +278,11 @@ def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch)
 
 def test_evaluation_budget_counts_the_prefix_images():
     # f(X) alone is 64 MiB, inside the 0.25 GiB budget; poly_eval also holds
-    # the images of x1^7, the prefix x1^7 shares with x1^8, and the running product
+    # the identity, the images of x1^7, the prefix x1^7 shares with x1^8, the
+    # running product and one term: 1 + 7 + 1 + 1 more arrays of side 2048
     f = sum((NCPoly.monomial((1,) * i, 1) for i in range(2, 9)), NCPoly.monomial((1,), 1))
     assert 16 * 2048 ** 2 < MARGIN_MAX_BYTES
-    assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.625 GiB, over the 0.25 GiB budget"
+    assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.688 GiB, over the 0.25 GiB budget"
     assert refuse_evaluation(f, 1024) == ""
 
 
@@ -432,7 +433,7 @@ def _raise_gns_error(S):
     ("ncsos.certify.gns_construct", _raise_gns_error,
      "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)"),
     ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
-    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 4.02e-07 GiB, over the 0.00 GiB budget"),
+    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 5.36e-07 GiB, over the 0.00 GiB budget"),
 ], ids=["gns-error", "verify-residual", "evaluation-budget"])
 def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
     # past the Farkas certificate, GNS raising, a verification residual above

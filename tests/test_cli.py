@@ -162,7 +162,7 @@ def test_extract_roundtrip(tmp_path, capsys):
     E = poly_eval(q, build_symmetrized(2, 2))
     epath = tmp_path / "E.json"
     epath.write_text(jsonio.dumps({"matrix": matrix_to_json(E)}))
-    code, out, _ = run(capsys, "extract", "--eval", str(epath), "--g", "2", "--l", "2", "--k", "1")
+    code, out, _ = run(capsys, "extract", "--eval", str(epath), "--g", "2", "--l", "2")
     assert code == 0
     rec = poly_from_json(json.loads(out))
     assert rec == q
@@ -183,6 +183,41 @@ def test_fock_dump_group(capsys):
     data = json.loads(out)
     # x1^-1 acts as the adjoint of the one unitary: no second list is written
     assert len(data["unitaries"]) == 1 and "unitary_inverses" not in data
+
+
+def test_fock_dump_builds_the_symmetrized_tuple_once(capsys, monkeypatch):
+    # the extraction matrix is read off the A the dump writes, not off a second A
+    from ncsos import cli, fock
+    calls = []
+    build = fock.build_symmetrized
+
+    def counted(g, l):
+        calls.append((g, l))
+        return build(g, l)
+    for module in (cli, fock):
+        monkeypatch.setattr(module, "build_symmetrized", counted)
+    for g, l in ((1, 1), (2, 3)):
+        calls.clear()
+        assert run(capsys, "fock-dump", "--g", str(g), "--l", str(l))[0] == 0
+        assert calls == [(g, l)]
+
+
+def test_extract_k_flag_is_gone(tmp_path, capsys):
+    # the matrix's side is k N(l): it sets k
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps([[[1.0, 0.0]] * 3] * 3))
+    assert run(capsys, "extract", "--eval", str(e), "--g", "2", "--l", "1", "--k", "1") == (
+        EX_USAGE, "", "usage error: unrecognized arguments: --k 1\n")
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (3, 4), (6, 3)], ids=["side-4", "3-by-4", "6-by-3"])
+def test_extract_refuses_a_side_that_is_not_a_multiple_of_the_basis(tmp_path, capsys, rows, cols):
+    # two letters at l = 1 have the 3 words 1, x1, x2: a side of 3 k fits, nothing else
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps([[[1.0, 0.0]] * cols] * rows))
+    assert run(capsys, "extract", "--eval", str(e), "--g", "2", "--l", "1") == (
+        EX_DATA, "", f"input error: matrix has shape {(rows, cols)}: want a square whose side is a multiple "
+                     "of the 3 words of degree <= 1 over 2 letters\n")
 
 
 def test_spotcheck_cli(tmp_path, capsys):
@@ -346,7 +381,7 @@ sys.exit(code)
     (["fock-dump", "--g", "2", "--l", "30", "--group"], EX_USAGE,
      "usage error: --l 30: 2 complex arrays of side at least 411782264189297 would take 5.05e+21 GiB"),
     (["extract", "--eval", "{e}", "--g", "2", "--l", "200000"], EX_DATA,
-     "input error: {e}: matrix has shape (1, 1), but --l 200000 --k 1 needs a side of at least 200001"),
+     "input error: {e}: matrix has shape (1, 1), but --l 200000 needs a side of at least 200001"),
 ], ids=["fock-dump-monoid", "fock-dump-long", "fock-dump-group", "extract-long"])
 def test_oversized_fock_space_is_refused_before_it_is_counted(tmp_path, argv, code, reason):
     # count_words(g, l) >= l + 1 is bounded by l before it is counted (counting
@@ -394,9 +429,9 @@ def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
         paths[name].write_text(json.dumps(data))
     for argv, code, reason in [
         (["certify", "{laplacian}"], EX_UNDECIDED, "max-margin handover would take 2.38e-06"),
-        (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 4.02e-07"),
-        (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 4.47e-08"),
-        (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 4.47e-08"),
+        (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 5.36e-07"),
+        (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 5.96e-08"),
+        (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 5.96e-08"),
         (["spotcheck", "{square}", "{sos}"], EX_DATA,
          "input error: {sos}: 1 factors on 2 words would take 2.98e-08"),
         (["fock-dump", "--g", "1", "--l", "1"], EX_USAGE,
@@ -679,7 +714,7 @@ SIGNATURES = {
     sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
     sdp.AffineSystem.nearest: {"self": REQUIRED, "X": REQUIRED},
     NCPoly.is_hermitian: {"self": REQUIRED},
-    extract_coeffs: {"E": REQUIRED, "g": REQUIRED, "l": REQUIRED, "k": REQUIRED, "mode": REQUIRED},
+    extract_coeffs: {"E": REQUIRED, "g": REQUIRED, "l": REQUIRED, "mode": REQUIRED},
 }
 
 
@@ -771,7 +806,7 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
 ] + [
     pytest.param({"g": 1, "mode": "monoid", "coeff_dim": 150,
                   "terms": [{"word": "1", "matrix": matrix_to_json(-np.eye(150))}]}, [command, "{p}"],
-                 EX_UNDECIDED, "f(X) of side 22500 would take 7.54 GiB, over the 0.25 GiB budget", True,
+                 EX_UNDECIDED, "f(X) of side 22500 would take 7.59 GiB, over the 0.25 GiB budget", True,
                  id=f"minus-I150-{command}")
     for command in ("certify", "witness")
 ]

@@ -266,5 +266,5 @@ def test_peek_norm_bound_group():
         from test_poly import rand_poly
         p = rand_poly(2, GROUP, 2, d, rng, n_terms=4)
         E = poly_eval(p, U)
-        for block in extract_coeffs(E, 2, d, 2, GROUP).on(words):
+        for block in extract_coeffs(E, 2, d, GROUP).on(words):
             assert opnorm(block) <= opnorm(E) + 1e-12

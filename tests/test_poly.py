@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -200,24 +201,46 @@ def test_eval_holds_only_the_prefixes_a_later_word_reuses():
 
 
 def test_eval_holds_what_the_evaluation_budget_counts(monkeypatch):
-    # f(X) of side k n = 2048 is 64 MiB: each term is added one block row at a
-    # time, so no temporary the size of f(X) doubles the peak over the count
-    k, n = 64, 32
+    # each term is added one block row at a time, through a temporary of k n^2
+    # that eval_bytes counts: at k = 64 it is 1/64 of f(X) (side 2048, 64 MiB),
+    # at k = 1 the size of f(X) (side 256); x1 shares the prefix x1 with x1 x1,
+    # and a group input holds the adjoint of its inverse letter
     rng = np.random.default_rng(5)
-    p = NCPoly(1, MONOID, k, {w: rand_matrix(k, rng) for w in ((), (1,), (1, 1))})
-    X = OperatorTuple(MONOID, [rand_hermitian(n, rng)])
-    count = 16 * ((k * n) ** 2 + (1 + 2) * n ** 2)  # x1 shares the prefix x1 with x1 x1
-    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count)
-    assert refuse_evaluation(p, n) == ""
-    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count - 1)
-    assert refuse_evaluation(p, n) != ""
-    tracemalloc.start()
-    try:
-        poly_eval(p, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.05 * count
+    for mode, k, n, words, held in ((MONOID, 64, 32, ((), (1,), (1, 1)), 1 + 2 + 64),
+                                    (MONOID, 1, 256, ((), (1,), (1, 1)), 1 + 2 + 1),
+                                    (GROUP, 1, 256, ((), (1,), (-1,)), 1 + 0 + 2 + 1)):
+        p = NCPoly(1, mode, k, {w: rand_matrix(k, rng) for w in words})
+        X = OperatorTuple(mode, [rand_hermitian(n, rng)])
+        count = 16 * ((k * n) ** 2 + held * n ** 2)
+        monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count)
+        assert refuse_evaluation(p, n) == ""
+        monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count - 1)
+        assert refuse_evaluation(p, n) != ""
+        tracemalloc.start()
+        try:
+            poly_eval(p, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * count, (mode, k, peak / count)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NCPoly(1, MONOID, 0), "coefficient dimension must be >= 1"),
+    (lambda: NCPoly(1, MONOID, 1, {(1,): np.eye(2)}), "coefficient for 'x1' has shape (2, 2), want (1, 1)"),
+    (lambda: x(1) + x(1, g=3), "polynomials have mismatched (g, mode, k)"),
+    (lambda: x(1, g=1) + x(1, g=1, mode=GROUP), "polynomials have mismatched (g, mode, k)"),
+    (lambda: x(1) + x(1, k=2), "polynomials have mismatched (g, mode, k)"),
+], ids=["k-0", "coefficient-shape", "add-g", "add-mode", "add-k"])
+def test_polynomial_refuses_what_does_not_fit_it(build, message):
+    with pytest.raises(PolyError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, b"x1", 1j, object()], ids=["set", "bytes", "complex", "object"])
+def test_jsonio_refuses_a_type_it_does_not_write(obj):
+    with pytest.raises(TypeError, match=re.escape(f"cannot serialize {type(obj)} to JSON")):
+        jsonio.dumps({"value": obj})
 
 
 def test_eval_mode_mismatch():

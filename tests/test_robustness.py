@@ -120,8 +120,8 @@ def eval_case(rng, outcomes):
 
 
 def extract_case(rng, outcomes):
-    flags = {"--g": rng.randint(1, 2), "--l": rng.randint(1, 2), "--k": rng.randint(1, 2)}
-    side = count_words(flags["--g"], flags["--l"], MONOID) * flags["--k"]
+    flags = {"--g": rng.randint(1, 2), "--l": rng.randint(1, 2)}
+    side = count_words(flags["--g"], flags["--l"], MONOID) * rng.randint(1, 2)  # the side sets k
     draw = np.random.default_rng(rng.randrange(2 ** 32))
     E = matrix_to_json(draw.standard_normal((side, side)) + 1j * draw.standard_normal((side, side)))
     data = {"matrix": E} if rng.random() < 0.5 else E

@@ -95,6 +95,16 @@ def test_enumerate_d0():
         assert enumerate_words(1, 0, mode) == [()]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_words(0, 1, MONOID), "alphabet size must be >= 1"),
+    (lambda: enumerate_words(1, 1, "ring"), "unknown mode 'ring'"),
+    (lambda: count_words(1, 1, "ring"), "unknown mode 'ring'"),
+], ids=["enumerate-g-0", "enumerate-mode", "count-mode"])
+def test_word_basis_refuses_an_empty_alphabet_or_an_unknown_mode(call, message):
+    with pytest.raises(WordError, match=message):
+        call()
+
+
 def test_counts():
     assert count_words(2, 2, MONOID) == 7
     assert count_words(2, 2, GROUP) == 17  # 1 + 4 + 4*3
