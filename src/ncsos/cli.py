@@ -10,6 +10,7 @@ progress notes go to stderr.  Exit codes: 0 = sos, 1 = witness,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -52,7 +53,21 @@ class UsageError(Exception):
 
 
 class DataError(Exception):
-    pass
+    """An input file refused with the reason: main prints "input error: {path}: {reason}"."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+
+
+@contextlib.contextmanager
+def _refused(path, *errors):
+    """Refuse path with the text of any of errors raised inside: only the
+    domain errors of what reads that file, so a fault of the program still
+    ends in exit 70."""
+    try:
+        yield
+    except errors as exc:
+        raise DataError(path, str(exc))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,18 +122,17 @@ def _read_json(path: str):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
+        raise DataError(path, f"cannot read: {exc.strerror}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        raise DataError(path, f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
 def _load_poly(path: str) -> NCPoly:
-    try:
-        return poly_from_json(_read_json(path))
-    except (PolyError, WordError) as exc:
-        raise DataError(f"{path}: {exc}")
+    data = _read_json(path)
+    with _refused(path, PolyError, WordError):
+        return poly_from_json(data)
 
 
 def _input_hash(f: NCPoly) -> str:
@@ -186,15 +200,13 @@ def _cmd_decide(args) -> int:
     at the input's Gram degree (certify.infer_degree), each file with the
     record of the one Gram solve its outcome read."""
     f = _load_poly(args.input)
-    try:  # dispatch at call time: perfbench's tracer swaps these bindings
+    with _refused(args.input, CertifyError):  # dispatch at call time: perfbench's tracer swaps these bindings
         if args.command == "certify":
             outcome = certify(f)
         elif args.command == "decompose":
             outcome = run_primal(f, infer_degree(f))[0]
         else:
             outcome = run_dual(f, infer_degree(f))
-    except CertifyError as exc:
-        raise DataError(str(exc))
     print(f"{args.command}: outcome={outcome.kind} degree={outcome.degree} iterations={outcome.iterations}",
           file=sys.stderr)
     _emit(_outcome_json(f, outcome), args.out)
@@ -204,12 +216,10 @@ def _cmd_decide(args) -> int:
 def _load_tuple(data, f: NCPoly, path: str) -> OperatorTuple:
     """An operator tuple from outside, refused with certify.refuse_evaluation's
     reason before f is evaluated at it."""
-    try:
+    with _refused(path, PolyError):
         X = tuple_from_json(data)
-    except PolyError as exc:
-        raise DataError(f"{path}: {exc}")
     if too_large := refuse_evaluation(f, X.dim):
-        raise DataError(f"{path}: {too_large}")
+        raise DataError(path, too_large)
     return X
 
 
@@ -220,14 +230,12 @@ def _cmd_eval(args) -> int:
     inverse_letter = any(a < 0 for w in f.words for a in w)
     defect = X.unitary_defect() if X.mode == GROUP and inverse_letter else 0.0
     if not defect <= OPERATOR_DEFECT_TOL:  # the witness gate's tolerance
-        raise DataError(f"group-mode entries are not unitary within {OPERATOR_DEFECT_TOL} (defect {defect:.3e})")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below when it overflows
-            value = poly_eval(f, X)
-    except PolyError as exc:
-        raise DataError(str(exc))
+        raise DataError(args.at, f"group-mode entries are not unitary within {OPERATOR_DEFECT_TOL} "
+                                 f"(defect {defect:.3e})")
+    with _refused(args.at, PolyError), np.errstate(over="ignore", invalid="ignore"):  # refused below when it overflows
+        value = poly_eval(f, X)
     if not np.isfinite(value).all():
-        raise DataError("f(X) is not finite: it overflows float64")
+        raise DataError(args.at, "f(X) is not finite: it overflows float64")
     _emit({"matrix": value}, args.out)
     return 0
 
@@ -242,18 +250,13 @@ def _cmd_extract(args) -> int:
     _check_fock_flags(args)
     data = _read_json(args.eval_path)
     if isinstance(data, dict) and "matrix" not in data:
-        raise DataError(f"{args.eval_path}: bad evaluation JSON: missing 'matrix'")
-    try:
+        raise DataError(args.eval_path, "bad evaluation JSON: missing 'matrix'")
+    with _refused(args.eval_path, PolyError, FockError):  # FockError: the matrix does not fit the flags
         E = matrix_from_json(data["matrix"] if isinstance(data, dict) else data)
-    except PolyError as exc:
-        raise DataError(f"{args.eval_path}: {exc}")
-    if args.l + 1 > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
-        raise DataError(f"{args.eval_path}: matrix has shape {E.shape}, but --l {args.l} "
-                        f"needs a side of at least {args.l + 1}")
-    try:
+        if args.l + 1 > min(E.shape):  # count_words(g, l) >= l + 1: bound l before counting
+            raise DataError(args.eval_path, f"matrix has shape {E.shape}, but --l {args.l} "
+                                            f"needs a side of at least {args.l + 1}")
         q = extract_coeffs(E, args.g, args.l, MONOID)
-    except FockError as exc:  # the matrix does not fit the flags
-        raise DataError(str(exc))
     _emit(poly_to_json(q), args.out)
     return 0
 
@@ -295,12 +298,12 @@ def _load_factors(data, gram: GramMatrix, degree: int, path: str) -> np.ndarray:
     words = gram.index[0][:len(gram.index[1])]
     need = 16 * len(data) * len(words) * gram.k ** 2
     if too_large := refuse_bytes(need, f"{len(data)} factors on {len(words)} words"):
-        raise DataError(f"{path}: {too_large}")
+        raise DataError(path, too_large)
     factors = [poly_from_json(r) for r in data]
     if any((r.g, r.mode, r.k) != (gram.g, gram.mode, gram.k) for r in factors):
-        raise DataError(f"{path}: factor does not match the Gram matrix's (g, mode, k)")
+        raise DataError(path, "factor does not match the Gram matrix's (g, mode, k)")
     if any(r.degree() > degree for r in factors):
-        raise DataError(f"{path}: a factor of degree above {degree} does not fit the Gram basis")
+        raise DataError(path, f"a factor of degree above {degree} does not fit the Gram basis")
     return np.array([r.on(words) for r in factors], dtype=complex).reshape(-1, len(words), gram.k, gram.k)
 
 
@@ -308,18 +311,15 @@ def _cmd_spotcheck(args) -> int:
     f = _load_poly(args.input)
     cert = _read_json(args.certificate)
     if not isinstance(cert, dict):
-        raise DataError(f"{args.certificate}: not a JSON object")
+        raise DataError(args.certificate, "not a JSON object")
     kind = cert.get("outcome")
     if kind == "witness":
         try:
             data = cert["witness"]["model"]["operators"]
         except (KeyError, TypeError) as exc:
-            raise DataError(f"{args.certificate}: no usable witness evidence "
-                            f"({type(exc).__name__}: {exc})")
-        try:
+            raise DataError(args.certificate, f"no usable witness evidence ({type(exc).__name__}: {exc})")
+        with _refused(args.certificate, PolyError):  # the stored tuple does not fit the input
             note, low, _ = refuse_witness(f, _load_tuple(data, f, args.certificate))
-        except PolyError as exc:  # the stored tuple does not fit the input
-            raise DataError(f"{args.certificate}: {exc}")
         threshold = -EPS_WIT
     elif kind == "sos":
         try:
@@ -333,12 +333,11 @@ def _cmd_spotcheck(args) -> int:
             gram = GramMatrix(f.g, f.mode, f.k, constraint_index(f.g, degree, f.mode), matrix)
             factors = _load_factors(data["factors"], gram, degree, args.certificate)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.certificate}: no usable sos evidence "
-                            f"({type(exc).__name__}: {exc})")
+            raise DataError(args.certificate, f"no usable sos evidence ({type(exc).__name__}: {exc})")
         note, _, low = refuse_certificate(f, SOSCertificate(gram, factors))
         threshold = -EPS_PSD
     else:
-        raise DataError(f"{args.certificate}: no decided outcome to spot check")
+        raise DataError(args.certificate, "no decided outcome to spot check")
     _emit({"kind": kind, "min_eig": _finite(low), "threshold": threshold, "ok": not note, "note": note},
           args.out)
     return 1 if note else 0

@@ -235,10 +235,11 @@ def eval_bytes(p: NCPoly, n: int) -> int:
     and arrays of side n: the adjoint of each inverse letter p uses, the
     identity, the images of the longest prefix s that a word shares with the
     next, the running product, and either the next product or the term of
-    one block row, k arrays."""
+    one block row, k arrays; and the two buffers of np.getbufsize() complex
+    numbers that numpy's ufunc machinery fills while it adds a block row."""
     inverses = len({a for w in p.words for a in w if a < 0})
     s = max(shared_prefixes(p.words), default=0)
-    return 16 * ((p.k * n) ** 2 + (inverses + s + 2 + p.k) * n ** 2)
+    return 16 * ((p.k * n) ** 2 + (inverses + s + 2 + p.k) * n ** 2 + 2 * np.getbufsize())
 
 
 def poly_eval(p: NCPoly, X: OperatorTuple) -> np.ndarray:

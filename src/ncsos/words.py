@@ -38,13 +38,18 @@ def reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_alphabet(g: int, mode: str):
+    """Refuse an alphabet of fewer than one letter, or an unknown mode."""
+    if g < 1:
+        raise WordError("alphabet size must be >= 1")
+    if mode not in MODES:
+        raise WordError(f"unknown mode {mode!r}")
+
+
 def check_word(w, g: int, mode: str) -> tuple[int, ...]:
     """w itself, once it is a word over g letters in mode: a tuple of letters
     in +-1..+-g, inverse letters only in group mode, and reduced there."""
-    if mode not in MODES:
-        raise WordError(f"unknown mode {mode!r}")
-    if g < 1:
-        raise WordError("alphabet size must be >= 1")
+    _check_alphabet(g, mode)
     if not isinstance(w, tuple):
         raise WordError(f"word {w!r} is not a tuple of letters")
     for a in w:
@@ -89,10 +94,7 @@ def _letters_in_order(g: int, mode: str) -> list[int]:
 
 def enumerate_words(g: int, d: int, mode: str = MONOID) -> list[tuple[int, ...]]:
     """All words of length <= d in graded-lex order (reduced words in group mode)."""
-    if g < 1:
-        raise WordError("alphabet size must be >= 1")
-    if mode not in MODES:
-        raise WordError(f"unknown mode {mode!r}")
+    _check_alphabet(g, mode)
     alphabet = _letters_in_order(g, mode)
     out: list[tuple[int, ...]] = [()]
     level = [()]
@@ -131,13 +133,10 @@ def left_shift(head: np.ndarray, tail: np.ndarray, a: int) -> np.ndarray:
 
 def count_words(g: int, d: int, mode: str = MONOID) -> int:
     """N(d) = sum_{i<=d} g^i (monoid); N_red(d) = 1 + sum_k 2g(2g-1)^{k-1} (group)."""
-    if g < 1:
-        raise WordError("alphabet size must be >= 1")
+    _check_alphabet(g, mode)
     if mode == MONOID:
         return sum(g**i for i in range(d + 1))
-    if mode == GROUP:
-        return 1 + sum(2 * g * (2 * g - 1) ** (k - 1) for k in range(1, d + 1))
-    raise WordError(f"unknown mode {mode!r}")
+    return 1 + sum(2 * g * (2 * g - 1) ** (k - 1) for k in range(1, d + 1))
 
 
 def format_word(w: tuple) -> str:

@@ -433,7 +433,7 @@ def _raise_gns_error(S):
     ("ncsos.certify.gns_construct", _raise_gns_error,
      "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)"),
     ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
-    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 5.36e-07 GiB, over the 0.00 GiB budget"),
+    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 0.000245 GiB, over the 0.00 GiB budget"),
 ], ids=["gns-error", "verify-residual", "evaluation-budget"])
 def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
     # past the Farkas certificate, GNS raising, a verification residual above

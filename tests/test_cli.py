@@ -216,7 +216,7 @@ def test_extract_refuses_a_side_that_is_not_a_multiple_of_the_basis(tmp_path, ca
     e = tmp_path / "e.json"
     e.write_text(json.dumps([[[1.0, 0.0]] * cols] * rows))
     assert run(capsys, "extract", "--eval", str(e), "--g", "2", "--l", "1") == (
-        EX_DATA, "", f"input error: matrix has shape {(rows, cols)}: want a square whose side is a multiple "
+        EX_DATA, "", f"input error: {e}: matrix has shape {(rows, cols)}: want a square whose side is a multiple "
                      "of the 3 words of degree <= 1 over 2 letters\n")
 
 
@@ -429,9 +429,9 @@ def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
         paths[name].write_text(json.dumps(data))
     for argv, code, reason in [
         (["certify", "{laplacian}"], EX_UNDECIDED, "max-margin handover would take 2.38e-06"),
-        (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 5.36e-07"),
-        (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 5.96e-08"),
-        (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 5.96e-08"),
+        (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 0.000245"),
+        (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 0.000244"),
+        (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 0.000244"),
         (["spotcheck", "{square}", "{sos}"], EX_DATA,
          "input error: {sos}: 1 factors on 2 words would take 2.98e-08"),
         (["fock-dump", "--g", "1", "--l", "1"], EX_USAGE,
@@ -759,7 +759,8 @@ def test_oversized_degree_is_refused_before_anything_is_built(tmp_path, capsys, 
     code, out, err = run(capsys, command, path)
     assert time.perf_counter() - start < 1.0
     assert code == EX_DATA and out == ""
-    assert err == f"input error: degree {degree} needs a Gram system of side at least {side}, above the limit 512\n"
+    assert err == (f"input error: {path}: degree {degree} needs a Gram system of side at least {side}, "
+                   "above the limit 512\n")
 
 
 @pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
@@ -796,12 +797,12 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
               for name, (p, code, reason) in EDGE_INPUTS.items()
               for command in ("certify", "decompose", "witness")] + [
     pytest.param(_poly_json(1, "monoid", ("1", -1e155)), ["certify", "{p}"], EX_DATA,
-                 "input error: a coefficient's real or imaginary part 1.000e+155 is above the limit 1e+150",
+                 "input error: {p}: a coefficient's real or imaginary part 1.000e+155 is above the limit 1e+150",
                  False, id="minus-1e155-certify"),
     pytest.param(_poly_json(1, "monoid", ("x1 x1 x1", 1e150)), ["eval", "{p}", "--at", "{at}"], EX_DATA,
-                 "input error: f(X) is not finite: it overflows float64", False, id="1e150-x1^3-eval"),
+                 "input error: {at}: f(X) is not finite: it overflows float64", False, id="1e150-x1^3-eval"),
     pytest.param(_poly_json(10 ** 9, "monoid", ("1", -1.0)), ["certify", "{p}"], EX_DATA,
-                 "input error: 1000000000 letters are above the limit 512 on the Gram side", True,
+                 "input error: {p}: 1000000000 letters are above the limit 512 on the Gram side", True,
                  id="minus-1-over-1e9-letters-certify"),
 ] + [
     pytest.param({"g": 1, "mode": "monoid", "coeff_dim": 150,
@@ -833,7 +834,7 @@ def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code
         got, out, err = run(capsys, *argv)
     assert got == code != EX_SOFTWARE
     if code == EX_DATA:
-        assert out == "" and err.strip().splitlines()[-1] == reason  # after any numpy warning
+        assert out == "" and err.strip().splitlines()[-1] == reason.format(p=path, at=at)  # after any numpy warning
     else:
         assert reason in json.loads(out)["diagnostics"]["note"]
 
@@ -903,7 +904,7 @@ def test_eval_refuses_a_tuple_whose_unitarity_defect_overflows(tmp_path, capsys,
         path.write_text(json.dumps(data))
     code, out, err = run(capsys, "eval", str(paths[0]), "--at", str(paths[1]))
     assert code == EX_DATA and out == ""
-    assert err.strip() == "input error: group-mode entries are not unitary within 1e-08 (defect inf)"
+    assert err.strip() == f"input error: {paths[1]}: group-mode entries are not unitary within 1e-08 (defect inf)"
 
 
 @pytest.mark.parametrize("scale, eval_code, note", [
@@ -923,7 +924,7 @@ def test_eval_and_the_witness_gate_share_one_unitarity_tolerance(tmp_path, capsy
     code, out, err = run(capsys, "eval", str(p), "--at", str(at))
     assert code == eval_code
     if eval_code:
-        assert err.strip() == "input error: group-mode entries are not unitary within 1e-08 (defect 2.000e-08)"
+        assert err.strip() == f"input error: {at}: group-mode entries are not unitary within 1e-08 (defect 2.000e-08)"
     code, out, err = run(capsys, "spotcheck", str(p), str(wit))
     rep = json.loads(out)
     assert code == (1 if note else 0) and rep["note"] == note and rep["min_eig"] == pytest.approx(1 - 2 * scale)
@@ -933,17 +934,17 @@ def test_eval_and_the_witness_gate_share_one_unitarity_tolerance(tmp_path, capsy
 # before the refusal, and ended the run in exit 70 where warnings are errors
 OVERFLOWING_NUMBERS = {
     "certify-coefficient": (["certify", "{p}"], {"p": _poly_json(1, "monoid", ("1", 1.7e308), ("x1 x1", 1.0))},
-                            "a coefficient's real or imaginary part 1.700e+308 is above the limit 1e+150"),
+                            "{p}: a coefficient's real or imaginary part 1.700e+308 is above the limit 1e+150"),
     "spotcheck-gram": (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": dict(SOS_EVIDENCE, certificate=dict(
         SOS_EVIDENCE["certificate"], gram=[[[0.0, 0.0], [1.7e308, 0.0]], [[-1.7e308, 0.0], [1.0, 0.0]]]))},
                        "{c}: no usable sos evidence (GramError: Gram matrix is not Hermitian)"),
     "eval-value": (["eval", "{p}", "--at", "{x}"], {"p": poly_data(), "x": {"mode": "monoid", "entries": [[[[1e200, 0.0]]]]}},
-                   "f(X) is not finite: it overflows float64"),
+                   "{x}: f(X) is not finite: it overflows float64"),
     # the constant term 1.7e308 - (-1.7e308) overflows; it used to fail in the JSON writer
     "extract-coefficient": (["extract", "--g", "1", "--l", "2", "--eval", "{e}"],
                             {"e": {"matrix": [[[1.7e308, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
                                               [[-1.7e308, 0], [0, 0], [0, 0]]]}},
-                            "the recovered coefficients are not finite: they overflow float64"),
+                            "{e}: the recovered coefficients are not finite: they overflow float64"),
 }
 
 
@@ -955,6 +956,49 @@ def test_numbers_that_overflow_are_refused_without_a_warning(tmp_path, capsys, a
     code, out, err = run(capsys, *[a.format(**paths) for a in argv])
     assert code == EX_DATA and out == ""
     assert err == f"input error: {reason.format(**paths)}\n"
+
+
+MONOID_TUPLE = {"mode": "monoid", "entries": [[[[1.0, 0.0]]]]}
+# refusals that once named no file: certify.infer_degree's in the deciding
+# commands, and eval's and extract's refusals past the file's parse
+REFUSED_FILES = {
+    **{f"not-hermitian-{command}": ([command, "{p}"], {"p": poly_data(terms=[{"word": "x1", "matrix": [[[0, 1]]]}])},
+                                    "{p}: input polynomial is not Hermitian")
+       for command in ("certify", "decompose", "witness")},
+    "eval-group-tuple": (["eval", "{p}", "--at", "{x}"], {"p": poly_data(), "x": GROUP_TUPLE},
+                         "{x}: cannot evaluate monoid polynomial at group tuple"),
+    "eval-too-few-entries": (["eval", "{p}", "--at", "{x}"], {"p": poly_data(g=2), "x": MONOID_TUPLE},
+                             "{x}: tuple has 1 entries, polynomial uses 2 letters"),
+    "eval-not-unitary": (["eval", "{p}", "--at", "{x}"],
+                         {"p": GROUP_LAPLACIAN, "x": dict(GROUP_TUPLE, entries=[[[[2.0, 0.0]]]])},
+                         "{x}: group-mode entries are not unitary within 1e-08 (defect 3.000e+00)"),
+    "eval-overflow": (["eval", "{p}", "--at", "{x}"],
+                      {"p": poly_data(), "x": dict(MONOID_TUPLE, entries=[[[[1e200, 0.0]]]])},
+                      "{x}: f(X) is not finite: it overflows float64"),
+    "extract-side": (["extract", "--eval", "{e}", "--g", "2", "--l", "1"], {"e": [[[1.0, 0.0]] * 4] * 4},
+                     "{e}: matrix has shape (4, 4): want a square whose side is a multiple of the 3 words "
+                     "of degree <= 1 over 2 letters"),
+    "spotcheck-group-tuple": (["spotcheck", "{p}", "{c}"], {"p": poly_data(), "c": {
+        "outcome": "witness", "witness": {"model": {"operators": GROUP_TUPLE}}}},
+        "{c}: cannot evaluate monoid polynomial at group tuple"),
+}
+
+
+@pytest.mark.parametrize("argv, files, reason", REFUSED_FILES.values(), ids=REFUSED_FILES.keys())
+def test_every_refusal_names_its_file_once(tmp_path, capsys, argv, files, reason):
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+    assert (code, out, err) == (EX_DATA, "", f"input error: {reason.format(**paths)}\n")
+    assert err.count(str(tmp_path)) == 1
+
+
+def test_an_unreadable_file_is_named_once(tmp_path, capsys):
+    # the OSError's own text names the file too: only its reason is kept
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "certify", str(path))
+    assert (code, out, err) == (EX_DATA, "", f"input error: {path}: cannot read: No such file or directory\n")
 
 
 def test_internal_error_is_not_a_witness(tmp_path, capsys, monkeypatch):

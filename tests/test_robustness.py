@@ -8,7 +8,8 @@ mutations then replace a value somewhere in it, delete a key or truncate a
 list.  fock-dump reads no file: its cases draw --g and --l.  The case runs
 in-process through ncsos.cli.main and must end in 0, 1, 2, 64 or 65, with a
 reason on stderr for 64 and 65 that is a description, not the bare text of a
-Python exception.  The project's pytest settings make a RuntimeWarning an
+Python exception; for 65 it follows the path of one of the case's files,
+which it names once.  The project's pytest settings make a RuntimeWarning an
 error, so a warning that reaches a command ends in exit 70 and fails its
 case.
 """
@@ -158,8 +159,11 @@ def test_mutated_inputs_end_with_a_stated_reason(tmp_path, capsys, outcomes, mak
         argv = [a.format(**paths) for a in argv]
         code = main(argv)
         err = capsys.readouterr().err.strip()
-        prefix = {EX_USAGE: "usage error: ", EX_DATA: "input error: "}.get(code)
-        stated = prefix and err.startswith(prefix) and len(err) > len(prefix)
+        prefixes = {EX_USAGE: ["usage error: "],
+                    EX_DATA: [f"input error: {path}: " for path in paths.values()]}.get(code, [])
+        stated = any(err.startswith(prefix) and len(err) > len(prefix) for prefix in prefixes)
+        if code == EX_DATA:
+            stated = stated and err.count(str(tmp_path)) == 1
         if not (0 <= code <= EX_UNDECIDED or stated and not (code == EX_DATA and bare_exception(err))):
             failures.append(f"case {case}: exit {code}, {err.splitlines()[-1:]}, argv {argv[:1] + argv[2:]}, "
                             f"files {json.dumps(files)[:300]}")
