@@ -2,8 +2,8 @@
 """Time `ncsos certify` on inputs above the benchmark's sizes.
 
 The Gram side m = k * count_words(g, d) of each point is above 30, the
-benchmark's largest, except at the two monoid points (m = 30, which is also
-the side of the dual's system).
+benchmark's largest, except at the monoid points of degree 3 (m = 30, which
+is also the side of the dual's system).
 Ground truth by construction:
 
     sos      f = gram_to_poly(B B*/m + I), B a seeded complex m x m matrix;
@@ -13,7 +13,12 @@ Ground truth by construction:
              with word_eval;
     trig     (no seed) f = 1 - u1^2d - u1^-2d, which is -1 at u1 = 1, so not
              SOS: three terms of degree 2d, whose evaluation at a witness
-             walks words of length 2d.
+             walks words of length 2d;
+    square   (named ...-square) the paper's single square f = r* r, with
+             r = sum_w R_w w over every word of degree <= d and seeded
+             complex Gaussian k x k coefficients R_w: its top-degree Gram
+             block is fixed and of rank k, so no Gram matrix of f is
+             positive definite and Dykstra alone does not decide it.
 
 Run from anywhere:
 
@@ -26,8 +31,9 @@ decision runs in a fresh interpreter with one BLAS thread; the table gives its
 wall time (ncsos.cli.main, input reading and outcome writing included), its
 ru_maxrss (on the trig point, what poly_eval holds while the witness gate
 evaluates f), and the Dykstra iterations and note of the outcome file's record
-of its one Gram solve: the note names the max-margin handover's Newton steps
-when the handover decided.  The same interpreter then runs `ncsos spotcheck`
+of its one Gram solve: the note names the factor search's last rank when
+Dykstra's budget ran out, and the tuple search's side when it found the
+witness.  The same interpreter then runs `ncsos spotcheck`
 on each decided outcome file, after the peak above is read, and the table
 gives its exit code and wall time.  The exit code is 1 when a decided kind
 contradicts the construction or spotcheck refuses a decided file.
@@ -51,6 +57,8 @@ POINTS = {
     "monoid-g2-d3-k2-sos": ("monoid", 2, 3, 2, "sos", 4),
     "monoid-g2-d3-k2-witness": ("monoid", 2, 3, 2, "witness", 5),
     "group-g1-d100-trig-witness": ("group", 1, 100, 1, "witness", None),
+    "monoid-g2-d3-k2-square": ("monoid", 2, 3, 2, "sos", 3),
+    "monoid-g2-d5-k1-square": ("monoid", 2, 5, 1, "sos", 1),
 }
 
 
@@ -60,7 +68,7 @@ def make_inputs():
     from ncsos import jsonio
     from ncsos.gram import GramMatrix, constraint_index, gram_to_poly
     from ncsos.poly import NCPoly, OperatorTuple, poly_to_json, word_eval
-    from ncsos.words import GROUP, count_words, graded_key
+    from ncsos.words import GROUP, count_words, enumerate_words, graded_key
 
     OUT.mkdir(exist_ok=True)
     for name, (mode, g, d, k, kind, seed) in POINTS.items():
@@ -70,6 +78,11 @@ def make_inputs():
             (OUT / f"{name}.json").write_text(jsonio.dumps(poly_to_json(f)))
             continue
         rng = np.random.default_rng(seed)
+        if name.endswith("-square"):
+            N = rng.standard_normal
+            r = NCPoly(g, mode, k, {w: (N((k, k)) + 1j * N((k, k))) / np.sqrt(2) for w in enumerate_words(g, d, mode)})
+            (OUT / f"{name}.json").write_text(jsonio.dumps(poly_to_json(r.adjoint() * r)))
+            continue
         m = k * count_words(g, d, mode)
         B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         index = constraint_index(g, d, mode)

@@ -16,8 +16,9 @@ definite and constant on the classes, so GNS keeps every direction; a
 witness still rests only on its own gates: the operator defect, gns_verify
 and the eigenvalue of f(Y).  When Dykstra's budget ends with neither a psd
 point nor a certificate (on inputs that vanish somewhere, such as
-2 - u1 - u1^-1), one max-margin interior-point solve answers either way.
-Near the boundary of the cone the answer may be Undecided.
+2 - u1 - u1^-1), a factor search for f's squares answers either way, and
+the dual without a gated GNS witness searches small tuples for one
+(tuple_search).  Near the boundary of the cone the answer may be Undecided.
 
 Each branch returns a CertifyOutcome: run_primal's is sos or undecided,
 run_dual's witness or undecided, each with the one record of the solve it
@@ -35,15 +36,17 @@ import numpy as np
 from .fock import vacuum_images
 from .gns import (
     GnsError, HankelFunctional, gns_construct, gns_construct_unitary,
-    gns_verify, WitnessModel,
+    gns_verify, unvec, WitnessModel,
 )
 from .gram import (
     EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
     constraint_index, factor_gram,
 )
-from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, eval_bytes, poly_eval
-from .sdp import AffineSystem, FeasibilityResult, refuse_bytes, solve_feasibility
-from .words import MONOID, count_words
+from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, _letters, eval_bytes, opnorm, poly_eval, word_images
+from .sdp import (
+    EPS, AffineSystem, FeasibilityResult, lbfgs, refuse_bytes, solve_feasibility,
+)
+from .words import MONOID, count_words, involute
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
@@ -117,26 +120,26 @@ hankel_system = partial(gram_system)
 def _outcome(res: FeasibilityResult, d: int, refusal: str = "", kind: str = "undecided",
              **evidence) -> CertifyOutcome:
     """The outcome of the degree-d solve res, its note joining, where there is
-    one, the Farkas certificate's pairing, the refusal, and the max-margin
-    handover's Newton steps or why the solve ended without one."""
+    one, the Farkas certificate's pairing, the refusal, and the factor
+    search's last rank or why the solve ended without one."""
     parts = ("" if res.certificate is None else f"Farkas certificate, pairing {res.pairing:.3e}", refusal,
-             res.reason or (f"max-margin handover, {res.newton_steps} Newton steps" if res.newton_steps else ""))
+             res.reason or (f"factor search, rank {res.rank}" if res.rank else ""))
     return CertifyOutcome(kind, d, res.iterations, res.final_gap, "; ".join(part for part in parts if part),
                           **evidence)
 
 
 def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     """Dykstra on the Gram system, with the free state as its interior point,
-    and the max-margin handover (sdp.solve_feasibility, at its fixed budget
-    and tolerance).  Returns the outcome, sos or undecided with the solve's
+    and the factor search (sdp.solve_feasibility, at its fixed budgets and
+    tolerance).  Returns the outcome, sos or undecided with the solve's
     record, and (index, result): the degree-d word-pair table, which the
     certificate's GramMatrix carries, and the solver's result, however the
     solve ended (its reason is in the note).
 
     Every answer passes the certificate gate, refuse_certificate, whose psd
     test refuses a point that factor_gram factors only by its psd part, so
-    neither the handover nor a point psd only to the solver's tolerance makes
-    a wrong certificate.
+    neither the factor search nor a point psd only to the solver's tolerance
+    makes a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
     res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
@@ -187,30 +190,139 @@ def run_dual(f: NCPoly, d: int, solved: tuple | None = None) -> CertifyOutcome:
     in none).  Its Farkas certificate, the
     class vector h + s k, read as blocks (functional_from_solution), is a
     functional positive definite on squares and negative on f; GNS builds
-    the witness from it, gated on the operator defect, gns_verify and
-    min eig f(Y) <= -EPS_WIT.  Returns the outcome, witness or undecided with
-    the solve's record."""
+    the witness from it, gated by _gate.  An infeasible solve with no gated
+    GNS witness runs tuple_search.  Returns the outcome, witness or
+    undecided with the solve's record."""
     index, res = solved or (constraint_index(f.g, d, f.mode), None)
     if res is None:
         res = solve_feasibility(hankel_system(f, index), interior=free_state(f, d))
-    undecided = partial(_outcome, res, d)
-    if res.certificate is None:
-        return undecided(f"Gram system of degree {d} is feasible" if res.feasible
-                         else f"no Farkas certificate at degree {d}")
-    S = functional_from_solution(res.certificate, f, index)
-    try:
-        model = gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S)
-    except GnsError as exc:
-        return undecided(f"GNS failed: {exc}")
+    if res.feasible:
+        return _outcome(res, d, f"Gram system of degree {d} is feasible")
+    reason, witness = f"no Farkas certificate at degree {d}", {}
+    if res.certificate is not None:
+        S = functional_from_solution(res.certificate, f, index)
+        try:
+            reason, witness = _gate(f, gns_construct(S) if f.mode == MONOID else gns_construct_unitary(S))
+        except GnsError as exc:
+            reason = f"GNS failed: {exc}"
+    if reason:
+        searched, witness = tuple_search(f, index)
+        reason = f"{reason}; {searched}"
+    return _outcome(res, d, reason, **witness)
+
+
+def _gate(f: NCPoly, model: WitnessModel) -> tuple[str, dict]:
+    """Why model is no witness (refuse_witness on its tuple, then gns_verify
+    of its functional within GNS_VERIFY_TOL, recorded on it), or "" and its
+    evidence for _outcome."""
     refusal, min_eig, fY = refuse_witness(f, model.operators)
-    if refusal:
-        return undecided(refusal)
-    residual = gns_verify(S, model)
-    if not residual <= GNS_VERIFY_TOL:
-        return undecided(f"GNS verification residual {residual:.3e}")
-    model.gns_residual = residual
-    return _outcome(res, d, kind="witness", model=model, min_eig=min_eig,
-                    refuted_value=complex(np.vdot(model.gamma, fY @ model.gamma)))
+    if not refusal:
+        model.gns_residual = gns_verify(model.functional, model)
+        if not model.gns_residual <= GNS_VERIFY_TOL:
+            refusal = f"GNS verification residual {model.gns_residual:.3e}"
+    return refusal, {} if refusal else dict(kind="witness", model=model, min_eig=min_eig,
+                                            refuted_value=complex(np.vdot(model.gamma, fY @ model.gamma)))
+
+
+# -- dual: tuple search ----------------------------------------------------------
+
+TUPLE_MAX_SIDE = 3    # side n of the tuples searched, at most
+TUPLE_STARTS = 3      # starts per side
+TUPLE_MAX_STEPS = 60  # lbfgs steps per start, at most
+TUPLE_STALL = 1e-3    # a start stops once a step lowers lambda_min by less than this share of it
+TUPLE_DEPTH = 1.0     # or once lambda_min <= -TUPLE_DEPTH
+
+
+def _tuple_start(f: NCPoly, n: int, start: int) -> OperatorTuple:
+    """The zero tuple (monoid) or the identities (group) moved by Hermitian
+    n x n matrices of norm at most 1 (monoid) or pi (group) off the Weyl
+    sequence exp(i pi (sqrt 5 - 1) j), j counted on from start to start."""
+    size = f.g * n * n
+    z = np.exp(1j * np.pi * (np.sqrt(5) - 1) * np.arange(start * size + 1, (start + 1) * size + 1)).reshape(f.g, n, n)
+    base, scale = (0.0, 1.0) if f.mode == MONOID else (1.0, np.pi)
+    return _move(OperatorTuple(f.mode, [base * np.eye(n)] * f.g), scale * (z + z.conj().transpose(0, 2, 1)) / (2 * n))
+
+
+def _move(Y: OperatorTuple, D: np.ndarray) -> OperatorTuple:
+    """Y moved by the Hermitian stack D: Y_j + D_j (monoid), or Y_j exp(i D_j) (group)."""
+    if Y.mode == MONOID:
+        return OperatorTuple(Y.mode, [y + d for y, d in zip(Y.entries, D)])
+    return OperatorTuple(Y.mode, [y @ (Q * np.exp(1j * lam)) @ Q.conj().T
+                                  for y, (lam, Q) in zip(Y.entries, map(np.linalg.eigh, D))])
+
+
+def _lowest(f: NCPoly, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """lambda_min of the Hermitian part of f(Y), as refuse_witness forms it,
+    its gradient along _move and its eigenvector v (inf, 0 and None when
+    f(Y) is not finite).  By Hellmann-Feynman, d lambda = Re v* d f(Y) v: a
+    letter a in a word u = p a s of coefficient U adds Re Tr(dL_a B U^T A*),
+    A = Y^(p*) Gamma and B = Y^s Gamma, Gamma = unvec(v); moving by D, dL_a
+    is D (monoid), L_a i D (group, a > 0) or -i D L_a (group, a < 0)."""
+    fY = poly_eval(f, Y)
+    if not np.isfinite(fY).all():
+        return math.inf, np.zeros((f.g, Y.dim, Y.dim)), None
+    lam, V = np.linalg.eigh(fY / 2 + fY.conj().T / 2)
+    letters = _letters(Y, {a for w in f.words for a in w})
+    images = {(): unvec(V[:, 0], f.k)}
+
+    def image(w):  # Y^w Gamma, each from its suffix's
+        if w not in images:
+            images[w] = letters[w[0]] @ image(w[1:])
+        return images[w]
+
+    grad = np.zeros((f.g, Y.dim, Y.dim), dtype=complex)
+    for w, U in zip(f.words, f.coeffs):
+        for p, a in enumerate(w):
+            M = image(w[p + 1:]) @ U.T @ image(involute(w[:p], f.mode)).conj().T
+            if f.mode == MONOID:
+                grad[a - 1] += M
+            else:
+                grad[abs(a) - 1] += 1j * M @ letters[a] if a > 0 else -1j * letters[a] @ M
+    return float(lam[0]), (grad + grad.conj().transpose(0, 2, 1)) / 2, V[:, 0]
+
+
+def _rounding(f: NCPoly, Y: OperatorTuple) -> float:
+    """A bound on how far rounding moves lambda_min of f(Y), 4 eps (deg f + k n)
+    sum_w ||F_w|| ||Y^w||, each ||Y^w|| bounded by its letters' norms: the
+    search passes on a candidate less negative, so as not to call rounding a witness."""
+    norms = [opnorm(y) for y in Y.entries]
+    scale = sum(opnorm(c) * math.prod(norms[abs(a) - 1] for a in w) for w, c in zip(f.words, f.coeffs))
+    return 4 * EPS * (f.degree() + f.k * Y.dim) * scale
+
+
+def point_functional(f: NCPoly, index: tuple, Y: OperatorTuple, gamma: np.ndarray) -> HankelFunctional:
+    """phi(P u) = <(P u)(Y) gamma, gamma> on the word-pair table index: block
+    (v, w) of its quotient matrix, S_{v* w}^T, is Z_v^dagger Z_w with
+    Z = word_images(Y, basis, unvec(gamma)), so gns_verify of (Y, gamma) is 0."""
+    (products, table), n, k = index, len(index[1]), f.k
+    Z = word_images(Y, products[:n], unvec(gamma, k))
+    blocks = np.empty((len(products), k, k), dtype=complex)
+    blocks[table] = (Z.conj().T @ Z).reshape(n, k, n, k).transpose(0, 2, 3, 1)
+    return HankelFunctional(f.g, f.mode, k, index, blocks)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def tuple_search(f: NCPoly, index: tuple) -> tuple[str, dict]:
+    """Search n x n tuples Y, n = 1 .. TUPLE_MAX_SIDE, for one at which f is
+    not psd: minimize lambda_min f(Y) with sdp.lbfgs along _move from
+    TUPLE_STARTS starts per side, and gate (_gate) each end negative beyond
+    _rounding as the model (Y, v), v the lowest eigenvector of f(Y), with
+    the point functional on index as its evidence.  Returns the search's
+    note and the first passing model's evidence, or {}."""
+    best, refusal = math.inf, ""
+    for n in range(1, TUPLE_MAX_SIDE + 1):
+        if too_large := refuse_evaluation(f, n):
+            return f"tuple search: {too_large}", {}
+        for start in range(TUPLE_STARTS):
+            Y, low, v = lbfgs(partial(_lowest, f), _tuple_start(f, n, start), _move,
+                              TUPLE_MAX_STEPS, TUPLE_STALL, -TUPLE_DEPTH)
+            best = min(best, low)
+            if not low <= -max(EPS_WIT, _rounding(f, Y)):
+                continue
+            refusal, witness = _gate(f, WitnessModel(Y, v, point_functional(f, index, Y, v)))
+            if not refusal:
+                return f"tuple search, side {n}", witness
+    return f"tuple search to side {TUPLE_MAX_SIDE}" + (f": {refusal}" if refusal else f", min eig {best:.3e}"), {}
 
 
 # -- the decision ------------------------------------------------------------

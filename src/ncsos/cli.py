@@ -119,10 +119,12 @@ def _build_parser() -> _Parser:
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(path, f"cannot read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DataError(path, f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

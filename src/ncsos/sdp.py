@@ -18,17 +18,10 @@ constraints.  solve_feasibility returns h, read off the class means of the
 displacement, once rounding bounds prove both halves; broadcast(h) is H.
 
 Where Dykstra converges sublinearly (no strictly feasible point, or an
-empty intersection close to the cone) it hands over after DEFAULT_MAX_ITER
-iterations to max_margin, a log-barrier interior-point solve of max t
-subject to X - t I psd on the affine set.  Its point is psd when the best
-margin is >= 0; at a centred point with a negative bound the inverse slack
-S^-1 (S = X - t I) is a Farkas certificate, the dual point of the central
-path (Boyd & Vandenberghe, Convex Optimization, 11.2.2 and 11.6).  It
-moves X in the null space of the constraints, along directions read off the
-class labels that each touch two coordinates at most (a weighted difference
-of two coordinates under one constraint, or a free coordinate), so every
-Newton row comes from two outer products of columns of the congruence W with
-W (X - t I) W* = I.
+empty intersection close to the cone), a factor search takes over after
+DEFAULT_MAX_ITER iterations (Burer & Monteiro 2003): it minimizes
+||A(R R*) - t||^2 over factors R of rank 1, 2, ..., and each rung gives a
+point R R* or, in its residual, a displacement for the same certificate test.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ import numpy as np
 
 from .poly import EPS_HERM
 
-DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the max-margin handover
+DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the factor search
 DEFAULT_TOL = 1e-9        # psd and affine residuals of a feasible point, at most
 EPS_AFFINE = 1e-7         # residual of the affine projection, at most: more is inconsistent
 EPS = np.finfo(float).eps
@@ -151,8 +144,8 @@ class FeasibilityResult:
     final_gap: float
     certificate: np.ndarray | None = None  # Farkas certificate: class vector h with A*(h) psd
     pairing: float | None = None           # Re Tr(A*(h) X) on the affine set, < 0
-    newton_steps: int = 0                  # of the max-margin handover, 0 if Dykstra decided
-    reason: str = ""                       # why the solve did not start, stopped, or did not hand over
+    rank: int = 0                          # the factor search's last rung, 0 if it did not run
+    reason: str = ""                       # why the solve did not start or stopped
 
 
 def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
@@ -228,14 +221,13 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the affine
     iterate is feasible once its psd and affine residuals are <= DEFAULT_TOL.
-    After DEFAULT_MAX_ITER iterations with neither, max_margin decides (if its
-    arrays pass refuse_bytes): its point if _low_eig proves it psd within
-    DEFAULT_TOL (eigvalsh alone passes a weakly infeasible system's drift to
-    norm 1e29), else its inverse slack if that passes the certificate test.
-    With neither, the result is neither feasible nor certified.  Every end
-    is a result, whose reason says why the solve did not start (an interior
-    not positive definite on the classes), stopped (an affine residual above
-    EPS_AFFINE) or did not hand over.
+    After DEFAULT_MAX_ITER iterations with neither, each rung of
+    factor_search is tested the same way: its point R R*, moved onto the
+    affine set, if _low_eig proves it psd within DEFAULT_TOL, else its
+    residual's displacement.  With neither, the result is neither feasible
+    nor certified.  Every end is a result, whose reason says why the solve
+    did not start (an interior not positive definite on the classes) or
+    stopped (an affine residual above EPS_AFFINE).
     """
     m = sys.m
     farkas = _Farkas(sys, interior)
@@ -244,6 +236,7 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
                                  reason="the interior point is not positive definite on the classes")
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
+    y = np.zeros_like(x)
     gap = np.inf
     it = 0
     for it in range(1, DEFAULT_MAX_ITER + 1):
@@ -262,207 +255,95 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
         if gap <= DEFAULT_TOL:
             return FeasibilityResult(True, x, it, gap)
 
-    # the Newton rows (n x m^2), the Newton matrix and np.linalg.solve's copy
-    # of it (n x n each), and one chunk's complex Y with, at most, 24 bytes an
-    # entry more: the conjugate added to it, then _hvec's pieces of it
-    n = m * m - len(sys.targets) + 1
-    need = 8 * n * (m * m + 2 * n) + min(CHUNK, n) * m * m * (16 + 24)
-    if too_large := refuse_bytes(need, "max-margin handover"):
-        return FeasibilityResult(False, None, it, gap, reason=too_large)
-    res = max_margin(sys)
-    X = sys.nearest(res.X)
-    psd_gap = max(0.0, -float(_low_eig(X)[0]), sys.residual(X))
-    if psd_gap <= DEFAULT_TOL:
-        return FeasibilityResult(True, X, it, psd_gap, newton_steps=res.iterations)
-    lam, Q = np.linalg.eigh(res.X - res.t * np.eye(m))
-    found = farkas((Q / lam) @ Q.conj().T) if lam[0] > 0 else None
-    return FeasibilityResult(False, None, it, gap, *(found or (None, None)),
-                             newton_steps=res.iterations)
+    for rank, X, e in factor_search(sys, y):
+        X = sys.nearest(X)
+        psd_gap = max(0.0, -_low_eig(X)[0], sys.residual(X))
+        if psd_gap <= DEFAULT_TOL:
+            return FeasibilityResult(True, X, it, psd_gap, rank=rank)
+        found = farkas(sys.broadcast(e))
+        if found is not None:
+            return FeasibilityResult(False, None, it, gap, *found, rank=rank)
+    return FeasibilityResult(False, None, it, gap, rank=rank)
 
 
-# -- max-margin interior-point solve ------------------------------------------
+# -- factor search -------------------------------------------------------------
+
+LBFGS_MEMORY = 8       # curvature pairs lbfgs keeps
+FACTOR_MAX_RANK = 12   # rungs of the factor search, at most
+FACTOR_MAX_ITER = 400  # lbfgs steps per rung, at most
+FACTOR_STALL = 1e-8    # a rung stops once a step lowers phi by less than this share of it
+FACTOR_FALL = 0.5      # the ladder stops once a rung leaves phi above this share of the last rung's
+FACTOR_START_FLOOR = 1e-2  # floor on a start's eigenvalues, as a share of the largest
 
 
-def _hvec(X: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices, orthonormal for Re Tr(X Y).
+def lbfgs(fun, x, move, steps: int, stall: float, floor: float):
+    """L-BFGS with backtracking (Nocedal & Wright, Numerical Optimization,
+    7.2) from x, in the inner product Re vdot: fun(x) is (value, gradient,
+    extra) and move(x, D) is x moved by D.  Stops after steps steps, at a
+    value at most floor, or at a step that lowers it by less than stall of
+    its size; returns the last x, value and extra."""
+    dot = lambda a, b: float(np.vdot(a, b).real)
+    value, grad, extra = fun(x)
+    pairs: list[tuple] = []
+    for _ in range(steps):
+        if not value > floor:
+            break
+        q, alphas = grad.copy(), []  # the two-loop recursion: q = H grad
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * dot(s, q))
+            q -= alphas[-1] * y
+        q *= 1.0 / (pairs[-1][2] * dot(pairs[-1][1], pairs[-1][1])) if pairs else 1.0 / max(np.linalg.norm(q), EPS)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * dot(y, q)) * s
+        slope, t = -dot(grad, q), 1.0
+        while slope < 0 and t > 1e-12:
+            new = fun(trial := move(x, -t * q))
+            if new[0] <= value + t * slope / 4:
+                break
+            t /= 2
+        else:
+            break
+        s, y = -t * q, new[1] - grad
+        if dot(s, y) > 0:
+            pairs = (pairs + [(s, y, 1.0 / dot(s, y))])[-LBFGS_MEMORY:]
+        stalled = value - new[0] < stall * abs(value)
+        x, (value, grad, extra) = trial, new
+        if stalled:
+            break
+    return x, value, extra
 
-    Works on the last two axes, so a stack of matrices maps to a stack of
-    vectors: the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper
-    triangle.
-    """
-    m = X.shape[-1]
-    iu = np.triu_indices(m, 1)
-    upper = X[..., iu[0], iu[1]]
-    return np.concatenate([np.diagonal(X, axis1=-2, axis2=-1).real,
-                           np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1)
+
+def factor_search(sys: AffineSystem, psd: np.ndarray):
+    """The rank ladder r = 1, 2, ...: minimize phi(R) = 1/2 ||A(R R*) - t||^2
+    over m x r factors R (Burer & Monteiro 2003) with lbfgs, from the top r
+    eigenpairs of psd, the last psd iterate of Dykstra; with e = A(R R*) - t
+    and E = A*(e), the gradient is (E + E*) R.  Yields each rung's
+    (r, R R*, e).  At a minimizer over psd G = R R*, A*(e) is psd and
+    Re <e, t> = -||e||^2 < 0, so A*(e) is a displacement for the certificate
+    test.  The ladder stops at FACTOR_MAX_RANK, or once a rung leaves phi
+    above FACTOR_FALL of the last rung's: more rank no longer helps."""
+    def phi(R):
+        e = sys._class_sums(R @ R.conj().T) - sys.targets
+        E = sys.broadcast(e)
+        return float(np.vdot(e, e).real) / 2, (E + E.conj().T) @ R, e
+
+    lam, Q = np.linalg.eigh(psd)
+    floor = FACTOR_START_FLOOR * max(float(lam[-1]), 0.0)
+    last = np.inf
+    for rank in range(1, min(FACTOR_MAX_RANK, sys.m) + 1):
+        R, value, e = lbfgs(phi, Q[:, -rank:] * np.sqrt(np.maximum(lam[-rank:], floor)), np.add,
+                            FACTOR_MAX_ITER, FACTOR_STALL, (DEFAULT_TOL / 10) ** 2 / 2)
+        yield rank, R @ R.conj().T, e
+        if not value < FACTOR_FALL * last:
+            return
+        last = value
 
 
-MARGIN_GAP_TOL = 1e-10      # stop once the centred bound is this close to t
-MARGIN_MAX_NEWTON = 400     # Newton steps in one max_margin solve, at most
-CENTRING_STEPS = 50         # Newton steps per barrier weight, at most
-CHUNK = 256                 # null-space directions handled at once
-MARGIN_MAX_BYTES = 2 ** 28  # the memory budget of every large allocation; only refuse_bytes reads it
+MAX_BYTES = 2 ** 28  # the memory budget of every large allocation; only refuse_bytes reads it
 
 
 def refuse_bytes(need: int, what: str) -> str:
     """Why what, of need bytes by its caller's count, is not allocated ("" when it
-    fits MARGIN_MAX_BYTES): the handover, an f(X), a factor stack, the Fock arrays."""
-    return "" if need <= MARGIN_MAX_BYTES else (
-        f"{what} would take {need / 2 ** 30:.3g} GiB, over the {MARGIN_MAX_BYTES / 2 ** 30:.2f} GiB budget")
-
-
-@dataclass
-class MarginResult:
-    X: np.ndarray       # affine-feasible Hermitian matrix with X - t I psd
-    t: float            # its margin: a lower bound on min eig of X
-    bound: float        # t + nu/eta: bounds the best margin t* when centred
-    iterations: int     # Newton steps
-
-
-def _null_directions(sys: AffineSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A basis of the Hermitian matrices the linear part of the constraints
-    does not see, each direction on at most two coordinates.
-
-    A coordinate is z E_rc + conj(z) E_cr, r <= c, with z = 1/2 on the
-    diagonal and 1 (real part) or i (imaginary part) above it.  Read off the
-    labels: the real coordinates of a class and its mirror form one group,
-    their imaginary coordinates another, and a coordinate's share w of its
-    group's constraint is what it adds to the real or imaginary part of the
-    class sum (1, or 2 above the diagonal of a self-mirror class; +-1 for an
-    imaginary part, except on a self-mirror class, whose imaginary
-    coordinates are free: the sum of a Hermitian class closed under
-    transposition is real).  Each grouped coordinate but its group's first
-    gives C / w - C_first / w_first, each free coordinate C alone, and
-    every direction is scaled to unit Frobenius norm.
-
-    Returns rows, cols and weights, each n x 2: direction k is
-    Y + Y^* with Y = sum_s weights[k, s] E_{rows[k, s], cols[k, s]}.
-    """
-    m = sys.m
-    iu, ju = np.triu_indices(m, 1)
-    diag = np.arange(m)
-    r = np.concatenate([diag, iu, iu])
-    c = np.concatenate([diag, ju, ju])
-    z = np.concatenate([np.full(m, 0.5), np.ones(len(iu)), np.full(len(iu), 1j)])
-    imag = z.imag != 0
-    lab, mir = sys.labels[r, c], sys.labels[c, r]
-    key = np.minimum(lab, mir)
-    own = lab == mir
-    w = np.where(imag, np.where(lab == key, 1.0, -1.0), np.where(own & (r != c), 2.0, 1.0))
-    norm = np.where(r == c, 1.0, np.sqrt(2))  # of each coordinate
-    free, grouped = np.flatnonzero(imag & own), np.flatnonzero(~(imag & own))
-    _, first, gid = np.unique(2 * key[grouped] + imag[grouped],
-                              return_index=True, return_inverse=True)
-    rest = np.ones(len(grouped), dtype=bool)
-    rest[first] = False
-    a, b = grouped[rest], grouped[first][gid[rest]]
-    scale = np.hypot(norm[a] / w[a], norm[b] / w[b])
-
-    slot = np.concatenate([np.stack([free, free], axis=1), np.stack([a, b], axis=1)])
-    coef = np.concatenate([np.stack([1.0 / norm[free], np.zeros(len(free))], axis=1),
-                           np.stack([1.0 / (w[a] * scale), -1.0 / (w[b] * scale)], axis=1)])
-    return r[slot], c[slot], coef * z[slot]
-
-
-def max_margin(sys: AffineSystem) -> MarginResult:
-    """Maximize t subject to X - t I psd, X in the affine set and t <= 1.
-
-    A log-barrier path-following method (Boyd & Vandenberghe, ch. 11) on the
-    null space of the constraints: X = X0 + sum_i y_i E_i, where
-    X0 = project_affine(0) is the least-norm solution and the E_i are the
-    directions _null_directions reads off the class labels, each on two
-    coordinates at most.  Every iterate satisfies the constraints by
-    construction, however badly conditioned the Newton systems become near
-    the boundary of the cone.  Each Newton step takes one eigh of S = X - t I:
-    with S = Q diag(lam) Q*, W = diag(lam)^(-1/2) Q* has W S W* = I, and the
-    Newton system is the Gram matrix of the congruent directions W E_i W*,
-    each Y + Y* with Y a sum of two outer products of columns of W.  Newton's
-    method is affine invariant, so in exact arithmetic the iterates do not
-    depend on the basis; the unit norm of each direction keeps the Newton
-    matrix well scaled in the ill-conditioned tail of a solve.  The start puts t
-    one below the smallest eigenvalue of X0, so the path is entered from a
-    strictly feasible point whether or not the system has a psd solution.
-    Deterministic: no random start.
-
-    The search stops once t >= -DEFAULT_TOL (a point of the affine set psd
-    within solve_feasibility's tolerance is in hand), once the bound
-    t + nu/eta on the best margin, taken at a centred point, drops below
-    -DEFAULT_TOL (no point is psd within that tolerance, and the inverse
-    slack is the certificate to test), once nu/eta <= MARGIN_GAP_TOL, or
-    when Newton makes no more progress.  A system without a point psd
-    within DEFAULT_TOL ends with t < -DEFAULT_TOL.
-    """
-    m = sys.m
-    eye = np.eye(m, dtype=complex)
-    X0, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
-    rows, cols, weights = _null_directions(sys)
-    n = len(rows)
-    Y = np.empty((min(CHUNK, n), m, m), dtype=complex)
-
-    t = min(float(np.linalg.eigvalsh(X0).min()), 0.0) - 1.0
-    S = X0 - t * eye
-    nu = m + 1  # barrier parameter of -log det S - log(1 - t)
-    eta = 1.0
-    steps = 0
-    hvec_eye = _hvec(eye)
-
-    def barrier(lam, t):  # lam: the eigenvalues of S, ascending
-        if t >= 1.0 or lam[0] <= 0.0:
-            return np.inf
-        return -eta * t - np.log(lam).sum() - np.log1p(-t)
-
-    while True:
-        # centring: damped Newton on the barrier at this eta
-        centred = stalled = False
-        for _ in range(min(CENTRING_STEPS, MARGIN_MAX_NEWTON - steps)):
-            steps += 1
-            lam, Q = np.linalg.eigh(S)
-            if not lam[0] > 0:  # rounding put S on the boundary of the cone
-                stalled = True
-                break
-            V = Q / np.sqrt(lam)  # W = V*: column r of W is conj(V[r])
-            Vc = V.conj()
-            # rows: the null-space directions, then -I for t, congruent by W;
-            # W E W* = Y + Y* with Y = sum_s weight_s conj(V[row_s]) (x) V[col_s]
-            R = np.empty((n + 1, m * m))
-            for i in range(0, n, CHUNK):
-                part = slice(i, i + CHUNK)
-                Yc = np.matmul(Vc[rows[part]].swapaxes(1, 2) * weights[part, None],
-                               V[cols[part]], out=Y[:len(rows[part])])
-                Yc += Yc.conj().swapaxes(1, 2)
-                R[:-1][part] = _hvec(Yc)
-            R[-1] = -_hvec(Vc.T @ V)
-            grad = -R @ hvec_eye
-            grad[-1] += -eta + 1.0 / (1.0 - t)
-            hess = R @ R.T
-            hess[-1, -1] += 1.0 / (1.0 - t) ** 2
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                stalled = True
-                break
-            decrement = float(-grad @ step)
-            if decrement / 2 <= 1e-9:
-                centred = True
-                break
-            D = np.zeros((m, m), dtype=complex)
-            np.add.at(D, (rows, cols), step[:-1, None] * weights)
-            dS = D + D.conj().T - step[-1] * eye
-            f0 = barrier(lam, t)
-            alpha = 1.0
-            while alpha >= 1e-12 and (barrier(np.linalg.eigvalsh(S + alpha * dS), t + alpha * step[-1])
-                                      > f0 - alpha * decrement / 4):
-                alpha /= 2
-            if alpha < 1e-12:
-                stalled = True
-                break
-            S, t = S + alpha * dS, t + alpha * step[-1]
-            if t >= -DEFAULT_TOL:
-                break
-        bound = t + nu / eta
-        if (stalled or t >= -DEFAULT_TOL or (centred and bound < -DEFAULT_TOL) or nu / eta <= MARGIN_GAP_TOL
-                or steps >= MARGIN_MAX_NEWTON):
-            break
-        eta *= 10.0
-    X = S + t * eye
-    return MarginResult((X + X.conj().T) / 2, float(t), float(bound), steps)
+    fits MAX_BYTES): an f(X), a factor stack, the Fock arrays."""
+    return "" if need <= MAX_BYTES else (
+        f"{what} would take {need / 2 ** 30:.3g} GiB, over the {MAX_BYTES / 2 ** 30:.2f} GiB budget")

@@ -1,4 +1,5 @@
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -6,23 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    CertifyError, certify, free_state, gram_system, infer_degree, refuse_certificate, refuse_evaluation,
-    refuse_witness, run_dual, run_primal,
+    EPS_WIT, CertifyError, certify, free_state, gram_system, infer_degree, point_functional, refuse_certificate,
+    refuse_evaluation, refuse_witness, run_dual, run_primal,
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
-from ncsos.gns import GnsError, quotient_matrix
+from ncsos.gns import GnsError, WitnessModel, gns_verify, quotient_matrix
 from ncsos.gram import (
     EPS_CERT, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_images
-from ncsos.sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, MARGIN_MAX_BYTES, AffineSystem, FeasibilityResult, _Farkas, _low_eig,
-    max_margin, solve_feasibility,
-)
+from ncsos.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResult, _low_eig, solve_feasibility
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
+from test_known_answers import known_answer_input
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -218,32 +217,20 @@ def test_certify_group_sos_fixture():
     assert out.certificate.factors.shape[1:] == (3, 1, 1)
 
 
-def test_interior_point_polish_boundary_gram_system():
+def test_factor_search_finds_a_boundary_point():
     # every Gram matrix of 2 - u1 - u1^-1 has (1, 1, 1) in its kernel: Dykstra
-    # spends its budget, and the max-margin handover returns a boundary point
+    # spends its budget, and the factor search returns a boundary point
     f = group_fixture()
     sys = gram_system_at(f, 1)
     res = solve_feasibility(sys, interior=free_state(f, 1))
-    assert res.feasible and res.iterations == DEFAULT_MAX_ITER and res.newton_steps > 0
+    assert res.feasible and res.iterations == DEFAULT_MAX_ITER and res.rank == 2
     X = res.X
     assert np.abs(sys.nearest(X) - X).max() < 1e-10
     assert _low_eig(X)[0] >= -DEFAULT_TOL
     assert abs(np.ones(3) @ X @ np.ones(3)) < 1e-10
-    assert abs(max_margin(sys).t) < 1e-8
 
 
-def test_interior_point_polish_infeasible_returns_none(monkeypatch):
-    # with no Dykstra budget the handover decides alone: Tr X = -1 has a
-    # negative best margin, so it returns no point, and S^-1 certifies
-    sys = AffineSystem(2, [[0, 1], [1, 0]], [-1.0, 0.0])  # off the diagonal, the sum is 0
-    assert max_margin(sys).t < 0
-    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 0)
-    res = solve_feasibility(sys, np.eye(2))
-    assert not res.feasible and res.X is None and res.newton_steps > 0
-    assert res.certificate is not None and res.pairing < 0
-
-
-def test_interior_point_polish_bit_identical():
+def test_factor_search_is_bit_identical():
     f = group_fixture()
     sys = gram_system_at(f, 1)
     X1 = solve_feasibility(sys, interior=free_state(f, 1)).X
@@ -251,37 +238,12 @@ def test_interior_point_polish_bit_identical():
     assert X1.tobytes() == X2.tobytes()
 
 
-def test_handover_certificate_is_the_inverse_slack(monkeypatch):
-    # one Dykstra iteration leaves this near-boundary system undecided; the
-    # certificate is the inverse slack of the max-margin solve, built from
-    # its eigh and passed through the one certificate test
-    f = monoid_witness_input(0, 1, 1, 2, margin=1e-3)
-    sys, K = gram_system_at(f, 1), free_state(f, 1)
-    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "DEFAULT_MAX_ITER", 1)
-    res = solve_feasibility(sys, interior=K)
-    assert res.iterations == 1 and res.certificate is not None
-    mm = max_margin(sys)
-    assert res.newton_steps == mm.iterations and mm.bound < -DEFAULT_TOL
-    lam, Q = np.linalg.eigh(mm.X - mm.t * np.eye(sys.m))
-    H, pairing = _Farkas(sys, K)((Q / lam) @ Q.conj().T)
-    assert np.array_equal(res.certificate, H) and res.pairing == pairing < 0
-
-
-def test_handover_over_its_memory_budget_is_undecided_with_a_reason(monkeypatch):
-    monkeypatch.setattr(importlib.import_module("ncsos.sdp"), "MARGIN_MAX_BYTES", 0)
-    out = certify(group_fixture())
-    assert out.kind == "undecided" and out.iterations == DEFAULT_MAX_ITER
-    assert out.note == ("no Farkas certificate at degree 1; "
-                        "max-margin handover would take 2.38e-06 GiB, over the 0.00 GiB budget")
-
-
-
 def test_evaluation_budget_counts_the_prefix_images():
     # f(X) alone is 64 MiB, inside the 0.25 GiB budget; poly_eval also holds
     # the identity, the images of x1^7, the prefix x1^7 shares with x1^8, the
     # running product and one term: 1 + 7 + 1 + 1 more arrays of side 2048
     f = sum((NCPoly.monomial((1,) * i, 1) for i in range(2, 9)), NCPoly.monomial((1,), 1))
-    assert 16 * 2048 ** 2 < MARGIN_MAX_BYTES
+    assert 16 * 2048 ** 2 < MAX_BYTES
     assert refuse_evaluation(f, 2048) == "f(X) of side 2048 would take 0.688 GiB, over the 0.25 GiB budget"
     assert refuse_evaluation(f, 1024) == ""
 
@@ -413,7 +375,7 @@ def test_exclusivity_on_decided_instances():
                          ids=["x1^2+x2^2", "2-u1-u1^-1"])
 def test_dual_never_builds_a_model_for_boundary_sos(f, monkeypatch):
     # these inputs vanish somewhere, so the dual's Gram system has a psd
-    # point, found by Dykstra or by the handover after it stalls: either way
+    # point, found by Dykstra or by the factor search after it stalls: either way
     # there is no Farkas certificate, and no functional reaches GNS
     module = importlib.import_module("ncsos.certify")  # ncsos.certify is the function
     calls = []
@@ -429,24 +391,32 @@ def _raise_gns_error(S):
     raise GnsError("shift action is not well defined numerically (fit residual 1.000e+00)")
 
 
-@pytest.mark.parametrize("name, value, note", [
+@pytest.mark.parametrize("name, value, note, kind, search", [
     ("ncsos.certify.gns_construct", _raise_gns_error,
-     "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)"),
-    ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00"),
-    ("ncsos.sdp.MARGIN_MAX_BYTES", 0, "f(X) of side 3 would take 0.000245 GiB, over the 0.00 GiB budget"),
+     "GNS failed: shift action is not well defined numerically (fit residual 1.000e+00)",
+     "witness", "tuple search, side 1"),
+    ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00",
+     "undecided", "tuple search to side 3: GNS verification residual 1.000e+00"),
+    ("ncsos.sdp.MAX_BYTES", 0, "f(X) of side 3 would take 0.000245 GiB, over the 0.00 GiB budget",
+     "undecided", "tuple search: f(X) of side 1 would take 0.000244 GiB, over the 0.00 GiB budget"),
 ], ids=["gns-error", "verify-residual", "evaluation-budget"])
-def test_dual_states_why_it_builds_no_witness(name, value, note, monkeypatch):
+def test_dual_states_why_it_builds_no_witness(name, value, note, kind, search, monkeypatch):
     # past the Farkas certificate, GNS raising, a verification residual above
-    # GNS_VERIFY_TOL and an f(Y) over refuse_evaluation's budget each end the
-    # dual undecided, with the certificate's pairing and then its own reason
+    # GNS_VERIFY_TOL and an f(Y) over refuse_evaluation's budget each leave
+    # the dual without a GNS witness, with the certificate's pairing and then
+    # its own reason; the tuple search follows, with its own note: x1 x2 +
+    # x2 x1 is -2 at the scalars (1, -1), so it finds a witness at side 1
+    # unless its gate or the budget refuses it too
     f = anticommutator()
     assert run_dual(f, 1).model.dim == 3
     module, _, attr = name.rpartition(".")
     monkeypatch.setattr(importlib.import_module(module), attr, value)
     out = run_dual(f, 1)
-    assert out.kind == "undecided" and out.model is None and out.min_eig is None
-    pairing, refusal = out.note.split("; ")
-    assert pairing.startswith("Farkas certificate, pairing -") and refusal == note
+    assert out.kind == kind and (out.model is None) == (out.min_eig is None) == (kind == "undecided")
+    pairing, refusal, searched = out.note.split("; ")
+    assert pairing.startswith("Farkas certificate, pairing -") and refusal == note and searched == search
+    if kind == "witness":
+        assert out.model.dim == 1 and out.min_eig <= -EPS_WIT
 
 
 def monoid_witness_input(seed, g, d, k, n=3, margin=0.5):
@@ -471,14 +441,57 @@ def test_dual_witness_operators_are_self_adjoint(seed):
     assert out.model.operators.hermitian_defect() == 0.0 and out.min_eig <= -1e-6
 
 
+def test_paper_single_square_decides(tmp_path, capsys):
+    # the paper's p = r* r at g=2, d=3, k=2 (m = 30): its top-degree Gram
+    # block is fixed and of rank 2, so no Gram matrix is positive definite
+    # and Dykstra spends its budget; the factor search finds r at rank 2
+    rng = np.random.default_rng(3)
+    N = rng.standard_normal
+    r = NCPoly(2, MONOID, 2, {w: (N((2, 2)) + 1j * N((2, 2))) / np.sqrt(2) for w in enumerate_words(2, 3)})
+    path, outcome = tmp_path / "f.json", tmp_path / "outcome.json"
+    path.write_text(jsonio.dumps(poly_to_json(r.adjoint() * r)))
+    assert main(["certify", str(path), "--out", str(outcome)]) == 0
+    diagnostics = json.loads(outcome.read_text())["diagnostics"]
+    assert diagnostics["iterations"] == DEFAULT_MAX_ITER and diagnostics["note"] == "factor search, rank 2"
+    capsys.readouterr()
+    assert main(["spotcheck", str(path), str(outcome)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+def test_point_functional_is_reproduced_by_its_tuple(mode):
+    # the tuple search's evidence: the functional of a tuple and a vector,
+    # which gns_verify reproduces up to rounding and whose quotient is psd
+    rng = np.random.default_rng(5)
+    f = _gram_poly(5, 2, mode, 2, d=2)
+    Z = [rand_matrix(3, rng) for _ in range(2)]
+    Y = OperatorTuple(mode, [(z + z.conj().T) / 2 if mode == MONOID else np.linalg.qr(z)[0] for z in Z])
+    gamma = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    S = point_functional(f, constraint_index(2, 2, mode), Y, gamma)
+    assert gns_verify(S, WitnessModel(Y, gamma, S)) <= 1e-12
+    assert np.linalg.eigvalsh(quotient_matrix(S)).min() >= -1e-12
+
+
+def test_tuple_search_is_deterministic():
+    # r* r - 1e-4 at monoid g=1, d=1, k=2: no Farkas certificate at degree 1,
+    # and the tuple search finds the same witness each time, with no random draw
+    f = known_answer_input(MONOID, 1, 1, 2, 1e-4)[0]
+    first, second = run_dual(f, 1), run_dual(f, 1)
+    assert first.kind == "witness" and "; tuple search, side 1; " in first.note
+    assert first.note == second.note and first.min_eig == second.min_eig <= -EPS_WIT
+    assert first.model.gamma.tobytes() == second.model.gamma.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first.model.operators.entries,
+                                                          second.model.operators.entries))
+
+
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])
 def test_near_boundary_witness_decides(seed):
     # Dykstra spends its budget on the dual's system of these barely non-SOS
-    # inputs; the handover's inverse slack is the witness functional
+    # inputs; the residual of the factor search is the witness functional
     f = monoid_witness_input(seed, 1, 1, 2, margin=1e-3)
     out = certify(f)
     assert out.kind == "witness", out.note
-    assert out.note.startswith("Farkas certificate, pairing -") and "; max-margin handover, " in out.note
+    assert out.note.startswith("Farkas certificate, pairing -") and out.note.endswith("; factor search, rank 2")
     assert refuse_witness(f, out.model.operators)[0] == ""
 
 
@@ -761,7 +774,8 @@ def test_a_solve_that_cannot_start_runs_once(monkeypatch):
     # x1^34: at degree 17 no class-constant matrix of one letter is
     # numerically positive definite, the free state included, so the solve
     # ends before its first iteration; certify's dual reads that one result
-    # and never solves again
+    # and never solves again, and its tuple search finds no witness, x1^34
+    # being a square
     module = importlib.import_module("ncsos.certify")
     sizes = []
     monkeypatch.setattr(module, "solve_feasibility",
@@ -769,7 +783,10 @@ def test_a_solve_that_cannot_start_runs_once(monkeypatch):
     reason = "the interior point is not positive definite on the classes"
     out = certify(NCPoly.monomial((1,) * 34, 1, MONOID))
     assert out.kind == "undecided" and out.degree == 17 and sizes == [18]
-    assert out.iterations == 0 and out.note == f"no Farkas certificate at degree 17; {reason}"
+    assert out.iterations == 0
+    farkas, searched, ended = out.note.split("; ")
+    assert farkas == "no Farkas certificate at degree 17" and ended == reason
+    assert searched.startswith("tuple search to side 3, min eig ") and float(searched.split()[-1]) > -EPS_WIT
 
 
 # -- the certificate gate ------------------------------------------------------------

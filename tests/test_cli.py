@@ -12,8 +12,8 @@ import pytest
 
 import ncsos
 from ncsos import jsonio, sdp
-from ncsos.certify import EPS_WIT, certify, infer_degree
-from ncsos.cli import EX_DATA, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
+from ncsos.certify import EPS_WIT, certify, infer_degree, tuple_search
+from ncsos.cli import EX_DATA, EX_OK_SOS, EX_SOFTWARE, EX_UNDECIDED, EX_USAGE, EX_WITNESS, main
 from ncsos.fock import extract_coeffs
 from ncsos.gram import EPS_PSD
 from ncsos.poly import NCPoly, matrix_from_json, matrix_to_json, poly_from_json, poly_to_json
@@ -21,6 +21,7 @@ from ncsos.words import GROUP, MONOID
 
 from test_acceptance import SOS_FIXTURES, WITNESS_FIXTURES
 from test_certify import group_witness_input
+from test_known_answers import known_answer_input
 
 
 def x(i, g=2):
@@ -91,8 +92,8 @@ def test_decompose_and_witness_subcommands(tmp_path, capsys):
 SCIPY_PROBE = """
 import sys
 from ncsos.cli import main
-codes = [main(["witness", path, "--out", path + ".out"])
-         for path in sys.argv[1:]]
+codes = [main([command, path, "--out", path + ".out"])
+         for command, path in zip(sys.argv[1::2], sys.argv[2::2])]
 print("numpy.random loaded:", "numpy.random" in sys.modules)
 print("_hashlib loaded:", "_hashlib" in sys.modules)
 print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
@@ -100,16 +101,24 @@ print(codes, sorted(name for name in sys.modules if name.startswith("scipy")))
 
 
 def test_witness_runs_without_scipy(tmp_path):
-    # the whole decision pipeline, GNS included, is numpy only
+    # the whole decision pipeline, GNS, the factor search and the tuple
+    # search included, is numpy only: 2 - u1 - u1^-1 is decided by the factor
+    # search, and the known-answer input r* r - 1e-4 by the tuple search
     group = (NCPoly.constant(1.0, 1, GROUP) + NCPoly.monomial((1,), 1, GROUP)
              + NCPoly.monomial((-1,), 1, GROUP))
-    paths = [write_poly(tmp_path / "monoid.json", witness_fixture()),
-             write_poly(tmp_path / "group.json", group)]
+    laplacian = NCPoly.constant(2.0, 1, GROUP) - NCPoly.monomial((1,), 1, GROUP) - NCPoly.monomial((-1,), 1, GROUP)
+    argv = ["witness", write_poly(tmp_path / "monoid.json", witness_fixture()),
+            "witness", write_poly(tmp_path / "group.json", group),
+            "certify", write_poly(tmp_path / "laplacian.json", laplacian),
+            "witness", write_poly(tmp_path / "known.json", known_answer_input(MONOID, 1, 1, 2, 1e-4)[0])]
     env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *paths], env=env,
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{[EX_WITNESS, EX_WITNESS]} []"
+    assert done.stdout.splitlines()[-1] == f"{[EX_WITNESS, EX_WITNESS, EX_OK_SOS, EX_WITNESS]} []"
+    notes = [json.loads(Path(path + ".out").read_text())["diagnostics"]["note"] for path in argv[5::2]]
+    assert notes[0] == "factor search, rank 2"
+    assert "; tuple search, side 1; factor search, rank " in notes[1]
     # GNS verification is exact and deterministic: nothing draws random numbers
     assert done.stdout.splitlines()[-3] == "numpy.random loaded: False"
     # the input digest comes from the interpreter's own SHA-256, not OpenSSL's
@@ -385,7 +394,7 @@ sys.exit(code)
 ], ids=["fock-dump-monoid", "fock-dump-long", "fock-dump-group", "extract-long"])
 def test_oversized_fock_space_is_refused_before_it_is_counted(tmp_path, argv, code, reason):
     # count_words(g, l) >= l + 1 is bounded by l before it is counted (counting
-    # is quadratic in l), and the Fock arrays by sdp.MARGIN_MAX_BYTES before
+    # is quadratic in l), and the Fock arrays by sdp.MAX_BYTES before
     # they are built: each refusal is immediate under a 4 GiB address-space limit
     e = tmp_path / "e.json"
     e.write_text(json.dumps([[[1.0, 0.0]]]))
@@ -415,21 +424,19 @@ def test_oversized_factor_stack_is_refused_before_a_factor_is_parsed(tmp_path):
 
 
 def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
-    # sdp.MARGIN_MAX_BYTES alone bounds the max-margin handover, the dual's
-    # f(Y), the f(X) of eval and spotcheck, spotcheck's factor stack and the
-    # Fock arrays: at 0 each is refused with sdp.refuse_bytes's one text
-    monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", 0)
-    paths = {name: tmp_path / f"{name}.json" for name in ("laplacian", "anti", "square", "at", "wit", "sos")}
-    write_poly(paths["laplacian"], NCPoly.constant(2.0, 1, GROUP) - NCPoly.monomial((1,), 1, GROUP)
-               - NCPoly.monomial((-1,), 1, GROUP))
+    # sdp.MAX_BYTES alone bounds the dual's f(Y), from GNS or from the
+    # tuple search, the f(X) of eval and spotcheck, spotcheck's factor stack
+    # and the Fock arrays: at 0 each is refused with sdp.refuse_bytes's one text
+    monkeypatch.setattr(sdp, "MAX_BYTES", 0)
+    paths = {name: tmp_path / f"{name}.json" for name in ("anti", "square", "at", "wit", "sos")}
     write_poly(paths["anti"], witness_fixture())
     tup = {"mode": "monoid", "entries": [[[[1.0, 0.0]]]]}
     for name, data in (("square", poly_data()), ("at", tup), ("sos", SOS_EVIDENCE),
                        ("wit", {"outcome": "witness", "witness": {"model": {"operators": tup}}})):
         paths[name].write_text(json.dumps(data))
     for argv, code, reason in [
-        (["certify", "{laplacian}"], EX_UNDECIDED, "max-margin handover would take 2.38e-06"),
         (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 0.000245"),
+        (["witness", "{anti}"], EX_UNDECIDED, "tuple search: f(X) of side 1 would take 0.000244"),
         (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 0.000244"),
         (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 0.000244"),
         (["spotcheck", "{square}", "{sos}"], EX_DATA,
@@ -440,8 +447,8 @@ def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
         got, out, err = run(capsys, *[a.format(**paths) for a in argv])
         reason = reason.format(**paths) + " GiB, over the 0.00 GiB budget"
         assert got == code
-        if code == EX_UNDECIDED:  # the reason ends the solve's note
-            assert json.loads(out)["diagnostics"]["note"].split("; ")[-1] == reason
+        if code == EX_UNDECIDED:  # the reason is one part of the solve's note
+            assert reason in json.loads(out)["diagnostics"]["note"].split("; ")
         else:
             assert out == "" and err.strip() == reason
 
@@ -708,7 +715,8 @@ SIGNATURES = {
     certify: {"f": REQUIRED},
     infer_degree: {"f": REQUIRED},
     sdp.solve_feasibility: {"sys": REQUIRED, "interior": REQUIRED},
-    sdp.max_margin: {"sys": REQUIRED},
+    sdp.factor_search: {"sys": REQUIRED, "psd": REQUIRED},
+    tuple_search: {"f": REQUIRED, "index": REQUIRED},
     sdp.project_affine: {"X": REQUIRED, "sys": REQUIRED},
     sdp._Farkas: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
@@ -790,8 +798,6 @@ INTERIOR = "the interior point is not positive definite on the classes"
 EDGE_INPUTS = {
     "x1^34": (_poly_json(1, "monoid", (" ".join(["x1"] * 34), 1.0)), EX_UNDECIDED, INTERIOR),
     "1+x1^40": (_poly_json(1, "monoid", ("1", 1.0), (" ".join(["x1"] * 40), 1.0)), EX_UNDECIDED, INTERIOR),
-    "1e4-group-laplacian": (_poly_json(1, "group", ("1", 2e4), ("x1", -1e4), ("x1^-1", -1e4)), EX_UNDECIDED,
-                            "max-margin handover, "),
 }
 EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}-{command}")
               for name, (p, code, reason) in EDGE_INPUTS.items()
@@ -801,28 +807,35 @@ EDGE_CASES = [pytest.param(p, [command, "{p}"], code, reason, False, id=f"{name}
                  False, id="minus-1e155-certify"),
     pytest.param(_poly_json(1, "monoid", ("x1 x1 x1", 1e150)), ["eval", "{p}", "--at", "{at}"], EX_DATA,
                  "input error: {at}: f(X) is not finite: it overflows float64", False, id="1e150-x1^3-eval"),
+    pytest.param(b"\xff\xfe{}", ["certify", "{p}"], EX_DATA, "input error: {p}: not UTF-8 text: byte 0xff at offset 0",
+                 False, id="not-utf8-certify"),
     pytest.param(_poly_json(10 ** 9, "monoid", ("1", -1.0)), ["certify", "{p}"], EX_DATA,
                  "input error: {p}: 1000000000 letters are above the limit 512 on the Gram side", True,
                  id="minus-1-over-1e9-letters-certify"),
 ] + [
     pytest.param({"g": 1, "mode": "monoid", "coeff_dim": 150,
                   "terms": [{"word": "1", "matrix": matrix_to_json(-np.eye(150))}]}, [command, "{p}"],
-                 EX_UNDECIDED, "f(X) of side 22500 would take 7.59 GiB, over the 0.25 GiB budget", True,
-                 id=f"minus-I150-{command}")
+                 EX_WITNESS, "f(X) of side 22500 would take 7.59 GiB, over the 0.25 GiB budget; tuple search, side 1",
+                 True, id=f"minus-I150-{command}")
     for command in ("certify", "witness")
+] + [
+    # 10^4 (2 - u1 - u1^-1) = 10^4 (1 - u1)* (1 - u1): the factor search decides it
+    pytest.param(_poly_json(1, "group", ("1", 2e4), ("x1", -1e4), ("x1^-1", -1e4)), [command, "{p}"], code,
+                 "factor search, rank 2", False, id=f"1e4-group-laplacian-{command}")
+    for command, code in (("certify", EX_OK_SOS), ("decompose", EX_OK_SOS), ("witness", EX_UNDECIDED))
 ]
 
 
 @pytest.mark.parametrize("poly, argv, code, reason, probe", EDGE_CASES)
 def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code, reason, probe):
     # each of these inputs once ended in exit 70: one-letter degrees from 17
-    # on (no interior point), a scaled boundary input (a Newton step off the
-    # cone), coefficients whose squares overflow, an f(X) that overflows, a
-    # constant over 10^9 letters and a witness whose f(Y) is over the
-    # evaluation budget; the last two run in a subprocess under an
-    # address-space limit
+    # on (no interior point), coefficients whose squares overflow, an f(X)
+    # that overflows, a file that is not UTF-8, a constant over 10^9 letters, a GNS witness whose f(Y)
+    # is over the evaluation budget, where the tuple search finds one at
+    # side 1, and a scaled boundary input; the constant and the witness run
+    # in a subprocess under an address-space limit
     path, at = tmp_path / "p.json", tmp_path / "at.json"
-    path.write_text(json.dumps(poly))
+    path.write_bytes(poly if isinstance(poly, bytes) else json.dumps(poly).encode())
     at.write_text(json.dumps({"mode": "monoid", "entries": [[[[1e60, 0.0]]]]}))
     argv = [a.format(p=path, at=at) for a in argv]
     if probe:

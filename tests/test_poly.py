@@ -216,9 +216,9 @@ def test_eval_holds_what_the_evaluation_budget_counts(monkeypatch):
         p = NCPoly(1, mode, k, {w: rand_matrix(k, rng) for w in words})
         X = OperatorTuple(mode, [rand_hermitian(n, rng)])
         count = 16 * ((k * n) ** 2 + held * n ** 2 + 2 * np.getbufsize())
-        monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count)
+        monkeypatch.setattr(sdp, "MAX_BYTES", count)
         assert refuse_evaluation(p, n) == ""
-        monkeypatch.setattr(sdp, "MARGIN_MAX_BYTES", count - 1)
+        monkeypatch.setattr(sdp, "MAX_BYTES", count - 1)
         assert refuse_evaluation(p, n) != ""
         tracemalloc.start()
         try:

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncsos import sdp
 from ncsos.certify import free_state, hankel_system
 from ncsos.gram import constraint_index
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    CENTRING_STEPS, DEFAULT_MAX_ITER, DEFAULT_TOL, MARGIN_GAP_TOL, AffineSystem, SdpError,
-    _hvec, _low_eig, _null_directions, max_margin, project_affine, project_psd, solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, SdpError, _low_eig, lbfgs, project_affine, project_psd,
+    solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
-from test_certify import _gram_poly, gram_system_at, group_fixture
+from test_certify import gram_system_at, group_fixture
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -236,16 +235,13 @@ def test_feasible_with_entry_constraints():
     assert np.linalg.eigvalsh(X).min() > -1e-9
 
 
-def test_stalled_handover_reports_inconclusive():
-    # at 1e4 (2 - u1 - u1^-1) rounding puts the max-margin slack on the
-    # boundary of the cone: the handover stalls there, and the solve ends
-    # with neither answer
+def test_factor_search_decides_the_scaled_laplacian():
+    # 1e4 (2 - u1 - u1^-1) leaves Dykstra undecided after its budget; the
+    # factor search finds its squares at rank 2
     f = group_fixture() * 1e4
     res = solve_feasibility(gram_system_at(f, 1), free_state(f, 1))
-    assert not res.feasible
-    assert res.X is None and res.certificate is None and res.reason == ""
-    assert res.final_gap > DEFAULT_TOL
-    assert res.iterations == DEFAULT_MAX_ITER and res.newton_steps > 0
+    assert res.feasible and res.certificate is None and res.reason == ""
+    assert res.iterations == DEFAULT_MAX_ITER and res.rank == 2 and _low_eig(res.X)[0] >= -DEFAULT_TOL
 
 
 def test_certificate_proves_infeasibility():
@@ -271,30 +267,31 @@ def test_negative_constant_certifies_at_iteration_one():
 
 def test_boundary_sos_gets_no_certificate():
     # every Gram matrix of 2 - u1 - u1^-1 is singular: Dykstra spends its
-    # budget with no step passing the certificate test, and the handover
-    # returns a psd point, not a certificate
+    # budget with no step passing the certificate test, and the factor
+    # search returns a psd point, not a certificate
     f = group_fixture()
     res = solve_feasibility(gram_system_at(f, 1), interior=free_state(f, 1))
     assert res.certificate is None and res.iterations == DEFAULT_MAX_ITER
-    assert res.feasible and res.newton_steps > 0 and _low_eig(res.X)[0] >= -DEFAULT_TOL
+    assert res.feasible and res.rank > 0 and _low_eig(res.X)[0] >= -DEFAULT_TOL
 
 
-def test_handover_over_its_memory_budget_builds_nothing(monkeypatch):
-    # the Gram system of 2 - u1 - u1^-1 at degree 31, of side 63 with 125
-    # classes, left undecided by ten Dykstra iterations: the Newton rows,
-    # Newton matrix, its copy in np.linalg.solve and one chunk's temporaries
-    # would take about 0.37 GiB, over the handover's budget, so none is built
-    f = group_fixture()
+def test_factor_search_residual_is_a_certificate(monkeypatch):
+    # with no Dykstra budget the factor search decides alone: on Tr X = -1
+    # its first rung starts and stays at R = 0, whose residual A(0) - t,
+    # the identity's class vector, passes the certificate test
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 0)
+    res = solve_feasibility(trace_system(2, -1.0), np.eye(2))
+    assert not res.feasible and res.X is None and res.iterations == 0 and res.rank == 1
+    assert res.certificate is not None and res.pairing < 0
 
-    def refuse(*args):
-        raise AssertionError("_null_directions called over the memory budget")
 
-    monkeypatch.setattr(sdp, "_null_directions", refuse)
-    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 10)
-    res = solve_feasibility(gram_system_at(f, 31), free_state(f, 31))
-    assert not res.feasible and res.X is None and res.certificate is None
-    assert res.iterations == 10 and res.newton_steps == 0
-    assert res.reason == "max-margin handover would take 0.372 GiB, over the 0.25 GiB budget"
+def test_lbfgs_minimizes_an_ill_conditioned_quadratic():
+    # 1/2 (x - c)* A (x - c) with condition number 1e4, from 0, in the real
+    # inner product of complex vectors; the floor ends the descent
+    A, c = np.logspace(0, 4, 10), np.arange(10) * (1 + 1j)
+    fun = lambda x: (float(np.vdot(x - c, A * (x - c)).real) / 2, A * (x - c), None)
+    x, value, _ = lbfgs(fun, np.zeros(10, dtype=complex), np.add, 400, 0.0, 1e-20)
+    assert value <= 1e-20 and np.abs(x - c).max() <= 1e-9
 
 
 def test_interior_point_must_be_positive_definite(monkeypatch):
@@ -305,7 +302,7 @@ def test_interior_point_must_be_positive_definite(monkeypatch):
     monkeypatch.setattr(sdp, "project_affine", None)
     res = solve_feasibility(trace_system(2, 1.0), interior=np.ones((2, 2)))
     assert not res.feasible and res.X is None and res.certificate is None
-    assert res.iterations == 0 and res.newton_steps == 0
+    assert res.iterations == 0 and res.rank == 0
     assert res.reason == "the interior point is not positive definite on the classes"
 
 
@@ -339,163 +336,3 @@ def test_residuals_eventually_monotone(monkeypatch):
         gaps = [gap_after(sys, interior, n) for n in (500, 1000, 2000, 4000)]
         for earlier, later in zip(gaps, gaps[1:]):
             assert later <= earlier + slack
-
-
-# -- max-margin interior-point solve -------------------------------------------
-
-
-def test_max_margin_infeasible_trace():
-    # Tr X = -1 on 2 x 2: the best margin is min eig of -I/2, bracketed by
-    # the margin t of the last point and the bound of a centred one
-    sys = trace_system(2, -1.0)
-    res = max_margin(sys)
-    assert res.t < 0 and res.bound < -DEFAULT_TOL
-    assert res.t <= -0.5 <= res.bound
-    assert sys.residual(res.X) < 1e-12
-    assert np.linalg.eigvalsh(res.X).min() >= res.t - 1e-12
-
-
-def test_max_margin_floor_stops_early():
-    # the first centred bound below -DEFAULT_TOL ends the solve, long before
-    # the bound closes on t: no point is psd within solve_feasibility's tol
-    sys = trace_system(2, -1.0)
-    res = max_margin(sys)
-    assert res.bound < -DEFAULT_TOL
-    assert res.bound - res.t > 1e3 * MARGIN_GAP_TOL
-    assert res.iterations < CENTRING_STEPS
-
-
-def test_max_margin_interior_stops_at_psd_point():
-    m = 3
-    sys = pinned_entry_system(m, 0, 1, 0.3 + 0.1j, trace=2.0)
-    res = max_margin(sys)
-    assert res.t >= 0
-    assert np.linalg.eigvalsh(res.X).min() >= -1e-12
-    assert sys.residual(res.X) < 1e-12
-
-
-def test_max_margin_stops_within_the_feasibility_tolerance():
-    # every Gram matrix of 2 - u1 - u1^-1 is singular, so its best margin is
-    # 0: the search stops at the first t that solve_feasibility accepts, on
-    # the margin test, before the gap nu/eta closes to MARGIN_GAP_TOL
-    res = max_margin(gram_system_at(group_fixture(), 1))
-    assert -DEFAULT_TOL <= res.t < 0
-    assert res.bound - res.t > MARGIN_GAP_TOL
-
-
-@pytest.mark.parametrize("stall", ["singular", "no-descent"])
-def test_max_margin_stall_is_neither_feasible_nor_certified(stall, monkeypatch):
-    # 2 - u1 - u1^-1 is SOS, so it has no Farkas certificate, and one Dykstra
-    # iteration leaves it undecided.  A Newton system np.linalg.solve refuses,
-    # or a step no halving turns into descent, stalls the handover at its
-    # first Newton step, at its start point, which is not psd
-    f = group_fixture()
-    sys, interior = gram_system_at(f, 1), free_state(f, 1)
-    solve = np.linalg.solve
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    def overshoot(a, b):  # the Newton step times 1e30: even 1e-12 of it leaves the cone
-        return 1e30 * solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", singular if stall == "singular" else overshoot)
-    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
-    mm = max_margin(sys)
-    X0, _ = project_affine(np.zeros((sys.m, sys.m), dtype=complex), sys)
-    assert mm.iterations == 1 and mm.t == float(np.linalg.eigvalsh(X0).min()) - 1.0
-    res = solve_feasibility(sys, interior)
-    assert not res.feasible and res.X is None and res.certificate is None
-    assert res.iterations == 1 and res.newton_steps == 1 and res.reason == ""
-
-
-def _hunvec(x, m):
-    """Inverse of _hvec, for the unit matrices of its coordinates."""
-    iu = np.triu_indices(m, 1)
-    X = np.zeros(x.shape[:-1] + (m, m), dtype=complex)
-    X[..., range(m), range(m)] = x[..., :m]
-    upper = (x[..., m:m + len(iu[0])] + 1j * x[..., m + len(iu[0]):]) / np.sqrt(2)
-    X[..., iu[0], iu[1]] = upper
-    X[..., iu[1], iu[0]] = upper.conj()
-    return X
-
-
-def _projector_null_basis(sys):
-    """Reference: the eigenvectors with eigenvalue 1 of the dense m^2 x m^2
-    matrix of the linear part of sys.nearest, an orthogonal projector."""
-    m = sys.m
-    P = _hvec(np.array([linear_part(sys, E) for E in _hunvec(np.eye(m * m), m)]))
-    evals, evecs = np.linalg.eigh(P)
-    return evecs[:, evals > 0.5].T
-
-
-def _direction_matrices(sys):
-    """The directions of _null_directions as m x m matrices."""
-    rows, cols, weights = _null_directions(sys)
-    Y = np.zeros((len(rows), sys.m, sys.m), dtype=complex)
-    np.add.at(Y, (np.arange(len(rows))[:, None], rows, cols), weights)
-    return Y + Y.conj().swapaxes(1, 2)
-
-
-def _check_null_directions(sys):
-    E, ref = _direction_matrices(sys), _projector_null_basis(sys)
-    assert np.abs(E - E.conj().swapaxes(1, 2)).max(initial=0.0) == 0  # Hermitian
-    N = _hvec(E)
-    assert N.shape == ref.shape
-    assert len(N) == sys.m ** 2 - len(sys.targets)  # the handover's size estimate
-    # unit directions, independent and in the projector's range: the same span
-    assert np.abs(np.linalg.norm(N, axis=1) - 1).max(initial=0.0) <= 1e-12
-    assert np.linalg.matrix_rank(N) == len(N)
-    assert np.abs(ref.T @ (ref @ N.T) - N.T).max(initial=0.0) <= 1e-12
-    # every direction is left alone by the linear projection
-    for e in E:
-        assert np.abs(linear_part(sys, e) - e).max() <= 1e-12
-
-
-def _basis_cases():
-    cases = {}
-    for mode in (MONOID, GROUP):
-        for k in (1, 2):
-            f = _rand_hermitian_poly(2, mode, k, np.random.default_rng([k, mode == GROUP]))
-            cases[f"gram-{mode}-k{k}"] = lambda f=f: gram_system_at(f, 1)
-    f = _rand_hermitian_poly(1, GROUP, 2, np.random.default_rng(7))
-    cases["hankel-group-k2"] = lambda: hankel_system(f, constraint_index(f.g, 1, f.mode))
-    cases["trace"] = lambda: trace_system(3, 1.0)
-    cases["pinned-entry"] = lambda: pinned_entry_system(4, 0, 2, 0.3 + 0.1j, trace=2.0)
-    return cases
-
-
-@pytest.mark.parametrize("name", list(_basis_cases()))
-def test_null_basis_matches_projector(name):
-    _check_null_directions(_basis_cases()[name]())
-
-
-@settings(max_examples=25, deadline=None)
-@given(mode=st.sampled_from([MONOID, GROUP]), g=st.integers(1, 2), d=st.integers(0, 2),
-       k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
-def test_null_directions_of_gram_systems(mode, g, d, k, seed):
-    _check_null_directions(gram_system_at(_gram_poly(seed, g, mode, k, d), d))
-
-
-def test_max_margin_takes_no_dense_factorizations(monkeypatch):
-    # one eigh of S per Newton step stands in for cholesky and inv, and the
-    # null space comes from the labels, not from an m^2 x m^2 eigenproblem
-    sys = gram_system_at(group_fixture(), 1)
-    sizes = []
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("max_margin called a dense factorization")
-
-    def recording(fn):
-        def wrapped(a, *args, **kwargs):
-            sizes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
-    res = max_margin(sys)
-    assert abs(res.t) < 1e-8
-    assert sizes and all(shape == (sys.m, sys.m) for shape in sizes)

@@ -46,10 +46,10 @@ def test_each_exception_is_defined_and_unreached():
 
 
 def test_the_memory_budget_and_the_operator_tolerance_each_have_one_home():
-    # sdp.refuse_bytes alone reads MARGIN_MAX_BYTES and writes the GiB
+    # sdp.refuse_bytes alone reads MAX_BYTES and writes the GiB
     # refusal, and eval checks a tuple with the witness gate's tolerance:
     # no copy of the budget, and no second tolerance, comes back
     sources = {path.name: path.read_text() for path in Path(ncsos.__file__).parent.glob("*.py")}
-    assert {name for name, text in sources.items() if "MARGIN_MAX_BYTES" in text} == {"sdp.py"}
+    assert {name for name, text in sources.items() if "MAX_BYTES" in text} == {"sdp.py"}
     assert {name for name, text in sources.items() if "GiB" in text} == {"sdp.py"}
     assert not any("EPS_UNIT" in text for text in sources.values())
