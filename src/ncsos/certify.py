@@ -42,10 +42,8 @@ from .gram import (
     EPS_CERT, EPS_PSD, GramMatrix, SOSCertificate, block_sums, class_labels,
     constraint_index, factor_gram,
 )
-from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, _letters, eval_bytes, opnorm, poly_eval, word_images
-from .sdp import (
-    EPS, AffineSystem, FeasibilityResult, lbfgs, refuse_bytes, solve_feasibility,
-)
+from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, eval_bytes, opnorm, poly_eval, word_images
+from .sdp import EPS, AffineSystem, FeasibilityResult, lbfgs, refuse_bytes, solve_feasibility
 from .words import MONOID, count_words, involute
 
 GNS_VERIFY_TOL = 1e-8
@@ -251,43 +249,54 @@ def _move(Y: OperatorTuple, D: np.ndarray) -> OperatorTuple:
                                   for y, (lam, Q) in zip(Y.entries, map(np.linalg.eigh, D))])
 
 
-def _lowest(f: NCPoly, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _suffixes(f: NCPoly) -> dict:
+    """Each suffix of f's words and of their involutions, shortest first, to its place."""
+    closed = {u[i:] for w in f.words for u in (w, involute(w, f.mode)) for i in range(len(u) + 1)}
+    return {w: j for j, w in enumerate(sorted(closed, key=len))}
+
+
+def _lowest(f: NCPoly, at: dict, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
     """lambda_min of the Hermitian part of f(Y), as refuse_witness forms it,
-    its gradient along _move and its eigenvector v (inf, 0 and None when
-    f(Y) is not finite).  By Hellmann-Feynman, d lambda = Re v* d f(Y) v: a
-    letter a in a word u = p a s of coefficient U adds Re Tr(dL_a B U^T A*),
-    A = Y^(p*) Gamma and B = Y^s Gamma, Gamma = unvec(v); moving by D, dL_a
-    is D (monoid), L_a i D (group, a > 0) or -i D L_a (group, a < 0)."""
+    its gradient along _move and its eigenvector v (inf, 0 and None when f(Y)
+    is not finite).  By Hellmann-Feynman, a letter a in a word p a s of
+    coefficient U adds Re Tr(dL_a B U^T A*), A = Y^(p*) Gamma, B = Y^s Gamma
+    (Gamma = unvec(v), from one word_images on at = _suffixes(f)); moving by
+    D, dL_a is D (monoid), L_a i D (group, a > 0) or -i D L_a (a < 0)."""
     fY = poly_eval(f, Y)
     if not np.isfinite(fY).all():
         return math.inf, np.zeros((f.g, Y.dim, Y.dim)), None
     lam, V = np.linalg.eigh(fY / 2 + fY.conj().T / 2)
-    letters = _letters(Y, {a for w in f.words for a in w})
-    images = {(): unvec(V[:, 0], f.k)}
-
-    def image(w):  # Y^w Gamma, each from its suffix's
-        if w not in images:
-            images[w] = letters[w[0]] @ image(w[1:])
-        return images[w]
-
+    Z = word_images(Y, list(at), unvec(V[:, 0], f.k)).reshape(Y.dim, len(at), f.k)
     grad = np.zeros((f.g, Y.dim, Y.dim), dtype=complex)
     for w, U in zip(f.words, f.coeffs):
         for p, a in enumerate(w):
-            M = image(w[p + 1:]) @ U.T @ image(involute(w[:p], f.mode)).conj().T
-            if f.mode == MONOID:
-                grad[a - 1] += M
-            else:
-                grad[abs(a) - 1] += 1j * M @ letters[a] if a > 0 else -1j * letters[a] @ M
+            M = Z[:, at[w[p + 1:]]] @ U.T @ Z[:, at[involute(w[:p], f.mode)]].conj().T
+            grad[abs(a) - 1] += M if f.mode == MONOID else (
+                1j * M @ Y.entries[a - 1] if a > 0 else -1j * Y.entries[-a - 1].conj().T @ M)
     return float(lam[0]), (grad + grad.conj().transpose(0, 2, 1)) / 2, V[:, 0]
 
 
 def _rounding(f: NCPoly, Y: OperatorTuple) -> float:
-    """A bound on how far rounding moves lambda_min of f(Y), 4 eps (deg f + k n)
-    sum_w ||F_w|| ||Y^w||, each ||Y^w|| bounded by its letters' norms: the
-    search passes on a candidate less negative, so as not to call rounding a witness."""
+    """A bound on how far lambda_min of the computed Hermitian part of f(Y)
+    lies from lambda_min of f at the nearest self-adjoint or unitary tuple,
+    so that the search does not call rounding a witness: four times the sum
+    over w of P_w = ||F_w|| prod_a ||Y_a|| times the following (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, chapters 3 and 4;
+    gamma_j = j u / (1 - j u), u = eps / 2).  |w| n gamma_{n+2}: the |w|
+    complex n x n products of Y^w, each off by gamma_{n+2} |A| |B| entrywise;
+    gamma_4: F_w (x) Y^w and the Hermitian part; sqrt(k n) gamma_N: the sum
+    of the N terms; (k n)^1.5 eps: eigh, exact for H + E with ||E|| <=
+    k n eps ||H||_F (sdp._low_eig); |w| delta (1 + delta)^|w|: the nearest
+    unitary, within delta = unitary_defect of each Y_a (0 for the monoid,
+    whose moves keep Y exactly Hermitian)."""
+    n, kn = Y.dim, f.k * Y.dim
+    gamma = lambda j: j * EPS / 2 / (1 - j * EPS / 2)
+    delta = 0.0 if f.mode == MONOID else Y.unitary_defect()
     norms = [opnorm(y) for y in Y.entries]
-    scale = sum(opnorm(c) * math.prod(norms[abs(a) - 1] for a in w) for w, c in zip(f.words, f.coeffs))
-    return 4 * EPS * (f.degree() + f.k * Y.dim) * scale
+    shared = gamma(4) + math.sqrt(kn) * gamma(len(f.words)) + kn ** 1.5 * EPS
+    return 4 * sum(opnorm(c) * math.prod(norms[abs(a) - 1] for a in w)
+                   * (len(w) * (n * gamma(n + 2) + delta * (1 + delta) ** len(w)) + shared)
+                   for w, c in zip(f.words, f.coeffs))
 
 
 def point_functional(f: NCPoly, index: tuple, Y: OperatorTuple, gamma: np.ndarray) -> HankelFunctional:
@@ -306,15 +315,14 @@ def tuple_search(f: NCPoly, index: tuple) -> tuple[str, dict]:
     """Search n x n tuples Y, n = 1 .. TUPLE_MAX_SIDE, for one at which f is
     not psd: minimize lambda_min f(Y) with sdp.lbfgs along _move from
     TUPLE_STARTS starts per side, and gate (_gate) each end negative beyond
-    _rounding as the model (Y, v), v the lowest eigenvector of f(Y), with
-    the point functional on index as its evidence.  Returns the search's
-    note and the first passing model's evidence, or {}."""
-    best, refusal = math.inf, ""
+    _rounding as the model (Y, v), v its lowest eigenvector, with its point
+    functional on index.  Returns a note and the first passing evidence, or {}."""
+    best, refusal, at = math.inf, "", _suffixes(f)
     for n in range(1, TUPLE_MAX_SIDE + 1):
         if too_large := refuse_evaluation(f, n):
             return f"tuple search: {too_large}", {}
         for start in range(TUPLE_STARTS):
-            Y, low, v = lbfgs(partial(_lowest, f), _tuple_start(f, n, start), _move,
+            Y, low, v = lbfgs(partial(_lowest, f, at), _tuple_start(f, n, start), _move,
                               TUPLE_MAX_STEPS, TUPLE_STALL, -TUPLE_DEPTH)
             best = min(best, low)
             if not low <= -max(EPS_WIT, _rounding(f, Y)):

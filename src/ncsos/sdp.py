@@ -236,9 +236,6 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
                                  reason="the interior point is not positive definite on the classes")
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
-    y = np.zeros_like(x)
-    gap = np.inf
-    it = 0
     for it in range(1, DEFAULT_MAX_ITER + 1):
         y = project_psd(x + p)
         p = x + p - y
@@ -316,12 +313,11 @@ def lbfgs(fun, x, move, steps: int, stall: float, floor: float):
 def factor_search(sys: AffineSystem, psd: np.ndarray):
     """The rank ladder r = 1, 2, ...: minimize phi(R) = 1/2 ||A(R R*) - t||^2
     over m x r factors R (Burer & Monteiro 2003) with lbfgs, from the top r
-    eigenpairs of psd, the last psd iterate of Dykstra; with e = A(R R*) - t
-    and E = A*(e), the gradient is (E + E*) R.  Yields each rung's
-    (r, R R*, e).  At a minimizer over psd G = R R*, A*(e) is psd and
-    Re <e, t> = -||e||^2 < 0, so A*(e) is a displacement for the certificate
-    test.  The ladder stops at FACTOR_MAX_RANK, or once a rung leaves phi
-    above FACTOR_FALL of the last rung's: more rank no longer helps."""
+    eigenpairs of Dykstra's last psd iterate; with e = A(R R*) - t and
+    E = A*(e), the gradient is (E + E*) R.  Yields each rung's (r, R R*, e).
+    At a minimizer over psd G, A*(e) is psd and Re <e, t> = -||e||^2 < 0: a
+    displacement for the certificate test.  The ladder stops at
+    FACTOR_MAX_RANK, or at a rung that leaves phi above FACTOR_FALL of the last's."""
     def phi(R):
         e = sys._class_sums(R @ R.conj().T) - sys.targets
         E = sys.broadcast(e)

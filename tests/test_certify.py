@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    EPS_WIT, CertifyError, certify, free_state, gram_system, infer_degree, point_functional, refuse_certificate,
-    refuse_evaluation, refuse_witness, run_dual, run_primal,
+    EPS_WIT, CertifyError, _lowest, _rounding, _suffixes, certify, free_state, gram_system, infer_degree,
+    point_functional, refuse_certificate, refuse_evaluation, refuse_witness, run_dual, run_primal, tuple_search,
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
@@ -21,6 +21,7 @@ from ncsos.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResul
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
+import test_known_answers
 from test_known_answers import known_answer_input
 from test_poly import rand_hermitian, rand_matrix
 
@@ -458,6 +459,30 @@ def test_paper_single_square_decides(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def boundary_family(g):
+    """sum_i (1 - u_i)* (1 - u_i) + sum_{i<j} [u_i, u_j]* [u_i, u_j], SOS and
+    zero at the identity tuple, so no Gram matrix is positive definite."""
+    u = [NCPoly.monomial((i,), g, GROUP) for i in range(1, g + 1)]
+    one = NCPoly.constant(1.0, g, GROUP)
+    squares = [one - a for a in u] + [a * b - b * a for i, a in enumerate(u) for b in u[i + 1:]]
+    return sum((r.adjoint() * r for r in squares[1:]), squares[0].adjoint() * squares[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="regression: the factor search descends sublinearly on these faces and ends "
+                          "undecided; the removed interior-point handover decided both sos")
+@pytest.mark.parametrize("case", ["boundary-family-g3", "known-answer-seed-1-monoid-g2-d2-k1"])
+def test_boundary_sos_the_factor_search_leaves_undecided(monkeypatch, case):
+    # Gram side 37, and side 7: the ladder ends at rank 2 (phi rises from
+    # rank 1) and at rank 5 (phi stalls near 1e-8), with no psd point
+    if case == "boundary-family-g3":
+        f = boundary_family(3)
+    else:
+        monkeypatch.setattr(test_known_answers, "SEED", 1)
+        f = known_answer_input(MONOID, 2, 2, 1, None)[0]
+    assert run_primal(f, 2)[0].kind == "sos"
+
+
 @pytest.mark.parametrize("mode", [MONOID, GROUP])
 def test_point_functional_is_reproduced_by_its_tuple(mode):
     # the tuple search's evidence: the functional of a tuple and a vector,
@@ -482,6 +507,48 @@ def test_tuple_search_is_deterministic():
     assert first.model.gamma.tobytes() == second.model.gamma.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first.model.operators.entries,
                                                           second.model.operators.entries))
+
+
+def test_tuple_search_gradient_reads_a_long_word():
+    # x1^1500 at y = 1.0001, a word longer than Python's recursion limit:
+    # each suffix image is one product with the one before it
+    f = NCPoly.monomial((1,) * 1500, 1, MONOID)
+    low, grad, _ = _lowest(f, _suffixes(f), OperatorTuple(MONOID, [np.array([[1.0001]])]))
+    assert low == pytest.approx(1.0001 ** 1500) and grad.real == pytest.approx(1500 * 1.0001 ** 1499)
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+def test_tuple_search_does_not_call_rounding_a_witness(scale):
+    # scale (2 - u1 - u1^-1) = scale (1 - u1)* (1 - u1) is SOS, and its solve
+    # ends with neither a point nor a certificate; the tuple search drives
+    # the computed min eig of f(Y) below -EPS_WIT by rounding alone, and
+    # _rounding keeps it from the gate
+    u1 = NCPoly.monomial((1,), 1, GROUP)
+    out = certify((NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()) * scale)
+    assert out.kind == "undecided" and "; tuple search to side 3, min eig -" in out.note, out.note
+    assert float(out.note.split("min eig ")[1].split(";")[0]) <= -EPS_WIT
+
+
+def test_rounding_covers_the_operator_defect():
+    # at y = 1 + 1e-9, unitary within OPERATOR_DEFECT_TOL, 1e9 (2 - u1 - u1^-1)
+    # is -2: refuse_witness passes it, and _rounding counts it as the defect's
+    u1 = NCPoly.monomial((1,), 1, GROUP)
+    f = (NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()) * 1e9
+    Y = OperatorTuple(GROUP, [np.array([[1 + 1e-9]])])
+    refusal, low, _ = refuse_witness(f, Y)
+    assert refusal == "" and low < -1 and _rounding(f, Y) >= -low
+
+
+def test_tuple_search_finds_no_witness_on_a_scaled_square():
+    # 1e9 r* r, r over the 5 words of group degree 1 at g=2, has 17 words;
+    # at side 3 rounding takes the computed min eig below -EPS_WIT
+    rng = np.random.default_rng(0)
+    r = NCPoly(2, GROUP, 1, {w: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+                             for w in enumerate_words(2, 1, GROUP)})
+    f = r.adjoint() * r * 1e9
+    note, evidence = tuple_search(f, constraint_index(2, 1, GROUP))
+    assert len(f.words) == 17 and evidence == {} and note.startswith("tuple search to side 3, min eig -")
+    assert float(note.split("min eig ")[1]) <= -EPS_WIT
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])

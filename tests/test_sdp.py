@@ -11,7 +11,7 @@ from ncsos.sdp import (
 )
 from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
-from test_certify import gram_system_at, group_fixture
+from test_certify import gram_system_at, group_fixture, monoid_witness_input
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -276,12 +276,13 @@ def test_boundary_sos_gets_no_certificate():
 
 
 def test_factor_search_residual_is_a_certificate(monkeypatch):
-    # with no Dykstra budget the factor search decides alone: on Tr X = -1
-    # its first rung starts and stays at R = 0, whose residual A(0) - t,
-    # the identity's class vector, passes the certificate test
-    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 0)
-    res = solve_feasibility(trace_system(2, -1.0), np.eye(2))
-    assert not res.feasible and res.X is None and res.iterations == 0 and res.rank == 1
+    # one Dykstra iteration leaves this barely non-SOS input's system
+    # uncertified; the factor search's rank-1 rung gives neither a point
+    # nor a certificate, and the residual of its rank-2 rung is the certificate
+    monkeypatch.setattr(sdp, "DEFAULT_MAX_ITER", 1)
+    f = monoid_witness_input(0, 1, 1, 2, margin=1e-3)
+    res = solve_feasibility(gram_system_at(f, 1), free_state(f, 1))
+    assert not res.feasible and res.X is None and res.iterations == 1 and res.rank == 2
     assert res.certificate is not None and res.pairing < 0
 
 
