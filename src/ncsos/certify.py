@@ -14,11 +14,12 @@ tuple or the identity unitaries).
 The certificate mixes in the paper's free state (free_state), positive
 definite and constant on the classes, so GNS keeps every direction; a
 witness still rests only on its own gates: the operator defect, gns_verify
-and the eigenvalue of f(Y).  When Dykstra's budget ends with neither a psd
-point nor a certificate (on inputs that vanish somewhere, such as
-2 - u1 - u1^-1), a factor search for f's squares answers either way, and
-the dual without a gated GNS witness searches small tuples for one
-(tuple_search).  Near the boundary of the cone the answer may be Undecided.
+and the eigenvalue of f(Y), beyond its rounding bound.  When Dykstra's
+budget ends with neither a psd point nor a certificate (on inputs that
+vanish somewhere, such as 2 - u1 - u1^-1), a factor search for f's squares
+answers either way, and the dual without a gated GNS witness searches small
+tuples for one (tuple_search).  Near the boundary of the cone the answer may
+be Undecided.
 
 Each branch returns a CertifyOutcome: run_primal's is sos or undecided,
 run_dual's witness or undecided, each with the one record of the solve it
@@ -227,7 +228,7 @@ def _gate(f: NCPoly, model: WitnessModel) -> tuple[str, dict]:
 TUPLE_MAX_SIDE = 3    # side n of the tuples searched, at most
 TUPLE_STARTS = 3      # starts per side
 TUPLE_MAX_STEPS = 60  # lbfgs steps per start, at most
-TUPLE_STALL = 1e-3    # a start stops once a step lowers lambda_min by less than this share of it
+TUPLE_STALL = 1e-3    # a start stops once a step lowers lambda_min by less than this share of max(|it|, EPS_WIT)
 TUPLE_DEPTH = 1.0     # or once lambda_min <= -TUPLE_DEPTH
 
 
@@ -279,7 +280,7 @@ def _lowest(f: NCPoly, at: dict, Y: OperatorTuple) -> tuple[float, np.ndarray, n
 def _rounding(f: NCPoly, Y: OperatorTuple) -> float:
     """A bound on how far lambda_min of the computed Hermitian part of f(Y)
     lies from lambda_min of f at the nearest self-adjoint or unitary tuple,
-    so that the search does not call rounding a witness: four times the sum
+    so that the witness gate does not call rounding a witness: four times the sum
     over w of P_w = ||F_w|| prod_a ||Y_a|| times the following (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, chapters 3 and 4;
     gamma_j = j u / (1 - j u), u = eps / 2).  |w| n gamma_{n+2}: the |w|
@@ -294,9 +295,9 @@ def _rounding(f: NCPoly, Y: OperatorTuple) -> float:
     delta = 0.0 if f.mode == MONOID else Y.unitary_defect()
     norms = [opnorm(y) for y in Y.entries]
     shared = gamma(4) + math.sqrt(kn) * gamma(len(f.words)) + kn ** 1.5 * EPS
-    return 4 * sum(opnorm(c) * math.prod(norms[abs(a) - 1] for a in w)
+    return 4 * sum(c * math.prod(norms[abs(a) - 1] for a in w)
                    * (len(w) * (n * gamma(n + 2) + delta * (1 + delta) ** len(w)) + shared)
-                   for w, c in zip(f.words, f.coeffs))
+                   for w, c in zip(f.words, np.linalg.norm(f.coeffs, 2, axis=(1, 2)).tolist()))
 
 
 def point_functional(f: NCPoly, index: tuple, Y: OperatorTuple, gamma: np.ndarray) -> HankelFunctional:
@@ -314,18 +315,18 @@ def point_functional(f: NCPoly, index: tuple, Y: OperatorTuple, gamma: np.ndarra
 def tuple_search(f: NCPoly, index: tuple) -> tuple[str, dict]:
     """Search n x n tuples Y, n = 1 .. TUPLE_MAX_SIDE, for one at which f is
     not psd: minimize lambda_min f(Y) with sdp.lbfgs along _move from
-    TUPLE_STARTS starts per side, and gate (_gate) each end negative beyond
-    _rounding as the model (Y, v), v its lowest eigenvector, with its point
-    functional on index.  Returns a note and the first passing evidence, or {}."""
+    TUPLE_STARTS starts per side, and gate (_gate) each end at most -EPS_WIT
+    as the model (Y, v), v its lowest eigenvector, with its point functional
+    on index.  Returns a note and the first passing evidence, or {}."""
     best, refusal, at = math.inf, "", _suffixes(f)
     for n in range(1, TUPLE_MAX_SIDE + 1):
         if too_large := refuse_evaluation(f, n):
             return f"tuple search: {too_large}", {}
         for start in range(TUPLE_STARTS):
             Y, low, v = lbfgs(partial(_lowest, f, at), _tuple_start(f, n, start), _move,
-                              TUPLE_MAX_STEPS, TUPLE_STALL, -TUPLE_DEPTH)
+                              TUPLE_MAX_STEPS, TUPLE_STALL, EPS_WIT, -TUPLE_DEPTH)
             best = min(best, low)
-            if not low <= -max(EPS_WIT, _rounding(f, Y)):
+            if not low <= -EPS_WIT:
                 continue
             refusal, witness = _gate(f, WitnessModel(Y, v, point_functional(f, index, Y, v)))
             if not refusal:
@@ -363,7 +364,8 @@ def refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray 
     smallest eigenvalue (NaN when f(Y) overflows or is not formed) and the
     Hermitian part of f(Y) (None when over refuse_evaluation's budget): Y
     must be self-adjoint (monoid) or unitary (group) within
-    OPERATOR_DEFECT_TOL, f(Y) finite, and min eig f(Y) <= -EPS_WIT."""
+    OPERATOR_DEFECT_TOL, f(Y) finite, and min eig f(Y) <= -EPS_WIT and below
+    minus _rounding's bound on what rounding and the operator defect move it."""
     if too_large := refuse_evaluation(f, Y.dim):
         return too_large, math.nan, None
     fY = poly_eval(f, Y)
@@ -379,6 +381,8 @@ def refuse_witness(f: NCPoly, Y: OperatorTuple) -> tuple[str, float, np.ndarray 
         return "f(Y) overflows float64", low, fY
     if not low <= -EPS_WIT:
         return f"witness margin too small (min eig {low:.3e})", low, fY
+    if not low <= -(bound := _rounding(f, Y)):
+        return f"min eig {low:.3e} is within the bound {bound:.3e} on rounding and the operator defect", low, fY
     return "", low, fY
 
 

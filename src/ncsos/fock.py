@@ -56,10 +56,8 @@ def build_unitaries(g: int, l: int) -> OperatorTuple:
     with x_i (reached by nothing), are matched to each other in graded-lex
     order.  So U_i is a permutation matrix, and U_i^T = U_i* is exactly the
     same construction for the letter x_i^-1: U^w vacuum = e_w for every
-    reduced |w| <= l.
+    reduced |w| <= l.  At l = 0 each U_i is the 1 x 1 identity.
     """
-    if l < 1:
-        raise FockError("need truncation degree >= 1")
     head, tail = suffix_table(enumerate_words(g, l, GROUP))
 
     def unitary_for(y: int) -> np.ndarray:

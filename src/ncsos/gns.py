@@ -60,10 +60,6 @@ class GnsError(ValueError):
     pass
 
 
-class ZeroFunctionalError(GnsError):
-    pass
-
-
 @dataclass
 class HankelFunctional:
     """phi(P u) = Tr(S_u P), stored on a word-pair table index =
@@ -152,7 +148,7 @@ def _quotient_frames(S: HankelFunctional):
         raise GnsError(f"functional is not psd (min eigenvalue {evals.min():.3e})")
     top = float(evals.max(initial=0.0))
     if top <= 0.0:
-        raise ZeroFunctionalError("zero functional admits no model")
+        raise GnsError("zero functional admits no model")
     keep = evals > EPS_NULL * top
     W = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T)
     return W  # rank x (N(D) k)

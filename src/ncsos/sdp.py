@@ -22,6 +22,8 @@ empty intersection close to the cone), a factor search takes over after
 DEFAULT_MAX_ITER iterations (Burer & Monteiro 2003): it minimizes
 ||A(R R*) - t||^2 over factors R of rank 1, 2, ..., and each rung gives a
 point R R* or, in its residual, a displacement for the same certificate test.
+Both stages hold points psd as built, Dykstra's clipped iterate and R R*, so
+the class-sum residual alone decides whether a point is feasible.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ import numpy as np
 from .poly import EPS_HERM
 
 DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the factor search
-DEFAULT_TOL = 1e-9        # psd and affine residuals of a feasible point, at most
+DEFAULT_TOL = 1e-9        # class-sum residual of a feasible point, at most
 EPS_AFFINE = 1e-7         # residual of the affine projection, at most: more is inconsistent
 EPS = np.finfo(float).eps
 # Floor on the weight s of the interior point K in a certificate H + s K:
-# s lambda_min(K) >= FREE_MIX DEFAULT_TOL ||H||_F.  A feasible point is psd
-# only to DEFAULT_TOL; a certificate has smallest eigenvalue at least 1e-8 of
-# ||H||, a hundred times the gns.EPS_NULL cut of the quotient, so GNS on it
-# keeps every direction and builds operators self-adjoint or unitary to rounding.
+# s lambda_min(K) >= FREE_MIX DEFAULT_TOL ||H||_F.  A feasible point meets
+# the constraints only to DEFAULT_TOL; a certificate has smallest eigenvalue
+# at least 1e-8 of ||H||, a hundred times the gns.EPS_NULL cut of the
+# quotient, so GNS on it keeps every direction and builds operators
+# self-adjoint or unitary to rounding.
 FREE_MIX = 10.0
 
 
@@ -138,7 +141,7 @@ def project_affine(X: np.ndarray, sys: AffineSystem) -> tuple[np.ndarray, float]
 
 @dataclass
 class FeasibilityResult:
-    feasible: bool                         # X is psd and meets the constraints within DEFAULT_TOL
+    feasible: bool                         # X, psd as built, meets the constraints within DEFAULT_TOL
     X: np.ndarray | None
     iterations: int                        # Dykstra's
     final_gap: float
@@ -219,15 +222,14 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     would change neither the affine iterate x nor the displacement y - x.
 
     Each iteration first tests the displacement for a Farkas certificate
-    (_Farkas), a proof that no psd solution exists.  Otherwise the affine
-    iterate is feasible once its psd and affine residuals are <= DEFAULT_TOL.
+    (_Farkas), a proof that no psd solution exists.  Otherwise the psd
+    iterate y, psd as built, is feasible once sys.residual(y) <= DEFAULT_TOL.
     After DEFAULT_MAX_ITER iterations with neither, each rung of
-    factor_search is tested the same way: its point R R*, moved onto the
-    affine set, if _low_eig proves it psd within DEFAULT_TOL, else its
-    residual's displacement.  With neither, the result is neither feasible
-    nor certified.  Every end is a result, whose reason says why the solve
-    did not start (an interior not positive definite on the classes) or
-    stopped (an affine residual above EPS_AFFINE).
+    factor_search is tested the same way: its point R R*, psd as built, by
+    the same residual, else its residual's displacement.  With neither, the
+    result is neither feasible nor certified.  Every end is a result, whose
+    reason says why the solve did not start (an interior not positive
+    definite on the classes) or stopped (an affine residual above EPS_AFFINE).
     """
     m = sys.m
     farkas = _Farkas(sys, interior)
@@ -243,20 +245,16 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
         if aff_res > EPS_AFFINE:
             return FeasibilityResult(False, None, it, aff_res,
                                      reason=f"affine residual {aff_res:.3e}, above {EPS_AFFINE:.0e}")
-
-        psd_res = max(0.0, -float(np.linalg.eigvalsh(x).min()))
-        gap = max(psd_res, aff_res)
+        gap = sys.residual(y)
         found = farkas(y - x)
         if found is not None:
             return FeasibilityResult(False, None, it, gap, *found)
         if gap <= DEFAULT_TOL:
-            return FeasibilityResult(True, x, it, gap)
+            return FeasibilityResult(True, y, it, gap)
 
     for rank, X, e in factor_search(sys, y):
-        X = sys.nearest(X)
-        psd_gap = max(0.0, -_low_eig(X)[0], sys.residual(X))
-        if psd_gap <= DEFAULT_TOL:
-            return FeasibilityResult(True, X, it, psd_gap, rank=rank)
+        if (miss := sys.residual(X)) <= DEFAULT_TOL:
+            return FeasibilityResult(True, X, it, miss, rank=rank)
         found = farkas(sys.broadcast(e))
         if found is not None:
             return FeasibilityResult(False, None, it, gap, *found, rank=rank)
@@ -273,12 +271,12 @@ FACTOR_FALL = 0.5      # the ladder stops once a rung leaves phi above this shar
 FACTOR_START_FLOOR = 1e-2  # floor on a start's eigenvalues, as a share of the largest
 
 
-def lbfgs(fun, x, move, steps: int, stall: float, floor: float):
+def lbfgs(fun, x, move, steps: int, stall: float, scale: float, floor: float):
     """L-BFGS with backtracking (Nocedal & Wright, Numerical Optimization,
     7.2) from x, in the inner product Re vdot: fun(x) is (value, gradient,
     extra) and move(x, D) is x moved by D.  Stops after steps steps, at a
-    value at most floor, or at a step that lowers it by less than stall of
-    its size; returns the last x, value and extra."""
+    value at most floor, or at a step that lowers it by less than stall
+    times max(|value|, scale); returns the last x, value and extra."""
     dot = lambda a, b: float(np.vdot(a, b).real)
     value, grad, extra = fun(x)
     pairs: list[tuple] = []
@@ -303,7 +301,7 @@ def lbfgs(fun, x, move, steps: int, stall: float, floor: float):
         s, y = -t * q, new[1] - grad
         if dot(s, y) > 0:
             pairs = (pairs + [(s, y, 1.0 / dot(s, y))])[-LBFGS_MEMORY:]
-        stalled = value - new[0] < stall * abs(value)
+        stalled = value - new[0] < stall * max(abs(value), scale)
         x, (value, grad, extra) = trial, new
         if stalled:
             break
@@ -325,10 +323,10 @@ def factor_search(sys: AffineSystem, psd: np.ndarray):
 
     lam, Q = np.linalg.eigh(psd)
     floor = FACTOR_START_FLOOR * max(float(lam[-1]), 0.0)
-    last = np.inf
+    last, phi_floor = np.inf, (DEFAULT_TOL / 10) ** 2 / 2
     for rank in range(1, min(FACTOR_MAX_RANK, sys.m) + 1):
         R, value, e = lbfgs(phi, Q[:, -rank:] * np.sqrt(np.maximum(lam[-rank:], floor)), np.add,
-                            FACTOR_MAX_ITER, FACTOR_STALL, (DEFAULT_TOL / 10) ** 2 / 2)
+                            FACTOR_MAX_ITER, FACTOR_STALL, phi_floor, phi_floor)
         yield rank, R @ R.conj().T, e
         if not value < FACTOR_FALL * last:
             return

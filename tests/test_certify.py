@@ -21,7 +21,6 @@ from ncsos.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResul
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
-import test_known_answers
 from test_known_answers import known_answer_input
 from test_poly import rand_hermitian, rand_matrix
 
@@ -228,7 +227,11 @@ def test_factor_search_finds_a_boundary_point():
     X = res.X
     assert np.abs(sys.nearest(X) - X).max() < 1e-10
     assert _low_eig(X)[0] >= -DEFAULT_TOL
-    assert abs(np.ones(3) @ X @ np.ones(3)) < 1e-10
+    # 1* X 1 adds up the five class sums, whose targets sum to 0: it is the
+    # sum of the class misses, each at most DEFAULT_TOL
+    miss = sys._class_sums(X) - sys.targets
+    assert np.abs(miss.view(float)).max() <= DEFAULT_TOL
+    assert abs(np.ones(3) @ X @ np.ones(3) - miss.sum()) < 1e-14
 
 
 def test_factor_search_is_bit_identical():
@@ -472,14 +475,13 @@ def boundary_family(g):
                    reason="regression: the factor search descends sublinearly on these faces and ends "
                           "undecided; the removed interior-point handover decided both sos")
 @pytest.mark.parametrize("case", ["boundary-family-g3", "known-answer-seed-1-monoid-g2-d2-k1"])
-def test_boundary_sos_the_factor_search_leaves_undecided(monkeypatch, case):
+def test_boundary_sos_the_factor_search_leaves_undecided(case):
     # Gram side 37, and side 7: the ladder ends at rank 2 (phi rises from
     # rank 1) and at rank 5 (phi stalls near 1e-8), with no psd point
     if case == "boundary-family-g3":
         f = boundary_family(3)
     else:
-        monkeypatch.setattr(test_known_answers, "SEED", 1)
-        f = known_answer_input(MONOID, 2, 2, 1, None)[0]
+        f = known_answer_input(1, MONOID, 2, 2, 1, None)[0]
     assert run_primal(f, 2)[0].kind == "sos"
 
 
@@ -500,7 +502,7 @@ def test_point_functional_is_reproduced_by_its_tuple(mode):
 def test_tuple_search_is_deterministic():
     # r* r - 1e-4 at monoid g=1, d=1, k=2: no Farkas certificate at degree 1,
     # and the tuple search finds the same witness each time, with no random draw
-    f = known_answer_input(MONOID, 1, 1, 2, 1e-4)[0]
+    f = known_answer_input(0, MONOID, 1, 1, 2, 1e-4)[0]
     first, second = run_dual(f, 1), run_dual(f, 1)
     assert first.kind == "witness" and "; tuple search, side 1; " in first.note
     assert first.note == second.note and first.min_eig == second.min_eig <= -EPS_WIT
@@ -517,38 +519,52 @@ def test_tuple_search_gradient_reads_a_long_word():
     assert low == pytest.approx(1.0001 ** 1500) and grad.real == pytest.approx(1500 * 1.0001 ** 1499)
 
 
+def test_tuple_search_reads_an_overflowing_value_as_infinite():
+    # x1^2 at y = 1e200 overflows float64: the value is +inf, with a zero
+    # gradient and no eigenvector, so lbfgs backtracks from such a step
+    f = NCPoly.monomial((1, 1), 1, MONOID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, grad, v = _lowest(f, _suffixes(f), OperatorTuple(MONOID, [np.array([[1e200]])]))
+    assert low == np.inf and v is None and grad.shape == (1, 1, 1) and not grad.any()
+
+
 @pytest.mark.parametrize("scale", [1e9, 1e12])
 def test_tuple_search_does_not_call_rounding_a_witness(scale):
     # scale (2 - u1 - u1^-1) = scale (1 - u1)* (1 - u1) is SOS, and its solve
     # ends with neither a point nor a certificate; the tuple search drives
-    # the computed min eig of f(Y) below -EPS_WIT by rounding alone, and
-    # _rounding keeps it from the gate
+    # the computed min eig of f(Y) below -EPS_WIT by rounding alone, and the
+    # witness gate refuses it by _rounding's bound
     u1 = NCPoly.monomial((1,), 1, GROUP)
     out = certify((NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()) * scale)
-    assert out.kind == "undecided" and "; tuple search to side 3, min eig -" in out.note, out.note
-    assert float(out.note.split("min eig ")[1].split(";")[0]) <= -EPS_WIT
+    assert out.kind == "undecided" and "; tuple search to side 3: min eig -" in out.note, out.note
+    assert " on rounding and the operator defect; " in out.note
+    assert float(out.note.split("min eig ")[1].split()[0]) <= -EPS_WIT
 
 
 def test_rounding_covers_the_operator_defect():
     # at y = 1 + 1e-9, unitary within OPERATOR_DEFECT_TOL, 1e9 (2 - u1 - u1^-1)
-    # is -2: refuse_witness passes it, and _rounding counts it as the defect's
+    # is -2: _rounding counts it as the defect's, and refuse_witness refuses it
     u1 = NCPoly.monomial((1,), 1, GROUP)
     f = (NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()) * 1e9
     Y = OperatorTuple(GROUP, [np.array([[1 + 1e-9]])])
     refusal, low, _ = refuse_witness(f, Y)
-    assert refusal == "" and low < -1 and _rounding(f, Y) >= -low
+    bound = _rounding(f, Y)
+    assert low < -1 and bound >= -low
+    assert refusal == f"min eig {low:.3e} is within the bound {bound:.3e} on rounding and the operator defect"
 
 
 def test_tuple_search_finds_no_witness_on_a_scaled_square():
     # 1e9 r* r, r over the 5 words of group degree 1 at g=2, has 17 words;
-    # at side 3 rounding takes the computed min eig below -EPS_WIT
+    # at side 3 rounding takes the computed min eig below -EPS_WIT, and the
+    # witness gate refuses it by _rounding's bound
     rng = np.random.default_rng(0)
     r = NCPoly(2, GROUP, 1, {w: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
                              for w in enumerate_words(2, 1, GROUP)})
     f = r.adjoint() * r * 1e9
     note, evidence = tuple_search(f, constraint_index(2, 1, GROUP))
-    assert len(f.words) == 17 and evidence == {} and note.startswith("tuple search to side 3, min eig -")
-    assert float(note.split("min eig ")[1]) <= -EPS_WIT
+    assert len(f.words) == 17 and evidence == {} and note.startswith("tuple search to side 3: min eig -")
+    assert note.endswith(" on rounding and the operator defect")
+    assert float(note.split("min eig ")[1].split()[0]) <= -EPS_WIT
 
 
 @pytest.mark.parametrize("seed", [0, 6, 10, 48, 52, 55, 56, 79])

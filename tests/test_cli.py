@@ -110,7 +110,7 @@ def test_witness_runs_without_scipy(tmp_path):
     argv = ["witness", write_poly(tmp_path / "monoid.json", witness_fixture()),
             "witness", write_poly(tmp_path / "group.json", group),
             "certify", write_poly(tmp_path / "laplacian.json", laplacian),
-            "witness", write_poly(tmp_path / "known.json", known_answer_input(MONOID, 1, 1, 2, 1e-4)[0])]
+            "witness", write_poly(tmp_path / "known.json", known_answer_input(0, MONOID, 1, 1, 2, 1e-4)[0])]
     env = dict(os.environ, PYTHONPATH=str(Path(ncsos.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -282,11 +282,15 @@ def u(i, g=1):
      "self-adjointness"),
     # 2 - u1 - u1^-1 is SOS but reads -2 at the non-unitary U = 2, whose u1^-1 is its adjoint 2
     (NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1), {"mode": "group", "entries": [[[[2.0, 0.0]]]]}, "unitarity"),
+    # 1e9 (2 - u1 - u1^-1) reads -2 at U = 1 + 1e-9, unitary within OPERATOR_DEFECT_TOL:
+    # the bound on rounding and the operator defect refuses it
+    ((NCPoly.constant(2.0, 1, GROUP) - u(1) - u(-1)) * 1e9, {"mode": "group", "entries": [[[[1 + 1e-9, 0.0]]]]},
+     "rounding"),
     # -1 reads -1 at every tuple, but U = 1 may not bring its own "inverse" -1,
     # which no unitary representation of the free group has: the key is refused
     (NCPoly.constant(-1.0, 1, GROUP), {"mode": "group", "entries": [[[[1.0, 0.0]]]],
                                        "inverses": [[[[-1.0, 0.0]]]]}, None),
-], ids=["monoid", "group", "group-inverse"])
+], ids=["monoid", "group", "group-defect", "group-inverse"])
 def test_spotcheck_refuses_forged_witness(tmp_path, capsys, monkeypatch, f, forged, kind):
     path = write_poly(tmp_path / "p.json", f)
     cert = tmp_path / "cert.json"

@@ -188,11 +188,11 @@ def test_unitaries_reach_every_word(g, d):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_canonical_unitaries(g, d):
     # the tuple is its g permutation matrices, x_i^-1 acting as U_i*:
     # U^w e_vac = e_w for every basis word, so p(U) holds every P_w of a
-    # degree <= d polynomial in its vacuum column
+    # degree <= d polynomial in its vacuum column; at d = 0, the 1 x 1 identities
     U = build_unitaries(g, d)
     words = enumerate_words(g, d, GROUP)
     n = len(words)

@@ -291,7 +291,7 @@ def test_lbfgs_minimizes_an_ill_conditioned_quadratic():
     # inner product of complex vectors; the floor ends the descent
     A, c = np.logspace(0, 4, 10), np.arange(10) * (1 + 1j)
     fun = lambda x: (float(np.vdot(x - c, A * (x - c)).real) / 2, A * (x - c), None)
-    x, value, _ = lbfgs(fun, np.zeros(10, dtype=complex), np.add, 400, 0.0, 1e-20)
+    x, value, _ = lbfgs(fun, np.zeros(10, dtype=complex), np.add, 400, 0.0, 1e-20, 1e-20)
     assert value <= 1e-20 and np.abs(x - c).max() <= 1e-9
 
 
