@@ -14,6 +14,10 @@ Ground truth by construction:
     trig     (no seed) f = 1 - u1^2d - u1^-2d, which is -1 at u1 = 1, so not
              SOS: three terms of degree 2d, whose evaluation at a witness
              walks words of length 2d;
+    power    (named ...-power, no seed) f = x1^2d = (x1^d)* x1^d, SOS; at
+             d = 500 the Gram side is 501 and no Gram matrix of f is positive
+             definite, so the solve cannot start and the point times the
+             word-pair table and the tuple search on words of 2d letters;
     square   (named ...-square) the paper's single square f = r* r, with
              r = sum_w R_w w over every word of degree <= d and seeded
              complex Gaussian k x k coefficients R_w: its top-degree Gram
@@ -49,7 +53,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / ".scale_probe"
 SINGLE_THREAD = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
-# name: (mode, g, d, k, expected kind, seed); seed None is the trig input
+# name: (mode, g, d, k, expected kind, seed); seed None is the trig or power input
 POINTS = {
     "group-g2-d4-k1-sos": ("group", 2, 4, 1, "sos", 1),
     "group-g2-d4-k1-witness": ("group", 2, 4, 1, "witness", 2),
@@ -59,6 +63,7 @@ POINTS = {
     "group-g1-d100-trig-witness": ("group", 1, 100, 1, "witness", None),
     "monoid-g2-d3-k2-square": ("monoid", 2, 3, 2, "sos", 3),
     "monoid-g2-d5-k1-square": ("monoid", 2, 5, 1, "sos", 1),
+    "monoid-g1-d500-power": ("monoid", 1, 500, 1, "sos", None),
 }
 
 
@@ -74,7 +79,7 @@ def make_inputs():
     for name, (mode, g, d, k, kind, seed) in POINTS.items():
         if seed is None:
             u = NCPoly.monomial((1,) * 2 * d, g, mode)
-            f = NCPoly.constant(1.0, g, mode) - u - u.adjoint()
+            f = u if name.endswith("-power") else NCPoly.constant(1.0, g, mode) - u - u.adjoint()
             (OUT / f"{name}.json").write_text(jsonio.dumps(poly_to_json(f)))
             continue
         rng = np.random.default_rng(seed)

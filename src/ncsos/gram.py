@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import COEFF_DROP_TOL, NCPoly
-from .words import concat, enumerate_words, involute
+from .words import enumerate_words, involute
 
 EPS_PSD = 1e-8    # psd tolerance of the GNS quotient and the gates
 EPS_RANK = 1e-10
@@ -31,17 +31,31 @@ class GramError(ValueError):
 
 
 def word_pair_table(words: list[tuple], mode: str) -> tuple[list[tuple], np.ndarray]:
-    """The block structure of a word list: (products, table).
+    """The block structure of a word list in enumerate_words order: (products, table).
 
     table[i, j] is the index in products of the word involute(words[i])
     words[j], and products lists the distinct product words in order of
     first appearance in a row-major scan of the table, so every pair lies in
-    exactly one class.
+    exactly one class.  Row 0 lists the basis, row v starts at the basis
+    index of v*, and v* w is v* w' one letter on, where w = w' a.
     """
-    index: dict[tuple[int, ...], int] = {}
-    rows = [[index.setdefault(concat(vi, w, mode), len(index)) for w in words]
-            for vi in [involute(v, mode) for v in words]]
-    return list(index), np.array(rows, dtype=np.intp).reshape(len(words), len(words))
+    at = {w: i for i, w in enumerate(words)}
+    steps = [(at[w[:-1]], w[-1]) for w in words[1:]]  # (index of w', a) for each w = w' a
+    step = {}  # (product, letter): the product one letter on, or its parent by a cancelling letter
+    for j, (b, a) in enumerate(steps, 1):
+        step[b, a], step[j, -a] = j, b
+    products, rows = list(words), [range(len(words))]
+    for v in words[1:]:
+        row = [at[involute(v, mode)]]
+        for b, a in steps:
+            c = row[b]  # the product v* w'
+            if (c, a) not in step:
+                n = len(products)
+                step[c, a], step[n, -a] = n, c
+                products.append(products[c] + (a,))
+            row.append(step[c, a])
+        rows.append(row)
+    return products, np.array(rows, dtype=np.intp).reshape(len(words), len(words))
 
 
 def constraint_index(g: int, d: int, mode: str) -> tuple[list[tuple], np.ndarray]:

@@ -6,8 +6,11 @@ reports neither with the final gap.  Everything is deterministic for fixed
 inputs.
 
 The affine constraints pin disjoint classes of entries to their sums, so
-A A* is diagonal (Henrion & Malick 2011) and the projection is closed form:
-the entries of a class share its shortfall equally.
+A A* is diagonal (Henrion & Malick 2011) and the projection, project_affine,
+is closed form: the entries of a class share its shortfall equally.  Both
+projections return exactly Hermitian matrices, and sums and differences of
+those are exactly Hermitian too, since conjugation commutes with rounding;
+so project_psd takes its input as it is, with no symmetrization.
 
 On a system with no solution, Dykstra's displacement y - x (psd side minus
 affine side) tends to the shortest vector between the two sets (Bauschke &
@@ -107,35 +110,26 @@ class AffineSystem:
         """A*(h): h[c] on the entries of class c."""
         return h[self.labels]
 
-    def nearest(self, X: np.ndarray) -> np.ndarray:
-        """Frobenius-nearest point of the affine set: the entries of each
-        class share its shortfall equally."""
-        Y = np.asarray(X, dtype=complex) + (self._class_sums(X) * self._coef + self._tmean)[self.labels]
-        return (Y + Y.conj().T) / 2
-
     def residual(self, X: np.ndarray) -> float:
         """Largest violation, in real or imaginary part, of a class sum."""
         return float(np.abs((self._class_sums(X) - self.targets).view(float)).max(initial=0.0))
 
 
 def project_psd(X: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest psd matrix: clip negative eigenvalues to zero."""
-    X = np.asarray(X, dtype=complex)
-    H = (X + X.conj().T) / 2
-    evals, evecs = np.linalg.eigh(H)
-    clipped = np.maximum(evals, 0.0)
-    out = (evecs * clipped) @ evecs.conj().T
+    """Frobenius-nearest psd matrix to an exactly Hermitian X: clip negative
+    eigenvalues to zero."""
+    evals, evecs = np.linalg.eigh(X)
+    out = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
     return (out + out.conj().T) / 2
 
 
 def project_affine(X: np.ndarray, sys: AffineSystem) -> tuple[np.ndarray, float]:
-    """Frobenius-orthogonal projection onto the affine solution set, and its
-    residual (sys.residual of the projection).
-
-    Closed form (AffineSystem.nearest); a system no Hermitian matrix meets,
-    or rounding at the scale of X, leaves a residual.
-    """
-    out = sys.nearest(X)
+    """Frobenius-orthogonal projection onto the affine solution set, each
+    class sharing its shortfall equally, and its residual (sys.residual of
+    the projection): a system no Hermitian matrix meets, or rounding at the
+    scale of X, leaves one."""
+    Y = np.asarray(X, dtype=complex) + (sys._class_sums(X) * sys._coef + sys._tmean)[sys.labels]
+    out = (Y + Y.conj().T) / 2
     return out, sys.residual(out)
 
 
@@ -151,12 +145,13 @@ class FeasibilityResult:
     reason: str = ""                       # why the solve did not start or stopped
 
 
-def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray]:
-    """A lower bound on lambda_min(H), and eigh's eigenvector for it: eigh is
-    exact for some H + E with ||E||_2 <= m eps ||H||_F, and by Weyl
-    lambda_min moves by at most ||E||_2."""
+def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """A lower bound on lambda_min(H), eigh's eigenvector for it, and
+    ||H||_F: eigh is exact for some H + E with ||E||_2 <= m eps ||H||_F, and
+    by Weyl lambda_min moves by at most ||E||_2."""
     evals, evecs = np.linalg.eigh(H)
-    return float(evals[0]) - len(H) * EPS * float(np.linalg.norm(H)), evecs[:, 0]
+    norm = float(np.linalg.norm(H))
+    return float(evals[0]) - len(H) * EPS * norm, evecs[:, 0], norm
 
 
 class _Farkas:
@@ -200,9 +195,9 @@ class _Farkas:
                 return None
         h = sys.means(sums)
         H = sys.broadcast(h)
-        low, v = _low_eig(H)
+        low, v, norm = _low_eig(H)
         self.w = sys._class_sums(v.conj()[:, None] * v) / sys._sizes
-        s = (max(0.0, -low) + self.floor * np.linalg.norm(H)) / self.kappa
+        s = (max(0.0, -low) + self.floor * norm) / self.kappa
         bound = low + s * self.kappa  # <= lambda_min(H + s K), by Weyl
         ph, ah = self._pairing(h)
         pairing = ph + s * self.pk
@@ -239,8 +234,9 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     x, _ = project_affine(np.zeros((m, m), dtype=complex), sys)
     p = np.zeros_like(x)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        y = project_psd(x + p)
-        p = x + p - y
+        z = x + p
+        y = project_psd(z)
+        p = z - y
         x, aff_res = project_affine(y, sys)
         if aff_res > EPS_AFFINE:
             return FeasibilityResult(False, None, it, aff_res,

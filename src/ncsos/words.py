@@ -6,7 +6,7 @@ identity word; the alphabet size and the mode belong to the polynomial, the
 word basis or the call.  Group-mode words are kept reduced: no adjacent pair
 +i, -i.  Words from outside are checked once, by check_word, where they come
 in: parse_word (text) and NCPoly (tuples, and poly.poly_from_json's text,
-which _parse_letters reads unchecked).
+whose letter indices _parse_letters checks before reduction can cancel one).
 
 Graded lexicographic order uses the letter order
     monoid:  x1 < x2 < ... < xg
@@ -157,8 +157,8 @@ def parse_word(text: str, g: int, mode: str = MONOID) -> tuple[int, ...]:
 
 
 def _parse_letters(text: str, g: int, mode: str) -> tuple[int, ...]:
-    """The letters a text form spells, each of x1..xg or its inverse, reduced
-    in group mode and otherwise unchecked: the caller's check_word checks them."""
+    """The letters a text form spells, reduced in group mode.  An index outside 1..g is
+    refused first, as reduction could cancel it (x3 x3^-1, g = 2); check_word checks the rest."""
     letters = []
     for tok in [] if text.strip() == "1" else text.split():
         # x and ASCII digits only: int() alone takes a sign, underscores and non-ASCII digits

@@ -17,7 +17,9 @@ from ncsos.gram import (
     EPS_CERT, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_images
-from ncsos.sdp import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResult, _low_eig, solve_feasibility
+from ncsos.sdp import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResult, _low_eig, project_affine, solve_feasibility,
+)
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
@@ -225,7 +227,7 @@ def test_factor_search_finds_a_boundary_point():
     res = solve_feasibility(sys, interior=free_state(f, 1))
     assert res.feasible and res.iterations == DEFAULT_MAX_ITER and res.rank == 2
     X = res.X
-    assert np.abs(sys.nearest(X) - X).max() < 1e-10
+    assert np.abs(project_affine(X, sys)[0] - X).max() < 1e-10
     assert _low_eig(X)[0] >= -DEFAULT_TOL
     # 1* X 1 adds up the five class sums, whose targets sum to 0: it is the
     # sum of the class misses, each at most DEFAULT_TOL

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -724,7 +725,6 @@ SIGNATURES = {
     sdp.project_affine: {"X": REQUIRED, "sys": REQUIRED},
     sdp._Farkas: {"sys": REQUIRED, "interior": REQUIRED},
     sdp.AffineSystem: {"m": REQUIRED, "labels": REQUIRED, "targets": REQUIRED},
-    sdp.AffineSystem.nearest: {"self": REQUIRED, "X": REQUIRED},
     NCPoly.is_hermitian: {"self": REQUIRED},
     extract_coeffs: {"E": REQUIRED, "g": REQUIRED, "l": REQUIRED, "mode": REQUIRED},
 }
@@ -854,6 +854,18 @@ def test_edge_inputs_end_with_a_stated_reason(tmp_path, capsys, poly, argv, code
         assert out == "" and err.strip().splitlines()[-1] == reason.format(p=path, at=at)  # after any numpy warning
     else:
         assert reason in json.loads(out)["diagnostics"]["note"]
+
+
+def test_a_one_letter_power_of_degree_500_ends_with_a_stated_reason(tmp_path, capsys):
+    # x1^1000: Gram side 501, no interior point, so the solve cannot start;
+    # the tuple search reads words of 1,000 letters, and the word-pair table
+    # has 251,001 entries
+    path = write_poly(tmp_path / "p.json", NCPoly.monomial((1,) * 1000, 1))
+    code, out, err = run(capsys, "certify", path)
+    note = json.loads(out)["diagnostics"]["note"]
+    assert code == EX_UNDECIDED and err == "certify: outcome=undecided degree=500 iterations=0\n"
+    assert re.fullmatch(r"no Farkas certificate at degree 500; tuple search to side 3, min eig \S+; " + INTERIOR,
+                        note), note
 
 
 def _certify_own_evidence(gram):

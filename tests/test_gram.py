@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from ncsos.certify import refuse_certificate
 from ncsos.cli import DataError, _load_factors
 from ncsos.gram import (
     GramError, GramMatrix, SOSCertificate, block_sums, constraint_index, factor_gram, gram_to_poly,
+    word_pair_table,
 )
 from ncsos.poly import NCPoly, opnorm, poly_eval, poly_to_json
 from ncsos.words import GROUP, MONOID, count_words, enumerate_words, involute, concat
@@ -60,6 +62,31 @@ def test_constraint_index_partitions(g, d, mode):
     # products are numbered in order of first appearance in a row-major scan
     first = list(dict.fromkeys(table.ravel().tolist()))
     assert first == list(range(len(products)))
+
+
+def reference_word_pair_table(words, mode):
+    """word_pair_table built directly: every product word hashed, ids in order
+    of first appearance in a row-major scan."""
+    index = {}
+    rows = [[index.setdefault(concat(vi, w, mode), len(index)) for w in words]
+            for vi in [involute(v, mode) for v in words]]
+    return list(index), np.array(rows, dtype=np.intp).reshape(len(words), len(words))
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_word_pair_table_matches_the_reference(g, mode):
+    # degrees up to 8 and the largest whose basis has at most 128 words; the
+    # table steps each product one letter on from an earlier one, in group
+    # mode back to its parent when the letter cancels, and must give the
+    # reference's ids in the reference's order
+    fits = lambda d: count_words(g, d, mode) <= 128
+    for d in [d for d in itertools.takewhile(fits, itertools.count()) if d <= 8 or not fits(d + 1)]:
+        words = enumerate_words(g, d, mode)
+        products, table = word_pair_table(words, mode)
+        want_products, want_table = reference_word_pair_table(words, mode)
+        assert products == want_products
+        assert table.dtype == want_table.dtype and np.array_equal(table, want_table)
 
 
 def test_gram_to_poly_rank_one():

@@ -11,7 +11,10 @@ from ncsos.sdp import (
 )
 from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
-from test_certify import gram_system_at, group_fixture, monoid_witness_input
+from test_certify import (
+    gram_system_at, group_fixture, group_witness_input, interior_sos_input, monoid_witness_input,
+)
+from test_known_answers import known_answer_input
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -34,7 +37,7 @@ def pinned_entry_system(m, i, j, value, trace):
 
 def linear_part(sys, X):
     """The linear part of the affine projection at X."""
-    return sys.nearest(X) - sys.nearest(np.zeros_like(X))
+    return project_affine(X, sys)[0] - project_affine(np.zeros_like(X), sys)[0]
 
 
 def test_project_psd_clips():
@@ -213,6 +216,27 @@ def test_project_affine_matches_least_squares(mode, g, k, kind):
     assert res == sys.residual(P) <= 1e-12
     flat = np.concatenate([P.real.ravel(), P.imag.ravel()])
     assert np.abs(A @ flat - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_dykstra_hands_project_psd_exactly_hermitian_matrices(mode, k, monkeypatch):
+    # project_psd gives its input to eigh as it is, and eigh reads one
+    # triangle: every x + p the loop forms must be Hermitian bit for bit.
+    # An interior SOS input, a barely non-SOS one and a single square r* r
+    # (1,000 iterations, then the factor search)
+    seen = []
+
+    def checked(X):
+        seen.append(np.array_equal(X, X.conj().T))
+        return project_psd(X)
+
+    monkeypatch.setattr(sdp, "project_psd", checked)
+    witness_input = monoid_witness_input if mode == MONOID else group_witness_input
+    for f in (interior_sos_input(0, 2, mode, 1, k), witness_input(0, 2, 1, k, margin=1e-3),
+              known_answer_input(0, mode, 2, 1, k, None)[0]):
+        solve_feasibility(gram_system_at(f, 1), free_state(f, 1))
+    assert len(seen) > DEFAULT_MAX_ITER and all(seen)
 
 
 def test_feasible_trace_one():

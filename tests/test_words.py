@@ -55,6 +55,8 @@ def test_unreduced_group_word_rejected():
     ("x2 x1^-1 x1", 2, MONOID, "inverse letters are only allowed in group mode"),
     ("x1", 2, "ring", "unknown mode 'ring'"),
     ("1", 0, GROUP, "alphabet size must be >= 1"),
+    # reduction would cancel the pair before check_word could see the letter
+    ("x3 x3^-1", 2, GROUP, "letter index 3 outside 1..2"),
 ])
 def test_parse_refuses_words_outside_the_alphabet_and_mode(text, g, mode, message):
     with pytest.raises(WordError, match=message):
