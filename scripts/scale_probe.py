@@ -39,8 +39,14 @@ of its one Gram solve: the note names the factor search's last rank when
 Dykstra's budget ran out, and the tuple search's side when it found the
 witness.  The same interpreter then runs `ncsos spotcheck`
 on each decided outcome file, after the peak above is read, and the table
-gives its exit code and wall time.  The exit code is 1 when a decided kind
-contradicts the construction or spotcheck refuses a decided file.
+gives its exit code and wall time.
+
+A last row runs certify.tuple_search alone, in a fresh interpreter, on the
+input of TUPLE_SEARCH_POINT at its Gram degree, and gives its side, the min
+eig of f at its witness and its wall time: no decision above reaches the
+tuple search, which runs only when GNS gives no witness.  The exit code is 1
+when a decided kind contradicts the construction, spotcheck refuses a
+decided file, or the tuple search alone finds no witness.
 """
 
 import json
@@ -65,6 +71,7 @@ POINTS = {
     "monoid-g2-d5-k1-square": ("monoid", 2, 5, 1, "sos", 1),
     "monoid-g1-d500-power": ("monoid", 1, 500, 1, "sos", None),
 }
+TUPLE_SEARCH_POINT = "group-g2-d4-k1-witness"
 
 
 def make_inputs():
@@ -125,6 +132,21 @@ def decide(name):
                       "ru_maxrss_mb": rss, "spotcheck": spotcheck, "spot_s": spot_s, **data["diagnostics"]}))
 
 
+def search(name):
+    import time
+    sys.path.insert(0, str(ROOT / "src"))
+    from ncsos.certify import infer_degree, tuple_search
+    from ncsos.gram import constraint_index
+    from ncsos.poly import poly_from_json
+
+    f = poly_from_json(json.loads((OUT / f"{name}.json").read_text()))
+    index = constraint_index(f.g, infer_degree(f), f.mode)
+    t0 = time.perf_counter()
+    note, witness = tuple_search(f, index)
+    wall = time.perf_counter() - t0
+    print(json.dumps({"note": note, "min_eig": witness.get("min_eig"), "wall_s": wall}))
+
+
 def run(*args) -> str:
     env = dict(os.environ, **SINGLE_THREAD)
     return subprocess.run([sys.executable, __file__, *args], env=env, check=True,
@@ -142,6 +164,10 @@ def main():
         print(f"{name:26s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} {got['wall_s']:8.2f} "
               f"{got['ru_maxrss_mb']:13.1f} {str(got['spotcheck']):>9s} {got['spot_s']:7.2f} "
               f"{got['iterations']:10d}  {got['note']}")
+    got = json.loads(run("--search", TUPLE_SEARCH_POINT))
+    wrong += got["min_eig"] is None
+    print(f"tuple search alone on {TUPLE_SEARCH_POINT}: {got['note']}, min eig {got['min_eig']}, "
+          f"wall_s {got['wall_s']:.2f}")
     return 1 if wrong else 0
 
 
@@ -150,5 +176,7 @@ if __name__ == "__main__":
         make_inputs()
     elif sys.argv[1:2] == ["--decide"]:
         decide(sys.argv[2])
+    elif sys.argv[1:2] == ["--search"]:
+        search(sys.argv[2])
     else:
         sys.exit(main())

@@ -45,7 +45,7 @@ from .gram import (
 )
 from .poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, eval_bytes, opnorm, poly_eval, word_images
 from .sdp import EPS, AffineSystem, FeasibilityResult, lbfgs, refuse_bytes, solve_feasibility
-from .words import MONOID, count_words, involute
+from .words import MONOID, count_words, suffix_table
 
 GNS_VERIFY_TOL = 1e-8
 OPERATOR_DEFECT_TOL = 1e-8  # max self-adjointness (monoid) or unitarity (group) defect of Y
@@ -250,30 +250,26 @@ def _move(Y: OperatorTuple, D: np.ndarray) -> OperatorTuple:
                                   for y, (lam, Q) in zip(Y.entries, map(np.linalg.eigh, D))])
 
 
-def _suffixes(f: NCPoly) -> dict:
-    """Each suffix of f's words and of their involutions, shortest first, to its place."""
-    closed = {u[i:] for w in f.words for u in (w, involute(w, f.mode)) for i in range(len(u) + 1)}
-    return {w: j for j, w in enumerate(sorted(closed, key=len))}
-
-
-def _lowest(f: NCPoly, at: dict, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _lowest(f: NCPoly, basis: list, W: np.ndarray, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
     """lambda_min of the Hermitian part of f(Y), as refuse_witness forms it,
     its gradient along _move and its eigenvector v (inf, 0 and None when f(Y)
-    is not finite).  By Hellmann-Feynman, a letter a in a word p a s of
-    coefficient U adds Re Tr(dL_a B U^T A*), A = Y^(p*) Gamma, B = Y^s Gamma
-    (Gamma = unvec(v), from one word_images on at = _suffixes(f)); moving by
-    D, dL_a is D (monoid), L_a i D (group, a > 0) or -i D L_a (a < 0)."""
+    is not finite).  By Hellmann-Feynman that of v* f(Y) v = Tr(Z W Z*) / 2, with
+    Z = word_images(Y, basis, unvec(v)) and W = 2 G^T, G a Hermitian Gram matrix of f on basis,
+    in one pass back through Z_(a w) = L_a Z_w from B = Z W: B_w gains L_a* B_(a w), and with M = Z_w B_(a w)*
+    letter a gains M (monoid), i M L_a (group, a > 0) or -i L_a M (a < 0), as dL_a is D, L_a i D or -i D L_a."""
     fY = poly_eval(f, Y)
     if not np.isfinite(fY).all():
         return math.inf, np.zeros((f.g, Y.dim, Y.dim)), None
     lam, V = np.linalg.eigh(fY / 2 + fY.conj().T / 2)
-    Z = word_images(Y, list(at), unvec(V[:, 0], f.k)).reshape(Y.dim, len(at), f.k)
+    Z = word_images(Y, basis, unvec(V[:, 0], f.k))
+    B, Z = (Z @ W).reshape(Y.dim, len(basis), f.k), Z.reshape(Y.dim, len(basis), f.k)
     grad = np.zeros((f.g, Y.dim, Y.dim), dtype=complex)
-    for w, U in zip(f.words, f.coeffs):
-        for p, a in enumerate(w):
-            M = Z[:, at[w[p + 1:]]] @ U.T @ Z[:, at[involute(w[:p], f.mode)]].conj().T
-            grad[abs(a) - 1] += M if f.mode == MONOID else (
-                1j * M @ Y.entries[a - 1] if a > 0 else -1j * Y.entries[-a - 1].conj().T @ M)
+    head, tail = suffix_table(basis)
+    for j, a, t in zip(range(len(basis) - 1, 0, -1), head[:0:-1].tolist(), tail[:0:-1].tolist()):
+        L = Y.entries[a - 1] if a > 0 else Y.entries[-a - 1].conj().T
+        M = Z[:, t] @ B[:, j].conj().T
+        grad[abs(a) - 1] += M if f.mode == MONOID else 1j * M @ L if a > 0 else -1j * L @ M
+        B[:, t] += L.conj().T @ B[:, j]
     return float(lam[0]), (grad + grad.conj().transpose(0, 2, 1)) / 2, V[:, 0]
 
 
@@ -317,13 +313,17 @@ def tuple_search(f: NCPoly, index: tuple) -> tuple[str, dict]:
     not psd: minimize lambda_min f(Y) with sdp.lbfgs along _move from
     TUPLE_STARTS starts per side, and gate (_gate) each end at most -EPS_WIT
     as the model (Y, v), v its lowest eigenvector, with its point functional
-    on index.  Returns a note and the first passing evidence, or {}."""
-    best, refusal, at = math.inf, "", _suffixes(f)
+    on index, on whose basis _lowest takes the gradient.  Returns a note and
+    the first passing evidence, or {}."""
+    (products, table), best, refusal = index, math.inf, ""
+    labels = class_labels(table, f.k)  # G: each class's target split equally over it, made Hermitian as sdp's means
+    G = (f.on(products).ravel() / np.bincount(labels.ravel()))[labels]
+    lowest = partial(_lowest, f, products[:len(table)], G.T + G.conj())  # 2 G^T once G is (G + G*) / 2
     for n in range(1, TUPLE_MAX_SIDE + 1):
         if too_large := refuse_evaluation(f, n):
             return f"tuple search: {too_large}", {}
         for start in range(TUPLE_STARTS):
-            Y, low, v = lbfgs(partial(_lowest, f, at), _tuple_start(f, n, start), _move,
+            Y, low, v = lbfgs(lowest, _tuple_start(f, n, start), _move,
                               TUPLE_MAX_STEPS, TUPLE_STALL, EPS_WIT, -TUPLE_DEPTH)
             best = min(best, low)
             if not low <= -EPS_WIT:

@@ -308,7 +308,7 @@ def factor_search(sys: AffineSystem, psd: np.ndarray):
     """The rank ladder r = 1, 2, ...: minimize phi(R) = 1/2 ||A(R R*) - t||^2
     over m x r factors R (Burer & Monteiro 2003) with lbfgs, from the top r
     eigenpairs of Dykstra's last psd iterate; with e = A(R R*) - t and
-    E = A*(e), the gradient is (E + E*) R.  Yields each rung's (r, R R*, e).
+    E = A*(e), the gradient is (E + E*) R.  Yields each rung's (r, X, e), X = R R* made exactly Hermitian.
     At a minimizer over psd G, A*(e) is psd and Re <e, t> = -||e||^2 < 0: a
     displacement for the certificate test.  The ladder stops at
     FACTOR_MAX_RANK, or at a rung that leaves phi above FACTOR_FALL of the last's."""
@@ -323,7 +323,7 @@ def factor_search(sys: AffineSystem, psd: np.ndarray):
     for rank in range(1, min(FACTOR_MAX_RANK, sys.m) + 1):
         R, value, e = lbfgs(phi, Q[:, -rank:] * np.sqrt(np.maximum(lam[-rank:], floor)), np.add,
                             FACTOR_MAX_ITER, FACTOR_STALL, phi_floor, phi_floor)
-        yield rank, R @ R.conj().T, e
+        yield rank, (X := R @ R.conj().T) / 2 + X.conj().T / 2, e  # BLAS forms R R* Hermitian only to rounding
         if not value < FACTOR_FALL * last:
             return
         last = value

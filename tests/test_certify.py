@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from ncsos import jsonio
 from ncsos.certify import (
-    EPS_WIT, CertifyError, _lowest, _rounding, _suffixes, certify, free_state, gram_system, infer_degree,
+    EPS_WIT, CertifyError, _lowest, _rounding, _tuple_start, certify, free_state, gram_system, infer_degree,
     point_functional, refuse_certificate, refuse_evaluation, refuse_witness, run_dual, run_primal, tuple_search,
 )
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
-from ncsos.gns import GnsError, WitnessModel, gns_verify, quotient_matrix
+from ncsos.gns import GnsError, WitnessModel, gns_verify, quotient_matrix, unvec
 from ncsos.gram import (
     EPS_CERT, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
 )
@@ -23,7 +23,7 @@ from ncsos.sdp import (
 from ncsos.words import GROUP, MONOID, concat, count_words, enumerate_words, graded_key, involute
 
 from test_gram import gram
-from test_known_answers import known_answer_input
+from test_known_answers import POINTS, known_answer_input
 from test_poly import rand_hermitian, rand_matrix
 
 
@@ -464,6 +464,19 @@ def test_paper_single_square_decides(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_scaled_sum_of_squares_decides_and_spotchecks(tmp_path, capsys):
+    # 1e6 times the known-answer SOS input at monoid g=1 d=2 k=2, seed 0: the
+    # factor search's R R* misses exact Hermitian symmetry by about 1e-9 at
+    # this scale, above GramMatrix's 1e-10, unless its point is R R*'s
+    # Hermitian part
+    f = known_answer_input(0, MONOID, 1, 2, 2, None)[0] * 1e6
+    path, outcome = tmp_path / "f.json", tmp_path / "outcome.json"
+    path.write_text(jsonio.dumps(poly_to_json(f)))
+    assert main(["certify", str(path), "--out", str(outcome)]) == 0
+    assert main(["spotcheck", str(path), str(outcome)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def boundary_family(g):
     """sum_i (1 - u_i)* (1 - u_i) + sum_{i<j} [u_i, u_j]* [u_i, u_j], SOS and
     zero at the identity tuple, so no Gram matrix is positive definite."""
@@ -474,14 +487,15 @@ def boundary_family(g):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="regression: the factor search descends sublinearly on these faces and ends "
-                          "undecided; the removed interior-point handover decided both sos")
-@pytest.mark.parametrize("case", ["boundary-family-g3", "known-answer-seed-1-monoid-g2-d2-k1"])
+                   reason="the factor search descends sublinearly on these faces and ends undecided; "
+                          "the removed interior-point handover decided the g=3 family and the seed-1 input sos")
+@pytest.mark.parametrize("case", ["boundary-family-g2", "boundary-family-g3", "known-answer-seed-1-monoid-g2-d2-k1"])
 def test_boundary_sos_the_factor_search_leaves_undecided(case):
-    # Gram side 37, and side 7: the ladder ends at rank 2 (phi rises from
-    # rank 1) and at rank 5 (phi stalls near 1e-8), with no psd point
-    if case == "boundary-family-g3":
-        f = boundary_family(3)
+    # Gram side 17, side 37 and side 7: the ladder ends at rank 2 (phi rises
+    # from rank 1) on side 37 and at rank 5 (phi stalls near 1e-8) on side 7,
+    # with no psd point
+    if case.startswith("boundary-family-g"):
+        f = boundary_family(int(case[-1]))
     else:
         f = known_answer_input(1, MONOID, 2, 2, 1, None)[0]
     assert run_primal(f, 2)[0].kind == "sos"
@@ -513,11 +527,53 @@ def test_tuple_search_is_deterministic():
                                                           second.model.operators.entries))
 
 
+def gradient_arguments(f, index):
+    """_lowest's basis and W = 2 G^T, G the class means of f's Gram system on
+    index made Hermitian (AffineSystem.means): the matrix tuple_search builds."""
+    sys = gram_system(f, index)
+    return index[0][:len(index[1])], 2 * sys.broadcast(sys.means(sys.targets)).T
+
+
+def reference_gradient(f, Y, v):
+    """The gradient of v* f(Y) v along _move, letter occurrence by letter
+    occurrence: a letter a in a word p a s of coefficient U adds Re Tr(dL_a B
+    U^T A*), A = Y^(p*) Gamma, B = Y^s Gamma, Gamma = unvec(v), over every
+    suffix of f's words and of their involutions."""
+    closed = {u[i:] for w in f.words for u in (w, involute(w, f.mode)) for i in range(len(u) + 1)}
+    at = {w: j for j, w in enumerate(sorted(closed, key=len))}
+    Z = word_images(Y, list(at), unvec(v, f.k)).reshape(Y.dim, len(at), f.k)
+    grad = np.zeros((f.g, Y.dim, Y.dim), dtype=complex)
+    for w, U in zip(f.words, f.coeffs):
+        for p, a in enumerate(w):
+            M = Z[:, at[w[p + 1:]]] @ U.T @ Z[:, at[involute(w[:p], f.mode)]].conj().T
+            grad[abs(a) - 1] += M if f.mode == MONOID else (
+                1j * M @ Y.entries[a - 1] if a > 0 else -1j * Y.entries[-a - 1].conj().T @ M)
+    return (grad + grad.conj().transpose(0, 2, 1)) / 2
+
+
+@pytest.mark.parametrize("mode", [MONOID, GROUP])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tuple_search_gradient_matches_the_letter_loop(mode, k):
+    # the backward pass over the basis word images against the gradient
+    # summed letter by letter over f's words, at seeded starts of each side
+    for point in [p for p in POINTS if p[0] == mode and p[3] == k]:
+        for eps in (None, 1e-2):
+            f = known_answer_input(0, *point, eps)[0]
+            arguments = gradient_arguments(f, constraint_index(f.g, infer_degree(f), f.mode))
+            for Y in (_tuple_start(f, n, start) for n in (1, 2, 3) for start in range(2)):
+                _, grad, v = _lowest(f, *arguments, Y)
+                want = reference_gradient(f, Y, v)
+                assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_tuple_search_gradient_reads_a_long_word():
     # x1^1500 at y = 1.0001, a word longer than Python's recursion limit:
-    # each suffix image is one product with the one before it
+    # each basis image is one product with the one before it, and the
+    # backward pass one product with the one after it; the basis has 751
+    # words, above MAX_GRAM_SIDE, so its table is built directly
     f = NCPoly.monomial((1,) * 1500, 1, MONOID)
-    low, grad, _ = _lowest(f, _suffixes(f), OperatorTuple(MONOID, [np.array([[1.0001]])]))
+    arguments = gradient_arguments(f, constraint_index(1, 750, MONOID))
+    low, grad, _ = _lowest(f, *arguments, OperatorTuple(MONOID, [np.array([[1.0001]])]))
     assert low == pytest.approx(1.0001 ** 1500) and grad.real == pytest.approx(1500 * 1.0001 ** 1499)
 
 
@@ -525,8 +581,9 @@ def test_tuple_search_reads_an_overflowing_value_as_infinite():
     # x1^2 at y = 1e200 overflows float64: the value is +inf, with a zero
     # gradient and no eigenvector, so lbfgs backtracks from such a step
     f = NCPoly.monomial((1, 1), 1, MONOID)
+    arguments = gradient_arguments(f, constraint_index(1, 1, MONOID))
     with np.errstate(over="ignore", invalid="ignore"):
-        low, grad, v = _lowest(f, _suffixes(f), OperatorTuple(MONOID, [np.array([[1e200]])]))
+        low, grad, v = _lowest(f, *arguments, OperatorTuple(MONOID, [np.array([[1e200]])]))
     assert low == np.inf and v is None and grad.shape == (1, 1, 1) and not grad.any()
 
 
