@@ -251,21 +251,23 @@ def _move(Y: OperatorTuple, D: np.ndarray) -> OperatorTuple:
 
 
 def _lowest(f: NCPoly, basis: list, W: np.ndarray, Y: OperatorTuple) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """lambda_min of the Hermitian part of f(Y), as refuse_witness forms it,
-    its gradient along _move and its eigenvector v (inf, 0 and None when f(Y)
-    is not finite).  By Hellmann-Feynman that of v* f(Y) v = Tr(Z W Z*) / 2, with
-    Z = word_images(Y, basis, unvec(v)) and W = 2 G^T, G a Hermitian Gram matrix of f on basis,
-    in one pass back through Z_(a w) = L_a Z_w from B = Z W: B_w gains L_a* B_(a w), and with M = Z_w B_(a w)*
-    letter a gains M (monoid), i M L_a (group, a > 0) or -i L_a M (a < 0), as dL_a is D, L_a i D or -i D L_a."""
-    fY = poly_eval(f, Y)
-    if not np.isfinite(fY).all():
-        return math.inf, np.zeros((f.g, Y.dim, Y.dim)), None
-    lam, V = np.linalg.eigh(fY / 2 + fY.conj().T / 2)
-    Z = word_images(Y, basis, unvec(V[:, 0], f.k))
-    B, Z = (Z @ W).reshape(Y.dim, len(basis), f.k), Z.reshape(Y.dim, len(basis), f.k)
-    grad = np.zeros((f.g, Y.dim, Y.dim), dtype=complex)
+    """lambda_min of F = sum_(v,w) G_vw (x) (Y^v)* Y^w, f(Y) at a self-adjoint or unitary Y, G = W^T / 2 a
+    Hermitian Gram matrix of f on basis, its gradient along _move and eigenvector v (inf, 0 and None when F is
+    not finite), from the images A_w = Y^w of one word_images walk.  The gradient, by Hellmann-Feynman that of
+    v* F v = Tr(Z W Z*) / 2 with Z_w = A_w unvec(v), is one pass back through Z_(a w) = L_a Z_w from B = Z W: B_w
+    gains L_a* B_(a w), and letter a gains M = Z_w B_(a w)* (monoid), i M L_a (group, a > 0) or -i L_a M (a < 0)."""
+    n, N, k = Y.dim, len(basis), f.k
+    A = word_images(Y, basis, np.eye(n)).reshape(n, N, n)
+    T = np.tensordot(A, W.reshape(N, k, N, k), (1, 0))  # T[l, j, b, v, a] = sum_w A_w[l, j] W[(w, b), (v, a)]
+    F = np.tensordot(A.conj(), T, ([0, 1], [0, 3])).transpose(3, 0, 2, 1).reshape(k * n, k * n) / 2
+    if not np.isfinite(F).all():
+        return math.inf, np.zeros((f.g, n, n)), None
+    lam, V = np.linalg.eigh(F)
+    Z = A @ unvec(V[:, 0], k)
+    B = (Z.reshape(n, N * k) @ W).reshape(n, N, k)
+    grad = np.zeros((f.g, n, n), dtype=complex)
     head, tail = suffix_table(basis)
-    for j, a, t in zip(range(len(basis) - 1, 0, -1), head[:0:-1].tolist(), tail[:0:-1].tolist()):
+    for j, a, t in zip(range(N - 1, 0, -1), head[:0:-1].tolist(), tail[:0:-1].tolist()):
         L = Y.entries[a - 1] if a > 0 else Y.entries[-a - 1].conj().T
         M = Z[:, t] @ B[:, j].conj().T
         grad[abs(a) - 1] += M if f.mode == MONOID else 1j * M @ L if a > 0 else -1j * L @ M
@@ -310,18 +312,16 @@ def point_functional(f: NCPoly, index: tuple, Y: OperatorTuple, gamma: np.ndarra
 @np.errstate(over="ignore", invalid="ignore")
 def tuple_search(f: NCPoly, index: tuple) -> tuple[str, dict]:
     """Search n x n tuples Y, n = 1 .. TUPLE_MAX_SIDE, for one at which f is
-    not psd: minimize lambda_min f(Y) with sdp.lbfgs along _move from
-    TUPLE_STARTS starts per side, and gate (_gate) each end at most -EPS_WIT
-    as the model (Y, v), v its lowest eigenvector, with its point functional
-    on index, on whose basis _lowest takes the gradient.  Returns a note and
-    the first passing evidence, or {}."""
+    not psd: minimize lambda_min of f(Y) in its Gram form on index's basis (_lowest) with sdp.lbfgs
+    along _move from TUPLE_STARTS starts per side, and gate (_gate) each end at most -EPS_WIT as the
+    model (Y, v), v its lowest eigenvector, with its point functional on index: the gate alone forms
+    f(Y) term by term (poly_eval), within the evaluation budget.  Returns a note and the first passing
+    evidence, or {}."""
     (products, table), best, refusal = index, math.inf, ""
     labels = class_labels(table, f.k)  # G: each class's target split equally over it, made Hermitian as sdp's means
     G = (f.on(products).ravel() / np.bincount(labels.ravel()))[labels]
     lowest = partial(_lowest, f, products[:len(table)], G.T + G.conj())  # 2 G^T once G is (G + G*) / 2
     for n in range(1, TUPLE_MAX_SIDE + 1):
-        if too_large := refuse_evaluation(f, n):
-            return f"tuple search: {too_large}", {}
         for start in range(TUPLE_STARTS):
             Y, low, v = lbfgs(lowest, _tuple_start(f, n, start), _move,
                               TUPLE_MAX_STEPS, TUPLE_STALL, EPS_WIT, -TUPLE_DEPTH)

@@ -146,9 +146,11 @@ class NCPoly:
         return len(self.words[-1]) if self.words else 0
 
     def is_hermitian(self) -> bool:
-        """P_w = P_{w*}^dagger within EPS_HERM in operator norm, for every w."""
+        """P_w = P_{w*}^dagger in operator norm within EPS_HERM times the
+        largest coefficient norm, or 1 if that is smaller, for every w."""
         mirror = self.on([involute(w, self.mode) for w in self.words]).conj().transpose(0, 2, 1)
-        return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= EPS_HERM))
+        scale = max(1.0, float(np.linalg.norm(self.coeffs, 2, axis=(1, 2)).max(initial=0.0)))
+        return bool(np.all(np.linalg.norm(self.coeffs - mirror, 2, axis=(1, 2)) <= EPS_HERM * scale))
 
     def __repr__(self):
         if not self.words:

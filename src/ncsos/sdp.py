@@ -60,7 +60,10 @@ class AffineSystem:
 
     labels[i, j] is the class of entry (i, j), as v* w is that of a Gram
     index pair (v, w), and the entries of class c sum to targets[c].  The
-    transpose of a class must be a class with the conjugate target, its mirror.
+    transpose of a class must be a class with the conjugate target, its mirror,
+    within EPS_HERM times the norm of the target vector, or 1 if that is
+    smaller: no coefficient's operator norm is larger, so a polynomial that
+    NCPoly.is_hermitian accepts passes.
     """
 
     m: int
@@ -78,7 +81,8 @@ class AffineSystem:
         mirror[labels] = labels.T
         if not np.isfinite(targets).all():
             raise SdpError("class targets must be finite")
-        if (mirror[labels] != labels.T).any() or (np.abs(targets - targets[mirror].conj()) > EPS_HERM).any():
+        scale = max(1.0, float(np.linalg.norm(targets)))
+        if (mirror[labels] != labels.T).any() or (np.abs(targets - targets[mirror].conj()) > EPS_HERM * scale).any():
             raise SdpError("the transpose of a class is not a class with the conjugate "
                            "target (non-Hermitian pattern or coefficients)")
         self.labels, self.targets = labels, targets

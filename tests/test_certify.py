@@ -59,6 +59,16 @@ def test_gram_system_sum_of_squares_unique_solution():
     assert np.allclose(res.X, np.diag([0.0, 1.0, 1.0]), atol=1e-8)
 
 
+def test_gram_system_takes_what_is_hermitian_accepts():
+    # the defect 1.5e-3 of 1e6 (J + [[0, 1.5e-9], [0, 0]]) x1 is within
+    # EPS_HERM times its operator norm, 2e6, but not times its largest entry:
+    # the mirror check scales by the norm of the whole target vector
+    P = 1e6 * (np.ones((2, 2)) + [[0.0, 1.5e-9], [0.0, 0.0]])
+    f = NCPoly(1, MONOID, 2, {(): np.eye(2), (1,): P})
+    assert f.is_hermitian()
+    gram_system(f, constraint_index(1, 1, MONOID))
+
+
 def test_primal_inconclusive_on_anticommutator():
     out, _ = run_primal(anticommutator(), 1)
     assert out.kind == "undecided" and out.certificate is None
@@ -404,7 +414,7 @@ def _raise_gns_error(S):
     ("ncsos.certify.gns_verify", lambda S, model: 1.0, "GNS verification residual 1.000e+00",
      "undecided", "tuple search to side 3: GNS verification residual 1.000e+00"),
     ("ncsos.sdp.MAX_BYTES", 0, "f(X) of side 3 would take 0.000245 GiB, over the 0.00 GiB budget",
-     "undecided", "tuple search: f(X) of side 1 would take 0.000244 GiB, over the 0.00 GiB budget"),
+     "undecided", "tuple search to side 3: f(X) of side 3 would take 0.000245 GiB, over the 0.00 GiB budget"),
 ], ids=["gns-error", "verify-residual", "evaluation-budget"])
 def test_dual_states_why_it_builds_no_witness(name, value, note, kind, search, monkeypatch):
     # past the Farkas certificate, GNS raising, a verification residual above
@@ -412,7 +422,8 @@ def test_dual_states_why_it_builds_no_witness(name, value, note, kind, search, m
     # the dual without a GNS witness, with the certificate's pairing and then
     # its own reason; the tuple search follows, with its own note: x1 x2 +
     # x2 x1 is -2 at the scalars (1, -1), so it finds a witness at side 1
-    # unless its gate or the budget refuses it too
+    # unless its gate refuses it too, by the verification residual or, for
+    # each end, by the budget on the f(Y) the gate forms
     f = anticommutator()
     assert run_dual(f, 1).model.dim == 3
     module, _, attr = name.rpartition(".")
@@ -554,14 +565,19 @@ def reference_gradient(f, Y, v):
 @pytest.mark.parametrize("mode", [MONOID, GROUP])
 @pytest.mark.parametrize("k", [1, 2])
 def test_tuple_search_gradient_matches_the_letter_loop(mode, k):
-    # the backward pass over the basis word images against the gradient
-    # summed letter by letter over f's words, at seeded starts of each side
+    # the value of f's Gram form against lambda_min of the term-by-term f(Y)
+    # that the witness gate forms, and the backward pass over the basis word
+    # images against the gradient summed letter by letter over f's words, at
+    # seeded starts of each side
     for point in [p for p in POINTS if p[0] == mode and p[3] == k]:
         for eps in (None, 1e-2):
             f = known_answer_input(0, *point, eps)[0]
             arguments = gradient_arguments(f, constraint_index(f.g, infer_degree(f), f.mode))
             for Y in (_tuple_start(f, n, start) for n in (1, 2, 3) for start in range(2)):
-                _, grad, v = _lowest(f, *arguments, Y)
+                low, grad, v = _lowest(f, *arguments, Y)
+                fY = poly_eval(f, Y)
+                literal = np.linalg.eigvalsh(fY / 2 + fY.conj().T / 2)[0]
+                assert abs(low - literal) <= 1e-12 * abs(literal)
                 want = reference_gradient(f, Y, v)
                 assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -591,13 +607,12 @@ def test_tuple_search_reads_an_overflowing_value_as_infinite():
 def test_tuple_search_does_not_call_rounding_a_witness(scale):
     # scale (2 - u1 - u1^-1) = scale (1 - u1)* (1 - u1) is SOS, and its solve
     # ends with neither a point nor a certificate; the tuple search drives
-    # the computed min eig of f(Y) below -EPS_WIT by rounding alone, and the
-    # witness gate refuses it by _rounding's bound
+    # the min eig of f's Gram form below -EPS_WIT by rounding alone, and the
+    # witness gate, which forms f(Y) term by term, refuses the end
     u1 = NCPoly.monomial((1,), 1, GROUP)
     out = certify((NCPoly.constant(2.0, 1, GROUP) - u1 - u1.adjoint()) * scale)
-    assert out.kind == "undecided" and "; tuple search to side 3: min eig -" in out.note, out.note
-    assert " on rounding and the operator defect; " in out.note
-    assert float(out.note.split("min eig ")[1].split()[0]) <= -EPS_WIT
+    assert out.kind == "undecided" and out.model is None and out.min_eig is None
+    assert "; tuple search to side 3: witness margin too small (min eig " in out.note, out.note
 
 
 def test_rounding_covers_the_operator_defect():

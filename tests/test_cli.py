@@ -441,7 +441,7 @@ def test_one_budget_bounds_every_allocation(tmp_path, capsys, monkeypatch):
         paths[name].write_text(json.dumps(data))
     for argv, code, reason in [
         (["witness", "{anti}"], EX_UNDECIDED, "f(X) of side 3 would take 0.000245"),
-        (["witness", "{anti}"], EX_UNDECIDED, "tuple search: f(X) of side 1 would take 0.000244"),
+        (["witness", "{anti}"], EX_UNDECIDED, "tuple search to side 3: f(X) of side 3 would take 0.000245"),
         (["eval", "{square}", "--at", "{at}"], EX_DATA, "input error: {at}: f(X) of side 1 would take 0.000244"),
         (["spotcheck", "{square}", "{wit}"], EX_DATA, "input error: {wit}: f(X) of side 1 would take 0.000244"),
         (["spotcheck", "{square}", "{sos}"], EX_DATA,

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from ncsos import jsonio
+from ncsos.certify import certify
 from ncsos.cli import main
 from ncsos.poly import NCPoly, OperatorTuple, poly_eval, poly_to_json
 from ncsos.words import GROUP, MONOID, count_words, enumerate_words
@@ -79,3 +80,16 @@ def test_known_answer_never_gets_the_opposite_kind(tmp_path, capsys, mode, g, d,
         capsys.readouterr()
         assert main(["spotcheck", str(path), str(outcome)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+def test_scaled_inputs_are_read_and_never_get_the_opposite_kind(scale):
+    # c f for the seed-0 SOS and eps = 1e-2 inputs of every point: Hermitian
+    # up to rounding relative to c, so certify reads each one (against an
+    # absolute tolerance, 6 are "not Hermitian" at 1e6 and 16 at 1e9) and
+    # never gives the opposite kind; below c = 1 an absolute EPS_WIT and
+    # solver tolerance still let some r* r - eps decide sos
+    for point in POINTS:
+        for eps in (None, 1e-2):
+            kind = certify(known_answer_input(0, *point, eps)[0] * scale).kind
+            assert kind != ("witness" if eps is None else "sos"), (point, eps, kind)
