@@ -39,14 +39,18 @@ of its one Gram solve: the note names the factor search's last rank when
 Dykstra's budget ran out, and the tuple search's side when it found the
 witness.  The same interpreter then runs `ncsos spotcheck`
 on each decided outcome file, after the peak above is read, and the table
-gives its exit code and wall time.
+gives its exit code and wall time.  For an sos outcome the table also gives
+the number of square factors in its certificate: a square point's must be
+at most ceil(rank / k), rank that of its Gram matrix, so the paper's single
+square r* r stays one factor.
 
 A last row runs certify.tuple_search alone, in a fresh interpreter, on the
 input of TUPLE_SEARCH_POINT at its Gram degree, and gives its side, the min
 eig of f at its witness and its wall time: no decision above reaches the
 tuple search, which runs only when GNS gives no witness.  The exit code is 1
 when a decided kind contradicts the construction, spotcheck refuses a
-decided file, or the tuple search alone finds no witness.
+decided file, a square point's certificate has more factors than that, or
+the tuple search alone finds no witness.
 """
 
 import json
@@ -113,7 +117,9 @@ def decide(name):
     import resource
     import time
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
     from ncsos.cli import main
+    from ncsos.poly import matrix_from_json
     from ncsos.words import count_words
 
     mode, g, d, k = POINTS[name][:4]
@@ -123,13 +129,17 @@ def decide(name):
     wall = time.perf_counter() - t0
     data = json.loads(out.read_text())
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    spotcheck, spot_s = None, 0.0
+    spotcheck, spot_s, factors, rank = None, 0.0, None, None
+    if data["outcome"] == "sos":
+        factors = len(data["certificate"]["factors"])
+        rank = int(np.linalg.matrix_rank(matrix_from_json(data["certificate"]["gram"]), hermitian=True))
     if data["outcome"] in ("sos", "witness"):
         t0 = time.perf_counter()
         spotcheck = main(["spotcheck", str(inp), str(out), "--out", str(OUT / f"{name}.spotcheck.json")])
         spot_s = time.perf_counter() - t0
     print(json.dumps({"m": k * count_words(g, d, mode), "kind": data["outcome"], "wall_s": wall,
-                      "ru_maxrss_mb": rss, "spotcheck": spotcheck, "spot_s": spot_s, **data["diagnostics"]}))
+                      "ru_maxrss_mb": rss, "spotcheck": spotcheck, "spot_s": spot_s, "factors": factors,
+                      "rank": rank, **data["diagnostics"]}))
 
 
 def search(name):
@@ -156,14 +166,15 @@ def run(*args) -> str:
 def main():
     run("--make")
     print(f"{'point':26s} {'m':>4s} {'kind':>9s} {'expected':>9s} {'wall_s':>8s} {'ru_maxrss_mb':>13s} "
-          f"{'spotcheck':>9s} {'spot_s':>7s} {'iterations':>10s}  note")
+          f"{'spotcheck':>9s} {'spot_s':>7s} {'factors':>7s} {'iterations':>10s}  note")
     wrong = 0
-    for name, (*_, expected, _) in POINTS.items():
+    for name, (*_, k, expected, _) in POINTS.items():
         got = json.loads(run("--decide", name))
         wrong += got["kind"] not in (expected, "undecided") or got["spotcheck"] not in (None, 0)
+        wrong += name.endswith("-square") and got["factors"] is not None and got["factors"] > -(-got["rank"] // k)
         print(f"{name:26s} {got['m']:4d} {got['kind']:>9s} {expected:>9s} {got['wall_s']:8.2f} "
               f"{got['ru_maxrss_mb']:13.1f} {str(got['spotcheck']):>9s} {got['spot_s']:7.2f} "
-              f"{got['iterations']:10d}  {got['note']}")
+              f"{str(got['factors']):>7s} {got['iterations']:10d}  {got['note']}")
     got = json.loads(run("--search", TUPLE_SEARCH_POINT))
     wrong += got["min_eig"] is None
     print(f"tuple search alone on {TUPLE_SEARCH_POINT}: {got['note']}, min eig {got['min_eig']}, "

@@ -135,16 +135,16 @@ def run_primal(f: NCPoly, d: int) -> tuple[CertifyOutcome, tuple]:
     certificate's GramMatrix carries, and the solver's result, however the
     solve ended (its reason is in the note).
 
-    Every answer passes the certificate gate, refuse_certificate, whose psd
-    test refuses a point that factor_gram factors only by its psd part, so
-    neither the factor search nor a point psd only to the solver's tolerance
-    makes a wrong certificate.
+    Every answer passes the certificate gate, refuse_certificate, which tests
+    the point psd and measures it and its squares (factor_gram, the solver's
+    root regrouped) against f, so neither the factor search nor a point psd
+    only to the solver's tolerance makes a wrong certificate.
     """
     index = constraint_index(f.g, d, f.mode)
     res = solve_feasibility(gram_system(f, index), interior=free_state(f, d))
     refusal = ""
     if res.feasible:
-        cert = factor_gram(GramMatrix(f.g, f.mode, f.k, index, res.X))
+        cert = factor_gram(GramMatrix(f.g, f.mode, f.k, index, res.X), res.root)
         refusal, cert.residual, _ = refuse_certificate(f, cert)
         if not refusal:
             return _outcome(res, d, kind="sos", certificate=cert), (index, res)

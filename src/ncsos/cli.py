@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -75,6 +76,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process, built at the first main call, not at import
 def _build_parser() -> _Parser:
     p = _Parser(prog="ncsos", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -6,10 +6,10 @@ basis (word-major layout: block (v, w) sits at rows v*k..(v+1)*k).  Basis pair
 constraint_index writes this map down once, as an N x N table of product-word
 indices, which a GramMatrix carries as the dual's HankelFunctional does: the
 word u coefficient of the represented polynomial is the sum of the blocks
-G_{v,w} in u's class of that table (block_sums).  A psd G factors as R R^*,
-and column group j of R, conjugate-transposed, holds the coefficients on the
-degree-d basis of a square factor r_j.  The certificate keeps that stack, and
-p = sum_j r_j^* r_j is the block sums of R R^* over G's own table.
+G_{v,w} in u's class of that table (block_sums).  The solver builds a psd G as
+R R^* (FeasibilityResult.root), and column group j of R, conjugate-transposed,
+holds the coefficients on the degree-d basis of a square factor r_j.  The
+certificate keeps that stack: p = sum_j r_j^* r_j, the block sums of R R^*.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .poly import COEFF_DROP_TOL, NCPoly
 from .words import enumerate_words, involute
 
 EPS_PSD = 1e-8    # psd tolerance of the GNS quotient and the gates
-EPS_RANK = 1e-10
 EPS_CERT = 1e-7
 
 
@@ -125,23 +124,18 @@ def gram_to_poly(G: GramMatrix) -> NCPoly:
     return NCPoly(G.g, G.mode, G.k, dict(zip(products, block_sums(G.matrix, table))))
 
 
-def factor_gram(G: GramMatrix) -> SOSCertificate:
-    """Factor G's psd part: eigendecompose G, clip the eigenvalues at or below
-    EPS_RANK (the negative ones with them), split columns into k-wide groups.
+def factor_gram(G: GramMatrix, R: np.ndarray) -> SOSCertificate:
+    """The squares of G = R R^*, R the root the solver built G from: R's
+    columns, zero-padded in front to whole groups, split into k-wide groups,
+    each one square factor r_j with its blocks at most COEFF_DROP_TOL zeroed.
 
-    The column groups realize the splitting of a psd map into N rank-<=k
-    pieces; each group above EPS_RANK is one square factor r_j, its blocks
-    at most COEFF_DROP_TOL zeroed.  The certificate's residual is left at 0:
-    the certificate gate certify.refuse_certificate, the one psd test, refuses
-    an indefinite G and measures the factors against the input.
+    The certificate's residual is left at 0: the certificate gate
+    certify.refuse_certificate, the one psd test, refuses a G that is not
+    psd and measures the factors against the input.
     """
-    H = (G.matrix + G.matrix.conj().T) / 2
-    evals, evecs = np.linalg.eigh(H)
-    R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
-
     n, k = len(G.index[1]), G.k
-    # blocks[j, v] is block (v, j) of R conjugate-transposed: r_j's coefficient of word v
-    blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
-    factors = blocks[[np.linalg.norm(Bj) > EPS_RANK for Bj in blocks]]
+    R = np.pad(R, ((0, 0), (-R.shape[1] % k, 0)))
+    # factors[j, v] is block (v, j) of R conjugate-transposed: r_j's coefficient of word v
+    factors = R.reshape(n, k, -1, k).conj().transpose(2, 0, 3, 1)
     factors[np.linalg.norm(factors, axis=(2, 3)) <= COEFF_DROP_TOL] = 0
     return SOSCertificate(G, factors)

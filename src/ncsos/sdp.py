@@ -25,8 +25,8 @@ empty intersection close to the cone), a factor search takes over after
 DEFAULT_MAX_ITER iterations (Burer & Monteiro 2003): it minimizes
 ||A(R R*) - t||^2 over factors R of rank 1, 2, ..., and each rung gives a
 point R R* or, in its residual, a displacement for the same certificate test.
-Both stages hold points psd as built, Dykstra's clipped iterate and R R*, so
-the class-sum residual alone decides whether a point is feasible.
+Both stages build points psd from a root (Dykstra's clipped eigenpairs, or R):
+the class-sum residual alone decides feasibility; the root gives the squares.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .poly import EPS_HERM
 DEFAULT_MAX_ITER = 1_000  # Dykstra iterations before the factor search
 DEFAULT_TOL = 1e-9        # class-sum residual of a feasible point, at most
 EPS_AFFINE = 1e-7         # residual of the affine projection, at most: more is inconsistent
+EPS_RANK = 1e-10          # eigenvalues of Dykstra's feasible point at or below this leave its root
 EPS = np.finfo(float).eps
 # Floor on the weight s of the interior point K in a certificate H + s K:
 # s lambda_min(K) >= FREE_MIX DEFAULT_TOL ||H||_F.  A feasible point meets
@@ -119,12 +120,12 @@ class AffineSystem:
         return float(np.abs((self._class_sums(X) - self.targets).view(float)).max(initial=0.0))
 
 
-def project_psd(X: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest psd matrix to an exactly Hermitian X: clip negative
-    eigenvalues to zero."""
-    evals, evecs = np.linalg.eigh(X)
-    out = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
-    return (out + out.conj().T) / 2
+def project_psd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frobenius-nearest psd matrix to an exactly Hermitian X, Q max(lam, 0) Q*,
+    and the eigenpairs (lam, Q) of X it clips."""
+    lam, Q = np.linalg.eigh(X)
+    out = (Q * np.maximum(lam, 0.0)) @ Q.conj().T
+    return (out + out.conj().T) / 2, lam, Q
 
 
 def project_affine(X: np.ndarray, sys: AffineSystem) -> tuple[np.ndarray, float]:
@@ -147,6 +148,7 @@ class FeasibilityResult:
     pairing: float | None = None           # Re Tr(A*(h) X) on the affine set, < 0
     rank: int = 0                          # the factor search's last rung, 0 if it did not run
     reason: str = ""                       # why the solve did not start or stopped
+    root: np.ndarray | None = None         # of a feasible X: R with R R* = X, within m EPS_RANK and rounding
 
 
 def _low_eig(H: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -222,10 +224,10 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
 
     Each iteration first tests the displacement for a Farkas certificate
     (_Farkas), a proof that no psd solution exists.  Otherwise the psd
-    iterate y, psd as built, is feasible once sys.residual(y) <= DEFAULT_TOL.
-    After DEFAULT_MAX_ITER iterations with neither, each rung of
-    factor_search is tested the same way: its point R R*, psd as built, by
-    the same residual, else its residual's displacement.  With neither, the
+    iterate y, psd as built, is feasible once sys.residual(y) <= DEFAULT_TOL, its root
+    sqrt(lam) q over its eigenpairs with lam > EPS_RANK.  After DEFAULT_MAX_ITER iterations
+    with neither, each rung of factor_search, run from the last eigenpairs, is tested the same way: its
+    point R R* (root R), by the same residual, else its residual's displacement.  With neither, the
     result is neither feasible nor certified.  Every end is a result, whose
     reason says why the solve did not start (an interior not positive
     definite on the classes) or stopped (an affine residual above EPS_AFFINE).
@@ -239,7 +241,7 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
     p = np.zeros_like(x)
     for it in range(1, DEFAULT_MAX_ITER + 1):
         z = x + p
-        y = project_psd(z)
+        y, lam, Q = project_psd(z)
         p = z - y
         x, aff_res = project_affine(y, sys)
         if aff_res > EPS_AFFINE:
@@ -250,11 +252,11 @@ def solve_feasibility(sys: AffineSystem, interior: np.ndarray) -> FeasibilityRes
         if found is not None:
             return FeasibilityResult(False, None, it, gap, *found)
         if gap <= DEFAULT_TOL:
-            return FeasibilityResult(True, y, it, gap)
+            return FeasibilityResult(True, y, it, gap, root=Q[:, lam > EPS_RANK] * np.sqrt(lam[lam > EPS_RANK]))
 
-    for rank, X, e in factor_search(sys, y):
+    for rank, R, X, e in factor_search(sys, (lam, Q)):
         if (miss := sys.residual(X)) <= DEFAULT_TOL:
-            return FeasibilityResult(True, X, it, miss, rank=rank)
+            return FeasibilityResult(True, X, it, miss, rank=rank, root=R)
         found = farkas(sys.broadcast(e))
         if found is not None:
             return FeasibilityResult(False, None, it, gap, *found, rank=rank)
@@ -308,11 +310,11 @@ def lbfgs(fun, x, move, steps: int, stall: float, scale: float, floor: float):
     return x, value, extra
 
 
-def factor_search(sys: AffineSystem, psd: np.ndarray):
+def factor_search(sys: AffineSystem, psd: tuple[np.ndarray, np.ndarray]):
     """The rank ladder r = 1, 2, ...: minimize phi(R) = 1/2 ||A(R R*) - t||^2
-    over m x r factors R (Burer & Monteiro 2003) with lbfgs, from the top r
-    eigenpairs of Dykstra's last psd iterate; with e = A(R R*) - t and
-    E = A*(e), the gradient is (E + E*) R.  Yields each rung's (r, X, e), X = R R* made exactly Hermitian.
+    over m x r factors R (Burer & Monteiro 2003) with lbfgs, from the top r of the
+    eigenpairs psd = (lam, Q) Dykstra's last psd step clipped; with e = A(R R*) - t
+    and E = A*(e), the gradient is (E + E*) R.  Yields each rung's (r, R, X, e), X = R R* made exactly Hermitian.
     At a minimizer over psd G, A*(e) is psd and Re <e, t> = -||e||^2 < 0: a
     displacement for the certificate test.  The ladder stops at
     FACTOR_MAX_RANK, or at a rung that leaves phi above FACTOR_FALL of the last's."""
@@ -321,13 +323,13 @@ def factor_search(sys: AffineSystem, psd: np.ndarray):
         E = sys.broadcast(e)
         return float(np.vdot(e, e).real) / 2, (E + E.conj().T) @ R, e
 
-    lam, Q = np.linalg.eigh(psd)
+    lam, Q = psd
     floor = FACTOR_START_FLOOR * max(float(lam[-1]), 0.0)
     last, phi_floor = np.inf, (DEFAULT_TOL / 10) ** 2 / 2
     for rank in range(1, min(FACTOR_MAX_RANK, sys.m) + 1):
         R, value, e = lbfgs(phi, Q[:, -rank:] * np.sqrt(np.maximum(lam[-rank:], floor)), np.add,
                             FACTOR_MAX_ITER, FACTOR_STALL, phi_floor, phi_floor)
-        yield rank, (X := R @ R.conj().T) / 2 + X.conj().T / 2, e  # BLAS forms R R* Hermitian only to rounding
+        yield rank, R, (X := R @ R.conj().T) / 2 + X.conj().T / 2, e  # BLAS forms R R* Hermitian only to rounding
         if not value < FACTOR_FALL * last:
             return
         last = value

@@ -13,9 +13,7 @@ from ncsos.certify import (
 from ncsos.cli import _sos_json, main
 from ncsos.fock import build_symmetrized, build_unitaries
 from ncsos.gns import GnsError, WitnessModel, gns_verify, quotient_matrix, unvec
-from ncsos.gram import (
-    EPS_CERT, EPS_RANK, block_sums, constraint_index, factor_gram, gram_to_poly,
-)
+from ncsos.gram import EPS_CERT, block_sums, constraint_index, factor_gram, gram_to_poly
 from ncsos.poly import COEFF_DROP_TOL, NCPoly, OperatorTuple, opnorm, poly_eval, poly_to_json, word_images
 from ncsos.sdp import (
     DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_BYTES, FeasibilityResult, _low_eig, project_affine, solve_feasibility,
@@ -83,16 +81,18 @@ def interior_sos_input(seed, g, mode, d, k):
 
 
 def test_gram_point_not_psd_is_refused_not_factored(monkeypatch):
-    # a solver point that meets the constraints but is psd only to 1e-5:
-    # the certificate gate refuses it before factor_gram sees it.  On x1^2 +
-    # x2^2 at d = 1 the (1, x1) class sums to 0, so i t there is allowed,
-    # and the (1, x1) block [[0, i t], [-i t, 1]] has min eig about -t^2
+    # a solver point that meets the constraints but is psd only to 1e-5,
+    # handed in with the root of its psd part: the certificate gate refuses
+    # it, and no certificate is emitted.  On x1^2 + x2^2 at d = 1 the
+    # (1, x1) class sums to 0, so i t there is allowed, and the (1, x1)
+    # block [[0, i t], [-i t, 1]] has min eig about -t^2
     f = x(1) * x(1) + x(2) * x(2)
     t = np.sqrt(1e-5)
     X = np.diag([0.0, 1.0, 1.0]).astype(complex)
     X[0, 1], X[1, 0] = 1j * t, -1j * t
     assert gram_system_at(f, 1).residual(X) == 0 and np.linalg.eigvalsh(X)[0] < -9e-6
-    solved = FeasibilityResult(True, X, 1, 0.0)
+    lam, Q = np.linalg.eigh(X)
+    solved = FeasibilityResult(True, X, 1, 0.0, root=Q[:, lam > 0] * np.sqrt(lam[lam > 0]))
     monkeypatch.setattr(importlib.import_module("ncsos.certify"), "solve_feasibility",
                         lambda *args, **kwargs: solved)
     out, _ = run_primal(f, 1)
@@ -127,14 +127,14 @@ def _miss(p, f):
     return float(np.linalg.norm(p.on(words) - f.on(words), 2, axis=(1, 2)).max(initial=0.0))
 
 
-def ncpoly_factors(G):
-    """factor_gram's factors as one NCPoly each: the reference for its stack."""
-    evals, evecs = np.linalg.eigh((G.matrix + G.matrix.conj().T) / 2)
-    R = evecs * np.sqrt(np.where(evals > EPS_RANK, evals, 0.0))
+def ncpoly_factors(G, R):
+    """factor_gram's factors of the root R as one NCPoly each, read off R's
+    k-column groups, zero columns first: the reference for its stack."""
     words = G.index[0][:len(G.index[1])]
-    n, k = len(words), G.k
-    blocks = R.reshape(n, k, n, k).conj().transpose(2, 0, 3, 1)
-    return [NCPoly(G.g, G.mode, k, dict(zip(words, Bj))) for Bj in blocks if np.linalg.norm(Bj) > EPS_RANK]
+    k = G.k
+    R = np.hstack([np.zeros((len(R), -R.shape[1] % k)), R])
+    return [NCPoly(G.g, G.mode, k, {w: R[v * k:(v + 1) * k, j:j + k].conj().T for v, w in enumerate(words)})
+            for j in range(0, R.shape[1], k)]
 
 
 def ncpoly_reconstruction(factors, G):
@@ -153,9 +153,9 @@ def ncpoly_reconstruction(factors, G):
 def test_certificate_stack_matches_per_factor_ncpolys(mode, k, above):
     # the gate and the JSON read the factor stack to the bit as they read one
     # NCPoly per factor.  G couples the empty word to no other basis word, so
-    # factors have all-zero coefficient blocks; the class of x1 x2 sums to at
-    # most COEFF_DROP_TOL; and unless above is 0, f has a word above 2d,
-    # missed by all of it
+    # the factors of its Cholesky root have all-zero coefficient blocks; the
+    # class of x1 x2 sums to at most COEFF_DROP_TOL; and unless above is 0,
+    # f has a word above 2d, missed by all of it
     g, d = 2, 1
     rng = np.random.default_rng(7)
     m = count_words(g, d, mode) * k
@@ -172,7 +172,8 @@ def test_certificate_stack_matches_per_factor_ncpolys(mode, k, above):
     assert 0 < np.linalg.norm(block_sums(X, table)[tiny]) <= COEFF_DROP_TOL and cube not in products
     assert (cube in f.words) == (above > 0)
 
-    cert, reference = factor_gram(G), ncpoly_factors(G)
+    R = np.linalg.cholesky(X)
+    cert, reference = factor_gram(G, R), ncpoly_factors(G, R)
     assert not all(C.any(axis=(1, 2)).all() for C in cert.factors)
     note, residual, _ = refuse_certificate(f, cert)
     want = max(_miss(gram_to_poly(G), f), _miss(ncpoly_reconstruction(reference, G), f))

@@ -704,6 +704,22 @@ def test_delta_flag_is_gone(tmp_path, capsys):
     assert err.strip() == "usage error: unrecognized arguments: --delta 1e-4"
 
 
+def test_main_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built at the first main call and kept: a second call
+    # builds none, and a usage error on it still exits 64
+    import ncsos.cli
+
+    ncsos.cli._build_parser.cache_clear()
+    built, init = [], ncsos.cli._Parser.__init__
+    monkeypatch.setattr(ncsos.cli._Parser, "__init__",
+                        lambda self, *args, **kwargs: built.append(kwargs["prog"]) or init(self, *args, **kwargs))
+    path = write_poly(tmp_path / "p.json", sos_fixture())
+    assert run(capsys, "certify", path)[0] == EX_OK_SOS
+    assert run(capsys, "certify", path, "--delta", "1") == (
+        EX_USAGE, "", "usage error: unrecognized arguments: --delta 1\n")
+    assert built.count("ncsos") == 1
+
+
 @pytest.mark.parametrize("command", ["certify", "decompose", "witness"])
 @pytest.mark.parametrize("flag", ["--tol", "--max-iter", "--degree"])
 def test_solver_flags_are_gone(tmp_path, capsys, command, flag):

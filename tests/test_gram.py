@@ -23,10 +23,15 @@ def gram(g, mode, d, k, matrix) -> GramMatrix:
     return GramMatrix(g, mode, k, constraint_index(g, d, mode), matrix)
 
 
-def rand_psd_gram(g, mode, d, k, rng):
+def rand_psd_root(g, mode, d, k, rng):
+    """A random psd Gram matrix G = R R* on the degree-d table, and R."""
     n = count_words(g, d, mode) * k
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return gram(g, mode, d, k, m @ m.conj().T / n)
+    R = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    return gram(g, mode, d, k, R @ R.conj().T), R
+
+
+def rand_psd_gram(g, mode, d, k, rng):
+    return rand_psd_root(g, mode, d, k, rng)[0]
 
 
 def pairs_of(products, table, u):
@@ -125,9 +130,9 @@ def test_gram_to_poly_linear_and_hermitian(monkeypatch):
 
 
 def test_factor_rank_one():
-    G = gram(2, MONOID, 1, 1,
-                   np.array([[0, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex))
-    cert = factor_gram(G)
+    R = np.array([[0], [1], [1]], dtype=complex)
+    G = gram(2, MONOID, 1, 1, R @ R.conj().T)
+    cert = factor_gram(G, R)
     assert cert.factors.shape == (1, 3, 1, 1)
     assert _reconstruction_miss(cert, G) < 1e-10
     c0, c1, c2 = cert.factors[0, :, 0, 0]  # on the basis (1, x1, x2)
@@ -136,7 +141,7 @@ def test_factor_rank_one():
 
 def test_factor_identity_g1():
     G = gram(1, MONOID, 1, 1, np.eye(2, dtype=complex))
-    cert = factor_gram(G)
+    cert = factor_gram(G, np.eye(2))
     assert _reconstruction_miss(cert, G) < 1e-10
     assert np.allclose(cert.reconstruction(), block_sums(G.matrix, G.index[1]), rtol=0, atol=1e-12)
 
@@ -145,12 +150,12 @@ def test_factor_identity_g1():
 def test_factor_random_psd_roundtrip(g, mode, d, k):
     rng = np.random.default_rng(12)
     for _ in range(5):
-        G = rand_psd_gram(g, mode, d, k, rng)
-        cert = factor_gram(G)
+        G, R = rand_psd_root(g, mode, d, k, rng)
+        cert = factor_gram(G, R)
         assert _reconstruction_miss(cert, G) <= 1e-9
         n = count_words(g, d, mode)
         assert len(cert.factors) <= n and cert.factors.shape[1:] == (n, k, k)
-        # re-assembled Gram matches to clipping accuracy
+        # re-assembled Gram matches to rounding
         R = np.hstack([_factor_matrix(C, k) for C in cert.factors])
         assert opnorm(R @ R.conj().T - G.matrix) < 1e-8
 
@@ -220,10 +225,10 @@ def _reconstruction_miss(cert, G):
 
 
 def test_factor_reconstruction_is_the_block_sums():
-    # R R^* rebuilds G up to clipping, and its block sums are the reconstruction
+    # R R^* rebuilds G up to rounding, and its block sums are the reconstruction
     rng = np.random.default_rng(4)
-    G = rand_psd_gram(2, GROUP, 1, 2, rng)
-    assert _reconstruction_miss(factor_gram(G), G) <= 1e-12
+    G, R = rand_psd_root(2, GROUP, 1, 2, rng)
+    assert _reconstruction_miss(factor_gram(G, R), G) <= 1e-12
 
 
 def test_gram_matrix_side_must_fit_its_table():
@@ -242,10 +247,10 @@ def test_gram_matrix_must_be_hermitian():
 
 
 def test_indefinite_gram_is_factored_by_its_psd_part_and_refused_by_the_gate():
-    # factor_gram clips the negative eigenvalue with the small ones; the
-    # certificate gate is the one psd test, and refuses the factored G
+    # factor_gram regroups whatever root it is handed, here that of G's psd
+    # part; the certificate gate is the one psd test, and refuses the factored G
     G = gram(1, MONOID, 1, 1, np.diag([1.0, -1.0]).astype(complex))
-    cert = factor_gram(G)
+    cert = factor_gram(G, np.array([[1.0], [0.0]]))
     assert cert.factors.shape == (1, 2, 1, 1) and np.abs(cert.factors).ravel().tolist() == [1.0, 0.0]
     f = NCPoly.constant(1.0, 1) - NCPoly.monomial((1, 1), 1)
     note, _, low = refuse_certificate(f, cert)

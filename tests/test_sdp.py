@@ -3,11 +3,11 @@ import pytest
 
 from ncsos import sdp
 from ncsos.certify import free_state, hankel_system
-from ncsos.gram import constraint_index
+from ncsos.gram import GramMatrix, constraint_index, factor_gram
 from ncsos.poly import NCPoly
 from ncsos.sdp import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, AffineSystem, SdpError, _low_eig, lbfgs, project_affine, project_psd,
-    solve_feasibility,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, EPS, EPS_RANK, AffineSystem, SdpError, _low_eig, factor_search, lbfgs,
+    project_affine, project_psd, solve_feasibility,
 )
 from ncsos.words import GROUP, MONOID, concat, enumerate_words, involute
 
@@ -41,21 +41,24 @@ def linear_part(sys, X):
 
 
 def test_project_psd_clips():
+    # the projection comes with the eigenpairs of X it clipped
     X = np.diag([2.0, -1.0]).astype(complex)
-    assert np.allclose(project_psd(X), np.diag([2.0, 0.0]))
+    P, lam, Q = project_psd(X)
+    assert np.allclose(P, np.diag([2.0, 0.0]))
+    assert lam.tolist() == [-1.0, 2.0] and np.allclose((Q * lam) @ Q.conj().T, X)
 
 
 def test_project_psd_fixpoint():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     P = m @ m.conj().T
-    assert np.linalg.norm(project_psd(P) - P) < 1e-12
+    assert np.linalg.norm(project_psd(P)[0] - P) < 1e-12
 
 
 def test_project_psd_nearest_point():
     rng = np.random.default_rng(1)
     X = rand_hermitian(4, rng)
-    PX = project_psd(X)
+    PX = project_psd(X)[0]
     dist = np.linalg.norm(X - PX)
     for _ in range(100):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -266,6 +269,38 @@ def test_factor_search_decides_the_scaled_laplacian():
     res = solve_feasibility(gram_system_at(f, 1), free_state(f, 1))
     assert res.feasible and res.certificate is None and res.reason == ""
     assert res.iterations == DEFAULT_MAX_ITER and res.rank == 2 and _low_eig(res.X)[0] >= -DEFAULT_TOL
+
+
+@pytest.mark.parametrize("f,rank,columns", [
+    (interior_sos_input(0, 2, MONOID, 1, 2), 0, 6),
+    (NCPoly.monomial((1, 1), 2) + NCPoly.monomial((2, 2), 2), 0, 2),
+    (group_fixture(), 2, 2),
+], ids=["interior", "singular", "factor-search"])
+def test_feasible_point_comes_with_its_root(f, rank, columns):
+    # Dykstra's root drops the eigenvalues at or below EPS_RANK, at most m of
+    # them; a rung's root is its R; beyond that, R R* is the point to rounding
+    res = solve_feasibility(gram_system_at(f, 1), free_state(f, 1))
+    X, R, m = res.X, res.root, len(res.X)
+    assert res.feasible and res.rank == rank and R.shape == (m, columns)
+    dropped = m * EPS_RANK if rank == 0 else 0.0
+    assert np.linalg.norm(R @ R.conj().T - X, 2) <= dropped + 4 * m * EPS * np.linalg.norm(X)
+
+
+def test_factor_gram_and_the_factor_search_start_run_no_eigensolver(monkeypatch):
+    # the factor search starts from the eigenpairs the psd step clipped, and
+    # factor_gram regroups the rung's R: neither diagonalizes a point again
+    f = group_fixture()
+    sys = gram_system_at(f, 1)
+    _, lam, Q = project_psd(project_affine(np.zeros((3, 3), dtype=complex), sys)[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rank, R, X, _ = next(factor_search(sys, (lam, Q)))
+    cert = factor_gram(GramMatrix(f.g, f.mode, f.k, constraint_index(f.g, 1, f.mode), X), R)
+    assert rank == 1 and R.shape == (3, 1) and cert.factors.shape == (1, 3, 1, 1)
 
 
 def test_certificate_proves_infeasibility():
